@@ -15,12 +15,16 @@
 # watchdog/stall, health endpoints — under the race detector, including the
 # gateway soak (HPFQ_SOAK=5m scales it up; HPFQ_SOAK_OUT merges the shed and
 # recovery stats into a benchjson document such as BENCH_dataplane.json).
+# Each `make bench` keeps the replaced document's figures under "previous",
+# so a refresh checks in a before/after pair. `make perfbench-short` vets
+# and unit-tests the perfbench harness (its own module) against the engine
+# in this checkout, in a few seconds.
 
 GO ?= go
 HPFQ_FAULT_SEED ?= 20260806
 BENCHTIME ?= 2s
 
-.PHONY: all build test race vet fmt fault fec bench alloccheck overload verify
+.PHONY: all build test race vet fmt fault fec bench alloccheck overload perfbench-short verify
 
 all: verify
 
@@ -51,7 +55,7 @@ fec:
 
 bench:
 	{ $(GO) test ./internal/dataplane/ -run '^$$' \
-		-bench 'BenchmarkPump(PerPacket|Batched)$$|BenchmarkReconfigUnderLoad$$|BenchmarkFECEncode$$|BenchmarkPumpWithFEC$$' -benchmem \
+		-bench 'BenchmarkPump(PerPacket|Batched|Tree)$$|BenchmarkReconfigUnderLoad$$|BenchmarkFECEncode$$|BenchmarkPumpWithFEC$$' -benchmem \
 		-benchtime $(BENCHTIME) -count=1 ; \
 	  $(GO) test ./internal/shard/ -run '^$$' \
 		-bench 'BenchmarkShardedPump$$' -benchmem \
@@ -71,5 +75,8 @@ overload:
 	$(GO) test -race -count=1 ./internal/overload/...
 	$(GO) test -race -count=1 -run 'Overload|Shed|Brownout|Watchdog|Stall|Healthz|RestartStorm' \
 		./internal/faultconn/... ./internal/dataplane/... ./internal/ctl/... ./cmd/hpfqgw/...
+
+perfbench-short:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 verify: build test vet fmt race

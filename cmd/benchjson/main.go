@@ -8,15 +8,19 @@
 // line, the iteration count plus every "value unit" metric pair (ns/op,
 // B/op, allocs/op go to named fields; anything else lands in "extra").
 // Parsing nothing is an error — an empty document would silently pass for
-// a fresh result.
+// a fresh result. When -out names an existing document, its benchmarks
+// are kept under "previous", so every refresh checks in a before/after
+// pair.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"strconv"
 	"strings"
@@ -37,30 +41,41 @@ type document struct {
 	Pkg        string   `json:"pkg,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
 	Benchmarks []result `json:"benchmarks"`
+	// Previous holds the benchmarks of the -out document this one
+	// replaced: the "before" of the pair.
+	Previous []result `json:"previous,omitempty"`
 }
 
 func main() {
-	out := flag.String("out", "", "write JSON here instead of stdout")
+	out := flag.String("out", "", "write JSON here instead of stdout, keeping the replaced document's benchmarks as \"previous\"")
 	flag.Parse()
-	doc, err := parse(os.Stdin)
-	if err != nil {
+	if err := run(os.Stdin, os.Stdout, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
+	}
+}
+
+// run converts the benchmark output on r into a document and writes it to
+// the file out, keeping the benchmarks of the document it replaces under
+// "previous", or to w when out is empty.
+func run(r io.Reader, w io.Writer, out string) error {
+	doc, err := parse(r)
+	if err == nil && out != "" {
+		doc.Previous, err = previous(out)
+	}
+	if err != nil {
+		return err
 	}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return err
 	}
 	b = append(b, '\n')
-	if *out == "" {
-		os.Stdout.Write(b)
-		return
+	if out == "" {
+		_, err = w.Write(b)
+		return err
 	}
-	if err := os.WriteFile(*out, b, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	return os.WriteFile(out, b, 0o644)
 }
 
 func parse(r io.Reader) (document, error) {
@@ -123,4 +138,21 @@ func parseResult(line string) (result, bool) {
 		}
 	}
 	return res, true
+}
+
+// previous returns the benchmarks of the document at path, or none when
+// there is no such file.
+func previous(path string) ([]result, error) {
+	b, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var doc document
+	if err := json.Unmarshal(b, &doc); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return doc.Benchmarks, nil
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -51,5 +54,48 @@ func TestParseRejectsEmpty(t *testing.T) {
 	}
 	if _, ok := parseResult("not a benchmark"); ok {
 		t.Error("non-benchmark line accepted")
+	}
+}
+
+// TestPrevious: writing over an existing -out document keeps its
+// benchmarks under "previous"; a first write has none, and a malformed
+// document to replace is an error.
+func TestPrevious(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	read := func() document {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc document
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	if err := run(strings.NewReader(sample), nil, path); err != nil {
+		t.Fatal(err)
+	}
+	first := read()
+	if first.Previous != nil {
+		t.Errorf("first write has previous = %+v, want none", first.Previous)
+	}
+	next := strings.Replace(sample, "BenchmarkPumpPerPacket", "BenchmarkPumpNext", 1)
+	if err := run(strings.NewReader(next), nil, path); err != nil {
+		t.Fatal(err)
+	}
+	second := read()
+	if len(second.Previous) != len(first.Benchmarks) || second.Previous[0].Name != first.Benchmarks[0].Name {
+		t.Errorf("previous = %+v, want the replaced benchmarks %+v", second.Previous, first.Benchmarks)
+	}
+	if second.Benchmarks[0].Name == first.Benchmarks[0].Name {
+		t.Errorf("benchmarks = %+v, want the new run", second.Benchmarks)
+	}
+	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(strings.NewReader(sample), nil, path); err == nil {
+		t.Error("malformed document to replace accepted")
 	}
 }

@@ -53,10 +53,11 @@
 // # Serving real traffic
 //
 // NewDataplane builds a concurrent UDP egress engine around any registered
-// algorithm: goroutine-safe Ingest into bounded per-class staging queues
-// (WithQueueCap / WithByteCap; drops recorded with their reason), a single
-// pump goroutine releasing token-bucket batches in scheduler order at the
-// configured rate, and Conn-agnostic datagram I/O (PacketReaderFrom /
+// algorithm: goroutine-safe Ingest against bounded per-class caps
+// (WithQueueCap / WithByteCap; drops recorded with their reason) that only
+// stages the datagram, a single pump goroutine — the scheduler's only
+// hot-path writer — releasing token-bucket batches in scheduler order at
+// the configured rate, and Conn-agnostic datagram I/O (PacketReaderFrom /
 // PacketWriterTo adapt connected *net.UDPConn values; NewPacketPipe is the
 // in-memory test double). WithTopology schedules the classes through a full
 // H-PFQ tree. Close drains the staged backlog before stopping:

@@ -13,10 +13,10 @@ import (
 
 // The control-plane surface of a running engine: live class and node
 // mutations plus the Status snapshot the admin server (internal/ctl)
-// publishes. Every mutation takes d.mu and applies between pump iterations —
-// the pump holds the lock only inside collectBatch — so a retune, graft,
-// removal, or policy swap lands atomically with respect to scheduling: no
-// pump stop, no packet loss for surviving classes.
+// publishes. Every mutation takes both engine locks (admission, then
+// scheduler) and so applies between two of the pump's scheduler chunks — a
+// retune, graft, removal, or policy swap lands atomically with respect to
+// scheduling: no pump stop, no packet loss for surviving classes.
 //
 // The drain story for RemoveClass: the class flips to draining (Ingest
 // refuses new datagrams with ErrClassDraining, recorded with reason
@@ -44,8 +44,8 @@ func (d *Dataplane) SetRate(id int, rate float64) error {
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return fmt.Errorf("dataplane: invalid class rate %g", rate)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	if d.closed {
 		return ErrClosed
 	}
@@ -79,8 +79,8 @@ func (d *Dataplane) SetRate(id int, rate float64) error {
 // its siblings; the subtree's guaranteed rates rescale live. Topology mode
 // only — flat classes carry absolute rates (SetRate).
 func (d *Dataplane) SetWeight(name string, share float64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	if d.closed {
 		return ErrClosed
 	}
@@ -100,8 +100,8 @@ func (d *Dataplane) SetWeight(name string, share float64) error {
 // exceed). ceil > 0 additionally caps the class and enables HTB borrowing;
 // 0 leaves it uncapped. Flat engines use AddClass instead.
 func (d *Dataplane) AddLeafClass(parent, name string, id int, share, ceil float64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	if d.closed {
 		return ErrClosed
 	}
@@ -136,31 +136,26 @@ func (d *Dataplane) AddLeafClass(parent, name string, id int, share, ceil float6
 // (no FlowRemover hook on the affected policy, or the last leaf of a
 // topology node).
 func (d *Dataplane) RemoveClass(id int) error {
-	d.mu.Lock()
+	d.lock()
+	defer d.unlock()
 	cs := d.classes[id]
 	switch {
 	case d.closed:
-		d.mu.Unlock()
 		return ErrClosed
 	case cs == nil:
-		d.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrNoClass, id)
 	case cs.draining:
-		d.mu.Unlock()
 		return nil
 	}
 	if d.tree != nil {
 		if err := d.tree.CanRemoveLeaf(id); err != nil {
-			d.mu.Unlock()
 			return err
 		}
 	} else {
 		if _, ok := d.flat.(sched.Reconfigurer); !ok {
-			d.mu.Unlock()
 			return d.errNotReconfigurable()
 		}
 		if rm, ok := d.flat.(removableProbe); !ok || !rm.Removable() {
-			d.mu.Unlock()
 			return fmt.Errorf("dataplane: policy %q does not support live class removal", d.algo)
 		}
 	}
@@ -168,7 +163,6 @@ func (d *Dataplane) RemoveClass(id int) error {
 	if !d.tryFinalizeLocked(id) {
 		d.draining = append(d.draining, id)
 	}
-	d.mu.Unlock()
 	d.signal() // let an idle pump run finalization
 	return nil
 }
@@ -178,8 +172,13 @@ func (d *Dataplane) RemoveClass(id int) error {
 // on once enabled — with every cap removed the token tree admits at the
 // link rate, which is behaviorally work-conserving.
 func (d *Dataplane) SetCeil(id int, ceil float64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
+	return d.setCeilLocked(id, ceil)
+}
+
+// setCeilLocked is SetCeil for a caller holding both locks.
+func (d *Dataplane) setCeilLocked(id int, ceil float64) error {
 	if d.closed {
 		return ErrClosed
 	}
@@ -204,13 +203,12 @@ func (d *Dataplane) SetCeil(id int, ceil float64) error {
 // bits/sec, bounding its whole subtree; ceil 0 removes the cap. A leaf's
 // name resolves to its class ceiling. Topology mode only.
 func (d *Dataplane) SetNodeCeil(name string, ceil float64) error {
-	d.mu.Lock()
+	d.lock()
+	defer d.unlock()
 	if d.closed {
-		d.mu.Unlock()
 		return ErrClosed
 	}
 	if d.tree == nil {
-		d.mu.Unlock()
 		return fmt.Errorf("dataplane: no topology; use SetCeil on a class")
 	}
 	session := -1
@@ -222,12 +220,10 @@ func (d *Dataplane) SetNodeCeil(name string, ceil float64) error {
 		}
 	}
 	if !found {
-		d.mu.Unlock()
 		return fmt.Errorf("dataplane: no topology node %q", name)
 	}
 	if session >= 0 { // named leaf: its ceiling is the class ceiling
-		d.mu.Unlock()
-		return d.SetCeil(session, ceil)
+		return d.setCeilLocked(session, ceil)
 	}
 	switch {
 	case ceil == 0:
@@ -236,11 +232,9 @@ func (d *Dataplane) SetNodeCeil(name string, ceil float64) error {
 		d.nodeCeils[name] = ceil
 		d.borrow = true
 	default:
-		d.mu.Unlock()
 		return fmt.Errorf("dataplane: invalid ceil %g for node %q", ceil, name)
 	}
 	d.rebuildHTBLocked()
-	d.mu.Unlock()
 	d.signal()
 	return nil
 }
@@ -250,8 +244,8 @@ func (d *Dataplane) SetNodeCeil(name string, ceil float64) error {
 // The standing backlog survives, re-stamped against the fresh policy's
 // virtual clock (see pifo.Sched.SetPolicy / pifo.Node.SetPolicy).
 func (d *Dataplane) SetPolicy(node string, f pifo.Factory) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	if d.closed {
 		return ErrClosed
 	}
@@ -268,7 +262,7 @@ func (d *Dataplane) SetPolicy(node string, f pifo.Factory) error {
 	if !ok {
 		return d.errNotReconfigurable()
 	}
-	if err := r.SetPolicy(f, d.now()); err != nil {
+	if err := r.SetPolicy(f, d.schedTime(d.now())); err != nil {
 		return err
 	}
 	d.algo = f.Name
@@ -287,8 +281,8 @@ func (d *Dataplane) SetPolicyName(node, policy string) error {
 
 // syncRatesLocked refreshes every class's cached guaranteed rate from the
 // tree after a share-changing mutation (siblings move when one does) and
-// rebuilds the HTB mirror over the new rates. Caller holds d.mu; topology
-// mode only.
+// rebuilds the HTB mirror over the new rates. Caller holds d.mu and d.smu;
+// topology mode only.
 func (d *Dataplane) syncRatesLocked() {
 	for id, cs := range d.classes {
 		if r := d.tree.SessionRate(id); r > 0 {
@@ -301,7 +295,7 @@ func (d *Dataplane) syncRatesLocked() {
 // tryFinalizeLocked completes a draining class's removal once it holds no
 // datagrams anywhere in the engine. Over a topology the detach can lag one
 // extra batch (hier.Tree pins the dequeued head until the next Dequeue);
-// the pump just retries. Caller holds d.mu.
+// the pump just retries. Caller holds d.mu and d.smu.
 func (d *Dataplane) tryFinalizeLocked(id int) bool {
 	cs := d.classes[id]
 	if cs == nil {
@@ -334,6 +328,8 @@ func (d *Dataplane) finalizeDraining() {
 	if len(d.draining) == 0 {
 		return
 	}
+	d.smu.Lock()
+	defer d.smu.Unlock()
 	kept := d.draining[:0]
 	for _, id := range d.draining {
 		if !d.tryFinalizeLocked(id) {
@@ -370,7 +366,7 @@ type ClassStatus struct {
 	Name        string  // topology leaf name; "" in flat mode
 	Rate        float64 // guaranteed rate, bits/sec
 	Ceil        float64 // HTB ceiling; 0 = uncapped
-	Queued      int     // datagrams staged (gate + scheduler)
+	Queued      int     // datagrams staged (inbox + gate + scheduler)
 	QueuedBytes int
 	Gated       int // datagrams parked at the HTB gate
 	Draining    bool
@@ -380,8 +376,8 @@ type ClassStatus struct {
 // Status snapshots the engine for the admin server. Safe to call
 // concurrently with Ingest, mutations, and the pump.
 func (d *Dataplane) Status() Status {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	st := Status{
 		Algorithm: d.algo,
 		Rate:      d.rate,

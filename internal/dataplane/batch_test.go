@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"hpfq/internal/topo"
 )
 
 // discardBatch is a Writer + BatchWriter that accepts everything and
@@ -24,43 +26,61 @@ func (w *discardBatch) WriteBatch(pkts []Datagram) (int, error) {
 // TestPumpSteadyStateZeroAlloc pins the batched pump's steady-state
 // allocation count at zero: with a buffer pool configured, one full
 // ingress → schedule → collect → batched write → release cycle must not
-// allocate once the pools and scratch buffers are warm. The pump is driven
-// synchronously (collectBatch + writeInflight on the test goroutine) so the
-// measurement sees only the data path.
+// allocate once the pools and scratch buffers are warm — in flat mode and
+// over a topology, where hier.Tree pins the last dequeued head. The pump is
+// driven synchronously (collectBatch + writeInflight on the test
+// goroutine) so the measurement sees only the data path.
 func TestPumpSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
 	}
-	pool := NewBufferPool(256)
-	d, err := New("WF2Q+", 1e9, WithBufferPool(pool), WithBurst(1e18), WithBatchSize(8))
+	top, err := topo.Parse("root=1(a=1(x=1:0,y=2:1),b=1:2)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddClass(0, 1e9); err != nil {
-		t.Fatal(err)
-	}
-	sink := &discardBatch{}
-	d.bw = sink // drive the pump inline; Start is never called
-
-	last := d.clock.Now()
-	run := func() {
-		for i := 0; i < 64; i++ {
-			b := pool.Get()
-			b[0] = byte(i)
-			if err := d.Ingest(0, b[:100]); err != nil {
+	for _, tc := range []struct {
+		name    string
+		opts    []Option
+		classes int
+	}{
+		{"flat", nil, 1},
+		{"topology", []Option{WithTopology(top)}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := NewBufferPool(256)
+			d, err := New("WF2Q+", 1e9, append(tc.opts, WithBufferPool(pool), WithBurst(1e18), WithBatchSize(8))...)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		d.collectBatch(1e18, &last)
-		d.writeInflight()
-	}
-	run()
-	run() // warm the buffer/envelope pools and the inflight/scratch arrays
-	if avg := testing.AllocsPerRun(50, run); avg != 0 {
-		t.Fatalf("steady-state pump allocates %g times per cycle, want 0", avg)
-	}
-	if sink.pkts == 0 {
-		t.Fatal("no datagrams reached the writer; the measurement is vacuous")
+			if tc.opts == nil {
+				if err := d.AddClass(0, 1e9); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sink := &discardBatch{}
+			d.bw = sink // drive the pump inline; Start is never called
+
+			last := d.clock.Now()
+			run := func() {
+				for i := 0; i < 64; i++ {
+					b := pool.Get()
+					b[0] = byte(i)
+					if err := d.Ingest(i%tc.classes, b[:100]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				d.collectBatch(1e18, &last)
+				d.writeInflight()
+			}
+			run()
+			run() // warm the buffer pool, the envelope free list and the scratch arrays
+			if avg := testing.AllocsPerRun(50, run); avg != 0 {
+				t.Fatalf("steady-state pump allocates %g times per cycle, want 0", avg)
+			}
+			if sink.pkts == 0 {
+				t.Fatal("no datagrams reached the writer; the measurement is vacuous")
+			}
+		})
 	}
 }
 

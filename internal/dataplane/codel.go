@@ -13,7 +13,7 @@ const (
 )
 
 // codel is one class's CoDel state, driven from the pump at dequeue time
-// (under the engine lock). CoDel measures each packet's sojourn time — how
+// (under the scheduler lock). CoDel measures each packet's sojourn time — how
 // long it sat staged — and starts dropping when the sojourn stays above
 // target for a full interval, then accelerates drops as interval/sqrt(count)
 // until the standing queue shrinks (RFC 8289). Unlike tail-drop, it ignores

@@ -5,20 +5,21 @@
 //
 // The pipeline is
 //
-//	Reader → classify → bounded per-class staging → scheduler pump → Writer
+//	Reader → classify → admission + inbox → scheduler pump → Writer
 //
 // Producers (any number of goroutines) call Ingest, which classifies a
 // datagram into a class, enforces the class's drop policy — tail-drop at the
 // packet cap plus a byte cap, with every drop recorded in the obs layer
-// tagged by reason — and stages it in the scheduler's per-class queue. A
-// single pump goroutine drains the other end: it acquires the lock once per
-// batch, refills a token bucket from the configured rate and the elapsed
-// wall time, dequeues every packet the tokens cover in scheduler order
+// tagged by reason — and appends it to the engine's inbox. A single pump
+// goroutine is the only one that moves datagrams through the scheduler
+// (DESIGN.md S33): once per batch it refills a token bucket from the
+// configured rate and the elapsed wall time, takes the inbox, stages it into
+// the scheduler, dequeues every packet the tokens cover in scheduler order
 // (WF²Q+ flat, or H-WF²Q+/any registered discipline over a topology), and
-// writes the batch to the Writer outside the lock. Between batches it sleeps
-// on the pluggable wall clock until the bucket refills or new work arrives,
-// so the hot path is one lock acquisition and one timer per batch, not per
-// packet.
+// writes the batch to the Writer outside every lock. Between batches it
+// sleeps on the pluggable wall clock until the bucket refills or new work
+// arrives, so the hot path is a few lock acquisitions and one timer per
+// batch, not per packet.
 //
 // I/O is Conn-agnostic: Reader and Writer are one-datagram-per-call
 // interfaces satisfied by connected UDP sockets (via ReaderFrom/WriterTo)
@@ -157,16 +158,23 @@ type queue interface {
 
 // classState tracks one class's staged datagrams against its caps and, when
 // AQM is enabled, its drop-policy state. packets/bytes count everything the
-// class holds inside the engine: the HTB gate (when borrowing is on) plus
-// the scheduler's staging queue, so the ingest caps bound the sum.
+// class holds inside the engine — the inbox, the HTB gate (when borrowing is
+// on) and the scheduler's queue — so the ingest caps bound the sum.
 type classState struct {
 	rate    float64
-	packets int
-	bytes   int
-	aqm     aqmPolicy // nil unless WithAQM
+	packets int // under Dataplane.mu
+	bytes   int // under Dataplane.mu
+
+	// outPkts/outBytes count this batch's departures from the scheduler
+	// (pump-owned); the pump subtracts them from packets/bytes under mu.
+	outPkts  int
+	outBytes int
+
+	aqm aqmPolicy // nil unless WithAQM; under Dataplane.smu
 
 	// HTB borrowing gate (htb.go): staged envelopes awaiting token
 	// admission, FIFO with head compaction. Empty unless borrowing is on.
+	// Under Dataplane.smu.
 	gate     []*envelope
 	gateHead int
 
@@ -179,6 +187,10 @@ type classState struct {
 	// intake for (overload.go): new arrivals drop with reason "shed"
 	// while staged datagrams leave normally.
 	shed bool
+
+	// errs caches Ingest's refusal errors by kind, built on first use, so
+	// a refused datagram costs no allocation (ingest.go).
+	errs [nRefusals]error
 }
 
 // gateLen returns the number of datagrams parked at the class's HTB gate.
@@ -194,11 +206,12 @@ type datagram struct {
 }
 
 // envelope fuses the scheduler's packet and the engine's datagram into one
-// allocation per ingest; packet.Payload points back at the envelope. In
-// flat mode envelopes are recycled through Dataplane.envPool once the
-// datagram leaves the engine (the flat schedulers fully detach a dequeued
-// packet); in topology mode they are left to the GC, because hier.Tree
-// keeps a reference to the dequeued head until the next Dequeue pops it.
+// record per ingest; packet.Payload points back at the envelope. Envelopes
+// are recycled once the datagram leaves the engine: the pump collects them
+// and hands them back to Ingest's free list once per batch. The one
+// exception waits a little longer — hier.Tree keeps a reference to the head
+// it dequeued last until its next Dequeue, so that envelope is recycled
+// only then.
 type envelope struct {
 	pkt packet.Packet
 	dg  datagram
@@ -291,8 +304,9 @@ func WithBurst(bits float64) Option { return func(c *config) { c.burst = bits } 
 func WithMetrics() Option { return func(c *config) { c.metrics = true } }
 
 // WithTracer streams the scheduler's per-datagram events (with WF²Q+
-// virtual times) to t. The tracer runs under the engine's lock, from Ingest
-// callers and the pump; it must not call back into the Dataplane.
+// virtual times) to t. The tracer runs under the engine's scheduler lock,
+// from the pump and from Ingest callers recording a refusal; it must not
+// call back into the Dataplane.
 func WithTracer(t obs.Tracer) Option { return func(c *config) { c.tracer = t } }
 
 // WithWriteRetry tunes the pump's reaction to transient Writer errors:
@@ -424,6 +438,15 @@ func WithAQM(kind string, target, interval time.Duration) Option {
 // Dataplane is the engine. Construct with New, register classes (flat mode)
 // with AddClass, start the pump with Start, feed datagrams with Ingest or
 // RunReader, and stop with Close.
+//
+// Two locks split the engine (DESIGN.md S33). mu is the admission lock:
+// Ingest's checks, the per-class packet/byte counts, the inbox of accepted
+// datagrams, FEC encoder state, shed flags and lifecycle. smu is the
+// scheduler lock: the scheduler (flat or tree) and its obs.Collector, the
+// HTB gates and token tree, and AQM state; in the hot path only the pump
+// takes it. Lock order is mu before smu, and the pump never takes mu while
+// it holds smu. Fields written under both locks (the classes map, class
+// rates, ceilings) may be read under either.
 type Dataplane struct {
 	rate  float64
 	burst float64
@@ -451,15 +474,32 @@ type Dataplane struct {
 	ov ovState
 
 	mu       sync.Mutex
-	q        queue
-	flat     sched.Scheduler // non-nil in flat mode: has AddSession
-	tree     *hier.Tree      // non-nil in topology mode
 	classes  map[int]*classState
 	capPkts  int
 	capBytes int
 	closed   bool
 	started  bool
 	restarts int // pump panic-recoveries
+
+	// staged counts the datagrams the engine holds for its classes — inbox,
+	// HTB gates and scheduler — the sum of every classState.packets.
+	staged int
+	// inbox holds accepted datagrams in arrival order until the pump takes
+	// them; free recycles envelopes the pump handed back (ingest.go).
+	inbox   []*envelope
+	free    []*envelope
+	unknown map[int]error // cached ErrNoClass refusals by class id
+
+	smu  sync.Mutex
+	q    queue
+	flat sched.Scheduler // non-nil in flat mode: has AddSession
+	tree *hier.Tree      // non-nil in topology mode
+	// snow is the scheduler clock: the latest time handed to q, so every
+	// Enqueue and Dequeue sees a monotone now.
+	snow float64
+	// tracePanic parks a panic raised by the tracer's Enqueue or Dequeue
+	// hook (guardTracer) until the pump re-raises it.
+	tracePanic any
 
 	// HTB borrowing state (htb.go). borrow flips on via WithBorrowing, any
 	// configured ceiling, or a live SetCeil/SetNodeCeil; the token mirror is
@@ -493,27 +533,39 @@ type Dataplane struct {
 
 	bw        BatchWriter // egress, resolved by Start via AsBatchWriter
 	rawWriter Writer      // the writer as handed to Start (watchdog deadline probe)
-	scratch   []Datagram  // pump-goroutine scratch for the current chunk
-
-	// recycle gates envelope reuse: true in flat mode, where a dequeued
-	// packet is fully detached from the scheduler; false in topology mode,
-	// where hier.Tree holds the dequeued head until the next Dequeue.
-	recycle bool
-	envPool sync.Pool // *envelope, flat mode only
 
 	wake chan struct{} // buffered(1) pump wakeup
 	done chan struct{} // closed when the pump exits
 
+	// The rest is owned by the pump goroutine.
+
+	// staging is the inbox taken for the current batch; stageHead indexes
+	// the first envelope not yet handed to the scheduler or a gate.
+	staging   []*envelope
+	stageHead int
+	// settling lists the classes whose datagrams left the scheduler this
+	// batch; their classState.out* counts are applied under mu at the end.
+	settling []*classState
+	// freed collects envelopes whose datagram left the engine; the pump
+	// hands them to mu's free list once per batch.
+	freed []*envelope
+	// held is the envelope hier.Tree pins until its next Dequeue, and
+	// heldFree says it was freed meanwhile (recycled at that Dequeue).
+	held     *envelope
+	heldFree bool
+	scratch  []Datagram // scratch for the current WriteBatch chunk
+
 	// inflight is the current token-bucket release between dequeue and
-	// write, owned by the pump goroutine; elements before infHead have
-	// reached their final disposition (written, dropped, or requeued). The
-	// supervisor reads the suffix only after the pump panicked, on the same
-	// goroutine, to account the lost packets.
+	// write; elements before infHead have reached their final disposition
+	// (written, dropped, or requeued). The supervisor reads the suffix only
+	// after the pump panicked, on the same goroutine, to account the lost
+	// packets.
 	inflight []released
 	infHead  int
 }
 
-// released is one scheduled datagram in flight from the lock to the Writer.
+// released is one scheduled datagram in flight from the scheduler to the
+// Writer.
 type released struct {
 	class int
 	env   *envelope
@@ -593,7 +645,6 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 	if d.batch <= 0 {
 		d.batch = DefaultBatchSize
 	}
-	d.recycle = cfg.top == nil
 	if cfg.top != nil {
 		tree, err := hier.BuildSpec(cfg.top, rate, algorithm,
 			hier.Resolver(algorithm, cfg.pol, cfg.nodePols))
@@ -627,8 +678,8 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 		d.q.EnableMetrics()
 	}
 	if cfg.tracer != nil {
-		d.tracer = cfg.tracer
-		d.q.SetTracer(cfg.tracer)
+		d.tracer = guardTracer{t: cfg.tracer, d: d}
+		d.q.SetTracer(d.tracer)
 	}
 	d.initOverload(&cfg)
 	// HTB ceilings: topology '^ceil' clauses first, explicit options on top.
@@ -728,36 +779,52 @@ func (d *Dataplane) newClassState(rate float64) *classState {
 	return cs
 }
 
-// newEnvelope returns a packet+datagram envelope, recycled in flat mode.
-func (d *Dataplane) newEnvelope() *envelope {
-	if d.recycle {
-		if e, _ := d.envPool.Get().(*envelope); e != nil {
-			return e
-		}
-	}
-	return &envelope{}
-}
-
 // freeEnvelope releases a datagram that has left the engine: the payload
-// buffer goes back to the pool (when the engine owns one) and, in flat
-// mode, the envelope itself is recycled. In topology mode the packet half
-// may still be referenced by hier.Tree until the next Dequeue, so only the
-// payload is released and the envelope is left intact for the GC.
+// buffer goes back to the pool (when the engine owns one) and the envelope
+// joins the pump's freed list — unless hier.Tree still pins it as the head
+// it dequeued last, in which case it is recycled at the tree's next Dequeue
+// (pop). Pump goroutine only.
 func (d *Dataplane) freeEnvelope(e *envelope) {
 	if d.pool != nil && e.dg.b != nil {
 		d.pool.Put(e.dg.b)
 	}
 	e.dg = datagram{}
-	if d.recycle {
-		e.pkt = packet.Packet{}
-		d.envPool.Put(e)
+	if e == d.held {
+		d.heldFree = true
+		return
 	}
+	e.pkt = packet.Packet{}
+	d.freed = append(d.freed, e)
 }
 
 // now returns seconds since the engine's creation on its clock — the
 // timestamp domain of its metrics and trace events.
 func (d *Dataplane) now() float64 {
 	return d.clock.Now().Sub(d.epoch).Seconds()
+}
+
+// schedTime advances the scheduler clock to t if t is later and returns
+// it: every time handed to the scheduler goes through here, so its virtual
+// time sees a monotone now even when an ingest stamp predates the pump's
+// last clock read. Caller holds d.smu.
+func (d *Dataplane) schedTime(t float64) float64 {
+	if t > d.snow {
+		d.snow = t
+	}
+	return d.snow
+}
+
+// lock takes both engine locks in order — admission, then scheduler — as
+// every control-plane mutation and full-state read does; unlock releases
+// them.
+func (d *Dataplane) lock() {
+	d.mu.Lock()
+	d.smu.Lock()
+}
+
+func (d *Dataplane) unlock() {
+	d.smu.Unlock()
+	d.mu.Unlock()
 }
 
 // AddClass registers a class with a guaranteed rate in bits/sec (flat mode
@@ -767,8 +834,8 @@ func (d *Dataplane) AddClass(id int, rate float64) error {
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return fmt.Errorf("dataplane: invalid class rate %g", rate)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	if d.closed {
 		return ErrClosed
 	}
@@ -798,104 +865,6 @@ func (d *Dataplane) Classes() []int {
 		out = append(out, id)
 	}
 	return out
-}
-
-// Ingest stages one datagram for a class. It never blocks: when the class
-// is at its packet or byte cap the datagram is tail-dropped, the drop is
-// recorded in the metrics tagged with its reason, and ErrQueueFull is
-// returned. After Close every Ingest deterministically returns ErrClosed
-// (and records the drop with reason "closed") — intake never panics,
-// whatever it races with. Safe for any number of concurrent callers.
-//
-// Buffer ownership transfers on success only: a nil return means the
-// engine owns b (and will Put it back into its WithBufferPool pool once the
-// datagram is written or dropped); any error leaves b with the caller, who
-// may reuse or recycle it.
-func (d *Dataplane) Ingest(class int, b []byte) error {
-	return d.IngestCtx(class, b, nil)
-}
-
-// IngestCtx is Ingest carrying an opaque per-datagram context. The context
-// travels with the datagram through the scheduler and is handed back to the
-// Writer if it implements CtxWriter — cmd/hpfqgw uses it to route each
-// datagram to its client's upstream flow.
-func (d *Dataplane) IngestCtx(class int, b []byte, ctx any) error {
-	if len(b) == 0 {
-		return fmt.Errorf("dataplane: empty datagram")
-	}
-	bits := float64(len(b)) * 8
-	d.mu.Lock()
-	cs := d.classes[class]
-	switch {
-	case d.closed:
-		if cs != nil {
-			d.q.RecordDropReason(d.now(), class, bits, obs.DropClosed)
-		}
-		d.mu.Unlock()
-		return ErrClosed
-	case cs == nil:
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrNoClass, class)
-	case cs.draining:
-		d.q.RecordDropReason(d.now(), class, bits, obs.DropDraining)
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrClassDraining, class)
-	case cs.shed:
-		d.q.RecordShed(d.now(), class, bits, obs.ShedPressure)
-		d.mu.Unlock()
-		return shedError(class)
-	case d.capPkts > 0 && cs.packets >= d.capPkts:
-		staged := cs.packets
-		d.q.RecordDropReason(d.now(), class, bits, obs.DropTail)
-		d.mu.Unlock()
-		return fmt.Errorf("%w: class %d at %d datagrams", ErrQueueFull, class, staged)
-	case d.capBytes > 0 && cs.bytes+len(b) > d.capBytes:
-		staged := cs.bytes
-		d.q.RecordDropReason(d.now(), class, bits, obs.DropBytes)
-		d.mu.Unlock()
-		return fmt.Errorf("%w: class %d at %d bytes", ErrQueueFull, class, staged)
-	}
-	if len(d.fecList) > 0 {
-		if prot, isRepair := d.repairOf[class]; isRepair {
-			d.mu.Unlock()
-			return fmt.Errorf("dataplane: class %d is the FEC repair class of %d (engine-owned)", class, prot)
-		}
-		if fs := d.fec[class]; fs != nil && !d.ov.brownout {
-			// Brownout (overload.go) suspends FEC encoding: source
-			// datagrams pass unprotected instead of spending CPU and link
-			// share on redundancy the engine cannot afford right now.
-			// Stage the header-stamped copy instead; the engine recycles the
-			// caller's buffer (success is guaranteed past this point, so
-			// ownership has effectively transferred). A completed block
-			// flushes its repairs into the repair class right here.
-			enc, err := d.encodeFECLocked(fs, b, ctx)
-			if err != nil {
-				d.mu.Unlock()
-				return err
-			}
-			b = enc
-			bits = float64(len(b)) * 8
-		}
-	}
-	env := d.newEnvelope()
-	env.pkt.Session = class
-	env.pkt.Length = bits
-	env.pkt.Arrival = d.now() // sojourn basis for the AQM
-	env.pkt.Payload = env
-	env.dg = datagram{b: b, ctx: ctx, requeues: d.retry.requeues}
-	if d.htb != nil {
-		// Borrowing: park at the class gate; the pump admits against the
-		// token tree (htb.go) before the packet enters the scheduler.
-		cs.gate = append(cs.gate, env)
-		d.gated++
-	} else {
-		d.q.Enqueue(d.now(), &env.pkt)
-	}
-	cs.packets++
-	cs.bytes += len(b)
-	d.mu.Unlock()
-	d.signal()
-	return nil
 }
 
 // PaceRate returns the live token-refill rate in bits/sec. It equals the
@@ -1014,20 +983,72 @@ func (d *Dataplane) pumpOnce() (clean bool) {
 // every datagram past infHead had no acknowledged disposition, so it is
 // recorded as dropped (a panicking WriteBatch may have delivered a prefix
 // it never got to report; that prefix is charged to the panic too) and its
-// buffer is released. It runs on the pump goroutine with the engine
-// unlocked (the locked sections release their lock during unwinding).
+// buffer is released. Datagrams the batch took from the inbox but had not
+// yet staged go back to the inbox's front, and the batch's departures are
+// settled, so the restarted pump resumes with consistent counts. It runs on
+// the pump goroutine with the engine unlocked (the locked sections release
+// their lock during unwinding).
 func (d *Dataplane) recoverPanic() {
 	defer func() { recover() }() // a re-panicking tracer must not kill the supervisor
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	d.restarts++
+	if rest := d.staging[d.stageHead:]; len(rest) > 0 {
+		d.inbox = append(append([]*envelope(nil), rest...), d.inbox...)
+	}
+	clear(d.staging)
+	d.staging, d.stageHead = d.staging[:0], 0
+	d.settleLocked()
+	now := d.schedTime(d.now())
 	for _, r := range d.inflight[d.infHead:] {
-		d.q.RecordDropReason(d.now(), r.class, float64(len(r.env.dg.b))*8, obs.DropPanic)
+		d.q.RecordDropReason(now, r.class, float64(len(r.env.dg.b))*8, obs.DropPanic)
 		d.freeEnvelope(r.env)
 	}
 	d.inflight = d.inflight[:0]
 	d.infHead = 0
 	d.ov.inflight.Store(0)
+}
+
+// guardTracer wraps the configured tracer. The scheduler fires its Enqueue
+// and Dequeue hooks midway through its own Enqueue and Dequeue, after it
+// has committed the packet: a panic escaping there would lose a packet the
+// engine still counts, and Close would wait for it forever. Those two hooks
+// therefore park their panic in tracePanic, and the pump re-raises it
+// (raiseTrace) at the end of the chunk, once every packet the chunk moved
+// is accounted; the supervisor then charges the chunk's release to the
+// panic like any in-flight batch. Drop and retry events fire from
+// the engine's own accounting and let a panic through.
+type guardTracer struct {
+	t obs.Tracer
+	d *Dataplane
+}
+
+func (g guardTracer) Enqueue(ev obs.Event) { defer g.park(); g.t.Enqueue(ev) }
+func (g guardTracer) Dequeue(ev obs.Event) { defer g.park(); g.t.Dequeue(ev) }
+func (g guardTracer) Drop(ev obs.Event)    { g.t.Drop(ev) }
+
+// Retry forwards retry events when the wrapped tracer accepts them.
+func (g guardTracer) Retry(ev obs.Event) {
+	if rt, ok := g.t.(obs.RetryTracer); ok {
+		rt.Retry(ev)
+	}
+}
+
+// park keeps the first panic of a hook (caller holds d.smu).
+func (g guardTracer) park() {
+	if r := recover(); r != nil && g.d.tracePanic == nil {
+		g.d.tracePanic = r
+	}
+}
+
+// raiseTrace re-raises a parked tracer panic at the end of a staging or
+// dequeue chunk, once every packet the chunk moved is accounted. Caller
+// holds d.smu.
+func (d *Dataplane) raiseTrace() {
+	if r := d.tracePanic; r != nil {
+		d.tracePanic = nil
+		panic(r)
+	}
 }
 
 // Restarts returns how many times the pump supervisor recovered a panic and
@@ -1038,15 +1059,16 @@ func (d *Dataplane) Restarts() int {
 	return d.restarts
 }
 
-// pump is the single scheduler-drain loop: one lock acquisition per batch,
-// token-bucket pacing between batches, suffix retry/backoff on the write
-// side. It returns when the engine is closed and drained; panics unwind to
-// the supervisor.
+// pump is the single scheduler-drain loop and the only goroutine that
+// moves datagrams through the scheduler: per batch it takes the inbox,
+// stages and dequeues under the scheduler lock a chunk at a time, paces
+// with a token bucket between batches, and retries the write side's
+// unwritten suffix with backoff. It returns when the engine is closed and
+// drained; panics unwind to the supervisor.
 func (d *Dataplane) pump() {
 	var tokens float64
 	last := d.clock.Now()
 	for {
-		d.beat() // pump heartbeat: the watchdog's liveness signal
 		var backlog int
 		var closed bool
 		tokens, backlog, closed = d.collectBatch(tokens, &last)
@@ -1062,7 +1084,8 @@ func (d *Dataplane) pump() {
 		case backlog > 0:
 			// Out of tokens, or the remaining backlog is parked at HTB
 			// gates: sleep until the link bucket covers the deficit (or,
-			// when tokens are flush, until the earliest gate refill).
+			// when tokens are flush, until the earliest gate refill). A
+			// datagram accepted meanwhile nudges the pump awake.
 			wait := time.Duration(-tokens / d.PaceRate() * float64(time.Second))
 			if tokens >= 0 && d.gateWait > 0 {
 				wait = d.gateWait
@@ -1086,50 +1109,151 @@ func (d *Dataplane) pump() {
 	}
 }
 
-// collectBatch refills the token bucket and dequeues every packet the
-// tokens cover in scheduler order into d.inflight, applying the AQM policy
-// (CoDel-shed packets are dropped here and consume no tokens). It holds the
-// engine lock once for the whole batch and releases it during a panic
-// unwind.
+// collectBatch runs one pump batch up to the write: it refills the token
+// bucket (the batch's one clock read also stamps the heartbeat), takes the
+// inbox, stages it, dequeues every packet the tokens cover in scheduler
+// order into d.inflight (applying the AQM policy: shed packets are dropped
+// here and consume no tokens), and settles the per-class counts. It
+// returns the tokens left, the engine's backlog, and whether it is closed.
 func (d *Dataplane) collectBatch(tokens float64, last *time.Time) (float64, int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.inflight = d.inflight[:0] // the previous release was fully disposed of
 	d.infHead = 0
-	now := d.clock.Now()
-	tokens += now.Sub(*last).Seconds() * d.PaceRate()
-	*last = now
+	wall := d.clock.Now()
+	d.beatAt(wall)
+	tokens += wall.Sub(*last).Seconds() * d.PaceRate()
+	*last = wall
 	if tokens > d.burst {
 		tokens = d.burst
 	}
-	if len(d.fecList) > 0 {
-		// Partial FEC blocks past their age (or any, once closing) flush
-		// their repairs before the dequeue loop so they ride this batch.
-		d.flushStaleFECLocked(d.now())
+	now := wall.Sub(d.epoch).Seconds()
+	d.takeInbox(now)
+	for d.stageHead < len(d.staging) {
+		d.stageChunk()
 	}
-	d.releaseGated(d.now())
-	for tokens >= 0 {
-		p := d.q.Dequeue(d.now())
-		if p == nil {
-			break
+	clear(d.staging)
+	d.staging, d.stageHead = d.staging[:0], 0
+	for more := d.dequeueChunk(&tokens, now, true); more && tokens >= 0; {
+		more = d.dequeueChunk(&tokens, d.now(), false)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.settleLocked()
+	d.finalizeDraining()
+	d.ov.inflight.Store(int64(len(d.inflight)))
+	return tokens, d.staged, d.closed
+}
+
+// takeInbox swaps the inbox for the pump's empty staging buffer. Partial
+// FEC blocks past their age (or any, once closing) flush into the inbox
+// first so their repairs ride this batch, and the envelopes freed since the
+// last batch go back to Ingest's free list.
+func (d *Dataplane) takeInbox(now float64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.fecList) > 0 {
+		d.flushStaleFECLocked(now)
+	}
+	d.staging, d.inbox = d.inbox, d.staging
+	if room := maxFreeEnvelopes - len(d.free); room > 0 {
+		d.free = append(d.free, d.freed[:min(room, len(d.freed))]...)
+	}
+	clear(d.freed)
+	d.freed = d.freed[:0]
+}
+
+// stageChunk hands up to one WithBatchSize chunk of the taken inbox to the
+// HTB gates or the scheduler, in arrival order, under one scheduler-lock
+// hold. A datagram enters the scheduler at its ingest time, clamped to the
+// scheduler clock.
+func (d *Dataplane) stageChunk() {
+	d.smu.Lock()
+	defer d.smu.Unlock()
+	defer d.raiseTrace()
+	end := min(d.stageHead+d.batch, len(d.staging))
+	for d.stageHead < end {
+		env := d.staging[d.stageHead]
+		d.stageHead++
+		if d.htb != nil {
+			// Borrowing: park at the class gate; releaseGated admits it
+			// against the token tree (htb.go) before it enters the
+			// scheduler.
+			cs := d.classes[env.pkt.Session]
+			cs.gate = append(cs.gate, env)
+			d.gated++
+			continue
 		}
-		env := p.Payload.(*envelope)
+		d.q.Enqueue(d.schedTime(env.pkt.Arrival), &env.pkt)
+	}
+}
+
+// dequeueChunk dequeues up to one WithBatchSize chunk while tokens last,
+// under one scheduler-lock hold at one clock reading; the first chunk of a
+// batch also releases the HTB gates. It reports false once the scheduler
+// ran empty.
+func (d *Dataplane) dequeueChunk(tokens *float64, now float64, first bool) bool {
+	d.smu.Lock()
+	defer d.smu.Unlock()
+	defer d.raiseTrace()
+	now = d.schedTime(now)
+	if first {
+		d.releaseGated(now)
+	}
+	for n := 0; n < d.batch && *tokens >= 0; n++ {
+		env := d.pop(now)
+		if env == nil {
+			return false
+		}
+		p := &env.pkt
 		cs := d.classes[p.Session]
-		cs.packets--
-		cs.bytes -= len(env.dg.b)
-		if cs.aqm != nil && cs.aqm.onDequeue(d.now(), d.now()-p.Arrival) {
+		if cs.outPkts == 0 {
+			d.settling = append(d.settling, cs)
+		}
+		cs.outPkts++
+		cs.outBytes += len(env.dg.b)
+		if cs.aqm != nil && cs.aqm.onDequeue(now, now-p.Arrival) {
 			// Shed by the AQM: record and pick the next packet without
 			// spending link tokens on the carcass.
-			d.q.RecordDropReason(d.now(), p.Session, p.Length, cs.aqm.reason())
+			d.q.RecordDropReason(now, p.Session, p.Length, cs.aqm.reason())
 			d.freeEnvelope(env)
 			continue
 		}
-		tokens -= p.Length
+		*tokens -= p.Length
 		d.inflight = append(d.inflight, released{class: p.Session, env: env})
 	}
-	d.finalizeDraining()
-	d.ov.inflight.Store(int64(len(d.inflight)))
-	return tokens, d.q.Backlog() + d.gated, d.closed
+	return true
+}
+
+// pop dequeues the scheduler's next packet's envelope, or nil. hier.Tree
+// pins the packet it returns until its next Dequeue, so the envelope popped
+// before this call becomes recyclable only now. Caller holds d.smu.
+func (d *Dataplane) pop(now float64) *envelope {
+	p := d.q.Dequeue(now)
+	if d.heldFree {
+		d.held.pkt = packet.Packet{}
+		d.freed = append(d.freed, d.held)
+	}
+	d.held, d.heldFree = nil, false
+	if p == nil {
+		return nil
+	}
+	env := p.Payload.(*envelope)
+	if d.tree != nil {
+		d.held = env
+	}
+	return env
+}
+
+// settleLocked subtracts the batch's departures from their classes' counts
+// and the engine's backlog. Caller holds d.mu.
+func (d *Dataplane) settleLocked() {
+	for _, cs := range d.settling {
+		cs.packets -= cs.outPkts
+		cs.bytes -= cs.outBytes
+		d.staged -= cs.outPkts
+		cs.outPkts, cs.outBytes = 0, 0
+	}
+	clear(d.settling)
+	d.settling = d.settling[:0]
 }
 
 // writeInflight delivers the collected release to the writer in
@@ -1187,26 +1311,24 @@ func (d *Dataplane) writeChunk(chunk []released) {
 		bits := float64(len(head.env.dg.b)) * 8
 		switch {
 		case !isTransient(err):
-			d.mu.Lock()
-			d.q.RecordDropReason(d.now(), head.class, bits, obs.DropWrite)
-			d.mu.Unlock()
+			d.record(head.class, bits, obs.DropWrite, false)
 			d.freeEnvelope(head.env)
 			chunk = chunk[1:]
 			pkts = pkts[1:]
 			d.infHead++
 			attempts, backoff = 0, d.retry.backoff
 		case attempts >= d.retry.limit:
-			d.exhausted(head, bits)
+			if !d.exhausted(head, bits) {
+				d.freeEnvelope(head.env)
+			}
 			chunk = chunk[1:]
 			pkts = pkts[1:]
 			d.infHead++
 			attempts, backoff = 0, d.retry.backoff
 		default:
 			attempts++
-			d.mu.Lock()
-			d.ov.retries++
-			d.q.RecordRetry(d.now(), head.class, bits, obs.RetryTransient)
-			d.mu.Unlock()
+			d.ov.retries.Add(1)
+			d.record(head.class, bits, obs.RetryTransient, true)
 			d.sleep(backoff)
 			backoff *= 2
 			if backoff > d.retry.cap {
@@ -1224,10 +1346,10 @@ func (d *Dataplane) finishWritten(written []released) {
 	for i := range written {
 		bits += float64(len(written[i].env.dg.b)) * 8
 	}
-	d.mu.Lock()
-	d.ov.writes += int64(len(written))
-	d.q.RecordBatchWrite(d.now(), len(written), bits)
-	d.mu.Unlock()
+	d.ov.writes.Add(int64(len(written)))
+	d.smu.Lock()
+	d.q.RecordBatchWrite(d.snow, len(written), bits)
+	d.smu.Unlock()
 	if tr := d.ov.tracker; tr != nil {
 		tr.NoteProgress() // delivery releases a tripped watchdog breaker
 	}
@@ -1237,36 +1359,43 @@ func (d *Dataplane) finishWritten(written []released) {
 	d.infHead += len(written)
 }
 
+// record accounts a write-side drop, or a retry, of an in-flight datagram
+// under the scheduler lock (released even if a tracer panics).
+func (d *Dataplane) record(class int, bits float64, reason string, retry bool) {
+	now := d.now()
+	d.smu.Lock()
+	defer d.smu.Unlock()
+	if retry {
+		d.q.RecordRetry(d.schedTime(now), class, bits, reason)
+	} else {
+		d.q.RecordDropReason(d.schedTime(now), class, bits, reason)
+	}
+}
+
 // exhausted handles a packet whose transient-retry budget ran out: requeue
 // it into the scheduler when the policy and the class caps allow (reusing
 // its envelope, with a fresh arrival — the wait so far was the writer's
-// fault), else drop it with reason "retry-exhausted".
-func (d *Dataplane) exhausted(r released, bits float64) {
-	d.mu.Lock()
+// fault), else record its drop with reason "retry-exhausted" and report
+// false, leaving the caller to free it.
+func (d *Dataplane) exhausted(r released, bits float64) bool {
+	d.lock()
+	defer d.unlock()
+	now := d.schedTime(d.now())
 	cs := d.classes[r.class]
-	if cs == nil {
-		// Class removed while this packet was in flight: nothing left to
-		// requeue into.
-		d.q.RecordDropReason(d.now(), r.class, bits, obs.DropRetries)
-		d.mu.Unlock()
-		d.freeEnvelope(r.env)
-		return
-	}
-	fits := (d.capPkts <= 0 || cs.packets < d.capPkts) &&
-		(d.capBytes <= 0 || cs.bytes+len(r.env.dg.b) <= d.capBytes)
-	if r.env.dg.requeues <= 0 || !fits {
-		d.q.RecordDropReason(d.now(), r.class, bits, obs.DropRetries)
-		d.mu.Unlock()
-		d.freeEnvelope(r.env)
-		return
+	// A class removed while this packet was in flight has nothing left to
+	// requeue into.
+	if cs == nil || r.env.dg.requeues <= 0 || d.capsLocked(cs, len(r.env.dg.b)) != admitted {
+		d.q.RecordDropReason(now, r.class, bits, obs.DropRetries)
+		return false
 	}
 	r.env.dg.requeues--
-	d.q.RecordRetry(d.now(), r.class, bits, obs.RetryRequeue)
-	r.env.pkt.Arrival = d.now()
-	d.q.Enqueue(d.now(), &r.env.pkt)
+	d.q.RecordRetry(now, r.class, bits, obs.RetryRequeue)
+	r.env.pkt.Arrival = now
+	d.q.Enqueue(now, &r.env.pkt)
 	cs.packets++
 	cs.bytes += len(r.env.dg.b)
-	d.mu.Unlock()
+	d.staged++
+	return true
 }
 
 // sleep blocks for dur on the engine's clock (fake-clock testable,
@@ -1289,14 +1418,16 @@ func (d *Dataplane) await(dur time.Duration) {
 	}
 }
 
-// Backlog returns the number of staged datagrams across all classes.
+// Backlog returns the number of datagrams the engine holds for its
+// classes — accepted and not yet dequeued: waiting in the inbox, parked at
+// an HTB gate, or queued in the scheduler.
 func (d *Dataplane) Backlog() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.q.Backlog()
+	return d.staged
 }
 
-// Queued returns the staged datagram and byte counts for a class.
+// Queued returns a class's datagram and byte counts, on Backlog's terms.
 func (d *Dataplane) Queued(class int) (packets, bytes int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -1309,18 +1440,19 @@ func (d *Dataplane) Queued(class int) (packets, bytes int) {
 
 // Snapshot freezes the scheduler's counters — per-class counts, queue
 // depths, delays, WFI, and the per-reason drop breakdown. Safe to call
-// concurrently with Ingest and the pump.
+// concurrently with Ingest and the pump. Datagrams still in the inbox are
+// not yet enqueued in these counters; Backlog and Queued count them.
 func (d *Dataplane) Snapshot() obs.Metrics {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.smu.Lock()
+	defer d.smu.Unlock()
 	return d.q.Snapshot()
 }
 
 // NodeSnapshots returns the per-node reference-time metrics when the engine
 // schedules over a topology, nil in flat mode.
 func (d *Dataplane) NodeSnapshots() map[string]obs.Metrics {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.smu.Lock()
+	defer d.smu.Unlock()
 	if d.tree == nil {
 		return nil
 	}

@@ -9,6 +9,7 @@ import (
 
 	"hpfq/internal/faultconn"
 	"hpfq/internal/obs"
+	"hpfq/internal/topo"
 	"hpfq/internal/wallclock"
 )
 
@@ -321,6 +322,79 @@ func TestPumpPanicRestart(t *testing.T) {
 	}
 	if !m.Conserved() {
 		t.Error("metrics not conserved after a pump restart")
+	}
+}
+
+// panicTracer panics on its panicOn-th Dequeue event and ignores the rest.
+type panicTracer struct {
+	panicOn  int
+	dequeues int // under the engine's scheduler lock
+}
+
+func (t *panicTracer) Enqueue(obs.Event) {}
+func (t *panicTracer) Drop(obs.Event)    {}
+func (t *panicTracer) Dequeue(obs.Event) {
+	if t.dequeues++; t.dequeues == t.panicOn {
+		panic("poisoned tracer")
+	}
+}
+
+// TestTracerPanicInDequeue: a tracer that panics inside the scheduler's
+// Dequeue fires after the scheduler committed the packet. The packet must
+// still be accounted (as a "pump-panic" drop), so the engine's backlog
+// drains to zero, Close returns, and the metrics stay conserved — flat and
+// over a topology, where interior nodes fire their own Dequeue events.
+func TestTracerPanicInDequeue(t *testing.T) {
+	top, err := topo.Parse("root=1(a=1(x=1:0,y=1:1),b=1:2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		opts    []Option
+		classes int
+	}{
+		{"flat", nil, 1},
+		{"topology", []Option{WithTopology(top)}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 30
+			clk := wallclock.NewFake()
+			d, err := New("WF2Q+", 1e9, append(tc.opts, WithClock(clk), WithMetrics(),
+				WithTracer(&panicTracer{panicOn: 5}))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.opts == nil {
+				d.AddClass(0, 1e9)
+			}
+			w := &panicWriter{panicOn: -1}
+			if err := d.Start(w); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := d.Ingest(i%tc.classes, mkPayload(i%tc.classes, i, 125)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			advanceUntil(t, clk, time.Millisecond, func() bool { return d.Restarts() == 1 })
+			closeDraining(t, d, clk)
+
+			m := d.Snapshot()
+			lost := m.DropReasons[obs.DropPanic].Packets
+			if lost == 0 {
+				t.Errorf("no %q drops: the packet dequeued under the panic was not accounted", obs.DropPanic)
+			}
+			if got := w.delivered.Load() + lost; got != n {
+				t.Errorf("delivered %d + panic drops %d = %d, want %d", w.delivered.Load(), lost, got, n)
+			}
+			if b := d.Backlog(); b != 0 {
+				t.Errorf("backlog after Close = %d, want 0", b)
+			}
+			if !m.Conserved() {
+				t.Error("metrics not conserved after a tracer panic")
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hpfq/internal/fec"
-	"hpfq/internal/obs"
 )
 
 // Loss-resilient egress: WithFEC wraps a class's datagrams in the systematic
@@ -99,7 +98,7 @@ func WithFEC(class int, spec fec.Spec, cfg FECConfig) Option {
 }
 
 // attachFECLocked grafts the repair class next to an existing protected
-// class and arms the encoder. Caller holds d.mu.
+// class and arms the encoder. Caller holds d.mu and d.smu.
 func (d *Dataplane) attachFECLocked(class int, p fecPending) error {
 	if err := p.spec.Validate(); err != nil {
 		return err
@@ -208,8 +207,8 @@ func (d *Dataplane) fecRelease(b []byte) {
 // its class's open block and returns the staged (header-prefixed) buffer.
 // On success the engine owns the original buffer and recycles it — the
 // encoded copy is what travels. A block completed by this source flushes its
-// repairs into the repair class immediately. Caller holds d.mu.
-func (d *Dataplane) encodeFECLocked(fs *fecState, b []byte, ctx any) ([]byte, error) {
+// repairs into the inbox immediately. Caller holds d.mu.
+func (d *Dataplane) encodeFECLocked(fs *fecState, b []byte, ctx any, now float64) ([]byte, error) {
 	dst := d.fecBuf(fec.SourceOverhead + len(b))
 	n, full, err := fs.enc.AddSource(b, dst)
 	if err != nil {
@@ -217,59 +216,43 @@ func (d *Dataplane) encodeFECLocked(fs *fecState, b []byte, ctx any) ([]byte, er
 		return nil, err
 	}
 	if fs.enc.Pending() == 1 {
-		fs.blockStart = d.now()
+		fs.blockStart = now
 	}
 	fs.lastCtx = ctx
+	d.smu.Lock()
 	d.q.RecordFEC(1, 0, 0, 0)
+	d.smu.Unlock()
 	d.fecRelease(b)
 	if full {
-		d.flushFECLocked(fs)
+		d.flushFECLocked(fs, now)
 	}
 	return dst[:n], nil
 }
 
-// flushFECLocked emits the open block's repair datagrams into the repair
-// class. Repairs respect the repair class's caps — a full repair queue
-// sheds the repair (tail-drop, recorded), never the sources. Caller holds
-// d.mu.
-func (d *Dataplane) flushFECLocked(fs *fecState) {
+// flushFECLocked emits the open block's repair datagrams into the inbox on
+// the repair class, like any other accepted datagram. Repairs respect the
+// repair class's caps — a full repair queue sheds the repair (tail-drop,
+// recorded), never the sources. Caller holds d.mu.
+func (d *Dataplane) flushFECLocked(fs *fecState, now float64) {
 	if fs.enc.Pending() == 0 {
 		return
 	}
 	reps := fs.enc.Flush(d.fecBuf)
-	now := d.now()
 	rcs := d.classes[fs.repair]
 	sent := 0
+	d.smu.Lock()
+	defer d.smu.Unlock()
 	for _, rb := range reps {
-		bits := float64(len(rb)) * 8
-		switch {
-		case rcs == nil || rcs.draining:
-			d.q.RecordDropReason(now, fs.repair, bits, obs.DropDraining)
-			d.fecRelease(rb)
-			continue
-		case d.capPkts > 0 && rcs.packets >= d.capPkts:
-			d.q.RecordDropReason(now, fs.repair, bits, obs.DropTail)
-			d.fecRelease(rb)
-			continue
-		case d.capBytes > 0 && rcs.bytes+len(rb) > d.capBytes:
-			d.q.RecordDropReason(now, fs.repair, bits, obs.DropBytes)
+		why := refusedDraining
+		if rcs != nil && !rcs.draining {
+			why = d.capsLocked(rcs, len(rb))
+		}
+		if why != admitted {
+			d.recordRefusalLocked(now, fs.repair, float64(len(rb))*8, why)
 			d.fecRelease(rb)
 			continue
 		}
-		env := d.newEnvelope()
-		env.pkt.Session = fs.repair
-		env.pkt.Length = bits
-		env.pkt.Arrival = now
-		env.pkt.Payload = env
-		env.dg = datagram{b: rb, ctx: fs.lastCtx, requeues: d.retry.requeues}
-		if d.htb != nil {
-			rcs.gate = append(rcs.gate, env)
-			d.gated++
-		} else {
-			d.q.Enqueue(now, &env.pkt)
-		}
-		rcs.packets++
-		rcs.bytes += len(rb)
+		d.acceptLocked(rcs, fs.repair, rb, fs.lastCtx, now)
 		sent++
 	}
 	d.q.RecordFEC(0, sent, 0, 0)
@@ -286,7 +269,7 @@ func (d *Dataplane) flushStaleFECLocked(now float64) {
 			continue
 		}
 		if d.closed || (fs.maxAge >= 0 && now-fs.blockStart >= fs.maxAge) {
-			d.flushFECLocked(fs)
+			d.flushFECLocked(fs, now)
 			continue
 		}
 		if fs.maxAge < 0 {
@@ -309,8 +292,8 @@ func (d *Dataplane) flushStaleFECLocked(now float64) {
 // to report counts only — drives the adaptive controller, retuning the
 // geometry at the next block boundary when FECConfig.Adapt is on.
 func (d *Dataplane) FECFeedback(class, recovered, unrecoverable int, loss float64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	fs := d.fec[class]
 	if fs == nil {
 		return fmt.Errorf("dataplane: class %d is not FEC-protected", class)

@@ -20,9 +20,9 @@ import (
 // scheduler still orders everything admitted — borrowing decides *whether*
 // a packet may compete now, WF²Q+ decides *when* it leaves.
 //
-// Mechanically, ingress parks datagrams at a per-class gate
-// (classState.gate) and the pump calls releaseGated at the top of every
-// batch: each class's gate head is admitted against the token tree until a
+// Mechanically, the pump parks staged datagrams at a per-class gate
+// (classState.gate) and calls releaseGated before every batch's dequeue:
+// each class's gate head is admitted against the token tree until a
 // bucket runs dry, with the class visit order rotating batch to batch so no
 // class systematically drinks first. Admission charges the packet to every
 // node on its path — the borrower's own bucket goes negative (clamped at
@@ -158,7 +158,7 @@ func (h *htb) admit(id int, bits, now float64) (bool, float64) {
 }
 
 // rebuildClassOrderLocked recomputes the rotating class visit order for gate
-// release. Caller holds d.mu.
+// release. Caller holds d.mu and d.smu.
 func (d *Dataplane) rebuildClassOrderLocked() {
 	d.gateOrder = d.gateOrder[:0]
 	for id := range d.classes {
@@ -173,8 +173,8 @@ func (d *Dataplane) rebuildClassOrderLocked() {
 
 // rebuildHTBLocked rebuilds the token mirror from the current classes (flat
 // mode) or the live tree (topology mode) and the ceiling maps. Caller holds
-// d.mu. Buckets start full — a reconfiguration grants every class one fresh
-// burst, the same grace a newly started engine gives.
+// d.mu and d.smu. Buckets start full — a reconfiguration grants every
+// class one fresh burst, the same grace a newly started engine gives.
 func (d *Dataplane) rebuildHTBLocked() {
 	// Rates may have moved (SetRate/SetWeight land here); keep the derived
 	// shed order in sync even when borrowing is off.
@@ -226,7 +226,7 @@ func (d *Dataplane) rebuildHTBLocked() {
 // releaseGated admits gate-parked datagrams into the scheduler against the
 // token tree and refreshes the pump's gateWait hint. The class visit order
 // rotates every call so token contention is shared fairly. Caller holds
-// d.mu; no-op (and zero-cost) when borrowing is off.
+// d.smu; no-op (and zero-cost) when borrowing is off.
 func (d *Dataplane) releaseGated(now float64) {
 	d.gateWait = 0
 	if d.htb == nil || d.gated == 0 {

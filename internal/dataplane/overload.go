@@ -31,7 +31,6 @@ package dataplane
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -98,18 +97,18 @@ type ovState struct {
 	brownout    bool
 	savedTracer obs.Tracer // tracer suspended by brownout
 
-	heartbeat atomic.Int64 // pump heartbeat, ns since epoch on the engine clock
+	heartbeat atomic.Int64 // pump heartbeat, 1 + ns since epoch on the engine clock; 0 = never
 	inflight  atomic.Int64 // datagrams in the current egress release; a
 	// stalled writer holds work here with the staging queues possibly
 	// empty, so the watchdog's Backlogged signal must include it
 
-	writes    int64 // datagrams delivered (retry-rate denominator)
-	retries   int64 // transient write retries (numerator)
-	prevWr    int64 // previous sample's writes
-	prevRt    int64 // previous sample's retries
-	prevGets  int64 // previous sample's pool gets
-	prevAlloc int64 // previous sample's pool allocs
-	prevRst   int   // previous sample's restart count
+	writes    atomic.Int64 // datagrams delivered (retry-rate denominator)
+	retries   atomic.Int64 // transient write retries (numerator)
+	prevWr    int64        // previous sample's writes
+	prevRt    int64        // previous sample's retries
+	prevGets  int64        // previous sample's pool gets
+	prevAlloc int64        // previous sample's pool allocs
+	prevRst   int          // previous sample's restart count
 
 	deadlined bool          // write deadline currently applied
 	monStop   chan struct{} // closes to stop the monitor
@@ -139,8 +138,14 @@ func (d *Dataplane) initOverload(cfg *config) {
 }
 
 // beat stamps the pump heartbeat.
-func (d *Dataplane) beat() {
-	d.ov.heartbeat.Store(d.clock.Now().Sub(d.epoch).Nanoseconds())
+func (d *Dataplane) beat() { d.beatAt(d.clock.Now()) }
+
+// beatAt stamps the pump heartbeat at t. The stored value is offset by one
+// so that a beat at the epoch itself — the first beat on a fake clock that
+// has not moved yet — is not mistaken for "never stamped", which would hide
+// a pump that stalls right after it.
+func (d *Dataplane) beatAt(t time.Time) {
+	d.ov.heartbeat.Store(t.Sub(d.epoch).Nanoseconds() + 1)
 }
 
 // heartbeatAge returns the time since the pump last stamped its heartbeat
@@ -150,7 +155,7 @@ func (d *Dataplane) heartbeatAge() time.Duration {
 	if hb == 0 {
 		return 0
 	}
-	return time.Duration(d.clock.Now().Sub(d.epoch).Nanoseconds() - hb)
+	return time.Duration(d.clock.Now().Sub(d.epoch).Nanoseconds() - (hb - 1))
 }
 
 // rebuildShedOrderLocked recomputes the shed order after any class or rate
@@ -259,8 +264,8 @@ func (d *Dataplane) sampleOnce() {
 			}
 		}
 	}
-	sig.Backlogged = d.q.Backlog()+d.gated > 0 || d.ov.inflight.Load() > 0
-	wr, rt := d.ov.writes, d.ov.retries
+	sig.Backlogged = d.staged > 0 || d.ov.inflight.Load() > 0
+	wr, rt := d.ov.writes.Load(), d.ov.retries.Load()
 	if dw, dr := wr-d.ov.prevWr, rt-d.ov.prevRt; dw+dr > 0 {
 		sig.RetryFrac = float64(dr) / float64(dw+dr)
 	}
@@ -283,9 +288,9 @@ func (d *Dataplane) sampleOnce() {
 	// Watchdog: a stale heartbeat with work queued is a stalled pump.
 	stalled := d.ov.watchdog > 0 && sig.Backlogged && sig.HeartbeatAge > d.ov.watchdog
 	if stalled {
-		d.mu.Lock()
+		d.smu.Lock()
 		d.q.RecordWatchdogStall()
-		d.mu.Unlock()
+		d.smu.Unlock()
 		tr.NoteStall()
 		if dl, ok := d.rawWriter.(deadlineWriter); ok {
 			// Interrupt the blocked write; while the breaker is tripped the
@@ -303,14 +308,14 @@ func (d *Dataplane) sampleOnce() {
 	state := tr.Observe(sig)
 	frac := tr.ShedFrac()
 
-	d.mu.Lock()
+	d.lock()
 	d.applyHealthLocked(state, frac)
-	d.mu.Unlock()
+	d.unlock()
 }
 
 // applyHealthLocked translates the tracker's verdict into engine behavior:
 // the shed prefix of the shed order and the brownout switches. Caller
-// holds d.mu.
+// holds d.mu and d.smu.
 func (d *Dataplane) applyHealthLocked(state overload.State, frac float64) {
 	max := d.maxShedLocked()
 	want := 0
@@ -417,12 +422,8 @@ func (d *Dataplane) healthLocked() HealthStatus {
 // the gateway's brownout refusal of a new flow, for example — as a drop
 // with reason "shed" under the given cause (obs.ShedBrownout, …).
 func (d *Dataplane) RecordShed(class int, size int, cause string) {
-	d.mu.Lock()
-	d.q.RecordShed(d.now(), class, float64(size)*8, cause)
-	d.mu.Unlock()
-}
-
-// shedError builds Ingest's ErrShedding return.
-func shedError(class int) error {
-	return fmt.Errorf("%w: class %d", ErrShedding, class)
+	now := d.now()
+	d.smu.Lock()
+	d.q.RecordShed(now, class, float64(size)*8, cause)
+	d.smu.Unlock()
 }

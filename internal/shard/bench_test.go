@@ -9,18 +9,30 @@ import (
 	"hpfq/internal/dataplane"
 )
 
-// deliveredWriter counts delivered datagrams atomically, batch-aware — the
-// cheapest egress that still lets the harness observe pump progress.
-type deliveredWriter struct{ delivered *atomic.Int64 }
+// deliveredWriter counts delivered datagrams atomically, batch-aware, and
+// signals progress after every write — the cheapest egress that still lets
+// the harness wait for pump progress without polling.
+type deliveredWriter struct {
+	delivered *atomic.Int64
+	progress  chan struct{} // buffered(1): a pending signal is enough
+}
 
 func (w deliveredWriter) WritePacket(b []byte) (int, error) {
-	w.delivered.Add(1)
+	w.note(1)
 	return len(b), nil
 }
 
 func (w deliveredWriter) WriteBatch(pkts []dataplane.Datagram) (int, error) {
-	w.delivered.Add(int64(len(pkts)))
+	w.note(len(pkts))
 	return len(pkts), nil
+}
+
+func (w deliveredWriter) note(n int) {
+	w.delivered.Add(int64(n))
+	select {
+	case w.progress <- struct{}{}:
+	default:
+	}
 }
 
 // BenchmarkShardedPump measures end-to-end pump throughput — staged ingest
@@ -50,7 +62,8 @@ func benchmarkShardedPump(b *testing.B, n int) {
 		b.Fatal(err)
 	}
 	var delivered atomic.Int64
-	if err := s.Start(func(int) dataplane.Writer { return deliveredWriter{&delivered} }); err != nil {
+	progress := make(chan struct{}, 1)
+	if err := s.Start(func(int) dataplane.Writer { return deliveredWriter{&delivered, progress} }); err != nil {
 		b.Fatal(err)
 	}
 
@@ -75,7 +88,7 @@ func benchmarkShardedPump(b *testing.B, n int) {
 		}
 		target += int64(batch)
 		for delivered.Load() < target {
-			time.Sleep(20 * time.Microsecond)
+			<-progress
 		}
 		remaining -= batch
 	}
