@@ -250,7 +250,8 @@ func WithMetrics() Option { return Option{metrics: true} }
 
 // WithTracer streams per-packet events to t. On a hierarchy the tracer also
 // receives every interior node's events, stamped with the node's topology
-// name.
+// name. On a data-plane the tracer runs under the engine's lock and must not
+// call back into it.
 func WithTracer(t Tracer) Option { return Option{tracer: t, hasTrace: true} }
 
 // WithNodes supplies a custom per-node scheduler constructor to
@@ -667,16 +668,6 @@ func WithByteCap(n int) DataplaneOption { return dpOptions{dataplane.WithByteCap
 // burstiness.
 func WithBurst(bits float64) DataplaneOption { return dpOptions{dataplane.WithBurst(bits)} }
 
-// WithDataplaneMetrics enables per-class metric collection on the
-// data-plane's scheduler; read the counters (including the per-reason drop
-// breakdown) with Dataplane.Snapshot. Plain WithMetrics works too.
-func WithDataplaneMetrics() DataplaneOption { return dpOptions{dataplane.WithMetrics()} }
-
-// WithDataplaneTracer streams the data-plane's per-datagram scheduling
-// events to t. The tracer runs under the engine's lock and must not call
-// back into it. Plain WithTracer works too.
-func WithDataplaneTracer(t Tracer) DataplaneOption { return dpOptions{dataplane.WithTracer(t)} }
-
 // WithWriteRetry tunes the data-plane pump's reaction to transient Writer
 // errors: up to limit re-attempts per packet, sleeping backoff before the
 // first and doubling up to cap between the rest. limit 0 disables retries.
@@ -880,9 +871,13 @@ type TreeNodeInfo = hier.NodeInfo
 // AdminServer is the gateway's HTTP control plane (internal/ctl): live
 // introspection (/healthz, /status, /api/status, /api/nodes, /api/flows,
 // /api/policies) and hitless mutations (/api/class/*, /api/node/*) over a
-// running Dataplane. Construct with NewAdminServer, then Start/Close, or
-// mount Handler under an existing server.
+// running Dataplane or ShardedDataplane. Construct with NewAdminServer, then
+// Start/Close, or mount Handler under an existing server.
 type AdminServer = ctl.Server
+
+// AdminEngine is the engine surface the admin server drives; *Dataplane and
+// *ShardedDataplane both satisfy it.
+type AdminEngine = ctl.Engine
 
 // AdminOption configures an AdminServer.
 type AdminOption = ctl.Option
@@ -895,9 +890,11 @@ type FlowInfo = ctl.FlowInfo
 // be safe for concurrent use.
 type FlowSource = ctl.FlowSource
 
-// NewAdminServer returns an admin HTTP server over the data-plane.
-func NewAdminServer(dp *Dataplane, opts ...AdminOption) *AdminServer {
-	return ctl.New(dp, opts...)
+// NewAdminServer returns an admin HTTP server over eng. Over a
+// ShardedDataplane, reads aggregate across shards (plus per-shard
+// drill-down on /api/shards) and mutations fan out to every shard.
+func NewAdminServer(eng AdminEngine, opts ...AdminOption) *AdminServer {
+	return ctl.New(eng, opts...)
 }
 
 // WithAdminFlows publishes the flow table fs on the admin server's
@@ -1023,13 +1020,6 @@ func NewShardedDataplaneOpts(algorithm Algorithm, rate float64, shards int, shar
 		all = append(all, o.dataplaneOptions()...)
 	}
 	return shard.New(string(algorithm), rate, shards, all, shardOpts...)
-}
-
-// NewShardedAdminServer returns an admin HTTP server over a sharded front.
-// Reads aggregate across shards (plus per-shard drill-down on /api/shards);
-// mutations fan out to every shard.
-func NewShardedAdminServer(sdp *ShardedDataplane, opts ...AdminOption) *AdminServer {
-	return ctl.New(sdp, opts...)
 }
 
 // FlowKey hashes arbitrary flow-identifying bytes into the 64-bit key

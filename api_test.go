@@ -399,7 +399,7 @@ func TestPublicAPIDataplane(t *testing.T) {
 
 	d, err := hpfq.NewDataplane(hpfq.WF2QPlus, 1e9,
 		hpfq.WithQueueCap(64), hpfq.WithByteCap(1<<20),
-		hpfq.WithBurst(1e5), hpfq.WithDataplaneMetrics())
+		hpfq.WithBurst(1e5), hpfq.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestPublicAPIDataplaneHierarchy(t *testing.T) {
 			hpfq.Leaf("b", 1, 1)),
 		hpfq.Leaf("c", 1, 2))
 	d, err := hpfq.NewDataplane(hpfq.WF2QPlus, 1e9,
-		hpfq.WithTopology(top), hpfq.WithDataplaneMetrics())
+		hpfq.WithTopology(top), hpfq.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}

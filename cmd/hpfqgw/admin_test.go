@@ -18,7 +18,7 @@ import (
 // gateway with the control plane attached, introspected and reconfigured
 // over real HTTP while traffic flows.
 func TestGatewayAdminServer(t *testing.T) {
-	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithDataplaneMetrics())
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestGatewayAdminServer(t *testing.T) {
 	}
 	gw, recv, listen, runDone := testGateway(t, dp, gwConfig{}, classify)
 
-	admin := hpfq.NewShardedAdminServer(dp, hpfq.WithAdminFlows(gw.ft.snapshot))
+	admin := hpfq.NewAdminServer(dp, hpfq.WithAdminFlows(gw.ft.snapshot))
 	bound, err := admin.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

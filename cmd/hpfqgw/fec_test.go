@@ -2,6 +2,7 @@ package main
 
 import (
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -66,13 +67,13 @@ func TestParseGilbert(t *testing.T) {
 // decoding gateway reconstructs them from the repairs and forwards the full
 // original stream upstream.
 func TestGatewayFECDecode(t *testing.T) {
-	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithDataplaneMetrics())
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dp.AddClass(0, 5e7)
 	gw, recv, listen, _ := testGateway(t, dp, gwConfig{decodeFEC: true},
-		func(*net.UDPAddr, []byte) int { return 0 })
+		func(netip.AddrPort, []byte) int { return 0 })
 	defer gw.close(time.Second)
 	client := dialClient(t, listen)
 
@@ -143,12 +144,12 @@ func TestGatewayFECChain(t *testing.T) {
 	}
 	dpB.AddClass(0, 5e7)
 	gwB, recv, listenB, _ := testGateway(t, dpB, gwConfig{decodeFEC: true},
-		func(*net.UDPAddr, []byte) int { return 0 })
+		func(netip.AddrPort, []byte) int { return 0 })
 	defer gwB.close(time.Second)
 
 	// Near side: FEC-encoding gateway whose upstream is the far gateway.
 	spec := hpfq.FECSpec{Scheme: hpfq.FECSchemeRS, K: 4, R: 2}
-	dpA, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithDataplaneMetrics(),
+	dpA, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithMetrics(),
 		hpfq.WithFEC(0, spec, hpfq.FECConfig{}))
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +160,7 @@ func TestGatewayFECChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	gwA := newGateway(dpA, []*net.UDPConn{listenA}, listenB.LocalAddr().(*net.UDPAddr),
-		func(*net.UDPAddr, []byte) int { return 0 }, gwConfig{})
+		func(netip.AddrPort, []byte) int { return 0 }, gwConfig{})
 	runA := make(chan error, 1)
 	go func() { runA <- gwA.run() }()
 	defer gwA.close(time.Second)

@@ -1,15 +1,20 @@
 package main
 
 import (
+	"errors"
 	"net"
+	"net/netip"
+	"os"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"hpfq"
 )
 
 // Flow-table defaults: how long an idle client keeps its upstream flow, and
-// how many concurrent clients the gateway tracks before evicting the oldest.
+// how many concurrent clients the gateway tracks before evicting the idlest.
 const (
 	defaultFlowTTL  = 2 * time.Minute
 	defaultMaxFlows = 1024
@@ -17,41 +22,34 @@ const (
 
 // flow is one client's NAT-style mapping: a dedicated connected upstream
 // socket (its local port identifies the client to the upstream) plus a
-// return-path reader relaying replies back to that client. A flow's lifetime
-// is its socket: evicting closes the socket, which ends the reader and makes
-// any still-queued forward datagram fail fatally at write time (recorded as
-// a "write-error" drop).
+// return-path goroutine relaying replies back to that client. A flow's
+// lifetime is its socket: retiring or evicting closes the socket, which ends
+// the return path and makes any still-queued forward datagram fail fatally
+// at write time (recorded as a "write-error" drop).
 type flow struct {
-	key    string // client address string, the table key
-	client *net.UDPAddr
+	client netip.AddrPort // the table key and the return-path destination
 	conn   *net.UDPConn
-	shard  int       // owning data-plane shard, for /api/flows
-	last   time.Time // guarded by the owning table's mutex
+	shard  int // owning data-plane shard, for /api/flows
+	// last is the latest activity in either direction, as monotonic time
+	// since the table's epoch.
+	last atomic.Int64
 }
 
-// flowTable maps client addresses to flows with epoch-swap TTL eviction.
-//
-// Idle flows age out through two map generations instead of a per-entry
-// timestamp sweep: every ttl the janitor retires the previous generation
-// wholesale and demotes the current one, so under the lock a GC cycle is a
-// pointer swap — O(1) instead of the old O(flows) scan that stalled lookups
-// on large tables — and the socket closes happen outside the lock. Any
-// activity (a forward lookup or a return-path reply) promotes the flow back
-// into the live generation, so an active flow never ages; an idle one is
-// evicted after between ttl and 2·ttl of silence, never sooner than ttl.
-// Safe for concurrent use.
+// flowTable maps client endpoints to flows. Each flow ends itself: its
+// return-path goroutine retires it ttl after its last activity in either
+// direction, never sooner, so no janitor exists and replies take no table
+// lock. Safe for concurrent use.
 type flowTable struct {
-	listen   *net.UDPConn // return-path source socket (WriteToUDP per client)
+	listen   *net.UDPConn // return-path source socket (one write per reply)
 	upstream *net.UDPAddr
 	ttl      time.Duration
 	max      int
+	epoch    time.Time // origin of every activity stamp; carries a monotonic reading
 
 	mu     sync.Mutex
-	flows  map[string]*flow // live generation: touched since the last swap
-	prev   map[string]*flow // previous generation: retired at the next swap
+	flows  map[netip.AddrPort]*flow
 	closed bool
-	stop   chan struct{}
-	wg     sync.WaitGroup // return-path readers + janitor
+	wg     sync.WaitGroup // return-path goroutines
 }
 
 func newFlowTable(listen *net.UDPConn, upstream *net.UDPAddr, ttl time.Duration, max int) *flowTable {
@@ -61,140 +59,125 @@ func newFlowTable(listen *net.UDPConn, upstream *net.UDPAddr, ttl time.Duration,
 	if max <= 0 {
 		max = defaultMaxFlows
 	}
-	t := &flowTable{
+	return &flowTable{
 		listen:   listen,
 		upstream: upstream,
 		ttl:      ttl,
 		max:      max,
-		flows:    make(map[string]*flow),
-		prev:     make(map[string]*flow),
-		stop:     make(chan struct{}),
+		epoch:    time.Now(),
+		flows:    make(map[netip.AddrPort]*flow),
 	}
-	t.wg.Add(1)
-	go t.janitor()
-	return t
 }
 
-// lookup returns src's flow, creating it (and its return-path reader) on
-// first sight and recording shard as its owner. A hit in either generation
-// promotes the flow into the live one. At capacity the idlest flow is
-// evicted first, NAT-style.
-func (t *flowTable) lookup(src *net.UDPAddr, shard int) (*flow, error) {
-	key := src.String()
+// now is the current activity stamp: monotonic time since the epoch, so a
+// wall-clock step can neither age nor rejuvenate a flow.
+func (t *flowTable) now() int64 { return int64(time.Since(t.epoch)) }
+
+// lookup returns src's flow, creating it (and its return-path goroutine) on
+// first sight and recording shard as its owner. A hit stamps activity under
+// the table lock, so retire cannot close a flow a datagram was just routed
+// to. At capacity the idlest flow is evicted first, NAT-style.
+func (t *flowTable) lookup(src netip.AddrPort, shard int) (*flow, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return nil, net.ErrClosed
 	}
-	if f := t.promoteLocked(key); f != nil {
-		f.last = time.Now()
+	if f, ok := t.flows[src]; ok {
+		f.last.Store(t.now())
 		return f, nil
 	}
-	if len(t.flows)+len(t.prev) >= t.max {
+	if len(t.flows) >= t.max {
 		t.evictIdlestLocked()
 	}
 	conn, err := net.DialUDP("udp", nil, t.upstream)
 	if err != nil {
 		return nil, err
 	}
-	f := &flow{key: key, client: src, conn: conn, shard: shard, last: time.Now()}
-	t.flows[key] = f
+	f := &flow{client: src, conn: conn, shard: shard}
+	f.last.Store(t.now())
+	t.flows[src] = f
 	t.wg.Add(1)
 	go t.returnPath(f)
 	return f, nil
 }
 
-// promoteLocked finds key in either generation and moves it into the live
-// one. Caller holds t.mu.
-func (t *flowTable) promoteLocked(key string) *flow {
-	if f, ok := t.flows[key]; ok {
-		return f
-	}
-	if f, ok := t.prev[key]; ok {
-		delete(t.prev, key)
-		t.flows[key] = f
-		return f
-	}
-	return nil
-}
-
-// returnPath relays upstream replies on f's socket back to f's client and
-// keeps the flow alive while replies arrive. It ends when the flow's socket
-// closes (eviction or table close).
+// returnPath relays upstream replies on f's socket back to f's client,
+// stamping each as activity. Its read deadline trails the stamp by ttl and
+// is re-armed only when it fires, so a busy flow pays for it once per ttl.
+// It exits when the flow's socket closes (retirement, eviction or table
+// close), and on any other read error it ends the flow itself, so the
+// client's next datagram builds a fresh one.
 func (t *flowTable) returnPath(f *flow) {
 	defer t.wg.Done()
+	arm := func() { f.conn.SetReadDeadline(t.epoch.Add(time.Duration(f.last.Load()) + t.ttl)) }
+	arm()
 	buf := make([]byte, 64<<10)
 	for {
 		n, err := f.conn.Read(buf)
-		if err != nil {
-			return
-		}
-		t.mu.Lock()
-		if !t.closed {
-			f.last = time.Now()
-			// A reply is activity: rescue the flow from the aging
-			// generation so the next swap doesn't retire it.
-			if t.prev[f.key] == f {
-				delete(t.prev, f.key)
-				t.flows[f.key] = f
+		switch {
+		case err == nil:
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			if t.retire(f) {
+				return
 			}
-		}
-		t.mu.Unlock()
-		if _, err := t.listen.WriteToUDP(buf[:n], f.client); err != nil {
+			arm() // active since the deadline was armed
+			continue
+		case errors.Is(err, syscall.ECONNREFUSED):
+			// An ICMP port-unreachable from an upstream that is down or
+			// restarting: transient, and the deadline is still armed.
+			continue
+		case errors.Is(err, net.ErrClosed):
+			return
+		default:
+			t.mu.Lock()
+			t.endLocked(f)
+			t.mu.Unlock()
 			return
 		}
+		f.last.Store(t.now())
+		// A reply the listen socket cannot send is lost like any datagram;
+		// the flow lives on.
+		t.listen.WriteToUDPAddrPort(buf[:n], f.client)
 	}
 }
 
-// janitor swaps generations every ttl: the previous generation — flows with
-// no activity for at least one full ttl — is retired wholesale, the live
-// generation starts aging, and a fresh live map takes over. The critical
-// section is a pointer swap; socket teardown runs unlocked.
-func (t *flowTable) janitor() {
-	defer t.wg.Done()
-	period := t.ttl
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
+// retire ends f if it has been idle for at least ttl, reporting whether it
+// did (or the table is already closed). It checks under the lock forward
+// hits stamp under, so a flow touched while its deadline fired is kept.
+func (t *flowTable) retire(f *flow) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return true
 	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-tick.C:
-			t.mu.Lock()
-			retired := t.prev
-			t.prev = t.flows
-			t.flows = make(map[string]*flow)
-			t.mu.Unlock()
-			for _, f := range retired {
-				f.conn.Close()
-			}
-		}
+	if t.now()-f.last.Load() < int64(t.ttl) {
+		return false
 	}
+	t.endLocked(f)
+	return true
+}
+
+// endLocked removes f from the table, unless it was already evicted and
+// replaced, and closes its socket. Caller holds t.mu.
+func (t *flowTable) endLocked(f *flow) {
+	if t.flows[f.client] == f {
+		delete(t.flows, f.client)
+	}
+	f.conn.Close()
 }
 
 // evictIdlestLocked drops the longest-idle flow to make room. Caller holds
 // t.mu.
 func (t *flowTable) evictIdlestLocked() {
-	var oldest *flow
-	for _, f := range t.prev {
-		if oldest == nil || f.last.Before(oldest.last) {
-			oldest = f
+	var idlest *flow
+	for _, f := range t.flows {
+		if idlest == nil || f.last.Load() < idlest.last.Load() {
+			idlest = f
 		}
 	}
-	if oldest == nil { // prev empty right after a swap: scan the live set
-		for _, f := range t.flows {
-			if oldest == nil || f.last.Before(oldest.last) {
-				oldest = f
-			}
-		}
-	}
-	if oldest != nil {
-		delete(t.prev, oldest.key)
-		delete(t.flows, oldest.key)
-		oldest.conn.Close()
+	if idlest != nil {
+		t.endLocked(idlest)
 	}
 }
 
@@ -203,42 +186,40 @@ func (t *flowTable) evictIdlestLocked() {
 func (t *flowTable) snapshot() []hpfq.FlowInfo {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]hpfq.FlowInfo, 0, len(t.flows)+len(t.prev))
-	for _, m := range []map[string]*flow{t.flows, t.prev} {
-		for _, f := range m {
-			info := hpfq.FlowInfo{Client: f.key, LastActive: f.last, Shard: f.shard}
-			if addr := f.conn.LocalAddr(); addr != nil {
-				info.LocalAddr = addr.String()
-			}
-			out = append(out, info)
+	out := make([]hpfq.FlowInfo, 0, len(t.flows))
+	for _, f := range t.flows {
+		info := hpfq.FlowInfo{
+			Client:     f.client.String(),
+			LastActive: t.epoch.Add(time.Duration(f.last.Load())),
+			Shard:      f.shard,
 		}
+		if addr := f.conn.LocalAddr(); addr != nil {
+			info.LocalAddr = addr.String()
+		}
+		out = append(out, info)
 	}
 	return out
 }
 
-// has reports whether src already owns a flow in either generation, without
-// creating or promoting one — the gateway's brownout gate distinguishes
-// returning clients (kept) from new ones (refused) with this.
-func (t *flowTable) has(src *net.UDPAddr) bool {
-	key := src.String()
+// has reports whether src already owns a flow, without creating one or
+// stamping activity — the gateway's brownout gate distinguishes returning
+// clients (kept) from new ones (refused) with this.
+func (t *flowTable) has(src netip.AddrPort) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.flows[key]; ok {
-		return true
-	}
-	_, ok := t.prev[key]
+	_, ok := t.flows[src]
 	return ok
 }
 
-// count returns the live flow count across both generations.
+// count returns the live flow count.
 func (t *flowTable) count() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.flows) + len(t.prev)
+	return len(t.flows)
 }
 
-// close evicts every flow, stops the janitor, and waits for the return-path
-// readers to exit. Idempotent.
+// close ends every flow and waits for the return-path goroutines to exit.
+// Idempotent.
 func (t *flowTable) close() {
 	t.mu.Lock()
 	if t.closed {
@@ -246,12 +227,9 @@ func (t *flowTable) close() {
 		return
 	}
 	t.closed = true
-	close(t.stop)
-	for _, m := range []map[string]*flow{t.flows, t.prev} {
-		for key, f := range m {
-			delete(m, key)
-			f.conn.Close()
-		}
+	for key, f := range t.flows {
+		delete(t.flows, key)
+		f.conn.Close()
 	}
 	t.mu.Unlock()
 	t.wg.Wait()

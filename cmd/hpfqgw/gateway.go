@@ -3,9 +3,9 @@ package main
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"sort"
 	"strconv"
@@ -23,9 +23,9 @@ import (
 var errOut io.Writer = os.Stderr
 
 // classifier assigns an arriving datagram to one of the gateway's classes.
-// Both the source address and the payload are available so policies can key
+// Both the source endpoint and the payload are available so policies can key
 // on either (hash keys on the sender, byte0 on the first payload byte).
-type classifier func(src *net.UDPAddr, payload []byte) int
+type classifier func(src netip.AddrPort, payload []byte) int
 
 // gwConfig tunes the gateway's flow table, buffer pool, and optional fault
 // plans.
@@ -42,15 +42,16 @@ type gwConfig struct {
 // gateway forwards UDP datagrams from its listen sockets to an upstream
 // peer, pacing egress through an hpfq.ShardedDataplane. Each client gets a
 // NAT-style flow — a dedicated connected upstream socket plus a return-path
-// relay — tracked in a shared epoch-swept flow table, so replies reach the
-// client that sent the request however many clients interleave.
+// relay that retires the flow once it idles past the TTL — tracked in one
+// shared flow table, so replies reach the client that sent the request
+// however many clients interleave.
 //
 // Sharding: the gateway runs one ingress reader per listen socket. With N
 // SO_REUSEPORT sockets over N shards (kernel-hash mode) reader i pins its
 // traffic to shard i — the kernel's 4-tuple hash is the classifier and the
 // whole path is shard-local. With a single socket over N shards the reader
 // places each datagram by a consistent hash of the client endpoint
-// (hpfq.FlowKeyAddr), so a flow is sticky to its shard either way. Each
+// (flowKey), so a flow is sticky to its shard either way. Each
 // reader runs under its own crash-only supervisor: a panic (e.g. out of a
 // classifier on a hostile payload) costs that one datagram, the loop
 // restarts, and the restart is counted.
@@ -128,20 +129,29 @@ func newGateway(dp *hpfq.ShardedDataplane, listens []*net.UDPConn, upstream *net
 }
 
 // listenSource adapts the unconnected listen socket to the PacketReader
-// contract, stashing each datagram's source address for the classifier and
-// flow lookup. Only the single supervised ingress goroutine touches it, so
-// the field needs no lock.
+// contract, stashing each datagram's source endpoint for the classifier and
+// flow lookup. The endpoint is stored unmapped, so a dual-stack socket keys
+// an IPv4 client by its 4-byte form. Only the single supervised ingress
+// goroutine touches it, so the field needs no lock.
 type listenSource struct {
 	conn *net.UDPConn
-	src  *net.UDPAddr
+	src  netip.AddrPort
 }
 
 func (s *listenSource) ReadPacket(buf []byte) (int, error) {
-	n, src, err := s.conn.ReadFromUDP(buf)
+	n, src, err := s.conn.ReadFromUDPAddrPort(buf)
 	if err == nil {
-		s.src = src
+		s.src = netip.AddrPortFrom(src.Addr().Unmap(), src.Port())
 	}
 	return n, err
+}
+
+// flowKey is src's consistent-hash key (hpfq.FlowKeyAddr), computed without
+// allocating. Both shard placement and the hash classifier derive from it;
+// the v4 and v4-mapped forms of one endpoint share a key.
+func flowKey(src netip.AddrPort) uint64 {
+	ip := src.Addr().As16()
+	return hpfq.FlowKeyAddr(ip[:], int(src.Port()))
 }
 
 // errNoFlow fails a scheduled datagram with no routable flow. It is not
@@ -175,45 +185,42 @@ func (s *connSink) WriteBatch(pkts [][]byte) (int, error) {
 	return len(pkts), nil
 }
 
-// egress is the gateway's data-plane Writer: it routes each scheduled
-// datagram to its flow's upstream socket via the IngestCtx context
-// (hpfq.PacketCtxWriter), optionally through a faultconn wrapper so the
-// whole retry/backoff path can be exercised from the command line. A
-// datagram whose flow was evicted while queued fails fatally (closed socket)
-// and is recorded as a "write-error" drop — the NAT mapping is gone, so the
-// datagram has nowhere to go.
-//
-// It also implements hpfq.PacketBatchWriter: each token-bucket release
-// arrives as one batch, which WriteBatch splits into runs of consecutive
-// datagrams sharing a flow and sends run by run — scheduler order is
-// preserved exactly, and each run is one batched write against the flow's
-// socket (through the fault plan when configured).
+// egress is the gateway's data-plane Writer, an hpfq.PacketBatchWriter:
+// each token-bucket release arrives as one batch, which WriteBatch splits
+// into runs of consecutive datagrams sharing a flow (the IngestCtx context)
+// and sends run by run — scheduler order is preserved exactly, and each run
+// is one batched write against the flow's upstream socket, optionally
+// through a faultconn wrapper so the whole retry/backoff path can be
+// exercised from the command line. A datagram whose flow was retired while
+// queued fails fatally (closed socket) and is recorded as a "write-error"
+// drop — the NAT mapping is gone, so the datagram has nowhere to go.
 type egress struct {
 	sink connSink
-	w    hpfq.PacketWriter       // &sink, or the faultconn wrapper around it
-	bw   hpfq.PayloadBatchWriter // batch view of the same chain
+	w    hpfq.PayloadBatchWriter // &sink, or the faultconn wrapper around it
 	raw  [][]byte                // pump-goroutine scratch for the current run
 }
 
 func newEgress(fault []faultconn.Option) *egress {
 	e := &egress{}
-	e.w, e.bw = &e.sink, &e.sink
+	e.w = &e.sink
 	if len(fault) > 0 {
-		fw := faultconn.NewWriter(&e.sink, fault...)
-		e.w, e.bw = fw, fw
+		e.w = faultconn.NewWriter(&e.sink, fault...)
 	}
 	return e
 }
 
-func (e *egress) WritePacket(b []byte) (int, error) { return e.WritePacketCtx(b, nil) }
+// WritePacket completes the hpfq.PacketWriter contract. The engine always
+// writes through WriteBatch, which carries each datagram's flow; a bare
+// payload has no flow to go to.
+func (e *egress) WritePacket([]byte) (int, error) { return 0, errNoFlow }
 
-func (e *egress) WritePacketCtx(b []byte, ctx any) (int, error) {
-	f, _ := ctx.(*flow)
-	if f == nil {
-		return 0, errNoFlow
+// SetWriteDeadline forwards the pump watchdog's deadline down the write
+// chain, so a write blocked in an injected stall can be interrupted.
+func (e *egress) SetWriteDeadline(t time.Time) error {
+	if dl, ok := e.w.(interface{ SetWriteDeadline(time.Time) error }); ok {
+		return dl.SetWriteDeadline(t)
 	}
-	e.sink.conn = f.conn
-	return e.w.WritePacket(b)
+	return nil
 }
 
 func (e *egress) WriteBatch(pkts []hpfq.PacketDatagram) (int, error) {
@@ -235,7 +242,7 @@ func (e *egress) WriteBatch(pkts []hpfq.PacketDatagram) (int, error) {
 		for _, p := range pkts[written:run] {
 			e.raw = append(e.raw, p.B)
 		}
-		n, err := e.bw.WriteBatch(e.raw)
+		n, err := e.w.WriteBatch(e.raw)
 		written += n
 		if err != nil {
 			return written, err
@@ -404,7 +411,7 @@ func (r *gwReader) readOnce() (err error, panicked bool) {
 		src := r.src.src
 		shard := r.shard
 		if shard < 0 {
-			shard = g.dp.ShardOf(hpfq.FlowKeyAddr(src.IP, src.Port))
+			shard = g.dp.ShardOf(flowKey(src))
 		}
 		eng := g.dp.Shard(shard)
 		if eng.HealthState() >= hpfq.Overloaded && !g.ft.has(src) {
@@ -514,18 +521,16 @@ func (g *gateway) close(drain time.Duration) error {
 // byte0Classifier maps the first payload byte onto the class list, so test
 // traffic can steer itself explicitly.
 func byte0Classifier(classes []int) classifier {
-	return func(_ *net.UDPAddr, payload []byte) int {
+	return func(_ netip.AddrPort, payload []byte) int {
 		return classes[int(payload[0])%len(classes)]
 	}
 }
 
-// hashClassifier hashes the client address onto the class list, giving each
-// sender a sticky class without any packet marking.
+// hashClassifier maps the client endpoint's flow key onto the class list,
+// giving each sender a sticky class without any packet marking.
 func hashClassifier(classes []int) classifier {
-	return func(src *net.UDPAddr, _ []byte) int {
-		h := fnv.New32a()
-		h.Write([]byte(src.String()))
-		return classes[int(h.Sum32())%len(classes)]
+	return func(src netip.AddrPort, _ []byte) int {
+		return classes[flowKey(src)%uint64(len(classes))]
 	}
 }
 
@@ -573,9 +578,6 @@ func parseClasses(spec string) (ids []int, rates []float64, err error) {
 	return ids, rates, nil
 }
 
-// parseFEC parses the -fec spec "id=scheme,id=scheme,..." (scheme in the
-// hpfq.ParseFECSpec grammar, e.g. "0=rs-8-2,1=xor-8") into WithFEC options
-// sharing the -fec.adapt and -fec.blockage knobs. An empty spec is no FEC.
 // parseGilbert parses the -fault.gilbert clause
 // "pGoodBad,pBadGood[,dropGood,dropBad]" into the four
 // faultconn.WithGilbertElliott parameters (dropGood defaults to 0, dropBad
@@ -603,6 +605,9 @@ func parseGilbert(s string) ([]float64, error) {
 	return out, nil
 }
 
+// parseFEC parses the -fec spec "id=scheme,id=scheme,..." (scheme in the
+// hpfq.ParseFECSpec grammar, e.g. "0=rs-8-2,1=xor-8") into WithFEC options
+// sharing the -fec.adapt and -fec.blockage knobs. An empty spec is no FEC.
 func parseFEC(spec string, adapt bool, blockAge time.Duration) ([]int, []hpfq.DataplaneOption, error) {
 	if spec == "" {
 		return nil, nil, nil

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"net"
+	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,10 +69,10 @@ func TestClassifiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sorted class list: byte 0 → class 1, byte 1 → class 2, byte 2 → 3.
-	if got := byByte(nil, []byte{0}); got != 1 {
+	if got := byByte(netip.AddrPort{}, []byte{0}); got != 1 {
 		t.Errorf("byte0(0) = %d, want 1", got)
 	}
-	if got := byByte(nil, []byte{2}); got != 3 {
+	if got := byByte(netip.AddrPort{}, []byte{2}); got != 3 {
 		t.Errorf("byte0(2) = %d, want 3", got)
 	}
 
@@ -77,7 +80,7 @@ func TestClassifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
+	src := netip.MustParseAddrPort("127.0.0.1:4242")
 	first := byHash(src, nil)
 	for i := 0; i < 10; i++ {
 		if got := byHash(src, nil); got != first {
@@ -93,24 +96,131 @@ func TestClassifiers(t *testing.T) {
 	}
 }
 
+// TestHashClassifierSharesShardKey: the hash classifier and software shard
+// placement read one key. The v4 and v4-mapped forms of an endpoint get the
+// same class and shard, and over many loopback endpoints every (shard,
+// class) pair is reached about equally — the two choices are not
+// correlated.
+func TestHashClassifierSharesShardKey(t *testing.T) {
+	const nShards, nClasses, nEndpoints = 4, 4, 1000
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 4e6, nShards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Close()
+	for c := 0; c < nClasses; c++ {
+		dp.AddClass(c, 1e6)
+	}
+	byHash, err := newClassifier("hash", dp.Classes())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	v4 := netip.MustParseAddrPort("10.1.2.3:4242")
+	mapped := netip.AddrPortFrom(netip.AddrFrom16(v4.Addr().As16()), v4.Port())
+	if byHash(v4, nil) != byHash(mapped, nil) {
+		t.Errorf("v4 and v4-mapped forms of %v get different classes", v4)
+	}
+	if dp.ShardOf(flowKey(v4)) != dp.ShardOf(flowKey(mapped)) {
+		t.Errorf("v4 and v4-mapped forms of %v land on different shards", v4)
+	}
+
+	var pairs [nShards][nClasses]int
+	for i := 0; i < nEndpoints; i++ {
+		ep := netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(20000+i))
+		pairs[dp.ShardOf(flowKey(ep))][byHash(ep, nil)]++
+	}
+	const ideal = nEndpoints / (nShards * nClasses)
+	for s := range pairs {
+		for c, n := range pairs[s] {
+			if n < ideal/2 {
+				t.Errorf("(shard %d, class %d) reached by %d of %d endpoints, want >= %d: %v",
+					s, c, n, nEndpoints, ideal/2, pairs)
+			}
+		}
+	}
+}
+
+// TestForwardPathAllocFree: one datagram's gateway bookkeeping — the
+// listen-socket read, the brownout probe, a flow-table hit and both
+// classifiers — allocates nothing.
+func TestForwardPathAllocFree(t *testing.T) {
+	recv, listen := loopbackUDP(t), loopbackUDP(t)
+	ft := newFlowTable(listen, recv.LocalAddr().(*net.UDPAddr), 0, 0)
+	defer ft.close()
+	classes := []int{0, 1, 2, 3}
+	byByte, _ := newClassifier("byte0", classes)
+	byHash, _ := newClassifier("hash", classes)
+
+	const runs = 100
+	client := dialClient(t, listen)
+	payload := make([]byte, 64)
+	for i := 0; i < runs+2; i++ { // one to create the flow, one warm-up, runs
+		if _, err := client.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listen.SetReadDeadline(time.Now().Add(10 * time.Second))
+	src := &listenSource{conn: listen}
+	buf := make([]byte, 2048)
+	if _, err := src.ReadPacket(buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ft.lookup(src.src, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	var failed error
+	allocs := testing.AllocsPerRun(runs, func() {
+		n, err := src.ReadPacket(buf)
+		if err != nil {
+			failed = err
+			return
+		}
+		if !ft.has(src.src) {
+			failed = errors.New("flow missing")
+			return
+		}
+		if _, err := ft.lookup(src.src, 0); err != nil {
+			failed = err
+			return
+		}
+		byByte(src.src, buf[:n])
+		byHash(src.src, buf[:n])
+	})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if allocs != 0 {
+		t.Fatalf("forward-path bookkeeping allocates %.1f times per datagram, want 0", allocs)
+	}
+	if c := ft.count(); c != 1 {
+		t.Fatalf("flow table has %d flows, want 1", c)
+	}
+}
+
 // testGateway assembles a loopback gateway: an upstream receiver socket, a
 // listen socket, and a started gateway forwarding between them. Callers get
 // the pieces plus a cleanup-checked run-exit channel.
 func testGateway(t *testing.T, dp *hpfq.ShardedDataplane, cfg gwConfig, classify classifier) (gw *gateway, recv, listen *net.UDPConn, runDone chan error) {
 	t.Helper()
-	recv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { recv.Close() })
-	listen, err = net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recv, listen = loopbackUDP(t), loopbackUDP(t)
 	gw = newGateway(dp, []*net.UDPConn{listen}, recv.LocalAddr().(*net.UDPAddr), classify, cfg)
 	runDone = make(chan error, 1)
 	go func() { runDone <- gw.run() }()
 	return gw, recv, listen, runDone
+}
+
+// loopbackUDP opens a UDP socket on an ephemeral loopback port, closed at
+// test cleanup.
+func loopbackUDP(t *testing.T) *net.UDPConn {
+	t.Helper()
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 func dialClient(t *testing.T, listen *net.UDPConn) *net.UDPConn {
@@ -128,7 +238,7 @@ func dialClient(t *testing.T, listen *net.UDPConn) *net.UDPConn {
 // upstream socket → upstream receiver, plus the reply relay back through the
 // flow table to the client.
 func TestGatewayForwards(t *testing.T) {
-	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithDataplaneMetrics())
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +324,7 @@ func TestGatewayMultiClientReturnPath(t *testing.T) {
 	}
 	dp.AddClass(0, 5e7)
 	gw, recv, listen, _ := testGateway(t, dp, gwConfig{},
-		func(*net.UDPAddr, []byte) int { return 0 })
+		func(netip.AddrPort, []byte) int { return 0 })
 	defer gw.close(time.Second)
 
 	// An upstream echo server: replies "re:"+payload to whichever flow
@@ -268,7 +378,7 @@ func TestFlowTTLEviction(t *testing.T) {
 	}
 	dp.AddClass(0, 5e7)
 	gw, _, listen, _ := testGateway(t, dp, gwConfig{flowTTL: 50 * time.Millisecond},
-		func(*net.UDPAddr, []byte) int { return 0 })
+		func(netip.AddrPort, []byte) int { return 0 })
 	defer gw.close(time.Second)
 
 	client := dialClient(t, listen)
@@ -290,6 +400,208 @@ func TestFlowTTLEviction(t *testing.T) {
 	}
 }
 
+// TestFlowLivenessBothDirections: activity in either direction keeps a
+// flow alive. One client keeps sending; the other stays silent while the
+// upstream keeps replying to it. Both flows outlive several TTLs. Once the
+// upstream stops, the silent flow is retired, no sooner than the TTL after
+// its last reply, and the sender's flow stays.
+func TestFlowLivenessBothDirections(t *testing.T) {
+	const ttl = 200 * time.Millisecond
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp.AddClass(0, 5e7)
+	gw, recv, listen, _ := testGateway(t, dp, gwConfig{flowTTL: ttl},
+		func(netip.AddrPort, []byte) int { return 0 })
+	defer gw.close(time.Second)
+
+	sender, silent := dialClient(t, listen), dialClient(t, listen)
+	if _, err := sender.Write([]byte("s")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := silent.Write([]byte("q")); err != nil {
+		t.Fatal(err)
+	}
+	// The upstream learns the silent client's flow socket from its one
+	// datagram.
+	var silentFlow *net.UDPAddr
+	buf := make([]byte, 64)
+	recv.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for silentFlow == nil {
+		n, from, err := recv.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 1 && buf[0] == 'q' {
+			silentFlow = from
+		}
+	}
+
+	// Both directions stay busy for 6 TTLs; the table is checked once per
+	// TTL, each check well inside a TTL of the last datagram either way.
+	start := time.Now()
+	var lastReply time.Time
+	for checks := 1; checks <= 6; {
+		if _, err := sender.Write([]byte("s")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recv.WriteToUDP([]byte("r"), silentFlow); err != nil {
+			t.Fatal(err)
+		}
+		lastReply = time.Now()
+		time.Sleep(5 * time.Millisecond)
+		if time.Since(start) >= time.Duration(checks)*ttl {
+			if c := gw.ft.count(); c != 2 {
+				t.Fatalf("table has %d flows while both are active, want 2", c)
+			}
+			checks++
+		}
+	}
+
+	// The upstream goes quiet; the sender keeps going. Only the silent
+	// flow may leave.
+	deadline := time.Now().Add(5 * time.Second)
+	for gw.ft.count() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("silent flow not retired; table has %d", gw.ft.count())
+		}
+		if _, err := sender.Write([]byte("s")); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if idle := time.Since(lastReply); idle < ttl {
+		t.Fatalf("silent flow retired %v after its last reply, sooner than the %v TTL", idle, ttl)
+	}
+	flows := gw.ft.snapshot()
+	if len(flows) != 1 || flows[0].Client != sender.LocalAddr().String() {
+		t.Fatalf("surviving flows %+v, want only the sender %s", flows, sender.LocalAddr())
+	}
+}
+
+// TestFlowSurvivesRefusedUpstream: a flow whose upstream port is closed
+// reads ICMP port-unreachable errors on its socket. Its return path keeps
+// reading, so replies flow again once the upstream is back on the same
+// port, through the same flow socket; and once the client goes quiet the
+// flow leaves the table no sooner than the TTL after its last datagram.
+func TestFlowSurvivesRefusedUpstream(t *testing.T) {
+	const ttl = 500 * time.Millisecond
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp.AddClass(0, 5e7)
+	gw, recv, listen, _ := testGateway(t, dp, gwConfig{flowTTL: ttl},
+		func(netip.AddrPort, []byte) int { return 0 })
+	defer gw.close(time.Second)
+	upstream := recv.LocalAddr().(*net.UDPAddr)
+	recv.Close()
+
+	client := dialClient(t, listen)
+	send := func(b string) time.Time {
+		t.Helper()
+		if _, err := client.Write([]byte(b)); err != nil {
+			t.Fatal(err)
+		}
+		return time.Now()
+	}
+	// Each datagram reaches the closed port and draws a refusal, which
+	// the flow's return path reads while blocked on its socket.
+	for _, b := range []string{"a", "b", "c"} {
+		send(b)
+		time.Sleep(20 * time.Millisecond)
+	}
+	flows := gw.ft.snapshot()
+	if len(flows) != 1 {
+		t.Fatalf("table has %d flows after refused sends, want 1", len(flows))
+	}
+
+	// The upstream comes back on its port and echoes.
+	up, err := net.ListenUDP("udp", upstream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	go func() {
+		buf := make([]byte, 64)
+		for {
+			n, from, err := up.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			up.WriteToUDP(buf[:n], from)
+		}
+	}()
+	send("d")
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 64)
+	if n, err := client.Read(buf); err != nil || string(buf[:n]) != "d" {
+		t.Fatalf("reply after the upstream returned: %q, %v", buf[:n], err)
+	}
+	if now := gw.ft.snapshot(); len(now) != 1 || now[0].LocalAddr != flows[0].LocalAddr {
+		t.Fatalf("flows %+v after the upstream returned, want the same flow socket %s", now, flows[0].LocalAddr)
+	}
+
+	// The upstream goes down again, the client sends once more and then
+	// goes quiet: the flow is retired on its TTL.
+	up.Close()
+	last := send("e")
+	deadline := time.Now().Add(5 * time.Second)
+	for gw.ft.count() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("flow with a refused upstream not retired; table has %d", gw.ft.count())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if idle := time.Since(last); idle < ttl {
+		t.Fatalf("flow retired %v after its last datagram, sooner than the %v TTL", idle, ttl)
+	}
+}
+
+// TestFlowTableChurn: forward lookups, brownout probes and snapshots race
+// against flows retiring themselves on a 1 ms TTL and against capacity
+// eviction; close then ends every flow and waits for every return path.
+func TestFlowTableChurn(t *testing.T) {
+	recv, listen := loopbackUDP(t), loopbackUDP(t)
+	ft := newFlowTable(listen, recv.LocalAddr().(*net.UDPAddr), time.Millisecond, 4)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(30000+(g+i)%6))
+				ft.has(src)
+				f, err := ft.lookup(src, g)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if f.client != src {
+					t.Errorf("lookup(%v) returned the flow of %v", src, f.client)
+				}
+				if i%16 == 0 {
+					ft.snapshot()
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if c := ft.count(); c > 4 {
+		t.Errorf("table holds %d flows, over its capacity of 4", c)
+	}
+	ft.close()
+	if c := ft.count(); c != 0 {
+		t.Errorf("closed table holds %d flows", c)
+	}
+	if _, err := ft.lookup(netip.MustParseAddrPort("127.0.0.1:1"), 0); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("lookup on a closed table: %v, want net.ErrClosed", err)
+	}
+}
+
 // TestFlowTableMaxFlows: at capacity the idlest flow is evicted to admit a
 // new client.
 func TestFlowTableMaxFlows(t *testing.T) {
@@ -299,12 +611,14 @@ func TestFlowTableMaxFlows(t *testing.T) {
 	}
 	dp.AddClass(0, 5e7)
 	gw, _, listen, _ := testGateway(t, dp, gwConfig{maxFlows: 2},
-		func(*net.UDPAddr, []byte) int { return 0 })
+		func(netip.AddrPort, []byte) int { return 0 })
 	defer gw.close(time.Second)
 
 	deadline := time.Now().Add(5 * time.Second)
+	var clients []*net.UDPConn
 	for i := 0; i < 3; i++ {
 		client := dialClient(t, listen)
+		clients = append(clients, client)
 		if _, err := client.Write([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -319,6 +633,18 @@ func TestFlowTableMaxFlows(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		time.Sleep(2 * time.Millisecond) // order the flows' last-seen times
+	}
+
+	// The victim is the idlest flow: client 0's.
+	have := map[string]bool{}
+	for _, fi := range gw.ft.snapshot() {
+		have[fi.Client] = true
+	}
+	for i, c := range clients {
+		got, want := have[c.LocalAddr().String()], i > 0
+		if got != want {
+			t.Errorf("client %d tracked = %v, want %v (flows %v)", i, got, want, have)
+		}
 	}
 }
 
@@ -335,7 +661,7 @@ func TestGatewayReaderPanicRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	dp.AddClass(0, 5e7)
-	classify := func(_ *net.UDPAddr, payload []byte) int {
+	classify := func(_ netip.AddrPort, payload []byte) int {
 		if payload[0] == 0xFF {
 			panic("hostile payload")
 		}
@@ -391,7 +717,7 @@ func TestGatewayDrainDeadline(t *testing.T) {
 	}
 	dp.AddClass(0, 1000)
 	gw, _, listen, _ := testGateway(t, dp, gwConfig{},
-		func(*net.UDPAddr, []byte) int { return 0 })
+		func(netip.AddrPort, []byte) int { return 0 })
 	client := dialClient(t, listen)
 
 	for i := 0; i < 50; i++ {
@@ -424,7 +750,7 @@ func TestGatewayDrainDeadline(t *testing.T) {
 // end: with seeded transient faults on ~30% of egress writes, retry/backoff
 // still delivers every datagram to the upstream.
 func TestGatewayFaultInjectionDelivers(t *testing.T) {
-	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithDataplaneMetrics(),
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithMetrics(),
 		hpfq.WithWriteRetry(10, 100*time.Microsecond, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +758,7 @@ func TestGatewayFaultInjectionDelivers(t *testing.T) {
 	dp.AddClass(0, 5e7)
 	cfg := gwConfig{fault: faultOptions(42, 0.3, 0, 0, nil, 0, 0, nil)}
 	gw, recv, listen, _ := testGateway(t, dp, cfg,
-		func(*net.UDPAddr, []byte) int { return 0 })
+		func(netip.AddrPort, []byte) int { return 0 })
 	defer gw.close(time.Second)
 	client := dialClient(t, listen)
 
@@ -464,14 +790,14 @@ func TestGatewayFaultInjectionDelivers(t *testing.T) {
 // fault (the error fires before the socket is touched), so everything sent
 // still reaches the upstream, and no restart is charged (transient ≠ panic).
 func TestGatewayIngressFaultTolerated(t *testing.T) {
-	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithDataplaneMetrics())
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dp.AddClass(0, 5e7)
 	cfg := gwConfig{ingressFault: faultOptions(7, 0.3, 0, 0, nil, 0, 0, nil)}
 	gw, recv, listen, runDone := testGateway(t, dp, cfg,
-		func(*net.UDPAddr, []byte) int { return 0 })
+		func(netip.AddrPort, []byte) int { return 0 })
 	client := dialClient(t, listen)
 
 	const n = 40

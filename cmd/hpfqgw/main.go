@@ -3,8 +3,9 @@
 // per class, released in WF²Q+ (or any registered algorithm's) order at the
 // configured link rate, and forwarded to -upstream. Each client gets a
 // NAT-style flow — a dedicated upstream socket with a return-path relay — so
-// replies reach the client that sent the request; flows idle beyond
-// -flowttl are evicted (-maxflows bounds the table, oldest first).
+// replies reach the client that sent the request; a flow idle in both
+// directions for -flowttl retires itself (-maxflows bounds the table,
+// idlest first).
 //
 // Flat mode gives each class an explicit rate:
 //
@@ -65,7 +66,8 @@
 // Multi-core scaling: -shards N (0 = one per CPU) partitions the data plane
 // into N independent engines — each with its own scheduler tree, token
 // bucket, staging queues and pump over a 1/N slice of the link — so the
-// packet path takes no cross-shard locks. On Linux the gateway opens N
+// engines take no cross-shard locks; the one lock every reader shares is
+// the forward flow-table lookup. On Linux the gateway opens N
 // SO_REUSEPORT listen sockets and the kernel's 4-tuple hash pins each flow
 // to one shard; elsewhere (or if the reuseport binds fail) a single socket
 // places each datagram by a consistent hash of the client endpoint. A rate
@@ -130,7 +132,7 @@ func run(args []string) error {
 
 		drain    = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline (0 = wait forever)")
 		flowTTL  = fs.Duration("flowttl", defaultFlowTTL, "evict client flows idle longer than this")
-		maxFlows = fs.Int("maxflows", defaultMaxFlows, "max concurrent client flows (oldest evicted first)")
+		maxFlows = fs.Int("maxflows", defaultMaxFlows, "max concurrent client flows (idlest evicted first)")
 
 		retries      = fs.Int("retries", hpfq.DefaultRetryLimit, "retry budget per datagram for transient upstream errors")
 		retryBackoff = fs.Duration("retry.backoff", hpfq.DefaultRetryBackoff, "first retry backoff (doubles per attempt)")
@@ -178,7 +180,7 @@ func run(args []string) error {
 		hpfq.WithRequeue(*requeue),
 	}
 	if *metrics {
-		opts = append(opts, hpfq.WithDataplaneMetrics())
+		opts = append(opts, hpfq.WithMetrics())
 	}
 	if *aqm != "" {
 		opts = append(opts, hpfq.WithAQM(*aqm, *aqmTarget, *aqmInterval))
@@ -282,7 +284,7 @@ func run(args []string) error {
 	}
 	gw := newGateway(dp, listens, uaddr, classify, cfg)
 	if *adminAddr != "" {
-		admin := hpfq.NewShardedAdminServer(dp, hpfq.WithAdminFlows(gw.ft.snapshot))
+		admin := hpfq.NewAdminServer(dp, hpfq.WithAdminFlows(gw.ft.snapshot))
 		bound, err := admin.Start(*adminAddr)
 		if err != nil {
 			return err

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"net"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"testing"
@@ -45,13 +46,59 @@ func TestParseStall(t *testing.T) {
 	}
 }
 
+// TestGatewayWatchdogInterruptsStall: an egress write that never returns is
+// reached by the pump watchdog through the gateway's egress writer. The
+// interrupted writes fail as transient stalls, the backlog burns down as
+// retry-exhausted drops, and shutdown meets its drain deadline.
+func TestGatewayWatchdogInterruptsStall(t *testing.T) {
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1,
+		hpfq.WithMetrics(), hpfq.WithWatchdog(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp.AddClass(0, 5e7)
+	stallForever := faultOptions(1, 0, 0, 0, nil, 0, 0, &stallSpec{})
+	gw, _, listen, runDone := testGateway(t, dp, gwConfig{fault: stallForever},
+		func(netip.AddrPort, []byte) int { return 0 })
+	defer gw.close(time.Second)
+
+	client := dialClient(t, listen)
+	for i := 0; i < 20; i++ {
+		if _, err := client.Write([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for dp.Health().WatchdogStalls == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("watchdog never saw the stall: %+v", dp.Health())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	start := time.Now()
+	if err := gw.close(500 * time.Millisecond); err != nil {
+		t.Fatalf("close after %v: %v", time.Since(start), err)
+	}
+	if err := <-runDone; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	m := dp.Snapshot()
+	if m.DropReasons[hpfq.DropRetries].Packets == 0 {
+		t.Fatalf("no retry-exhausted drops; drop reasons %v", m.DropReasons)
+	}
+	if !m.Conserved() {
+		t.Error("metrics not conserved")
+	}
+}
+
 // overloadedGateway assembles a loopback gateway over a deliberately tiny
 // link with fast-reacting overload control, plus a background flooder that
 // keeps the staging queue pinned until stopped.
 func overloadedGateway(t *testing.T) (gw *gateway, dp *hpfq.ShardedDataplane, listen *net.UDPConn, stopFlood func()) {
 	t.Helper()
 	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 1e5, 1,
-		hpfq.WithDataplaneMetrics(), hpfq.WithQueueCap(8),
+		hpfq.WithMetrics(), hpfq.WithQueueCap(8),
 		hpfq.WithOverload(hpfq.OverloadConfig{
 			SampleInterval: 2 * time.Millisecond,
 			Smoothing:      0.9,
@@ -61,7 +108,7 @@ func overloadedGateway(t *testing.T) (gw *gateway, dp *hpfq.ShardedDataplane, li
 	}
 	dp.AddClass(0, 1e5)
 	gw, _, listen, _ = testGateway(t, dp, gwConfig{},
-		func(*net.UDPAddr, []byte) int { return 0 })
+		func(netip.AddrPort, []byte) int { return 0 })
 
 	flooder := dialClient(t, listen)
 	stop := make(chan struct{})

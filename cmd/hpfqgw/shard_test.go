@@ -2,6 +2,7 @@ package main
 
 import (
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 // with the given listen sockets (one = software placement, n = kernel-hash).
 func shardedGateway(t *testing.T, nShards int, listens []*net.UDPConn) (gw *gateway, recv *net.UDPConn, runDone chan error) {
 	t.Helper()
-	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, nShards, hpfq.WithDataplaneMetrics())
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, nShards, hpfq.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func shardedGateway(t *testing.T, nShards int, listens []*net.UDPConn) (gw *gate
 	}
 	t.Cleanup(func() { recv.Close() })
 	gw = newGateway(dp, listens, recv.LocalAddr().(*net.UDPAddr),
-		func(*net.UDPAddr, []byte) int { return 0 }, gwConfig{})
+		func(netip.AddrPort, []byte) int { return 0 }, gwConfig{})
 	runDone = make(chan error, 1)
 	go func() { runDone <- gw.run() }()
 	return gw, recv, runDone

@@ -4,9 +4,11 @@
 // goroutine — behind one thin Sharded front. Flows are partitioned, never
 // shared: a flow key maps to exactly one shard (jump consistent hash in
 // software mode, the kernel's SO_REUSEPORT 4-tuple hash when the gateway
-// runs one listener socket per shard), so the packet path takes no
-// cross-shard locks anywhere — each shard's single-writer pump and
-// single-lock ingest are exactly the monolithic engine's, N times over.
+// runs one listener socket per shard), so the engines take no cross-shard
+// locks — each shard's single-writer pump and single-lock ingest are
+// exactly the monolithic engine's, N times over. (cmd/hpfqgw's forward flow
+// lookup, one table shared by every reader, is the one shared lock left in
+// front of them.)
 //
 // This is the Bennett & Zhang schedulers scaled out the only way they
 // parallelize cleanly: a WF²Q+/H-PFQ instance is inherently sequential
