@@ -18,13 +18,15 @@
 # Each `make bench` keeps the replaced document's figures under "previous",
 # so a refresh checks in a before/after pair. `make perfbench-short` vets
 # and unit-tests the perfbench harness (its own module) against the engine
-# in this checkout, in a few seconds.
+# in this checkout, in a few seconds. `make fuzz` runs each fuzz target —
+# the gateway's flag-spec parsers, the FEC decoder's receive path, the
+# topology parser — for 10 s apiece.
 
 GO ?= go
 HPFQ_FAULT_SEED ?= 20260806
 BENCHTIME ?= 2s
 
-.PHONY: all build test race vet fmt fault fec bench alloccheck overload perfbench-short verify
+.PHONY: all build test race vet fmt fault fec fuzz bench alloccheck overload perfbench-short verify
 
 all: verify
 
@@ -35,7 +37,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/shaper/... ./internal/wallclock/... ./internal/overload/... ./internal/dataplane/... ./internal/shard/... ./internal/obs/... ./internal/ctl/... ./internal/fec/... ./cmd/hpfqgw/...
+	$(GO) test -race ./internal/wallclock/... ./internal/overload/... ./internal/dataplane/... ./internal/shard/... ./internal/obs/... ./internal/ctl/... ./internal/fec/... ./cmd/hpfqgw/...
 
 vet:
 	$(GO) vet ./...
@@ -52,6 +54,11 @@ fec:
 	$(GO) test -race -count=1 ./internal/fec/...
 	$(GO) test -race -count=1 -run 'FEC' \
 		./internal/dataplane/... ./internal/topo/... ./cmd/hpfqgw/...
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzGatewaySpecs -fuzztime 10s ./cmd/hpfqgw
+	$(GO) test -run '^$$' -fuzz FuzzDecoderPush -fuzztime 10s ./internal/fec
+	$(GO) test -run '^$$' -fuzz FuzzTopoParse -fuzztime 10s ./internal/topo
 
 bench:
 	{ $(GO) test ./internal/dataplane/ -run '^$$' \

@@ -4,7 +4,6 @@ import (
 	"io"
 	"time"
 
-	"hpfq/internal/core"
 	"hpfq/internal/ctl"
 	"hpfq/internal/dataplane"
 	"hpfq/internal/des"
@@ -18,7 +17,6 @@ import (
 	"hpfq/internal/packet"
 	"hpfq/internal/pifo"
 	"hpfq/internal/sched"
-	"hpfq/internal/shaper"
 	"hpfq/internal/shard"
 	"hpfq/internal/tcp"
 	"hpfq/internal/topo"
@@ -375,14 +373,6 @@ func NewNode(algorithm Algorithm, rate float64, opts ...Option) (NodeScheduler, 
 	return n, nil
 }
 
-// NewWF2QPlus returns the paper's WF²Q+ scheduler for a link of the given
-// rate in bits/sec.
-func NewWF2QPlus(rate float64) *core.Scheduler { return core.NewScheduler(rate) }
-
-// NewWF2QPlusNode returns a WF²Q+ hierarchical server node with guaranteed
-// rate in bits/sec.
-func NewWF2QPlusNode(rate float64) *core.Node { return core.NewNode(rate) }
-
 // Topology building: a link-sharing tree of service shares.
 type Topology = topo.Node
 
@@ -531,26 +521,6 @@ func NewLeakyBucket(sim *Sim, sigma, rho float64, out Emit) *LeakyBucket {
 // TCPSource is a compact TCP Reno sender/receiver pair (§5.2 workloads).
 type TCPSource = tcp.Source
 
-// Shaper paces real workloads through WF²Q+ in wall-clock time — a
-// dummynet-style egress rate limiter with per-class guarantees. See
-// internal/shaper.
-type Shaper = shaper.Shaper
-
-// ShaperOption configures a Shaper at construction.
-type ShaperOption = shaper.Option
-
-// ShaperMetrics enables per-class metric collection on the shaper; read the
-// counters with Shaper.Snapshot.
-func ShaperMetrics() ShaperOption { return shaper.WithMetrics() }
-
-// ShaperTracer streams the shaper's per-item scheduling events to t. The
-// tracer runs under the shaper's lock and must not call back into it.
-func ShaperTracer(t Tracer) ShaperOption { return shaper.WithTracer(t) }
-
-// NewShaper returns a wall-clock shaper for a virtual link of the given
-// rate in cost units (e.g. bits) per second.
-func NewShaper(rate float64, opts ...ShaperOption) *Shaper { return shaper.New(rate, opts...) }
-
 // NewTCPSource returns a TCP source for a session over a bottleneck link,
 // with fixed non-bottleneck RTT component delay, starting at start.
 func NewTCPSource(sim *Sim, link *Link, session int, segBits, delay, start float64) *TCPSource {
@@ -582,11 +552,6 @@ type (
 	PacketReader = dataplane.Reader
 	// PacketWriter is the datagram egress contract.
 	PacketWriter = dataplane.Writer
-	// PacketCtxWriter is the optional PacketWriter extension for per-datagram
-	// routing: when the Writer passed to Dataplane.Start also implements it,
-	// datagrams staged with Dataplane.IngestCtx are delivered through
-	// WritePacketCtx with their opaque context.
-	PacketCtxWriter = dataplane.CtxWriter
 	// PacketPipe is an in-memory datagram conduit with message boundaries.
 	// It honors the buffer-ownership rules (pool-backed copies, no retained
 	// slices) and implements both batch contracts.
@@ -619,16 +584,6 @@ type (
 	// BufferPoolStats is a point-in-time snapshot of a BufferPool's traffic.
 	BufferPoolStats = dataplane.PoolStats
 )
-
-// AsPacketBatchWriter adapts any per-packet PacketWriter (or
-// PacketCtxWriter, or PayloadBatchWriter) to the PacketBatchWriter
-// contract. The returned adapter is not safe for concurrent WriteBatch
-// calls.
-func AsPacketBatchWriter(w PacketWriter) PacketBatchWriter { return dataplane.AsBatchWriter(w) }
-
-// AsPacketBatchReader adapts any per-packet PacketReader to the
-// PacketBatchReader contract (one datagram per ReadBatch call).
-func AsPacketBatchReader(r PacketReader) PacketBatchReader { return dataplane.AsBatchReader(r) }
 
 // NewDataplane returns an egress engine pacing at rate bits/sec under the
 // named algorithm:
@@ -994,14 +949,6 @@ func WithWatchdog(timeout time.Duration) DataplaneOption {
 // every shard atomically with respect to each pump.
 type ShardedDataplane = shard.Sharded
 
-// ShardOption configures a ShardedDataplane front (redistribution tick,
-// test clock).
-type ShardOption = shard.Option
-
-// WithShardSplitTick sets the rate splitter's redistribution cadence
-// (default shard.DefaultSplitTick, 5 ms).
-func WithShardSplitTick(d time.Duration) ShardOption { return shard.WithSplitTick(d) }
-
 // NewShardedDataplane builds shards independent engines under the named
 // algorithm, each pacing at rate/shards with guarantees, ceilings and burst
 // scaled to its slice, behind one ShardedDataplane front. shards == 1
@@ -1009,17 +956,11 @@ func WithShardSplitTick(d time.Duration) ShardOption { return shard.WithSplitTic
 // The option set is applied identically to every shard — required for the
 // fan-out mutation contract.
 func NewShardedDataplane(algorithm Algorithm, rate float64, shards int, opts ...DataplaneOption) (*ShardedDataplane, error) {
-	return NewShardedDataplaneOpts(algorithm, rate, shards, nil, opts...)
-}
-
-// NewShardedDataplaneOpts is NewShardedDataplane with front-level options
-// (ShardOption) alongside the per-shard engine options.
-func NewShardedDataplaneOpts(algorithm Algorithm, rate float64, shards int, shardOpts []ShardOption, opts ...DataplaneOption) (*ShardedDataplane, error) {
 	var all []dataplane.Option
 	for _, o := range opts {
 		all = append(all, o.dataplaneOptions()...)
 	}
-	return shard.New(string(algorithm), rate, shards, all, shardOpts...)
+	return shard.New(string(algorithm), rate, shards, all)
 }
 
 // FlowKey hashes arbitrary flow-identifying bytes into the 64-bit key

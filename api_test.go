@@ -14,7 +14,10 @@ import (
 // delivers guarantees through the public facade.
 func TestPublicAPIQuickstart(t *testing.T) {
 	sim := hpfq.NewSim()
-	sched := hpfq.NewWF2QPlus(10e6)
+	sched, err := hpfq.New(hpfq.WF2QPlus, 10e6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sched.AddSession(0, 7e6)
 	sched.AddSession(1, 3e6)
 	link := hpfq.NewLink(sim, 10e6, sched)
@@ -354,11 +357,12 @@ func TestMixedHierarchy(t *testing.T) {
 		hpfq.Leaf("c", 0.5, 2))
 	depth0 := true
 	mixed := func(rate float64) hpfq.NodeScheduler {
+		algo := hpfq.DRR
 		if depth0 {
 			depth0 = false
-			return hpfq.NewWF2QPlusNode(rate)
+			algo = hpfq.WF2QPlus
 		}
-		node, err := hpfq.NewNode(hpfq.DRR, rate)
+		node, err := hpfq.NewNode(algo, rate)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/netip"
 	"os"
@@ -550,7 +551,7 @@ func newClassifier(name string, classes []int) (classifier, error) {
 }
 
 // parseClasses parses a flat class spec "id=rate,id=rate,..." with rates in
-// bits/sec (floats, so 5e6 works).
+// bits/sec (floats, so 5e6 works; NaN and Inf are refused).
 func parseClasses(spec string) (ids []int, rates []float64, err error) {
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
@@ -566,7 +567,7 @@ func parseClasses(spec string) (ids []int, rates []float64, err error) {
 			return nil, nil, fmt.Errorf("class %q: bad id: %v", part, err)
 		}
 		rate, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
-		if err != nil || rate <= 0 {
+		if err != nil || rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 			return nil, nil, fmt.Errorf("class %q: bad rate", part)
 		}
 		ids = append(ids, id)
@@ -597,7 +598,7 @@ func parseGilbert(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fault.gilbert %q: %v", s, err)
 		}
-		if v < 0 || v > 1 {
+		if !(v >= 0 && v <= 1) { // NaN fails both
 			return nil, fmt.Errorf("fault.gilbert %q: %v outside [0,1]", s, v)
 		}
 		out[i] = v

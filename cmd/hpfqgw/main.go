@@ -169,6 +169,11 @@ func run(args []string) error {
 	if (*classSpec == "") == (*topoSpec == "") {
 		return fmt.Errorf("exactly one of -classes or -topo is required")
 	}
+	for name, p := range map[string]float64{"fault.errors": *faultErrors, "fault.short": *faultShort, "fault.drop": *faultDrop} {
+		if !(p >= 0 && p <= 1) { // NaN fails both
+			return fmt.Errorf("-%s %g: want a probability in [0,1]", name, p)
+		}
+	}
 
 	pool := hpfq.SharedBufferPool()
 	opts := []hpfq.DataplaneOption{

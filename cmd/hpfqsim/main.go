@@ -8,7 +8,7 @@
 //	hpfqsim fig4|fig5|fig6|fig7 [-algo WF2Q+] [-dur 10] [-seed 1]
 //	hpfqsim fig9 [-algo WF2Q+] [-dur 10] [-seed 1] [-session 0]
 //	hpfqsim wfi  [-algo WFQ] [-n 64]
-//	hpfqsim wfisweep [-algos WFQ,SCFQ,SFQ,WF2Q,WF2Q+,DRR]
+//	hpfqsim wfisweep [-algos WFQ,SCFQ,SFQ,WF2Q,WF2Q+,DRR] [-ns 2,4,8,...,256]
 //	hpfqsim bound [-algo WF2Q+] [-dur 30]
 //	hpfqsim burst [-algo WFQ] [-n 1001]
 //	hpfqsim multihop [-algo WF2Q+] [-dur 20]
@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"hpfq/internal/experiments"
@@ -218,9 +219,17 @@ func runWFI(args []string) error {
 func runWFISweep(args []string) error {
 	fs := flag.NewFlagSet("wfisweep", flag.ExitOnError)
 	algos := fs.String("algos", "WFQ,SCFQ,SFQ,WF2Q,WF2Q+,DRR", "comma-separated algorithms")
+	nsFlag := fs.String("ns", "2,4,8,16,32,64,128,256", "comma-separated session counts (each ≥ 2)")
 	fs.Parse(args)
 
-	ns := []int{2, 4, 8, 16, 32, 64, 128, 256}
+	var ns []int
+	for _, f := range strings.Split(*nsFlag, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n < 2 {
+			return fmt.Errorf("wfisweep: bad session count %q", f)
+		}
+		ns = append(ns, n)
+	}
 	printWFIHeader()
 	for _, a := range strings.Split(*algos, ",") {
 		res, err := experiments.RunWFISweep(strings.TrimSpace(a), ns)
@@ -236,11 +245,12 @@ func runWFISweep(args []string) error {
 
 func printWFIHeader() {
 	fmt.Println("# E9: empirical worst-case fair indices (Theorems 3/4: WF2Q/WF2Q+ stay at ~1 packet)")
-	fmt.Println("algo\tN\tbwfi_pkts\ttwfi_ms")
+	fmt.Println("algo\tN\tbwfi_bits\tbwfi_pkts\ttwfi_ms\ttheorem_bits")
 }
 
 func printWFI(r *experiments.WFIResult) {
-	fmt.Printf("%s\t%d\t%.2f\t%.3f\n", r.Algo, r.N, r.BWFIPkts, r.TWFI*1e3)
+	fmt.Printf("%s\t%d\t%.0f\t%.2f\t%.3f\t%.0f\n",
+		r.Algo, r.N, r.BWFIBits, r.BWFIPkts, r.TWFI*1e3, r.TheoremBits)
 }
 
 func runBound(args []string) error {

@@ -81,9 +81,11 @@
 // token-bucket release in WithBatchSize chunks; WriteBatch reports how many
 // datagrams it delivered, the error applies to the first unwritten one, and
 // the pump retries, requeues, or drops the suffix per the failure policy.
-// Plain per-packet writers (and PacketCtxWriter) keep working unchanged —
-// AsPacketBatchWriter adapts them. On the read side PacketBatchReader /
-// AsPacketBatchReader mirror the same shape.
+// Plain per-packet writers keep working unchanged — Start adapts them, one
+// WritePacket per datagram; a writer that routes by the IngestCtx context
+// implements PacketBatchWriter and reads PacketDatagram.Ctx. On the read
+// side PacketBatchReader mirrors the same shape, and RunReader adapts
+// per-packet readers.
 //
 // WithBufferPool closes a zero-allocation buffer cycle: ingest a buffer
 // obtained from the pool (NewBufferPool or SharedBufferPool), and the
@@ -165,14 +167,14 @@
 //   - internal/fluid: GPS virtual clock, GPS and H-GPS fluid servers
 //   - internal/des, internal/netsim, internal/traffic, internal/tcp,
 //     internal/stats: simulation substrate and instrumentation
-//   - internal/shaper, internal/wallclock, internal/dataplane: wall-clock
-//     pacing and the concurrent UDP egress engine
+//   - internal/wallclock, internal/dataplane, internal/shard: wall-clock
+//     pacing in the concurrent UDP egress engine and its sharded front
 //   - internal/fec: XOR / Reed-Solomon erasure coding with adaptive
 //     redundancy control; internal/faultconn: seeded fault injection
 //   - internal/experiments: every figure of the paper as a runnable
 //     experiment (see EXPERIMENTS.md)
 //
-// This package re-exports the library's public surface; the cmd/hpfqsim and
-// cmd/hpfqwfi tools regenerate the paper's figures from the command line,
+// This package re-exports the library's public surface; the cmd/hpfqsim
+// tool regenerates the paper's figures from the command line,
 // and cmd/hpfqgw forwards real UDP traffic under the schedulers' control.
 package hpfq

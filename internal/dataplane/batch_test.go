@@ -241,23 +241,19 @@ func TestBufferPoolBasics(t *testing.T) {
 	}
 }
 
-// ctxRecorder is a CtxWriter that records payload/ctx pairs and fails on
+// stepRecorder is a per-packet Writer that records payloads and fails on
 // demand, for exercising the per-packet batch adapter.
-type ctxRecorder struct {
+type stepRecorder struct {
 	pkts   [][]byte
-	ctxs   []any
 	failAt int // fail the nth write (1-based; 0 = never)
 	err    error
 }
 
-func (w *ctxRecorder) WritePacket(b []byte) (int, error) { return w.WritePacketCtx(b, nil) }
-
-func (w *ctxRecorder) WritePacketCtx(b []byte, ctx any) (int, error) {
+func (w *stepRecorder) WritePacket(b []byte) (int, error) {
 	if w.failAt > 0 && len(w.pkts)+1 == w.failAt {
 		return 0, w.err
 	}
 	w.pkts = append(w.pkts, append([]byte(nil), b...))
-	w.ctxs = append(w.ctxs, ctx)
 	return len(b), nil
 }
 
@@ -283,7 +279,7 @@ func (w *payloadRecorder) WriteBatch(pkts [][]byte) (int, error) {
 
 // TestAsBatchWriterAdapters: native BatchWriters pass through untouched,
 // PayloadBatchWriters keep their batching with contexts stripped, and plain
-// (Ctx)Writers are stepped per datagram with the error index reported —
+// Writers are stepped per datagram with the error index reported —
 // exactly the contract the pump's suffix retry relies on.
 func TestAsBatchWriterAdapters(t *testing.T) {
 	native := &discardBatch{}
@@ -303,16 +299,16 @@ func TestAsBatchWriterAdapters(t *testing.T) {
 	}
 
 	boom := errors.New("boom")
-	cr := &ctxRecorder{failAt: 3, err: boom}
-	bw = AsBatchWriter(cr)
+	sr := &stepRecorder{failAt: 3, err: boom}
+	bw = AsBatchWriter(sr)
 	n, err := bw.WriteBatch([]Datagram{
 		{B: []byte("x"), Ctx: "cx"}, {B: []byte("y")}, {B: []byte("z")},
 	})
 	if n != 2 || !errors.Is(err, boom) {
 		t.Fatalf("step adapter = (%d, %v), want (2, boom)", n, err)
 	}
-	if cr.ctxs[0] != "cx" {
-		t.Errorf("step adapter dropped the datagram context: %v", cr.ctxs[0])
+	if len(sr.pkts) != 2 || string(sr.pkts[0]) != "x" || string(sr.pkts[1]) != "y" {
+		t.Errorf("step adapter wrote %q, want [x y]", sr.pkts)
 	}
 
 	if !isTransient(errShortBatch) {

@@ -845,13 +845,23 @@ func (d *Dataplane) AddClass(id int, rate float64) error {
 	if _, dup := d.classes[id]; dup {
 		return fmt.Errorf("dataplane: duplicate class %d", id)
 	}
+	// A pending WithFEC request is checked before anything is registered:
+	// a refusal leaves the engine, and the request, as they were.
+	p, protect := d.fecPending[id]
+	var fs *fecState
+	if protect {
+		var err error
+		if fs, err = d.prepareFECLocked(id, p); err != nil {
+			return err
+		}
+	}
 	d.flat.AddSession(id, rate)
 	d.classes[id] = d.newClassState(rate)
 	d.rebuildClassOrderLocked()
 	d.rebuildHTBLocked()
-	if p, ok := d.fecPending[id]; ok {
+	if protect {
 		delete(d.fecPending, id)
-		return d.attachFECLocked(id, p)
+		return d.graftFECLocked(fs, p)
 	}
 	return nil
 }
@@ -897,9 +907,8 @@ func (d *Dataplane) signal() {
 
 // Start launches the supervised pump goroutine writing scheduled datagrams
 // to w. Writers implementing BatchWriter receive each token-bucket release
-// in WithBatchSize chunks; per-packet Writers (and CtxWriters, which get
-// each datagram's IngestCtx context) are adapted transparently via
-// AsBatchWriter.
+// in WithBatchSize chunks, each datagram with its IngestCtx context;
+// per-packet Writers are adapted transparently via AsBatchWriter.
 func (d *Dataplane) Start(w Writer) error {
 	if w == nil {
 		return fmt.Errorf("dataplane: nil writer")

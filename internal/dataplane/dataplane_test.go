@@ -226,6 +226,71 @@ func TestThroughputShares(t *testing.T) {
 	}
 }
 
+// stampWriter records the fake-clock time of each datagram's release, keyed
+// by class (payload[0]).
+type stampWriter struct {
+	clk *wallclock.Fake
+	mu  sync.Mutex
+	at  map[byte][]time.Duration
+}
+
+func (w *stampWriter) WritePacket(b []byte) (int, error) {
+	w.mu.Lock()
+	w.at[b[0]] = append(w.at[b[0]], w.clk.Elapsed())
+	w.mu.Unlock()
+	return len(b), nil
+}
+
+func (w *stampWriter) released(class byte) []time.Duration {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]time.Duration(nil), w.at[class]...)
+}
+
+// TestIsolationLatencyUnderFlood: a class sending within its guarantee is
+// released within its own slot plus one datagram in service, however deep
+// the other class's flood — WF²Q+ isolation on the wall-clock pacer, the
+// property examples/shaping shows on the real clock.
+func TestIsolationLatencyUnderFlood(t *testing.T) {
+	const (
+		rate  = 200e3
+		size  = 125 // 1000 bits: 5 ms at the link rate, 20 ms at 50 kb/s
+		bound = 25 * time.Millisecond
+		step  = 500 * time.Microsecond
+	)
+	clk := wallclock.NewFake()
+	d, err := New("WF2Q+", rate, WithClock(clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.AddClass(0, 150e3) // flooding
+	d.AddClass(1, 50e3)  // interactive
+	w := &stampWriter{clk: clk, at: map[byte][]time.Duration{}}
+	if err := d.Start(w); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := d.Ingest(0, mkPayload(0, i, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		advanceUntil(t, clk, step, func() bool { return clk.Elapsed() >= time.Duration(i+1)*50*time.Millisecond })
+		sent := clk.Elapsed()
+		if err := d.Ingest(1, mkPayload(1, i, size)); err != nil {
+			t.Fatal(err)
+		}
+		advanceUntil(t, clk, step, func() bool { return len(w.released(1)) > i })
+		if lat := w.released(1)[i] - sent; lat > bound {
+			t.Errorf("interactive message %d released %v after it was sent under a flood, want <= %v", i, lat, bound)
+		}
+	}
+	if n := len(w.released(0)); n >= 200 {
+		t.Fatalf("flood drained (%d released) before the interactive messages were measured", n)
+	}
+	closeDraining(t, d, clk)
+}
+
 // TestDropPolicy: packet caps tail-drop, byte caps drop, both recorded in
 // the snapshot with their reasons; closed intake records too.
 func TestDropPolicy(t *testing.T) {

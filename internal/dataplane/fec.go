@@ -100,26 +100,63 @@ func WithFEC(class int, spec fec.Spec, cfg FECConfig) Option {
 // attachFECLocked grafts the repair class next to an existing protected
 // class and arms the encoder. Caller holds d.mu and d.smu.
 func (d *Dataplane) attachFECLocked(class int, p fecPending) error {
-	if err := p.spec.Validate(); err != nil {
-		return err
-	}
-	cs := d.classes[class]
-	if cs == nil {
+	if d.classes[class] == nil {
 		return fmt.Errorf("%w: %d (FEC)", ErrNoClass, class)
 	}
+	fs, err := d.prepareFECLocked(class, p)
+	if err != nil {
+		return err
+	}
+	return d.graftFECLocked(fs, p)
+}
+
+// prepareFECLocked runs every check that can refuse a WithFEC request and
+// builds the class's encoder-side state without touching the engine, so a
+// refusal leaves the engine as it was: AddClass runs it before registering
+// the protected class. Caller holds d.mu and d.smu.
+func (d *Dataplane) prepareFECLocked(class int, p fecPending) (*fecState, error) {
+	if err := p.spec.Validate(); err != nil {
+		return nil, err
+	}
 	if d.fec[class] != nil {
-		return fmt.Errorf("dataplane: class %d already FEC-protected", class)
+		return nil, fmt.Errorf("dataplane: class %d already FEC-protected", class)
 	}
 	if class < 0 || class > math.MaxUint16 {
-		return fmt.Errorf("dataplane: class %d outside the FEC stream-id range [0, %d]", class, math.MaxUint16)
+		return nil, fmt.Errorf("dataplane: class %d outside the FEC stream-id range [0, %d]", class, math.MaxUint16)
 	}
 	repair := p.cfg.RepairClass
 	if repair == 0 {
 		repair = class + DefaultRepairClassOffset
 	}
-	if _, dup := d.classes[repair]; dup {
-		return fmt.Errorf("dataplane: FEC repair class %d already exists", repair)
+	if _, dup := d.classes[repair]; dup || repair == class {
+		return nil, fmt.Errorf("dataplane: FEC repair class %d already exists", repair)
 	}
+	enc, err := fec.NewEncoder(uint16(class), p.spec)
+	if err != nil {
+		return nil, err
+	}
+	fs := &fecState{class: class, repair: repair, enc: enc}
+	switch age := p.cfg.MaxBlockAge; {
+	case age == 0:
+		fs.maxAge = DefaultFECBlockAge.Seconds()
+	case age < 0:
+		fs.maxAge = -1
+	default:
+		fs.maxAge = age.Seconds()
+	}
+	if p.cfg.Adapt {
+		if fs.ctrl, err = fec.NewController(p.spec, p.cfg.Controller); err != nil {
+			return nil, err
+		}
+	}
+	return fs, nil
+}
+
+// graftFECLocked adds the prepared repair class beside its registered
+// protected class and arms the encoder. Only a topology graft can refuse
+// here. Caller holds d.mu and d.smu.
+func (d *Dataplane) graftFECLocked(fs *fecState, p fecPending) error {
+	class, repair := fs.class, fs.repair
 	overhead := float64(p.spec.R) / float64(p.spec.K)
 	if d.tree != nil {
 		var leaf string
@@ -150,7 +187,7 @@ func (d *Dataplane) attachFECLocked(class int, p fecPending) error {
 	} else {
 		rate := p.cfg.RepairRate
 		if rate <= 0 {
-			rate = cs.rate * overhead
+			rate = d.classes[class].rate * overhead
 		}
 		d.flat.AddSession(repair, rate)
 		d.classes[repair] = d.newClassState(rate)
@@ -158,24 +195,6 @@ func (d *Dataplane) attachFECLocked(class int, p fecPending) error {
 	}
 	d.rebuildClassOrderLocked()
 
-	enc, err := fec.NewEncoder(uint16(class), p.spec)
-	if err != nil {
-		return err
-	}
-	fs := &fecState{class: class, repair: repair, enc: enc}
-	switch age := p.cfg.MaxBlockAge; {
-	case age == 0:
-		fs.maxAge = DefaultFECBlockAge.Seconds()
-	case age < 0:
-		fs.maxAge = -1
-	default:
-		fs.maxAge = age.Seconds()
-	}
-	if p.cfg.Adapt {
-		if fs.ctrl, err = fec.NewController(p.spec, p.cfg.Controller); err != nil {
-			return err
-		}
-	}
 	if d.fec == nil {
 		d.fec = make(map[int]*fecState)
 		d.repairOf = make(map[int]int)

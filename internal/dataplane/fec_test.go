@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"encoding/binary"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -621,3 +622,43 @@ func BenchmarkPumpWithFEC(b *testing.B) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) WritePacket(b []byte) (int, error) { return f(b) }
+
+// TestFECAddClassRefusalIsAtomic: when a pending WithFEC request cannot be
+// honored because its repair class id is taken, AddClass refuses without
+// registering the protected class and keeps the request, so a retry gives
+// the same refusal and the class is protected once the id frees up.
+func TestFECAddClassRefusalIsAtomic(t *testing.T) {
+	spec := fec.Spec{Scheme: fec.SchemeXOR, K: 4, R: 1}
+	clk := wallclock.NewFake()
+	d, err := New("WF2Q+", 1e8, WithClock(clk),
+		WithFEC(0, spec, FECConfig{MaxBlockAge: -1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddClass(DefaultRepairClassOffset, 1e7); err != nil {
+		t.Fatal(err)
+	}
+	for try := 0; try < 2; try++ {
+		err := d.AddClass(0, 5e7)
+		if err == nil || !strings.Contains(err.Error(), "repair class 1000 already exists") {
+			t.Fatalf("try %d: AddClass(0) = %v, want the repair-id refusal", try, err)
+		}
+		if ids := d.Classes(); len(ids) != 1 || ids[0] != DefaultRepairClassOffset {
+			t.Fatalf("try %d: classes after refusal = %v, want [1000]", try, ids)
+		}
+	}
+	if err := d.Ingest(0, fecPayload(0, 0, 64)); !errors.Is(err, ErrNoClass) {
+		t.Fatalf("Ingest(0) after refusal = %v, want ErrNoClass", err)
+	}
+
+	if err := d.RemoveClass(DefaultRepairClassOffset); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddClass(0, 5e7); err != nil {
+		t.Fatalf("AddClass(0) once the repair id is free: %v", err)
+	}
+	if st := d.Status().FEC; len(st) != 1 || st[0].Class != 0 || st[0].RepairClass != DefaultRepairClassOffset {
+		t.Fatalf("FEC status = %+v, want class 0 protected on repair class 1000", st)
+	}
+	closeDraining(t, d, clk)
+}

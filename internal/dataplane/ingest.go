@@ -155,9 +155,9 @@ func (d *Dataplane) Ingest(class int, b []byte) error {
 }
 
 // IngestCtx is Ingest carrying an opaque per-datagram context. The context
-// travels with the datagram through the scheduler and is handed back to the
-// Writer if it implements CtxWriter — cmd/hpfqgw uses it to route each
-// datagram to its client's upstream flow.
+// travels with the datagram through the scheduler and is handed back to a
+// BatchWriter as Datagram.Ctx — cmd/hpfqgw uses it to route each datagram
+// to its client's upstream flow.
 func (d *Dataplane) IngestCtx(class int, b []byte, ctx any) error {
 	if len(b) == 0 {
 		return errEmptyDatagram

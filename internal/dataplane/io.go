@@ -21,15 +21,6 @@ type Writer interface {
 	WritePacket(b []byte) (int, error)
 }
 
-// CtxWriter is an optional Writer extension for per-datagram routing: when
-// the Writer passed to Start also implements it, every datagram staged with
-// IngestCtx is delivered through WritePacketCtx along with its opaque
-// context (nil for plain Ingest). cmd/hpfqgw implements it to route each
-// scheduled datagram to the originating client's upstream flow.
-type CtxWriter interface {
-	WritePacketCtx(b []byte, ctx any) (int, error)
-}
-
 // Datagram is one scheduled payload handed to a BatchWriter: the raw bytes
 // and the opaque routing context from IngestCtx (nil for plain Ingest).
 // Writers must not retain B or Ctx past the WriteBatch call — the engine
@@ -73,10 +64,10 @@ type BatchReader interface {
 // AsBatchWriter adapts any per-packet Writer to the BatchWriter contract.
 // Writers that already implement BatchWriter are returned as-is, a
 // PayloadBatchWriter is bridged (contexts are dropped — such writers take
-// raw payloads by design), and anything else is driven one WritePacket (or
-// WritePacketCtx, when implemented) per datagram, stopping at the first
-// error. The returned adapter reuses internal scratch and is not safe for
-// concurrent WriteBatch calls.
+// raw payloads by design), and anything else is driven one WritePacket per
+// datagram, stopping at the first error. Contexts reach only BatchWriters,
+// through Datagram.Ctx. The returned adapter reuses internal scratch and is
+// not safe for concurrent WriteBatch calls.
 func AsBatchWriter(w Writer) BatchWriter {
 	if bw, ok := w.(BatchWriter); ok {
 		return bw
@@ -84,25 +75,15 @@ func AsBatchWriter(w Writer) BatchWriter {
 	if rw, ok := w.(PayloadBatchWriter); ok {
 		return &payloadBatchAdapter{w: rw}
 	}
-	wctx, _ := w.(CtxWriter)
-	return &stepBatchWriter{w: w, wctx: wctx}
+	return stepBatchWriter{w}
 }
 
 // stepBatchWriter drives a per-packet Writer under the batch contract.
-type stepBatchWriter struct {
-	w    Writer
-	wctx CtxWriter
-}
+type stepBatchWriter struct{ w Writer }
 
-func (a *stepBatchWriter) WriteBatch(pkts []Datagram) (int, error) {
+func (a stepBatchWriter) WriteBatch(pkts []Datagram) (int, error) {
 	for i := range pkts {
-		var err error
-		if a.wctx != nil {
-			_, err = a.wctx.WritePacketCtx(pkts[i].B, pkts[i].Ctx)
-		} else {
-			_, err = a.w.WritePacket(pkts[i].B)
-		}
-		if err != nil {
+		if _, err := a.w.WritePacket(pkts[i].B); err != nil {
 			return i, err
 		}
 	}

@@ -130,6 +130,13 @@ func (d *Decoder) Push(b []byte) ([][]byte, error) {
 		if len(body) < symLen || symLen < lenPrefix {
 			return nil, fmt.Errorf("fec: repair symbol truncated (%d of %d bytes)", len(body), symLen)
 		}
+		// One Flush codes every repair of a block at one symbol length; a
+		// repair that disagrees is forged or corrupt, and letting it reframe
+		// the block would overrun the shorter symbols at reconstruction.
+		if bs.symLen != 0 && symLen != bs.symLen {
+			return nil, fmt.Errorf("fec: stream %d block %d repair symbol length %d, block has %d",
+				h.stream, h.block, symLen, bs.symLen)
+		}
 		sym := make([]byte, symLen)
 		copy(sym, body[:symLen])
 		bs.repairs[h.index] = sym
@@ -186,17 +193,24 @@ func (d *Decoder) reconstruct(bs *blockState) ([][]byte, error) {
 	if err := cd.reconstruct(sources, bs.repairs); err != nil {
 		return nil, err
 	}
+	// Check every recovered length before delivering any, so a corrupt
+	// block stays as it was.
+	for i, p := range bs.payloads {
+		if p != nil {
+			continue
+		}
+		sym := sources[i]
+		if n := int(sym[0])<<8 | int(sym[1]); n > len(sym)-lenPrefix {
+			return nil, fmt.Errorf("fec: recovered length %d exceeds symbol %d", n, len(sym)-lenPrefix)
+		}
+	}
 	var out [][]byte
 	for i, p := range bs.payloads {
 		if p != nil {
 			continue
 		}
 		sym := sources[i]
-		n := int(sym[0])<<8 | int(sym[1])
-		if n > len(sym)-lenPrefix {
-			return nil, fmt.Errorf("fec: recovered length %d exceeds symbol %d", n, len(sym)-lenPrefix)
-		}
-		payload := sym[lenPrefix : lenPrefix+n]
+		payload := sym[lenPrefix : lenPrefix+(int(sym[0])<<8|int(sym[1]))]
 		bs.payloads[i] = payload
 		bs.nSrc++
 		bs.recovered++

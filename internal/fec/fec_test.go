@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -481,4 +482,47 @@ func ExampleParseSpec() {
 	spec, _ := ParseSpec("rs-8-2")
 	fmt.Printf("%s overhead %.0f%%\n", spec, spec.Overhead()*100)
 	// Output: rs-8-2 overhead 20%
+}
+
+// TestDecoderForgedRepairLength: repairs of one block that disagree on the
+// symbol length are refused, and a block whose reconstruction fails stays
+// as it was. Before both rules, the four datagrams below made the decoder
+// reframe a half-recovered block to the forged length and index past the
+// shorter symbols (a panic on attacker bytes).
+func TestDecoderForgedRepairLength(t *testing.T) {
+	// Symbols of an RS(3,3) block whose third source frames an impossible
+	// length, so reconstructing sources 1 and 2 fails on source 2.
+	syms := [][]byte{
+		{0, 20, 'x', 'x', 'x', 'x', 'x', 'x'}, // source 0 truncated to the symbol
+		{0, 2, 'd', 'e', 0, 0, 0, 0},
+		{0xff, 0xff, 1, 2, 3, 4, 5, 6},
+	}
+	reps := [][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 8)}
+	newRSCode(3, 3).encode(syms, reps)
+	repair := func(idx int, sym []byte) []byte {
+		b := make([]byte, RepairOverhead+len(sym))
+		putHeader(b, header{repair: true, stream: 9, block: 1, index: idx, k: 3, r: 3})
+		b[12], b[13] = byte(len(sym)>>8), byte(len(sym))
+		copy(b[RepairOverhead:], sym)
+		return b
+	}
+	src := make([]byte, SourceOverhead+20)
+	putHeader(src, header{stream: 9, block: 1, index: 0, k: 3, r: 3})
+	copy(src[SourceOverhead:], bytes.Repeat([]byte{'x'}, 20))
+
+	dec := NewDecoder()
+	for i, d := range [][]byte{src, repair(0, reps[0])} {
+		if _, err := dec.Push(d); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	if out, err := dec.Push(repair(1, reps[1])); err == nil || len(out) != 0 {
+		t.Fatalf("corrupt reconstruction = (%d payloads, %v), want an error and nothing delivered", len(out), err)
+	}
+	if bs := dec.streams[9].blocks[1]; bs.nSrc != 1 || bs.payloads[1] != nil {
+		t.Fatalf("failed reconstruction left %d sources (payload 1 %q), want the block as it was", bs.nSrc, bs.payloads[1])
+	}
+	if _, err := dec.Push(repair(2, make([]byte, 400))); err == nil || !strings.Contains(err.Error(), "symbol length") {
+		t.Fatalf("repair with a forged symbol length: %v, want a refusal", err)
+	}
 }

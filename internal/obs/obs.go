@@ -1,7 +1,7 @@
 // Package obs is the observability layer for the whole stack: a
 // zero-dependency (standard library only) metrics and trace substrate
-// shared by every scheduler, hierarchy node, link, shaper, and the DES
-// kernel.
+// shared by every scheduler, hierarchy node, link, the data-plane engine,
+// and the DES kernel.
 //
 // Two facilities, independently switchable:
 //
@@ -101,8 +101,7 @@ const (
 	RetryRequeue = "requeue"
 )
 
-// Counter counts packets and their cumulative length in bits (or cost
-// units, for the shaper).
+// Counter counts packets and their cumulative length in bits.
 type Counter struct {
 	Packets int64
 	Bits    float64
@@ -358,7 +357,8 @@ type sessionState struct {
 // server's public observability surface.
 //
 // Collector is not internally synchronized; callers that are concurrent
-// (the shaper) must hold their own lock around record and Snapshot calls.
+// (the data-plane engine) must hold their own lock around record and
+// Snapshot calls.
 // Everything driven by the single-threaded DES needs no locking.
 type Collector struct {
 	name    string

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hpfq/internal/dataplane"
+	"hpfq/internal/fec"
 	"hpfq/internal/wallclock"
 )
 
@@ -241,6 +242,41 @@ func TestMutationDivergenceDetected(t *testing.T) {
 	err = s.AddClass(5, 2e6) // shard 0 accepts, shard 1 refuses the duplicate
 	if err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("front mutation over diverged shards: %v, want a divergence error", err)
+	}
+}
+
+// TestFECRefusalKeepsShardsIdentical: a pending WithFEC whose repair id is
+// taken makes AddClass refuse on shard 0 before any shard registers the
+// class, so every shard keeps the same class set and a retry repeats the
+// refusal instead of tripping over a half-applied fan-out.
+func TestFECRefusalKeepsShardsIdentical(t *testing.T) {
+	spec, err := fec.ParseSpec("xor-4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New("WF2Q+", 2e6, 2, []dataplane.Option{
+		dataplane.WithFEC(0, spec, dataplane.FECConfig{MaxBlockAge: -1}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AddClass(dataplane.DefaultRepairClassOffset, 2e5); err != nil {
+		t.Fatal(err)
+	}
+	for try := 0; try < 2; try++ {
+		err := s.AddClass(0, 1e6)
+		if err == nil || !strings.Contains(err.Error(), "repair class 1000 already exists") {
+			t.Fatalf("try %d: AddClass(0) = %v, want the repair-id refusal", try, err)
+		}
+		for i := 0; i < s.Shards(); i++ {
+			if ids := s.Shard(i).Classes(); len(ids) != 1 || ids[0] != dataplane.DefaultRepairClassOffset {
+				t.Fatalf("try %d: shard %d classes = %v, want [1000] on every shard", try, i, ids)
+			}
+		}
+	}
+	if err := s.IngestKey(1, 0, mkPayload(0, 0, 64)); !errors.Is(err, dataplane.ErrNoClass) {
+		t.Fatalf("ingest into the refused class = %v, want ErrNoClass", err)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package wallclock is the shared time abstraction for every component
-// that paces work in real time (internal/shaper, internal/dataplane). It
+// that paces work in real time (internal/dataplane, internal/shard). It
 // exists so wall-clock behaviour is pluggable: production code runs on Real,
 // tests drive the same code deterministically with Fake.
 //
