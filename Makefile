@@ -7,8 +7,9 @@
 # seeds fixed in the tests themselves, so every run erases the same
 # datagrams. `make bench` refreshes BENCH_dataplane.json from the pump
 # benchmarks (monolithic and sharded, so the single/multi-shard pair lands
-# in one document) and BENCH_sched.json from the PIFO-vs-seed scheduler
-# microbenchmarks
+# in one document) plus the loopback UDP run benchmark (16 × 64 B to one
+# peer, one write per datagram beside one GSO sendmmsg), and
+# BENCH_sched.json from the PIFO-vs-seed scheduler microbenchmarks
 # (override duration: make bench BENCHTIME=1x for a smoke run); `make
 # alloccheck` runs the steady-state zero-allocation regression test alone.
 # `make overload` runs the overload-control suite — shedding, brownout,
@@ -20,7 +21,8 @@
 # and unit-tests the perfbench harness (its own module) against the engine
 # in this checkout, in a few seconds. `make fuzz` runs each fuzz target —
 # the gateway's flag-spec parsers, the FEC decoder's receive path, the
-# topology parser — for 10 s apiece.
+# topology parser, the admin mutation handlers' query parsing — for 10 s
+# apiece.
 
 GO ?= go
 HPFQ_FAULT_SEED ?= 20260806
@@ -37,7 +39,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/wallclock/... ./internal/overload/... ./internal/dataplane/... ./internal/shard/... ./internal/obs/... ./internal/ctl/... ./internal/fec/... ./cmd/hpfqgw/...
+	$(GO) test -race ./internal/wallclock/... ./internal/overload/... ./internal/dataplane/... ./internal/shard/... ./internal/obs/... ./internal/ctl/... ./internal/fec/... ./internal/udpio/... ./cmd/hpfqgw/...
 
 vet:
 	$(GO) vet ./...
@@ -59,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGatewaySpecs -fuzztime 10s ./cmd/hpfqgw
 	$(GO) test -run '^$$' -fuzz FuzzDecoderPush -fuzztime 10s ./internal/fec
 	$(GO) test -run '^$$' -fuzz FuzzTopoParse -fuzztime 10s ./internal/topo
+	$(GO) test -run '^$$' -fuzz FuzzMutationQuery -fuzztime 10s ./internal/ctl
 
 bench:
 	{ $(GO) test ./internal/dataplane/ -run '^$$' \
@@ -66,6 +69,9 @@ bench:
 		-benchtime $(BENCHTIME) -count=1 ; \
 	  $(GO) test ./internal/shard/ -run '^$$' \
 		-bench 'BenchmarkShardedPump$$' -benchmem \
+		-benchtime $(BENCHTIME) -count=1 ; \
+	  $(GO) test ./internal/udpio/ -run '^$$' \
+		-bench 'BenchmarkUDPRun$$' -benchmem \
 		-benchtime $(BENCHTIME) -count=1 ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_dataplane.json
 	@cat BENCH_dataplane.json

@@ -4,7 +4,10 @@
 //
 //	go test -bench . -benchmem | benchjson -out BENCH.json
 //
-// It captures the goos/goarch/pkg/cpu header lines and, per benchmark
+// It captures the goos/goarch/pkg/cpu header lines, the machine's CPU
+// count (nproc) and GOMAXPROCS — read by benchjson itself, which in a
+// pipeline such as `make bench` runs on the benchmark's machine with its
+// environment — and, per benchmark
 // line, the iteration count plus every "value unit" metric pair (ns/op,
 // B/op, allocs/op go to named fields; anything else lands in "extra").
 // Parsing nothing is an error — an empty document would silently pass for
@@ -22,6 +25,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -40,6 +44,8 @@ type document struct {
 	Goarch     string   `json:"goarch,omitempty"`
 	Pkg        string   `json:"pkg,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
+	Nproc      int      `json:"nproc"`
+	Gomaxprocs int      `json:"gomaxprocs"`
 	Benchmarks []result `json:"benchmarks"`
 	// Previous holds the benchmarks of the -out document this one
 	// replaced: the "before" of the pair.
@@ -60,6 +66,7 @@ func main() {
 // "previous", or to w when out is empty.
 func run(r io.Reader, w io.Writer, out string) error {
 	doc, err := parse(r)
+	doc.Nproc, doc.Gomaxprocs = runtime.NumCPU(), runtime.GOMAXPROCS(0)
 	if err == nil && out != "" {
 		doc.Previous, err = previous(out)
 	}

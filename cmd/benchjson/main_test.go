@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -98,4 +99,34 @@ func TestPrevious(t *testing.T) {
 	if err := run(strings.NewReader(sample), nil, path); err == nil {
 		t.Error("malformed document to replace accepted")
 	}
+}
+
+// TestRecordsProcs: every document names the CPU count and GOMAXPROCS it
+// was recorded under, on stdout and in an -out file alike.
+func TestRecordsProcs(t *testing.T) {
+	check := func(b []byte) {
+		t.Helper()
+		var doc document
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Nproc != runtime.NumCPU() || doc.Gomaxprocs != runtime.GOMAXPROCS(0) {
+			t.Errorf("nproc %d, gomaxprocs %d; want %d, %d",
+				doc.Nproc, doc.Gomaxprocs, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+		}
+	}
+	var out strings.Builder
+	if err := run(strings.NewReader(sample), &out, ""); err != nil {
+		t.Fatal(err)
+	}
+	check([]byte(out.String()))
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := run(strings.NewReader(sample), nil, path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(b)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hpfq"
+	"hpfq/internal/udpio"
 )
 
 // Flow-table defaults: how long an idle client keeps its upstream flow, and
@@ -29,10 +30,21 @@ const (
 type flow struct {
 	client netip.AddrPort // the table key and the return-path destination
 	conn   *net.UDPConn
-	shard  int // owning data-plane shard, for /api/flows
+	sock   atomic.Pointer[udpio.Socket] // batched I/O on conn; see socket
+	shard  int                          // owning data-plane shard, for /api/flows
 	// last is the latest activity in either direction, as monotonic time
 	// since the table's epoch.
 	last atomic.Int64
+}
+
+// socket returns the batched-I/O handle on f's socket, made on first use
+// by the pump or the return path, whichever comes first.
+func (f *flow) socket() *udpio.Socket {
+	if s := f.sock.Load(); s != nil {
+		return s
+	}
+	f.sock.CompareAndSwap(nil, udpio.NewSocket(f.conn))
+	return f.sock.Load()
 }
 
 // flowTable maps client endpoints to flows. Each flow ends itself: its
@@ -40,7 +52,8 @@ type flow struct {
 // direction, never sooner, so no janitor exists and replies take no table
 // lock. Safe for concurrent use.
 type flowTable struct {
-	listen   *net.UDPConn // return-path source socket (one write per reply)
+	listen   *udpio.Socket    // return-path source socket
+	pool     *hpfq.BufferPool // return-path receive buffers
 	upstream *net.UDPAddr
 	ttl      time.Duration
 	max      int
@@ -60,7 +73,8 @@ func newFlowTable(listen *net.UDPConn, upstream *net.UDPAddr, ttl time.Duration,
 		max = defaultMaxFlows
 	}
 	return &flowTable{
-		listen:   listen,
+		listen:   udpio.NewSocket(listen),
+		pool:     hpfq.SharedBufferPool(),
 		upstream: upstream,
 		ttl:      ttl,
 		max:      max,
@@ -103,18 +117,21 @@ func (t *flowTable) lookup(src netip.AddrPort, shard int) (*flow, error) {
 }
 
 // returnPath relays upstream replies on f's socket back to f's client,
-// stamping each as activity. Its read deadline trails the stamp by ttl and
-// is re-armed only when it fires, so a busy flow pays for it once per ttl.
-// It exits when the flow's socket closes (retirement, eviction or table
-// close), and on any other read error it ends the flow itself, so the
-// client's next datagram builds a fresh one.
+// stamping each batch as activity: each recvmmsg batch goes out as GSO
+// groups on the listen socket. Its read deadline trails the stamp by ttl
+// and is re-armed only when it fires, so a busy flow pays for it once per
+// ttl. It exits when the flow's socket closes (retirement, eviction or
+// table close), and on any other read error it ends the flow itself, so
+// the client's next datagram builds a fresh one.
 func (t *flowTable) returnPath(f *flow) {
 	defer t.wg.Done()
 	arm := func() { f.conn.SetReadDeadline(t.epoch.Add(time.Duration(f.last.Load()) + t.ttl)) }
 	arm()
-	buf := make([]byte, 64<<10)
+	rd, wr := f.socket().NewReader(), udpio.NewWriter()
+	batch := newRxBatch(t.pool, maxReturnBatch)
+	defer batch.release()
 	for {
-		n, err := f.conn.Read(buf)
+		n, err := batch.read(rd)
 		switch {
 		case err == nil:
 		case errors.Is(err, os.ErrDeadlineExceeded):
@@ -136,9 +153,20 @@ func (t *flowTable) returnPath(f *flow) {
 			return
 		}
 		f.last.Store(t.now())
-		// A reply the listen socket cannot send is lost like any datagram;
-		// the flow lives on.
-		t.listen.WriteToUDPAddrPort(buf[:n], f.client)
+		t.relay(wr, f.client, batch.view[:n])
+	}
+}
+
+// relay sends replies to client on the listen socket. A reply the socket
+// cannot send is lost like any datagram, and the rest still go; the flow
+// lives on.
+func (t *flowTable) relay(wr *udpio.Writer, client netip.AddrPort, replies [][]byte) {
+	for len(replies) > 0 {
+		n, err := wr.WriteRun(t.listen, client, replies)
+		if err == nil {
+			return
+		}
+		replies = replies[n+1:]
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"hpfq"
 	"hpfq/internal/faultconn"
+	"hpfq/internal/udpio"
 )
 
 // errOut is where the gateway reports recovered panics (swapped out by
@@ -77,14 +78,16 @@ type gateway struct {
 // gwReader is one supervised ingress loop over one listen socket. All its
 // fields are touched only by its own goroutine.
 type gwReader struct {
-	g    *gateway
-	conn *net.UDPConn
+	g *gateway
 	// shard pins every datagram this reader ingests (kernel-hash mode:
 	// SO_REUSEPORT already partitioned the flows). -1 selects software
 	// placement by consistent hash of the client endpoint per datagram.
 	shard int
-	src   *listenSource
-	rd    hpfq.PacketReader // src, or the faultconn wrapper around it
+	src   *udpio.Reader          // batched reads off conn, with each datagram's sender
+	rd    hpfq.PacketBatchReader // src, or the faultconn wrapper around it
+	batch *rxBatch
+	n     int // datagrams in the batch being forwarded
+	next  int // the next of them to forward
 
 	// FEC receive side (-fec.decode): the loop unwraps protected datagrams
 	// and reconstructs erasures before classification. Per reader, because
@@ -111,13 +114,15 @@ func newGateway(dp *hpfq.ShardedDataplane, listens []*net.UDPConn, upstream *net
 	if g.pool == nil {
 		g.pool = hpfq.SharedBufferPool()
 	}
+	g.ft.pool = g.pool
 	for i, conn := range listens {
-		r := &gwReader{g: g, conn: conn, shard: i}
+		r := &gwReader{g: g, shard: i}
 		if len(listens) == 1 && dp.Shards() > 1 {
 			r.shard = -1 // single socket over many shards: hash per datagram
 		}
-		r.src = &listenSource{conn: conn}
+		r.src = udpio.NewSocket(conn).NewReader()
 		r.rd = r.src
+		r.batch = newRxBatch(g.pool, maxIngressBatch)
 		if len(cfg.ingressFault) > 0 {
 			r.rd = faultconn.NewReader(r.src, cfg.ingressFault...)
 		}
@@ -127,24 +132,6 @@ func newGateway(dp *hpfq.ShardedDataplane, listens []*net.UDPConn, upstream *net
 		g.readers = append(g.readers, r)
 	}
 	return g
-}
-
-// listenSource adapts the unconnected listen socket to the PacketReader
-// contract, stashing each datagram's source endpoint for the classifier and
-// flow lookup. The endpoint is stored unmapped, so a dual-stack socket keys
-// an IPv4 client by its 4-byte form. Only the single supervised ingress
-// goroutine touches it, so the field needs no lock.
-type listenSource struct {
-	conn *net.UDPConn
-	src  netip.AddrPort
-}
-
-func (s *listenSource) ReadPacket(buf []byte) (int, error) {
-	n, src, err := s.conn.ReadFromUDPAddrPort(buf)
-	if err == nil {
-		s.src = netip.AddrPortFrom(src.Addr().Unmap(), src.Port())
-	}
-	return n, err
 }
 
 // flowKey is src's consistent-hash key (hpfq.FlowKeyAddr), computed without
@@ -160,37 +147,34 @@ func flowKey(src netip.AddrPort) uint64 {
 // instead of retrying a write that can never succeed.
 var errNoFlow = errors.New("hpfqgw: datagram has no flow")
 
-// connSink writes to the flow socket selected for the current datagram. Only
-// the data-plane's single pump goroutine touches it, so the field needs no
-// lock.
-type connSink struct{ conn *net.UDPConn }
-
-func (s *connSink) WritePacket(b []byte) (int, error) {
-	if s.conn == nil {
-		return 0, errNoFlow
-	}
-	return s.conn.Write(b)
+// connSink writes to the flow socket selected for the current run. Only
+// the data-plane's single pump goroutine touches it, so it needs no lock.
+type connSink struct {
+	sock *udpio.Socket
+	w    *udpio.Writer
 }
 
-// WriteBatch sends each payload to the currently selected flow socket,
-// stopping at the first error (hpfq.PayloadBatchWriter shape).
-func (s *connSink) WriteBatch(pkts [][]byte) (int, error) {
-	if s.conn == nil {
+func (s *connSink) WritePacket(b []byte) (int, error) {
+	if s.sock == nil {
 		return 0, errNoFlow
 	}
-	for i, b := range pkts {
-		if _, err := s.conn.Write(b); err != nil {
-			return i, err
-		}
+	return s.sock.Conn().Write(b)
+}
+
+// WriteBatch sends a run to the selected flow socket as GSO groups,
+// stopping at the first error (hpfq.PayloadBatchWriter shape).
+func (s *connSink) WriteBatch(pkts [][]byte) (int, error) {
+	if s.sock == nil {
+		return 0, errNoFlow
 	}
-	return len(pkts), nil
+	return s.w.WriteRun(s.sock, netip.AddrPort{}, pkts)
 }
 
 // egress is the gateway's data-plane Writer, an hpfq.PacketBatchWriter:
 // each token-bucket release arrives as one batch, which WriteBatch splits
 // into runs of consecutive datagrams sharing a flow (the IngestCtx context)
 // and sends run by run — scheduler order is preserved exactly, and each run
-// is one batched write against the flow's upstream socket, optionally
+// is one sendmmsg of GSO groups on the flow's upstream socket, optionally
 // through a faultconn wrapper so the whole retry/backoff path can be
 // exercised from the command line. A datagram whose flow was retired while
 // queued fails fatally (closed socket) and is recorded as a "write-error"
@@ -202,7 +186,7 @@ type egress struct {
 }
 
 func newEgress(fault []faultconn.Option) *egress {
-	e := &egress{}
+	e := &egress{sink: connSink{w: udpio.NewWriter()}}
 	e.w = &e.sink
 	if len(fault) > 0 {
 		e.w = faultconn.NewWriter(&e.sink, fault...)
@@ -238,7 +222,7 @@ func (e *egress) WriteBatch(pkts []hpfq.PacketDatagram) (int, error) {
 			}
 			run++
 		}
-		e.sink.conn = f.conn
+		e.sink.sock = f.socket()
 		e.raw = e.raw[:0]
 		for _, p := range pkts[written:run] {
 			e.raw = append(e.raw, p.B)
@@ -381,89 +365,102 @@ func (r *gwReader) loop() error {
 }
 
 // readOnce runs the ingress loop until a clean exit (socket closed or hard
-// error) or a recovered panic, which costs only the datagram being handled.
-// Datagrams are read straight into pooled buffers and handed to the engine
+// error) or a recovered panic, which costs only the datagram being handled:
+// the restarted loop forwards the rest of its batch. Each read fills a
+// batch of pooled buffers with one recvmmsg, and datagrams go to the engine
 // without copying: ownership transfers on successful ingest, and a rejected
-// datagram's buffer is reused for the next read.
+// datagram's buffer is reused for a later read.
 func (r *gwReader) readOnce() (err error, panicked bool) {
-	g := r.g
 	defer func() {
 		if p := recover(); p != nil {
 			panicked = true
 			fmt.Fprintf(errOut, "hpfqgw: ingress panic recovered, restarting reader: %v\n", p)
 		}
 	}()
-	buf := g.pool.Get()
 	for {
-		n, err := r.rd.ReadPacket(buf)
+		for r.next < r.n {
+			i := r.next
+			r.next++
+			if !r.forward(i) {
+				return nil, false
+			}
+		}
+		n, err := r.batch.read(r.rd)
+		r.n, r.next = n, 0
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil, false
 			}
 			if hpfq.IsTransientIOError(err) {
-				g.readFaults.Add(1)
+				r.g.readFaults.Add(1)
 				continue // the supervised reader outlives transient faults
 			}
 			return err, false
 		}
-		if n == 0 {
-			continue
-		}
-		src := r.src.src
-		shard := r.shard
-		if shard < 0 {
-			shard = g.dp.ShardOf(flowKey(src))
-		}
-		eng := g.dp.Shard(shard)
-		if eng.HealthState() >= hpfq.Overloaded && !g.ft.has(src) {
-			// Brownout: existing flows keep their service, new clients are
-			// refused until pressure recedes. Accounted as a "shed" drop.
-			// The gate is per shard — one overloaded shard refuses its new
-			// clients while the others keep admitting theirs.
-			eng.RecordShed(g.classify(src, buf[:n]), n, hpfq.ShedBrownout)
-			continue
-		}
-		f, err := g.ft.lookup(src, shard)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil, false
-			}
-			continue // transient flow-setup failure: drop this datagram
-		}
-		b := buf[:n]
-		if r.dec != nil && hpfq.IsFECDatagram(b) {
-			// FEC receive side: unwrap sources, absorb repairs, and forward
-			// whatever the decoder delivers — the unwrapped source plus any
-			// erased datagrams it reconstructed. Repairs and duplicates
-			// deliver nothing; malformed headers are dropped here.
-			outs, derr := r.dec.Push(b)
-			delivered := false
-			for _, ob := range outs {
-				switch err := eng.IngestCtx(g.classify(src, ob), ob, f); {
-				case err == nil:
-					delivered = true
-				case errors.Is(err, hpfq.ErrDataplaneClosed):
-					return nil, false
-				}
-			}
-			if delivered {
-				// A delivered source aliases buf (the decoder unwraps in
-				// place), so the engine may own it now.
-				buf = g.pool.Get()
-			}
-			if derr == nil {
-				r.maybeFECFeedback()
-			}
-			continue
-		}
-		if err := eng.IngestCtx(g.classify(src, b), b, f); err == nil {
-			buf = g.pool.Get() // the engine owns b now
-		} else if errors.Is(err, hpfq.ErrDataplaneClosed) {
-			return nil, false
-		}
-		// Tail/byte-cap drops and unknown classes are accounted by the
-		// data-plane's metrics and leave the buffer with us; keep forwarding.
 	}
+}
+
+// forward classifies datagram i of the batch and stages it on its shard's
+// engine, reporting false once the flow table or the engine has closed.
+// Queue-full and unknown-class refusals are accounted by the data-plane's
+// metrics and leave the buffer with the batch.
+func (r *gwReader) forward(i int) bool {
+	g := r.g
+	b := r.batch.view[i]
+	if len(b) == 0 {
+		return true
+	}
+	src := r.src.Source(i)
+	shard := r.shard
+	if shard < 0 {
+		shard = g.dp.ShardOf(flowKey(src))
+	}
+	eng := g.dp.Shard(shard)
+	if eng.HealthState() >= hpfq.Overloaded && !g.ft.has(src) {
+		// Brownout: existing flows keep their service, new clients are
+		// refused until pressure recedes. Accounted as a "shed" drop.
+		// The gate is per shard — one overloaded shard refuses its new
+		// clients while the others keep admitting theirs.
+		eng.RecordShed(g.classify(src, b), len(b), hpfq.ShedBrownout)
+		return true
+	}
+	f, err := g.ft.lookup(src, shard)
+	if err != nil {
+		// A transient flow-setup failure drops this datagram.
+		return !errors.Is(err, net.ErrClosed)
+	}
+	if r.dec != nil && hpfq.IsFECDatagram(b) {
+		// FEC receive side: unwrap sources, absorb repairs, and forward
+		// whatever the decoder delivers — the unwrapped source plus any
+		// erased datagrams it reconstructed. Repairs and duplicates
+		// deliver nothing; malformed headers are dropped here.
+		outs, derr := r.dec.Push(b)
+		delivered := false
+		for _, ob := range outs {
+			switch err := eng.IngestCtx(g.classify(src, ob), ob, f); {
+			case err == nil:
+				delivered = true
+			case errors.Is(err, hpfq.ErrDataplaneClosed):
+				return false
+			}
+		}
+		if delivered {
+			// A delivered source aliases the slot's buffer (the decoder
+			// unwraps in place), so the engine may own it now.
+			r.batch.take(i)
+		}
+		if derr == nil {
+			r.maybeFECFeedback()
+		}
+		return true
+	}
+	switch err := eng.IngestCtx(g.classify(src, b), b, f); {
+	case err == nil:
+		r.batch.take(i) // the engine owns b now
+	case errors.Is(err, hpfq.ErrDataplaneClosed):
+		return false
+	}
+	return true
 }
 
 // maybeFECFeedback periodically reports this reader's decoder results to the

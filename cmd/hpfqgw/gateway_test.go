@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/netip"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"hpfq"
+	"hpfq/internal/udpio"
 )
 
 func TestParseClasses(t *testing.T) {
@@ -141,9 +143,10 @@ func TestHashClassifierSharesShardKey(t *testing.T) {
 	}
 }
 
-// TestForwardPathAllocFree: one datagram's gateway bookkeeping — the
-// listen-socket read, the brownout probe, a flow-table hit and both
-// classifiers — allocates nothing.
+// TestForwardPathAllocFree: the gateway's forward-path bookkeeping — a
+// batched listen-socket read (recvmmsg into the pooled ingress batch), each
+// sender decoded, the brownout probe, a flow-table hit and both
+// classifiers — allocates nothing per datagram once the batch has grown.
 func TestForwardPathAllocFree(t *testing.T) {
 	recv, listen := loopbackUDP(t), loopbackUDP(t)
 	ft := newFlowTable(listen, recv.LocalAddr().(*net.UDPAddr), 0, 0)
@@ -152,50 +155,124 @@ func TestForwardPathAllocFree(t *testing.T) {
 	byByte, _ := newClassifier("byte0", classes)
 	byHash, _ := newClassifier("hash", classes)
 
-	const runs = 100
 	client := dialClient(t, listen)
 	payload := make([]byte, 64)
-	for i := 0; i < runs+2; i++ { // one to create the flow, one warm-up, runs
-		if _, err := client.Write(payload); err != nil {
-			t.Fatal(err)
-		}
-	}
+	src := udpio.NewSocket(listen).NewReader()
+	batch := newRxBatch(hpfq.SharedBufferPool(), maxIngressBatch)
 	listen.SetReadDeadline(time.Now().Add(10 * time.Second))
-	src := &listenSource{conn: listen}
-	buf := make([]byte, 2048)
-	if _, err := src.ReadPacket(buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ft.lookup(src.src, 0); err != nil {
-		t.Fatal(err)
-	}
-
+	const burst = 8
 	var failed error
-	allocs := testing.AllocsPerRun(runs, func() {
-		n, err := src.ReadPacket(buf)
-		if err != nil {
-			failed = err
-			return
+	// forwardBurst sends burst datagrams and runs each through the
+	// bookkeeping as the ingress loop does.
+	forwardBurst := func() {
+		for i := 0; i < burst; i++ {
+			if _, err := client.Write(payload); err != nil {
+				failed = err
+				return
+			}
 		}
-		if !ft.has(src.src) {
-			failed = errors.New("flow missing")
-			return
+		for got := 0; got < burst; {
+			n, err := batch.read(src)
+			if err != nil {
+				failed = err
+				return
+			}
+			for i := 0; i < n; i++ {
+				from := src.Source(i)
+				if !ft.has(from) {
+					failed = errors.New("flow missing")
+					return
+				}
+				if _, err := ft.lookup(from, 0); err != nil {
+					failed = err
+					return
+				}
+				byByte(from, batch.view[i])
+				byHash(from, batch.view[i])
+			}
+			got += n
 		}
-		if _, err := ft.lookup(src.src, 0); err != nil {
-			failed = err
-			return
-		}
-		byByte(src.src, buf[:n])
-		byHash(src.src, buf[:n])
-	})
+	}
+	if _, err := client.Write(payload); err != nil { // creates the flow
+		t.Fatal(err)
+	}
+	if _, err := batch.read(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ft.lookup(src.Source(0), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ { // grow the batch to its steady width
+		forwardBurst()
+	}
+	allocs := testing.AllocsPerRun(100, forwardBurst)
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	if allocs != 0 {
-		t.Fatalf("forward-path bookkeeping allocates %.1f times per datagram, want 0", allocs)
+	if allocs != 0 && !raceEnabled {
+		t.Fatalf("forward-path bookkeeping allocates %.2f times per datagram, want 0", allocs/burst)
 	}
 	if c := ft.count(); c != 1 {
 		t.Fatalf("flow table has %d flows, want 1", c)
+	}
+}
+
+// TestReturnPathAllocFree: relaying replies — a recvmmsg batch off a flow's
+// upstream socket, relayed to its client as GSO groups on the listen
+// socket — allocates nothing per datagram once the batch has grown.
+func TestReturnPathAllocFree(t *testing.T) {
+	upstream, listen := loopbackUDP(t), loopbackUDP(t)
+	ft := newFlowTable(listen, upstream.LocalAddr().(*net.UDPAddr), 0, 0)
+	defer ft.close()
+	client := dialClient(t, listen)
+	conn, err := net.DialUDP("udp", nil, upstream.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	f := &flow{client: client.LocalAddr().(*net.UDPAddr).AddrPort(), conn: conn}
+	flowAddr := conn.LocalAddr().(*net.UDPAddr).AddrPort()
+
+	rd, wr := f.socket().NewReader(), udpio.NewWriter()
+	batch := newRxBatch(hpfq.SharedBufferPool(), maxReturnBatch)
+	reply, in := make([]byte, 64), make([]byte, 2048)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	client.SetReadDeadline(time.Now().Add(10 * time.Second))
+	const burst = 8
+	var failed error
+	relayBurst := func() {
+		for i := 0; i < burst; i++ {
+			reply[0] = byte(i)
+			if _, err := upstream.WriteToUDPAddrPort(reply, flowAddr); err != nil {
+				failed = err
+				return
+			}
+		}
+		for got := 0; got < burst; {
+			n, err := batch.read(rd)
+			if err != nil {
+				failed = err
+				return
+			}
+			ft.relay(wr, f.client, batch.view[:n])
+			got += n
+		}
+		for i := 0; i < burst; i++ {
+			if n, err := client.Read(in); err != nil || n != len(reply) || in[0] != byte(i) {
+				failed = fmt.Errorf("relayed reply %d: %d bytes, first %d, %v", i, n, in[0], err)
+				return
+			}
+		}
+	}
+	for i := 0; i < 4; i++ { // grow the batch to its steady width
+		relayBurst()
+	}
+	allocs := testing.AllocsPerRun(100, relayBurst)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if allocs != 0 && !raceEnabled {
+		t.Fatalf("the return path allocates %.2f times per datagram, want 0", allocs/burst)
 	}
 }
 

@@ -77,10 +77,14 @@
 // /api/shards serves the per-shard drill-down, and every mutation fans out
 // to all shards.
 //
-// The data path is batch-oriented and allocation-free at steady state:
-// datagrams are read into buffers recycled through the shared hpfq
-// BufferPool, and egress releases are written in batches of up to -batch
-// datagrams, grouped by destination flow.
+// The data path is batch-oriented and allocation-free at steady state. On
+// Linux each listen reader fills up to 32 buffers from the shared hpfq
+// BufferPool with one recvmmsg; each egress release of up to -batch
+// datagrams is split, in scheduler order, into per-flow runs, and each run
+// is one sendmmsg of UDP GSO groups; each flow reads its replies with
+// recvmmsg and relays them as GSO groups on the listen socket. A socket
+// whose kernel refuses GSO falls back to one message per datagram.
+// Elsewhere every read and write moves one datagram.
 //
 // The hidden -fault.* flags (seed, errors, short, drop, gilbert, latency,
 // failafter, stall) inject deterministic faults into the egress path via

@@ -100,6 +100,9 @@ func (d *Dataplane) SetWeight(name string, share float64) error {
 // exceed). ceil > 0 additionally caps the class and enables HTB borrowing;
 // 0 leaves it uncapped. Flat engines use AddClass instead.
 func (d *Dataplane) AddLeafClass(parent, name string, id int, share, ceil float64) error {
+	if err := checkClassID(id); err != nil {
+		return err
+	}
 	d.lock()
 	defer d.unlock()
 	if d.closed {

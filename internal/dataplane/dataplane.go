@@ -646,6 +646,11 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 		d.batch = DefaultBatchSize
 	}
 	if cfg.top != nil {
+		for _, l := range cfg.top.Leaves() {
+			if err := checkClassID(l.Session); err != nil {
+				return nil, err
+			}
+		}
 		tree, err := hier.BuildSpec(cfg.top, rate, algorithm,
 			hier.Resolver(algorithm, cfg.pol, cfg.nodePols))
 		if err != nil {
@@ -827,10 +832,27 @@ func (d *Dataplane) unlock() {
 	d.mu.Unlock()
 }
 
+// MaxClassID is the largest class id an engine accepts. The schedulers
+// keep per-class state in slices indexed by id, so an id costs memory in
+// proportion to its value; the bound leaves room for every FEC-protectable
+// class (ids up to 65535) and its default repair class.
+const MaxClassID = 1<<17 - 1
+
+// checkClassID refuses a class id the schedulers cannot index.
+func checkClassID(id int) error {
+	if id < 0 || id > MaxClassID {
+		return fmt.Errorf("dataplane: class id %d outside [0, %d]", id, MaxClassID)
+	}
+	return nil
+}
+
 // AddClass registers a class with a guaranteed rate in bits/sec (flat mode
 // only; a topology fixes the classes at construction). The sum of class
 // rates should not exceed the engine rate for the WF²Q+ guarantees to hold.
 func (d *Dataplane) AddClass(id int, rate float64) error {
+	if err := checkClassID(id); err != nil {
+		return err
+	}
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return fmt.Errorf("dataplane: invalid class rate %g", rate)
 	}

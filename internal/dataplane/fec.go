@@ -128,6 +128,9 @@ func (d *Dataplane) prepareFECLocked(class int, p fecPending) (*fecState, error)
 	if repair == 0 {
 		repair = class + DefaultRepairClassOffset
 	}
+	if err := checkClassID(repair); err != nil {
+		return nil, err
+	}
 	if _, dup := d.classes[repair]; dup || repair == class {
 		return nil, fmt.Errorf("dataplane: FEC repair class %d already exists", repair)
 	}

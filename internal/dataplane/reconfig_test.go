@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -399,5 +400,49 @@ func TestReconfigureUnderLoad(t *testing.T) {
 		if got, want := w.count(class), accepted[class].Load(); got != want {
 			t.Fatalf("class %d: wrote %d of %d accepted datagrams", class, got, want)
 		}
+	}
+}
+
+// TestClassIDBounds: a class id must lie in [0, MaxClassID]. A negative id
+// used to panic inside the scheduler and a huge one to allocate state for
+// every smaller id, so the admin API could crash the process; both are now
+// refused up front, in flat and topology mode and at construction.
+func TestClassIDBounds(t *testing.T) {
+	flat, err := New("WF2Q+", 1e7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, MaxClassID + 1, 1 << 40} {
+		if err := flat.AddClass(id, 1e6); err == nil {
+			t.Errorf("AddClass(%d) accepted", id)
+		}
+	}
+	if err := flat.AddClass(MaxClassID, 1e6); err != nil {
+		t.Errorf("AddClass(MaxClassID): %v", err)
+	}
+
+	top, err := topo.Parse("root=1(agg=1(a=1:0),b=1:1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := New("WF2Q+", 1e7, WithTopology(top))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, MaxClassID + 1} {
+		if err := tree.AddLeafClass("agg", "x", id, 1, 0); err == nil {
+			t.Errorf("AddLeafClass(%d) accepted", id)
+		}
+	}
+	if err := tree.AddLeafClass("agg", "x", MaxClassID, 1, 0); err != nil {
+		t.Errorf("AddLeafClass(MaxClassID): %v", err)
+	}
+
+	huge, err := topo.Parse(fmt.Sprintf("root=1(a=1:0,b=1:%d)", MaxClassID+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New("WF2Q+", 1e7, WithTopology(huge)); err == nil {
+		t.Error("a topology leaf past MaxClassID accepted")
 	}
 }
