@@ -1,6 +1,8 @@
 # Build/verify entry points. `make verify` is the extended pre-merge gate
-# referenced from ROADMAP.md; `make race` exercises the concurrent
-# components under the race detector; `make fault` runs the fault-injection
+# referenced from ROADMAP.md; `make vet` also vets the socket layer's
+# non-Linux stubs (GOOS=darwin) so they cannot rot unseen; `make race`
+# exercises the concurrent components under the race detector; `make
+# fault` runs the fault-injection
 # stress suite with a fixed seed (override: make fault HPFQ_FAULT_SEED=7).
 # `make fec` runs the loss-resilience suite — coder round-trips plus the
 # end-to-end recovery/fairness tests, whose erasure patterns come from
@@ -43,6 +45,7 @@ race:
 
 vet:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./internal/udpio ./cmd/hpfqgw
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

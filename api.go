@@ -394,9 +394,10 @@ func Interior(name string, share float64, children ...*Topology) *Topology {
 // policies "root=1:WF2Q+(video=3:SP(hd=2:0,sd=1:1),bulk=1:2)". Shares are
 // relative to siblings; the optional policy clause names the scheduling
 // discipline of that node's server. The optional '^ceil' clause caps the
-// node at an absolute rate in bits/sec ("bulk=1^5e6:2") and enables
-// HTB-style borrowing on a data-plane built from the spec. The cmd/hpfqgw
-// and cmd/hpfqsim -topo flags speak exactly this grammar.
+// node at an absolute rate in bits/sec ("bulk=1^5e6:2") on a data-plane
+// built from the spec; without it a node borrows whatever its siblings
+// leave idle, as H-PFQ is work-conserving. The cmd/hpfqgw and cmd/hpfqsim
+// -topo flags speak exactly this grammar.
 func ParseTopology(spec string) (*Topology, error) { return topo.Parse(spec) }
 
 // Hierarchy is an H-PFQ server (the paper's §4 construction).
@@ -789,23 +790,17 @@ func PacketWriterTo(w io.Writer) PacketWriter { return dataplane.WriterTo(w) }
 // --------------------------------------------------------------------------
 // Control plane: live introspection and hitless reconfiguration.
 
-// WithBorrowing enables HTB-style rate/ceil borrowing on the data-plane:
-// every class (and, over a topology, every named node) gets a token bucket
-// at its guaranteed rate, and a class whose bucket is empty may borrow idle
-// tokens from its ancestors, bounded by any ceilings on its path. Ceilings
-// (WithClassCeil, WithNodeCeil, '^ceil' topology clauses, or the live
-// Dataplane.SetCeil/SetNodeCeil) enable borrowing implicitly.
-func WithBorrowing() DataplaneOption { return dpOptions{dataplane.WithBorrowing()} }
-
-// WithClassCeil caps a data-plane class at an absolute ceiling in bits/sec
-// (HTB ceil) and enables borrowing.
+// WithClassCeil caps a data-plane class at an absolute ceiling in bits/sec.
+// The data-plane is work-conserving — a class borrows whatever its siblings
+// leave idle — and a ceiling is the one limit on that: the scheduler holds
+// the class back while its ceiling bucket is in deficit. FIFO and
+// WF2Q+fixed cannot enforce a ceiling and fail construction.
 func WithClassCeil(class int, ceil float64) DataplaneOption {
 	return dpOptions{dataplane.WithClassCeil(class, ceil)}
 }
 
-// WithNodeCeil caps a named interior topology node at an absolute ceiling
-// in bits/sec (HTB ceil), bounding its whole subtree, and enables
-// borrowing. Ignored in flat mode.
+// WithNodeCeil caps a named topology node at an absolute ceiling in
+// bits/sec, bounding its whole subtree. Ignored in flat mode.
 func WithNodeCeil(name string, ceil float64) DataplaneOption {
 	return dpOptions{dataplane.WithNodeCeil(name, ceil)}
 }

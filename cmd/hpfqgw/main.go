@@ -26,7 +26,7 @@
 // GET /status (human table), /api/status, /api/nodes, /api/flows and
 // /api/policies for live introspection, POST /api/class/* and /api/node/*
 // for hitless reconfiguration — retune rates and shares, add or drain-remove
-// classes, cap classes or subtrees with HTB ceilings, swap scheduling
+// classes, cap classes or subtrees with ceilings, swap scheduling
 // policies — all without stopping the pump or losing surviving traffic:
 //
 //	hpfqgw ... -admin 127.0.0.1:9090 &

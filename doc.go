@@ -35,8 +35,8 @@
 // # Constructors and options
 //
 // Algorithms are selected with the typed Algorithm constants (WF2QPlus, WFQ,
-// WF2Q, SCFQ, SFQ, DRR, FIFO; WF2QPlusFixed for the integer-tick engine) via
-// New, NewNode, and NewHierarchy, which accept functional options:
+// WF2Q, SCFQ, SFQ, DRR, FIFO; Algorithm("WF2Q+fixed") for the integer-tick
+// engine) via New, NewNode, and NewHierarchy, which accept functional options:
 // WithMetrics enables per-server and per-session counters (packets, bits,
 // queue depths, queueing-delay distributions, measured worst-case fair
 // index), frozen on demand with Snapshot; WithTracer attaches a Tracer

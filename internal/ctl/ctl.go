@@ -254,7 +254,7 @@ func (s *Server) statusText(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "  shards %d", st.Shards)
 	}
 	if st.Borrowing {
-		fmt.Fprintf(w, "  [htb borrowing]")
+		fmt.Fprintf(w, "  [ceilings]")
 	}
 	switch {
 	case st.Closed:
@@ -312,7 +312,7 @@ func (s *Server) statusText(w http.ResponseWriter, r *http.Request) {
 	}
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "CLASS\tNAME\tRATE\tCEIL\tQUEUED\tBYTES\tGATED\tSTATE")
+	fmt.Fprintln(tw, "CLASS\tNAME\tRATE\tCEIL\tQUEUED\tBYTES\tSTATE")
 	for _, c := range st.Classes {
 		state := "live"
 		switch {
@@ -321,9 +321,9 @@ func (s *Server) statusText(w http.ResponseWriter, r *http.Request) {
 		case c.Shedding:
 			state = "shedding"
 		}
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%d\t%d\t%d\t%s\n",
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%d\t%d\t%s\n",
 			c.ID, orDash(c.Name), rate(c.Rate), ceilStr(c.Ceil),
-			c.Queued, c.QueuedBytes, c.Gated, state)
+			c.Queued, c.QueuedBytes, state)
 	}
 	tw.Flush()
 

@@ -71,7 +71,7 @@ func (d *Dataplane) SetRate(id int, rate float64) error {
 		return err
 	}
 	cs.rate = rate
-	d.rebuildHTBLocked()
+	d.rebuildShedOrderLocked()
 	return nil
 }
 
@@ -97,8 +97,8 @@ func (d *Dataplane) SetWeight(name string, share float64) error {
 // AddLeafClass grafts a new class as a session leaf under the named
 // interior node of the live topology. Siblings dilute proportionally (the
 // paper's link-sharing semantics — there is no strict reservation to
-// exceed). ceil > 0 additionally caps the class and enables HTB borrowing;
-// 0 leaves it uncapped. Flat engines use AddClass instead.
+// exceed). ceil > 0 additionally caps the class (see SetCeil); 0 leaves it
+// uncapped. Flat engines use AddClass instead.
 func (d *Dataplane) AddLeafClass(parent, name string, id int, share, ceil float64) error {
 	if err := checkClassID(id); err != nil {
 		return err
@@ -111,7 +111,7 @@ func (d *Dataplane) AddLeafClass(parent, name string, id int, share, ceil float6
 	if d.tree == nil {
 		return fmt.Errorf("dataplane: no topology; use AddClass in flat mode")
 	}
-	if ceil != 0 && (ceil < 0 || math.IsNaN(ceil) || math.IsInf(ceil, 0)) {
+	if ceil != 0 && !validCeil(ceil) {
 		return fmt.Errorf("dataplane: invalid ceil %g for class %d", ceil, id)
 	}
 	if _, dup := d.classes[id]; dup {
@@ -122,10 +122,8 @@ func (d *Dataplane) AddLeafClass(parent, name string, id int, share, ceil float6
 	}
 	d.classes[id] = d.newClassState(d.tree.SessionRate(id))
 	if ceil > 0 {
-		d.ceils[id] = ceil
-		d.borrow = true
+		_ = d.tree.SetCeil(id, ceil, d.schedTime(d.now())) // the leaf exists: cannot fail
 	}
-	d.rebuildClassOrderLocked()
 	d.syncRatesLocked()
 	return nil
 }
@@ -170,41 +168,36 @@ func (d *Dataplane) RemoveClass(id int) error {
 	return nil
 }
 
-// SetCeil caps class id at an absolute ceiling in bits/sec (HTB ceil),
-// enabling borrowing if it was off; ceil 0 removes the cap. Borrowing stays
-// on once enabled — with every cap removed the token tree admits at the
-// link rate, which is behaviorally work-conserving.
+// SetCeil caps class id at an absolute ceiling in bits/sec; ceil 0 removes
+// the cap. The engine stays work-conserving below the ceiling: the class
+// borrows whatever its siblings leave idle, and the scheduler holds it back
+// only while its ceiling bucket is in deficit. FIFO and WF2Q+fixed have no
+// shaping hook and refuse, changing nothing.
 func (d *Dataplane) SetCeil(id int, ceil float64) error {
 	d.lock()
 	defer d.unlock()
-	return d.setCeilLocked(id, ceil)
-}
-
-// setCeilLocked is SetCeil for a caller holding both locks.
-func (d *Dataplane) setCeilLocked(id int, ceil float64) error {
 	if d.closed {
 		return ErrClosed
 	}
 	if d.classes[id] == nil {
 		return fmt.Errorf("%w: %d", ErrNoClass, id)
 	}
-	switch {
-	case ceil == 0:
-		delete(d.ceils, id)
-	case ceil > 0 && !math.IsNaN(ceil) && !math.IsInf(ceil, 0):
-		d.ceils[id] = ceil
-		d.borrow = true
-	default:
+	if ceil != 0 && !validCeil(ceil) {
 		return fmt.Errorf("dataplane: invalid ceil %g for class %d", ceil, id)
 	}
-	d.rebuildHTBLocked()
-	d.signal()
+	if d.shape == nil {
+		return d.errNoShaping()
+	}
+	if err := d.shape.SetCeil(id, ceil, d.schedTime(d.now())); err != nil {
+		return err
+	}
+	d.signal() // a lifted cap may have released a held class
 	return nil
 }
 
 // SetNodeCeil caps a named topology node at an absolute ceiling in
 // bits/sec, bounding its whole subtree; ceil 0 removes the cap. A leaf's
-// name resolves to its class ceiling. Topology mode only.
+// name caps its class. Topology mode only.
 func (d *Dataplane) SetNodeCeil(name string, ceil float64) error {
 	d.lock()
 	defer d.unlock()
@@ -214,30 +207,12 @@ func (d *Dataplane) SetNodeCeil(name string, ceil float64) error {
 	if d.tree == nil {
 		return fmt.Errorf("dataplane: no topology; use SetCeil on a class")
 	}
-	session := -1
-	found := false
-	for _, info := range d.tree.Nodes() {
-		if info.Name == name {
-			found, session = true, info.Session
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("dataplane: no topology node %q", name)
-	}
-	if session >= 0 { // named leaf: its ceiling is the class ceiling
-		return d.setCeilLocked(session, ceil)
-	}
-	switch {
-	case ceil == 0:
-		delete(d.nodeCeils, name)
-	case ceil > 0 && !math.IsNaN(ceil) && !math.IsInf(ceil, 0):
-		d.nodeCeils[name] = ceil
-		d.borrow = true
-	default:
+	if ceil != 0 && !validCeil(ceil) {
 		return fmt.Errorf("dataplane: invalid ceil %g for node %q", ceil, name)
 	}
-	d.rebuildHTBLocked()
+	if err := d.tree.SetNodeCeil(name, ceil, d.schedTime(d.now())); err != nil {
+		return err
+	}
 	d.signal()
 	return nil
 }
@@ -284,15 +259,15 @@ func (d *Dataplane) SetPolicyName(node, policy string) error {
 
 // syncRatesLocked refreshes every class's cached guaranteed rate from the
 // tree after a share-changing mutation (siblings move when one does) and
-// rebuilds the HTB mirror over the new rates. Caller holds d.mu and d.smu;
-// topology mode only.
+// the shed order derived from them. Caller holds d.mu and d.smu; topology
+// mode only.
 func (d *Dataplane) syncRatesLocked() {
 	for id, cs := range d.classes {
 		if r := d.tree.SessionRate(id); r > 0 {
 			cs.rate = r
 		}
 	}
-	d.rebuildHTBLocked()
+	d.rebuildShedOrderLocked()
 }
 
 // tryFinalizeLocked completes a draining class's removal once it holds no
@@ -319,9 +294,7 @@ func (d *Dataplane) tryFinalizeLocked(id int) bool {
 		}
 	}
 	delete(d.classes, id)
-	delete(d.ceils, id)
-	d.rebuildClassOrderLocked()
-	d.rebuildHTBLocked()
+	d.rebuildShedOrderLocked()
 	return true
 }
 
@@ -349,7 +322,7 @@ type Status struct {
 	Algorithm string  // scheduling discipline ("WF2Q+", "H-WF2Q+", …)
 	Rate      float64 // link rate, bits/sec
 	Mode      string  // "flat" or "topology"
-	Borrowing bool    // HTB rate/ceil borrowing active
+	Borrowing bool    // a ceiling is configured (see SetCeil)
 	Shards    int     // engines behind a sharding front; 0 for a bare engine
 	Started   bool
 	Closed    bool
@@ -368,10 +341,9 @@ type ClassStatus struct {
 	ID          int
 	Name        string  // topology leaf name; "" in flat mode
 	Rate        float64 // guaranteed rate, bits/sec
-	Ceil        float64 // HTB ceiling; 0 = uncapped
-	Queued      int     // datagrams staged (inbox + gate + scheduler)
+	Ceil        float64 // ceiling, bits/sec; 0 = uncapped
+	Queued      int     // datagrams staged (inbox + scheduler)
 	QueuedBytes int
-	Gated       int // datagrams parked at the HTB gate
 	Draining    bool
 	Shedding    bool // overload controller currently refusing intake
 }
@@ -385,7 +357,7 @@ func (d *Dataplane) Status() Status {
 		Algorithm: d.algo,
 		Rate:      d.rate,
 		Mode:      "flat",
-		Borrowing: d.borrow,
+		Borrowing: len(d.ceilPending) > 0 || d.shape != nil && d.shape.Capped(),
 		Started:   d.started,
 		Closed:    d.closed,
 		Restarts:  d.restarts,
@@ -404,14 +376,17 @@ func (d *Dataplane) Status() Status {
 	}
 	st.Classes = make([]ClassStatus, 0, len(d.classes))
 	for id, cs := range d.classes {
+		var ceil float64
+		if d.shape != nil {
+			ceil = d.shape.Ceil(id)
+		}
 		st.Classes = append(st.Classes, ClassStatus{
 			ID:          id,
 			Name:        names[id],
 			Rate:        cs.rate,
-			Ceil:        d.ceils[id],
+			Ceil:        ceil,
 			Queued:      cs.packets,
 			QueuedBytes: cs.bytes,
-			Gated:       cs.gateLen(),
 			Draining:    cs.draining,
 			Shedding:    cs.shed,
 		})

@@ -116,6 +116,11 @@ var (
 // when the token deficit is tiny.
 const minWait = 50 * time.Microsecond
 
+// maxHoldWait caps the pump's sleep while ceilings hold the backlog (a
+// release can be L_max/ceil away), keeping its heartbeat fresh for the
+// watchdog and the overload sampler.
+const maxHoldWait = 10 * time.Millisecond
+
 // Default retry policy for transient Writer errors: up to 3 re-attempts per
 // packet, backing off 500 µs → 1 ms → 2 ms (doubling, capped at 16 ms).
 const (
@@ -158,8 +163,8 @@ type queue interface {
 
 // classState tracks one class's staged datagrams against its caps and, when
 // AQM is enabled, its drop-policy state. packets/bytes count everything the
-// class holds inside the engine — the inbox, the HTB gate (when borrowing is
-// on) and the scheduler's queue — so the ingest caps bound the sum.
+// class holds inside the engine — the inbox and the scheduler's queue — so
+// the ingest caps bound the sum.
 type classState struct {
 	rate    float64
 	packets int // under Dataplane.mu
@@ -171,12 +176,6 @@ type classState struct {
 	outBytes int
 
 	aqm aqmPolicy // nil unless WithAQM; under Dataplane.smu
-
-	// HTB borrowing gate (htb.go): staged envelopes awaiting token
-	// admission, FIFO with head compaction. Empty unless borrowing is on.
-	// Under Dataplane.smu.
-	gate     []*envelope
-	gateHead int
 
 	// draining marks a class RemoveClass is retiring: Ingest refuses new
 	// datagrams while the staged remainder leaves in scheduled order; the
@@ -192,9 +191,6 @@ type classState struct {
 	// a refused datagram costs no allocation (ingest.go).
 	errs [nRefusals]error
 }
-
-// gateLen returns the number of datagrams parked at the class's HTB gate.
-func (cs *classState) gateLen() int { return len(cs.gate) - cs.gateHead }
 
 // datagram is the engine's per-packet payload record: the raw bytes, the
 // opaque routing context from IngestCtx, and the packet's remaining requeue
@@ -244,7 +240,6 @@ type config struct {
 	nodePols map[string]pifo.Factory
 	fec      map[int]fecPending
 
-	borrow    bool
 	ceils     map[int]float64
 	nodeCeils map[string]float64
 
@@ -351,18 +346,10 @@ func WithBufferPool(p *BufferPool) Option {
 // after a mid-batch error.
 func WithBatchSize(n int) Option { return func(c *config) { c.batch = n } }
 
-// WithBorrowing enables HTB-style rate/ceil borrowing (htb.go): every class
-// (and, over a topology, every named node) gets a token bucket at its
-// guaranteed rate, and a class whose bucket is empty may borrow idle tokens
-// from its ancestors, bounded by any ceilings on its path. Without ceilings
-// the engine behaves work-conservingly as before; the option matters once
-// SetCeil/SetNodeCeil (or '^ceil' topo clauses, which enable it implicitly)
-// cap somebody.
-func WithBorrowing() Option { return func(c *config) { c.borrow = true } }
-
-// WithClassCeil caps a class at an absolute ceiling in bits/sec (HTB ceil)
-// and enables borrowing. Over a topology the class is the session leaf;
-// '^ceil' topo clauses are the equivalent spec-side spelling.
+// WithClassCeil caps a class at an absolute ceiling in bits/sec (see
+// SetCeil); in flat mode it applies once AddClass registers the class.
+// Over a topology the class is the session leaf, and '^ceil' topo clauses
+// are the equivalent spec-side spelling.
 func WithClassCeil(class int, ceil float64) Option {
 	return func(c *config) {
 		if c.ceils == nil {
@@ -372,8 +359,8 @@ func WithClassCeil(class int, ceil float64) Option {
 	}
 }
 
-// WithNodeCeil caps a named interior topology node at an absolute ceiling in
-// bits/sec (HTB ceil) and enables borrowing. Ignored in flat mode.
+// WithNodeCeil caps a named topology node at an absolute ceiling in
+// bits/sec, bounding its whole subtree. Ignored in flat mode.
 func WithNodeCeil(name string, ceil float64) Option {
 	return func(c *config) {
 		if c.nodeCeils == nil {
@@ -443,10 +430,10 @@ func WithAQM(kind string, target, interval time.Duration) Option {
 // Ingest's checks, the per-class packet/byte counts, the inbox of accepted
 // datagrams, FEC encoder state, shed flags and lifecycle. smu is the
 // scheduler lock: the scheduler (flat or tree) and its obs.Collector, the
-// HTB gates and token tree, and AQM state; in the hot path only the pump
-// takes it. Lock order is mu before smu, and the pump never takes mu while
-// it holds smu. Fields written under both locks (the classes map, class
-// rates, ceilings) may be read under either.
+// scheduler's ceilings, and AQM state; in the hot path only the pump takes
+// it. Lock order is mu before smu, and the pump never takes mu while it
+// holds smu. Fields written under both locks (the classes map, class
+// rates) may be read under either.
 type Dataplane struct {
 	rate  float64
 	burst float64
@@ -459,7 +446,7 @@ type Dataplane struct {
 	// lock-free by the pump every batch. It starts equal to rate and only
 	// moves under a sharding front's rate splitter (SetPaceRate), which
 	// lends an idle shard's slice to busy ones; scheduler virtual-time
-	// rates, HTB buckets, and class guarantees stay pinned to rate so
+	// rates, ceilings, and class guarantees stay pinned to rate so
 	// fairness WITHIN the shard is unaffected by the loan.
 	pace atomic.Uint64
 
@@ -481,8 +468,8 @@ type Dataplane struct {
 	started  bool
 	restarts int // pump panic-recoveries
 
-	// staged counts the datagrams the engine holds for its classes — inbox,
-	// HTB gates and scheduler — the sum of every classState.packets.
+	// staged counts the datagrams the engine holds for its classes — inbox
+	// and scheduler — the sum of every classState.packets.
 	staged int
 	// inbox holds accepted datagrams in arrival order until the pump takes
 	// them; free recycles envelopes the pump handed back (ingest.go).
@@ -501,18 +488,12 @@ type Dataplane struct {
 	// hook (guardTracer) until the pump re-raises it.
 	tracePanic any
 
-	// HTB borrowing state (htb.go). borrow flips on via WithBorrowing, any
-	// configured ceiling, or a live SetCeil/SetNodeCeil; the token mirror is
-	// rebuilt from scratch on every reconfiguration (mutations are rare, the
-	// admit path is hot).
-	borrow    bool
-	htb       *htb
-	ceils     map[int]float64    // per-class ceilings in bits/sec
-	nodeCeils map[string]float64 // per-interior-node ceilings in bits/sec
-	gated     int                // datagrams parked at class gates
-	gateOrder []int              // class visit order for gate release
-	gateStart int                // rotating start index into gateOrder
-	gateWait  time.Duration      // pump hint: earliest gate refill, 0 if none
+	// shape is the scheduler's ceiling surface (the flat pifo host or the
+	// tree); nil for FIFO and WF2Q+fixed, which refuse ceilings.
+	shape shaper
+	// ceilPending holds flat-mode WithClassCeil ceilings until AddClass
+	// registers their class.
+	ceilPending map[int]float64
 
 	// draining lists classes RemoveClass is retiring; the pump retries
 	// finalization each batch until each quiesces.
@@ -540,7 +521,7 @@ type Dataplane struct {
 	// The rest is owned by the pump goroutine.
 
 	// staging is the inbox taken for the current batch; stageHead indexes
-	// the first envelope not yet handed to the scheduler or a gate.
+	// the first envelope not yet handed to the scheduler.
 	staging   []*envelope
 	stageHead int
 	// settling lists the classes whose datagrams left the scheduler this
@@ -554,6 +535,9 @@ type Dataplane struct {
 	held     *envelope
 	heldFree bool
 	scratch  []Datagram // scratch for the current WriteBatch chunk
+	// holdWait is the time to the scheduler's next release of a class its
+	// ceiling holds back, when a batch found nothing else to send.
+	holdWait time.Duration
 
 	// inflight is the current token-bucket release between dequeue and
 	// write; elements before infHead have reached their final disposition
@@ -562,6 +546,17 @@ type Dataplane struct {
 	// packets.
 	inflight []released
 	infHead  int
+}
+
+// shaper is the ceiling surface of the schedulers that can hold a class
+// back while its ceiling bucket is in deficit: pifo.Sched (flat) and
+// hier.Tree (which also caps named nodes, SetNodeCeil). Times are engine
+// seconds on the scheduler clock.
+type shaper interface {
+	SetCeil(class int, ceil, now float64) error
+	Ceil(class int) float64
+	Capped() bool
+	NextRelease() (at float64, ok bool)
 }
 
 // released is one scheduled datagram in flight from the scheduler to the
@@ -602,41 +597,28 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 		return nil, fmt.Errorf("dataplane: unknown AQM kind %q (want %q or %q)",
 			cfg.aqmKind, AQMCoDel, AQMRED)
 	}
-	scale := cfg.scale
-	if scale < 1 {
-		scale = 1
-	}
-	if scale > 1 {
-		// Shard scaling: absolute-capacity knobs were specified against the
-		// whole link; each of the N shards gets its 1/N slice. The default
-		// burst needs no scaling — it derives from the (already per-shard)
-		// rate below.
-		cfg.burst /= scale
-		for id, ceil := range cfg.ceils {
-			cfg.ceils[id] = ceil / scale
-		}
-		for name, ceil := range cfg.nodeCeils {
-			cfg.nodeCeils[name] = ceil / scale
-		}
-	}
+	// Shard scaling: absolute-capacity knobs were specified against the
+	// whole link; each of the N shards gets its 1/N slice (the ceilings in
+	// initCeils). The default burst needs no scaling — it derives from the
+	// (already per-shard) rate below.
+	scale := max(cfg.scale, 1)
+	cfg.burst /= scale
 	d := &Dataplane{
-		rate:      rate,
-		burst:     cfg.burst,
-		algo:      algorithm,
-		clock:     cfg.clock,
-		retry:     cfg.retry,
-		aqmKind:   cfg.aqmKind,
-		target:    cfg.target,
-		interval:  cfg.interval,
-		classes:   make(map[int]*classState),
-		capPkts:   cfg.capPkts,
-		capBytes:  cfg.capBytes,
-		pool:      cfg.pool,
-		batch:     cfg.batch,
-		ceils:     make(map[int]float64),
-		nodeCeils: make(map[string]float64),
-		wake:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
+		rate:     rate,
+		burst:    cfg.burst,
+		algo:     algorithm,
+		clock:    cfg.clock,
+		retry:    cfg.retry,
+		aqmKind:  cfg.aqmKind,
+		target:   cfg.target,
+		interval: cfg.interval,
+		classes:  make(map[int]*classState),
+		capPkts:  cfg.capPkts,
+		capBytes: cfg.capBytes,
+		pool:     cfg.pool,
+		batch:    cfg.batch,
+		wake:     make(chan struct{}, 1),
+		done:     make(chan struct{}),
 	}
 	if d.burst <= 0 {
 		d.burst = rate * 0.005 // 5 ms of egress per batch
@@ -658,6 +640,7 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 		}
 		d.tree = tree
 		d.q = tree
+		d.shape = tree
 		for _, id := range tree.Sessions() {
 			d.classes[id] = d.newClassState(tree.SessionRate(id))
 		}
@@ -678,6 +661,7 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 		}
 		d.flat = s
 		d.q = q
+		d.shape, _ = s.(shaper)
 	}
 	if cfg.metrics {
 		d.q.EnableMetrics()
@@ -687,41 +671,11 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 		d.q.SetTracer(d.tracer)
 	}
 	d.initOverload(&cfg)
-	// HTB ceilings: topology '^ceil' clauses first, explicit options on top.
-	if cfg.top != nil {
-		var ceilErr error
-		cfg.top.Walk(func(n *topo.Node, _ int) {
-			if n.Ceil <= 0 {
-				return
-			}
-			if n.IsLeaf() {
-				d.ceils[n.Session] = n.Ceil / scale
-			} else if n.Name != "" {
-				d.nodeCeils[n.Name] = n.Ceil / scale
-			} else if ceilErr == nil {
-				ceilErr = fmt.Errorf("dataplane: ceil on unnamed interior node")
-			}
-		})
-		if ceilErr != nil {
-			return nil, ceilErr
-		}
-	}
-	for id, ceil := range cfg.ceils {
-		if ceil <= 0 || math.IsNaN(ceil) || math.IsInf(ceil, 0) {
-			return nil, fmt.Errorf("dataplane: invalid ceil %g for class %d", ceil, id)
-		}
-		d.ceils[id] = ceil
-	}
-	for name, ceil := range cfg.nodeCeils {
-		if ceil <= 0 || math.IsNaN(ceil) || math.IsInf(ceil, 0) {
-			return nil, fmt.Errorf("dataplane: invalid ceil %g for node %q", ceil, name)
-		}
-		d.nodeCeils[name] = ceil
-	}
-	d.borrow = cfg.borrow || len(d.ceils) > 0 || len(d.nodeCeils) > 0
 	d.epoch = d.clock.Now()
-	d.rebuildClassOrderLocked()
-	d.rebuildHTBLocked()
+	if err := d.initCeils(&cfg, scale); err != nil {
+		return nil, err
+	}
+	d.rebuildShedOrderLocked()
 	// FEC protection: '!fec' topo clauses become WithFEC requests with
 	// default knobs (an explicit WithFEC on the same class wins). Topology
 	// classes exist now, so their repair leaves graft here; flat-mode
@@ -769,6 +723,64 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 		}
 	}
 	return d, nil
+}
+
+// initCeils programs the construction-time ceilings, divided by the shard
+// scale, into the scheduler: topology '^ceil' clauses first, then the
+// options. Flat-mode class ceilings wait in ceilPending for AddClass; node
+// ceilings are ignored in flat mode.
+func (d *Dataplane) initCeils(cfg *config, scale float64) error {
+	var err error
+	if d.tree != nil {
+		cfg.top.Walk(func(n *topo.Node, _ int) {
+			switch {
+			case n.Ceil <= 0 || err != nil:
+			case n.IsLeaf():
+				err = d.tree.SetCeil(n.Session, n.Ceil/scale, 0)
+			case n.Name != "":
+				err = d.tree.SetNodeCeil(n.Name, n.Ceil/scale, 0)
+			default:
+				err = fmt.Errorf("dataplane: ceil on unnamed interior node")
+			}
+		})
+	}
+	for id, ceil := range cfg.ceils {
+		switch {
+		case err != nil:
+		case !validCeil(ceil):
+			err = fmt.Errorf("dataplane: invalid ceil %g for class %d", ceil, id)
+		case d.tree != nil:
+			err = d.tree.SetCeil(id, ceil/scale, 0)
+		case d.shape == nil:
+			err = d.errNoShaping()
+		default:
+			cfg.ceils[id] = ceil / scale
+		}
+	}
+	for name, ceil := range cfg.nodeCeils {
+		switch {
+		case err != nil:
+		case !validCeil(ceil):
+			err = fmt.Errorf("dataplane: invalid ceil %g for node %q", ceil, name)
+		case d.tree != nil:
+			err = d.tree.SetNodeCeil(name, ceil/scale, 0)
+		}
+	}
+	if d.tree == nil {
+		d.ceilPending = cfg.ceils
+	}
+	return err
+}
+
+// errNoShaping names the scheduler that refused a ceiling: it has no hook
+// to hold a class back (FIFO, WF2Q+fixed).
+func (d *Dataplane) errNoShaping() error {
+	return fmt.Errorf("dataplane: scheduler %q cannot enforce ceilings", d.algo)
+}
+
+// validCeil reports whether ceil is a usable ceiling in bits/sec.
+func validCeil(ceil float64) bool {
+	return ceil > 0 && !math.IsNaN(ceil) && !math.IsInf(ceil, 0)
 }
 
 // newClassState returns per-class staging state, with the configured AQM
@@ -879,8 +891,11 @@ func (d *Dataplane) AddClass(id int, rate float64) error {
 	}
 	d.flat.AddSession(id, rate)
 	d.classes[id] = d.newClassState(rate)
-	d.rebuildClassOrderLocked()
-	d.rebuildHTBLocked()
+	if ceil, ok := d.ceilPending[id]; ok {
+		delete(d.ceilPending, id)
+		_ = d.shape.SetCeil(id, ceil, d.schedTime(d.now())) // the session exists: cannot fail
+	}
+	d.rebuildShedOrderLocked()
 	if protect {
 		delete(d.fecPending, id)
 		return d.graftFECLocked(fs, p)
@@ -907,7 +922,7 @@ func (d *Dataplane) PaceRate() float64 {
 }
 
 // SetPaceRate retargets the token-refill rate without touching scheduler
-// or HTB state: the pump's next batch refills at r bits/sec. Invalid rates
+// state: the pump's next batch refills at r bits/sec. Invalid rates
 // are ignored. The pump is nudged so a shard parked on a long pacing sleep
 // recomputes its wait against the new rate immediately. Lock-free and safe
 // from any goroutine; intended for the sharding layer's rate splitter.
@@ -1112,27 +1127,26 @@ func (d *Dataplane) pump() {
 		switch {
 		case closed && backlog == 0:
 			return
-		case backlog > 0:
-			// Out of tokens, or the remaining backlog is parked at HTB
-			// gates: sleep until the link bucket covers the deficit (or,
-			// when tokens are flush, until the earliest gate refill). A
-			// datagram accepted meanwhile nudges the pump awake.
+		case backlog > 0 || d.fecWait > 0:
+			// Out of tokens, the backlog held back by ceilings, or a
+			// partial FEC block aging toward its flush deadline (its
+			// repairs are work no Ingest will announce): sleep until the
+			// link bucket covers the deficit (or, when tokens are flush,
+			// until the scheduler's next release, at most maxHoldWait),
+			// and no later than the flush deadline. A datagram accepted
+			// meanwhile nudges the pump awake.
 			wait := time.Duration(-tokens / d.PaceRate() * float64(time.Second))
-			if tokens >= 0 && d.gateWait > 0 {
-				wait = d.gateWait
+			if tokens >= 0 && d.holdWait > 0 {
+				wait = min(d.holdWait, maxHoldWait)
+			}
+			if d.fecWait > 0 && (backlog == 0 || d.fecWait < wait) {
+				wait = d.fecWait
 			}
 			if wait < minWait {
 				wait = minWait
 			}
 			d.await(wait)
 		default:
-			if d.fecWait > 0 {
-				// A partial FEC block is aging toward its flush deadline:
-				// sleep at most until then instead of parking on the wake
-				// channel (its repairs are work no Ingest will announce).
-				d.await(d.fecWait)
-				continue
-			}
 			d.beat() // park with a fresh heartbeat: idle is healthy
 			<-d.wake // idle: wait for an Ingest or Close nudge
 			d.beat()
@@ -1149,6 +1163,7 @@ func (d *Dataplane) pump() {
 func (d *Dataplane) collectBatch(tokens float64, last *time.Time) (float64, int, bool) {
 	d.inflight = d.inflight[:0] // the previous release was fully disposed of
 	d.infHead = 0
+	d.holdWait = 0
 	wall := d.clock.Now()
 	d.beatAt(wall)
 	tokens += wall.Sub(*last).Seconds() * d.PaceRate()
@@ -1163,8 +1178,8 @@ func (d *Dataplane) collectBatch(tokens float64, last *time.Time) (float64, int,
 	}
 	clear(d.staging)
 	d.staging, d.stageHead = d.staging[:0], 0
-	for more := d.dequeueChunk(&tokens, now, true); more && tokens >= 0; {
-		more = d.dequeueChunk(&tokens, d.now(), false)
+	for more := d.dequeueChunk(&tokens, now); more && tokens >= 0; {
+		more = d.dequeueChunk(&tokens, d.now())
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -1193,9 +1208,8 @@ func (d *Dataplane) takeInbox(now float64) {
 }
 
 // stageChunk hands up to one WithBatchSize chunk of the taken inbox to the
-// HTB gates or the scheduler, in arrival order, under one scheduler-lock
-// hold. A datagram enters the scheduler at its ingest time, clamped to the
-// scheduler clock.
+// scheduler, in arrival order, under one scheduler-lock hold. A datagram
+// enters the scheduler at its ingest time, clamped to the scheduler clock.
 func (d *Dataplane) stageChunk() {
 	d.smu.Lock()
 	defer d.smu.Unlock()
@@ -1204,34 +1218,27 @@ func (d *Dataplane) stageChunk() {
 	for d.stageHead < end {
 		env := d.staging[d.stageHead]
 		d.stageHead++
-		if d.htb != nil {
-			// Borrowing: park at the class gate; releaseGated admits it
-			// against the token tree (htb.go) before it enters the
-			// scheduler.
-			cs := d.classes[env.pkt.Session]
-			cs.gate = append(cs.gate, env)
-			d.gated++
-			continue
-		}
 		d.q.Enqueue(d.schedTime(env.pkt.Arrival), &env.pkt)
 	}
 }
 
 // dequeueChunk dequeues up to one WithBatchSize chunk while tokens last,
-// under one scheduler-lock hold at one clock reading; the first chunk of a
-// batch also releases the HTB gates. It reports false once the scheduler
-// ran empty.
-func (d *Dataplane) dequeueChunk(tokens *float64, now float64, first bool) bool {
+// under one scheduler-lock hold at one clock reading. It reports false once
+// the scheduler has nothing to release, noting in holdWait when it will
+// release a class its ceiling holds back.
+func (d *Dataplane) dequeueChunk(tokens *float64, now float64) bool {
 	d.smu.Lock()
 	defer d.smu.Unlock()
 	defer d.raiseTrace()
 	now = d.schedTime(now)
-	if first {
-		d.releaseGated(now)
-	}
 	for n := 0; n < d.batch && *tokens >= 0; n++ {
 		env := d.pop(now)
 		if env == nil {
+			if d.shape != nil {
+				if at, ok := d.shape.NextRelease(); ok {
+					d.holdWait = time.Duration(math.Ceil((at - now) * float64(time.Second)))
+				}
+			}
 			return false
 		}
 		p := &env.pkt
@@ -1450,8 +1457,8 @@ func (d *Dataplane) await(dur time.Duration) {
 }
 
 // Backlog returns the number of datagrams the engine holds for its
-// classes — accepted and not yet dequeued: waiting in the inbox, parked at
-// an HTB gate, or queued in the scheduler.
+// classes — accepted and not yet dequeued: waiting in the inbox or queued
+// in the scheduler (held back by a ceiling included).
 func (d *Dataplane) Backlog() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

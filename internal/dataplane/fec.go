@@ -194,9 +194,8 @@ func (d *Dataplane) graftFECLocked(fs *fecState, p fecPending) error {
 		}
 		d.flat.AddSession(repair, rate)
 		d.classes[repair] = d.newClassState(rate)
-		d.rebuildHTBLocked()
 	}
-	d.rebuildClassOrderLocked()
+	d.rebuildShedOrderLocked()
 
 	if d.fec == nil {
 		d.fec = make(map[int]*fecState)

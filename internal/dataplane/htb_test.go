@@ -62,18 +62,18 @@ func TestCeilCapsThroughput(t *testing.T) {
 	}
 }
 
-// TestBorrowingLendsAndReclaims: with borrowing on and no ceilings, an idle
-// sibling's capacity is lent — a 1 Mbit/s class alone drains at the link
-// rate — and reclaimed: once the 9 Mbit/s sibling wakes up, it gets its
-// guarantee back within a bounded repayment window (the borrower's bucket
-// debt is clamped at one burst).
+// TestBorrowingLendsAndReclaims: with no ceilings the engine is
+// work-conserving, so an idle sibling's capacity is lent — a 1 Mbit/s class
+// alone drains at the link rate — and reclaimed: once the 9 Mbit/s sibling
+// wakes up, WF²Q+ serves it at its guarantee at once, since a class that
+// ran ahead of its share earns no debt to repay.
 func TestBorrowingLendsAndReclaims(t *testing.T) {
 	const (
 		size = 1250 // bytes → 10000 bits
 		n    = 100  // 1e6 bits
 	)
 	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", 10e6, WithClock(clk), WithMetrics(), WithBorrowing())
+	d, err := New("WF2Q+", 10e6, WithClock(clk), WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}

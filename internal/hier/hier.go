@@ -13,11 +13,15 @@
 //     recommit bottom-up; busy flags survive the reset so continuations are
 //     stamped S ← F (eq. 28 first case).
 //
-// The per-node discipline is pluggable (sched.NodeScheduler): H-WF²Q+ uses
-// core.Node, the paper's H-WFQ comparison uses sched.WFQNode, and H-SCFQ /
-// H-SFQ / H-DRR follow the same way. Each node's virtual clock advances in
-// Reference Time units T_n = W_n(0,t)/r_n (§4.1), so no wall clock is
-// threaded through the hierarchy.
+// The per-node discipline is pluggable (sched.NodeScheduler): every
+// registry discipline (H-WF²Q+, the paper's H-WFQ comparison, H-SCFQ,
+// H-SFQ, H-DRR, …) is a policy hosted on internal/pifo's Node. Each node's
+// virtual clock advances in Reference Time units T_n = W_n(0,t)/r_n (§4.1),
+// so no wall clock enters the scheduling decisions.
+//
+// The one wall-clock element is ceilings (SetCeil, pifo.Shaper): a capped
+// node in ceiling deficit is held instead of being pushed into its parent
+// until its release time. Without ceilings the tree never reads now.
 package hier
 
 import (
@@ -46,8 +50,10 @@ type Tree struct {
 	leaves   map[int]*node
 	byName   map[string]*node
 	interior []*node
+	nodes    []*node // by node id, for the shaper's release heap
 	backlog  int
-	inflight bool // root's committed packet is on the wire
+	inflight bool         // root's committed packet is on the wire
+	shape    *pifo.Shaper // ceilings by node id; nil until the first one
 	obs.Collector
 }
 
@@ -58,14 +64,15 @@ type node struct {
 	children []*node
 	rate     float64
 	share    float64 // service share φ relative to siblings (topo.Node.Share)
-	removed  bool    // detached by RemoveLeaf; slot kept so childIdx stays stable
 	session  int     // leaf session id, -1 for interior
+	id       int     // index in Tree.nodes, the shaper's key
 
-	ns   sched.NodeScheduler // interior nodes only
-	fifo packet.FIFO         // leaves only
-	hol  *packet.Packet      // logical queue Q_n: the committed packet
-	busy bool                // paper's Busy_n flag
-	act  *node               // paper's ActiveChild_n
+	ns      sched.NodeScheduler // interior nodes only
+	fifo    packet.FIFO         // leaves only
+	hol     *packet.Packet      // logical queue Q_n: the committed packet
+	act     *node               // paper's ActiveChild_n
+	busy    bool                // paper's Busy_n flag
+	removed bool                // detached by RemoveLeaf; slot kept so childIdx stays stable
 }
 
 func (n *node) isLeaf() bool { return n.session >= 0 }
@@ -158,6 +165,7 @@ func Resolver(algo string, def *pifo.Factory, perNode map[string]pifo.Factory) N
 
 func (tr *Tree) build(t *topo.Node, parent *node, idx int, rates map[*topo.Node]float64, newNode NewNodeSpecFunc) (*node, error) {
 	n := &node{
+		id:       len(tr.nodes),
 		name:     t.Name,
 		parent:   parent,
 		childIdx: idx,
@@ -165,6 +173,7 @@ func (tr *Tree) build(t *topo.Node, parent *node, idx int, rates map[*topo.Node]
 		share:    t.Share,
 		session:  t.Session,
 	}
+	tr.nodes = append(tr.nodes, n)
 	if t.IsLeaf() {
 		tr.leaves[t.Session] = n
 	} else {
@@ -286,8 +295,9 @@ func (tr *Tree) Sessions() []int {
 
 // Enqueue delivers a packet to its session's leaf FIFO. A packet arriving
 // to an empty queue becomes the leaf's logical head and triggers the
-// paper's ARRIVE propagation. now is accepted for interface uniformity; the
-// hierarchy's clocks are reference-time driven.
+// paper's ARRIVE propagation. now is the wall-clock instant the ceiling
+// checks on the way up use, and only those: the hierarchy's own clocks are
+// reference-time driven.
 func (tr *Tree) Enqueue(now float64, p *packet.Packet) {
 	leaf, ok := tr.leaves[p.Session]
 	if !ok {
@@ -297,18 +307,24 @@ func (tr *Tree) Enqueue(now float64, p *packet.Packet) {
 	tr.backlog++
 	if leaf.fifo.Len() == 1 {
 		leaf.hol = p
-		tr.arrive(leaf)
+		tr.arrive(leaf, false, now)
 	}
 	tr.RecordEnqueue(now, p.Session, p.Length)
 }
 
-// arrive implements ARRIVE lines 5–9: push the newly backlogged child into
-// its parent's scheduler; if the parent has no committed packet, restart it.
-func (tr *Tree) arrive(c *node) {
+// arrive implements ARRIVE lines 5–9: push the backlogged child into its
+// parent's scheduler; if the parent has no committed packet, restart it.
+// Every push into a parent (here, restart, resetPath) first asks the
+// shaper: a child whose ceiling is in deficit is held instead — the shaping
+// transaction: the parent serves its other children until the release.
+func (tr *Tree) arrive(c *node, cont bool, now float64) {
+	if tr.shape != nil && tr.shape.Hold(c.id, now) {
+		return
+	}
 	n := c.parent
-	n.ns.Push(c.childIdx, c.hol.Length, false)
+	n.ns.Push(c.childIdx, c.hol.Length, cont)
 	if n.hol == nil {
-		tr.restart(n)
+		tr.restart(n, now)
 	}
 }
 
@@ -317,7 +333,7 @@ func (tr *Tree) arrive(c *node) {
 // selection and advances V_n and T_n), then propagates upward into an
 // uncommitted parent. Busy distinguishes a continuing node (just finished
 // transmitting, S ← F) from a newly backlogged one (S ← max(F, V_parent)).
-func (tr *Tree) restart(n *node) {
+func (tr *Tree) restart(n *node, now float64) {
 	if n.hol != nil {
 		panic("hier: restart of committed node")
 	}
@@ -328,10 +344,10 @@ func (tr *Tree) restart(n *node) {
 		n.hol = m.hol
 		wasBusy := n.busy
 		n.busy = true
-		if n.parent != nil {
+		if n.parent != nil && (tr.shape == nil || !tr.shape.Hold(n.id, now)) {
 			n.parent.ns.Push(n.childIdx, n.hol.Length, wasBusy)
 			if n.parent.hol == nil {
-				tr.restart(n.parent)
+				tr.restart(n.parent, now)
 			}
 		}
 		return
@@ -339,23 +355,45 @@ func (tr *Tree) restart(n *node) {
 	n.act = nil
 	n.busy = false
 	if n.parent != nil && n.parent.hol == nil {
-		tr.restart(n.parent)
+		tr.restart(n.parent, now)
 	}
 }
 
 // Dequeue returns the next packet to transmit (the root's committed packet)
-// or nil when the hierarchy is empty. The previous packet's path is reset
-// first (RESET-PATH), matching the paper's transmit-complete processing.
+// or nil when the hierarchy is empty or everything backlogged is held by a
+// ceiling. The previous packet's path is reset first (RESET-PATH), matching
+// the paper's transmit-complete processing; then held nodes whose release
+// time has come re-enter their parents, and the departure is charged to
+// every capped node on its path.
 func (tr *Tree) Dequeue(now float64) *packet.Packet {
 	if tr.inflight {
 		tr.inflight = false
-		tr.resetPath()
+		tr.resetPath(now)
+	}
+	if tr.shape != nil {
+		// Held nodes due by now re-enter as newly backlogged, S ← max(F, V):
+		// no credit for the time held.
+		for id, ok := tr.shape.Due(now); ok; id, ok = tr.shape.Due(now) {
+			if c := tr.nodes[id]; c.parent != nil {
+				tr.arrive(c, false, now)
+			}
+		}
 	}
 	if tr.root.hol == nil {
 		return nil
 	}
-	tr.inflight = true
 	p := tr.root.hol
+	if tr.shape != nil {
+		// The root has no parent to be held from: a capped root in deficit
+		// holds the link itself.
+		if tr.shape.Hold(tr.root.id, now) {
+			return nil
+		}
+		for n := tr.root; n != nil; n = n.act {
+			tr.shape.Charge(n.id, p.Length, now)
+		}
+	}
+	tr.inflight = true
 	tr.RecordDequeue(now, p.Session, p.Length)
 	return p
 }
@@ -363,7 +401,7 @@ func (tr *Tree) Dequeue(now float64) *packet.Packet {
 // resetPath implements RESET-PATH(R): clear the logical queues along the
 // active path top-down, advance the leaf FIFO, re-push the leaf's next head
 // as a continuation, and recommit bottom-up.
-func (tr *Tree) resetPath() {
+func (tr *Tree) resetPath(now float64) {
 	n := tr.root
 	for !n.isLeaf() {
 		n.hol = nil
@@ -379,7 +417,9 @@ func (tr *Tree) resetPath() {
 	n.fifo.Pop()
 	if !n.fifo.Empty() {
 		n.hol = n.fifo.Head()
-		n.parent.ns.Push(n.childIdx, n.hol.Length, true)
+		if tr.shape == nil || !tr.shape.Hold(n.id, now) {
+			n.parent.ns.Push(n.childIdx, n.hol.Length, true)
+		}
 	}
-	tr.restart(n.parent)
+	tr.restart(n.parent, now)
 }

@@ -34,7 +34,7 @@ type retunable interface{ Retunable() bool }
 type removable interface{ Removable() bool }
 
 // NodeInfo describes one live node of the tree: the control plane's display
-// record and the dataplane's template for its HTB mirror.
+// record.
 type NodeInfo struct {
 	Name    string
 	Parent  string  // parent node name; "" for the root
@@ -240,6 +240,7 @@ func (tr *Tree) AddLeaf(parentName, name string, session int, share float64) err
 	}
 	idx := len(parent.children)
 	leaf := &node{
+		id:       len(tr.nodes),
 		name:     name,
 		parent:   parent,
 		childIdx: idx,
@@ -249,6 +250,7 @@ func (tr *Tree) AddLeaf(parentName, name string, session int, share float64) err
 	}
 	parent.ns.AddChild(idx, leaf.rate)
 	parent.children = append(parent.children, leaf)
+	tr.nodes = append(tr.nodes, leaf)
 	tr.leaves[session] = leaf
 	if name != "" {
 		tr.byName[name] = leaf
@@ -318,6 +320,7 @@ func (tr *Tree) RemoveLeaf(session int) error {
 		return err
 	}
 	leaf.removed = true
+	tr.shape.Set(leaf.id, 0, 0)
 	delete(tr.leaves, session)
 	if leaf.name != "" {
 		delete(tr.byName, leaf.name)
@@ -342,3 +345,50 @@ func (tr *Tree) SetNodePolicy(name string, f pifo.Factory) error {
 	}
 	return r.SetPolicy(f)
 }
+
+// SetCeil caps session's leaf at ceil bits/sec as of now (0 lifts the cap):
+// a capped node in ceiling deficit is held out of its parent's scheduler
+// until its release time (see arrive); lifting the cap releases it at once.
+func (tr *Tree) SetCeil(session int, ceil, now float64) error {
+	leaf, ok := tr.leaves[session]
+	if !ok {
+		return fmt.Errorf("hier: unknown session %d", session)
+	}
+	tr.setCeil(leaf, ceil, now)
+	return nil
+}
+
+// SetNodeCeil is SetCeil for the named node: an interior node's ceiling
+// bounds its whole subtree.
+func (tr *Tree) SetNodeCeil(name string, ceil, now float64) error {
+	n, ok := tr.byName[name]
+	if !ok || n.removed {
+		return fmt.Errorf("hier: no node %q", name)
+	}
+	tr.setCeil(n, ceil, now)
+	return nil
+}
+
+func (tr *Tree) setCeil(n *node, ceil, now float64) {
+	if tr.shape == nil && ceil > 0 {
+		tr.shape = new(pifo.Shaper)
+	}
+	if tr.shape.Set(n.id, ceil, now) && n.parent != nil {
+		tr.arrive(n, false, now)
+	}
+}
+
+// Ceil returns session's leaf ceiling in bits/sec, 0 when uncapped.
+func (tr *Tree) Ceil(session int) float64 {
+	if leaf, ok := tr.leaves[session]; ok {
+		return tr.shape.Rate(leaf.id)
+	}
+	return 0
+}
+
+// Capped reports whether any node has a ceiling.
+func (tr *Tree) Capped() bool { return tr.shape.Capped() }
+
+// NextRelease returns when the first held node becomes releasable; ok is
+// false when none is held.
+func (tr *Tree) NextRelease() (at float64, ok bool) { return tr.shape.NextRelease() }

@@ -93,6 +93,7 @@ func (s *Sched) RemoveSession(id int) error {
 	rm.RemoveFlow(id)
 	s.defined[id] = false
 	s.rates[id] = 0
+	s.shape.Set(id, 0, 0)
 	return nil
 }
 
@@ -101,7 +102,8 @@ func (s *Sched) RemoveSession(id int) error {
 // policy (whose virtual clock restarts at zero) as a new arrival at time
 // now, in FIFO order per session. Tag continuity across the swap is
 // deliberately not preserved — the old policy's virtual time has no meaning
-// to the new one — so the backlog competes from a clean slate.
+// to the new one — so the backlog competes from a clean slate. Flows held by
+// their ceilings stay held until their release.
 func (s *Sched) SetPolicy(f Factory, now float64) error {
 	if f.Flat == nil {
 		return fmt.Errorf("pifo: policy %q has no flat form", f.Name)
@@ -137,16 +139,20 @@ func (s *Sched) SetPolicy(f Factory, now float64) error {
 				p := old.pkts[i]
 				nq.PushStamped(p, pol.Arrive(now, id, p.Length, false))
 			}
-			s.queues[id] = nq
-			q.Push(id, nq.Head().Length, nq.HeadStamp(), pol.V())
 		} else {
 			for i := old.head; i < len(old.pkts); i++ {
 				nq.Push(old.pkts[i])
 			}
-			s.queues[id] = nq
+		}
+		s.queues[id] = nq
+		if s.shape.Held(id) {
+			continue
+		}
+		if f.Arrival {
+			q.Push(id, nq.Head().Length, nq.HeadStamp(), pol.V())
+		} else {
 			hp := nq.Head()
-			st := pol.Arrive(now, id, hp.Length, false)
-			q.Push(id, hp.Length, st, pol.V())
+			q.Push(id, hp.Length, pol.Arrive(now, id, hp.Length, false), pol.V())
 		}
 	}
 	s.name, s.pol, s.arrival, s.tagless, s.q = f.Name, pol, f.Arrival, f.Tagless, q

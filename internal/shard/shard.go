@@ -542,7 +542,6 @@ func mergeClasses(sts []dataplane.Status) []dataplane.ClassStatus {
 			dst.Ceil += c.Ceil
 			dst.Queued += c.Queued
 			dst.QueuedBytes += c.QueuedBytes
-			dst.Gated += c.Gated
 			dst.Draining = dst.Draining || c.Draining
 			dst.Shedding = dst.Shedding || c.Shedding
 		}

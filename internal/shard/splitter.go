@@ -6,7 +6,7 @@ import "time"
 // link: every shard owns a guaranteed slice (link rate / N) of the pacing
 // budget, and each tick the splitter lends the slices of idle shards to the
 // backlogged ones. Only the token-refill rate moves (Dataplane.SetPaceRate);
-// scheduler virtual times, HTB buckets, and class guarantees stay pinned to
+// scheduler virtual times, ceilings, and class guarantees stay pinned to
 // the per-shard configuration, so intra-shard fairness is untouched by the
 // loan.
 //

@@ -14,9 +14,8 @@ import (
 //
 // e.g. "root=1(agg=3(a=2:0,b=1:1),c=1:2)". Shares are relative to siblings.
 // The optional '^ceil' clause caps the node at an absolute rate in bits/sec
-// (HTB borrowing ceiling, e.g. "a=2^5e6:0" guarantees a's share but never
-// lets it exceed 5 Mbit/s); any ceil in the spec enables HTB-style
-// borrowing on the dataplane built from it. The optional '!fec' clause
+// (e.g. "a=2^5e6:0" guarantees a's share, lends it whatever its siblings
+// leave idle, but never lets it exceed 5 Mbit/s). The optional '!fec' clause
 // protects a leaf's egress with the named erasure-code geometry
 // (internal/fec spec syntax, e.g. "a=2!rs-8-2:0" codes 2 Reed-Solomon
 // repair datagrams per 8 sources); leaves only — the dataplane grafts a

@@ -26,13 +26,14 @@ type Node struct {
 	// "inherit the hierarchy default". Set directly, via WithPolicy, or via
 	// the ':policy' clause of the Parse grammar.
 	Policy string
-	// Ceil optionally caps the node's service rate in absolute bits/sec —
-	// the HTB borrowing ceiling. Zero means uncapped: the node may borrow
-	// any idle bandwidth its ancestors can lend. Unlike Share (relative),
-	// Ceil is absolute because it is an operator-facing limit independent of
-	// what siblings exist. Set directly, via WithCeil, or via the '^ceil'
-	// clause of the Parse grammar. A Ceil anywhere in a topology enables
-	// HTB-style borrowing on the dataplane built from it.
+	// Ceil optionally caps the node's service rate in absolute bits/sec.
+	// Zero means uncapped: H-PFQ is work-conserving, so the node may use
+	// any bandwidth its siblings leave idle; a ceiling is the one limit on
+	// that, enforced by the scheduler the dataplane builds from the
+	// topology. Unlike Share (relative), Ceil is absolute because it is an
+	// operator-facing limit independent of what siblings exist. Set
+	// directly, via WithCeil, or via the '^ceil' clause of the Parse
+	// grammar.
 	Ceil float64
 	// FEC optionally names an erasure-code geometry protecting this leaf's
 	// egress (internal/fec spec syntax, e.g. "rs-8-2" or "xor-8"). Leaves
@@ -43,7 +44,7 @@ type Node struct {
 	FEC string
 }
 
-// WithCeil sets the node's HTB ceiling in bits/sec and returns the node,
+// WithCeil sets the node's ceiling in bits/sec and returns the node,
 // for chaining in literal topologies.
 func (n *Node) WithCeil(ceil float64) *Node {
 	n.Ceil = ceil
