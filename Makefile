@@ -24,13 +24,14 @@
 # in this checkout, in a few seconds. `make fuzz` runs each fuzz target —
 # the gateway's flag-spec parsers, the FEC decoder's receive path, the
 # topology parser, the admin mutation handlers' query parsing — for 10 s
-# apiece.
+# apiece. `make loc` prints the line count of the non-test Go sources
+# outside perfbench/, the size figure simplification changes quote.
 
 GO ?= go
 HPFQ_FAULT_SEED ?= 20260806
 BENCHTIME ?= 2s
 
-.PHONY: all build test race vet fmt fault fec fuzz bench alloccheck overload perfbench-short verify
+.PHONY: all build test race vet fmt fault fec fuzz bench alloccheck overload perfbench-short loc verify
 
 all: verify
 
@@ -94,5 +95,9 @@ overload:
 
 perfbench-short:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' \
+		| xargs cat | wc -l
 
 verify: build test vet fmt race

@@ -36,7 +36,7 @@ const (
 	SCFQ     Algorithm = "SCFQ"  // self-clocked fair queueing
 	SFQ      Algorithm = "SFQ"   // start-time fair queueing
 	DRR      Algorithm = "DRR"   // deficit round robin
-	FIFO     Algorithm = "FIFO"  // no isolation (flat only)
+	FIFO     Algorithm = "FIFO"  // no isolation (simulator only: no node form, so no data plane)
 	SP       Algorithm = "SP"    // strict priority by flow id (PIFO substrate)
 	EDF      Algorithm = "EDF"   // earliest deadline first (PIFO substrate)
 	SRPT     Algorithm = "SRPT"  // shortest remaining processing time (PIFO substrate)
@@ -44,15 +44,16 @@ const (
 )
 
 // Sentinel errors, matchable with errors.Is on anything returned by New,
-// NewNode, NewHierarchy and NewHGPS.
+// NewNode, NewHierarchy, NewHGPS and NewDataplane.
 var (
 	// ErrUnknownAlgorithm reports an algorithm name missing from the
 	// registry.
 	ErrUnknownAlgorithm = errs.ErrUnknownAlgorithm
 	// ErrBadTopology reports a malformed link-sharing tree.
 	ErrBadTopology = errs.ErrBadTopology
-	// ErrNoNodeForm reports an algorithm (FIFO) with no hierarchical node
-	// form.
+	// ErrNoNodeForm reports an algorithm (FIFO, WF2Q+fixed) with no
+	// hierarchical node form: NewNode, NewHierarchy and NewDataplane refuse
+	// it.
 	ErrNoNodeForm = errs.ErrNoNodeForm
 	// ErrNoFlatForm reports a policy with no standalone scheduler form.
 	ErrNoFlatForm = errs.ErrNoFlatForm
@@ -394,10 +395,10 @@ func Interior(name string, share float64, children ...*Topology) *Topology {
 // policies "root=1:WF2Q+(video=3:SP(hd=2:0,sd=1:1),bulk=1:2)". Shares are
 // relative to siblings; the optional policy clause names the scheduling
 // discipline of that node's server. The optional '^ceil' clause caps the
-// node at an absolute rate in bits/sec ("bulk=1^5e6:2") on a data-plane
-// built from the spec; without it a node borrows whatever its siblings
-// leave idle, as H-PFQ is work-conserving. The cmd/hpfqgw and cmd/hpfqsim
-// -topo flags speak exactly this grammar.
+// node at an absolute rate in bits/sec ("bulk=1^5e6:2") on a data-plane or
+// hierarchy built from the spec; without it a node borrows whatever its
+// siblings leave idle, as H-PFQ is work-conserving. The cmd/hpfqgw and
+// cmd/hpfqsim -topo flags speak exactly this grammar.
 func ParseTopology(spec string) (*Topology, error) { return topo.Parse(spec) }
 
 // Hierarchy is an H-PFQ server (the paper's §4 construction).
@@ -592,9 +593,13 @@ type (
 //	dp, err := hpfq.NewDataplane(hpfq.WF2QPlus, 50e6,
 //	        hpfq.WithTopology(top), hpfq.WithQueueCap(256))
 //
-// Flat mode (no WithTopology) registers classes with Dataplane.AddClass;
-// WithTopology builds an H-PFQ tree whose leaves become the classes. Start
-// the pump with Start, feed it with Ingest or RunReader, stop with Close.
+// The engine always schedules through an H-PFQ tree. Flat mode (no
+// WithTopology) is its one-level case: Dataplane.AddClass grafts each class
+// with an absolute guaranteed rate under a root running the algorithm.
+// WithTopology builds a link-sharing tree whose leaves become the classes.
+// Every node runs the algorithm's node form, so FIFO and WF2Q+fixed, which
+// have none, fail with an error matching ErrNoNodeForm. Start the pump with
+// Start, feed it with Ingest or RunReader, stop with Close.
 func NewDataplane(algorithm Algorithm, rate float64, opts ...DataplaneOption) (*Dataplane, error) {
 	var all []dataplane.Option
 	for _, o := range opts {
@@ -793,14 +798,15 @@ func PacketWriterTo(w io.Writer) PacketWriter { return dataplane.WriterTo(w) }
 // WithClassCeil caps a data-plane class at an absolute ceiling in bits/sec.
 // The data-plane is work-conserving — a class borrows whatever its siblings
 // leave idle — and a ceiling is the one limit on that: the scheduler holds
-// the class back while its ceiling bucket is in deficit. FIFO and
-// WF2Q+fixed cannot enforce a ceiling and fail construction.
+// the class back while its ceiling bucket is in deficit. In flat mode it
+// applies once AddClass registers the class.
 func WithClassCeil(class int, ceil float64) DataplaneOption {
 	return dpOptions{dataplane.WithClassCeil(class, ceil)}
 }
 
 // WithNodeCeil caps a named topology node at an absolute ceiling in
-// bits/sec, bounding its whole subtree. Ignored in flat mode.
+// bits/sec, bounding its whole subtree. A name the topology does not have
+// fails construction, and a flat engine has no named nodes.
 func WithNodeCeil(name string, ceil float64) DataplaneOption {
 	return dpOptions{dataplane.WithNodeCeil(name, ceil)}
 }

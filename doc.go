@@ -53,14 +53,17 @@
 // # Serving real traffic
 //
 // NewDataplane builds a concurrent UDP egress engine around any registered
-// algorithm: goroutine-safe Ingest against bounded per-class caps
+// algorithm with a node form (all but FIFO and WF2Q+fixed, which it
+// refuses): goroutine-safe Ingest against bounded per-class caps
 // (WithQueueCap / WithByteCap; drops recorded with their reason) that only
 // stages the datagram, a single pump goroutine — the scheduler's only
 // hot-path writer — releasing token-bucket batches in scheduler order at
 // the configured rate, and Conn-agnostic datagram I/O (PacketReaderFrom /
 // PacketWriterTo adapt connected *net.UDPConn values; NewPacketPipe is the
-// in-memory test double). WithTopology schedules the classes through a full
-// H-PFQ tree. Close drains the staged backlog before stopping:
+// in-memory test double). The scheduler is always an H-PFQ tree: without
+// WithTopology a one-level one whose root holds each AddClass class at its
+// absolute rate (exactly the flat server for WF²Q+), with it a full
+// link-sharing tree. Close drains the staged backlog before stopping:
 //
 //	dp, _ := hpfq.NewDataplane(hpfq.WF2QPlus, 10e6, hpfq.WithQueueCap(512))
 //	dp.AddClass(0, 7.5e6)
@@ -163,7 +166,8 @@
 //
 //   - internal/core: WF²Q+ (the paper's §3.4 algorithm, eq. 27–29)
 //   - internal/sched: WFQ, WF²Q, SCFQ, SFQ, DRR, FIFO + per-node variants
-//   - internal/hier: the H-PFQ tree of §4 (Arrive / Restart-Node / Reset-Path)
+//   - internal/hier: the H-PFQ tree of §4 (Arrive / Restart-Node / Reset-Path),
+//     also the data plane's one-level flat scheduler
 //   - internal/fluid: GPS virtual clock, GPS and H-GPS fluid servers
 //   - internal/des, internal/netsim, internal/traffic, internal/tcp,
 //     internal/stats: simulation substrate and instrumentation

@@ -8,7 +8,6 @@ import (
 	"hpfq/internal/hier"
 	"hpfq/internal/obs"
 	"hpfq/internal/pifo"
-	"hpfq/internal/sched"
 )
 
 // The control-plane surface of a running engine: live class and node
@@ -25,18 +24,9 @@ import (
 // siblings — once the class quiesces. Removal is therefore asynchronous but
 // loss-free; Status reports the in-between state.
 
-// removableProbe mirrors the capability probe on the pifo hosts (see
-// pifo.Sched.Removable) for flat-mode pre-checks.
-type removableProbe interface{ Removable() bool }
-
-// errNotReconfigurable names the scheduler that refused a live mutation.
-func (d *Dataplane) errNotReconfigurable() error {
-	return fmt.Errorf("dataplane: scheduler %q does not support live reconfiguration", d.algo)
-}
-
 // SetRate retunes class id's guaranteed rate in bits/sec on the live
-// engine. Over a topology the leaf's share is re-solved against its
-// siblings (hier.SetSessionRate), so sibling rates shift proportionally; in
+// engine (hier.SetSessionRate). Over a topology the leaf's share is
+// re-solved against its siblings, so sibling rates shift proportionally; in
 // flat mode only the class itself changes. Fails when the scheduling policy
 // on the affected path has no live-retune hook (notably the exact-GPS
 // clocks WFQ and WF²Q).
@@ -56,22 +46,10 @@ func (d *Dataplane) SetRate(id int, rate float64) error {
 	if cs.draining {
 		return fmt.Errorf("%w: %d", ErrClassDraining, id)
 	}
-	if d.tree != nil {
-		if err := d.tree.SetSessionRate(id, rate); err != nil {
-			return err
-		}
-		d.syncRatesLocked()
-		return nil
-	}
-	r, ok := d.flat.(sched.Reconfigurer)
-	if !ok {
-		return d.errNotReconfigurable()
-	}
-	if err := r.SetSessionRate(id, rate); err != nil {
+	if err := d.tree.SetSessionRate(id, rate); err != nil {
 		return err
 	}
-	cs.rate = rate
-	d.rebuildShedOrderLocked()
+	d.syncRatesLocked()
 	return nil
 }
 
@@ -84,9 +62,6 @@ func (d *Dataplane) SetWeight(name string, share float64) error {
 	if d.closed {
 		return ErrClosed
 	}
-	if d.tree == nil {
-		return fmt.Errorf("dataplane: no topology; flat classes carry rates, not shares")
-	}
 	if err := d.tree.SetNodeShare(name, share); err != nil {
 		return err
 	}
@@ -98,18 +73,24 @@ func (d *Dataplane) SetWeight(name string, share float64) error {
 // interior node of the live topology. Siblings dilute proportionally (the
 // paper's link-sharing semantics — there is no strict reservation to
 // exceed). ceil > 0 additionally caps the class (see SetCeil); 0 leaves it
-// uncapped. Flat engines use AddClass instead.
+// uncapped. Flat engines use AddClass.
 func (d *Dataplane) AddLeafClass(parent, name string, id int, share, ceil float64) error {
+	d.lock()
+	defer d.unlock()
+	return d.addLeafLocked(parent, name, id, share, ceil)
+}
+
+// addLeafLocked grafts class id under the named tree node (share is the
+// rate under a flat engine's root, ""), with its ceiling and any pending
+// flat-mode WithClassCeil/WithFEC request. A pending FEC request is checked
+// before anything is registered: a refusal leaves the engine, and the
+// request, as they were. Caller holds d.mu and d.smu.
+func (d *Dataplane) addLeafLocked(parent, name string, id int, share, ceil float64) error {
 	if err := checkClassID(id); err != nil {
 		return err
 	}
-	d.lock()
-	defer d.unlock()
 	if d.closed {
 		return ErrClosed
-	}
-	if d.tree == nil {
-		return fmt.Errorf("dataplane: no topology; use AddClass in flat mode")
 	}
 	if ceil != 0 && !validCeil(ceil) {
 		return fmt.Errorf("dataplane: invalid ceil %g for class %d", ceil, id)
@@ -117,14 +98,32 @@ func (d *Dataplane) AddLeafClass(parent, name string, id int, share, ceil float6
 	if _, dup := d.classes[id]; dup {
 		return fmt.Errorf("dataplane: duplicate class %d", id)
 	}
+	p, protect := d.fecPending[id]
+	var fs *fecState
+	if protect {
+		var err error
+		if fs, err = d.prepareFECLocked(id, p); err != nil {
+			return err
+		}
+	}
 	if err := d.tree.AddLeaf(parent, name, id, share); err != nil {
 		return err
 	}
 	d.classes[id] = d.newClassState(d.tree.SessionRate(id))
+	if pending, ok := d.ceilPending[id]; ok {
+		delete(d.ceilPending, id)
+		if ceil == 0 {
+			ceil = pending
+		}
+	}
 	if ceil > 0 {
 		_ = d.tree.SetCeil(id, ceil, d.schedTime(d.now())) // the leaf exists: cannot fail
 	}
 	d.syncRatesLocked()
+	if protect {
+		delete(d.fecPending, id)
+		return d.graftFECLocked(fs, p)
+	}
 	return nil
 }
 
@@ -135,7 +134,7 @@ func (d *Dataplane) AddLeafClass(parent, name string, id int, share, ceil float6
 // the siblings. The call is idempotent while the drain runs. It fails
 // upfront, before anything changes, when the scheduler cannot remove live
 // (no FlowRemover hook on the affected policy, or the last leaf of a
-// topology node).
+// topology node; a flat engine's last class may go).
 func (d *Dataplane) RemoveClass(id int) error {
 	d.lock()
 	defer d.unlock()
@@ -148,17 +147,8 @@ func (d *Dataplane) RemoveClass(id int) error {
 	case cs.draining:
 		return nil
 	}
-	if d.tree != nil {
-		if err := d.tree.CanRemoveLeaf(id); err != nil {
-			return err
-		}
-	} else {
-		if _, ok := d.flat.(sched.Reconfigurer); !ok {
-			return d.errNotReconfigurable()
-		}
-		if rm, ok := d.flat.(removableProbe); !ok || !rm.Removable() {
-			return fmt.Errorf("dataplane: policy %q does not support live class removal", d.algo)
-		}
+	if err := d.tree.CanRemoveLeaf(id); err != nil {
+		return err
 	}
 	cs.draining = true
 	if !d.tryFinalizeLocked(id) {
@@ -171,8 +161,7 @@ func (d *Dataplane) RemoveClass(id int) error {
 // SetCeil caps class id at an absolute ceiling in bits/sec; ceil 0 removes
 // the cap. The engine stays work-conserving below the ceiling: the class
 // borrows whatever its siblings leave idle, and the scheduler holds it back
-// only while its ceiling bucket is in deficit. FIFO and WF2Q+fixed have no
-// shaping hook and refuse, changing nothing.
+// only while its ceiling bucket is in deficit.
 func (d *Dataplane) SetCeil(id int, ceil float64) error {
 	d.lock()
 	defer d.unlock()
@@ -185,10 +174,7 @@ func (d *Dataplane) SetCeil(id int, ceil float64) error {
 	if ceil != 0 && !validCeil(ceil) {
 		return fmt.Errorf("dataplane: invalid ceil %g for class %d", ceil, id)
 	}
-	if d.shape == nil {
-		return d.errNoShaping()
-	}
-	if err := d.shape.SetCeil(id, ceil, d.schedTime(d.now())); err != nil {
+	if err := d.tree.SetCeil(id, ceil, d.schedTime(d.now())); err != nil {
 		return err
 	}
 	d.signal() // a lifted cap may have released a held class
@@ -204,9 +190,6 @@ func (d *Dataplane) SetNodeCeil(name string, ceil float64) error {
 	if d.closed {
 		return ErrClosed
 	}
-	if d.tree == nil {
-		return fmt.Errorf("dataplane: no topology; use SetCeil on a class")
-	}
 	if ceil != 0 && !validCeil(ceil) {
 		return fmt.Errorf("dataplane: invalid ceil %g for node %q", ceil, name)
 	}
@@ -217,34 +200,17 @@ func (d *Dataplane) SetNodeCeil(name string, ceil float64) error {
 	return nil
 }
 
-// SetPolicy swaps a scheduling discipline on the live engine: the flat
-// scheduler's own (node ""), or the named interior node's over a topology.
+// SetPolicy swaps a scheduling discipline on the live engine: the named
+// interior node's over a topology, or the flat engine's root (node "").
 // The standing backlog survives, re-stamped against the fresh policy's
-// virtual clock (see pifo.Sched.SetPolicy / pifo.Node.SetPolicy).
+// virtual clock (see pifo.Node.SetPolicy).
 func (d *Dataplane) SetPolicy(node string, f pifo.Factory) error {
 	d.lock()
 	defer d.unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	if d.tree != nil {
-		if node == "" {
-			return fmt.Errorf("dataplane: name the topology node to swap")
-		}
-		return d.tree.SetNodePolicy(node, f)
-	}
-	if node != "" {
-		return fmt.Errorf("dataplane: flat mode has no named nodes")
-	}
-	r, ok := d.flat.(sched.Reconfigurer)
-	if !ok {
-		return d.errNotReconfigurable()
-	}
-	if err := r.SetPolicy(f, d.schedTime(d.now())); err != nil {
-		return err
-	}
-	d.algo = f.Name
-	return nil
+	return d.tree.SetNodePolicy(node, f)
 }
 
 // SetPolicyName is SetPolicy resolving the discipline from the pifo policy
@@ -258,9 +224,8 @@ func (d *Dataplane) SetPolicyName(node, policy string) error {
 }
 
 // syncRatesLocked refreshes every class's cached guaranteed rate from the
-// tree after a share-changing mutation (siblings move when one does) and
-// the shed order derived from them. Caller holds d.mu and d.smu; topology
-// mode only.
+// tree after a mutation (siblings move when one does over a topology) and
+// the shed order derived from them. Caller holds d.mu and d.smu.
 func (d *Dataplane) syncRatesLocked() {
 	for id, cs := range d.classes {
 		if r := d.tree.SessionRate(id); r > 0 {
@@ -271,9 +236,9 @@ func (d *Dataplane) syncRatesLocked() {
 }
 
 // tryFinalizeLocked completes a draining class's removal once it holds no
-// datagrams anywhere in the engine. Over a topology the detach can lag one
-// extra batch (hier.Tree pins the dequeued head until the next Dequeue);
-// the pump just retries. Caller holds d.mu and d.smu.
+// datagrams anywhere in the engine. The detach can lag one extra batch
+// (hier.Tree pins the dequeued head until the next Dequeue); the pump just
+// retries. Caller holds d.mu and d.smu.
 func (d *Dataplane) tryFinalizeLocked(id int) bool {
 	cs := d.classes[id]
 	if cs == nil {
@@ -282,19 +247,11 @@ func (d *Dataplane) tryFinalizeLocked(id int) bool {
 	if cs.packets > 0 {
 		return false
 	}
-	if d.tree != nil {
-		if d.tree.RemoveLeaf(id) != nil {
-			return false
-		}
-		d.syncRatesLocked()
-	} else {
-		r, ok := d.flat.(sched.Reconfigurer)
-		if !ok || r.RemoveSession(id) != nil {
-			return false
-		}
+	if d.tree.RemoveLeaf(id) != nil {
+		return false
 	}
 	delete(d.classes, id)
-	d.rebuildShedOrderLocked()
+	d.syncRatesLocked()
 	return true
 }
 
@@ -354,19 +311,18 @@ func (d *Dataplane) Status() Status {
 	d.lock()
 	defer d.unlock()
 	st := Status{
-		Algorithm: d.algo,
+		Algorithm: d.tree.Name(),
 		Rate:      d.rate,
 		Mode:      "flat",
-		Borrowing: len(d.ceilPending) > 0 || d.shape != nil && d.shape.Capped(),
+		Borrowing: len(d.ceilPending) > 0 || d.tree.Capped(),
 		Started:   d.started,
 		Closed:    d.closed,
 		Restarts:  d.restarts,
-		Scheduler: d.q.Snapshot(),
+		Scheduler: d.tree.Snapshot(),
 	}
 	names := map[int]string{}
-	if d.tree != nil {
+	if !d.tree.Flat() {
 		st.Mode = "topology"
-		st.Algorithm = d.tree.Name()
 		st.Nodes = d.tree.Nodes()
 		for _, info := range st.Nodes {
 			if info.Session >= 0 {
@@ -376,15 +332,11 @@ func (d *Dataplane) Status() Status {
 	}
 	st.Classes = make([]ClassStatus, 0, len(d.classes))
 	for id, cs := range d.classes {
-		var ceil float64
-		if d.shape != nil {
-			ceil = d.shape.Ceil(id)
-		}
 		st.Classes = append(st.Classes, ClassStatus{
 			ID:          id,
 			Name:        names[id],
 			Rate:        cs.rate,
-			Ceil:        ceil,
+			Ceil:        d.tree.Ceil(id),
 			Queued:      cs.packets,
 			QueuedBytes: cs.bytes,
 			Draining:    cs.draining,

@@ -15,7 +15,8 @@
 // (DESIGN.md S33): once per batch it refills a token bucket from the
 // configured rate and the elapsed wall time, takes the inbox, stages it into
 // the scheduler, dequeues every packet the tokens cover in scheduler order
-// (WF²Q+ flat, or H-WF²Q+/any registered discipline over a topology), and
+// (an H-PFQ tree: one level under AddClass, or a topology, with WF²Q+ or
+// any registered discipline at its nodes), and
 // writes the batch to the Writer outside every lock. Between batches it
 // sleeps on the pluggable wall clock until the bucket refills or new work
 // arrives, so the hot path is a few lock acquisitions and one timer per
@@ -91,7 +92,6 @@ import (
 	"hpfq/internal/overload"
 	"hpfq/internal/packet"
 	"hpfq/internal/pifo"
-	"hpfq/internal/sched"
 	"hpfq/internal/topo"
 	"hpfq/internal/wallclock"
 )
@@ -143,23 +143,6 @@ type shortBatchError struct{}
 
 func (shortBatchError) Error() string   { return "dataplane: short batch write" }
 func (shortBatchError) Transient() bool { return true }
-
-// queue is the scheduler contract the pump drives: the flat schedulers and
-// hier.Tree all satisfy it (Observable and the drop/retry recorders come
-// from the embedded obs.Collector).
-type queue interface {
-	Enqueue(now float64, p *packet.Packet)
-	Dequeue(now float64) *packet.Packet
-	Backlog() int
-	RecordDropReason(now float64, session int, bits float64, reason string)
-	RecordRetry(now float64, session int, bits float64, reason string)
-	RecordBatchWrite(now float64, pkts int, bits float64)
-	RecordFEC(encoded, repairSent, recovered, unrecoverable int)
-	RecordShed(now float64, session int, bits float64, cause string)
-	RecordBrownoutTransition()
-	RecordWatchdogStall()
-	obs.Observable
-}
 
 // classState tracks one class's staged datagrams against its caps and, when
 // AQM is enabled, its drop-policy state. packets/bytes count everything the
@@ -254,9 +237,10 @@ type config struct {
 type Option func(*config)
 
 // WithPolicy schedules with an explicit pifo policy factory instead of the
-// named algorithm: the flat scheduler hosts it directly, and in topology
-// mode it becomes the default discipline of every interior node (overridden
-// per node by WithNodePolicy and by ':policy' topo annotations).
+// named algorithm: it runs in its node form at the root of a flat engine,
+// and in topology mode it becomes the default discipline of every interior
+// node (overridden per node by WithNodePolicy and by ':policy' topo
+// annotations).
 func WithPolicy(f pifo.Factory) Option { return func(c *config) { c.pol = &f } }
 
 // WithNodePolicy pins the scheduling policy of one named interior node of
@@ -274,7 +258,8 @@ func WithNodePolicy(nodeName string, f pifo.Factory) Option {
 // WithTopology schedules classes hierarchically: the engine builds an H-PFQ
 // tree (internal/hier) over top with the chosen algorithm at every interior
 // node, and the topology's leaves become the classes — AddClass is then
-// disallowed. Without it the engine runs the flat one-level scheduler.
+// disallowed. Without it the engine runs a one-level tree (hier.NewFlat)
+// whose classes AddClass grafts.
 func WithTopology(top *topo.Node) Option { return func(c *config) { c.top = top } }
 
 // WithClock replaces the wall clock (for tests).
@@ -360,7 +345,8 @@ func WithClassCeil(class int, ceil float64) Option {
 }
 
 // WithNodeCeil caps a named topology node at an absolute ceiling in
-// bits/sec, bounding its whole subtree. Ignored in flat mode.
+// bits/sec, bounding its whole subtree. A name the engine does not have
+// (any name but "", the root, in flat mode) fails construction.
 func WithNodeCeil(name string, ceil float64) Option {
 	return func(c *config) {
 		if c.nodeCeils == nil {
@@ -429,7 +415,7 @@ func WithAQM(kind string, target, interval time.Duration) Option {
 // Two locks split the engine (DESIGN.md S33). mu is the admission lock:
 // Ingest's checks, the per-class packet/byte counts, the inbox of accepted
 // datagrams, FEC encoder state, shed flags and lifecycle. smu is the
-// scheduler lock: the scheduler (flat or tree) and its obs.Collector, the
+// scheduler lock: the scheduler tree and its obs.Collector, the
 // scheduler's ceilings, and AQM state; in the hot path only the pump takes
 // it. Lock order is mu before smu, and the pump never takes mu while it
 // holds smu. Fields written under both locks (the classes map, class
@@ -437,7 +423,6 @@ func WithAQM(kind string, target, interval time.Duration) Option {
 type Dataplane struct {
 	rate  float64
 	burst float64
-	algo  string
 	clock wallclock.Clock
 	epoch time.Time
 	retry retryPolicy
@@ -477,10 +462,10 @@ type Dataplane struct {
 	free    []*envelope
 	unknown map[int]error // cached ErrNoClass refusals by class id
 
-	smu  sync.Mutex
-	q    queue
-	flat sched.Scheduler // non-nil in flat mode: has AddSession
-	tree *hier.Tree      // non-nil in topology mode
+	smu sync.Mutex
+	// tree is the scheduler: a one-level tree in flat mode (hier.NewFlat),
+	// the topology's otherwise.
+	tree *hier.Tree
 	// snow is the scheduler clock: the latest time handed to q, so every
 	// Enqueue and Dequeue sees a monotone now.
 	snow float64
@@ -488,9 +473,6 @@ type Dataplane struct {
 	// hook (guardTracer) until the pump re-raises it.
 	tracePanic any
 
-	// shape is the scheduler's ceiling surface (the flat pifo host or the
-	// tree); nil for FIFO and WF2Q+fixed, which refuse ceilings.
-	shape shaper
 	// ceilPending holds flat-mode WithClassCeil ceilings until AddClass
 	// registers their class.
 	ceilPending map[int]float64
@@ -548,17 +530,6 @@ type Dataplane struct {
 	infHead  int
 }
 
-// shaper is the ceiling surface of the schedulers that can hold a class
-// back while its ceiling bucket is in deficit: pifo.Sched (flat) and
-// hier.Tree (which also caps named nodes, SetNodeCeil). Times are engine
-// seconds on the scheduler clock.
-type shaper interface {
-	SetCeil(class int, ceil, now float64) error
-	Ceil(class int) float64
-	Capped() bool
-	NextRelease() (at float64, ok bool)
-}
-
 // released is one scheduled datagram in flight from the scheduler to the
 // Writer.
 type released struct {
@@ -567,8 +538,9 @@ type released struct {
 }
 
 // New returns an engine pacing egress at rate bits/sec using the named
-// algorithm ("WF2Q+", "WFQ", "SCFQ", …; see internal/sched). Unknown
-// algorithms and malformed topologies return the registry's sentinel
+// algorithm ("WF2Q+", "WFQ", "SCFQ", …; see internal/sched) at the nodes of
+// its H-PFQ tree. Unknown algorithms, algorithms with no node form (FIFO,
+// WF2Q+fixed) and malformed topologies return the registry's sentinel
 // errors.
 func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
@@ -606,7 +578,6 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 	d := &Dataplane{
 		rate:     rate,
 		burst:    cfg.burst,
-		algo:     algorithm,
 		clock:    cfg.clock,
 		retry:    cfg.retry,
 		aqmKind:  cfg.aqmKind,
@@ -627,48 +598,34 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 	if d.batch <= 0 {
 		d.batch = DefaultBatchSize
 	}
+	resolve := hier.Resolver(algorithm, cfg.pol, cfg.nodePols)
 	if cfg.top != nil {
 		for _, l := range cfg.top.Leaves() {
 			if err := checkClassID(l.Session); err != nil {
 				return nil, err
 			}
 		}
-		tree, err := hier.BuildSpec(cfg.top, rate, algorithm,
-			hier.Resolver(algorithm, cfg.pol, cfg.nodePols))
+		tree, err := hier.BuildSpec(cfg.top, rate, algorithm, resolve)
 		if err != nil {
 			return nil, err
 		}
 		d.tree = tree
-		d.q = tree
-		d.shape = tree
 		for _, id := range tree.Sessions() {
 			d.classes[id] = d.newClassState(tree.SessionRate(id))
 		}
 	} else {
-		var s sched.Scheduler
-		var err error
-		if cfg.pol != nil {
-			s, err = sched.NewPolicy(*cfg.pol, rate)
-		} else {
-			s, err = sched.New(algorithm, rate)
-		}
+		root, err := resolve(&topo.Node{}, rate)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("dataplane: %w", err)
 		}
-		q, ok := s.(queue)
-		if !ok {
-			return nil, fmt.Errorf("dataplane: algorithm %q lacks the collector surface", algorithm)
-		}
-		d.flat = s
-		d.q = q
-		d.shape, _ = s.(shaper)
+		d.tree = hier.NewFlat(rate, root)
 	}
 	if cfg.metrics {
-		d.q.EnableMetrics()
+		d.tree.EnableMetrics()
 	}
 	if cfg.tracer != nil {
 		d.tracer = guardTracer{t: cfg.tracer, d: d}
-		d.q.SetTracer(d.tracer)
+		d.tree.SetTracer(d.tracer)
 	}
 	d.initOverload(&cfg)
 	d.epoch = d.clock.Now()
@@ -678,7 +635,7 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 	d.rebuildShedOrderLocked()
 	// FEC protection: '!fec' topo clauses become WithFEC requests with
 	// default knobs (an explicit WithFEC on the same class wins). Topology
-	// classes exist now, so their repair leaves graft here; flat-mode
+	// classes exist now, so their repair leaves graft here; a flat engine's
 	// requests wait for the AddClass that registers the protected class.
 	if cfg.top != nil {
 		var fecErr error
@@ -703,79 +660,58 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 			return nil, fecErr
 		}
 	}
-	if len(cfg.fec) > 0 {
-		ids := make([]int, 0, len(cfg.fec))
-		for id := range cfg.fec {
-			ids = append(ids, id)
+	ids := make([]int, 0, len(cfg.fec))
+	for id := range cfg.fec {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		if d.tree.Flat() {
+			if d.fecPending == nil {
+				d.fecPending = make(map[int]fecPending)
+			}
+			d.fecPending[id] = cfg.fec[id]
+			continue
 		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			if d.tree == nil {
-				if d.fecPending == nil {
-					d.fecPending = make(map[int]fecPending)
-				}
-				d.fecPending[id] = cfg.fec[id]
-				continue
-			}
-			if err := d.attachFECLocked(id, cfg.fec[id]); err != nil {
-				return nil, err
-			}
+		if err := d.attachFECLocked(id, cfg.fec[id]); err != nil {
+			return nil, err
 		}
 	}
 	return d, nil
 }
 
-// initCeils programs the construction-time ceilings, divided by the shard
-// scale, into the scheduler: topology '^ceil' clauses first, then the
-// options. Flat-mode class ceilings wait in ceilPending for AddClass; node
-// ceilings are ignored in flat mode.
+// initCeils programs the construction-time option ceilings, divided by the
+// shard scale, into the tree, after rescaling the topology's '^ceil'
+// clauses (hier.BuildSpec applied them at full size). A flat engine's class
+// ceilings wait in ceilPending for AddClass.
 func (d *Dataplane) initCeils(cfg *config, scale float64) error {
-	var err error
-	if d.tree != nil {
-		cfg.top.Walk(func(n *topo.Node, _ int) {
-			switch {
-			case n.Ceil <= 0 || err != nil:
-			case n.IsLeaf():
-				err = d.tree.SetCeil(n.Session, n.Ceil/scale, 0)
-			case n.Name != "":
-				err = d.tree.SetNodeCeil(n.Name, n.Ceil/scale, 0)
-			default:
-				err = fmt.Errorf("dataplane: ceil on unnamed interior node")
-			}
-		})
+	if scale > 1 {
+		d.tree.ScaleCeils(scale)
 	}
 	for id, ceil := range cfg.ceils {
 		switch {
-		case err != nil:
 		case !validCeil(ceil):
-			err = fmt.Errorf("dataplane: invalid ceil %g for class %d", ceil, id)
-		case d.tree != nil:
-			err = d.tree.SetCeil(id, ceil/scale, 0)
-		case d.shape == nil:
-			err = d.errNoShaping()
+			return fmt.Errorf("dataplane: invalid ceil %g for class %d", ceil, id)
+		case d.tree.Flat():
+			if d.ceilPending == nil {
+				d.ceilPending = make(map[int]float64)
+			}
+			d.ceilPending[id] = ceil / scale
 		default:
-			cfg.ceils[id] = ceil / scale
+			if err := d.tree.SetCeil(id, ceil/scale, 0); err != nil {
+				return err
+			}
 		}
 	}
 	for name, ceil := range cfg.nodeCeils {
-		switch {
-		case err != nil:
-		case !validCeil(ceil):
-			err = fmt.Errorf("dataplane: invalid ceil %g for node %q", ceil, name)
-		case d.tree != nil:
-			err = d.tree.SetNodeCeil(name, ceil/scale, 0)
+		if !validCeil(ceil) {
+			return fmt.Errorf("dataplane: invalid ceil %g for node %q", ceil, name)
+		}
+		if err := d.tree.SetNodeCeil(name, ceil/scale, 0); err != nil {
+			return err
 		}
 	}
-	if d.tree == nil {
-		d.ceilPending = cfg.ceils
-	}
-	return err
-}
-
-// errNoShaping names the scheduler that refused a ceiling: it has no hook
-// to hold a class back (FIFO, WF2Q+fixed).
-func (d *Dataplane) errNoShaping() error {
-	return fmt.Errorf("dataplane: scheduler %q cannot enforce ceilings", d.algo)
+	return nil
 }
 
 // validCeil reports whether ceil is a usable ceiling in bits/sec.
@@ -859,48 +795,19 @@ func checkClassID(id int) error {
 }
 
 // AddClass registers a class with a guaranteed rate in bits/sec (flat mode
-// only; a topology fixes the classes at construction). The sum of class
-// rates should not exceed the engine rate for the WF²Q+ guarantees to hold.
+// only; a topology fixes the classes at construction): a leaf grafted under
+// the one-level tree's root, where only it changes. The sum of class rates
+// should not exceed the engine rate for the WF²Q+ guarantees to hold.
 func (d *Dataplane) AddClass(id int, rate float64) error {
-	if err := checkClassID(id); err != nil {
-		return err
-	}
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return fmt.Errorf("dataplane: invalid class rate %g", rate)
 	}
 	d.lock()
 	defer d.unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if d.flat == nil {
+	if !d.tree.Flat() {
 		return fmt.Errorf("dataplane: classes are fixed by the topology")
 	}
-	if _, dup := d.classes[id]; dup {
-		return fmt.Errorf("dataplane: duplicate class %d", id)
-	}
-	// A pending WithFEC request is checked before anything is registered:
-	// a refusal leaves the engine, and the request, as they were.
-	p, protect := d.fecPending[id]
-	var fs *fecState
-	if protect {
-		var err error
-		if fs, err = d.prepareFECLocked(id, p); err != nil {
-			return err
-		}
-	}
-	d.flat.AddSession(id, rate)
-	d.classes[id] = d.newClassState(rate)
-	if ceil, ok := d.ceilPending[id]; ok {
-		delete(d.ceilPending, id)
-		_ = d.shape.SetCeil(id, ceil, d.schedTime(d.now())) // the session exists: cannot fail
-	}
-	d.rebuildShedOrderLocked()
-	if protect {
-		delete(d.fecPending, id)
-		return d.graftFECLocked(fs, p)
-	}
-	return nil
+	return d.addLeafLocked("", "", id, rate, 0)
 }
 
 // Classes returns the registered class ids (unordered).
@@ -1047,7 +954,7 @@ func (d *Dataplane) recoverPanic() {
 	d.settleLocked()
 	now := d.schedTime(d.now())
 	for _, r := range d.inflight[d.infHead:] {
-		d.q.RecordDropReason(now, r.class, float64(len(r.env.dg.b))*8, obs.DropPanic)
+		d.tree.RecordDropReason(now, r.class, float64(len(r.env.dg.b))*8, obs.DropPanic)
 		d.freeEnvelope(r.env)
 	}
 	d.inflight = d.inflight[:0]
@@ -1218,7 +1125,7 @@ func (d *Dataplane) stageChunk() {
 	for d.stageHead < end {
 		env := d.staging[d.stageHead]
 		d.stageHead++
-		d.q.Enqueue(d.schedTime(env.pkt.Arrival), &env.pkt)
+		d.tree.Enqueue(d.schedTime(env.pkt.Arrival), &env.pkt)
 	}
 }
 
@@ -1234,10 +1141,8 @@ func (d *Dataplane) dequeueChunk(tokens *float64, now float64) bool {
 	for n := 0; n < d.batch && *tokens >= 0; n++ {
 		env := d.pop(now)
 		if env == nil {
-			if d.shape != nil {
-				if at, ok := d.shape.NextRelease(); ok {
-					d.holdWait = time.Duration(math.Ceil((at - now) * float64(time.Second)))
-				}
+			if at, ok := d.tree.NextRelease(); ok {
+				d.holdWait = time.Duration(math.Ceil((at - now) * float64(time.Second)))
 			}
 			return false
 		}
@@ -1251,7 +1156,7 @@ func (d *Dataplane) dequeueChunk(tokens *float64, now float64) bool {
 		if cs.aqm != nil && cs.aqm.onDequeue(now, now-p.Arrival) {
 			// Shed by the AQM: record and pick the next packet without
 			// spending link tokens on the carcass.
-			d.q.RecordDropReason(now, p.Session, p.Length, cs.aqm.reason())
+			d.tree.RecordDropReason(now, p.Session, p.Length, cs.aqm.reason())
 			d.freeEnvelope(env)
 			continue
 		}
@@ -1265,7 +1170,7 @@ func (d *Dataplane) dequeueChunk(tokens *float64, now float64) bool {
 // pins the packet it returns until its next Dequeue, so the envelope popped
 // before this call becomes recyclable only now. Caller holds d.smu.
 func (d *Dataplane) pop(now float64) *envelope {
-	p := d.q.Dequeue(now)
+	p := d.tree.Dequeue(now)
 	if d.heldFree {
 		d.held.pkt = packet.Packet{}
 		d.freed = append(d.freed, d.held)
@@ -1274,11 +1179,8 @@ func (d *Dataplane) pop(now float64) *envelope {
 	if p == nil {
 		return nil
 	}
-	env := p.Payload.(*envelope)
-	if d.tree != nil {
-		d.held = env
-	}
-	return env
+	d.held = p.Payload.(*envelope)
+	return d.held
 }
 
 // settleLocked subtracts the batch's departures from their classes' counts
@@ -1386,7 +1288,7 @@ func (d *Dataplane) finishWritten(written []released) {
 	}
 	d.ov.writes.Add(int64(len(written)))
 	d.smu.Lock()
-	d.q.RecordBatchWrite(d.snow, len(written), bits)
+	d.tree.RecordBatchWrite(d.snow, len(written), bits)
 	d.smu.Unlock()
 	if tr := d.ov.tracker; tr != nil {
 		tr.NoteProgress() // delivery releases a tripped watchdog breaker
@@ -1404,17 +1306,18 @@ func (d *Dataplane) record(class int, bits float64, reason string, retry bool) {
 	d.smu.Lock()
 	defer d.smu.Unlock()
 	if retry {
-		d.q.RecordRetry(d.schedTime(now), class, bits, reason)
+		d.tree.RecordRetry(d.schedTime(now), class, bits, reason)
 	} else {
-		d.q.RecordDropReason(d.schedTime(now), class, bits, reason)
+		d.tree.RecordDropReason(d.schedTime(now), class, bits, reason)
 	}
 }
 
 // exhausted handles a packet whose transient-retry budget ran out: requeue
 // it into the scheduler when the policy and the class caps allow (reusing
 // its envelope, with a fresh arrival — the wait so far was the writer's
-// fault), else record its drop with reason "retry-exhausted" and report
-// false, leaving the caller to free it.
+// fault, and a refund of the ceiling charges its dequeue took, since it
+// never reached the wire), else record its drop with reason
+// "retry-exhausted" and report false, leaving the caller to free it.
 func (d *Dataplane) exhausted(r released, bits float64) bool {
 	d.lock()
 	defer d.unlock()
@@ -1423,13 +1326,14 @@ func (d *Dataplane) exhausted(r released, bits float64) bool {
 	// A class removed while this packet was in flight has nothing left to
 	// requeue into.
 	if cs == nil || r.env.dg.requeues <= 0 || d.capsLocked(cs, len(r.env.dg.b)) != admitted {
-		d.q.RecordDropReason(now, r.class, bits, obs.DropRetries)
+		d.tree.RecordDropReason(now, r.class, bits, obs.DropRetries)
 		return false
 	}
 	r.env.dg.requeues--
-	d.q.RecordRetry(now, r.class, bits, obs.RetryRequeue)
+	d.tree.RecordRetry(now, r.class, bits, obs.RetryRequeue)
 	r.env.pkt.Arrival = now
-	d.q.Enqueue(now, &r.env.pkt)
+	d.tree.Refund(r.class, r.env.pkt.Length, now)
+	d.tree.Enqueue(now, &r.env.pkt)
 	cs.packets++
 	cs.bytes += len(r.env.dg.b)
 	d.staged++
@@ -1483,7 +1387,7 @@ func (d *Dataplane) Queued(class int) (packets, bytes int) {
 func (d *Dataplane) Snapshot() obs.Metrics {
 	d.smu.Lock()
 	defer d.smu.Unlock()
-	return d.q.Snapshot()
+	return d.tree.Snapshot()
 }
 
 // NodeSnapshots returns the per-node reference-time metrics when the engine
@@ -1491,7 +1395,7 @@ func (d *Dataplane) Snapshot() obs.Metrics {
 func (d *Dataplane) NodeSnapshots() map[string]obs.Metrics {
 	d.smu.Lock()
 	defer d.smu.Unlock()
-	if d.tree == nil {
+	if d.tree.Flat() {
 		return nil
 	}
 	return d.tree.NodeSnapshots()

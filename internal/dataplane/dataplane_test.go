@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -496,5 +497,39 @@ func TestConstructionErrors(t *testing.T) {
 	d.Close()
 	if err := d.Start(pipe); !errors.Is(err, ErrClosed) {
 		t.Errorf("Start after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestRootChoosesAmongStagedBatch: the pump stages a whole batch before
+// its first dequeue, and the tree's root commits only when the pump asks,
+// so the first datagram out of an idle engine is the best of the batch,
+// not the first staged. Under strict priority, class 1's three datagrams,
+// staged first, leave after class 0's — flat and over a topology.
+func TestRootChoosesAmongStagedBatch(t *testing.T) {
+	for _, top := range []string{"", "root=1:SP(a=1:0,b=1:1)"} {
+		clk := wallclock.NewFake()
+		opts := []Option{WithClock(clk)}
+		if top != "" {
+			opts = append(opts, WithTopology(mustTopo(t, top)))
+		}
+		d, err := New("SP", 1e6, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if top == "" {
+			d.AddClass(0, 5e5)
+			d.AddClass(1, 5e5)
+		}
+		for _, class := range []int{1, 1, 1, 0, 0, 0} {
+			if err := d.Ingest(class, mkPayload(class, 0, 125)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var order []int
+		d.Start(writerFunc(func(b []byte) (int, error) { order = append(order, int(b[0])); return len(b), nil }))
+		closeDraining(t, d, clk)
+		if want := []int{0, 0, 0, 1, 1, 1}; !slices.Equal(order, want) {
+			t.Errorf("topology %q: egress order %v, want %v", top, order, want)
+		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 // block completes (k sources, or a partial block ages out) the engine emits
 // the block's repair datagrams — not on the protected class, but on a
 // sibling *repair class* grafted next to it, so repair bandwidth is
-// scheduled by the same WF²Q+/H-PFQ machinery as everything else and can
-// never starve the siblings: the repair class has its own guaranteed rate
-// (flat mode) or leaf share (topology mode) and competes like any leaf.
+// scheduled by the same H-PFQ machinery as everything else and can never
+// starve the siblings: the repair class is a leaf with its own guaranteed
+// rate (flat mode) or share (topology mode) and competes like any other.
 //
 // The receive side (fec.Decoder, driven by cmd/hpfqgw's ingress or any
 // peer) reconstructs erased sources from the survivors and reports its loss
@@ -155,47 +155,41 @@ func (d *Dataplane) prepareFECLocked(class int, p fecPending) (*fecState, error)
 	return fs, nil
 }
 
-// graftFECLocked adds the prepared repair class beside its registered
-// protected class and arms the encoder. Only a topology graft can refuse
-// here. Caller holds d.mu and d.smu.
+// graftFECLocked adds the prepared repair class as a leaf beside its
+// registered protected class, under the same parent, and arms the encoder.
+// Under a flat engine's root the repair leaf's share is its rate
+// (RepairRate), elsewhere a share (RepairShare); either defaults to the
+// protected leaf's own times R/K. Only the graft can refuse here. Caller
+// holds d.mu and d.smu.
 func (d *Dataplane) graftFECLocked(fs *fecState, p fecPending) error {
 	class, repair := fs.class, fs.repair
-	overhead := float64(p.spec.R) / float64(p.spec.K)
-	if d.tree != nil {
-		var leaf string
-		var share float64
-		for _, info := range d.tree.Nodes() {
-			if info.Session == class {
-				leaf, share = info.Name, info.Share
-				// Graft under the protected leaf's parent.
-				name := p.cfg.RepairName
-				if name == "" {
-					name = info.Name + ".fec"
-				}
-				rshare := p.cfg.RepairShare
-				if rshare <= 0 {
-					rshare = share * overhead
-				}
-				if err := d.tree.AddLeaf(info.Parent, name, repair, rshare); err != nil {
-					return err
-				}
-				break
-			}
-		}
-		if leaf == "" {
-			return fmt.Errorf("dataplane: class %d is not a topology leaf", class)
-		}
-		d.classes[repair] = d.newClassState(d.tree.SessionRate(repair))
-		d.syncRatesLocked()
-	} else {
-		rate := p.cfg.RepairRate
-		if rate <= 0 {
-			rate = d.classes[class].rate * overhead
-		}
-		d.flat.AddSession(repair, rate)
-		d.classes[repair] = d.newClassState(rate)
+	amount := p.cfg.RepairShare
+	if d.tree.Flat() {
+		amount = p.cfg.RepairRate
 	}
-	d.rebuildShedOrderLocked()
+	grafted := false
+	for _, info := range d.tree.Nodes() {
+		if info.Session != class {
+			continue
+		}
+		name := p.cfg.RepairName
+		if name == "" && info.Name != "" {
+			name = info.Name + ".fec"
+		}
+		if amount <= 0 {
+			amount = info.Share * float64(p.spec.R) / float64(p.spec.K)
+		}
+		if err := d.tree.AddLeaf(info.Parent, name, repair, amount); err != nil {
+			return err
+		}
+		grafted = true
+		break
+	}
+	if !grafted {
+		return fmt.Errorf("dataplane: class %d is not a scheduler leaf", class)
+	}
+	d.classes[repair] = d.newClassState(d.tree.SessionRate(repair))
+	d.syncRatesLocked()
 
 	if d.fec == nil {
 		d.fec = make(map[int]*fecState)
@@ -241,7 +235,7 @@ func (d *Dataplane) encodeFECLocked(fs *fecState, b []byte, ctx any, now float64
 	}
 	fs.lastCtx = ctx
 	d.smu.Lock()
-	d.q.RecordFEC(1, 0, 0, 0)
+	d.tree.RecordFEC(1, 0, 0, 0)
 	d.smu.Unlock()
 	d.fecRelease(b)
 	if full {
@@ -276,7 +270,7 @@ func (d *Dataplane) flushFECLocked(fs *fecState, now float64) {
 		d.acceptLocked(rcs, fs.repair, rb, fs.lastCtx, now)
 		sent++
 	}
-	d.q.RecordFEC(0, sent, 0, 0)
+	d.tree.RecordFEC(0, sent, 0, 0)
 }
 
 // flushStaleFECLocked flushes every partial block that has waited past its
@@ -320,7 +314,7 @@ func (d *Dataplane) FECFeedback(class, recovered, unrecoverable int, loss float6
 		return fmt.Errorf("dataplane: class %d is not FEC-protected", class)
 	}
 	if recovered > 0 || unrecoverable > 0 {
-		d.q.RecordFEC(0, 0, recovered, unrecoverable)
+		d.tree.RecordFEC(0, 0, recovered, unrecoverable)
 	}
 	if fs.ctrl != nil && loss >= 0 {
 		fs.ctrl.Observe(loss)

@@ -87,13 +87,13 @@ func (d *Dataplane) admissionLocked(cs *classState, n int) refusal {
 func (d *Dataplane) recordRefusalLocked(now float64, class int, bits float64, why refusal) {
 	switch why {
 	case refusedShed:
-		d.q.RecordShed(now, class, bits, obs.ShedPressure)
+		d.tree.RecordShed(now, class, bits, obs.ShedPressure)
 	case refusedDraining:
-		d.q.RecordDropReason(now, class, bits, obs.DropDraining)
+		d.tree.RecordDropReason(now, class, bits, obs.DropDraining)
 	case refusedTail:
-		d.q.RecordDropReason(now, class, bits, obs.DropTail)
+		d.tree.RecordDropReason(now, class, bits, obs.DropTail)
 	case refusedBytes:
-		d.q.RecordDropReason(now, class, bits, obs.DropBytes)
+		d.tree.RecordDropReason(now, class, bits, obs.DropBytes)
 	}
 }
 
@@ -170,7 +170,7 @@ func (d *Dataplane) IngestCtx(class int, b []byte, ctx any) error {
 	case d.closed:
 		if cs != nil {
 			d.smu.Lock()
-			d.q.RecordDropReason(now, class, bits, obs.DropClosed)
+			d.tree.RecordDropReason(now, class, bits, obs.DropClosed)
 			d.smu.Unlock()
 		}
 		d.mu.Unlock()

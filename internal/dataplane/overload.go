@@ -289,7 +289,7 @@ func (d *Dataplane) sampleOnce() {
 	stalled := d.ov.watchdog > 0 && sig.Backlogged && sig.HeartbeatAge > d.ov.watchdog
 	if stalled {
 		d.smu.Lock()
-		d.q.RecordWatchdogStall()
+		d.tree.RecordWatchdogStall()
 		d.smu.Unlock()
 		tr.NoteStall()
 		if dl, ok := d.rawWriter.(deadlineWriter); ok {
@@ -331,12 +331,12 @@ func (d *Dataplane) applyHealthLocked(state overload.State, frac float64) {
 	brown := state >= overload.Overloaded
 	if brown != d.ov.brownout {
 		d.ov.brownout = brown
-		d.q.RecordBrownoutTransition()
+		d.tree.RecordBrownoutTransition()
 		if brown {
 			d.ov.savedTracer = d.tracer
-			d.q.SetTracer(nil)
+			d.tree.SetTracer(nil)
 		} else {
-			d.q.SetTracer(d.ov.savedTracer)
+			d.tree.SetTracer(d.ov.savedTracer)
 			d.ov.savedTracer = nil
 		}
 	}
@@ -424,6 +424,6 @@ func (d *Dataplane) healthLocked() HealthStatus {
 func (d *Dataplane) RecordShed(class int, size int, cause string) {
 	now := d.now()
 	d.smu.Lock()
-	d.q.RecordShed(now, class, float64(size)*8, cause)
+	d.tree.RecordShed(now, class, float64(size)*8, cause)
 	d.smu.Unlock()
 }

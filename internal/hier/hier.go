@@ -5,13 +5,14 @@
 // queues. The control flow mirrors the paper's pseudocode:
 //
 //   - Arrive: a packet reaching an empty leaf queue becomes the leaf's
-//     logical head and propagates up through idle ancestors, each committing
-//     its next packet (Restart-Node).
-//   - Dequeue: the link takes the root's committed packet (Q_R).
+//     logical head and propagates up through idle ancestors below the root,
+//     each committing its next packet (Restart-Node).
+//   - Dequeue: the root commits its next packet (Q_R) if it has none, and
+//     the link takes it.
 //   - Reset-Path: when transmission completes, the logical queues along the
 //     active path are cleared top-down, the leaf FIFO advances, and nodes
-//     recommit bottom-up; busy flags survive the reset so continuations are
-//     stamped S ← F (eq. 28 first case).
+//     below the root recommit bottom-up; busy flags survive the reset so
+//     continuations are stamped S ← F (eq. 28 first case).
 //
 // The per-node discipline is pluggable (sched.NodeScheduler): every
 // registry discipline (H-WF²Q+, the paper's H-WFQ comparison, H-SCFQ,
@@ -19,9 +20,14 @@
 // virtual clock advances in Reference Time units T_n = W_n(0,t)/r_n (§4.1),
 // so no wall clock enters the scheduling decisions.
 //
-// The one wall-clock element is ceilings (SetCeil, pifo.Shaper): a capped
-// node in ceiling deficit is held instead of being pushed into its parent
-// until its release time. Without ceilings the tree never reads now.
+// The one wall-clock element is ceilings (SetCeil, pifo.Shaper, and the
+// topology's '^ceil' clauses, applied at build): a capped node in ceiling
+// deficit is held instead of being pushed into its parent until its release
+// time. Without ceilings the tree never reads now.
+//
+// A one-level hierarchy is PFQ. NewFlat builds that case directly: a root
+// at the link rate whose children carry absolute guaranteed rates (§4's node
+// model, Σ r_c ≤ r_n) rather than shares, grafted and retuned one at a time.
 package hier
 
 import (
@@ -72,7 +78,8 @@ type node struct {
 	hol     *packet.Packet      // logical queue Q_n: the committed packet
 	act     *node               // paper's ActiveChild_n
 	busy    bool                // paper's Busy_n flag
-	removed bool                // detached by RemoveLeaf; slot kept so childIdx stays stable
+	removed bool                // detached by RemoveLeaf; its slot waits for the next AddLeaf
+	abs     bool                // children carry absolute rates, not shares (NewFlat's root)
 }
 
 func (n *node) isLeaf() bool { return n.session >= 0 }
@@ -127,6 +134,30 @@ func BuildSpec(t *topo.Node, linkRate float64, algo string, newNode NewNodeSpecF
 	}
 	return tr, nil
 }
+
+// NewFlat builds a one-level H-PFQ server for a link of the given rate: a
+// root running ns whose children are session leaves with absolute
+// guaranteed rates. It starts empty; AddLeaf("", …) grafts a leaf whose
+// share argument is its rate, and SetSessionRate, AddLeaf and RemoveLeaf
+// change only the named leaf (the last one included). The root is the node
+// named "" (SetNodePolicy, SetNodeCeil).
+func NewFlat(linkRate float64, ns sched.NodeScheduler) *Tree {
+	root := &node{rate: linkRate, session: -1, ns: ns, abs: true}
+	tr := &Tree{
+		algo:     ns.Name(),
+		rate:     linkRate,
+		root:     root,
+		leaves:   make(map[int]*node),
+		byName:   map[string]*node{"": root},
+		interior: []*node{root},
+		nodes:    []*node{root},
+	}
+	tr.InitObs(ns.Name(), linkRate)
+	return tr
+}
+
+// Flat reports whether the tree is NewFlat's one-level server.
+func (tr *Tree) Flat() bool { return tr.root.abs }
 
 // New builds an H-PFQ server using the named one-level algorithm
 // ("WF2Q+", "WFQ", "WF2Q", "SCFQ", "SFQ", "DRR", or any registered policy)
@@ -198,6 +229,9 @@ func (tr *Tree) build(t *topo.Node, parent *node, idx int, rates map[*topo.Node]
 	if t.Name != "" {
 		tr.byName[t.Name] = n
 	}
+	if t.Ceil > 0 {
+		tr.setCeil(n, t.Ceil, 0)
+	}
 	return n, nil
 }
 
@@ -216,8 +250,8 @@ func (tr *Tree) EnableMetrics() {
 func (tr *Tree) SetTracer(t obs.Tracer) {
 	tr.Collector.SetTracer(t)
 	for _, n := range tr.interior {
-		if t == nil {
-			n.ns.SetTracer(nil)
+		if t == nil || n.name == "" {
+			n.ns.SetTracer(t) // NewFlat's root keeps its policy's name
 		} else {
 			n.ns.SetTracer(obs.Named(n.name, t))
 		}
@@ -238,8 +272,14 @@ func (tr *Tree) NodeSnapshots() map[string]obs.Metrics {
 	return out
 }
 
-// Name identifies the hierarchy and its per-node algorithm.
-func (tr *Tree) Name() string { return "H-" + tr.algo }
+// Name identifies the hierarchy and its per-node algorithm; a flat tree is
+// named after its root's current policy.
+func (tr *Tree) Name() string {
+	if tr.Flat() {
+		return tr.root.ns.Name()
+	}
+	return "H-" + tr.algo
+}
 
 // Rate returns the link rate.
 func (tr *Tree) Rate() float64 { return tr.rate }
@@ -317,13 +357,18 @@ func (tr *Tree) Enqueue(now float64, p *packet.Packet) {
 // Every push into a parent (here, restart, resetPath) first asks the
 // shaper: a child whose ceiling is in deficit is held instead — the shaping
 // transaction: the parent serves its other children until the release.
+//
+// The root alone commits lazily, when the link asks (Dequeue): a link that
+// dequeues at once when idle sees the paper's order, and a server that
+// enqueues a batch before its first dequeue (the data plane's pump) has the
+// root choose among the whole batch rather than take its first packet.
 func (tr *Tree) arrive(c *node, cont bool, now float64) {
 	if tr.shape != nil && tr.shape.Hold(c.id, now) {
 		return
 	}
 	n := c.parent
 	n.ns.Push(c.childIdx, c.hol.Length, cont)
-	if n.hol == nil {
+	if n.hol == nil && n != tr.root {
 		tr.restart(n, now)
 	}
 }
@@ -346,7 +391,7 @@ func (tr *Tree) restart(n *node, now float64) {
 		n.busy = true
 		if n.parent != nil && (tr.shape == nil || !tr.shape.Hold(n.id, now)) {
 			n.parent.ns.Push(n.childIdx, n.hol.Length, wasBusy)
-			if n.parent.hol == nil {
+			if n.parent.hol == nil && n.parent != tr.root {
 				tr.restart(n.parent, now)
 			}
 		}
@@ -354,7 +399,7 @@ func (tr *Tree) restart(n *node, now float64) {
 	}
 	n.act = nil
 	n.busy = false
-	if n.parent != nil && n.parent.hol == nil {
+	if n.parent != nil && n.parent.hol == nil && n.parent != tr.root {
 		tr.restart(n.parent, now)
 	}
 }
@@ -363,8 +408,8 @@ func (tr *Tree) restart(n *node, now float64) {
 // or nil when the hierarchy is empty or everything backlogged is held by a
 // ceiling. The previous packet's path is reset first (RESET-PATH), matching
 // the paper's transmit-complete processing; then held nodes whose release
-// time has come re-enter their parents, and the departure is charged to
-// every capped node on its path.
+// time has come re-enter their parents, the root commits its next packet,
+// and the departure is charged to every capped node on its path.
 func (tr *Tree) Dequeue(now float64) *packet.Packet {
 	if tr.inflight {
 		tr.inflight = false
@@ -380,7 +425,10 @@ func (tr *Tree) Dequeue(now float64) *packet.Packet {
 		}
 	}
 	if tr.root.hol == nil {
-		return nil
+		tr.restart(tr.root, now)
+		if tr.root.hol == nil {
+			return nil
+		}
 	}
 	p := tr.root.hol
 	if tr.shape != nil {
@@ -421,5 +469,7 @@ func (tr *Tree) resetPath(now float64) {
 			n.parent.ns.Push(n.childIdx, n.hol.Length, true)
 		}
 	}
-	tr.restart(n.parent, now)
+	if n.parent != tr.root {
+		tr.restart(n.parent, now)
+	}
 }

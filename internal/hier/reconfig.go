@@ -20,7 +20,9 @@ import (
 // model of the paper (§2): a node's guaranteed rate is always
 // r_parent · φ/Σφ over its live siblings, so adding a class dilutes its
 // siblings proportionally and removing one lets them inherit the freed
-// bandwidth, with no reservation bookkeeping to corrupt.
+// bandwidth, with no reservation bookkeeping to corrupt. The exception is
+// NewFlat's root, whose children carry absolute rates (§4's node model):
+// a graft, retune or removal there changes the named child alone.
 
 // ErrLeafBusy reports a RemoveLeaf on a leaf that still holds packets —
 // either queued in its FIFO or committed on the active path. The caller owns
@@ -28,7 +30,7 @@ import (
 var ErrLeafBusy = errors.New("hier: leaf still holds packets")
 
 // retunable and removable are the capability probes pifo hosts implement
-// (see pifo.Sched.Retunable); bespoke node schedulers without them are
+// (see pifo.Node.Retunable); bespoke node schedulers without them are
 // treated as immutable.
 type retunable interface{ Retunable() bool }
 type removable interface{ Removable() bool }
@@ -97,6 +99,9 @@ func (tr *Tree) retuneCheck(n *node) error {
 // their shares (r_c = r_parent · φ_c/Σφ) and cascades the new rates down the
 // subtree. Callers must have passed retuneCheck(parent) first.
 func (tr *Tree) applyShares(parent *node) error {
+	if parent.abs {
+		return nil // absolute children keep their rates
+	}
 	var sum float64
 	for _, c := range parent.children {
 		if !c.removed {
@@ -140,8 +145,12 @@ func validShare(share float64) bool {
 
 // SetNodeShare retunes the named node's service share φ relative to its
 // siblings on the live tree; sibling subtrees rescale proportionally. The
-// root carries no share (it always owns the full link rate).
+// root carries no share (it always owns the full link rate), and a flat
+// tree's leaves carry rates (SetSessionRate).
 func (tr *Tree) SetNodeShare(name string, share float64) error {
+	if tr.Flat() {
+		return fmt.Errorf("hier: no topology; flat classes carry rates, not shares")
+	}
 	n, ok := tr.byName[name]
 	if !ok || n.removed {
 		return fmt.Errorf("hier: no node %q", name)
@@ -165,10 +174,11 @@ func (tr *Tree) SetNodeShare(name string, share float64) error {
 }
 
 // SetSessionRate retunes a session leaf to a target absolute guaranteed rate
-// in bits/sec by solving for the share that yields it against the current
-// siblings: φ' = r'·Σφ_others/(r_parent − r'). The target must stay strictly
-// below the parent's rate, and the leaf must have live siblings to trade
-// share against.
+// in bits/sec. Under an absolute-rate parent (NewFlat) the leaf alone
+// changes. Elsewhere it solves for the share that yields the rate against
+// the current siblings: φ' = r'·Σφ_others/(r_parent − r'); the target must
+// stay strictly below the parent's rate, and the leaf must have live
+// siblings to trade share against.
 func (tr *Tree) SetSessionRate(session int, rate float64) error {
 	leaf, ok := tr.leaves[session]
 	if !ok {
@@ -178,6 +188,9 @@ func (tr *Tree) SetSessionRate(session int, rate float64) error {
 		return fmt.Errorf("hier: invalid rate %g for session %d", rate, session)
 	}
 	parent := leaf.parent
+	if parent.abs {
+		return tr.setAbs(leaf, rate)
+	}
 	var others float64
 	for _, c := range parent.children {
 		if !c.removed && c != leaf {
@@ -202,11 +215,26 @@ func (tr *Tree) SetSessionRate(session int, rate float64) error {
 	return nil
 }
 
+// setAbs retunes child c of an absolute-rate parent to rate, leaving its
+// siblings as they are.
+func (tr *Tree) setAbs(c *node, rate float64) error {
+	if err := tr.retuneCheck(c.parent); err != nil {
+		return err
+	}
+	if err := c.parent.ns.(sched.NodeReconfigurer).SetChildRate(c.childIdx, rate); err != nil {
+		return err
+	}
+	c.share = rate
+	return tr.setRate(c, rate)
+}
+
 // AddLeaf grafts a new session leaf with the given share under the named
 // interior node on the live tree. Siblings dilute proportionally — the
 // link-sharing semantics of the paper, so the graft always admits (there is
-// no strict reservation to exceed). name may be empty for an anonymous leaf
-// (addressable only by session id).
+// no strict reservation to exceed). Under an absolute-rate parent (NewFlat's
+// root, named "") share is the leaf's rate and the siblings stay as they
+// are. name may be empty for an anonymous leaf (addressable only by session
+// id).
 func (tr *Tree) AddLeaf(parentName, name string, session int, share float64) error {
 	parent, ok := tr.byName[parentName]
 	if !ok || parent.removed {
@@ -229,51 +257,72 @@ func (tr *Tree) AddLeaf(parentName, name string, session int, share float64) err
 	if !validShare(share) {
 		return fmt.Errorf("hier: invalid share %g for leaf %q", share, name)
 	}
-	if err := tr.retuneCheck(parent); err != nil {
-		return err
+	rate := share
+	if !parent.abs {
+		if err := tr.retuneCheck(parent); err != nil {
+			return err
+		}
+		var sum float64
+		for _, c := range parent.children {
+			if !c.removed {
+				sum += c.share
+			}
+		}
+		rate = parent.rate * share / (sum + share)
 	}
-	var sum float64
-	for _, c := range parent.children {
-		if !c.removed {
-			sum += c.share
+	// A removed child's slot (its index at the parent, its node id) is
+	// reused, so add/remove churn does not grow the tree.
+	idx, id := len(parent.children), len(tr.nodes)
+	for i, c := range parent.children {
+		if c.removed {
+			idx, id = i, c.id
+			break
 		}
 	}
-	idx := len(parent.children)
 	leaf := &node{
-		id:       len(tr.nodes),
+		id:       id,
 		name:     name,
 		parent:   parent,
 		childIdx: idx,
-		rate:     parent.rate * share / (sum + share),
+		rate:     rate,
 		share:    share,
 		session:  session,
 	}
 	parent.ns.AddChild(idx, leaf.rate)
-	parent.children = append(parent.children, leaf)
-	tr.nodes = append(tr.nodes, leaf)
+	if idx < len(parent.children) {
+		parent.children[idx] = leaf
+		tr.nodes[id] = leaf
+	} else {
+		parent.children = append(parent.children, leaf)
+		tr.nodes = append(tr.nodes, leaf)
+	}
 	tr.leaves[session] = leaf
 	if name != "" {
 		tr.byName[name] = leaf
 	}
+	tr.RegisterSession(session, rate)
 	return tr.applyShares(parent)
 }
 
 // CanRemoveLeaf reports whether the session leaf could be removed once it
-// quiesces: RemoveLeaf's static capability checks (the parent's subtree
-// retunes, the parent's policy removes, the leaf is not the last child)
-// without the quiescence test and without mutating anything. The dataplane
-// calls it before committing a class to draining.
+// quiesces: RemoveLeaf's static capability checks (the parent's policy
+// removes; under a share parent, its subtree retunes and the leaf is not the
+// last child) without the quiescence test and without mutating anything.
+// The dataplane calls it before committing a class to draining.
 func (tr *Tree) CanRemoveLeaf(session int) error {
 	leaf, ok := tr.leaves[session]
 	if !ok {
 		return fmt.Errorf("hier: unknown session %d", session)
 	}
 	parent := leaf.parent
-	if err := tr.retuneCheck(parent); err != nil {
-		return err
-	}
 	if rv, ok := parent.ns.(removable); !ok || !rv.Removable() {
 		return fmt.Errorf("hier: node %q policy %q does not support live removal", parent.name, parent.ns.Name())
+	}
+	if parent.abs {
+		return nil
+	}
+	if err := tr.retuneCheck(parent); err != nil {
+		return err
 	}
 	var others float64
 	for _, c := range parent.children {
@@ -288,34 +337,20 @@ func (tr *Tree) CanRemoveLeaf(session int) error {
 }
 
 // RemoveLeaf detaches a quiesced session leaf from the live tree; its
-// siblings inherit the freed share proportionally. A leaf still holding
-// packets (queued, committed, or on the wire until the next Dequeue resets
-// the path) returns ErrLeafBusy — stop feeding the session and retry. The
-// session id may later be re-added with AddLeaf.
+// siblings inherit the freed share proportionally (under an absolute-rate
+// parent they keep their rates). A leaf still holding packets (queued,
+// committed, or on the wire until the next Dequeue resets the path) returns
+// ErrLeafBusy — stop feeding the session and retry. The session id may
+// later be re-added with AddLeaf.
 func (tr *Tree) RemoveLeaf(session int) error {
-	leaf, ok := tr.leaves[session]
-	if !ok {
-		return fmt.Errorf("hier: unknown session %d", session)
+	if err := tr.CanRemoveLeaf(session); err != nil {
+		return err
 	}
+	leaf := tr.leaves[session]
 	if !leaf.fifo.Empty() || leaf.hol != nil {
 		return fmt.Errorf("%w: session %d", ErrLeafBusy, session)
 	}
 	parent := leaf.parent
-	if err := tr.retuneCheck(parent); err != nil {
-		return err
-	}
-	if rv, ok := parent.ns.(removable); !ok || !rv.Removable() {
-		return fmt.Errorf("hier: node %q policy %q does not support live removal", parent.name, parent.ns.Name())
-	}
-	var others float64
-	for _, c := range parent.children {
-		if !c.removed && c != leaf {
-			others += c.share
-		}
-	}
-	if others == 0 {
-		return fmt.Errorf("hier: cannot remove session %d, the last child of %q", session, parent.name)
-	}
 	if err := parent.ns.(sched.NodeReconfigurer).RemoveChild(leaf.childIdx); err != nil {
 		return err
 	}
@@ -329,8 +364,9 @@ func (tr *Tree) RemoveLeaf(session int) error {
 }
 
 // SetNodePolicy swaps the scheduling discipline of the named interior node
-// on the live tree. Backlogged children stay backlogged, re-stamped against
-// the fresh policy's virtual clock (see pifo.Node.SetPolicy).
+// on the live tree ("" names a flat tree's root). Backlogged children stay
+// backlogged, re-stamped against the fresh policy's virtual clock (see
+// pifo.Node.SetPolicy).
 func (tr *Tree) SetNodePolicy(name string, f pifo.Factory) error {
 	n, ok := tr.byName[name]
 	if !ok || n.removed {
@@ -343,7 +379,13 @@ func (tr *Tree) SetNodePolicy(name string, f pifo.Factory) error {
 	if !ok {
 		return fmt.Errorf("hier: node %q scheduler %q does not support live reconfiguration", name, n.ns.Name())
 	}
-	return r.SetPolicy(f)
+	if err := r.SetPolicy(f); err != nil {
+		return err
+	}
+	if n.abs {
+		tr.InitObs(f.Name, tr.rate) // a flat tree's metrics carry its root's policy
+	}
+	return nil
 }
 
 // SetCeil caps session's leaf at ceil bits/sec as of now (0 lifts the cap):
@@ -375,6 +417,29 @@ func (tr *Tree) setCeil(n *node, ceil, now float64) {
 	}
 	if tr.shape.Set(n.id, ceil, now) && n.parent != nil {
 		tr.arrive(n, false, now)
+	}
+}
+
+// ScaleCeils divides every ceiling set so far by divisor: a sharding front
+// runs N engines over one spec, each with its 1/N slice of every '^ceil'.
+func (tr *Tree) ScaleCeils(divisor float64) {
+	for id := range tr.nodes {
+		if ceil := tr.shape.Rate(id); ceil > 0 {
+			tr.shape.Set(id, ceil/divisor, 0)
+		}
+	}
+}
+
+// Refund credits back the departure of a bits-long packet of session at now
+// to every capped node from its leaf to the root, each clamped at its bucket
+// depth: the packet Dequeue charged never reached the wire and is about to
+// be enqueued again, where its next departure charges the path once more.
+func (tr *Tree) Refund(session int, bits, now float64) {
+	if tr.shape == nil {
+		return
+	}
+	for n := tr.leaves[session]; n != nil; n = n.parent {
+		tr.shape.Refund(n.id, bits, now)
 	}
 }
 

@@ -23,6 +23,13 @@ type Queue interface {
 	Backlog() int
 }
 
+// releaser is the optional Queue extension of a server that can hold its
+// backlog back (hier.Tree under ceilings): when Dequeue returns nil with a
+// backlog, NextRelease says when to ask again.
+type releaser interface {
+	NextRelease() (at float64, ok bool)
+}
+
 // Link transmits packets from a Queue at a fixed rate, one at a time — the
 // packet system model of §2: non-preemptive, work-conserving, one packet in
 // service at any instant.
@@ -36,6 +43,7 @@ type Link struct {
 	q    Queue
 
 	busy        bool
+	retry       *des.Event // pending ask-again at the queue's next release
 	arriveHooks []func(*packet.Packet)
 	departHooks []func(*packet.Packet)
 	dropHooks   []func(*packet.Packet)
@@ -122,6 +130,7 @@ func (l *Link) startNext() {
 	p := l.q.Dequeue(l.sim.Now())
 	if p == nil {
 		l.busy = false
+		l.retryAtRelease()
 		return
 	}
 	l.busy = true
@@ -135,6 +144,29 @@ func (l *Link) startNext() {
 			fn(p)
 		}
 		l.startNext()
+	})
+}
+
+// retryAtRelease schedules the idle link to ask the queue again when a
+// backlog its ceilings hold becomes releasable: the link stays
+// work-conserving up to the ceilings. One retry is pending at a time.
+func (l *Link) retryAtRelease() {
+	r, ok := l.q.(releaser)
+	if !ok || l.q.Backlog() == 0 {
+		return
+	}
+	at, held := r.NextRelease()
+	if !held || l.retry != nil && l.retry.Time() <= at {
+		return
+	}
+	if l.retry != nil {
+		l.retry.Cancel()
+	}
+	l.retry = l.sim.At(max(at, l.sim.Now()), func() {
+		l.retry = nil
+		if !l.busy {
+			l.startNext()
+		}
 	})
 }
 

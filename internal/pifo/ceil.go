@@ -6,14 +6,14 @@ import (
 )
 
 // Ceilings as shaping transactions ("Programmable Packet Scheduling at Line
-// Rate", §3.3). A host consults its Shaper where a head would enter the PIFO
-// (Sched) or a child its parent (internal/hier's Tree): a capped entity
-// whose bucket is in deficit is held until a wall-clock release time, the
-// parent serving the others meanwhile, and re-enters as newly backlogged
-// (S ← max(F, V)), so time held earns no catch-up credit. Each departure
-// charges every capped entity on its path, and an entity passes a check
-// only with a non-negative bucket, sending one packet per check: over any
-// window w it sends at most ceil·w + BucketDepth(ceil) + L_max.
+// Rate", §3.3). internal/hier's Tree consults its Shaper where a child
+// would enter its parent's PIFO: a capped entity whose bucket is in deficit
+// is held until a wall-clock release time, the parent serving the others
+// meanwhile, and re-enters as newly backlogged (S ← max(F, V)), so time
+// held earns no catch-up credit. Each departure charges every capped entity
+// on its path, and an entity passes a check only with a non-negative
+// bucket, sending one packet per check: over any window w it sends at most
+// ceil·w + BucketDepth(ceil) + L_max.
 
 // BucketDepth sizes a ceiling's token bucket in bits: 5 ms at the ceiling,
 // floored at two of the paper's 8 KB packets so slow ceilings can still pass
@@ -36,10 +36,10 @@ func (b *bucket) refill(now float64) {
 // ready returns the earliest time the bucket is non-negative.
 func (b *bucket) ready() float64 { return b.last - min(b.tokens, 0)/b.rate }
 
-// Shaper holds a host's ceilings by dense entity id (flows of a Sched, nodes
-// of a Tree) and the release-time heap of the entities held in deficit.
-// Hosts allocate one on the first ceiling, so an unshaped host pays one nil
-// check per push; the read methods accept a nil Shaper.
+// Shaper holds a tree's ceilings by dense node id and the release-time heap
+// of the nodes held in deficit. The tree allocates one on the first
+// ceiling, so an unshaped tree pays one nil check per push; the read
+// methods accept a nil Shaper.
 type Shaper struct {
 	ceils []*bucket
 	held  pq.Heap[float64]
@@ -117,6 +117,18 @@ func (s *Shaper) Charge(id int, bits, now float64) {
 	if b := s.ceil(id); b != nil {
 		b.refill(now)
 		b.tokens -= bits
+	}
+}
+
+// Refund returns bits to id's bucket at now, if capped, up to its depth: a
+// charged departure that never left. A held id's release moves up to match.
+func (s *Shaper) Refund(id int, bits, now float64) {
+	if b := s.ceil(id); b != nil {
+		b.refill(now)
+		b.tokens = min(b.depth, b.tokens+bits)
+		if s.held.Contains(id) {
+			s.held.Update(id, b.ready())
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ type pktQueue struct {
 	pkts []*packet.Packet
 	sts  []Stamp
 	head int
-	lazy int // unstamped tail packets: a capped flow's are stamped at the head
 }
 
 func (q *pktQueue) Len() int              { return len(q.pkts) - q.head }
@@ -45,24 +44,23 @@ func (q *pktQueue) Pop() *packet.Packet {
 
 // Sched is the generic standalone scheduler host: per-session FIFO packet
 // queues in front of one PIFO, with all discipline-specific behavior
-// delegated to the Policy. It satisfies sched.Scheduler.
+// delegated to the Policy. It satisfies sched.Scheduler. It is the
+// simulator's flat server; the data plane runs every policy in its node
+// form under internal/hier.
 type Sched struct {
 	name    string
-	rate    float64 // link rate, kept for policy rebuilds (SetPolicy)
 	pol     Policy
 	arrival bool // stamp packets at arrival (eq. 6) vs head promotion (eq. 28)
 	tagless bool
 	q       *Queue
 	queues  []pktQueue
 	defined []bool
-	rates   []float64 // per-session guaranteed rates, kept for rebuilds
 	backlog int
 	// Optional policy extensions, resolved once at construction: interface
 	// type assertions cost an itab lookup, too hot for the per-packet path.
 	tick  Ticker
 	floor Floorer
 	defr  Deferrer
-	shape *Shaper // flow ceilings (ceil.go); nil until the first SetCeil
 	obs.Collector
 }
 
@@ -74,7 +72,6 @@ func NewSched(f Factory, rate float64) *Sched {
 	}
 	s := &Sched{
 		name:    f.Name,
-		rate:    rate,
 		pol:     f.Flat(rate),
 		arrival: f.Arrival,
 		tagless: f.Tagless,
@@ -111,13 +108,11 @@ func (s *Sched) AddSession(id int, rate float64) {
 	for len(s.queues) <= id {
 		s.queues = append(s.queues, pktQueue{})
 		s.defined = append(s.defined, false)
-		s.rates = append(s.rates, 0)
 	}
 	if s.defined[id] {
 		panic(fmt.Sprintf("pifo: duplicate session id %d", id))
 	}
 	s.defined[id] = true
-	s.rates[id] = rate
 	s.q.Grow(id)
 	s.pol.AddFlow(id, rate)
 	s.RegisterSession(id, rate)
@@ -131,13 +126,7 @@ func (s *Sched) Enqueue(now float64, p *packet.Packet) {
 		panic(fmt.Sprintf("pifo: enqueue for unknown session %d", p.Session))
 	}
 	q := &s.queues[p.Session]
-	if s.arrival && s.shape != nil && (q.lazy > 0 || s.shape.Rate(p.Session) > 0) {
-		q.PushStamped(p, Stamp{})
-		q.lazy++
-		if q.Len() == 1 && !s.shape.Hold(p.Session, now) {
-			s.pushHead(now, p.Session, false)
-		}
-	} else if s.arrival {
+	if s.arrival {
 		st := s.pol.Arrive(now, p.Session, p.Length, false)
 		q.PushStamped(p, st)
 		if q.Len() == 1 {
@@ -145,7 +134,7 @@ func (s *Sched) Enqueue(now float64, p *packet.Packet) {
 		}
 	} else {
 		q.Push(p)
-		if q.Len() == 1 && (s.shape == nil || !s.shape.Hold(p.Session, now)) {
+		if q.Len() == 1 {
 			st := s.pol.Arrive(now, p.Session, p.Length, false)
 			s.q.Push(p.Session, p.Length, st, s.pol.V())
 		}
@@ -154,25 +143,15 @@ func (s *Sched) Enqueue(now float64, p *packet.Packet) {
 	s.RecordEnqueue(now, p.Session, p.Length)
 }
 
-// Dequeue returns the next packet to transmit, or nil when empty or every
-// backlogged flow is held by its ceiling: tick the policy clock, release
-// the held flows that are due, floor and migrate eligibility, pop the
-// smallest rank, run the defer hook, commit, charge the flow's ceiling, and
-// promote the served flow's next head.
+// Dequeue returns the next packet to transmit, or nil when empty: tick the
+// policy clock, floor and migrate eligibility, pop the smallest rank, run
+// the defer hook, commit, and promote the served flow's next head.
 func (s *Sched) Dequeue(now float64) *packet.Packet {
 	if s.backlog == 0 {
 		return nil
 	}
 	if s.tick != nil {
 		s.tick.Tick(now)
-	}
-	if s.shape != nil {
-		for id, ok := s.shape.Due(now); ok; id, ok = s.shape.Due(now) {
-			s.pushHead(now, id, false)
-		}
-		if s.q.Empty() {
-			return nil
-		}
 	}
 	if mp, some := s.q.MinParked(); some {
 		if s.floor != nil {
@@ -203,17 +182,11 @@ func (s *Sched) Dequeue(now float64) *packet.Packet {
 	// The stamp pointer dies at the re-push (it may overwrite the entry
 	// slot); capture the trace fields first.
 	vs, vf := st.S, st.F
-	if s.shape != nil {
-		s.shape.Charge(id, length, now)
-	}
-	if !q.Empty() && (s.shape == nil || !s.shape.Hold(id, now)) {
+	if !q.Empty() {
 		hp := q.Head()
-		switch {
-		case s.shape != nil:
-			s.pushHead(now, id, true)
-		case s.arrival:
+		if s.arrival {
 			s.q.Push(id, hp.Length, q.HeadStamp(), v)
-		default:
+		} else {
 			nst := s.pol.Arrive(now, id, hp.Length, true)
 			s.q.Push(id, hp.Length, nst, v)
 		}
@@ -226,51 +199,5 @@ func (s *Sched) Dequeue(now float64) *packet.Packet {
 	return served
 }
 
-// Backlog returns the number of queued packets, held ones included.
+// Backlog returns the number of queued packets.
 func (s *Sched) Backlog() int { return s.backlog }
-
-// SetCeil caps session id at ceil bits/sec as of now (0 lifts the cap): a
-// capped flow in ceiling deficit is held out of the PIFO until its release
-// time (ceil.go). Lifting the cap of a held flow releases it at once.
-func (s *Sched) SetCeil(id int, ceil, now float64) error {
-	if id < 0 || id >= len(s.defined) || !s.defined[id] {
-		return fmt.Errorf("pifo: unknown session %d", id)
-	}
-	if s.shape == nil && ceil > 0 {
-		s.shape = new(Shaper)
-	}
-	if s.shape.Set(id, ceil, now) {
-		s.pushHead(now, id, false)
-	}
-	return nil
-}
-
-// pushHead enters flow id's head into the PIFO once a shaper exists,
-// stamped now in head mode (cont: eq. 28's continuation) or if it arrived
-// while the flow was capped, so a released flow re-enters newly backlogged,
-// S ← max(F, V), with no credit for the time held.
-func (s *Sched) pushHead(now float64, id int, cont bool) {
-	q := &s.queues[id]
-	hp := q.Head()
-	var st Stamp
-	switch {
-	case !s.arrival:
-		st = s.pol.Arrive(now, id, hp.Length, cont)
-	case q.Len() == q.lazy:
-		q.lazy--
-		st = s.pol.Arrive(now, id, hp.Length, false)
-	default:
-		st = q.HeadStamp()
-	}
-	s.q.Push(id, hp.Length, st, s.pol.V())
-}
-
-// Ceil returns session id's ceiling in bits/sec, 0 when uncapped.
-func (s *Sched) Ceil(id int) float64 { return s.shape.Rate(id) }
-
-// Capped reports whether any session has a ceiling.
-func (s *Sched) Capped() bool { return s.shape.Capped() }
-
-// NextRelease returns when the first held flow becomes releasable; ok is
-// false when none is held.
-func (s *Sched) NextRelease() (at float64, ok bool) { return s.shape.NextRelease() }

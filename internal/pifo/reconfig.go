@@ -5,11 +5,12 @@ import (
 	"math"
 )
 
-// This file is the live-reconfiguration surface of the two PIFO hosts: rate
-// retuning, flow removal, and whole-policy swaps on a running scheduler. The
-// control plane (internal/ctl via internal/dataplane) calls these between
-// pump iterations, so every method must leave the host in a state the next
-// Enqueue/Dequeue (or Push/Pop) can serve without draining first.
+// This file is the live-reconfiguration surface of the node host: rate
+// retuning, child removal, and whole-policy swaps on a running hierarchy
+// node. The control plane (internal/ctl via internal/dataplane and
+// internal/hier) calls these between pump iterations, so every method must
+// leave the node in a state the next Push/Pop can serve without draining
+// first. The flat host (Sched) is the simulator's and is not mutated live.
 //
 // The hooks are optional Policy extensions: a policy that cannot be mutated
 // simply does not implement them, and the host returns a descriptive error
@@ -35,9 +36,9 @@ type FlowRemover interface {
 }
 
 // RateSetter is the optional Policy extension for changing the server's own
-// rate (a hierarchy node's guaranteed rate r_n, or a flat server's link
-// rate). Policies whose clocks are rate-independent (SCFQ, SFQ, DRR, SP)
-// need not implement it; hosts treat absence as a no-op.
+// rate (a hierarchy node's guaranteed rate r_n). Policies whose clocks are
+// rate-independent (SCFQ, SFQ, DRR, SP) need not implement it; the host
+// treats absence as a no-op.
 type RateSetter interface {
 	SetServerRate(rate float64)
 }
@@ -49,122 +50,8 @@ func validRate(rate float64) bool {
 // Retunable / Removable report whether the hosted policy implements the
 // corresponding hook — capability probes the hierarchy uses to pre-check a
 // whole subtree before mutating any of it (all-or-nothing retunes).
-func (s *Sched) Retunable() bool { _, ok := s.pol.(Retuner); return ok }
-func (s *Sched) Removable() bool { _, ok := s.pol.(FlowRemover); return ok }
-func (n *Node) Retunable() bool  { _, ok := n.pol.(Retuner); return ok }
-func (n *Node) Removable() bool  { _, ok := n.pol.(FlowRemover); return ok }
-
-// --------------------------------------------------------------------------
-// Flat host (Sched).
-
-// SetSessionRate retunes session id's guaranteed rate in bits/sec on the
-// live scheduler. It fails when the hosted policy has no Retuner hook.
-func (s *Sched) SetSessionRate(id int, rate float64) error {
-	if id < 0 || id >= len(s.defined) || !s.defined[id] {
-		return fmt.Errorf("pifo: unknown session %d", id)
-	}
-	if !validRate(rate) {
-		return fmt.Errorf("pifo: invalid session rate %g", rate)
-	}
-	rt, ok := s.pol.(Retuner)
-	if !ok {
-		return fmt.Errorf("pifo: policy %q does not support live retuning", s.name)
-	}
-	rt.SetFlowRate(id, rate)
-	s.rates[id] = rate
-	s.RegisterSession(id, rate)
-	return nil
-}
-
-// RemoveSession removes an idle session from the live scheduler. The
-// session's queue must already be empty (the caller owns the drain story);
-// its id may later be re-added with AddSession.
-func (s *Sched) RemoveSession(id int) error {
-	if id < 0 || id >= len(s.defined) || !s.defined[id] {
-		return fmt.Errorf("pifo: unknown session %d", id)
-	}
-	if !s.queues[id].Empty() {
-		return fmt.Errorf("pifo: session %d still backlogged", id)
-	}
-	rm, ok := s.pol.(FlowRemover)
-	if !ok {
-		return fmt.Errorf("pifo: policy %q does not support live removal", s.name)
-	}
-	rm.RemoveFlow(id)
-	s.defined[id] = false
-	s.rates[id] = 0
-	s.shape.Set(id, 0, 0)
-	return nil
-}
-
-// SetPolicy swaps the hosted discipline on the live scheduler. The standing
-// backlog is kept: every queued packet is re-stamped against the fresh
-// policy (whose virtual clock restarts at zero) as a new arrival at time
-// now, in FIFO order per session. Tag continuity across the swap is
-// deliberately not preserved — the old policy's virtual time has no meaning
-// to the new one — so the backlog competes from a clean slate. Flows held by
-// their ceilings stay held until their release.
-func (s *Sched) SetPolicy(f Factory, now float64) error {
-	if f.Flat == nil {
-		return fmt.Errorf("pifo: policy %q has no flat form", f.Name)
-	}
-	pol := f.Flat(s.rate)
-	var q *Queue
-	if f.Monotone {
-		q = NewMonotoneQueue(len(s.defined) + 1)
-	} else {
-		q = NewQueue(len(s.defined) + 1)
-	}
-	for id, def := range s.defined {
-		if !def {
-			continue
-		}
-		q.Grow(id)
-		pol.AddFlow(id, s.rates[id])
-	}
-	if tick, ok := pol.(Ticker); ok {
-		tick.Tick(now)
-	}
-	for id := range s.queues {
-		if !s.defined[id] || s.queues[id].Empty() {
-			// Drop any drained-queue residue (head offset, stamp lane): the
-			// two lanes must restart aligned under the new stamping mode.
-			s.queues[id] = pktQueue{}
-			continue
-		}
-		old := &s.queues[id]
-		var nq pktQueue
-		if f.Arrival {
-			for i := old.head; i < len(old.pkts); i++ {
-				p := old.pkts[i]
-				nq.PushStamped(p, pol.Arrive(now, id, p.Length, false))
-			}
-		} else {
-			for i := old.head; i < len(old.pkts); i++ {
-				nq.Push(old.pkts[i])
-			}
-		}
-		s.queues[id] = nq
-		if s.shape.Held(id) {
-			continue
-		}
-		if f.Arrival {
-			q.Push(id, nq.Head().Length, nq.HeadStamp(), pol.V())
-		} else {
-			hp := nq.Head()
-			q.Push(id, hp.Length, pol.Arrive(now, id, hp.Length, false), pol.V())
-		}
-	}
-	s.name, s.pol, s.arrival, s.tagless, s.q = f.Name, pol, f.Arrival, f.Tagless, q
-	s.tick, _ = pol.(Ticker)
-	s.floor, _ = pol.(Floorer)
-	s.defr, _ = pol.(Deferrer)
-	s.InitObs(f.Name, s.rate)
-	return nil
-}
-
-// --------------------------------------------------------------------------
-// Hierarchical host (Node).
+func (n *Node) Retunable() bool { _, ok := n.pol.(Retuner); return ok }
+func (n *Node) Removable() bool { _, ok := n.pol.(FlowRemover); return ok }
 
 // SetChildRate retunes child id's guaranteed rate in bits/sec on the live
 // node. It fails when the hosted policy has no Retuner hook.

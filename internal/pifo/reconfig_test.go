@@ -3,36 +3,36 @@ package pifo
 import (
 	"strings"
 	"testing"
-
-	"hpfq/internal/packet"
 )
 
-// TestSchedSetSessionRate: a live retune changes future stamps — after the
-// retune, the faster session overtakes under WF²Q+.
+// TestSchedSetSessionRate: a live retune of a flat engine's class — a child
+// of its one-level root Node — changes future stamps: after the retune, the
+// faster session overtakes under WF²Q+.
 func TestSchedSetSessionRate(t *testing.T) {
 	f, _ := Lookup("WF2Q+")
-	s := NewSched(f, 1e6)
-	s.AddSession(0, 5e5)
-	s.AddSession(1, 5e5)
-	if err := s.SetSessionRate(0, 9e5); err != nil {
+	n := NewNode(f, 1e6)
+	n.AddChild(0, 5e5)
+	n.AddChild(1, 5e5)
+	if err := n.SetChildRate(0, 9e5); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetSessionRate(1, 1e5); err != nil {
+	if err := n.SetChildRate(1, 1e5); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetSessionRate(7, 1e5); err == nil {
+	if err := n.SetChildRate(7, 1e5); err == nil {
 		t.Fatal("unknown session retuned")
 	}
-	if err := s.SetSessionRate(0, -1); err == nil {
+	if err := n.SetChildRate(0, -1); err == nil {
 		t.Fatal("negative rate accepted")
 	}
 	// 4 packets each: session 0 at 9x the rate must finish its backlog
 	// having been served far more often early on.
+	o := newOneLevel(n, nil, 8000, 2)
 	for i := 0; i < 4; i++ {
-		s.Enqueue(0, packet.New(0, 8000))
-		s.Enqueue(0, packet.New(1, 8000))
+		o.enqueue(0, 0)
+		o.enqueue(1, 0)
 	}
-	order := drain(s, 0)
+	order := o.drainAll(0)
 	zeros := 0
 	for _, id := range order[:4] {
 		if id == 0 {
@@ -44,32 +44,33 @@ func TestSchedSetSessionRate(t *testing.T) {
 	}
 }
 
-// TestSchedRemoveSession: removal requires an idle session and frees the id
-// for re-registration.
+// TestSchedRemoveSession: removing a flat engine's class from its one-level
+// root Node requires an idle child and frees the id for re-registration.
 func TestSchedRemoveSession(t *testing.T) {
 	f, _ := Lookup("WF2Q+")
-	s := NewSched(f, 1e6)
-	s.AddSession(0, 5e5)
-	s.AddSession(1, 5e5)
-	s.Enqueue(0, packet.New(1, 8000))
-	if err := s.RemoveSession(1); err == nil {
+	n := NewNode(f, 1e6)
+	n.AddChild(0, 5e5)
+	n.AddChild(1, 5e5)
+	o := newOneLevel(n, nil, 8000, 2)
+	o.enqueue(1, 0)
+	if err := n.RemoveChild(1); err == nil {
 		t.Fatal("removed a backlogged session")
 	}
-	drain(s, 0)
-	if err := s.RemoveSession(1); err != nil {
+	o.drainAll(0)
+	if err := n.RemoveChild(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RemoveSession(1); err == nil {
+	if err := n.RemoveChild(1); err == nil {
 		t.Fatal("removed a session twice")
 	}
-	s.Enqueue(0, packet.New(0, 8000))
-	if got := drain(s, 0); !equalInts(got, []int{0}) {
+	o.enqueue(0, 0)
+	if got := o.drainAll(0); !equalInts(got, []int{0}) {
 		t.Fatalf("survivor order %v after removal", got)
 	}
-	s.AddSession(1, 2e5) // freed id returns without panicking
+	n.AddChild(1, 2e5) // freed id returns without panicking
 }
 
-// TestGPSNotRetunable: the exact-GPS fluid clocks refuse live mutations with
+// TestGPSNotRetunable:the exact-GPS fluid clocks refuse live mutations with
 // a descriptive error.
 func TestGPSNotRetunable(t *testing.T) {
 	for _, name := range []string{"WFQ", "WF2Q"} {
@@ -77,67 +78,17 @@ func TestGPSNotRetunable(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not registered", name)
 		}
-		s := NewSched(f, 1e6)
-		s.AddSession(0, 5e5)
-		if s.Retunable() || s.Removable() {
+		n := NewNode(f, 1e6)
+		n.AddChild(0, 5e5)
+		if n.Retunable() || n.Removable() {
 			t.Fatalf("%s reports live-mutation capability", name)
 		}
-		if err := s.SetSessionRate(0, 1e5); err == nil || !strings.Contains(err.Error(), "retun") {
-			t.Fatalf("%s SetSessionRate: %v, want a retuning error", name, err)
+		if err := n.SetChildRate(0, 1e5); err == nil || !strings.Contains(err.Error(), "retun") {
+			t.Fatalf("%s SetChildRate: %v, want a retuning error", name, err)
 		}
-		if err := s.RemoveSession(0); err == nil {
-			t.Fatalf("%s RemoveSession succeeded", name)
+		if err := n.RemoveChild(0); err == nil {
+			t.Fatalf("%s RemoveChild succeeded", name)
 		}
-	}
-}
-
-// TestSchedSetPolicyKeepsBacklog: a live swap re-stamps the standing backlog
-// and service continues exhaustively under the new discipline.
-func TestSchedSetPolicyKeepsBacklog(t *testing.T) {
-	f, _ := Lookup("WF2Q+")
-	s := NewSched(f, 1e6)
-	s.AddSession(0, 5e5)
-	s.AddSession(1, 5e5)
-	for i := 0; i < 3; i++ {
-		s.Enqueue(0, packet.New(0, 8000))
-		s.Enqueue(0, packet.New(1, 8000))
-	}
-	sp, _ := Lookup("SP")
-	if err := s.SetPolicy(sp, 0); err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "SP" {
-		t.Fatalf("name %q after swap", s.Name())
-	}
-	// Strict priority must now serve all of session 0 first.
-	if got, want := drain(s, 0), []int{0, 0, 0, 1, 1, 1}; !equalInts(got, want) {
-		t.Fatalf("post-swap order %v, want %v", got, want)
-	}
-}
-
-// TestSchedSetPolicyModeSwitch covers the drained-queue residue bug: serve a
-// backlog under a head-stamping policy (leaving non-zero queue heads), swap
-// to an arrival-stamping policy, and keep serving — the stamp lane must
-// realign or the next dequeue indexes out of range.
-func TestSchedSetPolicyModeSwitch(t *testing.T) {
-	f, _ := Lookup("DRR")
-	s := NewSched(f, 1e6)
-	s.AddSession(0, 5e5)
-	s.AddSession(1, 5e5)
-	for i := 0; i < 5; i++ {
-		s.Enqueue(0, packet.New(0, 8000))
-	}
-	drain(s, 0)
-	scfq, _ := Lookup("SCFQ")
-	if err := s.SetPolicy(scfq, 1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		s.Enqueue(1, packet.New(0, 8000))
-		s.Enqueue(1, packet.New(1, 8000))
-	}
-	if got := len(drain(s, 1)); got != 10 {
-		t.Fatalf("drained %d packets after mode-switching swap, want 10", got)
 	}
 }
 

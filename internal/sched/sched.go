@@ -71,17 +71,6 @@ type NodeScheduler interface {
 	obs.Observable
 }
 
-// Reconfigurer is the optional live-mutation surface of a Scheduler: the
-// PIFO-hosted schedulers implement it, the bespoke seed engines (FIFO,
-// WF2Q+fixed) do not. Callers type-assert and surface a descriptive error
-// when the assertion fails. now is the caller's current real time, used to
-// re-stamp the standing backlog on a policy swap.
-type Reconfigurer interface {
-	SetSessionRate(id int, rate float64) error
-	RemoveSession(id int) error
-	SetPolicy(f pifo.Factory, now float64) error
-}
-
 // NodeReconfigurer is the optional live-mutation surface of a NodeScheduler;
 // every registry node form (all PIFO-hosted) implements it.
 type NodeReconfigurer interface {
