@@ -666,15 +666,25 @@ const (
 
 // --------------------------------------------------------------------------
 // Loss-resilient egress: FEC repair classes (internal/fec).
+// Dataplane.ProtectClass protects an existing class before Start (the
+// '!fec' topology clause, e.g. "a=2!rs-8-2:0", is the spec-side spelling):
+// every source datagram is FEC-stamped on ingest, and each block's repairs
+// leave on a sibling repair class scheduled by the same WF²Q+/H-PFQ
+// machinery as everything else, so repair bandwidth competes fairly and can
+// never starve the siblings. The receive side decodes with FECDecoder and
+// reports loss back through FECFeedback; FECConfig.Adapt then retunes the
+// geometry to track the observed loss.
 
 // FECSpec is an erasure-code geometry: Scheme (FECSchemeXOR or FECSchemeRS),
 // K source datagrams per block, R repair datagrams. Parse the "rs-8-2" /
 // "xor-8" string form with ParseFECSpec.
 type FECSpec = fec.Spec
 
-// FECConfig tunes one WithFEC-protected class: the repair class id and
-// rate/share, the partial-block flush age, and the adaptive-redundancy
-// controller. The zero value is a sensible default everywhere.
+// FECConfig tunes one class protected with Dataplane.ProtectClass: the
+// repair class id, the repair leaf's RepairShare (read like AddLeafClass's
+// share: a whole-link rate under a flat engine, a weight in a topology),
+// the partial-block flush age, and the adaptive-redundancy controller. The
+// zero value is a sensible default everywhere.
 type FECConfig = dataplane.FECConfig
 
 // FECControllerConfig bounds the adaptive (k,r) controller enabled by
@@ -719,18 +729,6 @@ func NewFECDecoder() *FECDecoder { return fec.NewDecoder() }
 // IsFECDatagram reports whether b starts with the FEC header magic — how a
 // receiver distinguishes protected traffic from native datagrams.
 func IsFECDatagram(b []byte) bool { return fec.IsFEC(b) }
-
-// WithFEC protects a data-plane class with an erasure code: every source
-// datagram is FEC-stamped on ingest, and each block's repair datagrams are
-// emitted on a sibling repair class scheduled by the same WF²Q+/H-PFQ
-// machinery as everything else, so repair bandwidth competes fairly and can
-// never starve the siblings. The receive side decodes with FECDecoder and
-// reports loss back through Dataplane.FECFeedback; FECConfig.Adapt then
-// retunes the geometry to track the observed loss. The '!fec' topology
-// clause (e.g. "a=2!rs-8-2:0") is the spec-side spelling.
-func WithFEC(class int, spec FECSpec, cfg FECConfig) DataplaneOption {
-	return dpOptions{dataplane.WithFEC(class, spec, cfg)}
-}
 
 // FECStatus is one protected class's row in DataplaneStatus.FEC.
 type FECStatus = dataplane.FECStatus
@@ -794,22 +792,6 @@ func PacketWriterTo(w io.Writer) PacketWriter { return dataplane.WriterTo(w) }
 
 // --------------------------------------------------------------------------
 // Control plane: live introspection and hitless reconfiguration.
-
-// WithClassCeil caps a data-plane class at an absolute ceiling in bits/sec.
-// The data-plane is work-conserving — a class borrows whatever its siblings
-// leave idle — and a ceiling is the one limit on that: the scheduler holds
-// the class back while its ceiling bucket is in deficit. In flat mode it
-// applies once AddClass registers the class.
-func WithClassCeil(class int, ceil float64) DataplaneOption {
-	return dpOptions{dataplane.WithClassCeil(class, ceil)}
-}
-
-// WithNodeCeil caps a named topology node at an absolute ceiling in
-// bits/sec, bounding its whole subtree. A name the topology does not have
-// fails construction, and a flat engine has no named nodes.
-func WithNodeCeil(name string, ceil float64) DataplaneOption {
-	return dpOptions{dataplane.WithNodeCeil(name, ceil)}
-}
 
 // DataplaneStatus is the control plane's one-call view of a running engine:
 // configuration, lifecycle, the scheduler snapshot, the live topology, and

@@ -29,6 +29,11 @@ func TestGatewayAdminServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw, recv, listen, runDone := testGateway(t, dp, gwConfig{}, classify)
+	// gw.run starts the engine on its own goroutine: wait for it, so the
+	// first status read below sees a started gateway.
+	for deadline := time.Now().Add(5 * time.Second); !dp.Status().Started && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 
 	admin := hpfq.NewAdminServer(dp, hpfq.WithAdminFlows(gw.ft.snapshot))
 	bound, err := admin.Start("127.0.0.1:0")

@@ -11,31 +11,36 @@ import (
 )
 
 func TestParseFEC(t *testing.T) {
-	ids, opts, err := parseFEC("0=rs-8-2, 1=xor-8", false, 0)
+	ids, specs, err := parseFEC("0=rs-8-2, 1=xor-8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 2 || ids[0] != 0 || ids[1] != 1 || len(opts) != 2 {
-		t.Fatalf("ids = %v, %d options", ids, len(opts))
+	if len(ids) != 2 || ids[0] != 0 || ids[1] != 1 || len(specs) != 2 {
+		t.Fatalf("ids = %v, %d specs", ids, len(specs))
 	}
-	// The options must be applicable: protect two classes on a live engine.
-	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 1e6, 1, opts...)
+	// The specs must be applicable: protect two classes on a live engine.
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 1e6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dp.AddClass(0, 5e5)
 	dp.AddClass(1, 5e5)
+	for i, id := range ids {
+		if err := dp.ProtectClass(id, specs[i], hpfq.FECConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if st := dp.Status(); len(st.FEC) != 2 {
 		t.Fatalf("Status.FEC = %+v, want both classes protected", st.FEC)
 	}
 	dp.Close()
 
-	// Unset flag: no classes, no options, no error.
-	if ids, opts, err := parseFEC("", false, 0); err != nil || ids != nil || opts != nil {
-		t.Fatalf("empty spec: %v %v %v", ids, opts, err)
+	// Unset flag: no classes, no specs, no error.
+	if ids, specs, err := parseFEC(""); err != nil || ids != nil || specs != nil {
+		t.Fatalf("empty spec: %v %v %v", ids, specs, err)
 	}
 	for _, bad := range []string{"x=rs-8-2", "0=", "0=bogus-4", "0", ",,"} {
-		if _, _, err := parseFEC(bad, false, 0); err == nil {
+		if _, _, err := parseFEC(bad); err == nil {
 			t.Errorf("parseFEC(%q) accepted", bad)
 		}
 	}
@@ -132,6 +137,68 @@ func TestGatewayFECDecode(t *testing.T) {
 	}
 }
 
+// TestGatewayFECFeedbackTopo: on a -topo gateway whose protection comes
+// from a '!fec' clause, the -fec.decode receive side reports what it
+// recovered to the engine's protected class, so the recovered count lands
+// in the metrics.
+func TestGatewayFECFeedbackTopo(t *testing.T) {
+	top, err := hpfq.ParseTopology("root=1(a=1!rs-4-2:0,b=1:1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithMetrics(), hpfq.WithTopology(top))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, recv, listen, _ := testGateway(t, dp, gwConfig{decodeFEC: true},
+		func(netip.AddrPort, []byte) int { return 0 })
+	defer gw.close(time.Second)
+	client := dialClient(t, listen)
+
+	// 32 blocks of RS(4,2) with one source erased per block: 160 FEC
+	// datagrams arrive, past the decoder's 64-datagram feedback cadence.
+	const (
+		n    = 128
+		size = 200
+	)
+	enc, err := fec.NewEncoder(0, hpfq.FECSpec{Scheme: hpfq.FECSchemeRS, K: 4, R: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		payload := make([]byte, size)
+		payload[1] = byte(i)
+		dst := make([]byte, fec.SourceOverhead+size)
+		nn, full, err := enc.AddSource(payload, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%4 != 1 {
+			if _, err := client.Write(dst[:nn]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if full {
+			for _, rb := range enc.Flush(func(n int) []byte { return make([]byte, n) }) {
+				if _, err := client.Write(rb); err != nil {
+					t.Fatal(err)
+				}
+			}
+			time.Sleep(time.Millisecond) // keep the loopback socket buffer from overflowing
+		}
+	}
+	buf := make([]byte, 2048)
+	recv.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for got := 0; got < n; got++ {
+		if _, _, err := recv.ReadFromUDP(buf); err != nil {
+			t.Fatalf("received %d/%d payloads: %v", got, n, err)
+		}
+	}
+	if m := dp.Snapshot(); m.FECRecovered == 0 {
+		t.Fatalf("FECRecovered = 0 after %d reconstructed datagrams, want the decoder's feedback counted", n/4)
+	}
+}
+
 // TestGatewayFECChain is the two-box deployment from the README: an encoding
 // gateway protects class 0 on its paced egress, a decoding gateway on the
 // far side strips the FEC layer, and applications on both ends see plain
@@ -149,12 +216,14 @@ func TestGatewayFECChain(t *testing.T) {
 
 	// Near side: FEC-encoding gateway whose upstream is the far gateway.
 	spec := hpfq.FECSpec{Scheme: hpfq.FECSchemeRS, K: 4, R: 2}
-	dpA, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithMetrics(),
-		hpfq.WithFEC(0, spec, hpfq.FECConfig{}))
+	dpA, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dpA.AddClass(0, 5e7)
+	if err := dpA.ProtectClass(0, spec, hpfq.FECConfig{}); err != nil {
+		t.Fatal(err)
+	}
 	listenA, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,6 @@ type gwConfig struct {
 	ingressFault []faultconn.Option // non-empty: wrap listen-socket reads with injected faults
 	pool         *hpfq.BufferPool   // ingress payload buffers; nil selects the shared pool
 	decodeFEC    bool               // -fec.decode: unwrap/reconstruct FEC traffic at ingress
-	fecClasses   []int              // -fec protected classes, for decode-stats feedback
 }
 
 // gateway forwards UDP datagrams from its listen sockets to an upstream
@@ -69,7 +68,7 @@ type gateway struct {
 	// readFaults counts transient ingress read errors the supervised loops
 	// absorbed (injected by -fault.ingress, or real EAGAIN-class errors).
 	readFaults atomic.Int64
-	fecClasses []int // local protected classes fed decode-stats feedback
+	fecClasses []int // the engine's protected classes, fed decode-stats feedback
 
 	closeOnce sync.Once
 	closeErr  error
@@ -98,18 +97,21 @@ type gwReader struct {
 	lastUnrec uint64 // Stats().Unrecoverable already reported
 }
 
-// newGateway wires listens to dp. Pass one socket (software placement when
-// dp has multiple shards) or exactly dp.Shards() SO_REUSEPORT sockets
-// (reader i feeds shard i).
+// newGateway wires listens to dp, whose classes and their FEC protection
+// (-fec, '!fec') are configured by then. Pass one socket (software
+// placement when dp has multiple shards) or exactly dp.Shards()
+// SO_REUSEPORT sockets (reader i feeds shard i).
 func newGateway(dp *hpfq.ShardedDataplane, listens []*net.UDPConn, upstream *net.UDPAddr, classify classifier, cfg gwConfig) *gateway {
 	g := &gateway{
-		dp:         dp,
-		listens:    listens,
-		ft:         newFlowTable(listens[0], upstream, cfg.flowTTL, cfg.maxFlows),
-		classify:   classify,
-		fault:      cfg.fault,
-		pool:       cfg.pool,
-		fecClasses: cfg.fecClasses,
+		dp:       dp,
+		listens:  listens,
+		ft:       newFlowTable(listens[0], upstream, cfg.flowTTL, cfg.maxFlows),
+		classify: classify,
+		fault:    cfg.fault,
+		pool:     cfg.pool,
+	}
+	for _, f := range dp.Status().FEC {
+		g.fecClasses = append(g.fecClasses, f.Class)
 	}
 	if g.pool == nil {
 		g.pool = hpfq.SharedBufferPool()
@@ -466,7 +468,8 @@ func (r *gwReader) forward(i int) bool {
 // maybeFECFeedback periodically reports this reader's decoder results to the
 // data-plane: recovered/unrecoverable counts land in the metrics (once), and
 // the decoder's loss estimate drives the adaptive controller of every
-// locally protected class on every shard (-fec with -fec.adapt). Loss
+// locally protected class on every shard (-fec or '!fec', adaptive with
+// -fec.adapt). Loss
 // observed toward us is a proxy for loss on the path we send over — the
 // right signal when the two directions share fate, and a no-op when no local
 // class is protected.
@@ -604,14 +607,14 @@ func parseGilbert(s string) ([]float64, error) {
 }
 
 // parseFEC parses the -fec spec "id=scheme,id=scheme,..." (scheme in the
-// hpfq.ParseFECSpec grammar, e.g. "0=rs-8-2,1=xor-8") into WithFEC options
-// sharing the -fec.adapt and -fec.blockage knobs. An empty spec is no FEC.
-func parseFEC(spec string, adapt bool, blockAge time.Duration) ([]int, []hpfq.DataplaneOption, error) {
+// hpfq.ParseFECSpec grammar, e.g. "0=rs-8-2,1=xor-8") into class ids and
+// their geometries, one spec per id. An empty spec is no FEC.
+func parseFEC(spec string) ([]int, []hpfq.FECSpec, error) {
 	if spec == "" {
 		return nil, nil, nil
 	}
 	var ids []int
-	var opts []hpfq.DataplaneOption
+	var specs []hpfq.FECSpec
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -630,15 +633,12 @@ func parseFEC(spec string, adapt bool, blockAge time.Duration) ([]int, []hpfq.Da
 			return nil, nil, fmt.Errorf("fec %q: %v", part, err)
 		}
 		ids = append(ids, id)
-		opts = append(opts, hpfq.WithFEC(id, fspec, hpfq.FECConfig{
-			Adapt:       adapt,
-			MaxBlockAge: blockAge,
-		}))
+		specs = append(specs, fspec)
 	}
 	if len(ids) == 0 {
 		return nil, nil, errors.New("empty fec spec")
 	}
-	return ids, opts, nil
+	return ids, specs, nil
 }
 
 // parseTopo parses a link-sharing tree spec, e.g.

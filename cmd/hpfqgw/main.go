@@ -60,8 +60,11 @@
 // sibling repair class (id+1000) scheduled like any other leaf, so repair
 // bandwidth competes under the same fairness guarantees. A downstream
 // gateway run with -fec.decode unwraps the protection on ingress and
-// reconstructs erased datagrams from the repairs; -fec.adapt retunes each
-// protected class's geometry to the loss the decoder reports back.
+// reconstructs erased datagrams from the repairs, and reports what it
+// recovered back to every locally protected class; -fec.adapt retunes each
+// -fec class's geometry to the loss the decoder reports. -fec.adapt and
+// -fec.blockage tune -fec classes only, and a -fec entry naming a class a
+// '!fec' clause already protects is an error.
 //
 // Multi-core scaling: -shards N (0 = one per CPU) partitions the data plane
 // into N independent engines — each with its own scheduler tree, token
@@ -207,11 +210,13 @@ func run(args []string) error {
 		}
 		opts = append(opts, hpfq.WithShedOrder(ids...))
 	}
-	fecClasses, fecOpts, err := parseFEC(*fecSpec, *fecAdapt, *fecBlockAge)
+	fecIDs, fecSpecs, err := parseFEC(*fecSpec)
 	if err != nil {
 		return err
 	}
-	opts = append(opts, fecOpts...)
+	if fecIDs == nil && (*fecAdapt || *fecBlockAge != 0) {
+		return fmt.Errorf("-fec.adapt and -fec.blockage tune -fec classes; set -fec")
+	}
 	var top *hpfq.Topology
 	if *topoSpec != "" {
 		var err error
@@ -240,6 +245,12 @@ func run(args []string) error {
 			if err := dp.AddClass(id, rates[i]); err != nil {
 				return err
 			}
+		}
+	}
+	for i, id := range fecIDs {
+		cfg := hpfq.FECConfig{Adapt: *fecAdapt, MaxBlockAge: *fecBlockAge}
+		if err := dp.ProtectClass(id, fecSpecs[i], cfg); err != nil {
+			return fmt.Errorf("-fec %d: %w", id, err)
 		}
 	}
 	classify, err := newClassifier(*classifyName, dp.Classes())
@@ -272,7 +283,7 @@ func run(args []string) error {
 	}
 
 	cfg := gwConfig{flowTTL: *flowTTL, maxFlows: *maxFlows, pool: pool,
-		decodeFEC: *fecDecode, fecClasses: fecClasses}
+		decodeFEC: *fecDecode}
 	gilbert, err := parseGilbert(*faultGilbert)
 	if err != nil {
 		return err

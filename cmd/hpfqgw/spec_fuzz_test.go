@@ -28,9 +28,14 @@ func FuzzGatewaySpecs(f *testing.F) {
 				}
 			}
 		}
-		if ids, opts, err := parseFEC(s, false, 0); err == nil && s != "" {
-			if len(ids) == 0 || len(ids) != len(opts) {
-				t.Fatalf("parseFEC(%q): %d ids, %d options", s, len(ids), len(opts))
+		if ids, specs, err := parseFEC(s); err == nil && s != "" {
+			if len(ids) == 0 || len(ids) != len(specs) {
+				t.Fatalf("parseFEC(%q): %d ids, %d specs", s, len(ids), len(specs))
+			}
+			for _, sp := range specs {
+				if err := sp.Validate(); err != nil {
+					t.Fatalf("parseFEC(%q) accepted spec %v: %v", s, sp, err)
+				}
 			}
 		}
 		if ps, err := parseGilbert(s); err == nil && s != "" {

@@ -129,8 +129,9 @@
 //
 // # Loss resilience
 //
-// Retry recovers errors the sender can observe; WithFEC(class, spec, cfg)
-// recovers datagrams the network silently drops. The protected class's
+// Retry recovers errors the sender can observe; Dataplane.ProtectClass(class,
+// spec, cfg), called before Start, or a '!fec' topology clause recovers
+// datagrams the network silently drops. The protected class's
 // egress is wrapped in a systematic erasure code (ParseFECSpec: "xor-k" or
 // "rs-k-r", Reed-Solomon over GF(2⁸)), and each block's repair datagrams
 // are enqueued into a grafted sibling repair class (class id +

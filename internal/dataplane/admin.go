@@ -24,8 +24,8 @@ import (
 // siblings — once the class quiesces. Removal is therefore asynchronous but
 // loss-free; Status reports the in-between state.
 
-// SetRate retunes class id's guaranteed rate in bits/sec on the live
-// engine (hier.SetSessionRate). Over a topology the leaf's share is
+// SetRate retunes class id's whole-link guaranteed rate in bits/sec on the
+// live engine (hier.SetSessionRate). Over a topology the leaf's share is
 // re-solved against its siblings, so sibling rates shift proportionally; in
 // flat mode only the class itself changes. Fails when the scheduling policy
 // on the affected path has no live-retune hook (notably the exact-GPS
@@ -46,7 +46,7 @@ func (d *Dataplane) SetRate(id int, rate float64) error {
 	if cs.draining {
 		return fmt.Errorf("%w: %d", ErrClassDraining, id)
 	}
-	if err := d.tree.SetSessionRate(id, rate); err != nil {
+	if err := d.tree.SetSessionRate(id, d.perShard(rate)); err != nil {
 		return err
 	}
 	d.syncRatesLocked()
@@ -72,19 +72,17 @@ func (d *Dataplane) SetWeight(name string, share float64) error {
 // AddLeafClass grafts a new class as a session leaf under the named
 // interior node of the live topology. Siblings dilute proportionally (the
 // paper's link-sharing semantics — there is no strict reservation to
-// exceed). ceil > 0 additionally caps the class (see SetCeil); 0 leaves it
-// uncapped. Flat engines use AddClass.
+// exceed). ceil > 0 additionally caps the class at a whole-link ceiling
+// (see SetCeil); 0 leaves it uncapped. Under a flat engine's root ("")
+// share is the class's whole-link rate, as in AddClass.
 func (d *Dataplane) AddLeafClass(parent, name string, id int, share, ceil float64) error {
 	d.lock()
 	defer d.unlock()
 	return d.addLeafLocked(parent, name, id, share, ceil)
 }
 
-// addLeafLocked grafts class id under the named tree node (share is the
-// rate under a flat engine's root, ""), with its ceiling and any pending
-// flat-mode WithClassCeil/WithFEC request. A pending FEC request is checked
-// before anything is registered: a refusal leaves the engine, and the
-// request, as they were. Caller holds d.mu and d.smu.
+// addLeafLocked grafts class id under the named tree node with its
+// ceiling, both in whole-link units. Caller holds d.mu and d.smu.
 func (d *Dataplane) addLeafLocked(parent, name string, id int, share, ceil float64) error {
 	if err := checkClassID(id); err != nil {
 		return err
@@ -98,32 +96,14 @@ func (d *Dataplane) addLeafLocked(parent, name string, id int, share, ceil float
 	if _, dup := d.classes[id]; dup {
 		return fmt.Errorf("dataplane: duplicate class %d", id)
 	}
-	p, protect := d.fecPending[id]
-	var fs *fecState
-	if protect {
-		var err error
-		if fs, err = d.prepareFECLocked(id, p); err != nil {
-			return err
-		}
-	}
-	if err := d.tree.AddLeaf(parent, name, id, share); err != nil {
+	if err := d.tree.AddLeaf(parent, name, id, d.leafShare(share)); err != nil {
 		return err
 	}
 	d.classes[id] = d.newClassState(d.tree.SessionRate(id))
-	if pending, ok := d.ceilPending[id]; ok {
-		delete(d.ceilPending, id)
-		if ceil == 0 {
-			ceil = pending
-		}
-	}
 	if ceil > 0 {
-		_ = d.tree.SetCeil(id, ceil, d.schedTime(d.now())) // the leaf exists: cannot fail
+		_ = d.tree.SetCeil(id, d.perShard(ceil), d.schedTime(d.now())) // the leaf exists: cannot fail
 	}
 	d.syncRatesLocked()
-	if protect {
-		delete(d.fecPending, id)
-		return d.graftFECLocked(fs, p)
-	}
 	return nil
 }
 
@@ -158,10 +138,10 @@ func (d *Dataplane) RemoveClass(id int) error {
 	return nil
 }
 
-// SetCeil caps class id at an absolute ceiling in bits/sec; ceil 0 removes
-// the cap. The engine stays work-conserving below the ceiling: the class
-// borrows whatever its siblings leave idle, and the scheduler holds it back
-// only while its ceiling bucket is in deficit.
+// SetCeil caps class id at an absolute whole-link ceiling in bits/sec;
+// ceil 0 removes the cap. The engine stays work-conserving below the
+// ceiling: the class borrows whatever its siblings leave idle, and the
+// scheduler holds it back only while its ceiling bucket is in deficit.
 func (d *Dataplane) SetCeil(id int, ceil float64) error {
 	d.lock()
 	defer d.unlock()
@@ -174,16 +154,16 @@ func (d *Dataplane) SetCeil(id int, ceil float64) error {
 	if ceil != 0 && !validCeil(ceil) {
 		return fmt.Errorf("dataplane: invalid ceil %g for class %d", ceil, id)
 	}
-	if err := d.tree.SetCeil(id, ceil, d.schedTime(d.now())); err != nil {
+	if err := d.tree.SetCeil(id, d.perShard(ceil), d.schedTime(d.now())); err != nil {
 		return err
 	}
 	d.signal() // a lifted cap may have released a held class
 	return nil
 }
 
-// SetNodeCeil caps a named topology node at an absolute ceiling in
-// bits/sec, bounding its whole subtree; ceil 0 removes the cap. A leaf's
-// name caps its class. Topology mode only.
+// SetNodeCeil caps a named topology node at an absolute whole-link ceiling
+// in bits/sec, bounding its whole subtree; ceil 0 removes the cap. A leaf's
+// name caps its class; "" names the root, the whole engine, in either mode.
 func (d *Dataplane) SetNodeCeil(name string, ceil float64) error {
 	d.lock()
 	defer d.unlock()
@@ -193,7 +173,7 @@ func (d *Dataplane) SetNodeCeil(name string, ceil float64) error {
 	if ceil != 0 && !validCeil(ceil) {
 		return fmt.Errorf("dataplane: invalid ceil %g for node %q", ceil, name)
 	}
-	if err := d.tree.SetNodeCeil(name, ceil, d.schedTime(d.now())); err != nil {
+	if err := d.tree.SetNodeCeil(name, d.perShard(ceil), d.schedTime(d.now())); err != nil {
 		return err
 	}
 	d.signal()
@@ -314,7 +294,7 @@ func (d *Dataplane) Status() Status {
 		Algorithm: d.tree.Name(),
 		Rate:      d.rate,
 		Mode:      "flat",
-		Borrowing: len(d.ceilPending) > 0 || d.tree.Capped(),
+		Borrowing: d.tree.Capped(),
 		Started:   d.started,
 		Closed:    d.closed,
 		Restarts:  d.restarts,

@@ -306,14 +306,16 @@ func TestCeilHoldKeepsPumpAlive(t *testing.T) {
 	clk.other = time.Hour // the monitor's timer; the test samples by hand
 	spec := fec.Spec{Scheme: fec.SchemeRS, K: 4, R: 2}
 	d, err := New("WF2Q+", 1e6, WithClock(clk),
-		WithOverload(overload.Config{SampleInterval: clk.other}), WithWatchdog(watchdog),
-		WithFEC(1, spec, FECConfig{MaxBlockAge: blockAge}))
+		WithOverload(overload.Config{SampleInterval: clk.other}), WithWatchdog(watchdog))
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk.busy = func() bool { return len(d.wake) > 0 }
 	d.AddClass(0, 5e5)
 	d.AddClass(1, 4e5)
+	if err := d.ProtectClass(1, spec, FECConfig{MaxBlockAge: blockAge}); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.SetCeil(0, 16e3); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +376,7 @@ func TestCeilHoldKeepsPumpAlive(t *testing.T) {
 func TestCeilRefusedWithoutShaping(t *testing.T) {
 	top, _ := topo.Parse("root=1(a=1^1e6:0,b=1:1)")
 	for _, algo := range []string{"FIFO", "WF2Q+fixed"} {
-		for _, opts := range [][]Option{nil, {WithClassCeil(0, 1e6)}, {WithTopology(top)}} {
+		for _, opts := range [][]Option{nil, {WithTopology(top)}} {
 			d, err := New(algo, 10e6, opts...)
 			if d != nil || !errors.Is(err, errs.ErrNoNodeForm) || !strings.Contains(err.Error(), algo) {
 				t.Errorf("%s: New = %v, want ErrNoNodeForm naming the algorithm", algo, err)
@@ -440,7 +442,8 @@ func (c *ceilCase) build(t *testing.T) {
 	c.sent = map[int]int{}
 	var opts []Option
 	opts = append(opts, WithClock(c.clk), WithMetrics())
-	live := map[*capEntity]bool{} // set with SetCeil after New
+	live := map[*capEntity]bool{}  // set through setCeil after New
+	early := map[*capEntity]bool{} // set as each class or the tree comes up
 	if c.rng.IntN(2) == 0 {
 		algos := []string{"WF2Q+", "SCFQ", "SFQ", "DRR"}
 		algo := algos[c.rng.IntN(len(algos))]
@@ -458,7 +461,7 @@ func (c *ceilCase) build(t *testing.T) {
 			if c.rng.IntN(2) == 0 {
 				e.segs = []ceilSeg{{c.drawCeil(e.rate), 0}}
 				if c.rng.IntN(2) == 0 {
-					opts = append(opts, WithClassCeil(i, e.ceil()))
+					early[e] = true
 				} else {
 					live[e] = true
 				}
@@ -471,6 +474,11 @@ func (c *ceilCase) build(t *testing.T) {
 		for _, e := range c.ents {
 			if err := d.AddClass(e.class, e.rate); err != nil {
 				c.fail(t, "%v", err)
+			}
+			if early[e] {
+				if err := d.SetCeil(e.class, e.ceil()); err != nil {
+					c.fail(t, "%v", err)
+				}
 			}
 		}
 		c.d = d
@@ -518,11 +526,7 @@ func (c *ceilCase) build(t *testing.T) {
 			case 0:
 				n.Ceil = e.ceil()
 			case 1:
-				if n.IsLeaf() {
-					opts = append(opts, WithClassCeil(n.Session, e.ceil()))
-				} else {
-					opts = append(opts, WithNodeCeil(n.Name, e.ceil()))
-				}
+				early[e] = true
 			default:
 				live[e] = true
 			}
@@ -530,6 +534,19 @@ func (c *ceilCase) build(t *testing.T) {
 		d, err := New("WF2Q+", c.rate, append(opts, WithTopology(top))...)
 		if err != nil {
 			c.fail(t, "%v", err)
+		}
+		for _, e := range c.ents {
+			if !early[e] {
+				continue
+			}
+			if e.class >= 0 {
+				err = d.SetCeil(e.class, e.ceil())
+			} else {
+				err = d.SetNodeCeil(e.name, e.ceil())
+			}
+			if err != nil {
+				c.fail(t, "%v", err)
+			}
 		}
 		c.d = d
 	}
@@ -741,7 +758,8 @@ func (c *ceilCase) check(t *testing.T, liftAt time.Duration, liftBits float64, d
 
 // TestCeilProperty draws random flat and topology engines with ceilings —
 // below and above the guarantee, on leaves, interior nodes and now and then
-// the root, set at construction or live and flipped on and off mid-run —
+// the root, set by '^ceil' clauses, by SetCeil/SetNodeCeil as the engine
+// comes up or before Start, and flipped on and off mid-run —
 // and checks conservation, per-class egress order, every ceiling's bound
 // over every window, that nothing stays held once the ceilings are lifted,
 // and that the pump never sleeps past the scheduler's next release. A

@@ -81,12 +81,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"hpfq/internal/fec"
 	"hpfq/internal/hier"
 	"hpfq/internal/obs"
 	"hpfq/internal/overload"
@@ -221,10 +219,6 @@ type config struct {
 	batch    int
 	pol      *pifo.Factory
 	nodePols map[string]pifo.Factory
-	fec      map[int]fecPending
-
-	ceils     map[int]float64
-	nodeCeils map[string]float64
 
 	ov        *overload.Config // overload control (nil = off unless watchdog)
 	shedOrder []int            // explicit shed order (nil = derive)
@@ -331,38 +325,15 @@ func WithBufferPool(p *BufferPool) Option {
 // after a mid-batch error.
 func WithBatchSize(n int) Option { return func(c *config) { c.batch = n } }
 
-// WithClassCeil caps a class at an absolute ceiling in bits/sec (see
-// SetCeil); in flat mode it applies once AddClass registers the class.
-// Over a topology the class is the session leaf, and '^ceil' topo clauses
-// are the equivalent spec-side spelling.
-func WithClassCeil(class int, ceil float64) Option {
-	return func(c *config) {
-		if c.ceils == nil {
-			c.ceils = make(map[int]float64)
-		}
-		c.ceils[class] = ceil
-	}
-}
-
-// WithNodeCeil caps a named topology node at an absolute ceiling in
-// bits/sec, bounding its whole subtree. A name the engine does not have
-// (any name but "", the root, in flat mode) fails construction.
-func WithNodeCeil(name string, ceil float64) Option {
-	return func(c *config) {
-		if c.nodeCeils == nil {
-			c.nodeCeils = make(map[string]float64)
-		}
-		c.nodeCeils[name] = ceil
-	}
-}
-
-// WithShardScale divides every absolute-capacity knob configured so far —
-// the burst depth and all class/node ceilings (option- and topo-supplied) —
-// by n, so that N identically-configured shards jointly present the
-// user-facing totals. The sharding layer (internal/shard) appends it after
-// the caller's options; it is not meant for direct use. Packet/byte queue
-// caps are deliberately NOT scaled: they bound per-shard memory, and a
-// shard must absorb a full burst that hashes onto it alone.
+// WithShardScale makes the engine one of n identically configured shards
+// that jointly present the user-facing totals: every absolute value it is
+// given in whole-link bits — the burst depth, the topology's '^ceil'
+// clauses, and the rates and ceilings of later calls (AddClass, SetRate,
+// SetCeil, …; see perShard) — is divided by n on the way in. The sharding
+// layer (internal/shard) appends it after the caller's options; it is not
+// meant for direct use. Packet/byte queue caps are deliberately NOT scaled:
+// they bound per-shard memory, and a shard must absorb a full burst that
+// hashes onto it alone.
 func WithShardScale(n int) Option {
 	return func(c *config) {
 		if n > 1 {
@@ -423,6 +394,7 @@ func WithAQM(kind string, target, interval time.Duration) Option {
 type Dataplane struct {
 	rate  float64
 	burst float64
+	scale float64 // shard count behind a sharding front (WithShardScale); 1 alone
 	clock wallclock.Clock
 	epoch time.Time
 	retry retryPolicy
@@ -473,23 +445,17 @@ type Dataplane struct {
 	// hook (guardTracer) until the pump re-raises it.
 	tracePanic any
 
-	// ceilPending holds flat-mode WithClassCeil ceilings until AddClass
-	// registers their class.
-	ceilPending map[int]float64
-
 	// draining lists classes RemoveClass is retiring; the pump retries
 	// finalization each batch until each quiesces.
 	draining []int
 
 	// FEC state (fec.go): protected classes by id, repair→protected
-	// back-mapping, deterministic iteration order, pending construction-time
-	// configs for flat-mode classes that don't exist yet, and the pump's
-	// hint for the earliest partial-block flush deadline.
-	fec        map[int]*fecState
-	repairOf   map[int]int
-	fecList    []*fecState
-	fecPending map[int]fecPending
-	fecWait    time.Duration
+	// back-mapping, deterministic iteration order, and the pump's hint for
+	// the earliest partial-block flush deadline.
+	fec      map[int]*fecState
+	repairOf map[int]int
+	fecList  []*fecState
+	fecWait  time.Duration
 
 	pool  *BufferPool // nil: the engine never recycles payload buffers
 	batch int         // max datagrams per WriteBatch call
@@ -570,14 +536,13 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 			cfg.aqmKind, AQMCoDel, AQMRED)
 	}
 	// Shard scaling: absolute-capacity knobs were specified against the
-	// whole link; each of the N shards gets its 1/N slice (the ceilings in
-	// initCeils). The default burst needs no scaling — it derives from the
-	// (already per-shard) rate below.
+	// whole link; each of the N shards gets its 1/N slice. The default burst
+	// needs no scaling — it derives from the (already per-shard) rate below.
 	scale := max(cfg.scale, 1)
-	cfg.burst /= scale
 	d := &Dataplane{
 		rate:     rate,
-		burst:    cfg.burst,
+		burst:    cfg.burst / scale,
+		scale:    scale,
 		clock:    cfg.clock,
 		retry:    cfg.retry,
 		aqmKind:  cfg.aqmKind,
@@ -629,89 +594,33 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 	}
 	d.initOverload(&cfg)
 	d.epoch = d.clock.Now()
-	if err := d.initCeils(&cfg, scale); err != nil {
-		return nil, err
+	// The topology's '^ceil' clauses were applied at full size.
+	if scale > 1 {
+		d.tree.ScaleCeils(scale)
 	}
 	d.rebuildShedOrderLocked()
-	// FEC protection: '!fec' topo clauses become WithFEC requests with
-	// default knobs (an explicit WithFEC on the same class wins). Topology
-	// classes exist now, so their repair leaves graft here; a flat engine's
-	// requests wait for the AddClass that registers the protected class.
 	if cfg.top != nil {
-		var fecErr error
-		cfg.top.Walk(func(n *topo.Node, _ int) {
-			if fecErr != nil || n.FEC == "" || !n.IsLeaf() {
-				return
-			}
-			if _, explicit := cfg.fec[n.Session]; explicit {
-				return
-			}
-			spec, err := fec.ParseSpec(n.FEC)
-			if err != nil {
-				fecErr = fmt.Errorf("dataplane: leaf %q: %v", n.Name, err)
-				return
-			}
-			if cfg.fec == nil {
-				cfg.fec = make(map[int]fecPending)
-			}
-			cfg.fec[n.Session] = fecPending{spec: spec}
-		})
-		if fecErr != nil {
-			return nil, fecErr
-		}
-	}
-	ids := make([]int, 0, len(cfg.fec))
-	for id := range cfg.fec {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if d.tree.Flat() {
-			if d.fecPending == nil {
-				d.fecPending = make(map[int]fecPending)
-			}
-			d.fecPending[id] = cfg.fec[id]
-			continue
-		}
-		if err := d.attachFECLocked(id, cfg.fec[id]); err != nil {
+		if err := d.protectTopoLocked(cfg.top); err != nil {
 			return nil, err
 		}
 	}
 	return d, nil
 }
 
-// initCeils programs the construction-time option ceilings, divided by the
-// shard scale, into the tree, after rescaling the topology's '^ceil'
-// clauses (hier.BuildSpec applied them at full size). A flat engine's class
-// ceilings wait in ceilPending for AddClass.
-func (d *Dataplane) initCeils(cfg *config, scale float64) error {
-	if scale > 1 {
-		d.tree.ScaleCeils(scale)
+// perShard converts a whole-link absolute value — a rate or a ceiling in
+// bits/sec — into this engine's slice of it: each of the N engines behind a
+// sharding front (WithShardScale) carries 1/N, so callers keep speaking
+// whole-link units and Status rows sum back to them.
+func (d *Dataplane) perShard(v float64) float64 { return v / d.scale }
+
+// leafShare converts the share of a leaf grafted into the tree: under a
+// flat root a share is the leaf's absolute rate (a whole-link value), under
+// a topology node a dimensionless weight.
+func (d *Dataplane) leafShare(share float64) float64 {
+	if d.tree.Flat() {
+		return d.perShard(share)
 	}
-	for id, ceil := range cfg.ceils {
-		switch {
-		case !validCeil(ceil):
-			return fmt.Errorf("dataplane: invalid ceil %g for class %d", ceil, id)
-		case d.tree.Flat():
-			if d.ceilPending == nil {
-				d.ceilPending = make(map[int]float64)
-			}
-			d.ceilPending[id] = ceil / scale
-		default:
-			if err := d.tree.SetCeil(id, ceil/scale, 0); err != nil {
-				return err
-			}
-		}
-	}
-	for name, ceil := range cfg.nodeCeils {
-		if !validCeil(ceil) {
-			return fmt.Errorf("dataplane: invalid ceil %g for node %q", ceil, name)
-		}
-		if err := d.tree.SetNodeCeil(name, ceil/scale, 0); err != nil {
-			return err
-		}
-	}
-	return nil
+	return share
 }
 
 // validCeil reports whether ceil is a usable ceiling in bits/sec.
@@ -794,8 +703,8 @@ func checkClassID(id int) error {
 	return nil
 }
 
-// AddClass registers a class with a guaranteed rate in bits/sec (flat mode
-// only; a topology fixes the classes at construction): a leaf grafted under
+// AddClass registers a class with a whole-link guaranteed rate in bits/sec
+// (flat mode only; a topology grafts with AddLeafClass): a leaf grafted under
 // the one-level tree's root, where only it changes. The sum of class rates
 // should not exceed the engine rate for the WF²Q+ guarantees to hold.
 func (d *Dataplane) AddClass(id int, rate float64) error {

@@ -7,12 +7,14 @@ import (
 	"time"
 
 	"hpfq/internal/fec"
+	"hpfq/internal/hier"
+	"hpfq/internal/topo"
 )
 
-// Loss-resilient egress: WithFEC wraps a class's datagrams in the systematic
-// erasure code from internal/fec. Every source datagram is stamped with the
-// 12-byte FEC header on ingest and leaves in normal scheduled order; when a
-// block completes (k sources, or a partial block ages out) the engine emits
+// Loss-resilient egress: ProtectClass (or a '!fec' topo clause) wraps a
+// class's datagrams in the systematic erasure code from internal/fec. Every
+// source datagram is stamped with the 12-byte FEC header on ingest and
+// leaves in normal scheduled order; when a block completes (k sources, or a partial block ages out) the engine emits
 // the block's repair datagrams — not on the protected class, but on a
 // sibling *repair class* grafted next to it, so repair bandwidth is
 // scheduled by the same H-PFQ machinery as everything else and can never
@@ -34,18 +36,17 @@ const DefaultRepairClassOffset = 1000
 // latency of an idling stream.
 const DefaultFECBlockAge = 20 * time.Millisecond
 
-// FECConfig tunes one protected class (WithFEC). The zero value is a
+// FECConfig tunes one protected class (ProtectClass). The zero value is a
 // sensible default everywhere.
 type FECConfig struct {
 	// RepairClass is the sibling class id carrying the repair datagrams.
 	// 0 derives class+DefaultRepairClassOffset.
 	RepairClass int
-	// RepairRate is the repair class's guaranteed rate in bits/sec (flat
-	// mode). 0 derives rate·R/K from the protected class — exactly the
-	// bandwidth the code's overhead needs at the initial geometry.
-	RepairRate float64
-	// RepairShare is the repair leaf's service share in topology mode.
-	// 0 derives share·R/K from the protected leaf. Ignored in flat mode.
+	// RepairShare sizes the repair leaf exactly like AddLeafClass's share:
+	// under a flat engine's root it is the repair class's whole-link rate
+	// in bits/sec, under a topology node a weight among its siblings. 0
+	// derives the protected leaf's own share or rate times R/K — exactly
+	// the bandwidth the code's overhead needs at the initial geometry.
 	RepairShare float64
 	// RepairName names the repair leaf in topology mode, grafted under the
 	// protected leaf's parent; "" derives "<leaf>.fec".
@@ -62,12 +63,6 @@ type FECConfig struct {
 	Controller fec.ControllerConfig
 }
 
-// fecPending is a WithFEC request waiting for its class to exist.
-type fecPending struct {
-	spec fec.Spec
-	cfg  FECConfig
-}
-
 // fecState is one protected class's live encoder-side state. All fields are
 // guarded by d.mu.
 type fecState struct {
@@ -81,65 +76,96 @@ type fecState struct {
 	lastCtx    any     // latest source's IngestCtx context, reused for repairs
 }
 
-// WithFEC protects a class with the erasure code spec (e.g. fec.Spec
-// {Scheme: "rs", K: 8, R: 2}, or fec.ParseSpec("rs-8-2")): sources are
-// header-stamped on ingest and each block's repair datagrams are emitted on
-// a dedicated sibling repair class scheduled like any other leaf. In
-// topology mode the repair leaf is grafted at construction; in flat mode it
-// is grafted by the AddClass call that registers the protected class.
-// Ingesting directly into a repair class is refused — the engine owns it.
-func WithFEC(class int, spec fec.Spec, cfg FECConfig) Option {
-	return func(c *config) {
-		if c.fec == nil {
-			c.fec = make(map[int]fecPending)
-		}
-		c.fec[class] = fecPending{spec: spec, cfg: cfg}
+// ProtectClass protects an existing class with the erasure code spec (e.g.
+// fec.Spec{Scheme: "rs", K: 8, R: 2}, or fec.ParseSpec("rs-8-2")): sources
+// are header-stamped on ingest and each block's repair datagrams are
+// emitted on a dedicated sibling repair class, grafted under the protected
+// leaf's parent and scheduled like any other leaf. Ingesting directly into
+// a repair class is refused — the engine owns it. Protection is
+// configuration: it is refused once the engine has started, and a refusal
+// leaves the engine unchanged. A '!fec' topo clause is the spec-side
+// spelling.
+func (d *Dataplane) ProtectClass(class int, spec fec.Spec, cfg FECConfig) error {
+	d.lock()
+	defer d.unlock()
+	switch {
+	case d.closed:
+		return ErrClosed
+	case d.started:
+		return fmt.Errorf("dataplane: protect class %d: engine already started", class)
 	}
+	return d.attachFECLocked(class, spec, cfg)
 }
 
-// attachFECLocked grafts the repair class next to an existing protected
-// class and arms the encoder. Caller holds d.mu and d.smu.
-func (d *Dataplane) attachFECLocked(class int, p fecPending) error {
-	if d.classes[class] == nil {
-		return fmt.Errorf("%w: %d (FEC)", ErrNoClass, class)
+// protectTopoLocked protects every leaf that carries a '!fec' clause, with
+// default knobs, in class order. Caller holds d.mu and d.smu, or owns d.
+func (d *Dataplane) protectTopoLocked(top *topo.Node) error {
+	type clause struct {
+		class int
+		spec  fec.Spec
 	}
-	fs, err := d.prepareFECLocked(class, p)
+	var cs []clause
+	var err error
+	top.Walk(func(n *topo.Node, _ int) {
+		if err != nil || n.FEC == "" || !n.IsLeaf() {
+			return
+		}
+		spec, perr := fec.ParseSpec(n.FEC)
+		if perr != nil {
+			err = fmt.Errorf("dataplane: leaf %q: %v", n.Name, perr)
+			return
+		}
+		cs = append(cs, clause{n.Session, spec})
+	})
 	if err != nil {
 		return err
 	}
-	return d.graftFECLocked(fs, p)
+	sort.Slice(cs, func(i, j int) bool { return cs[i].class < cs[j].class })
+	for _, c := range cs {
+		if err := d.attachFECLocked(c.class, c.spec, FECConfig{}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// prepareFECLocked runs every check that can refuse a WithFEC request and
-// builds the class's encoder-side state without touching the engine, so a
-// refusal leaves the engine as it was: AddClass runs it before registering
-// the protected class. Caller holds d.mu and d.smu.
-func (d *Dataplane) prepareFECLocked(class int, p fecPending) (*fecState, error) {
-	if err := p.spec.Validate(); err != nil {
-		return nil, err
+// attachFECLocked checks a protection request, grafts the repair class as a
+// leaf beside the registered protected class, under the same parent, and
+// arms the encoder. Every check runs before the graft, and the graft is the
+// only step that touches the engine, so a refusal leaves it as it was.
+// Caller holds d.mu and d.smu.
+func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) error {
+	if d.classes[class] == nil {
+		return fmt.Errorf("%w: %d (FEC)", ErrNoClass, class)
+	}
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 	if d.fec[class] != nil {
-		return nil, fmt.Errorf("dataplane: class %d already FEC-protected", class)
+		return fmt.Errorf("dataplane: class %d already FEC-protected", class)
 	}
-	if class < 0 || class > math.MaxUint16 {
-		return nil, fmt.Errorf("dataplane: class %d outside the FEC stream-id range [0, %d]", class, math.MaxUint16)
+	if _, ok := d.repairOf[class]; ok {
+		return fmt.Errorf("dataplane: class %d is a FEC repair class", class)
 	}
-	repair := p.cfg.RepairClass
+	if class > math.MaxUint16 {
+		return fmt.Errorf("dataplane: class %d outside the FEC stream-id range [0, %d]", class, math.MaxUint16)
+	}
+	repair := cfg.RepairClass
 	if repair == 0 {
 		repair = class + DefaultRepairClassOffset
 	}
 	if err := checkClassID(repair); err != nil {
-		return nil, err
+		return err
 	}
 	if _, dup := d.classes[repair]; dup || repair == class {
-		return nil, fmt.Errorf("dataplane: FEC repair class %d already exists", repair)
+		return fmt.Errorf("dataplane: FEC repair class %d already exists", repair)
 	}
-	enc, err := fec.NewEncoder(uint16(class), p.spec)
+	enc, err := fec.NewEncoder(uint16(class), spec)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fs := &fecState{class: class, repair: repair, enc: enc}
-	switch age := p.cfg.MaxBlockAge; {
+	switch age := cfg.MaxBlockAge; {
 	case age == 0:
 		fs.maxAge = DefaultFECBlockAge.Seconds()
 	case age < 0:
@@ -147,46 +173,33 @@ func (d *Dataplane) prepareFECLocked(class int, p fecPending) (*fecState, error)
 	default:
 		fs.maxAge = age.Seconds()
 	}
-	if p.cfg.Adapt {
-		if fs.ctrl, err = fec.NewController(p.spec, p.cfg.Controller); err != nil {
-			return nil, err
-		}
-	}
-	return fs, nil
-}
-
-// graftFECLocked adds the prepared repair class as a leaf beside its
-// registered protected class, under the same parent, and arms the encoder.
-// Under a flat engine's root the repair leaf's share is its rate
-// (RepairRate), elsewhere a share (RepairShare); either defaults to the
-// protected leaf's own times R/K. Only the graft can refuse here. Caller
-// holds d.mu and d.smu.
-func (d *Dataplane) graftFECLocked(fs *fecState, p fecPending) error {
-	class, repair := fs.class, fs.repair
-	amount := p.cfg.RepairShare
-	if d.tree.Flat() {
-		amount = p.cfg.RepairRate
-	}
-	grafted := false
-	for _, info := range d.tree.Nodes() {
-		if info.Session != class {
-			continue
-		}
-		name := p.cfg.RepairName
-		if name == "" && info.Name != "" {
-			name = info.Name + ".fec"
-		}
-		if amount <= 0 {
-			amount = info.Share * float64(p.spec.R) / float64(p.spec.K)
-		}
-		if err := d.tree.AddLeaf(info.Parent, name, repair, amount); err != nil {
+	if cfg.Adapt {
+		if fs.ctrl, err = fec.NewController(spec, cfg.Controller); err != nil {
 			return err
 		}
-		grafted = true
-		break
 	}
-	if !grafted {
+
+	var leaf *hier.NodeInfo
+	nodes := d.tree.Nodes()
+	for i := range nodes {
+		if nodes[i].Session == class {
+			leaf = &nodes[i]
+			break
+		}
+	}
+	if leaf == nil {
 		return fmt.Errorf("dataplane: class %d is not a scheduler leaf", class)
+	}
+	name := cfg.RepairName
+	if name == "" && leaf.Name != "" {
+		name = leaf.Name + ".fec"
+	}
+	share := leaf.Share * float64(spec.R) / float64(spec.K) // already this engine's
+	if cfg.RepairShare > 0 {
+		share = d.leafShare(cfg.RepairShare)
+	}
+	if err := d.tree.AddLeaf(leaf.Parent, name, repair, share); err != nil {
+		return err
 	}
 	d.classes[repair] = d.newClassState(d.tree.SessionRate(repair))
 	d.syncRatesLocked()

@@ -132,12 +132,14 @@ func (w *lossyCapture) counts() (received, survived int) {
 func TestFECEmitsRepairsAndStatus(t *testing.T) {
 	spec := fec.Spec{Scheme: fec.SchemeRS, K: 4, R: 2}
 	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics(),
-		WithFEC(0, spec, FECConfig{MaxBlockAge: -1}))
+	d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AddClass(0, 5e7); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 40
@@ -215,12 +217,14 @@ func TestFECRecoveryUnderLoss(t *testing.T) {
 			}
 
 			clk := wallclock.NewFake()
-			d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics(),
-				WithFEC(0, spec, FECConfig{MaxBlockAge: -1}))
+			d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := d.AddClass(0, 5e7); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1}); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
@@ -340,12 +344,14 @@ func TestFECRepairClassShare(t *testing.T) {
 	)
 	spec := fec.Spec{Scheme: fec.SchemeRS, K: 4, R: 2}
 	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", rate, WithClock(clk), WithMetrics(),
-		WithFEC(0, spec, FECConfig{RepairRate: repairRate, MaxBlockAge: -1}))
+	d, err := New("WF2Q+", rate, WithClock(clk), WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AddClass(0, protRate); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ProtectClass(0, spec, FECConfig{RepairShare: repairRate, MaxBlockAge: -1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AddClass(1, otherRate); err != nil {
@@ -394,12 +400,14 @@ func TestFECRepairClassShare(t *testing.T) {
 func TestFECAdaptiveRetune(t *testing.T) {
 	spec := fec.Spec{Scheme: fec.SchemeRS, K: 8, R: 2}
 	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics(),
-		WithFEC(0, spec, FECConfig{Adapt: true, MaxBlockAge: -1}))
+	d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AddClass(0, 5e7); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ProtectClass(0, spec, FECConfig{Adapt: true, MaxBlockAge: -1}); err != nil {
 		t.Fatal(err)
 	}
 	// 20% observed loss with the default 1.5x headroom needs 30% redundancy:
@@ -435,12 +443,14 @@ func TestFECAdaptiveRetune(t *testing.T) {
 func TestFECStaleBlockFlush(t *testing.T) {
 	spec := fec.Spec{Scheme: fec.SchemeRS, K: 4, R: 2}
 	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics(),
-		WithFEC(0, spec, FECConfig{MaxBlockAge: 10 * time.Millisecond}))
+	d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AddClass(0, 5e7); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	w := &lossyCapture{r: spec.R}
@@ -478,29 +488,37 @@ func TestFECStaleBlockFlush(t *testing.T) {
 }
 
 // TestFECRepairClassOwnership: the repair class belongs to the engine —
-// direct ingest into it is refused, and protecting a class that does not
-// exist fails construction.
+// direct ingest into it and protecting it are refused — and protecting a
+// class that does not exist is refused with ErrNoClass.
 func TestFECRepairClassOwnership(t *testing.T) {
 	spec := fec.Spec{Scheme: fec.SchemeRS, K: 4, R: 2}
 	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", 1e8, WithClock(clk),
-		WithFEC(0, spec, FECConfig{MaxBlockAge: -1}))
+	d, err := New("WF2Q+", 1e8, WithClock(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AddClass(0, 5e7); err != nil {
 		t.Fatal(err)
 	}
+	if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1}); err != nil {
+		t.Fatal(err)
+	}
 	err = d.Ingest(DefaultRepairClassOffset, fecPayload(0, 0, 64))
 	if err == nil || !strings.Contains(err.Error(), "repair class") {
 		t.Fatalf("ingest into the repair class: err = %v, want engine-owned refusal", err)
 	}
+	if err := d.ProtectClass(DefaultRepairClassOffset, spec, FECConfig{}); err == nil {
+		t.Fatal("ProtectClass on a repair class accepted")
+	}
 	closeDraining(t, d, clk)
 
-	// Unknown protected class: surfaces when the class never appears.
-	if _, err := New("WF2Q+", 1e8, WithTopology(mustTopo(t, "root=1(a=1:0,b=1:1)")),
-		WithFEC(7, spec, FECConfig{})); err == nil {
-		t.Fatal("WithFEC on an absent class must fail construction")
+	// Unknown protected class.
+	top, err := New("WF2Q+", 1e8, WithTopology(mustTopo(t, "root=1(a=1:0,b=1:1)")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := top.ProtectClass(7, spec, FECConfig{}); !errors.Is(err, ErrNoClass) {
+		t.Fatalf("ProtectClass on an absent class = %v, want ErrNoClass", err)
 	}
 }
 
@@ -581,12 +599,14 @@ func BenchmarkFECEncode(b *testing.B) {
 // protection enabled, for comparison against BenchmarkPump's unprotected
 // numbers.
 func BenchmarkPumpWithFEC(b *testing.B) {
-	d, err := New("WF2Q+", 1e12, WithMetrics(),
-		WithFEC(0, fec.Spec{Scheme: fec.SchemeRS, K: 8, R: 2}, FECConfig{MaxBlockAge: -1}))
+	d, err := New("WF2Q+", 1e12, WithMetrics())
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := d.AddClass(0, 1e12); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.ProtectClass(0, fec.Spec{Scheme: fec.SchemeRS, K: 8, R: 2}, FECConfig{MaxBlockAge: -1}); err != nil {
 		b.Fatal(err)
 	}
 	var sink struct {
@@ -623,42 +643,54 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) WritePacket(b []byte) (int, error) { return f(b) }
 
-// TestFECAddClassRefusalIsAtomic: when a pending WithFEC request cannot be
-// honored because its repair class id is taken, AddClass refuses without
-// registering the protected class and keeps the request, so a retry gives
-// the same refusal and the class is protected once the id frees up.
-func TestFECAddClassRefusalIsAtomic(t *testing.T) {
+// TestFECProtectRefusalIsAtomic: when ProtectClass cannot be honored
+// because its repair class id is taken, it refuses without touching the
+// engine — the class set stays as it was and the class stays unprotected —
+// so a retry gives the same refusal, and the class is protected once the id
+// frees up. Once the engine has started, ProtectClass is refused.
+func TestFECProtectRefusalIsAtomic(t *testing.T) {
 	spec := fec.Spec{Scheme: fec.SchemeXOR, K: 4, R: 1}
 	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", 1e8, WithClock(clk),
-		WithFEC(0, spec, FECConfig{MaxBlockAge: -1}))
+	d, err := New("WF2Q+", 1e8, WithClock(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AddClass(DefaultRepairClassOffset, 1e7); err != nil {
 		t.Fatal(err)
 	}
-	for try := 0; try < 2; try++ {
-		err := d.AddClass(0, 5e7)
-		if err == nil || !strings.Contains(err.Error(), "repair class 1000 already exists") {
-			t.Fatalf("try %d: AddClass(0) = %v, want the repair-id refusal", try, err)
-		}
-		if ids := d.Classes(); len(ids) != 1 || ids[0] != DefaultRepairClassOffset {
-			t.Fatalf("try %d: classes after refusal = %v, want [1000]", try, ids)
-		}
+	if err := d.AddClass(0, 5e7); err != nil {
+		t.Fatal(err)
 	}
-	if err := d.Ingest(0, fecPayload(0, 0, 64)); !errors.Is(err, ErrNoClass) {
-		t.Fatalf("Ingest(0) after refusal = %v, want ErrNoClass", err)
+	for try := 0; try < 2; try++ {
+		err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1})
+		if err == nil || !strings.Contains(err.Error(), "repair class 1000 already exists") {
+			t.Fatalf("try %d: ProtectClass(0) = %v, want the repair-id refusal", try, err)
+		}
+		if ids := d.Classes(); len(ids) != 2 {
+			t.Fatalf("try %d: classes after refusal = %v, want [0 1000]", try, ids)
+		}
+		if st := d.Status(); st.FEC != nil || st.Classes[0].Rate != 5e7 || st.Classes[1].Rate != 1e7 {
+			t.Fatalf("try %d: status after refusal = %+v, want the classes unchanged", try, st)
+		}
 	}
 
 	if err := d.RemoveClass(DefaultRepairClassOffset); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddClass(0, 5e7); err != nil {
-		t.Fatalf("AddClass(0) once the repair id is free: %v", err)
+	if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1}); err != nil {
+		t.Fatalf("ProtectClass(0) once the repair id is free: %v", err)
 	}
 	if st := d.Status().FEC; len(st) != 1 || st[0].Class != 0 || st[0].RepairClass != DefaultRepairClassOffset {
 		t.Fatalf("FEC status = %+v, want class 0 protected on repair class 1000", st)
+	}
+	if err := d.AddClass(1, 1e7); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(&lossyCapture{r: spec.R}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ProtectClass(1, spec, FECConfig{}); err == nil {
+		t.Fatal("ProtectClass after Start accepted")
 	}
 	closeDraining(t, d, clk)
 }

@@ -30,13 +30,15 @@ func TestCeilCapsThroughput(t *testing.T) {
 		n    = 100  // 1e6 bits total
 	)
 	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", 10e6, WithClock(clk), WithMetrics(),
-		WithClassCeil(0, 3e6))
+	d, err := New("WF2Q+", 10e6, WithClock(clk), WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.AddClass(0, 1e6)
 	d.AddClass(1, 5e6) // idle: its bandwidth is there to borrow
+	if err := d.SetCeil(0, 3e6); err != nil {
+		t.Fatal(err)
+	}
 	if !d.Status().Borrowing {
 		t.Fatal("ceil did not enable borrowing")
 	}

@@ -4,9 +4,12 @@
 // per-node variants of each for use inside an H-PFQ hierarchy
 // (internal/hier) and a registry keyed by algorithm name.
 //
-// The paper's primary contribution, WF²Q+, lives in internal/core; this
-// package re-exports it through the registry so experiments can select any
-// algorithm uniformly.
+// The registry selects by name among the pifo policies (internal/pifo),
+// which host WF²Q+ — the paper's primary contribution — and every other
+// discipline in production; the seed implementations here stay as the
+// golden references the equivalence tests compare against. Two entries are
+// not pifo policies and have no node form: FIFO and WF2Q+fixed, the
+// fixed-point WF²Q+ of internal/core.
 package sched
 
 import (
@@ -82,79 +85,44 @@ type NodeReconfigurer interface {
 
 // Algorithms returns the registry names, sorted.
 func Algorithms() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
+	names := pifo.Names()
+	for n := range flatOnly {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
 }
 
-type factory struct {
-	flat func(rate float64) Scheduler
-	node func(rate float64) NodeScheduler
-}
-
-// pifoHosted builds a registry entry that hosts the named pifo policy on
-// the generic PIFO substrate (internal/pifo). The classic disciplines and
-// the new rank-function policies (SP, EDF, SRPT, LSTF) all route through
-// here; their seed implementations in this package remain as the golden
-// references the equivalence tests compare against.
-func pifoHosted(name string) factory {
-	f, ok := pifo.Lookup(name)
-	if !ok {
-		panic(fmt.Sprintf("sched: no pifo policy %q", name))
-	}
-	fac := factory{}
-	if f.Flat != nil {
-		fac.flat = func(r float64) Scheduler { return pifo.NewSched(f, r) }
-	}
-	if f.Node != nil {
-		fac.node = func(r float64) NodeScheduler { return pifo.NewNode(f, r) }
-	}
-	return fac
-}
-
-var registry = map[string]factory{
-	"WF2Q+": pifoHosted("WF2Q+"),
-	"WF2Q+fixed": {
-		flat: func(r float64) Scheduler { return core.NewFixedScheduler(r) },
-	},
-	"WFQ":  pifoHosted("WFQ"),
-	"WF2Q": pifoHosted("WF2Q"),
-	"SCFQ": pifoHosted("SCFQ"),
-	"SFQ":  pifoHosted("SFQ"),
-	"DRR":  pifoHosted("DRR"),
-	"FIFO": {
-		flat: func(r float64) Scheduler { return NewFIFO(r) },
-	},
-	"SP":   pifoHosted("SP"),
-	"EDF":  pifoHosted("EDF"),
-	"SRPT": pifoHosted("SRPT"),
-	"LSTF": pifoHosted("LSTF"),
+// flatOnly lists the algorithms that are not pifo policies: standalone
+// servers with no node form.
+var flatOnly = map[string]func(rate float64) Scheduler{
+	"WF2Q+fixed": func(r float64) Scheduler { return core.NewFixedScheduler(r) },
+	"FIFO":       func(r float64) Scheduler { return NewFIFO(r) },
 }
 
 // New returns a standalone scheduler by algorithm name ("WF2Q+", "WFQ",
 // "WF2Q", "SCFQ", "SFQ", "DRR", "FIFO", "SP", "EDF", "SRPT", "LSTF").
 func New(name string, rate float64) (Scheduler, error) {
-	f, ok := registry[name]
-	if !ok || f.flat == nil {
-		return nil, fmt.Errorf("sched: %w: %q (have %v)", errs.ErrUnknownAlgorithm, name, Algorithms())
+	if mk, ok := flatOnly[name]; ok {
+		return mk(rate), nil
 	}
-	return f.flat(rate), nil
+	if f, ok := pifo.Lookup(name); ok && f.Flat != nil {
+		return pifo.NewSched(f, rate), nil
+	}
+	return nil, fmt.Errorf("sched: %w: %q (have %v)", errs.ErrUnknownAlgorithm, name, Algorithms())
 }
 
-// NewNode returns a hierarchical server node by algorithm name. FIFO has no
-// node form (it is not a fair queueing discipline).
+// NewNode returns a hierarchical server node by algorithm name. FIFO and
+// WF2Q+fixed have no node form.
 func NewNode(name string, rate float64) (NodeScheduler, error) {
-	f, ok := registry[name]
+	if _, ok := flatOnly[name]; ok {
+		return nil, fmt.Errorf("sched: %w: %q", errs.ErrNoNodeForm, name)
+	}
+	f, ok := pifo.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("sched: %w: %q (have %v)", errs.ErrUnknownAlgorithm, name, Algorithms())
 	}
-	if f.node == nil {
-		return nil, fmt.Errorf("sched: %w: %q", errs.ErrNoNodeForm, name)
-	}
-	return f.node(rate), nil
+	return NewPolicyNode(f, rate)
 }
 
 // NewPolicy returns a standalone scheduler hosting an explicit pifo policy

@@ -22,9 +22,10 @@
 // (splitter.go): per-shard token buckets refill at a live pace rate, and
 // each tick the splitter re-lends idle shards' slices to backlogged ones,
 // deficit-carrying so long-run service stays near N equal slices. Control
-// operations fan out to every shard under one mutation lock, with
-// absolute-rate knobs divided by N on the way in and summed back in merged
-// views, so the control plane keeps speaking whole-link units.
+// operations fan out unchanged to every shard under one mutation lock; each
+// engine divides whole-link absolute values by N itself
+// (dataplane.WithShardScale), and merged views sum them back, so the
+// control plane keeps speaking whole-link units.
 package shard
 
 import (
@@ -34,6 +35,7 @@ import (
 	"time"
 
 	"hpfq/internal/dataplane"
+	"hpfq/internal/fec"
 	"hpfq/internal/hier"
 	"hpfq/internal/obs"
 	"hpfq/internal/overload"
@@ -108,9 +110,9 @@ type Sharded struct {
 
 // New builds an N-shard engine for a link of rate bits/sec using the named
 // algorithm. Each shard is constructed with rate/N and the given engine
-// options; absolute-capacity options (burst, class/node ceilings) are
-// divided by N via dataplane.WithShardScale so callers keep specifying
-// whole-link units. n == 1 degenerates to a monolithic engine behind the
+// options plus dataplane.WithShardScale(N), so every absolute value — the
+// burst, '^ceil' clauses, and the rates and ceilings of later mutations —
+// is given in whole-link units and divided by N inside the engine. n == 1 degenerates to a monolithic engine behind the
 // same front (no splitter, no hashing overhead beyond one jump iteration).
 func New(algorithm string, rate float64, n int, dpOpts []dataplane.Option, opts ...Option) (*Sharded, error) {
 	if n < 1 {
@@ -268,34 +270,25 @@ func (s *Sharded) fanout(apply func(*dataplane.Dataplane) error) error {
 	return nil
 }
 
-// scale converts a whole-link rate/ceiling into its per-shard slice.
-func (s *Sharded) scale(v float64) float64 { return v / float64(len(s.shards)) }
-
-// AddClass registers a class with a whole-link guaranteed rate: every shard
-// gets a leaf at rate/N (flat mode only).
+// AddClass registers a class with a whole-link guaranteed rate on every
+// shard (flat mode only).
 func (s *Sharded) AddClass(id int, rate float64) error {
-	per := s.scale(rate)
-	return s.fanout(func(d *dataplane.Dataplane) error { return d.AddClass(id, per) })
+	return s.fanout(func(d *dataplane.Dataplane) error { return d.AddClass(id, rate) })
 }
 
 // SetRate retunes class id's whole-link guaranteed rate across all shards.
 func (s *Sharded) SetRate(id int, rate float64) error {
-	per := s.scale(rate)
-	return s.fanout(func(d *dataplane.Dataplane) error { return d.SetRate(id, per) })
+	return s.fanout(func(d *dataplane.Dataplane) error { return d.SetRate(id, rate) })
 }
 
 // SetWeight retunes a topology node's relative share on every shard.
-// Shares are dimensionless, so no scaling applies.
 func (s *Sharded) SetWeight(name string, share float64) error {
 	return s.fanout(func(d *dataplane.Dataplane) error { return d.SetWeight(name, share) })
 }
 
 // AddLeafClass grafts a class leaf under the named node on every shard.
-// share is relative (unscaled); ceil is a whole-link ceiling (scaled).
+// ceil, and share under a flat root, are whole-link values.
 func (s *Sharded) AddLeafClass(parent, name string, id int, share, ceil float64) error {
-	if ceil > 0 {
-		ceil = s.scale(ceil)
-	}
 	return s.fanout(func(d *dataplane.Dataplane) error {
 		return d.AddLeafClass(parent, name, id, share, ceil)
 	})
@@ -309,18 +302,18 @@ func (s *Sharded) RemoveClass(id int) error {
 
 // SetCeil caps class id at a whole-link ceiling (0 removes the cap).
 func (s *Sharded) SetCeil(id int, ceil float64) error {
-	if ceil > 0 {
-		ceil = s.scale(ceil)
-	}
 	return s.fanout(func(d *dataplane.Dataplane) error { return d.SetCeil(id, ceil) })
 }
 
-// SetNodeCeil caps a named topology node at a whole-link ceiling.
+// SetNodeCeil caps a named node at a whole-link ceiling.
 func (s *Sharded) SetNodeCeil(name string, ceil float64) error {
-	if ceil > 0 {
-		ceil = s.scale(ceil)
-	}
 	return s.fanout(func(d *dataplane.Dataplane) error { return d.SetNodeCeil(name, ceil) })
+}
+
+// ProtectClass FEC-protects an existing class on every shard; each shard
+// encodes its own blocks. Refused once the shards have started.
+func (s *Sharded) ProtectClass(class int, spec fec.Spec, cfg dataplane.FECConfig) error {
+	return s.fanout(func(d *dataplane.Dataplane) error { return d.ProtectClass(class, spec, cfg) })
 }
 
 // SetPolicy swaps a scheduling discipline on every shard.
