@@ -9,8 +9,9 @@
 # seeds fixed in the tests themselves, so every run erases the same
 # datagrams. `make bench` refreshes BENCH_dataplane.json from the pump
 # benchmarks (monolithic and sharded, so the single/multi-shard pair lands
-# in one document) plus the loopback UDP run benchmark (16 × 64 B to one
-# peer, one write per datagram beside one GSO sendmmsg), and
+# in one document), the buffer pool's cross-goroutine handoff, a
+# 4096-leaf engine build, plus the loopback UDP run benchmark (16 × 64 B
+# to one peer, one write per datagram beside one GSO sendmmsg), and
 # BENCH_sched.json from the PIFO-vs-seed scheduler microbenchmarks
 # (override duration: make bench BENCHTIME=1x for a smoke run); `make
 # alloccheck` runs the steady-state zero-allocation regression test alone.
@@ -69,7 +70,7 @@ fuzz:
 
 bench:
 	{ $(GO) test ./internal/dataplane/ -run '^$$' \
-		-bench 'BenchmarkPump(PerPacket|Batched|Tree)$$|BenchmarkReconfigUnderLoad$$|BenchmarkFECEncode$$|BenchmarkPumpWithFEC$$' -benchmem \
+		-bench 'BenchmarkPump(PerPacket|Batched|Tree)$$|BenchmarkReconfigUnderLoad$$|BenchmarkFECEncode$$|BenchmarkPumpWithFEC$$|BenchmarkBufferPoolHandoff$$|BenchmarkNewDeepTree$$' -benchmem \
 		-benchtime $(BENCHTIME) -count=1 ; \
 	  $(GO) test ./internal/shard/ -run '^$$' \
 		-bench 'BenchmarkShardedPump$$' -benchmem \

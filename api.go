@@ -802,8 +802,8 @@ type DataplaneStatus = dataplane.Status
 // ClassStatus is one class's row in DataplaneStatus.
 type ClassStatus = dataplane.ClassStatus
 
-// TreeNodeInfo describes one live node of a data-plane topology
-// (DataplaneStatus.Nodes, Hierarchy.Nodes).
+// TreeNodeInfo describes one live node of a data-plane tree, a flat
+// engine's one-level tree included (DataplaneStatus.Nodes, Hierarchy.Nodes).
 type TreeNodeInfo = hier.NodeInfo
 
 // AdminServer is the gateway's HTTP control plane (internal/ctl): live

@@ -38,7 +38,8 @@
 // a per-class drop policy, codel or red (-aqm.target, -aqm.interval), for
 // bounded latency under overload; the ingress reader restarts itself after a
 // panic. SIGINT/SIGTERM drains the staged backlog through the pacer for at
-// most -drain before exiting (a second signal exits immediately).
+// most -drain before exiting (a second signal exits immediately; a repeat
+// within 500 ms of the first counts as the same request).
 //
 // Overload control: -overload enables the pressure-and-health subsystem —
 // staging occupancy, buffer-pool pressure, retry/restart rates and the pump
@@ -314,18 +315,12 @@ func run(args []string) error {
 	}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
+	go onSignals(sigs, time.Now, func() {
 		fmt.Fprintf(os.Stderr, "hpfqgw: shutting down, draining (deadline %s)\n", *drain)
-		go func() {
-			<-sigs
-			fmt.Fprintln(os.Stderr, "hpfqgw: second signal, exiting now")
-			os.Exit(1)
-		}()
 		if err := gw.close(*drain); err != nil {
 			fmt.Fprintln(os.Stderr, "hpfqgw:", err)
 		}
-	}()
+	}, os.Exit)
 
 	mode := "1 socket"
 	if len(listens) > 1 {
@@ -363,4 +358,29 @@ func run(args []string) error {
 		}
 	}
 	return runErr
+}
+
+// repeatGrace is how soon after the first shutdown signal a repeat counts
+// as the same request: GNU timeout, for one, signals both the process and
+// its process group, so the gateway receives its SIGTERM twice at once.
+const repeatGrace = 500 * time.Millisecond
+
+// onSignals runs the shutdown protocol over sigs. The first signal starts
+// drain on its own goroutine; a repeat within repeatGrace of it is ignored;
+// a later one calls exit(1), for an operator who will not wait for the
+// drain. It returns after calling exit, or when sigs is closed.
+func onSignals(sigs <-chan os.Signal, now func() time.Time, drain func(), exit func(code int)) {
+	if _, ok := <-sigs; !ok {
+		return
+	}
+	first := now()
+	go drain()
+	for range sigs {
+		if now().Sub(first) < repeatGrace {
+			continue
+		}
+		fmt.Fprintln(os.Stderr, "hpfqgw: second signal, exiting now")
+		exit(1)
+		return
+	}
 }

@@ -330,15 +330,15 @@ func (s *Server) statusText(w http.ResponseWriter, r *http.Request) {
 	if len(st.Nodes) > 0 {
 		fmt.Fprintln(w)
 		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "NODE\tPARENT\tSHARE\tRATE\tPOLICY\tSESSION")
+		fmt.Fprintln(tw, "NODE\tPARENT\tSHARE\tRATE\tCEIL\tPOLICY\tSESSION")
 		for _, n := range st.Nodes {
 			session := "-"
 			if n.Session >= 0 {
 				session = strconv.Itoa(n.Session)
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%g\t%s\t%s\t%s\n",
+			fmt.Fprintf(tw, "%s\t%s\t%g\t%s\t%s\t%s\t%s\n",
 				orDash(n.Name), orDash(n.Parent), n.Share, rate(n.Rate),
-				orDash(n.Policy), session)
+				ceilStr(n.Ceil), orDash(n.Policy), session)
 		}
 		tw.Flush()
 	}

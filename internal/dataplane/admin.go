@@ -99,7 +99,7 @@ func (d *Dataplane) addLeafLocked(parent, name string, id int, share, ceil float
 	if err := d.tree.AddLeaf(parent, name, id, d.leafShare(share)); err != nil {
 		return err
 	}
-	d.classes[id] = d.newClassState(d.tree.SessionRate(id))
+	d.classes[id] = d.newClassState(id)
 	if ceil > 0 {
 		_ = d.tree.SetCeil(id, d.perShard(ceil), d.schedTime(d.now())) // the leaf exists: cannot fail
 	}
@@ -266,7 +266,7 @@ type Status struct {
 	Restarts  int // pump panic-recoveries
 
 	Scheduler obs.Metrics     // per-class counters, delays, drops by reason
-	Nodes     []hier.NodeInfo // live topology, preorder; nil in flat mode
+	Nodes     []hier.NodeInfo // live tree, preorder: a flat engine's is its root and one leaf per class
 	Classes   []ClassStatus   // per-class staging state, sorted by id
 	Pool      *PoolStats      // buffer-pool counters; nil without a pool
 	FEC       []FECStatus     // protected classes, sorted by id; nil without FEC
@@ -300,14 +300,14 @@ func (d *Dataplane) Status() Status {
 		Restarts:  d.restarts,
 		Scheduler: d.tree.Snapshot(),
 	}
-	names := map[int]string{}
 	if !d.tree.Flat() {
 		st.Mode = "topology"
-		st.Nodes = d.tree.Nodes()
-		for _, info := range st.Nodes {
-			if info.Session >= 0 {
-				names[info.Session] = info.Name
-			}
+	}
+	st.Nodes = d.tree.Nodes()
+	names := map[int]string{}
+	for _, info := range st.Nodes {
+		if info.Session >= 0 {
+			names[info.Session] = info.Name
 		}
 	}
 	st.Classes = make([]ClassStatus, 0, len(d.classes))

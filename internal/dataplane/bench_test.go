@@ -149,3 +149,61 @@ func BenchmarkPumpTree(b *testing.B) {
 	}
 	b.StopTimer()
 }
+
+// BenchmarkNewDeepTree measures building an engine over the 4096-leaf
+// (16×16×16) WF²Q+ topology with metrics and tracing off: the set-up that
+// perfbench's engine_deep pays per launch, from a parsed topology.
+func BenchmarkNewDeepTree(b *testing.B) {
+	top, err := topo.Parse(deepTreeSpec(16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := New("WF2Q+", 1e12, WithTopology(top), WithBurst(1e12))
+		if err != nil {
+			b.Fatal(err)
+		}
+		d.Close()
+	}
+}
+
+// BenchmarkBufferPoolHandoff measures a buffer's round trip through the
+// pool when Get and Put run on different goroutines, as an ingress reader
+// and the pump do: the benchmark goroutine Gets, and a second goroutine
+// returns each chunk of 32 buffers with one PutBatch. ns/op is per buffer.
+func BenchmarkBufferPoolHandoff(b *testing.B) {
+	const (
+		chunk  = 32
+		chunks = 4 // chunk slices in rotation between the two goroutines
+	)
+	p := NewBufferPool(64)
+	empty := make(chan [][]byte, chunks) // sized to hold every chunk slice
+	full := make(chan [][]byte, chunks)
+	for i := 0; i < chunks; i++ {
+		empty <- make([][]byte, 0, chunk)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for bufs := range full {
+			p.PutBatch(bufs)
+			clear(bufs)
+			empty <- bufs[:0]
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	bufs := <-empty
+	for i := 0; i < b.N; i++ {
+		bufs = append(bufs, p.Get())
+		if len(bufs) == chunk {
+			full <- bufs
+			bufs = <-empty
+		}
+	}
+	full <- bufs
+	close(full)
+	<-done
+}

@@ -151,6 +151,10 @@ type classState struct {
 	packets int // under Dataplane.mu
 	bytes   int // under Dataplane.mu
 
+	// leaf is the class's scheduler leaf, resolved when the class is
+	// created: the pump stages into it without a lookup.
+	leaf hier.Leaf
+
 	// outPkts/outBytes count this batch's departures from the scheduler
 	// (pump-owned); the pump subtracts them from packets/bytes under mu.
 	outPkts  int
@@ -189,9 +193,16 @@ type datagram struct {
 // exception waits a little longer — hier.Tree keeps a reference to the head
 // it dequeued last until its next Dequeue, so that envelope is recycled
 // only then.
+//
+// cs is the datagram's class, resolved at admission, so the pump stages and
+// settles it without a lookup (DESIGN.md S36). It stays valid until the
+// scheduler releases the datagram: a class holding datagrams cannot be
+// removed. Once released the class may go, so the requeue path resolves the
+// class again (exhausted).
 type envelope struct {
 	pkt packet.Packet
 	dg  datagram
+	cs  *classState
 }
 
 // retryPolicy is the pump's reaction to transient Writer errors.
@@ -483,6 +494,7 @@ type Dataplane struct {
 	held     *envelope
 	heldFree bool
 	scratch  []Datagram // scratch for the current WriteBatch chunk
+	bufs     [][]byte   // scratch for the written chunk's buffers (finishWritten)
 	// holdWait is the time to the scheduler's next release of a class its
 	// ceiling holds back, when a batch found nothing else to send.
 	holdWait time.Duration
@@ -576,7 +588,7 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 		}
 		d.tree = tree
 		for _, id := range tree.Sessions() {
-			d.classes[id] = d.newClassState(tree.SessionRate(id))
+			d.classes[id] = d.newClassState(id)
 		}
 	} else {
 		root, err := resolve(&topo.Node{}, rate)
@@ -628,10 +640,10 @@ func validCeil(ceil float64) bool {
 	return ceil > 0 && !math.IsNaN(ceil) && !math.IsInf(ceil, 0)
 }
 
-// newClassState returns per-class staging state, with the configured AQM
-// policy attached when one is on.
-func (d *Dataplane) newClassState(rate float64) *classState {
-	cs := &classState{rate: rate}
+// newClassState returns the staging state of class id, whose leaf the tree
+// already holds, with the configured AQM policy attached when one is on.
+func (d *Dataplane) newClassState(id int) *classState {
+	cs := &classState{rate: d.tree.SessionRate(id), leaf: d.tree.Leaf(id)}
 	switch d.aqmKind {
 	case AQMCoDel:
 		cs.aqm = newCodel(d.target, d.interval)
@@ -643,14 +655,20 @@ func (d *Dataplane) newClassState(rate float64) *classState {
 
 // freeEnvelope releases a datagram that has left the engine: the payload
 // buffer goes back to the pool (when the engine owns one) and the envelope
-// joins the pump's freed list — unless hier.Tree still pins it as the head
-// it dequeued last, in which case it is recycled at the tree's next Dequeue
-// (pop). Pump goroutine only.
+// is recycled. Pump goroutine only.
 func (d *Dataplane) freeEnvelope(e *envelope) {
 	if d.pool != nil && e.dg.b != nil {
 		d.pool.Put(e.dg.b)
 	}
-	e.dg = datagram{}
+	d.recycle(e)
+}
+
+// recycle clears an envelope whose buffer the caller has released, and adds
+// it to the pump's freed list — unless hier.Tree still pins it as the head
+// it dequeued last, in which case it is recycled at the tree's next Dequeue
+// (pop). Pump goroutine only.
+func (d *Dataplane) recycle(e *envelope) {
+	e.dg, e.cs = datagram{}, nil
 	if e == d.held {
 		d.heldFree = true
 		return
@@ -1025,7 +1043,8 @@ func (d *Dataplane) takeInbox(now float64) {
 
 // stageChunk hands up to one WithBatchSize chunk of the taken inbox to the
 // scheduler, in arrival order, under one scheduler-lock hold. A datagram
-// enters the scheduler at its ingest time, clamped to the scheduler clock.
+// enters the scheduler at its ingest time, clamped to the scheduler clock,
+// straight into the leaf its class resolved at creation.
 func (d *Dataplane) stageChunk() {
 	d.smu.Lock()
 	defer d.smu.Unlock()
@@ -1034,7 +1053,7 @@ func (d *Dataplane) stageChunk() {
 	for d.stageHead < end {
 		env := d.staging[d.stageHead]
 		d.stageHead++
-		d.tree.Enqueue(d.schedTime(env.pkt.Arrival), &env.pkt)
+		d.tree.EnqueueLeaf(d.schedTime(env.pkt.Arrival), env.cs.leaf, &env.pkt)
 	}
 }
 
@@ -1055,8 +1074,7 @@ func (d *Dataplane) dequeueChunk(tokens *float64, now float64) bool {
 			}
 			return false
 		}
-		p := &env.pkt
-		cs := d.classes[p.Session]
+		p, cs := &env.pkt, env.cs
 		if cs.outPkts == 0 {
 			d.settling = append(d.settling, cs)
 		}
@@ -1188,7 +1206,7 @@ func (d *Dataplane) writeChunk(chunk []released) {
 }
 
 // finishWritten accounts one delivered prefix — a single batch-write record
-// plus the pooled-buffer release for every datagram in it — and advances
+// plus one pool call returning every datagram's buffer — and advances
 // infHead past it.
 func (d *Dataplane) finishWritten(written []released) {
 	var bits float64
@@ -1202,9 +1220,16 @@ func (d *Dataplane) finishWritten(written []released) {
 	if tr := d.ov.tracker; tr != nil {
 		tr.NoteProgress() // delivery releases a tripped watchdog breaker
 	}
+	bufs := d.bufs[:0]
 	for i := range written {
-		d.freeEnvelope(written[i].env)
+		bufs = append(bufs, written[i].env.dg.b)
+		d.recycle(written[i].env)
 	}
+	if d.pool != nil {
+		d.pool.PutBatch(bufs)
+	}
+	clear(bufs)
+	d.bufs = bufs[:0]
 	d.infHead += len(written)
 }
 
@@ -1242,7 +1267,11 @@ func (d *Dataplane) exhausted(r released, bits float64) bool {
 	d.tree.RecordRetry(now, r.class, bits, obs.RetryRequeue)
 	r.env.pkt.Arrival = now
 	d.tree.Refund(r.class, r.env.pkt.Length, now)
-	d.tree.Enqueue(now, &r.env.pkt)
+	// The class and leaf resolved at admission may be gone, and RemoveLeaf
+	// frees the leaf's slot for the next graft: requeue through the class
+	// looked up just now, never through the envelope's.
+	r.env.cs = cs
+	d.tree.EnqueueLeaf(now, cs.leaf, &r.env.pkt)
 	cs.packets++
 	cs.bytes += len(r.env.dg.b)
 	d.staged++

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"os"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -268,6 +269,108 @@ func TestRequeueBudgetExhausted(t *testing.T) {
 	}
 	if m.Enqueued.Packets != 3 || m.Dequeued.Packets != 3 {
 		t.Errorf("enqueued %d dequeued %d, want 3/3", m.Enqueued.Packets, m.Dequeued.Packets)
+	}
+	if !m.Conserved() {
+		t.Error("metrics not conserved")
+	}
+}
+
+// gatedWriter delivers every datagram but those of class stale (by the
+// class byte mkPayload writes), which all fail transiently; it holds the
+// pump in the first such write until release is closed.
+type gatedWriter struct {
+	stale     byte
+	entered   chan struct{} // closed when the first write of class stale begins
+	release   chan struct{}
+	once      sync.Once
+	attempts  atomic.Int64 // writes of class stale
+	delivered atomic.Int64 // datagrams of other classes
+}
+
+func (w *gatedWriter) WritePacket(b []byte) (int, error) {
+	if b[0] == w.stale {
+		w.once.Do(func() {
+			close(w.entered)
+			<-w.release
+		})
+		w.attempts.Add(1)
+		return 0, transientErr{}
+	}
+	w.delivered.Add(1)
+	return len(b), nil
+}
+
+// TestRequeueAfterSlotReuse: a class is removed while its datagram is in
+// flight, and another class is grafted into the freed leaf slot. When the
+// in-flight write then exhausts its retries under WithRequeue, the datagram
+// must drop as "retry-exhausted" — never requeue into the new class through
+// the leaf its envelope resolved at admission — and every count settles.
+func TestRequeueAfterSlotReuse(t *testing.T) {
+	clk := wallclock.NewFake()
+	d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics(),
+		WithWriteRetry(1, 100*time.Microsecond, time.Millisecond), WithRequeue(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, 2} {
+		if err := d.AddClass(id, 2e7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := &gatedWriter{stale: 0, entered: make(chan struct{}), release: make(chan struct{})}
+	if err := d.Ingest(2, mkPayload(2, 0, 125)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(w); err != nil {
+		t.Fatal(err)
+	}
+	// Once the pump has run a batch, a tokens' worth of idle time lets the
+	// next batch dequeue past class 0's datagram, which resets its path:
+	// only then is its leaf free to remove while the datagram is in flight.
+	advanceUntil(t, clk, 100*time.Microsecond, func() bool { return w.delivered.Load() == 1 })
+	clk.Advance(10 * time.Millisecond)
+	if err := d.Ingest(0, mkPayload(0, 0, 125)); err != nil {
+		t.Fatal(err)
+	}
+	<-w.entered // class 0's datagram is in flight; its batch has settled
+	if err := d.RemoveClass(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Classes(); len(got) != 1 {
+		t.Fatalf("classes %v after RemoveClass(0) mid-write, want [2]", got)
+	}
+	if err := d.AddClass(1, 2e7); err != nil { // takes class 0's freed leaf slot
+		t.Fatal(err)
+	}
+	const later = 20
+	for k := 0; k < later; k++ {
+		if err := d.Ingest(1, mkPayload(1, k, 125)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(w.release)
+	advanceUntil(t, clk, 100*time.Microsecond, func() bool {
+		return w.delivered.Load() == 1+later && d.Snapshot().DropReasons[obs.DropRetries].Packets == 1
+	})
+	if d.Backlog() != 0 {
+		t.Errorf("backlog %d after everything left", d.Backlog())
+	}
+	for _, c := range d.Status().Classes {
+		if c.Queued != 0 || c.QueuedBytes != 0 {
+			t.Errorf("class %d still counts %d datagrams (%d bytes)", c.ID, c.Queued, c.QueuedBytes)
+		}
+	}
+	closeDraining(t, d, clk)
+
+	if got := w.attempts.Load(); got != 2 { // the first write and its one retry
+		t.Errorf("class 0's datagram was written %d times, want 2", got)
+	}
+	m := d.Snapshot()
+	if got := m.RetryReasons[obs.RetryRequeue].Packets; got != 0 {
+		t.Errorf("%q retries = %d, want 0: the class was gone", obs.RetryRequeue, got)
+	}
+	if s, ok := m.Session(1); !ok || s.Enqueued.Packets != later || s.Dequeued.Packets != later {
+		t.Errorf("class 1 enqueued %d dequeued %d, want %d each", s.Enqueued.Packets, s.Dequeued.Packets, later)
 	}
 	if !m.Conserved() {
 		t.Error("metrics not conserved")

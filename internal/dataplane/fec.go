@@ -201,7 +201,7 @@ func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) err
 	if err := d.tree.AddLeaf(leaf.Parent, name, repair, share); err != nil {
 		return err
 	}
-	d.classes[repair] = d.newClassState(d.tree.SessionRate(repair))
+	d.classes[repair] = d.newClassState(repair)
 	d.syncRatesLocked()
 
 	if d.fec == nil {

@@ -233,6 +233,7 @@ func (d *Dataplane) acceptLocked(cs *classState, class int, b []byte, ctx any, n
 	env.pkt.Arrival = now // sojourn basis for the AQM
 	env.pkt.Payload = env
 	env.dg = datagram{b: b, ctx: ctx, requeues: d.retry.requeues}
+	env.cs = cs
 	d.inbox = append(d.inbox, env)
 	cs.packets++
 	cs.bytes += len(b)

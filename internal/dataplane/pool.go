@@ -21,17 +21,43 @@ const MaxDatagramSize = 64 * 1024
 // engine drops) the datagram. When Ingest returns an error the caller still
 // owns the buffer and may reuse or Put it. Writers must not retain payload
 // slices past the WritePacket/WriteBatch call for the same reason.
+//
+// Buffers travel in magazines of up to magazineSize (DESIGN.md S36). A
+// goroutine draws from, and fills, the magazine in its own P's private slot
+// of a sync.Pool, so when one CPU calls Get and another Put — an ingress
+// reader feeding the pump — the two exchange a magazine per magazineSize
+// buffers instead of stealing from each other's pool on every Get.
 type BufferPool struct {
 	size int
 
-	// Two-level pooling keeps Put allocation-free: bufs holds recycled
-	// payload buffers behind *[]byte boxes, and boxes recycles the empty
-	// boxes themselves, so neither direction boxes a slice header into an
+	// stocked holds magazines with at least one buffer; drained recycles
+	// empty ones, so neither direction allocates a magazine at steady
+	// state. The pools hold pointers, so no slice header is boxed into an
 	// interface on the hot path.
-	bufs  sync.Pool
-	boxes sync.Pool
+	stocked sync.Pool
+	drained sync.Pool
 
-	gets, puts, allocs atomic.Int64
+	// Each counter sits on its own cache line: Get and Put usually run on
+	// different CPUs.
+	gets, puts, allocs paddedCounter
+}
+
+// magazineSize is the most buffers a magazine holds: one WithBatchSize
+// chunk at the default batch size, so the pump returns a written chunk in
+// about one magazine.
+const magazineSize = 32
+
+// magazine is a stack of pooled buffers.
+type magazine struct {
+	n    int
+	bufs [magazineSize][]byte
+}
+
+// paddedCounter is an atomic counter preceded by enough padding that no
+// two of them, or a counter and the fields before it, share a cache line.
+type paddedCounter struct {
+	_ [56]byte
+	atomic.Int64
 }
 
 // PoolStats is a point-in-time snapshot of a BufferPool's traffic. Allocs
@@ -65,14 +91,20 @@ func (p *BufferPool) Size() int { return p.size }
 // freshly allocated otherwise. Contents are arbitrary.
 func (p *BufferPool) Get() []byte {
 	p.gets.Add(1)
-	if box, _ := p.bufs.Get().(*[]byte); box != nil {
-		b := *box
-		*box = nil
-		p.boxes.Put(box)
-		return b
+	m, _ := p.stocked.Get().(*magazine)
+	if m == nil {
+		p.allocs.Add(1)
+		return make([]byte, p.size)
 	}
-	p.allocs.Add(1)
-	return make([]byte, p.size)
+	m.n--
+	b := m.bufs[m.n]
+	m.bufs[m.n] = nil
+	if m.n > 0 {
+		p.stocked.Put(m)
+	} else {
+		p.drained.Put(m)
+	}
+	return b
 }
 
 // Put returns a buffer to the pool. The caller must not touch b afterwards.
@@ -80,17 +112,48 @@ func (p *BufferPool) Get() []byte {
 // matters); foreign buffers with less capacity than Size are dropped for
 // the GC rather than poisoning the pool.
 func (p *BufferPool) Put(b []byte) {
-	if cap(b) < p.size {
+	p.PutBatch([][]byte{b})
+}
+
+// PutBatch is Put for every buffer in bufs, filling one magazine at a time.
+// It leaves bufs' elements as they are: clearing them is the caller's.
+func (p *BufferPool) PutBatch(bufs [][]byte) {
+	m, _ := p.stocked.Get().(*magazine)
+	spilled := false
+	var n int64
+	for _, b := range bufs {
+		if cap(b) < p.size {
+			continue
+		}
+		if m == nil || m.n == magazineSize {
+			if m != nil {
+				p.stocked.Put(m)
+				spilled = true
+			}
+			if m, _ = p.drained.Get().(*magazine); m == nil {
+				m = new(magazine)
+			}
+		}
+		m.bufs[m.n] = b[:p.size]
+		m.n++
+		n++
+	}
+	if m == nil {
 		return
 	}
-	b = b[:p.size]
-	box, _ := p.boxes.Get().(*[]byte)
-	if box == nil {
-		box = new([]byte)
+	if spilled {
+		// The first full magazine took this P's private slot, where the
+		// next Put would find it full: trade places with m, which has room,
+		// and leave the full one queued for a Get.
+		full := p.stocked.Get()
+		p.stocked.Put(m)
+		if full != nil {
+			p.stocked.Put(full)
+		}
+	} else {
+		p.stocked.Put(m)
 	}
-	*box = b
-	p.bufs.Put(box)
-	p.puts.Add(1)
+	p.puts.Add(n)
 }
 
 // Stats snapshots the pool's counters.

@@ -142,7 +142,8 @@ func BuildSpec(t *topo.Node, linkRate float64, algo string, newNode NewNodeSpecF
 // change only the named leaf (the last one included). The root is the node
 // named "" (SetNodePolicy, SetNodeCeil).
 func NewFlat(linkRate float64, ns sched.NodeScheduler) *Tree {
-	root := &node{rate: linkRate, session: -1, ns: ns, abs: true}
+	// The root's share is 1, as a topology root's: it owns the whole link.
+	root := &node{rate: linkRate, share: 1, session: -1, ns: ns, abs: true}
 	tr := &Tree{
 		algo:     ns.Name(),
 		rate:     linkRate,
@@ -333,14 +334,32 @@ func (tr *Tree) Sessions() []int {
 	return out
 }
 
+// Leaf is a handle on one session's leaf, resolved once by Tree.Leaf so a
+// caller that enqueues many packets for the session skips the lookup. The
+// zero Leaf names no session. A handle goes stale when its leaf is removed
+// (RemoveLeaf), and a later AddLeaf may reuse the removed leaf's slot for
+// another session, so a caller that can see a removal must resolve again.
+type Leaf struct{ n *node }
+
+// Leaf returns the handle on session's leaf; the zero Leaf when the tree
+// has no such session.
+func (tr *Tree) Leaf(session int) Leaf { return Leaf{tr.leaves[session]} }
+
 // Enqueue delivers a packet to its session's leaf FIFO. A packet arriving
 // to an empty queue becomes the leaf's logical head and triggers the
 // paper's ARRIVE propagation. now is the wall-clock instant the ceiling
 // checks on the way up use, and only those: the hierarchy's own clocks are
 // reference-time driven.
 func (tr *Tree) Enqueue(now float64, p *packet.Packet) {
-	leaf, ok := tr.leaves[p.Session]
-	if !ok {
+	tr.EnqueueLeaf(now, tr.Leaf(p.Session), p)
+}
+
+// EnqueueLeaf is Enqueue into the leaf l, which the caller resolved with
+// Leaf(p.Session). A zero or removed handle, or one on another session's
+// leaf, panics: the packet has nowhere valid to go.
+func (tr *Tree) EnqueueLeaf(now float64, l Leaf, p *packet.Packet) {
+	leaf := l.n
+	if leaf == nil || leaf.removed || leaf.session != p.Session {
 		panic(fmt.Sprintf("hier: enqueue for unknown session %d", p.Session))
 	}
 	leaf.fifo.Push(p)

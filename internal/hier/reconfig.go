@@ -44,6 +44,7 @@ type NodeInfo struct {
 	Share   float64 // service share φ relative to siblings
 	Session int     // leaf session id; -1 for interior nodes
 	Policy  string  // interior node's scheduler name; "" for leaves
+	Ceil    float64 // ceiling in bits/sec (SetCeil, SetNodeCeil, '^ceil'); 0 = uncapped
 }
 
 // Nodes returns every live node in depth-first preorder, root first.
@@ -56,6 +57,7 @@ func (tr *Tree) Nodes() []NodeInfo {
 			Rate:    n.rate,
 			Share:   n.share,
 			Session: n.session,
+			Ceil:    tr.shape.Rate(n.id),
 		}
 		if n.parent != nil {
 			info.Parent = n.parent.name

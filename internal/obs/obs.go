@@ -332,11 +332,15 @@ type Observable interface {
 	Snapshot() Metrics
 }
 
-// sessionState is the live per-session accumulator behind SessionMetrics.
-type sessionState struct {
+// sessionReg is what a collector keeps of every session it has seen,
+// active or not: that the session exists, and its guaranteed rate.
+type sessionReg struct {
 	seen bool
 	rate float64
+}
 
+// sessionState is the live per-session accumulator behind SessionMetrics.
+type sessionState struct {
 	enq, deq, drop, retry Counter
 	depth                 int
 	maxDepth              int
@@ -385,7 +389,12 @@ type Collector struct {
 	reasons               map[string]Counter // drop counters keyed by reason tag
 	retryReasons          map[string]Counter // retry counters keyed by reason tag
 
-	sessions []sessionState
+	// regs holds every session by id. stats holds the accumulators, in
+	// step with regs once the collector is active and empty before, so an
+	// inactive collector (every node of a large tree run without metrics
+	// or tracing) costs 16 bytes per session.
+	regs  []sessionReg
+	stats []sessionState
 }
 
 // InitObs names the collector (normally the algorithm name) and records the
@@ -410,7 +419,7 @@ func (c *Collector) InitNodeObs(name string, rate float64) {
 // packets enqueued after the switch.
 func (c *Collector) EnableMetrics() {
 	c.metrics = true
-	c.active = true
+	c.activate()
 }
 
 // MetricsEnabled reports whether EnableMetrics was called.
@@ -419,7 +428,25 @@ func (c *Collector) MetricsEnabled() bool { return c.metrics }
 // SetTracer installs (or, with nil, removes) the per-event tracer.
 func (c *Collector) SetTracer(t Tracer) {
 	c.tracer = t
-	c.active = c.metrics || t != nil
+	if t != nil {
+		c.activate()
+	} else {
+		c.active = c.metrics
+	}
+}
+
+// activate turns recording on, with an accumulator for every session seen
+// so far.
+func (c *Collector) activate() {
+	c.active = true
+	c.growStats()
+}
+
+// growStats extends stats to cover every session in regs.
+func (c *Collector) growStats() {
+	if n := len(c.regs) - len(c.stats); n > 0 {
+		c.stats = append(c.stats, make([]sessionState, n)...)
+	}
 }
 
 // RegisterSession declares a session and its guaranteed rate, so the
@@ -427,8 +454,7 @@ func (c *Collector) SetTracer(t Tracer) {
 // registered (FIFO servers, links) are created lazily with rate 0 on first
 // use.
 func (c *Collector) RegisterSession(id int, rate float64) {
-	s := c.session(id)
-	s.rate = rate
+	c.reg(id).rate = rate
 }
 
 // RetuneSession updates a session's recorded guaranteed rate after a live
@@ -438,13 +464,22 @@ func (c *Collector) RetuneSession(id int, rate float64) {
 	c.RegisterSession(id, rate)
 }
 
-func (c *Collector) session(id int) *sessionState {
-	for len(c.sessions) <= id {
-		c.sessions = append(c.sessions, sessionState{})
+// reg returns session id's registration, marking it seen.
+func (c *Collector) reg(id int) *sessionReg {
+	if n := id + 1 - len(c.regs); n > 0 {
+		c.regs = append(c.regs, make([]sessionReg, n)...)
 	}
-	s := &c.sessions[id]
-	s.seen = true
-	return s
+	r := &c.regs[id]
+	r.seen = true
+	return r
+}
+
+// session returns session id's accumulator. Only an active collector has
+// them.
+func (c *Collector) session(id int) *sessionState {
+	c.reg(id)
+	c.growStats()
+	return &c.stats[id]
 }
 
 // RecordEnqueue accounts one packet of the given length accepted for the
@@ -516,12 +551,12 @@ func (c *Collector) recordDequeue(now float64, session int, bits, vstart, vfinis
 			if arr, ok := s.arrivals.pop(); ok {
 				s.delay.observe(now - arr)
 			}
-			if s.busy && s.rate > 0 {
+			if rate := c.regs[session].rate; s.busy && rate > 0 {
 				// Normalized service lag at the instant this packet is
 				// selected: what the guaranteed rate promised since the
 				// backlog began, minus what was actually served.
-				lag := (now-s.busyStart)*s.rate - s.served
-				if w := lag / s.rate; w > s.wfi {
+				lag := (now-s.busyStart)*rate - s.served
+				if w := lag / rate; w > s.wfi {
 					s.wfi = w
 				}
 				s.served += bits
@@ -725,14 +760,17 @@ func (c *Collector) Snapshot() Metrics {
 			m.RetryReasons[r] = n
 		}
 	}
-	for id := range c.sessions {
-		s := &c.sessions[id]
-		if !s.seen {
+	for id, r := range c.regs {
+		if !r.seen {
 			continue
+		}
+		var s sessionState
+		if id < len(c.stats) {
+			s = c.stats[id]
 		}
 		m.Sessions = append(m.Sessions, SessionMetrics{
 			ID:          id,
-			Rate:        s.rate,
+			Rate:        r.rate,
 			Enqueued:    s.enq,
 			Dequeued:    s.deq,
 			Dropped:     s.drop,

@@ -487,8 +487,9 @@ func (s *Sharded) ShardStatuses() []dataplane.Status {
 }
 
 // Status merges the shards into one whole-link control-plane view: rates,
-// ceilings, and node rates sum back to the configured whole-link units;
-// counters merge via obs.Merge; health rolls up worst-first.
+// ceilings, node rates and node ceilings sum back to the configured
+// whole-link units; counters merge via obs.Merge; health rolls up
+// worst-first.
 func (s *Sharded) Status() dataplane.Status {
 	sts := s.ShardStatuses()
 	n := float64(len(sts))
@@ -510,6 +511,7 @@ func (s *Sharded) Status() dataplane.Status {
 		copy(nodes, out.Nodes)
 		for i := range nodes {
 			nodes[i].Rate *= n
+			nodes[i].Ceil *= n
 		}
 		out.Nodes = nodes
 	}

@@ -30,8 +30,8 @@ func classRow(t *testing.T, s *Sharded, id int) dataplane.ClassStatus {
 // through AddClass, AddLeafClass under the flat root, SetRate, or an FEC
 // RepairShare; a ceiling through AddLeafClass, SetCeil, or SetNodeCeil on
 // the root — means the whole link whatever the shard count: the merged
-// Status reads it back as given, and a root ceiling bounds the summed
-// egress of all shards.
+// Status reads it back as given (the root's on its node row), and a root
+// ceiling bounds the summed egress of all shards.
 func TestWholeLinkUnits(t *testing.T) {
 	const (
 		rate     = 10e6
@@ -74,10 +74,18 @@ func TestWholeLinkUnits(t *testing.T) {
 		}
 		want(1+dataplane.DefaultRepairClassOffset, "rate after ProtectClass", classRow(t, s, 1+dataplane.DefaultRepairClassOffset).Rate, 1e6)
 
-		// The root's ceiling has no Status row: its egress shows it. Class
-		// 0 alone is backlogged on every shard, uncapped but for the root.
+		// The root's ceiling reads back from its node row, and its egress
+		// shows it too. Class 0 alone is backlogged on every shard,
+		// uncapped but for the root.
 		if err := s.SetNodeCeil("", rootCeil); err != nil {
 			t.Fatal(err)
+		}
+		nodes := s.Status().Nodes
+		if len(nodes) == 0 || nodes[0].Parent != "" || nodes[0].Session >= 0 {
+			t.Fatalf("N=%d: merged Status lists no root node first: %+v", n, nodes)
+		}
+		if !near(nodes[0].Ceil, rootCeil) {
+			t.Fatalf("N=%d: root ceil = %g, want the whole-link %g", n, nodes[0].Ceil, rootCeil)
 		}
 		writers := make([]*classCountWriter, n)
 		for i := range writers {
