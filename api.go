@@ -681,15 +681,12 @@ const (
 type FECSpec = fec.Spec
 
 // FECConfig tunes one class protected with Dataplane.ProtectClass: the
-// repair class id, the repair leaf's RepairShare (read like AddLeafClass's
-// share: a whole-link rate under a flat engine, a weight in a topology),
-// the partial-block flush age, and the adaptive-redundancy controller. The
-// zero value is a sensible default everywhere.
+// partial-block flush age and whether the adaptive-redundancy controller
+// runs. Everything else derives from the tree: the repair class is class
+// + DefaultRepairClassOffset, its leaf is named "<leaf>.fec", and its share
+// is the protected leaf's share times R/K. The zero value is a sensible
+// default everywhere.
 type FECConfig = dataplane.FECConfig
-
-// FECControllerConfig bounds the adaptive (k,r) controller enabled by
-// FECConfig.Adapt: EWMA gain, loss headroom, and geometry bounds.
-type FECControllerConfig = fec.ControllerConfig
 
 // FECDecoder is the receive side: feed it every arriving datagram with Push;
 // native datagrams pass through, FEC sources are unwrapped, and each block's
@@ -709,8 +706,8 @@ const (
 	FECSchemeRS = fec.SchemeRS
 )
 
-// DefaultRepairClassOffset derives a repair class id when FECConfig leaves
-// RepairClass zero: protected class c's repairs ride class c+1000.
+// DefaultRepairClassOffset derives every repair class id: protected class
+// c's repairs ride class c+1000.
 const DefaultRepairClassOffset = dataplane.DefaultRepairClassOffset
 
 // DefaultFECBlockAge bounds how long a partial FEC block waits for its K-th
@@ -844,9 +841,10 @@ func WithAdminFlows(fs FlowSource) AdminOption { return ctl.WithFlows(fs) }
 // (internal/overload, wired through the data-plane).
 
 // HealthState is the data-plane's overload health verdict, advancing
-// Healthy → Degraded → Overloaded → Wedged as smoothed pressure crosses the
-// OverloadConfig thresholds (and back down with hysteresis). Read it cheaply
-// with Dataplane.HealthState, or in full with Dataplane.Health.
+// Healthy → Degraded → Overloaded → Wedged as smoothed pressure crosses
+// fixed thresholds (degraded at 0.5, overloaded at 0.8) and back down with
+// hysteresis (below 0.6 and 0.35). Read it cheaply with
+// Dataplane.HealthState, or in full with Dataplane.Health.
 type HealthState = overload.State
 
 // Health states, in escalation order.
@@ -864,20 +862,10 @@ const (
 	Wedged = overload.Wedged
 )
 
-// OverloadConfig tunes the pressure tracker behind WithOverload: sampling
-// cadence, EWMA smoothing, the enter/exit hysteresis bands of each state,
-// and the watchdog/restart circuit breakers. Zero fields select the
-// DefaultOverloadConfig values.
-type OverloadConfig = overload.Config
-
 // OverloadSignals is one raw pressure sample: staging occupancy against the
 // caps, buffer-pool miss rate, write-retry fraction, pump restart rate, and
 // heartbeat age (HealthStatus.Signals).
 type OverloadSignals = overload.Signals
-
-// DefaultOverloadConfig returns the tracker defaults documented on
-// OverloadConfig.
-func DefaultOverloadConfig() OverloadConfig { return overload.DefaultConfig() }
 
 // HealthStatus is the detailed health report behind Dataplane.Health,
 // /healthz, and the admin server's GET /api/health.
@@ -893,9 +881,11 @@ var ErrShedding = dataplane.ErrShedding
 // rates and the pump heartbeat, smooths them into a pressure score, and
 // walks the Healthy → Degraded → Overloaded → Wedged state machine with
 // hysteresis. Degraded sheds the lowest-share classes first; Overloaded
-// adds brownout (FEC and tracing off, 503 on /healthz).
-func WithOverload(cfg OverloadConfig) DataplaneOption {
-	return dpOptions{dataplane.WithOverload(cfg)}
+// adds brownout (FEC and tracing off, 503 on /healthz). The tuning is
+// fixed: a sample every 25 ms, EWMA gain 0.3, and a circuit breaker that
+// trips after 3 consecutive watchdog stalls or 8 pump restarts in 10 s.
+func WithOverload() DataplaneOption {
+	return dpOptions{dataplane.WithOverload()}
 }
 
 // WithShedOrder fixes the overload shed order explicitly: listed classes
@@ -909,8 +899,9 @@ func WithShedOrder(ids ...int) DataplaneOption {
 // WithWatchdog arms the pump watchdog: a heartbeat older than timeout while
 // work is queued counts as a stall, interrupts the blocked write with a
 // write deadline (any Writer with SetWriteDeadline), and after repeated
-// stalls trips the circuit breaker to Wedged instead of hot-looping.
-// Implies WithOverload with defaults when none was given.
+// stalls trips the circuit breaker to Wedged instead of hot-looping. The
+// timeout replaces the 500 ms stall threshold WithOverload uses alone, and
+// implies WithOverload.
 func WithWatchdog(timeout time.Duration) DataplaneOption {
 	return dpOptions{dataplane.WithWatchdog(timeout)}
 }

@@ -199,7 +199,7 @@ func run(args []string) error {
 		opts = append(opts, hpfq.WithAQM(*aqm, *aqmTarget, *aqmInterval))
 	}
 	if *overloadOn {
-		opts = append(opts, hpfq.WithOverload(hpfq.DefaultOverloadConfig()))
+		opts = append(opts, hpfq.WithOverload())
 	}
 	if *watchdog > 0 {
 		opts = append(opts, hpfq.WithWatchdog(*watchdog))

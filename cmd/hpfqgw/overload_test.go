@@ -93,16 +93,12 @@ func TestGatewayWatchdogInterruptsStall(t *testing.T) {
 }
 
 // overloadedGateway assembles a loopback gateway over a deliberately tiny
-// link with fast-reacting overload control, plus a background flooder that
+// link with overload control, plus a background flooder that
 // keeps the staging queue pinned until stopped.
 func overloadedGateway(t *testing.T) (gw *gateway, dp *hpfq.ShardedDataplane, listen *net.UDPConn, stopFlood func()) {
 	t.Helper()
 	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 1e5, 1,
-		hpfq.WithMetrics(), hpfq.WithQueueCap(8),
-		hpfq.WithOverload(hpfq.OverloadConfig{
-			SampleInterval: 2 * time.Millisecond,
-			Smoothing:      0.9,
-		}))
+		hpfq.WithMetrics(), hpfq.WithQueueCap(8), hpfq.WithOverload())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@
 // egress is wrapped in a systematic erasure code (ParseFECSpec: "xor-k" or
 // "rs-k-r", Reed-Solomon over GF(2⁸)), and each block's repair datagrams
 // are enqueued into a grafted sibling repair class (class id +
-// DefaultRepairClassOffset) that competes under the schedulers like any
+// DefaultRepairClassOffset, R/K of the protected share) that competes under the schedulers like any
 // other leaf — repair overhead is itself subject to fair queueing and can
 // never starve siblings. Partial blocks flush after FECConfig.MaxBlockAge
 // (DefaultFECBlockAge). The receive side runs NewFECDecoder: Push strips
@@ -148,9 +148,10 @@
 //
 // # Overload control
 //
-// WithOverload(cfg) arms a pressure monitor that samples staging occupancy,
-// buffer-pool misses, retry rates, pump restarts, and heartbeat age into a
-// smoothed score driving a hysteresis state machine: Healthy → Degraded →
+// WithOverload() arms a pressure monitor that samples staging occupancy,
+// buffer-pool misses, retry rates, pump restarts, and heartbeat age every
+// 25 ms into a smoothed score driving a hysteresis state machine with
+// fixed thresholds: Healthy → Degraded →
 // Overloaded → Wedged (Dataplane.Health / HealthState, HTTP /healthz and
 // GET /api/health). Under Degraded the engine sheds load class by class —
 // repair classes first, then ascending share, never the top-share class

@@ -12,7 +12,8 @@ import (
 )
 
 // advance drives the fake clock until cond holds or a real-time deadline
-// expires (the engine's pump and monitor run concurrently).
+// expires (the engine's pump and monitor run concurrently, so cond must be
+// one the engine reaches however far the clock runs ahead of them).
 func advance(t *testing.T, clk *wallclock.Fake, step time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -34,10 +35,7 @@ func TestHealthzFlipsUnderOverload(t *testing.T) {
 	// cap for several virtual seconds.
 	d, err := dataplane.New("WF2Q+", 1e3, dataplane.WithClock(clk),
 		dataplane.WithMetrics(), dataplane.WithQueueCap(4),
-		dataplane.WithOverload(overload.Config{
-			SampleInterval: 5 * time.Millisecond,
-			Smoothing:      0.8,
-		}))
+		dataplane.WithOverload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +79,11 @@ func TestHealthzFlipsUnderOverload(t *testing.T) {
 		pipe.Close()
 	}()
 
+	// Refill the queue at every step, so the ramp does not race the drain
+	// however the host schedules the pump and the monitor.
 	advance(t, clk, 5*time.Millisecond, func() bool {
+		for d.Ingest(0, payload) == nil {
+		}
 		return d.HealthState() >= overload.Overloaded
 	})
 	if rec := get(t, s, "/healthz"); rec.Code != 503 ||

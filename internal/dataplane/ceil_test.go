@@ -29,14 +29,15 @@ import (
 // stamp equals its departure time at the scheduler. onPark, when set, sees
 // each sleep the pump asks for before it blocks. A sleep that busy reports
 // will be cut short (a wake nudge is pending) is no park: the pump runs on
-// and parks again. A timer of exactly other is another goroutine's (the
-// overload monitor's), not a park.
+// and parks again. A timer of exactly held (set to the overload monitor's
+// sample interval) is never armed, so that monitor never samples and a test
+// samples by hand.
 type stepClock struct {
 	*wallclock.Fake
 	parked chan struct{}
 	onPark func(dur time.Duration)
 	busy   func() bool
-	other  time.Duration
+	held   time.Duration
 
 	mu     sync.Mutex
 	wakeAt time.Duration
@@ -47,8 +48,11 @@ func newStepClock() *stepClock {
 }
 
 func (c *stepClock) AfterFunc(dur time.Duration, fn func()) {
+	if c.held > 0 && dur == c.held {
+		return
+	}
 	c.Fake.AfterFunc(dur, fn)
-	if dur == c.other || c.busy != nil && c.busy() {
+	if c.busy != nil && c.busy() {
 		return
 	}
 	if c.onPark != nil {
@@ -303,10 +307,9 @@ func TestCeilHoldKeepsPumpAlive(t *testing.T) {
 		size     = 1500
 	)
 	clk := newStepClock()
-	clk.other = time.Hour // the monitor's timer; the test samples by hand
+	clk.held = overload.SampleInterval // the monitor's timer; the test samples by hand
 	spec := fec.Spec{Scheme: fec.SchemeRS, K: 4, R: 2}
-	d, err := New("WF2Q+", 1e6, WithClock(clk),
-		WithOverload(overload.Config{SampleInterval: clk.other}), WithWatchdog(watchdog))
+	d, err := New("WF2Q+", 1e6, WithClock(clk), WithOverload(), WithWatchdog(watchdog))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,9 +231,9 @@ type config struct {
 	pol      *pifo.Factory
 	nodePols map[string]pifo.Factory
 
-	ov        *overload.Config // overload control (nil = off unless watchdog)
-	shedOrder []int            // explicit shed order (nil = derive)
-	watchdog  time.Duration    // pump watchdog timeout (0 = off)
+	ov        bool          // overload control (off unless watchdog)
+	shedOrder []int         // explicit shed order (nil = derive)
+	watchdog  time.Duration // pump watchdog timeout (0 = off)
 
 	scale float64 // shard divisor for absolute-rate knobs (0/1 = none)
 }
@@ -476,6 +476,9 @@ type Dataplane struct {
 
 	wake chan struct{} // buffered(1) pump wakeup
 	done chan struct{} // closed when the pump exits
+	// parked is 1 + ns since epoch of the instant a parked pump's timer
+	// wakes it, math.MaxInt64 while it parks idle, and 0 while it runs.
+	parked atomic.Int64
 
 	// The rest is owned by the pump goroutine.
 
@@ -827,11 +830,10 @@ func (d *Dataplane) supervise() {
 			backoff, restarts, windowStart = 0, 0, now
 		}
 		if tr := d.ov.tracker; tr != nil {
-			cfg := tr.Config()
-			if now.Sub(windowStart) > cfg.RestartWindow {
+			if now.Sub(windowStart) > overload.RestartWindow {
 				restarts, windowStart = 0, now
 			}
-			if restarts++; restarts >= cfg.RestartBreaker {
+			if restarts++; restarts >= overload.RestartBreaker {
 				tr.ForceWedged()
 			}
 		}
@@ -982,7 +984,9 @@ func (d *Dataplane) pump() {
 			d.await(wait)
 		default:
 			d.beat() // park with a fresh heartbeat: idle is healthy
+			d.parked.Store(math.MaxInt64)
 			<-d.wake // idle: wait for an Ingest or Close nudge
+			d.parked.Store(0)
 			d.beat()
 		}
 	}
@@ -1291,11 +1295,14 @@ func (d *Dataplane) sleep(dur time.Duration) {
 // arrives (new work or shutdown).
 func (d *Dataplane) await(dur time.Duration) {
 	t := make(chan struct{})
+	due := d.clock.Now().Add(dur)
 	d.clock.AfterFunc(dur, func() { close(t) })
+	d.parked.Store(due.Sub(d.epoch).Nanoseconds() + 1)
 	select {
 	case <-t:
 	case <-d.wake:
 	}
+	d.parked.Store(0)
 }
 
 // Backlog returns the number of datagrams the engine holds for its

@@ -27,8 +27,8 @@ import (
 // fec.Controller per protected class and retunes the (k,r) geometry at
 // block boundaries to track the observed loss.
 
-// DefaultRepairClassOffset derives a repair class id when FECConfig leaves
-// RepairClass zero: protected class c's repairs ride class c+1000.
+// DefaultRepairClassOffset derives every repair class id: protected class
+// c's repairs ride class c+1000.
 const DefaultRepairClassOffset = 1000
 
 // DefaultFECBlockAge is how long a partial block may wait for its k-th
@@ -37,30 +37,19 @@ const DefaultRepairClassOffset = 1000
 const DefaultFECBlockAge = 20 * time.Millisecond
 
 // FECConfig tunes one protected class (ProtectClass). The zero value is a
-// sensible default everywhere.
+// sensible default everywhere. The repair class itself derives from the
+// tree: its id is class+DefaultRepairClassOffset, its leaf is named
+// "<leaf>.fec" beside the protected leaf, and its share is the protected
+// leaf's share (or rate) times R/K — exactly the bandwidth the code's
+// overhead needs at the initial geometry.
 type FECConfig struct {
-	// RepairClass is the sibling class id carrying the repair datagrams.
-	// 0 derives class+DefaultRepairClassOffset.
-	RepairClass int
-	// RepairShare sizes the repair leaf exactly like AddLeafClass's share:
-	// under a flat engine's root it is the repair class's whole-link rate
-	// in bits/sec, under a topology node a weight among its siblings. 0
-	// derives the protected leaf's own share or rate times R/K — exactly
-	// the bandwidth the code's overhead needs at the initial geometry.
-	RepairShare float64
-	// RepairName names the repair leaf in topology mode, grafted under the
-	// protected leaf's parent; "" derives "<leaf>.fec".
-	RepairName string
 	// MaxBlockAge bounds how long a partial block waits before its repairs
 	// flush. 0 selects DefaultFECBlockAge; negative disables age flushing
 	// (blocks flush only when full or at Close).
 	MaxBlockAge time.Duration
 	// Adapt runs a fec.Controller over FECFeedback loss reports, retuning
-	// the geometry within Controller's bounds at block boundaries.
+	// the geometry at block boundaries.
 	Adapt bool
-	// Controller bounds the adaptive geometry; zero-value fields take the
-	// fec defaults. Ignored unless Adapt.
-	Controller fec.ControllerConfig
 }
 
 // fecState is one protected class's live encoder-side state. All fields are
@@ -150,14 +139,11 @@ func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) err
 	if class > math.MaxUint16 {
 		return fmt.Errorf("dataplane: class %d outside the FEC stream-id range [0, %d]", class, math.MaxUint16)
 	}
-	repair := cfg.RepairClass
-	if repair == 0 {
-		repair = class + DefaultRepairClassOffset
-	}
+	repair := class + DefaultRepairClassOffset
 	if err := checkClassID(repair); err != nil {
 		return err
 	}
-	if _, dup := d.classes[repair]; dup || repair == class {
+	if _, dup := d.classes[repair]; dup {
 		return fmt.Errorf("dataplane: FEC repair class %d already exists", repair)
 	}
 	enc, err := fec.NewEncoder(uint16(class), spec)
@@ -174,7 +160,7 @@ func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) err
 		fs.maxAge = age.Seconds()
 	}
 	if cfg.Adapt {
-		if fs.ctrl, err = fec.NewController(spec, cfg.Controller); err != nil {
+		if fs.ctrl, err = fec.NewController(spec); err != nil {
 			return err
 		}
 	}
@@ -190,14 +176,11 @@ func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) err
 	if leaf == nil {
 		return fmt.Errorf("dataplane: class %d is not a scheduler leaf", class)
 	}
-	name := cfg.RepairName
-	if name == "" && leaf.Name != "" {
+	var name string
+	if leaf.Name != "" {
 		name = leaf.Name + ".fec"
 	}
 	share := leaf.Share * float64(spec.R) / float64(spec.K) // already this engine's
-	if cfg.RepairShare > 0 {
-		share = d.leafShare(cfg.RepairShare)
-	}
 	if err := d.tree.AddLeaf(leaf.Parent, name, repair, share); err != nil {
 		return err
 	}

@@ -330,13 +330,14 @@ func (w *shareCapture) WritePacket(b []byte) (int, error) {
 }
 
 // TestFECRepairClassShare: repair traffic is a scheduled class, not a side
-// channel — on a saturated link it cannot exceed its configured rate, and a
-// competing sibling keeps its share despite the repair load.
+// channel — on a saturated link it cannot exceed its derived rate (the
+// protected rate times R/K), and a competing sibling keeps its share
+// despite the repair load.
 func TestFECRepairClassShare(t *testing.T) {
 	const (
 		rate       = 1e6
-		protRate   = 0.45e6
-		repairRate = 0.2e6
+		protRate   = 0.4e6
+		repairRate = protRate * 2 / 4 // R/K of rs-4-2
 		otherRate  = 0.35e6
 		size       = 1250 // 10000 bits
 		prefill    = 250
@@ -351,7 +352,7 @@ func TestFECRepairClassShare(t *testing.T) {
 	if err := d.AddClass(0, protRate); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ProtectClass(0, spec, FECConfig{RepairShare: repairRate, MaxBlockAge: -1}); err != nil {
+	if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AddClass(1, otherRate); err != nil {
@@ -435,6 +436,32 @@ func TestFECAdaptiveRetune(t *testing.T) {
 		t.Fatalf("feedback counters recovered=%d unrecoverable=%d, want 3/1", m.FECRecovered, m.FECUnrecoverable)
 	}
 	closeDraining(t, d, clk)
+}
+
+// TestFECAdaptSingleSource: adaptive protection accepts every spec plain
+// protection accepts, including k = 1 (the gateway's "-fec 0=xor-1
+// -fec.adapt"), and gets the same derived repair class.
+func TestFECAdaptSingleSource(t *testing.T) {
+	for _, s := range []string{"xor-1", "rs-1-1", "rs-1-2"} {
+		spec, err := fec.ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := New("WF2Q+", 1e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.AddClass(0, 5e5); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ProtectClass(0, spec, FECConfig{Adapt: true}); err != nil {
+			t.Fatalf("%s: ProtectClass with Adapt: %v", s, err)
+		}
+		if st := d.Status().FEC; len(st) != 1 || !st[0].Adaptive || st[0].RepairClass != DefaultRepairClassOffset {
+			t.Fatalf("%s: Status.FEC = %+v, want one adaptive entry on repair class %d", s, st, DefaultRepairClassOffset)
+		}
+		d.Close()
+	}
 }
 
 // TestFECStaleBlockFlush: a partial block on an idle stream flushes its

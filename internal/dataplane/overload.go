@@ -58,11 +58,10 @@ type deadlineWriter interface {
 	SetWriteDeadline(t time.Time) error
 }
 
-// WithOverload enables the pressure-and-health subsystem with the given
-// tracker configuration (zero fields select overload.DefaultConfig). The
-// monitor samples at cfg.SampleInterval on the engine's clock.
-func WithOverload(cfg overload.Config) Option {
-	return func(c *config) { c.ov = &cfg }
+// WithOverload enables the pressure-and-health subsystem. The monitor
+// samples every overload.SampleInterval on the engine's clock.
+func WithOverload() Option {
+	return func(c *config) { c.ov = true }
 }
 
 // WithShedOrder fixes the load-shedding order explicitly: ids shed front
@@ -77,9 +76,8 @@ func WithShedOrder(ids ...int) Option {
 // WithWatchdog arms the pump watchdog: when the heartbeat (stamped every
 // pump iteration) goes older than timeout while work is queued, the
 // watchdog records a stall, interrupts the blocked write with a write
-// deadline, and — after the tracker's StallBreaker consecutive stalls —
-// trips the circuit breaker to wedged. Implies WithOverload with default
-// configuration when none was given.
+// deadline, and — after overload.StallBreaker consecutive stalls — trips
+// the circuit breaker to wedged. Implies WithOverload.
 func WithWatchdog(timeout time.Duration) Option {
 	return func(c *config) { c.watchdog = timeout }
 }
@@ -110,6 +108,7 @@ type ovState struct {
 	prevAlloc int64        // previous sample's pool allocs
 	prevRst   int          // previous sample's restart count
 
+	sampleDue atomic.Int64  // 1 + ns since epoch of the monitor's next sample; 0 = not armed
 	deadlined bool          // write deadline currently applied
 	monStop   chan struct{} // closes to stop the monitor
 	monDone   chan struct{} // closed when the monitor exits
@@ -121,18 +120,13 @@ func (d *Dataplane) overloadEnabled() bool { return d.ov.tracker != nil }
 // initOverload resolves the overload/watchdog options at construction.
 func (d *Dataplane) initOverload(cfg *config) {
 	d.ov.explicitOrder = cfg.shedOrder
-	if cfg.ov == nil && cfg.watchdog <= 0 {
+	if !cfg.ov && cfg.watchdog <= 0 {
 		return
 	}
-	tc := overload.DefaultConfig()
-	if cfg.ov != nil {
-		tc = *cfg.ov
-	}
 	if cfg.watchdog > 0 {
-		tc.StallThreshold = cfg.watchdog
 		d.ov.watchdog = cfg.watchdog
 	}
-	d.ov.tracker = overload.New(tc)
+	d.ov.tracker = overload.New(d.ov.watchdog)
 	d.ov.monStop = make(chan struct{})
 	d.ov.monDone = make(chan struct{})
 }
@@ -226,15 +220,16 @@ func (d *Dataplane) startMonitor() {
 	go d.monitor()
 }
 
-// monitor is the sampling loop: every SampleInterval on the engine's clock
-// it gathers signals, advances the tracker, and applies the health state
-// to the engine. It exits when Close signals monStop.
+// monitor is the sampling loop: every overload.SampleInterval on the
+// engine's clock it gathers signals, advances the tracker, and applies the
+// health state to the engine. It exits when Close signals monStop.
 func (d *Dataplane) monitor() {
 	defer close(d.ov.monDone)
-	interval := d.ov.tracker.Config().SampleInterval
 	for {
 		t := make(chan struct{})
-		d.clock.AfterFunc(interval, func() { close(t) })
+		due := d.clock.Now().Add(overload.SampleInterval)
+		d.clock.AfterFunc(overload.SampleInterval, func() { close(t) })
+		d.ov.sampleDue.Store(due.Sub(d.epoch).Nanoseconds() + 1)
 		select {
 		case <-t:
 		case <-d.ov.monStop:
@@ -248,7 +243,6 @@ func (d *Dataplane) monitor() {
 // resulting state (shed flags, brownout, watchdog escalation).
 func (d *Dataplane) sampleOnce() {
 	tr := d.ov.tracker
-	cfg := tr.Config()
 
 	d.mu.Lock()
 	var sig overload.Signals
@@ -278,7 +272,7 @@ func (d *Dataplane) sampleOnce() {
 		d.ov.prevGets, d.ov.prevAlloc = ps.Gets, ps.Allocs
 	}
 	if dr := d.restarts - d.ov.prevRst; dr > 0 {
-		sig.RestartRate = float64(dr) / cfg.SampleInterval.Seconds()
+		sig.RestartRate = float64(dr) / overload.SampleInterval.Seconds()
 	}
 	d.ov.prevRst = d.restarts
 	d.mu.Unlock()

@@ -11,12 +11,41 @@ import (
 	"hpfq/internal/wallclock"
 )
 
-// fastOverload returns a tracker config that reacts within a few fake-clock
-// milliseconds instead of the production defaults.
-func fastOverload() overload.Config {
-	return overload.Config{
-		SampleInterval: 5 * time.Millisecond,
-		Smoothing:      0.8,
+// settle waits until the engine has caught up with the fake clock's
+// current instant: the pump is parked — on a timer not yet due, or idle —
+// with no datagram or nudge waiting for it, and the overload monitor's
+// next sample is not yet due. A step of the fake clock then reaches the
+// pump and the monitor exactly when their timers say, however slowly the
+// host schedules either goroutine: the pump is credited every step's
+// tokens and the monitor takes every sample. Ingest must not run
+// concurrently (its nudge would wake the pump after the check).
+func settle(t *testing.T, d *Dataplane) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		now := d.clock.Now().Sub(d.epoch).Nanoseconds()
+		d.mu.Lock()
+		inbox := len(d.inbox)
+		d.mu.Unlock()
+		pump := inbox == 0 && len(d.wake) == 0 && d.parked.Load()-1 > now
+		monitor := d.ov.sampleDue.Load()-1 > now
+		if pump && monitor {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("engine did not catch up with the fake clock (pump %v, monitor %v)", pump, monitor)
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+}
+
+// stepUntil advances the fake clock by step until cond holds, settling the
+// engine around each step and each call of cond (which may ingest).
+func stepUntil(t *testing.T, d *Dataplane, clk *wallclock.Fake, step time.Duration, cond func() bool) {
+	t.Helper()
+	for settle(t, d); !cond(); settle(t, d) {
+		settle(t, d)
+		clk.Advance(step)
 	}
 }
 
@@ -37,7 +66,7 @@ func TestOverloadRampShedsByShare(t *testing.T) {
 	// 10 ms jumps, and a smaller token bucket would clip the link below
 	// its configured rate.
 	d, err := New("WF2Q+", rate, WithClock(clk), WithMetrics(),
-		WithQueueCap(32), WithBurst(rate*step.Seconds()), WithOverload(fastOverload()))
+		WithQueueCap(32), WithBurst(rate*step.Seconds()), WithOverload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +89,7 @@ func TestOverloadRampShedsByShare(t *testing.T) {
 	sawDegraded := false
 	for i := 0; i < steps; i++ {
 		clk.Advance(step)
-		time.Sleep(50 * time.Microsecond) // let the pump and monitor run
+		settle(t, d)
 		for class, n := range map[int]int{0: 1, 1: 2, 2: 7} {
 			for j := 0; j < n; j++ {
 				offered[class]++
@@ -70,6 +99,7 @@ func TestOverloadRampShedsByShare(t *testing.T) {
 				}
 			}
 		}
+		settle(t, d)
 		if d.HealthState() >= overload.Degraded {
 			sawDegraded = true
 		}
@@ -136,7 +166,7 @@ func TestOverloadRampShedsByShare(t *testing.T) {
 func TestOverloadExplicitShedOrder(t *testing.T) {
 	clk := wallclock.NewFake()
 	d, err := New("WF2Q+", 1e6, WithClock(clk), WithMetrics(),
-		WithQueueCap(8), WithOverload(fastOverload()), WithShedOrder(1))
+		WithQueueCap(8), WithOverload(), WithShedOrder(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +181,7 @@ func TestOverloadExplicitShedOrder(t *testing.T) {
 	shed := map[int]int{}
 	for i := 0; i < 400; i++ {
 		clk.Advance(5 * time.Millisecond)
-		time.Sleep(50 * time.Microsecond)
+		settle(t, d)
 		for class := 0; class < 2; class++ {
 			for j := 0; j < 4; j++ {
 				if err := d.Ingest(class, mkPayload(class, j, 250)); errors.Is(err, ErrShedding) {
@@ -159,6 +189,7 @@ func TestOverloadExplicitShedOrder(t *testing.T) {
 				}
 			}
 		}
+		settle(t, d)
 	}
 	if shed[0] != 0 {
 		t.Fatalf("unlisted class 0 was shed %d times, want never", shed[0])
@@ -179,7 +210,7 @@ func TestBrownoutFlapLosesNoSurvivors(t *testing.T) {
 	clk := wallclock.NewFake()
 	tracer := obs.NewRingTracer(64)
 	d, err := New("WF2Q+", 1e6, WithClock(clk), WithMetrics(), WithTracer(tracer),
-		WithQueueCap(16), WithOverload(fastOverload()))
+		WithQueueCap(16), WithOverload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +225,7 @@ func TestBrownoutFlapLosesNoSurvivors(t *testing.T) {
 	for flap := 0; flap < 3; flap++ {
 		// Ramp: keep the staging queue pinned at its cap until the tracker
 		// browns out.
-		advanceUntil(t, clk, 5*time.Millisecond, func() bool {
+		stepUntil(t, d, clk, 5*time.Millisecond, func() bool {
 			for {
 				if err := d.Ingest(0, mkPayload(0, sentOK, 250)); err != nil {
 					break
@@ -204,7 +235,7 @@ func TestBrownoutFlapLosesNoSurvivors(t *testing.T) {
 			return d.HealthState() >= overload.Overloaded
 		})
 		// Recover: stop offering, let the backlog drain and pressure decay.
-		advanceUntil(t, clk, 5*time.Millisecond, func() bool {
+		stepUntil(t, d, clk, 5*time.Millisecond, func() bool {
 			return d.Backlog() == 0 && d.HealthState() == overload.Healthy
 		})
 	}
@@ -259,8 +290,8 @@ func TestWatchdogStallTripsBreaker(t *testing.T) {
 	if h.State != overload.Wedged {
 		t.Fatalf("state = %v, want wedged", h.State)
 	}
-	if h.WatchdogStalls < 3 {
-		t.Fatalf("watchdog stalls = %d, want >= StallBreaker (3)", h.WatchdogStalls)
+	if h.WatchdogStalls < overload.StallBreaker {
+		t.Fatalf("watchdog stalls = %d, want >= StallBreaker (%d)", h.WatchdogStalls, overload.StallBreaker)
 	}
 	if st := fw.Stats(); st.Stalls == 0 {
 		t.Fatal("the writer never entered a stall — the test exercised nothing")
@@ -288,17 +319,12 @@ func (stormWriter) WritePacket(b []byte) (int, error) { panic("poisoned egress")
 // instead of hot-looping (the backoff caps the restart rate either way).
 func TestRestartStormForcesWedged(t *testing.T) {
 	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", 1e6, WithClock(clk), WithMetrics(),
-		WithOverload(overload.Config{
-			SampleInterval: 5 * time.Millisecond,
-			RestartBreaker: 4,
-			RestartWindow:  time.Minute,
-		}))
+	d, err := New("WF2Q+", 1e6, WithClock(clk), WithMetrics(), WithOverload())
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.AddClass(0, 1e6)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < overload.RestartBreaker; i++ {
 		if err := d.Ingest(0, mkPayload(0, i, 250)); err != nil {
 			t.Fatal(err)
 		}
@@ -312,8 +338,8 @@ func TestRestartStormForcesWedged(t *testing.T) {
 	if !d.Health().Enabled {
 		t.Fatal("health should report the subsystem enabled")
 	}
-	if got := d.Restarts(); got < 4 {
-		t.Fatalf("restarts = %d, want >= RestartBreaker (4)", got)
+	if got := d.Restarts(); got < overload.RestartBreaker {
+		t.Fatalf("restarts = %d, want >= RestartBreaker (%d)", got, overload.RestartBreaker)
 	}
 	closeDraining(t, d, clk)
 }

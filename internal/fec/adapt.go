@@ -1,79 +1,51 @@
 package fec
 
 import (
-	"fmt"
 	"math"
 )
 
-// ControllerConfig bounds the adaptive redundancy control law.
-type ControllerConfig struct {
-	// Alpha is the EWMA gain applied to each loss observation (default
-	// 0.25): high enough to track a link going bad within a few feedback
-	// rounds, low enough that one unlucky block doesn't double redundancy.
-	Alpha float64
-	// Headroom scales the loss estimate before sizing redundancy (default
-	// 1.5): the code is provisioned for Headroom× the estimated loss, so
-	// ordinary variance around the estimate doesn't immediately exceed
-	// what the block can repair.
-	Headroom float64
-	// MinK/MaxK and MinR/MaxR clamp the geometry the controller may pick
-	// (defaults 2/base.K and 1/MaxR for RS, 1 fixed for XOR).
-	MinK, MaxK int
-	MinR, MaxR int
-}
+// The adaptive control law's constants.
+const (
+	// alpha is the EWMA gain applied to each loss observation: high enough
+	// to track a link going bad within a few feedback rounds, low enough
+	// that one unlucky block doesn't double redundancy.
+	alpha = 0.25
+	// headroom scales the loss estimate before sizing redundancy: the code
+	// is provisioned for headroom× the estimated loss, so ordinary variance
+	// around the estimate doesn't immediately exceed what the block can
+	// repair.
+	headroom = 1.5
+)
 
 // Controller turns per-class loss observations into (k, r) retunes: an EWMA
 // tracks the loss fraction, and Tune picks the cheapest geometry within
-// bounds whose redundancy r/(k+r) covers Headroom× that estimate. The
-// dataplane feeds it from receiver feedback (Decoder.LossEstimate on the far
-// side) or an operator-configured estimate, and applies Tune's spec via
-// Encoder.Retune at block boundaries.
+// bounds whose redundancy r/(k+r) covers headroom× that estimate. The bounds
+// derive from the base spec: k in [min(2, base.K), base.K], and r in
+// [1, MaxR] for RS, fixed at 1 for XOR. The dataplane feeds it from
+// receiver feedback (Decoder.LossEstimate on the far side) or an
+// operator-configured estimate, and applies Tune's spec via Encoder.Retune
+// at block boundaries.
 //
 // Not goroutine-safe; the owning class serializes access.
 type Controller struct {
-	base Spec
-	cfg  ControllerConfig
-	est  float64
-	init bool
-	cur  Spec
+	base       Spec
+	minK, maxR int
+	est        float64
+	init       bool
+	cur        Spec
 }
 
 // NewController builds a controller anchored at base (the spec used until
 // observations say otherwise, and the fallback when loss is negligible).
-func NewController(base Spec, cfg ControllerConfig) (*Controller, error) {
+func NewController(base Spec) (*Controller, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = 0.25
-	}
-	if cfg.Headroom < 1 {
-		cfg.Headroom = 1.5
-	}
-	if cfg.MinK < 1 {
-		cfg.MinK = 2
-	}
-	if cfg.MaxK <= 0 {
-		cfg.MaxK = base.K
-	}
-	if cfg.MinR < 1 {
-		cfg.MinR = 1
-	}
-	if cfg.MaxR <= 0 {
-		if base.Scheme == SchemeXOR {
-			cfg.MaxR = 1
-		} else {
-			cfg.MaxR = MaxR
-		}
-	}
-	if cfg.MinK > cfg.MaxK || cfg.MinR > cfg.MaxR || cfg.MaxK > MaxK || cfg.MaxR > MaxR {
-		return nil, fmt.Errorf("fec: controller bounds k[%d,%d] r[%d,%d] invalid",
-			cfg.MinK, cfg.MaxK, cfg.MinR, cfg.MaxR)
-	}
+	c := &Controller{base: base, minK: min(2, base.K), maxR: MaxR, cur: base}
 	if base.Scheme == SchemeXOR {
-		cfg.MinR, cfg.MaxR = 1, 1
+		c.maxR = 1
 	}
-	return &Controller{base: base, cfg: cfg, cur: base}, nil
+	return c, nil
 }
 
 // Observe folds one loss measurement (fraction in [0,1]) into the estimate.
@@ -87,7 +59,7 @@ func (c *Controller) Observe(loss float64) {
 		c.est, c.init = loss, true
 		return
 	}
-	c.est = (1-c.cfg.Alpha)*c.est + c.cfg.Alpha*loss
+	c.est = (1-alpha)*c.est + alpha*loss
 }
 
 // Estimate returns the current EWMA loss estimate.
@@ -97,13 +69,13 @@ func (c *Controller) Estimate() float64 { return c.est }
 func (c *Controller) Spec() Spec { return c.cur }
 
 // Tune returns the geometry for the next blocks: the least-redundant (k, r)
-// within bounds whose overhead r/(k+r) is at least Headroom× the loss
+// within bounds whose overhead r/(k+r) is at least headroom× the loss
 // estimate. With no observed loss it relaxes back to the base spec. XOR
 // holds r = 1 and shrinks k instead (smaller blocks ⇒ more parity per
 // datagram); RS holds k at base and grows r, shrinking k only once r is
 // pinned at MaxR.
 func (c *Controller) Tune() Spec {
-	target := c.est * c.cfg.Headroom
+	target := c.est * headroom
 	if target > 0.5 {
 		target = 0.5 // beyond 50% overhead, FEC is the wrong tool
 	}
@@ -127,7 +99,7 @@ func (c *Controller) Tune() Spec {
 			return r
 		}
 		r := need(k)
-		for r > c.cfg.MaxR && k > c.cfg.MinK {
+		for r > c.maxR && k > c.minK {
 			k--
 			r = need(k)
 		}
@@ -138,17 +110,7 @@ func (c *Controller) Tune() Spec {
 }
 
 func (c *Controller) clamp(s Spec) Spec {
-	if s.K < c.cfg.MinK {
-		s.K = c.cfg.MinK
-	}
-	if s.K > c.cfg.MaxK {
-		s.K = c.cfg.MaxK
-	}
-	if s.R < c.cfg.MinR {
-		s.R = c.cfg.MinR
-	}
-	if s.R > c.cfg.MaxR {
-		s.R = c.cfg.MaxR
-	}
+	s.K = max(c.minK, min(s.K, c.base.K))
+	s.R = max(1, min(s.R, c.maxR))
 	return s
 }

@@ -339,7 +339,7 @@ func TestDecoderWindowEviction(t *testing.T) {
 
 func TestControllerTracksLoss(t *testing.T) {
 	base := Spec{SchemeRS, 8, 1}
-	c, err := NewController(base, ControllerConfig{})
+	c, err := NewController(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestControllerTracksLoss(t *testing.T) {
 }
 
 func TestControllerXORShrinksK(t *testing.T) {
-	c, err := NewController(Spec{SchemeXOR, 16, 1}, ControllerConfig{})
+	c, err := NewController(Spec{SchemeXOR, 16, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +386,11 @@ func TestControllerXORShrinksK(t *testing.T) {
 	}
 }
 
+// TestControllerRespectsBounds: under catastrophic loss the controller stays
+// inside the bounds it derives from its base spec — k never below 2 nor
+// above base k, r never above MaxR.
 func TestControllerRespectsBounds(t *testing.T) {
-	c, err := NewController(Spec{SchemeRS, 8, 2}, ControllerConfig{MaxR: 3, MinK: 4})
+	c, err := NewController(Spec{SchemeRS, 8, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,8 +398,31 @@ func TestControllerRespectsBounds(t *testing.T) {
 		c.Observe(0.9) // catastrophic loss; target clamps at 50% overhead
 	}
 	got := c.Tune()
-	if got.R > 3 || got.K < 4 {
+	if got.R > MaxR || got.K < 2 || got.K > 8 {
 		t.Fatalf("bounds violated: %v", got)
+	}
+}
+
+// TestControllerSingleSource: a base spec with k = 1 is valid, so the
+// controller accepts it — its lowest k is min(2, k) — and keeps k = 1
+// under loss, growing r where the scheme allows.
+func TestControllerSingleSource(t *testing.T) {
+	for _, s := range []string{"xor-1", "rs-1-1", "rs-1-2"} {
+		base, err := ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewController(base)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		for i := 0; i < 50; i++ {
+			c.Observe(0.3)
+		}
+		got := c.Tune()
+		if got.K != 1 || got.Overhead() < base.Overhead() {
+			t.Fatalf("%s: tuned to %v under 30%% loss", s, got)
+		}
 	}
 }
 

@@ -132,7 +132,7 @@ func (tr *Tree) applyShares(parent *node) error {
 func (tr *Tree) setRate(n *node, rate float64) error {
 	n.rate = rate
 	if n.isLeaf() {
-		tr.RetuneSession(n.session, rate)
+		tr.RegisterSession(n.session, rate)
 		return nil
 	}
 	if err := n.ns.(sched.NodeReconfigurer).SetNodeRate(rate); err != nil {

@@ -450,18 +450,12 @@ func (c *Collector) growStats() {
 }
 
 // RegisterSession declares a session and its guaranteed rate, so the
-// snapshot can report rates and measure WFI. Sessions that are never
+// snapshot can report rates and measure WFI. Registering a session again
+// after a live retune updates its rate and keeps its counters. Sessions that are never
 // registered (FIFO servers, links) are created lazily with rate 0 on first
 // use.
 func (c *Collector) RegisterSession(id int, rate float64) {
 	c.reg(id).rate = rate
-}
-
-// RetuneSession updates a session's recorded guaranteed rate after a live
-// reconfiguration, keeping its counters. (Today an alias for
-// RegisterSession, named separately so call sites read as what they are.)
-func (c *Collector) RetuneSession(id int, rate float64) {
-	c.RegisterSession(id, rate)
 }
 
 // reg returns session id's registration, marking it seen.

@@ -114,88 +114,38 @@ type Signals struct {
 	Backlogged bool
 }
 
-// Config tunes the Tracker. Zero values select the defaults noted on
-// each field; see DefaultConfig.
-type Config struct {
-	// SampleInterval is the cadence the caller intends to sample at.
-	// The Tracker itself keeps no timer; the interval only normalizes
-	// rate-style signals. Default 25ms.
-	SampleInterval time.Duration
-	// Smoothing is the EWMA coefficient applied to the raw score
-	// (new = α·raw + (1−α)·old). Default 0.3.
-	Smoothing float64
-	// DegradedEnter / DegradedExit bound the healthy↔degraded
-	// hysteresis band. Defaults 0.5 / 0.35.
-	DegradedEnter float64
-	DegradedExit  float64
-	// OverloadedEnter / OverloadedExit bound the degraded↔overloaded
-	// band. Defaults 0.8 / 0.6.
-	OverloadedEnter float64
-	OverloadedExit  float64
-	// StallThreshold is the heartbeat age beyond which a backlogged
-	// pump counts as stalled. Default 500ms (WithWatchdog overrides).
-	StallThreshold time.Duration
+// The tracker's tuning. Every deployment runs these values; only the stall
+// threshold is a constructor argument, because the pump watchdog sets it.
+const (
+	// SampleInterval is the cadence callers sample at. The Tracker keeps
+	// no timer; the interval only normalizes rate-style signals.
+	SampleInterval = 25 * time.Millisecond
+	// defaultStallThreshold is the heartbeat age beyond which a
+	// backlogged pump counts as stalled when no watchdog sets one.
+	defaultStallThreshold = 500 * time.Millisecond
 	// StallBreaker is the number of consecutive stall detections that
-	// trip the circuit breaker into Wedged. Default 3.
-	StallBreaker int
-	// RestartBreaker is the number of supervisor restarts within
-	// RestartWindow that trip the breaker into Wedged. Default 8.
-	RestartBreaker int
-	// RestartWindow bounds RestartBreaker. Default 10s.
-	RestartWindow time.Duration
-}
+	// trip the circuit breaker into Wedged.
+	StallBreaker = 3
+	// RestartBreaker supervisor restarts within RestartWindow trip the
+	// breaker into Wedged.
+	RestartBreaker = 8
+	RestartWindow  = 10 * time.Second
 
-// DefaultConfig returns the documented defaults.
-func DefaultConfig() Config { return Config{}.withDefaults() }
-
-func (c Config) withDefaults() Config {
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = 25 * time.Millisecond
-	}
-	if c.Smoothing <= 0 || c.Smoothing > 1 {
-		c.Smoothing = 0.3
-	}
-	if c.DegradedEnter <= 0 {
-		c.DegradedEnter = 0.5
-	}
-	if c.DegradedExit <= 0 {
-		c.DegradedExit = 0.35
-	}
-	if c.OverloadedEnter <= 0 {
-		c.OverloadedEnter = 0.8
-	}
-	if c.OverloadedExit <= 0 {
-		c.OverloadedExit = 0.6
-	}
-	if c.StallThreshold <= 0 {
-		c.StallThreshold = 500 * time.Millisecond
-	}
-	if c.StallBreaker <= 0 {
-		c.StallBreaker = 3
-	}
-	if c.RestartBreaker <= 0 {
-		c.RestartBreaker = 8
-	}
-	if c.RestartWindow <= 0 {
-		c.RestartWindow = 10 * time.Second
-	}
-	// Keep the bands ordered so hysteresis cannot invert.
-	if c.DegradedExit > c.DegradedEnter {
-		c.DegradedExit = c.DegradedEnter
-	}
-	if c.OverloadedExit > c.OverloadedEnter {
-		c.OverloadedExit = c.OverloadedEnter
-	}
-	if c.OverloadedEnter < c.DegradedEnter {
-		c.OverloadedEnter = c.DegradedEnter
-	}
-	return c
-}
+	// smoothing is the EWMA gain applied to the raw score
+	// (new = α·raw + (1−α)·old).
+	smoothing = 0.3
+	// degradedEnter/degradedExit bound the healthy↔degraded hysteresis
+	// band, overloadedEnter/overloadedExit the degraded↔overloaded one.
+	degradedEnter   = 0.5
+	degradedExit    = 0.35
+	overloadedEnter = 0.8
+	overloadedExit  = 0.6
+)
 
 // Tracker is the health state machine. Create with New, feed samples
 // with Observe, and read State/Pressure/ShedFrac from any goroutine.
 type Tracker struct {
-	cfg Config
+	stallThreshold time.Duration
 
 	mu          sync.Mutex
 	pressure    float64 // EWMA-smoothed score
@@ -207,13 +157,15 @@ type Tracker struct {
 	wedgedHard  bool   // breaker tripped; only NoteProgress clears
 }
 
-// New returns a Tracker in the Healthy state.
-func New(cfg Config) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults()}
+// New returns a Tracker in the Healthy state whose pump counts as stalled
+// once its heartbeat is older than stallThreshold while work is queued (0
+// selects defaultStallThreshold).
+func New(stallThreshold time.Duration) *Tracker {
+	if stallThreshold <= 0 {
+		stallThreshold = defaultStallThreshold
+	}
+	return &Tracker{stallThreshold: stallThreshold}
 }
-
-// Config reports the tracker's resolved configuration.
-func (t *Tracker) Config() Config { return t.cfg }
 
 // score condenses one raw sample into [0,1]. Occupancy dominates;
 // heartbeat staleness (when backlogged) ramps toward 1 as the age
@@ -225,11 +177,11 @@ func (t *Tracker) score(s Signals) float64 {
 		occ = b
 	}
 	var stale float64
-	if s.Backlogged && t.cfg.StallThreshold > 0 {
-		stale = clamp01(float64(s.HeartbeatAge) / float64(t.cfg.StallThreshold))
+	if s.Backlogged {
+		stale = clamp01(float64(s.HeartbeatAge) / float64(t.stallThreshold))
 	}
 	aux := 0.5*clamp01(s.RetryFrac) + 0.3*clamp01(s.PoolMissFrac) +
-		0.4*clamp01(s.RestartRate*t.cfg.RestartWindow.Seconds()/float64(t.cfg.RestartBreaker))
+		0.4*clamp01(s.RestartRate*RestartWindow.Seconds()/RestartBreaker)
 	raw := occ
 	if stale > raw {
 		raw = stale
@@ -244,7 +196,7 @@ func (t *Tracker) Observe(s Signals) State {
 	defer t.mu.Unlock()
 	t.last = s
 	raw := t.score(s)
-	t.pressure = t.cfg.Smoothing*raw + (1-t.cfg.Smoothing)*t.pressure
+	t.pressure = smoothing*raw + (1-smoothing)*t.pressure
 	t.advanceLocked()
 	return t.state
 }
@@ -259,22 +211,22 @@ func (t *Tracker) advanceLocked() {
 	next := t.state
 	switch t.state {
 	case Healthy:
-		if t.pressure >= t.cfg.DegradedEnter {
+		if t.pressure >= degradedEnter {
 			next = Degraded
 		}
-		if t.pressure >= t.cfg.OverloadedEnter {
+		if t.pressure >= overloadedEnter {
 			next = Overloaded
 		}
 	case Degraded:
-		if t.pressure >= t.cfg.OverloadedEnter {
+		if t.pressure >= overloadedEnter {
 			next = Overloaded
-		} else if t.pressure < t.cfg.DegradedExit {
+		} else if t.pressure < degradedExit {
 			next = Healthy
 		}
 	case Overloaded, Wedged:
-		if t.pressure < t.cfg.DegradedExit {
+		if t.pressure < degradedExit {
 			next = Healthy
-		} else if t.pressure < t.cfg.OverloadedExit {
+		} else if t.pressure < overloadedExit {
 			next = Degraded
 		}
 	}
@@ -296,15 +248,14 @@ func (t *Tracker) setStateLocked(next State) {
 }
 
 // NoteStall records one watchdog stall detection and reports whether
-// the circuit breaker has tripped (consecutive stalls reached the
-// configured limit). Once tripped the tracker pins itself to Wedged
-// until NoteProgress.
+// the circuit breaker has tripped (StallBreaker consecutive stalls). Once
+// tripped the tracker pins itself to Wedged until NoteProgress.
 func (t *Tracker) NoteStall() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stalls++
 	t.totalStalls++
-	if t.stalls >= t.cfg.StallBreaker {
+	if t.stalls >= StallBreaker {
 		t.wedgedHard = true
 		t.setStateLocked(Wedged)
 	}
@@ -390,11 +341,7 @@ func (t *Tracker) ShedFrac() float64 {
 	case t.state == Wedged:
 		return 1
 	}
-	span := 1 - t.cfg.DegradedEnter
-	if span <= 0 {
-		return 1
-	}
-	f := (t.pressure - t.cfg.DegradedEnter) / span
+	f := (t.pressure - degradedEnter) / (1 - degradedEnter)
 	// A tracker in Degraded via hysteresis may momentarily sit below
 	// the enter threshold; keep a minimal shed floor while degraded.
 	if f < 0.1 {

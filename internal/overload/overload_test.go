@@ -19,8 +19,7 @@ func observeN(t *Tracker, s Signals, n int) State {
 // degraded to overloaded, and back down only after crossing the *exit*
 // thresholds — the enter thresholds alone must not flap the state.
 func TestHysteresisLadder(t *testing.T) {
-	tr := New(DefaultConfig())
-	cfg := tr.Config()
+	tr := New(0)
 
 	if tr.State() != Healthy {
 		t.Fatalf("initial state = %v, want healthy", tr.State())
@@ -39,8 +38,8 @@ func TestHysteresisLadder(t *testing.T) {
 	if st := observeN(tr, Signals{QueueFrac: 1.0}, 50); st != Overloaded {
 		t.Fatalf("state after sustained 1.0 = %v, want overloaded", st)
 	}
-	if tr.Pressure() < cfg.OverloadedEnter {
-		t.Fatalf("pressure = %v, want >= %v", tr.Pressure(), cfg.OverloadedEnter)
+	if tr.Pressure() < overloadedEnter {
+		t.Fatalf("pressure = %v, want >= %v", tr.Pressure(), overloadedEnter)
 	}
 	// Between OverloadedExit (0.6) and OverloadedEnter: still overloaded.
 	if st := observeN(tr, Signals{QueueFrac: 0.7}, 50); st != Overloaded {
@@ -64,7 +63,7 @@ func TestHysteresisLadder(t *testing.T) {
 // pins the state against any pressure reading until NoteProgress releases
 // it.
 func TestStallBreaker(t *testing.T) {
-	tr := New(Config{StallBreaker: 3})
+	tr := New(0)
 	for i := 0; i < 2; i++ {
 		if tr.NoteStall() {
 			t.Fatalf("breaker tripped after %d stalls, want 3", i+1)
@@ -99,7 +98,7 @@ func TestStallBreaker(t *testing.T) {
 // TestProgressResetsConsecutiveStalls: stalls interleaved with progress
 // never accumulate to the breaker.
 func TestProgressResetsConsecutiveStalls(t *testing.T) {
-	tr := New(Config{StallBreaker: 3})
+	tr := New(0)
 	for i := 0; i < 10; i++ {
 		if tr.NoteStall() {
 			t.Fatal("breaker tripped despite interleaved progress")
@@ -111,7 +110,7 @@ func TestProgressResetsConsecutiveStalls(t *testing.T) {
 // TestStaleHeartbeatScores: a stale heartbeat only raises pressure while
 // work is backlogged — an idle pump is not a stalled pump.
 func TestStaleHeartbeatScores(t *testing.T) {
-	tr := New(DefaultConfig())
+	tr := New(0)
 	stale := Signals{HeartbeatAge: time.Second, Backlogged: false}
 	if st := observeN(tr, stale, 50); st != Healthy {
 		t.Fatalf("idle stale heartbeat drove state to %v, want healthy", st)
@@ -125,7 +124,7 @@ func TestStaleHeartbeatScores(t *testing.T) {
 // TestShedFracScaling: shed fraction is 0 while healthy, floored just
 // above 0 while degraded, and grows toward 1 with pressure.
 func TestShedFracScaling(t *testing.T) {
-	tr := New(DefaultConfig())
+	tr := New(0)
 	if f := tr.ShedFrac(); f != 0 {
 		t.Fatalf("healthy shed frac = %v, want 0", f)
 	}
@@ -144,7 +143,7 @@ func TestShedFracScaling(t *testing.T) {
 // TestForceWedged: the supervisor's restart-budget breaker pins wedged
 // exactly like the stall breaker.
 func TestForceWedged(t *testing.T) {
-	tr := New(DefaultConfig())
+	tr := New(0)
 	tr.ForceWedged()
 	if tr.State() != Wedged || !tr.BreakerTripped() {
 		t.Fatalf("state = %v tripped = %v, want wedged/true", tr.State(), tr.BreakerTripped())
@@ -155,19 +154,15 @@ func TestForceWedged(t *testing.T) {
 	}
 }
 
-// TestConfigDefaultsAndOrdering: zero values pick the documented defaults
-// and inverted hysteresis bands are straightened.
-func TestConfigDefaultsAndOrdering(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.SampleInterval != 25*time.Millisecond || cfg.StallBreaker != 3 {
-		t.Fatalf("unexpected defaults: %+v", cfg)
+// TestStallThreshold: a backlogged heartbeat scores as stale in proportion
+// to the threshold New was given, and New(0) selects defaultStallThreshold.
+func TestStallThreshold(t *testing.T) {
+	half := Signals{HeartbeatAge: defaultStallThreshold / 2, Backlogged: true}
+	if got := New(0).score(half); got != 0.5 {
+		t.Fatalf("score at half the default threshold = %v, want 0.5", got)
 	}
-	bad := Config{DegradedEnter: 0.4, DegradedExit: 0.9, OverloadedEnter: 0.3}.withDefaults()
-	if bad.DegradedExit > bad.DegradedEnter {
-		t.Fatalf("degraded band inverted: %+v", bad)
-	}
-	if bad.OverloadedEnter < bad.DegradedEnter {
-		t.Fatalf("overloaded band below degraded: %+v", bad)
+	if got := New(defaultStallThreshold / 4).score(half); got != 1 {
+		t.Fatalf("score at twice a watchdog's threshold = %v, want 1", got)
 	}
 }
 

@@ -48,19 +48,14 @@ func (q *pktQueue) Pop() *packet.Packet {
 // simulator's flat server; the data plane runs every policy in its node
 // form under internal/hier.
 type Sched struct {
-	name    string
-	pol     Policy
+	name string
+	bound
 	arrival bool // stamp packets at arrival (eq. 6) vs head promotion (eq. 28)
 	tagless bool
-	q       *Queue
 	queues  []pktQueue
 	defined []bool
 	backlog int
-	// Optional policy extensions, resolved once at construction: interface
-	// type assertions cost an itab lookup, too hot for the per-packet path.
-	tick  Ticker
-	floor Floorer
-	defr  Deferrer
+	tick    Ticker // optional extension, resolved once like bound's
 	obs.Collector
 }
 
@@ -72,18 +67,11 @@ func NewSched(f Factory, rate float64) *Sched {
 	}
 	s := &Sched{
 		name:    f.Name,
-		pol:     f.Flat(rate),
+		bound:   bind(f, f.Flat(rate), 8),
 		arrival: f.Arrival,
 		tagless: f.Tagless,
 	}
-	if f.Monotone {
-		s.q = NewMonotoneQueue(8)
-	} else {
-		s.q = NewQueue(8)
-	}
 	s.tick, _ = s.pol.(Ticker)
-	s.floor, _ = s.pol.(Floorer)
-	s.defr, _ = s.pol.(Deferrer)
 	s.InitObs(f.Name, rate)
 	return s
 }

@@ -13,17 +13,13 @@ import (
 // (reference time T_n = W_n/r_n for the work-driven policies, §4.1); it
 // satisfies sched.NodeScheduler.
 type Node struct {
-	name    string
-	rate    float64 // node guaranteed rate, kept for policy rebuilds
-	pol     Policy
+	name string
+	rate float64 // node guaranteed rate, kept for policy rebuilds
+	bound
 	tagless bool
-	q       *Queue
 	defined []bool
 	queued  []bool
 	rates   []float64 // per-child guaranteed rates, kept for rebuilds
-	// Optional policy extensions, resolved once at construction (see Sched).
-	floor Floorer
-	defr  Deferrer
 	obs.Collector
 }
 
@@ -36,16 +32,9 @@ func NewNode(f Factory, rate float64) *Node {
 	n := &Node{
 		name:    f.Name,
 		rate:    rate,
-		pol:     f.Node(rate),
+		bound:   bind(f, f.Node(rate), 4),
 		tagless: f.Tagless,
 	}
-	if f.Monotone {
-		n.q = NewMonotoneQueue(4)
-	} else {
-		n.q = NewQueue(4)
-	}
-	n.floor, _ = n.pol.(Floorer)
-	n.defr, _ = n.pol.(Deferrer)
 	n.InitNodeObs(f.Name, rate)
 	return n
 }

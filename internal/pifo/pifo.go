@@ -79,6 +79,30 @@ type Ticker interface {
 	Tick(now float64)
 }
 
+// bound is a policy bound to its PIFO: the queue its factory's ranks call
+// for (NewMonotoneQueue when Monotone) and the policy's optional
+// extensions, resolved once because an interface type assertion costs an
+// itab lookup, too hot for the per-packet path.
+type bound struct {
+	pol   Policy
+	q     *Queue
+	floor Floorer
+	defr  Deferrer
+}
+
+// bind binds pol, built by f, to a fresh PIFO sized for n entries.
+func bind(f Factory, pol Policy, n int) bound {
+	b := bound{pol: pol}
+	if f.Monotone {
+		b.q = NewMonotoneQueue(n)
+	} else {
+		b.q = NewQueue(n)
+	}
+	b.floor, _ = pol.(Floorer)
+	b.defr, _ = pol.(Deferrer)
+	return b
+}
+
 // Floorer is the optional Policy extension for WF²Q+'s virtual time floor
 // (paper eq. 27's min-term): before selecting, when no entry is eligible,
 // the virtual time jumps to the smallest parked virtual start so the server

@@ -113,13 +113,8 @@ func (n *Node) SetPolicy(f Factory) error {
 	if f.Node == nil {
 		return fmt.Errorf("pifo: policy %q has no node form", f.Name)
 	}
-	pol := f.Node(n.rate)
-	var q *Queue
-	if f.Monotone {
-		q = NewMonotoneQueue(len(n.defined) + 1)
-	} else {
-		q = NewQueue(len(n.defined) + 1)
-	}
+	b := bind(f, f.Node(n.rate), len(n.defined)+1)
+	pol, q := b.pol, b.q
 	for id, def := range n.defined {
 		if !def {
 			continue
@@ -132,9 +127,7 @@ func (n *Node) SetPolicy(f Factory) error {
 		st := pol.Arrive(pol.V(), id, length, false)
 		q.Push(id, length, st, pol.V())
 	}
-	n.name, n.pol, n.tagless, n.q = f.Name, pol, f.Tagless, q
-	n.floor, _ = pol.(Floorer)
-	n.defr, _ = pol.(Deferrer)
+	n.name, n.bound, n.tagless = f.Name, b, f.Tagless
 	n.InitNodeObs(f.Name, n.rate)
 	return nil
 }

@@ -156,38 +156,6 @@ func TestFIFOIsFIFO(t *testing.T) {
 	}
 }
 
-// TestFlatWrapsNode: the Flat adapter over a WF²Q+ node must satisfy the
-// scheduler contract and match proportional sharing.
-func TestFlatWrapsNode(t *testing.T) {
-	node, err := NewNode("SCFQ", 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewFlat(node)
-	if f.Name() != "SCFQ/flat" {
-		t.Errorf("Name = %q", f.Name())
-	}
-	f.AddSession(0, 0.7e6)
-	f.AddSession(1, 0.3e6)
-	served := [2]float64{}
-	for i := 0; i < 2; i++ {
-		f.Enqueue(0, packet.New(i, 8000))
-		f.Enqueue(0, packet.New(i, 8000))
-	}
-	for n := 0; n < 2000; n++ {
-		p := f.Dequeue(0)
-		served[p.Session] += p.Length
-		f.Enqueue(0, packet.New(p.Session, 8000))
-	}
-	ratio := served[0] / served[1]
-	if math.Abs(ratio-7.0/3.0) > 0.1 {
-		t.Errorf("flat-wrapped node ratio %.3f, want 7/3", ratio)
-	}
-	if f.Backlog() != 4 {
-		t.Errorf("backlog = %d, want 4", f.Backlog())
-	}
-}
-
 // TestNodeContinuationChaining: a WFQ node must chain S = F_prev on
 // continuation pushes so a busy child's entitlement is preserved even
 // though the node only sees head-of-queue packets.

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"hpfq/internal/dataplane"
+	"hpfq/internal/wallclock"
 )
 
 // deliveredWriter counts delivered datagrams atomically, batch-aware, and
@@ -53,7 +53,7 @@ func BenchmarkShardedPump(b *testing.B) {
 func benchmarkShardedPump(b *testing.B, n int) {
 	s, err := New("WF2Q+", 1e12, n,
 		[]dataplane.Option{dataplane.WithBurst(1e18)},
-		WithSplitTick(time.Hour))
+		WithClock(wallclock.NewFake())) // a clock never advanced parks the splitter
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"hpfq/internal/dataplane"
 	"hpfq/internal/fec"
@@ -45,23 +44,11 @@ import (
 
 // config collects construction options.
 type config struct {
-	tick time.Duration
-	clk  wallclock.Clock
+	clk wallclock.Clock
 }
 
 // Option configures a Sharded front at construction.
 type Option func(*config)
-
-// WithSplitTick sets the rate splitter's redistribution cadence (default
-// DefaultSplitTick). Shorter ticks track bursts tighter; longer ticks cost
-// less wakeup churn.
-func WithSplitTick(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.tick = d
-		}
-	}
-}
 
 // WithClock replaces the splitter's wall clock (for tests). This does not
 // affect the shards' engines — pass dataplane.WithClock among the engine
@@ -89,7 +76,6 @@ type Sharded struct {
 	rate   float64 // whole-link rate: Σ shard rates
 	base   float64 // per-shard guaranteed pace slice = rate / N
 	clk    wallclock.Clock
-	tick   time.Duration
 
 	// mu serializes control-plane fan-out (mutations and lifecycle) so two
 	// concurrent mutations cannot interleave their per-shard applications
@@ -118,7 +104,7 @@ func New(algorithm string, rate float64, n int, dpOpts []dataplane.Option, opts 
 	if n < 1 {
 		return nil, fmt.Errorf("shard: invalid shard count %d", n)
 	}
-	cfg := config{tick: DefaultSplitTick, clk: wallclock.Real{}}
+	cfg := config{clk: wallclock.Real{}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -126,7 +112,6 @@ func New(algorithm string, rate float64, n int, dpOpts []dataplane.Option, opts 
 		rate:     rate,
 		base:     rate / float64(n),
 		clk:      cfg.clk,
-		tick:     cfg.tick,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		carry:    make([]float64, n),

@@ -288,7 +288,7 @@ func TestSplitterLendsIdleSlices(t *testing.T) {
 		rate = 2e6
 		base = 1e6
 	)
-	s, err := New("WF2Q+", rate, 2, nil, WithSplitTick(2*time.Millisecond))
+	s, err := New("WF2Q+", rate, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestFairnessAcrossShards(t *testing.T) {
 	clk := wallclock.NewFake()
 	s, err := New("WF2Q+", 1e6, 2,
 		[]dataplane.Option{dataplane.WithClock(clk), dataplane.WithMetrics()},
-		WithSplitTick(time.Hour))
+		WithClock(wallclock.NewFake())) // a clock never advanced parks the splitter
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,10 @@ import "time"
 // is the only writer of pace rates, so there are no cross-shard locks on
 // the packet path — the pump reads its pace with one atomic load per batch.
 
-// DefaultSplitTick is the default redistribution cadence. 5 ms matches the
-// engine's default burst depth (5 ms of egress), so a retarget lands within
-// one batch horizon.
-const DefaultSplitTick = 5 * time.Millisecond
+// SplitTick is the redistribution cadence. 5 ms matches the engine's
+// default burst depth (5 ms of egress), so a retarget lands within one
+// batch horizon.
+const SplitTick = 5 * time.Millisecond
 
 // carryTicks bounds the banked credit of an idle shard, in ticks of its
 // base slice. The bound keeps a long-idle shard from hoarding a claim that
@@ -47,7 +47,7 @@ func (s *Sharded) splitter() {
 	defer close(s.done)
 	for {
 		tick := make(chan struct{})
-		s.clk.AfterFunc(s.tick, func() { close(tick) })
+		s.clk.AfterFunc(SplitTick, func() { close(tick) })
 		select {
 		case <-s.stop:
 			// Hand every shard its guaranteed slice back on the way out.
@@ -63,7 +63,7 @@ func (s *Sharded) splitter() {
 
 // retarget performs one redistribution tick.
 func (s *Sharded) retarget() {
-	tickSec := s.tick.Seconds()
+	tickSec := SplitTick.Seconds()
 	tickBits := s.base * tickSec
 	carryCap := tickBits * carryTicks
 

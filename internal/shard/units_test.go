@@ -27,9 +27,9 @@ func classRow(t *testing.T, s *Sharded, id int) dataplane.ClassStatus {
 }
 
 // TestWholeLinkUnits: every absolute value handed to the front — a rate
-// through AddClass, AddLeafClass under the flat root, SetRate, or an FEC
-// RepairShare; a ceiling through AddLeafClass, SetCeil, or SetNodeCeil on
-// the root — means the whole link whatever the shard count: the merged
+// through AddClass, AddLeafClass under the flat root, or SetRate, or one
+// derived for an FEC repair class (R/K of the protected rate); a ceiling
+// through AddLeafClass, SetCeil, or SetNodeCeil on the root — means the whole link whatever the shard count: the merged
 // Status reads it back as given (the root's on its node row), and a root
 // ceiling bounds the summed egress of all shards.
 func TestWholeLinkUnits(t *testing.T) {
@@ -41,7 +41,7 @@ func TestWholeLinkUnits(t *testing.T) {
 	)
 	for _, n := range []int{1, 2, 4} {
 		clk := wallclock.NewFake()
-		s, err := New("WF2Q+", rate, n, []dataplane.Option{dataplane.WithClock(clk)}, WithSplitTick(time.Hour))
+		s, err := New("WF2Q+", rate, n, []dataplane.Option{dataplane.WithClock(clk)}, WithClock(wallclock.NewFake()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestWholeLinkUnits(t *testing.T) {
 		}
 		want(0, "ceil after SetCeil", classRow(t, s, 0).Ceil, 5e6)
 		spec := fec.Spec{Scheme: fec.SchemeXOR, K: 4, R: 1}
-		if err := s.ProtectClass(1, spec, dataplane.FECConfig{RepairShare: 1e6}); err != nil {
+		if err := s.ProtectClass(1, spec, dataplane.FECConfig{}); err != nil {
 			t.Fatal(err)
 		}
 		want(1+dataplane.DefaultRepairClassOffset, "rate after ProtectClass", classRow(t, s, 1+dataplane.DefaultRepairClassOffset).Rate, 1e6)
@@ -153,7 +153,7 @@ func TestShareUnitsAcrossShards(t *testing.T) {
 		fill  = 800
 	)
 	clk := wallclock.NewFake()
-	s, err = New("WF2Q+", 8e6, 2, []dataplane.Option{dataplane.WithClock(clk)}, WithSplitTick(time.Hour))
+	s, err = New("WF2Q+", 8e6, 2, []dataplane.Option{dataplane.WithClock(clk)}, WithClock(wallclock.NewFake()))
 	if err != nil {
 		t.Fatal(err)
 	}
