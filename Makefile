@@ -70,7 +70,7 @@ fuzz:
 
 bench:
 	{ $(GO) test ./internal/dataplane/ -run '^$$' \
-		-bench 'BenchmarkPump(PerPacket|Batched|Tree)$$|BenchmarkReconfigUnderLoad$$|BenchmarkFECEncode$$|BenchmarkPumpWithFEC$$|BenchmarkBufferPoolHandoff$$|BenchmarkNewDeepTree$$' -benchmem \
+		-bench 'BenchmarkPump(Batched|Tree)$$|BenchmarkReconfigUnderLoad$$|BenchmarkFECEncode$$|BenchmarkPumpWithFEC$$|BenchmarkBufferPoolHandoff$$|BenchmarkNewDeepTree$$' -benchmem \
 		-benchtime $(BENCHTIME) -count=1 ; \
 	  $(GO) test ./internal/shard/ -run '^$$' \
 		-bench 'BenchmarkShardedPump$$' -benchmem \

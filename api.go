@@ -546,40 +546,22 @@ type dpOptions []dataplane.Option
 
 func (d dpOptions) dataplaneOptions() []dataplane.Option { return d }
 
-// Datagram I/O contracts: one datagram per call, Conn-agnostic. Connected
-// *net.UDPConn values adapt via PacketReaderFrom / PacketWriterTo; the
-// in-memory PacketPipe stands in for a socket in tests.
+// Datagram I/O. The engine has one way in and one way out: callers read
+// their own sockets and call Ingest, and the pump hands each token-bucket
+// release to the PacketWriter given to Start, in WithBatchSize chunks.
 type (
-	// PacketReader is the datagram ingress contract.
-	PacketReader = dataplane.Reader
-	// PacketWriter is the datagram egress contract.
+	// PacketWriter is the egress contract: WriteBatch delivers datagrams
+	// in order and returns how many it wrote; a non-nil error applies to
+	// the first unwritten one, and the engine re-offers the suffix.
 	PacketWriter = dataplane.Writer
-	// PacketPipe is an in-memory datagram conduit with message boundaries.
-	// It honors the buffer-ownership rules (pool-backed copies, no retained
-	// slices) and implements both batch contracts.
-	PacketPipe = dataplane.Pipe
-)
-
-// Batch datagram I/O: the recvmmsg/sendmmsg-shaped contracts the data-plane
-// pump speaks natively. Writers passed to Dataplane.Start that implement
-// PacketBatchWriter receive each token-bucket release in WithBatchSize
-// chunks; per-packet implementations are adapted transparently.
-type (
-	// PacketDatagram is one scheduled payload handed to a PacketBatchWriter:
+	// PacketDatagram is one scheduled payload handed to a PacketWriter:
 	// raw bytes plus the opaque IngestCtx routing context. Writers must not
 	// retain it past the WriteBatch call.
 	PacketDatagram = dataplane.Datagram
-	// PacketBatchWriter is the batch egress contract. WriteBatch returns how
-	// many datagrams were delivered; a non-nil error applies to the first
-	// unwritten one and the engine re-offers the suffix.
-	PacketBatchWriter = dataplane.BatchWriter
-	// PacketBatchReader is the batch ingress contract: fill up to len(bufs)
-	// datagrams, reslicing each filled bufs[i] to its length.
-	PacketBatchReader = dataplane.BatchReader
-	// PayloadBatchWriter is the context-free batch egress shape (WriteBatch
-	// over raw payloads), implemented by byte-level wrappers like
-	// internal/faultconn.
-	PayloadBatchWriter = dataplane.PayloadBatchWriter
+	// PacketPipe is an in-memory datagram conduit with message boundaries,
+	// the stand-in for a socket in tests. It honors the buffer-ownership
+	// rules (pool-backed copies, no retained slices) and is a PacketWriter.
+	PacketPipe = dataplane.Pipe
 	// BufferPool recycles fixed-size datagram payload buffers through the
 	// data-plane (WithBufferPool) so the hot path runs allocation-free.
 	BufferPool = dataplane.BufferPool
@@ -599,7 +581,7 @@ type (
 // WithTopology builds a link-sharing tree whose leaves become the classes.
 // Every node runs the algorithm's node form, so FIFO and WF2Q+fixed, which
 // have none, fail with an error matching ErrNoNodeForm. Start the pump with
-// Start, feed it with Ingest or RunReader, stop with Close.
+// Start, feed it with Ingest, stop with Close.
 func NewDataplane(algorithm Algorithm, rate float64, opts ...DataplaneOption) (*Dataplane, error) {
 	var all []dataplane.Option
 	for _, o := range opts {
@@ -617,11 +599,13 @@ func WithTopology(top *Topology) DataplaneOption {
 }
 
 // WithQueueCap bounds every class's staging queue to n datagrams; arrivals
-// beyond it are tail-dropped and recorded in the metrics. 0 = unlimited.
+// beyond it are tail-dropped and recorded in the metrics. 0 = unlimited;
+// a negative n fails NewDataplane.
 func WithQueueCap(n int) DataplaneOption { return dpOptions{dataplane.WithQueueCap(n)} }
 
 // WithByteCap bounds every class's staged bytes to n; arrivals that would
-// exceed it are dropped and recorded. 0 = unlimited.
+// exceed it are dropped and recorded. 0 = unlimited; a negative n fails
+// NewDataplane.
 func WithByteCap(n int) DataplaneOption { return dpOptions{dataplane.WithByteCap(n)} }
 
 // WithBurst sets the data-plane's token-bucket depth in bits (default: 5 ms
@@ -779,14 +763,6 @@ func NewPacketPipePool(capacity int, pool *BufferPool) *PacketPipe {
 	return dataplane.NewPipePool(capacity, pool)
 }
 
-// PacketReaderFrom adapts an io.Reader with datagram semantics (e.g. a
-// connected *net.UDPConn) to the PacketReader contract.
-func PacketReaderFrom(r io.Reader) PacketReader { return dataplane.ReaderFrom(r) }
-
-// PacketWriterTo adapts an io.Writer with datagram semantics (e.g. a
-// connected *net.UDPConn) to the PacketWriter contract.
-func PacketWriterTo(w io.Writer) PacketWriter { return dataplane.WriterTo(w) }
-
 // --------------------------------------------------------------------------
 // Control plane: live introspection and hitless reconfiguration.
 
@@ -917,7 +893,7 @@ func WithWatchdog(timeout time.Duration) DataplaneOption {
 // packets never cross a shard boundary, so the hot path takes no
 // cross-shard locks. A rate splitter lends idle shards' pacing budget to
 // backlogged ones each tick (deficit-carrying), keeping the aggregate link
-// work-conserving. Route traffic with IngestKey/IngestKeyCtx (software
+// work-conserving. Route traffic with IngestKeyCtx (software
 // consistent hash) or pin whole sockets to shards via Shard(i) in
 // SO_REUSEPORT deployments. Mutations (AddClass, SetRate, …) fan out to
 // every shard atomically with respect to each pump.
@@ -938,7 +914,7 @@ func NewShardedDataplane(algorithm Algorithm, rate float64, shards int, opts ...
 }
 
 // FlowKey hashes arbitrary flow-identifying bytes into the 64-bit key
-// ShardedDataplane.IngestKey partitions on (FNV-1a, allocation-free).
+// ShardedDataplane.IngestKeyCtx partitions on (FNV-1a, allocation-free).
 func FlowKey(b []byte) uint64 { return shard.Key(b) }
 
 // FlowKeyAddr hashes an IP/port endpoint into a flow key without

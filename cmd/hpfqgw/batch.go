@@ -30,7 +30,7 @@ func newRxBatch(pool *hpfq.BufferPool, max int) *rxBatch {
 
 // read fills the batch from rd and returns how many datagrams arrived in
 // view, then resizes the batch for the next read.
-func (b *rxBatch) read(rd hpfq.PacketBatchReader) (int, error) {
+func (b *rxBatch) read(rd batchReader) (int, error) {
 	v := b.view[:len(b.full)]
 	copy(v, b.full)
 	n, err := rd.ReadBatch(v)

@@ -82,8 +82,8 @@ type gwReader struct {
 	// SO_REUSEPORT already partitioned the flows). -1 selects software
 	// placement by consistent hash of the client endpoint per datagram.
 	shard int
-	src   *udpio.Reader          // batched reads off conn, with each datagram's sender
-	rd    hpfq.PacketBatchReader // src, or the faultconn wrapper around it
+	src   *udpio.Reader // batched reads off conn, with each datagram's sender
+	rd    batchReader   // src, or the faultconn wrapper around it
 	batch *rxBatch
 	n     int // datagrams in the batch being forwarded
 	next  int // the next of them to forward
@@ -149,6 +149,19 @@ func flowKey(src netip.AddrPort) uint64 {
 // instead of retrying a write that can never succeed.
 var errNoFlow = errors.New("hpfqgw: datagram has no flow")
 
+// batchReader fills up to len(bufs) datagrams, reslicing each filled
+// bufs[i] to its length: a listen socket's reader, or the faultconn wrapper
+// around it.
+type batchReader interface {
+	ReadBatch(bufs [][]byte) (n int, err error)
+}
+
+// payloadWriter sends a run of payloads to one flow, stopping at the first
+// error: the flow socket's sink, or the faultconn wrapper around it.
+type payloadWriter interface {
+	WriteBatch(pkts [][]byte) (written int, err error)
+}
+
 // connSink writes to the flow socket selected for the current run. Only
 // the data-plane's single pump goroutine touches it, so it needs no lock.
 type connSink struct {
@@ -156,6 +169,8 @@ type connSink struct {
 	w    *udpio.Writer
 }
 
+// WritePacket sends one datagram to the selected flow socket: the shape
+// faultconn.NewWriter wraps.
 func (s *connSink) WritePacket(b []byte) (int, error) {
 	if s.sock == nil {
 		return 0, errNoFlow
@@ -164,7 +179,7 @@ func (s *connSink) WritePacket(b []byte) (int, error) {
 }
 
 // WriteBatch sends a run to the selected flow socket as GSO groups,
-// stopping at the first error (hpfq.PayloadBatchWriter shape).
+// stopping at the first error.
 func (s *connSink) WriteBatch(pkts [][]byte) (int, error) {
 	if s.sock == nil {
 		return 0, errNoFlow
@@ -172,7 +187,7 @@ func (s *connSink) WriteBatch(pkts [][]byte) (int, error) {
 	return s.w.WriteRun(s.sock, netip.AddrPort{}, pkts)
 }
 
-// egress is the gateway's data-plane Writer, an hpfq.PacketBatchWriter:
+// egress is the gateway's data-plane hpfq.PacketWriter:
 // each token-bucket release arrives as one batch, which WriteBatch splits
 // into runs of consecutive datagrams sharing a flow (the IngestCtx context)
 // and sends run by run — scheduler order is preserved exactly, and each run
@@ -183,8 +198,8 @@ func (s *connSink) WriteBatch(pkts [][]byte) (int, error) {
 // drop — the NAT mapping is gone, so the datagram has nowhere to go.
 type egress struct {
 	sink connSink
-	w    hpfq.PayloadBatchWriter // &sink, or the faultconn wrapper around it
-	raw  [][]byte                // pump-goroutine scratch for the current run
+	w    payloadWriter // &sink, or the faultconn wrapper around it
+	raw  [][]byte      // pump-goroutine scratch for the current run
 }
 
 func newEgress(fault []faultconn.Option) *egress {
@@ -195,11 +210,6 @@ func newEgress(fault []faultconn.Option) *egress {
 	}
 	return e
 }
-
-// WritePacket completes the hpfq.PacketWriter contract. The engine always
-// writes through WriteBatch, which carries each datagram's flow; a bare
-// payload has no flow to go to.
-func (e *egress) WritePacket([]byte) (int, error) { return 0, errNoFlow }
 
 // SetWriteDeadline forwards the pump watchdog's deadline down the write
 // chain, so a write blocked in an injected stall can be interrupted.

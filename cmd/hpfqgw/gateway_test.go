@@ -1001,3 +1001,15 @@ func TestRunFlagValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesNegativeCaps: a negative -queuecap or -bytecap would read
+// as unlimited and run with no bound at all; run fails instead, naming the
+// cap.
+func TestRunRefusesNegativeCaps(t *testing.T) {
+	for flag, name := range map[string]string{"-queuecap": "QueueCap", "-bytecap": "ByteCap"} {
+		err := run([]string{"-upstream", "127.0.0.1:9", "-classes", "0=1e6", flag, "-1"})
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("run with %s -1 = %v, want an error naming the %s", flag, err, name)
+		}
+	}
+}

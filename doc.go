@@ -58,19 +58,12 @@
 // (WithQueueCap / WithByteCap; drops recorded with their reason) that only
 // stages the datagram, a single pump goroutine — the scheduler's only
 // hot-path writer — releasing token-bucket batches in scheduler order at
-// the configured rate, and Conn-agnostic datagram I/O (PacketReaderFrom /
-// PacketWriterTo adapt connected *net.UDPConn values; NewPacketPipe is the
-// in-memory test double). The scheduler is always an H-PFQ tree: without
+// the configured rate to one PacketWriter (NewPacketPipe is the in-memory
+// test double). The scheduler is always an H-PFQ tree: without
 // WithTopology a one-level one whose root holds each AddClass class at its
 // absolute rate (exactly the flat server for WF²Q+), with it a full
-// link-sharing tree. Close drains the staged backlog before stopping:
-//
-//	dp, _ := hpfq.NewDataplane(hpfq.WF2QPlus, 10e6, hpfq.WithQueueCap(512))
-//	dp.AddClass(0, 7.5e6)
-//	dp.AddClass(1, 2.5e6)
-//	dp.Start(hpfq.PacketWriterTo(conn))
-//	dp.Ingest(0, payload) // any goroutine
-//	defer dp.Close()
+// link-sharing tree. Close drains the staged backlog before stopping;
+// ExampleNewDataplane runs the whole cycle.
 //
 // The cmd/hpfqgw gateway packages this as a standalone paced UDP forwarder
 // (see its command documentation for the flag grammar), with a NAT-style
@@ -79,16 +72,12 @@
 //
 // # Batching and buffer ownership
 //
-// The I/O contracts are batch-oriented. A Writer implementing
-// PacketBatchWriter (or the context-free PayloadBatchWriter) receives each
-// token-bucket release in WithBatchSize chunks; WriteBatch reports how many
-// datagrams it delivered, the error applies to the first unwritten one, and
-// the pump retries, requeues, or drops the suffix per the failure policy.
-// Plain per-packet writers keep working unchanged — Start adapts them, one
-// WritePacket per datagram; a writer that routes by the IngestCtx context
-// implements PacketBatchWriter and reads PacketDatagram.Ctx. On the read
-// side PacketBatchReader mirrors the same shape, and RunReader adapts
-// per-packet readers.
+// Egress is batch-oriented. The PacketWriter receives each token-bucket
+// release in WithBatchSize chunks; WriteBatch reports how many datagrams it
+// delivered, the error applies to the first unwritten one, and the pump
+// retries, requeues, or drops the suffix per the failure policy. A writer
+// that routes by the IngestCtx context reads PacketDatagram.Ctx. Ingress is
+// the caller's: read the socket, classify, and call Ingest or IngestCtx.
 //
 // WithBufferPool closes a zero-allocation buffer cycle: ingest a buffer
 // obtained from the pool (NewBufferPool or SharedBufferPool), and the
@@ -114,7 +103,7 @@
 // probabilistically as the EWMA queue depth climbs — bounding latency under
 // overload where tail-drop would let it grow. The pump runs under a crash-only
 // supervisor: a panic out of the Writer costs the in-flight batch, never the
-// link, and Dataplane.Restarts counts the recoveries.
+// link, and DataplaneStatus.Restarts counts the recoveries.
 //
 // Every outcome is accounted in Metrics by reason. Drop reasons: DropTail
 // and DropBytes (ingest caps), DropClosed (arrival after Close), DropWrite

@@ -2,21 +2,14 @@ package dataplane
 
 import (
 	"bytes"
-	"errors"
 	"sync"
 	"testing"
 
 	"hpfq/internal/topo"
 )
 
-// discardBatch is a Writer + BatchWriter that accepts everything and
-// retains nothing.
+// discardBatch is a Writer that accepts everything and retains nothing.
 type discardBatch struct{ pkts int }
-
-func (w *discardBatch) WritePacket(b []byte) (int, error) {
-	w.pkts++
-	return len(b), nil
-}
 
 func (w *discardBatch) WriteBatch(pkts []Datagram) (int, error) {
 	w.pkts += len(pkts)
@@ -166,8 +159,9 @@ func TestPoolAliasingStress(t *testing.T) {
 // TestPipePoolRecycles: the pool-aware Pipe borrows every transit buffer
 // from its pool and returns it on read — steady-state transfer recycles a
 // couple of buffers instead of allocating per datagram (the old
-// append-copy). Oversized datagrams fall back to a plain allocation but
-// still round-trip intact.
+// append-copy). Oversized datagrams fall back to a plain allocation, still
+// round-trip intact, and never enter the pool: the pool's next Get is still
+// one of its own buffers.
 func TestPipePoolRecycles(t *testing.T) {
 	pool := NewBufferPool(128)
 	p := NewPipePool(8, pool)
@@ -209,6 +203,14 @@ func TestPipePoolRecycles(t *testing.T) {
 	if !bytes.Equal(buf[:nn], big) {
 		t.Fatalf("oversized datagram corrupted: %d bytes, want %d", nn, len(big))
 	}
+	if after := pool.Stats(); after.Gets != st.Gets || after.Puts != st.Puts {
+		t.Errorf("oversized datagram moved the pool: gets %d→%d puts %d→%d, want no traffic",
+			st.Gets, after.Gets, st.Puts, after.Puts)
+	}
+	if b := pool.Get(); len(b) != pool.Size() || cap(b) != pool.Size() {
+		t.Errorf("pool handed out a %d/%d-byte buffer after an oversized datagram, want its own %d",
+			len(b), cap(b), pool.Size())
+	}
 }
 
 // TestBufferPoolBasics covers the pool contract: Get yields size-length
@@ -241,76 +243,10 @@ func TestBufferPoolBasics(t *testing.T) {
 	}
 }
 
-// stepRecorder is a per-packet Writer that records payloads and fails on
-// demand, for exercising the per-packet batch adapter.
-type stepRecorder struct {
-	pkts   [][]byte
-	failAt int // fail the nth write (1-based; 0 = never)
-	err    error
-}
-
-func (w *stepRecorder) WritePacket(b []byte) (int, error) {
-	if w.failAt > 0 && len(w.pkts)+1 == w.failAt {
-		return 0, w.err
-	}
-	w.pkts = append(w.pkts, append([]byte(nil), b...))
-	return len(b), nil
-}
-
-// payloadRecorder implements Writer + PayloadBatchWriter, for exercising
-// the payload-batch adapter (contexts must be stripped, batching kept).
-type payloadRecorder struct {
-	batches int
-	pkts    [][]byte
-}
-
-func (w *payloadRecorder) WritePacket(b []byte) (int, error) {
-	w.pkts = append(w.pkts, append([]byte(nil), b...))
-	return len(b), nil
-}
-
-func (w *payloadRecorder) WriteBatch(pkts [][]byte) (int, error) {
-	w.batches++
-	for _, b := range pkts {
-		w.pkts = append(w.pkts, append([]byte(nil), b...))
-	}
-	return len(pkts), nil
-}
-
-// TestAsBatchWriterAdapters: native BatchWriters pass through untouched,
-// PayloadBatchWriters keep their batching with contexts stripped, and plain
-// Writers are stepped per datagram with the error index reported —
-// exactly the contract the pump's suffix retry relies on.
-func TestAsBatchWriterAdapters(t *testing.T) {
-	native := &discardBatch{}
-	if got := AsBatchWriter(native); got != BatchWriter(native) {
-		t.Error("native BatchWriter was wrapped, want passthrough")
-	}
-
-	pr := &payloadRecorder{}
-	bw := AsBatchWriter(pr)
-	if n, err := bw.WriteBatch([]Datagram{
-		{B: []byte("a"), Ctx: 1}, {B: []byte("b"), Ctx: 2},
-	}); n != 2 || err != nil {
-		t.Fatalf("payload adapter = (%d, %v), want (2, nil)", n, err)
-	}
-	if pr.batches != 1 || len(pr.pkts) != 2 {
-		t.Errorf("payload adapter made %d batches of %d pkts, want 1 batch of 2", pr.batches, len(pr.pkts))
-	}
-
-	boom := errors.New("boom")
-	sr := &stepRecorder{failAt: 3, err: boom}
-	bw = AsBatchWriter(sr)
-	n, err := bw.WriteBatch([]Datagram{
-		{B: []byte("x"), Ctx: "cx"}, {B: []byte("y")}, {B: []byte("z")},
-	})
-	if n != 2 || !errors.Is(err, boom) {
-		t.Fatalf("step adapter = (%d, %v), want (2, boom)", n, err)
-	}
-	if len(sr.pkts) != 2 || string(sr.pkts[0]) != "x" || string(sr.pkts[1]) != "y" {
-		t.Errorf("step adapter wrote %q, want [x y]", sr.pkts)
-	}
-
+// TestShortBatchIsTransient: a Writer reporting a short batch without an
+// error is stalling, not failing — the pump must retry the suffix, never
+// drop it.
+func TestShortBatchIsTransient(t *testing.T) {
 	if !isTransient(errShortBatch) {
 		t.Error("errShortBatch not transient; a stalling writer would be dropped instead of retried")
 	}

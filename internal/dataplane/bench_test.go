@@ -7,24 +7,14 @@ import (
 	"hpfq/internal/topo"
 )
 
-// perPacketOnly hides the Pipe's batch methods so AsBatchWriter falls back
-// to the per-datagram step adapter — reproducing the pre-batching pump
-// contract over the same transport.
-type perPacketOnly struct{ p *Pipe }
-
-func (w perPacketOnly) WritePacket(b []byte) (int, error) { return w.p.WritePacket(b) }
-
-// benchmarkPump measures one datagram's trip through
-// ingress → schedule → collect → write over the in-memory pipe, driving the
-// pump synchronously so the figure is the data path, not goroutine
-// scheduling. A background drainer keeps the pipe from filling.
-func benchmarkPump(b *testing.B, batchSize int, pooled bool, wrap func(*Pipe) Writer) {
+// BenchmarkPumpBatched measures one datagram's trip through
+// ingress → schedule → collect → write over the in-memory pipe:
+// WithBatchSize chunks with every payload buffer recycled through the pool.
+// It drives the pump synchronously so the figure is the data path, not
+// goroutine scheduling. A background drainer keeps the pipe from filling.
+func BenchmarkPumpBatched(b *testing.B) {
 	pool := NewBufferPool(256)
-	opts := []Option{WithBurst(1e18), WithBatchSize(batchSize)}
-	if pooled {
-		opts = append(opts, WithBufferPool(pool))
-	}
-	d, err := New("WF2Q+", 1e9, opts...)
+	d, err := New("WF2Q+", 1e9, WithBurst(1e18), WithBatchSize(32), WithBufferPool(pool))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -32,7 +22,7 @@ func benchmarkPump(b *testing.B, batchSize int, pooled bool, wrap func(*Pipe) Wr
 		b.Fatal(err)
 	}
 	pipe := NewPipePool(4096, pool)
-	d.bw = AsBatchWriter(wrap(pipe)) // driven inline; Start is never called
+	d.bw = pipe // driven inline; Start is never called
 
 	drained := make(chan struct{})
 	go func() {
@@ -50,18 +40,10 @@ func benchmarkPump(b *testing.B, batchSize int, pooled bool, wrap func(*Pipe) Wr
 	b.ReportAllocs()
 	b.ResetTimer()
 	for rem := b.N; rem > 0; {
-		n := chunk
-		if rem < n {
-			n = rem
-		}
+		n := min(chunk, rem)
 		rem -= n
 		for j := 0; j < n; j++ {
-			var buf []byte
-			if pooled {
-				buf = pool.Get()[:100]
-			} else {
-				buf = make([]byte, 100) // the old path: one fresh buffer per datagram
-			}
+			buf := pool.Get()[:100]
 			buf[0] = byte(j)
 			if err := d.Ingest(0, buf); err != nil {
 				b.Fatal(err)
@@ -75,28 +57,11 @@ func benchmarkPump(b *testing.B, batchSize int, pooled bool, wrap func(*Pipe) Wr
 	<-drained
 }
 
-// BenchmarkPumpPerPacket is the pre-refactor contract: batch size 1, a
-// per-packet-only writer behind the step adapter, and a fresh allocation
-// per ingested datagram.
-func BenchmarkPumpPerPacket(b *testing.B) {
-	benchmarkPump(b, 1, false, func(p *Pipe) Writer { return perPacketOnly{p} })
-}
-
-// BenchmarkPumpBatched is the batched pooled path: WithBatchSize chunks to
-// a native BatchWriter with every payload buffer recycled through the pool.
-func BenchmarkPumpBatched(b *testing.B) {
-	benchmarkPump(b, 32, true, func(p *Pipe) Writer { return p })
-}
-
 // progressWriter counts delivered datagrams and signals progress after
 // every batch, so a producer can wait for window room without polling.
 type progressWriter struct {
 	n        atomic.Int64
 	progress chan struct{} // buffered(1): a pending signal is enough
-}
-
-func (w *progressWriter) WritePacket(b []byte) (int, error) {
-	return w.WriteBatch([]Datagram{{B: b}})
 }
 
 func (w *progressWriter) WriteBatch(pkts []Datagram) (int, error) {

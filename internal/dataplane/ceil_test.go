@@ -128,6 +128,8 @@ func (w *egressLog) WritePacket(b []byte) (int, error) {
 	return len(b), nil
 }
 
+func (w *egressLog) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
+
 func (w *egressLog) len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -220,6 +222,8 @@ func (w *flakyEgress) WritePacket(b []byte) (int, error) {
 	}
 	return w.egressLog.WritePacket(b)
 }
+
+func (w *flakyEgress) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
 
 // TestCeilHoldsUnderRequeue: a datagram whose write fails and which is
 // requeued (WithRequeue) was charged against its class's ceiling when it
@@ -661,7 +665,7 @@ func (c *ceilCase) run(t *testing.T) {
 	lift := span + time.Duration(c.rng.Int64N(int64(span)))
 	events = append(events, event{lift, func() bool {
 		for _, id := range c.d.Classes() {
-			_, b := c.d.Queued(id)
+			_, b := queued(c.d, id)
 			liftBits += float64(b * 8)
 		}
 		liftAt = c.clk.Elapsed()

@@ -5,7 +5,7 @@
 //
 // The pipeline is
 //
-//	Reader → classify → admission + inbox → scheduler pump → Writer
+//	Ingest → admission + inbox → scheduler pump → Writer
 //
 // Producers (any number of goroutines) call Ingest, which classifies a
 // datagram into a class, enforces the class's drop policy — tail-drop at the
@@ -22,21 +22,19 @@
 // arrives, so the hot path is a few lock acquisitions and one timer per
 // batch, not per packet.
 //
-// I/O is Conn-agnostic: Reader and Writer are one-datagram-per-call
-// interfaces satisfied by connected UDP sockets (via ReaderFrom/WriterTo)
-// and by the in-memory Pipe for tests. Close stops intake and drains the
-// staged backlog through the pacer before returning. cmd/hpfqgw wraps the
-// engine into a UDP forwarding gateway.
+// The engine has one way in and one way out, like the paper's H-PFQ
+// server: callers read their own sockets and call Ingest, and the pump
+// writes to the Writer handed to Start. The in-memory Pipe stands in for a
+// socket in tests. Close stops intake and drains the staged backlog
+// through the pacer before returning. cmd/hpfqgw wraps the engine into a
+// UDP forwarding gateway.
 //
 // # Batching and buffer ownership
 //
 // The pump releases packets in token-bucket batches, and the egress side
-// keeps them batched: every release is handed to the writer through the
-// BatchWriter contract (WriteBatch over a []Datagram slab, the
-// sendmmsg-shaped analogue of WritePacket), in chunks of WithBatchSize
-// datagrams. Per-packet Writers keep working unmodified — Start adapts them
-// with AsBatchWriter — but writers that implement BatchWriter (the Pipe,
-// the gateway's flow-grouping egress) amortize their per-call overhead
+// keeps them batched: every release is handed to the Writer as WriteBatch
+// calls over a []Datagram slab (the sendmmsg shape), in chunks of
+// WithBatchSize datagrams, so writers amortize their per-call overhead
 // across the batch. Retry/backoff and requeue operate on the unwritten
 // suffix: WriteBatch reports how many datagrams were delivered, the error
 // applies to the first unwritten one, and the pump re-offers the rest,
@@ -50,7 +48,7 @@
 // written by the Writer, or dropped by any policy (tail/byte cap happens
 // before ownership transfers; CoDel, write-error, retry-exhausted, and
 // pump-panic drops release the buffer). Writers must therefore not retain a
-// payload slice or a Datagram past the WriteBatch/WritePacket call. When
+// payload slice or a Datagram past the WriteBatch call. When
 // Ingest returns an error the producer still owns the buffer and may reuse
 // it. Without a pool the engine never recycles and the old
 // allocate-per-datagram behavior applies.
@@ -73,8 +71,8 @@
 // time-domain RED (red.go) — that sheds packets whose staging sojourn
 // grows, keeping latency bounded where tail-drop would let it grow with
 // the queue. Every outcome lands in the
-// obs layer: drops by reason, retries by reason, and the restart count via
-// Restarts.
+// obs layer: drops by reason, retries by reason, and the restart count in
+// Status.
 package dataplane
 
 import (
@@ -132,7 +130,7 @@ const (
 // per-call overhead, small enough to keep the retry suffix short.
 const DefaultBatchSize = 32
 
-// errShortBatch marks a BatchWriter that reported a short batch without an
+// errShortBatch marks a Writer that reported a short batch without an
 // error; the pump treats it as a transient stall so the suffix is retried
 // with backoff instead of spinning. It classifies as transient.
 var errShortBatch = shortBatchError{}
@@ -271,11 +269,13 @@ func WithTopology(top *topo.Node) Option { return func(c *config) { c.top = top 
 func WithClock(clk wallclock.Clock) Option { return func(c *config) { c.clock = clk } }
 
 // WithQueueCap bounds every class's staging queue to n datagrams; arrivals
-// beyond it are tail-dropped and recorded. 0 means unlimited.
+// beyond it are tail-dropped and recorded. 0 means unlimited; New refuses
+// a negative n.
 func WithQueueCap(n int) Option { return func(c *config) { c.capPkts = n } }
 
 // WithByteCap bounds every class's staged bytes to n; arrivals that would
-// exceed it are dropped and recorded. 0 means unlimited.
+// exceed it are dropped and recorded. 0 means unlimited; New refuses a
+// negative n.
 func WithByteCap(n int) Option { return func(c *config) { c.capBytes = n } }
 
 // WithBurst sets the token-bucket depth in bits: how much the pump may
@@ -391,8 +391,8 @@ func WithAQM(kind string, target, interval time.Duration) Option {
 }
 
 // Dataplane is the engine. Construct with New, register classes (flat mode)
-// with AddClass, start the pump with Start, feed datagrams with Ingest or
-// RunReader, and stop with Close.
+// with AddClass, start the pump with Start, feed datagrams with Ingest, and
+// stop with Close.
 //
 // Two locks split the engine (DESIGN.md S33). mu is the admission lock:
 // Ingest's checks, the per-class packet/byte counts, the inbox of accepted
@@ -471,16 +471,24 @@ type Dataplane struct {
 	pool  *BufferPool // nil: the engine never recycles payload buffers
 	batch int         // max datagrams per WriteBatch call
 
-	bw        BatchWriter // egress, resolved by Start via AsBatchWriter
-	rawWriter Writer      // the writer as handed to Start (watchdog deadline probe)
+	bw Writer // egress, as handed to Start
 
 	wake chan struct{} // buffered(1) pump wakeup
 	done chan struct{} // closed when the pump exits
-	// parked is 1 + ns since epoch of the instant a parked pump's timer
-	// wakes it, math.MaxInt64 while it parks idle, and 0 while it runs.
-	parked atomic.Int64
 
-	// The rest is owned by the pump goroutine.
+	// The rest is written by the pump goroutine. The pad keeps it off the
+	// cache line of wake, which Ingest reads, so the pump's stores (parked
+	// on every idle park) do not invalidate that line in the producers'
+	// caches.
+	_ [64]byte
+
+	// parked and fired let a test on a fake clock see when the pump waits
+	// for the clock. Each timed park arms its timer, then stores a fresh
+	// mark in parked — odd if a nudge can end the park, even if not (retry
+	// and restart backoff) — and the timer stores the same mark in fired.
+	// parked is math.MaxInt64 while the pump parks idle, 0 while it runs.
+	parked, fired atomic.Int64
+	parks         int64 // marks handed out
 
 	// staging is the inbox taken for the current batch; stageHead indexes
 	// the first envelope not yet handed to the scheduler.
@@ -543,6 +551,12 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 	}
 	if cfg.retry.cap < cfg.retry.backoff {
 		cfg.retry.cap = cfg.retry.backoff
+	}
+	if cfg.capPkts < 0 {
+		return nil, fmt.Errorf("dataplane: WithQueueCap %d: want 0 (unlimited) or a positive cap", cfg.capPkts)
+	}
+	if cfg.capBytes < 0 {
+		return nil, fmt.Errorf("dataplane: WithByteCap %d: want 0 (unlimited) or a positive cap", cfg.capBytes)
 	}
 	switch cfg.aqmKind {
 	case "", AQMCoDel, AQMRED:
@@ -780,9 +794,8 @@ func (d *Dataplane) signal() {
 }
 
 // Start launches the supervised pump goroutine writing scheduled datagrams
-// to w. Writers implementing BatchWriter receive each token-bucket release
-// in WithBatchSize chunks, each datagram with its IngestCtx context;
-// per-packet Writers are adapted transparently via AsBatchWriter.
+// to w: each token-bucket release in WithBatchSize chunks, each datagram
+// with its IngestCtx context.
 func (d *Dataplane) Start(w Writer) error {
 	if w == nil {
 		return fmt.Errorf("dataplane: nil writer")
@@ -795,8 +808,7 @@ func (d *Dataplane) Start(w Writer) error {
 	if d.started {
 		return fmt.Errorf("dataplane: already started")
 	}
-	d.bw = AsBatchWriter(w)
-	d.rawWriter = w
+	d.bw = w
 	d.started = true
 	go d.supervise()
 	if d.overloadEnabled() {
@@ -931,14 +943,6 @@ func (d *Dataplane) raiseTrace() {
 		d.tracePanic = nil
 		panic(r)
 	}
-}
-
-// Restarts returns how many times the pump supervisor recovered a panic and
-// restarted the pump.
-func (d *Dataplane) Restarts() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.restarts
 }
 
 // pump is the single scheduler-drain loop and the only goroutine that
@@ -1285,22 +1289,29 @@ func (d *Dataplane) exhausted(r released, bits float64) bool {
 // sleep blocks for dur on the engine's clock (fake-clock testable,
 // uninterruptible: retry backoff keeps running during Close so the drain
 // still delivers).
-func (d *Dataplane) sleep(dur time.Duration) {
-	t := make(chan struct{})
-	d.clock.AfterFunc(dur, func() { close(t) })
-	<-t
-}
+func (d *Dataplane) sleep(dur time.Duration) { d.park(dur, nil) }
 
 // await blocks until dur elapses on the engine's clock or a wake nudge
 // arrives (new work or shutdown).
-func (d *Dataplane) await(dur time.Duration) {
+func (d *Dataplane) await(dur time.Duration) { d.park(dur, d.wake) }
+
+// park blocks until dur elapses on the engine's clock or wake delivers (a
+// nil wake never does), publishing the park in parked and fired.
+func (d *Dataplane) park(dur time.Duration, wake <-chan struct{}) {
+	d.parks += 2
+	mark := d.parks
+	if wake != nil {
+		mark++
+	}
 	t := make(chan struct{})
-	due := d.clock.Now().Add(dur)
-	d.clock.AfterFunc(dur, func() { close(t) })
-	d.parked.Store(due.Sub(d.epoch).Nanoseconds() + 1)
+	d.clock.AfterFunc(dur, func() {
+		d.fired.Store(mark)
+		close(t)
+	})
+	d.parked.Store(mark)
 	select {
 	case <-t:
-	case <-d.wake:
+	case <-wake:
 	}
 	d.parked.Store(0)
 }
@@ -1314,21 +1325,11 @@ func (d *Dataplane) Backlog() int {
 	return d.staged
 }
 
-// Queued returns a class's datagram and byte counts, on Backlog's terms.
-func (d *Dataplane) Queued(class int) (packets, bytes int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cs := d.classes[class]
-	if cs == nil {
-		return 0, 0
-	}
-	return cs.packets, cs.bytes
-}
-
 // Snapshot freezes the scheduler's counters — per-class counts, queue
 // depths, delays, WFI, and the per-reason drop breakdown. Safe to call
 // concurrently with Ingest and the pump. Datagrams still in the inbox are
-// not yet enqueued in these counters; Backlog and Queued count them.
+// not yet enqueued in these counters; Backlog and Status().Classes count
+// them.
 func (d *Dataplane) Snapshot() obs.Metrics {
 	d.smu.Lock()
 	defer d.smu.Unlock()
@@ -1344,63 +1345,6 @@ func (d *Dataplane) NodeSnapshots() map[string]obs.Metrics {
 		return nil
 	}
 	return d.tree.NodeSnapshots()
-}
-
-// RunReader reads datagrams from r, classifies each with classify, and
-// ingests them until the reader fails (a closed socket's error ends the
-// loop) or the engine closes. Drop-policy rejections are recorded and
-// skipped. It runs in the caller's goroutine; run several with different
-// readers for multi-socket ingress.
-//
-// With a WithBufferPool pool the loop reads straight into pooled buffers
-// and hands them to the engine without copying — zero steady-state
-// allocations end to end — and readers implementing BatchReader are drained
-// a batch per call. Without a pool it falls back to one exact-size copy per
-// datagram.
-func (d *Dataplane) RunReader(r Reader, classify func(b []byte) int) error {
-	if d.pool == nil {
-		buf := make([]byte, MaxDatagramSize)
-		for {
-			n, err := r.ReadPacket(buf)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				continue
-			}
-			b := append([]byte(nil), buf[:n]...)
-			if err := d.Ingest(classify(b), b); errors.Is(err, ErrClosed) {
-				return err
-			}
-		}
-	}
-	br := AsBatchReader(r)
-	full := make([][]byte, d.batch) // owned buffers at full length
-	bufs := make([][]byte, d.batch) // per-read view, resliced by the reader
-	for i := range full {
-		full[i] = d.pool.Get()
-	}
-	for {
-		copy(bufs, full)
-		n, err := br.ReadBatch(bufs)
-		for i := 0; i < n; i++ {
-			b := bufs[i]
-			if len(b) == 0 {
-				continue
-			}
-			switch ierr := d.Ingest(classify(b), b); {
-			case ierr == nil:
-				full[i] = d.pool.Get() // the engine owns b now
-			case errors.Is(ierr, ErrClosed):
-				return ierr
-			}
-			// Rejected datagrams leave the buffer with us: full[i] is
-			// reused for the next read.
-		}
-		if err != nil {
-			return err
-		}
-	}
 }
 
 // Close stops intake, drains the staged backlog through the pacer, and

@@ -56,23 +56,104 @@ func (c *collect) classes() []int {
 	return out
 }
 
-// advanceUntil drives the fake clock until cond holds or a real-time
-// deadline expires. The pump runs concurrently, so virtual time is advanced
-// in small steps with a real yield between them.
-func advanceUntil(t *testing.T, clk *wallclock.Fake, step time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached while advancing the fake clock")
+// writeEach delivers pkts through w's WritePacket one datagram at a time,
+// stopping at the first error: the WriteBatch of the tests' per-datagram
+// writers.
+func writeEach(w interface{ WritePacket([]byte) (int, error) }, pkts []Datagram) (int, error) {
+	for i := range pkts {
+		if _, err := w.WritePacket(pkts[i].B); err != nil {
+			return i, err
 		}
-		clk.Advance(step)
-		time.Sleep(50 * time.Microsecond)
+	}
+	return len(pkts), nil
+}
+
+// pumpSettled reports whether the pump waits for the fake clock: it is
+// parked idle or on a timer that has not fired, with no datagram or nudge
+// waiting for it when one could end the park; or it is blocked in a write
+// through a stalling faultWriter, which only the watchdog ends; or it has
+// not started, or has exited. A step of the fake clock then reaches the
+// pump exactly when its timers say, however slowly the host schedules it.
+func pumpSettled(d *Dataplane) bool {
+	select {
+	case <-d.done:
+		return true
+	default:
+	}
+	d.mu.Lock()
+	started, inbox, w := d.started, len(d.inbox), d.bw
+	d.mu.Unlock()
+	if !started {
+		return true
+	}
+	if fw, ok := w.(*faultWriter); ok && fw.stalls && fw.writing.Load() {
+		return true
+	}
+	switch p := d.parked.Load(); {
+	case p == 0 || p == d.fired.Load():
+		return false // running, or about to
+	case p%2 == 0:
+		return true // backoff: nudges wait for it
+	default:
+		return inbox == 0 && len(d.wake) == 0
 	}
 }
 
-// closeDraining closes d while advancing the fake clock, since Close blocks
-// until the pacer has drained the staged backlog.
+// monitorSettled reports whether the overload monitor, if it runs, waits
+// for its next sample on the fake clock.
+func monitorSettled(d *Dataplane) bool {
+	if !d.overloadEnabled() {
+		return true
+	}
+	d.mu.Lock()
+	started := d.started
+	d.mu.Unlock()
+	select {
+	case <-d.ov.monDone:
+		return true
+	default:
+	}
+	armed := d.ov.armed.Load()
+	return !started || armed != 0 && armed != d.ov.sampled.Load()
+}
+
+// settle waits until the pump and the overload monitor wait for the fake
+// clock (pumpSettled, monitorSettled): the pump is then credited every
+// step's tokens and the monitor takes every sample. Ingest must not run
+// concurrently (its nudge would wake the pump after the check).
+func settle(t *testing.T, d *Dataplane) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		pump, monitor := pumpSettled(d), monitorSettled(d)
+		if pump && monitor {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("engine did not catch up with the fake clock (pump %v, monitor %v)", pump, monitor)
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+}
+
+// advanceUntil steps the fake clock by step until cond holds or a real-time
+// deadline expires, settling the engine around each step and each call of
+// cond (which may ingest).
+func advanceUntil(t *testing.T, d *Dataplane, clk *wallclock.Fake, step time.Duration, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for settle(t, d); !cond(); settle(t, d) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached while advancing the fake clock")
+		}
+		settle(t, d)
+		clk.Advance(step)
+	}
+}
+
+// closeDraining closes d while stepping the fake clock, since Close blocks
+// until the pacer has drained the staged backlog. Each step waits for the
+// engine to settle, until Close returns.
 func closeDraining(t *testing.T, d *Dataplane, clk *wallclock.Fake) {
 	t.Helper()
 	done := make(chan struct{})
@@ -86,13 +167,26 @@ func closeDraining(t *testing.T, d *Dataplane, clk *wallclock.Fake) {
 		case <-done:
 			return
 		default:
-			if time.Now().After(deadline) {
-				t.Fatal("Close did not drain the backlog")
-			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Close did not drain the backlog")
+		}
+		if pumpSettled(d) && monitorSettled(d) {
 			clk.Advance(10 * time.Millisecond)
-			time.Sleep(50 * time.Microsecond)
+		} else {
+			time.Sleep(10 * time.Microsecond)
 		}
 	}
+}
+
+// queued returns a class's staged datagrams and bytes, from Status.
+func queued(d *Dataplane, class int) (packets, bytes int) {
+	for _, c := range d.Status().Classes {
+		if c.ID == class {
+			return c.Queued, c.QueuedBytes
+		}
+	}
+	return 0, 0
 }
 
 func mkPayload(class, seq, size int) []byte {
@@ -150,7 +244,7 @@ func TestOrderingMatchesWF2QPlus(t *testing.T) {
 	if err := d.Start(pipe); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, 100*time.Millisecond, func() bool { return out.count() >= nFast+nSlow })
+	advanceUntil(t, d, clk, 100*time.Millisecond, func() bool { return out.count() >= nFast+nSlow })
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +301,7 @@ func TestThroughputShares(t *testing.T) {
 	if err := d.Start(pipe); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, time.Millisecond, func() bool { return out.count() >= measure })
+	advanceUntil(t, d, clk, time.Millisecond, func() bool { return out.count() >= measure })
 	closeDraining(t, d, clk)
 	pipe.Close()
 	<-out.done
@@ -241,6 +335,8 @@ func (w *stampWriter) WritePacket(b []byte) (int, error) {
 	w.mu.Unlock()
 	return len(b), nil
 }
+
+func (w *stampWriter) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
 
 func (w *stampWriter) released(class byte) []time.Duration {
 	w.mu.Lock()
@@ -276,12 +372,12 @@ func TestIsolationLatencyUnderFlood(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		advanceUntil(t, clk, step, func() bool { return clk.Elapsed() >= time.Duration(i+1)*50*time.Millisecond })
+		advanceUntil(t, d, clk, step, func() bool { return clk.Elapsed() >= time.Duration(i+1)*50*time.Millisecond })
 		sent := clk.Elapsed()
 		if err := d.Ingest(1, mkPayload(1, i, size)); err != nil {
 			t.Fatal(err)
 		}
-		advanceUntil(t, clk, step, func() bool { return len(w.released(1)) > i })
+		advanceUntil(t, d, clk, step, func() bool { return len(w.released(1)) > i })
 		if lat := w.released(1)[i] - sent; lat > bound {
 			t.Errorf("interactive message %d released %v after it was sent under a flood, want <= %v", i, lat, bound)
 		}
@@ -321,7 +417,7 @@ func TestDropPolicy(t *testing.T) {
 		t.Fatalf("unknown class: %v, want ErrNoClass", err)
 	}
 
-	if pkts, bytes := d.Queued(0); pkts != 2 || bytes != 200 {
+	if pkts, bytes := queued(d, 0); pkts != 2 || bytes != 200 {
 		t.Errorf("class 0 staged %d pkts / %d bytes, want 2 / 200", pkts, bytes)
 	}
 	m := d.Snapshot()
@@ -379,7 +475,7 @@ func TestHierarchicalDataplane(t *testing.T) {
 	if err := d.Start(pipe); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, time.Millisecond, func() bool { return out.count() >= 3*n })
+	advanceUntil(t, d, clk, time.Millisecond, func() bool { return out.count() >= 3*n })
 	// hier.Tree counts the in-flight packet until the next Dequeue resets
 	// its path, so draining needs the clock to keep moving.
 	closeDraining(t, d, clk)
@@ -442,7 +538,7 @@ func TestCloseDrains(t *testing.T) {
 // failWriter always fails, exercising the write-error drop path.
 type failWriter struct{}
 
-func (failWriter) WritePacket(b []byte) (int, error) { return 0, errors.New("down") }
+func (failWriter) WriteBatch([]Datagram) (int, error) { return 0, errors.New("down") }
 
 func TestWriteErrorsRecorded(t *testing.T) {
 	d, err := New("WF2Q+", 1e8, WithMetrics())

@@ -30,6 +30,28 @@ func faultSeed(t *testing.T) int64 {
 	return v
 }
 
+// faultWriter bridges a faultconn.Writer, which takes raw payloads, to the
+// engine's Writer. The embedded writer's SetWriteDeadline is promoted, so
+// the watchdog can interrupt an injected stall. stalls says every write
+// blocks until the watchdog ends it; pumpSettled then counts a pump inside
+// WriteBatch (writing) as parked.
+type faultWriter struct {
+	*faultconn.Writer
+	stalls  bool
+	writing atomic.Bool
+	raw     [][]byte
+}
+
+func (w *faultWriter) WriteBatch(pkts []Datagram) (int, error) {
+	w.writing.Store(true)
+	defer w.writing.Store(false)
+	w.raw = w.raw[:0]
+	for i := range pkts {
+		w.raw = append(w.raw, pkts[i].B)
+	}
+	return w.Writer.WriteBatch(w.raw)
+}
+
 // transientErr is a minimal self-classifying transient error.
 type transientErr struct{}
 
@@ -52,6 +74,8 @@ func (w *flakyWriter) WritePacket(b []byte) (int, error) {
 	return len(b), nil
 }
 
+func (w *flakyWriter) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
+
 // alwaysTransient never delivers; every write fails with a transient error.
 type alwaysTransient struct{ attempts atomic.Int64 }
 
@@ -59,6 +83,8 @@ func (w *alwaysTransient) WritePacket(b []byte) (int, error) {
 	w.attempts.Add(1)
 	return 0, transientErr{}
 }
+
+func (w *alwaysTransient) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
 
 // panicWriter panics on its panicOn-th write and delivers otherwise.
 type panicWriter struct {
@@ -74,6 +100,8 @@ func (w *panicWriter) WritePacket(b []byte) (int, error) {
 	w.delivered.Add(1)
 	return len(b), nil
 }
+
+func (w *panicWriter) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
 
 // TestRetryDeliversAll is the acceptance test from the issue: with seeded
 // transient faults injected into well over 10% of writes (errors plus short
@@ -94,10 +122,10 @@ func TestRetryDeliversAll(t *testing.T) {
 	d.AddClass(0, 0.75e8)
 	d.AddClass(1, 0.25e8)
 	inner := &countWriter{}
-	fw := faultconn.NewWriter(inner,
+	fw := &faultWriter{Writer: faultconn.NewWriter(inner,
 		faultconn.WithSeed(faultSeed(t)),
 		faultconn.WithErrorRate(0.20),
-		faultconn.WithShortWrites(0.05))
+		faultconn.WithShortWrites(0.05))}
 	for i := 0; i < offered; i++ {
 		if err := d.Ingest(i%2, mkPayload(i%2, i, size)); err != nil {
 			t.Fatal(err)
@@ -106,7 +134,7 @@ func TestRetryDeliversAll(t *testing.T) {
 	if err := d.Start(fw); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, time.Millisecond, func() bool {
+	advanceUntil(t, d, clk, time.Millisecond, func() bool {
 		return inner.packets.Load() >= offered
 	})
 	closeDraining(t, d, clk)
@@ -173,7 +201,7 @@ func TestRetryExhaustedDrops(t *testing.T) {
 	if err := d.Start(w); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, time.Millisecond, func() bool {
+	advanceUntil(t, d, clk, time.Millisecond, func() bool {
 		return d.Snapshot().DropReasons[obs.DropRetries].Packets == offered
 	})
 	closeDraining(t, d, clk)
@@ -214,7 +242,7 @@ func TestRequeueRedelivers(t *testing.T) {
 	if err := d.Start(w); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, time.Millisecond, func() bool { return w.delivered.Load() == 1 })
+	advanceUntil(t, d, clk, time.Millisecond, func() bool { return w.delivered.Load() == 1 })
 	closeDraining(t, d, clk)
 
 	m := d.Snapshot()
@@ -255,7 +283,7 @@ func TestRequeueBudgetExhausted(t *testing.T) {
 	if err := d.Start(w); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, time.Millisecond, func() bool {
+	advanceUntil(t, d, clk, time.Millisecond, func() bool {
 		return d.Snapshot().DropReasons[obs.DropRetries].Packets == 1
 	})
 	closeDraining(t, d, clk)
@@ -300,6 +328,8 @@ func (w *gatedWriter) WritePacket(b []byte) (int, error) {
 	return len(b), nil
 }
 
+func (w *gatedWriter) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
+
 // TestRequeueAfterSlotReuse: a class is removed while its datagram is in
 // flight, and another class is grafted into the freed leaf slot. When the
 // in-flight write then exhausts its retries under WithRequeue, the datagram
@@ -327,7 +357,7 @@ func TestRequeueAfterSlotReuse(t *testing.T) {
 	// Once the pump has run a batch, a tokens' worth of idle time lets the
 	// next batch dequeue past class 0's datagram, which resets its path:
 	// only then is its leaf free to remove while the datagram is in flight.
-	advanceUntil(t, clk, 100*time.Microsecond, func() bool { return w.delivered.Load() == 1 })
+	advanceUntil(t, d, clk, 100*time.Microsecond, func() bool { return w.delivered.Load() == 1 })
 	clk.Advance(10 * time.Millisecond)
 	if err := d.Ingest(0, mkPayload(0, 0, 125)); err != nil {
 		t.Fatal(err)
@@ -349,7 +379,7 @@ func TestRequeueAfterSlotReuse(t *testing.T) {
 		}
 	}
 	close(w.release)
-	advanceUntil(t, clk, 100*time.Microsecond, func() bool {
+	advanceUntil(t, d, clk, 100*time.Microsecond, func() bool {
 		return w.delivered.Load() == 1+later && d.Snapshot().DropReasons[obs.DropRetries].Packets == 1
 	})
 	if d.Backlog() != 0 {
@@ -402,7 +432,7 @@ func TestPumpPanicRestart(t *testing.T) {
 	if err := d.Start(w); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, 10*time.Millisecond, func() bool { return d.Restarts() == 1 })
+	advanceUntil(t, d, clk, 10*time.Millisecond, func() bool { return d.Status().Restarts == 1 })
 
 	// The pump is alive again: new datagrams flow.
 	for i := 5; i < 8; i++ {
@@ -410,12 +440,12 @@ func TestPumpPanicRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	advanceUntil(t, clk, 10*time.Millisecond, func() bool { return w.delivered.Load() == 4 })
+	advanceUntil(t, d, clk, 10*time.Millisecond, func() bool { return w.delivered.Load() == 4 })
 	closeDraining(t, d, clk)
 
 	m := d.Snapshot()
-	if d.Restarts() != 1 {
-		t.Errorf("restarts = %d, want 1", d.Restarts())
+	if d.Status().Restarts != 1 {
+		t.Errorf("restarts = %d, want 1", d.Status().Restarts)
 	}
 	if got := m.DropReasons[obs.DropPanic].Packets; got != 4 {
 		t.Errorf("%q drops = %d, want 4 (the in-flight batch)", obs.DropPanic, got)
@@ -480,7 +510,7 @@ func TestTracerPanicInDequeue(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			advanceUntil(t, clk, time.Millisecond, func() bool { return d.Restarts() == 1 })
+			advanceUntil(t, d, clk, time.Millisecond, func() bool { return d.Status().Restarts == 1 })
 			closeDraining(t, d, clk)
 
 			m := d.Snapshot()
@@ -530,13 +560,13 @@ func TestFairnessUnderTransientErrors(t *testing.T) {
 	}
 	pipe := NewPipe(2 * prefill)
 	out := collectFrom(pipe)
-	fw := faultconn.NewWriter(pipe,
+	fw := &faultWriter{Writer: faultconn.NewWriter(pipe,
 		faultconn.WithSeed(faultSeed(t)),
-		faultconn.WithErrorRate(0.25))
+		faultconn.WithErrorRate(0.25))}
 	if err := d.Start(fw); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, time.Millisecond, func() bool { return out.count() >= measure })
+	advanceUntil(t, d, clk, time.Millisecond, func() bool { return out.count() >= measure })
 	closeDraining(t, d, clk)
 	pipe.Close()
 	<-out.done

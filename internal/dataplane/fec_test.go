@@ -118,6 +118,8 @@ func (w *lossyCapture) WritePacket(b []byte) (int, error) {
 	return len(b), nil
 }
 
+func (w *lossyCapture) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
+
 func (w *lossyCapture) counts() (received, survived int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -153,7 +155,7 @@ func TestFECEmitsRepairsAndStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := n + (n/spec.K)*spec.R
-	advanceUntil(t, clk, time.Millisecond, func() bool { got, _ := w.counts(); return got >= want })
+	advanceUntil(t, d, clk, time.Millisecond, func() bool { got, _ := w.counts(); return got >= want })
 	closeDraining(t, d, clk)
 
 	if got, _ := w.counts(); got != want {
@@ -237,7 +239,7 @@ func TestFECRecoveryUnderLoss(t *testing.T) {
 				t.Fatal(err)
 			}
 			total := n + blocks*spec.R
-			advanceUntil(t, clk, time.Millisecond, func() bool { got, _ := w.counts(); return got >= total })
+			advanceUntil(t, d, clk, time.Millisecond, func() bool { got, _ := w.counts(); return got >= total })
 			closeDraining(t, d, clk)
 
 			// Receive side: push the survivors through the decoder and track
@@ -292,7 +294,7 @@ func TestFECRecoveryUnderLoss(t *testing.T) {
 			if err := base.Start(bw); err != nil {
 				t.Fatal(err)
 			}
-			advanceUntil(t, clk2, time.Millisecond, func() bool { got, _ := bw.counts(); return got >= n })
+			advanceUntil(t, base, clk2, time.Millisecond, func() bool { got, _ := bw.counts(); return got >= n })
 			closeDraining(t, base, clk2)
 			if _, got := bw.counts(); got != n-erased {
 				t.Fatalf("baseline delivered %d datagrams, want %d (nothing recoverable)", got, n-erased)
@@ -328,6 +330,8 @@ func (w *shareCapture) WritePacket(b []byte) (int, error) {
 	}
 	return len(b), nil
 }
+
+func (w *shareCapture) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
 
 // TestFECRepairClassShare: repair traffic is a scheduled class, not a side
 // channel — on a saturated link it cannot exceed its derived rate (the
@@ -370,7 +374,7 @@ func TestFECRepairClassShare(t *testing.T) {
 	if err := d.Start(w); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, time.Millisecond, func() bool {
+	advanceUntil(t, d, clk, time.Millisecond, func() bool {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		return w.pkts >= measure
@@ -490,7 +494,7 @@ func TestFECStaleBlockFlush(t *testing.T) {
 		}
 	}
 	// 2 sources now, 2 repairs once the block goes stale.
-	advanceUntil(t, clk, time.Millisecond, func() bool { got, _ := w.counts(); return got >= 4 })
+	advanceUntil(t, d, clk, time.Millisecond, func() bool { got, _ := w.counts(); return got >= 4 })
 	if m := d.Snapshot(); m.FECRepairSent != 2 {
 		t.Fatalf("FECRepairSent = %d after stale flush, want 2", m.FECRepairSent)
 	}
@@ -575,7 +579,7 @@ func TestFECTopoClause(t *testing.T) {
 	if err := d.Start(w); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, time.Millisecond, func() bool { got, _ := w.counts(); return got >= 12 })
+	advanceUntil(t, d, clk, time.Millisecond, func() bool { got, _ := w.counts(); return got >= 12 })
 	closeDraining(t, d, clk)
 	if m := d.Snapshot(); m.FECEncoded != 8 || m.FECRepairSent != 4 {
 		t.Fatalf("topology FEC: encoded=%d repairs=%d, want 8/4", m.FECEncoded, m.FECRepairSent)
@@ -669,6 +673,8 @@ func BenchmarkPumpWithFEC(b *testing.B) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) WritePacket(b []byte) (int, error) { return f(b) }
+
+func (f writerFunc) WriteBatch(pkts []Datagram) (int, error) { return writeEach(f, pkts) }
 
 // TestFECProtectRefusalIsAtomic: when ProtectClass cannot be honored
 // because its repair class id is taken, it refuses without touching the

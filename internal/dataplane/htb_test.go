@@ -15,7 +15,7 @@ import (
 func htbElapsed(t *testing.T, d *Dataplane, clk *wallclock.Fake, w *classCountWriter, class int, want int64) time.Duration {
 	t.Helper()
 	start := clk.Now()
-	advanceUntil(t, clk, 2*time.Millisecond, func() bool { return w.count(class) >= want })
+	advanceUntil(t, d, clk, 2*time.Millisecond, func() bool { return w.count(class) >= want })
 	return clk.Now().Sub(start)
 }
 
@@ -148,7 +148,7 @@ func TestNodeCeilCapsSubtree(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := clk.Now()
-	advanceUntil(t, clk, 2*time.Millisecond, func() bool {
+	advanceUntil(t, d, clk, 2*time.Millisecond, func() bool {
 		return w.count(0) >= n && w.count(1) >= n
 	})
 	elapsed := clk.Now().Sub(start)
@@ -227,7 +227,7 @@ func BenchmarkReconfigUnderLoad(b *testing.B) {
 	d.AddClass(0, 6e8)
 	d.AddClass(1, 3e8)
 	pipe := NewPipePool(4096, pool)
-	d.bw = AsBatchWriter(pipe) // driven inline; Start is never called
+	d.bw = pipe // driven inline; Start is never called
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)

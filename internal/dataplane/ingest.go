@@ -155,8 +155,8 @@ func (d *Dataplane) Ingest(class int, b []byte) error {
 }
 
 // IngestCtx is Ingest carrying an opaque per-datagram context. The context
-// travels with the datagram through the scheduler and is handed back to a
-// BatchWriter as Datagram.Ctx — cmd/hpfqgw uses it to route each datagram
+// travels with the datagram through the scheduler and is handed back to the
+// Writer as Datagram.Ctx — cmd/hpfqgw uses it to route each datagram
 // to its client's upstream flow.
 func (d *Dataplane) IngestCtx(class int, b []byte, ctx any) error {
 	if len(b) == 0 {

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"hpfq/internal/obs"
@@ -74,7 +75,7 @@ func TestRefusalTaxonomyAllocFree(t *testing.T) {
 			}
 		}
 	}
-	if p, _ := d.Queued(0); p != 2 {
+	if p, _ := queued(d, 0); p != 2 {
 		t.Errorf("class 0 queued %d after refusals, want the 2 accepted", p)
 	}
 	if got := d.Backlog(); got != 4 {
@@ -85,5 +86,16 @@ func TestRefusalTaxonomyAllocFree(t *testing.T) {
 	}
 	if err := d.Ingest(0, b); err != ErrClosed {
 		t.Fatalf("after Close: %v, want ErrClosed itself", err)
+	}
+}
+
+// TestNewRefusesNegativeCaps: admission reads a non-positive cap as
+// unlimited, so a negative one would silently remove the bound. New refuses
+// it with an error naming the option.
+func TestNewRefusesNegativeCaps(t *testing.T) {
+	for name, opt := range map[string]Option{"WithQueueCap": WithQueueCap(-1), "WithByteCap": WithByteCap(-1)} {
+		if _, err := New("WF2Q+", 1e6, opt); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("New with %s(-1) = %v, want an error naming %s", name, err, name)
+		}
 	}
 }

@@ -21,7 +21,7 @@ package dataplane
 //   - wedged: the pump watchdog's circuit breaker. When the heartbeat goes
 //     stale with work queued, the watchdog records a stall and interrupts
 //     the blocked write by applying a write deadline (any Writer with a
-//     SetWriteDeadline method, e.g. *net.UDPConn or faultconn.Writer);
+//     SetWriteDeadline method, e.g. the gateway's egress);
 //     after StallBreaker consecutive stalls it trips to wedged and pins
 //     the deadline so the writer fails fast instead of hanging the pump.
 //     Successful deliveries (NoteProgress) release the breaker. The
@@ -53,7 +53,7 @@ const (
 )
 
 // deadlineWriter is the optional Writer surface the watchdog uses to
-// interrupt a blocked write; *net.UDPConn and faultconn.Writer satisfy it.
+// interrupt a blocked write; the gateway's egress implements it.
 type deadlineWriter interface {
 	SetWriteDeadline(t time.Time) error
 }
@@ -108,7 +108,11 @@ type ovState struct {
 	prevAlloc int64        // previous sample's pool allocs
 	prevRst   int          // previous sample's restart count
 
-	sampleDue atomic.Int64  // 1 + ns since epoch of the monitor's next sample; 0 = not armed
+	// armed is the monitor's count of sampling timers set, and sampled the
+	// count that have fired: a test on a fake clock knows the monitor
+	// waits for the clock while they differ.
+	armed, sampled atomic.Int64
+
 	deadlined bool          // write deadline currently applied
 	monStop   chan struct{} // closes to stop the monitor
 	monDone   chan struct{} // closed when the monitor exits
@@ -225,11 +229,13 @@ func (d *Dataplane) startMonitor() {
 // health state to the engine. It exits when Close signals monStop.
 func (d *Dataplane) monitor() {
 	defer close(d.ov.monDone)
-	for {
+	for n := int64(1); ; n++ {
 		t := make(chan struct{})
-		due := d.clock.Now().Add(overload.SampleInterval)
-		d.clock.AfterFunc(overload.SampleInterval, func() { close(t) })
-		d.ov.sampleDue.Store(due.Sub(d.epoch).Nanoseconds() + 1)
+		d.clock.AfterFunc(overload.SampleInterval, func() {
+			d.ov.sampled.Store(n)
+			close(t)
+		})
+		d.ov.armed.Store(n)
 		select {
 		case <-t:
 		case <-d.ov.monStop:
@@ -286,14 +292,14 @@ func (d *Dataplane) sampleOnce() {
 		d.tree.RecordWatchdogStall()
 		d.smu.Unlock()
 		tr.NoteStall()
-		if dl, ok := d.rawWriter.(deadlineWriter); ok {
+		if dl, ok := d.bw.(deadlineWriter); ok {
 			// Interrupt the blocked write; while the breaker is tripped the
 			// deadline stays pinned in the past so the writer fails fast.
 			dl.SetWriteDeadline(time.Now())
 			d.ov.deadlined = true
 		}
 	} else if d.ov.deadlined && !tr.BreakerTripped() {
-		if dl, ok := d.rawWriter.(deadlineWriter); ok {
+		if dl, ok := d.bw.(deadlineWriter); ok {
 			dl.SetWriteDeadline(time.Time{})
 		}
 		d.ov.deadlined = false

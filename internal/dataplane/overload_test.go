@@ -11,44 +11,6 @@ import (
 	"hpfq/internal/wallclock"
 )
 
-// settle waits until the engine has caught up with the fake clock's
-// current instant: the pump is parked — on a timer not yet due, or idle —
-// with no datagram or nudge waiting for it, and the overload monitor's
-// next sample is not yet due. A step of the fake clock then reaches the
-// pump and the monitor exactly when their timers say, however slowly the
-// host schedules either goroutine: the pump is credited every step's
-// tokens and the monitor takes every sample. Ingest must not run
-// concurrently (its nudge would wake the pump after the check).
-func settle(t *testing.T, d *Dataplane) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		now := d.clock.Now().Sub(d.epoch).Nanoseconds()
-		d.mu.Lock()
-		inbox := len(d.inbox)
-		d.mu.Unlock()
-		pump := inbox == 0 && len(d.wake) == 0 && d.parked.Load()-1 > now
-		monitor := d.ov.sampleDue.Load()-1 > now
-		if pump && monitor {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("engine did not catch up with the fake clock (pump %v, monitor %v)", pump, monitor)
-		}
-		time.Sleep(10 * time.Microsecond)
-	}
-}
-
-// stepUntil advances the fake clock by step until cond holds, settling the
-// engine around each step and each call of cond (which may ingest).
-func stepUntil(t *testing.T, d *Dataplane, clk *wallclock.Fake, step time.Duration, cond func() bool) {
-	t.Helper()
-	for settle(t, d); !cond(); settle(t, d) {
-		settle(t, d)
-		clk.Advance(step)
-	}
-}
-
 // TestOverloadRampShedsByShare: a seeded 2× overload ramp against three
 // classes with 1:2:7 guaranteed shares. The controller must concentrate the
 // pain in the low-share classes — shedding engages bottom-up, the top-share
@@ -225,7 +187,7 @@ func TestBrownoutFlapLosesNoSurvivors(t *testing.T) {
 	for flap := 0; flap < 3; flap++ {
 		// Ramp: keep the staging queue pinned at its cap until the tracker
 		// browns out.
-		stepUntil(t, d, clk, 5*time.Millisecond, func() bool {
+		advanceUntil(t, d, clk, 5*time.Millisecond, func() bool {
 			for {
 				if err := d.Ingest(0, mkPayload(0, sentOK, 250)); err != nil {
 					break
@@ -235,7 +197,7 @@ func TestBrownoutFlapLosesNoSurvivors(t *testing.T) {
 			return d.HealthState() >= overload.Overloaded
 		})
 		// Recover: stop offering, let the backlog drain and pressure decay.
-		stepUntil(t, d, clk, 5*time.Millisecond, func() bool {
+		advanceUntil(t, d, clk, 5*time.Millisecond, func() bool {
 			return d.Backlog() == 0 && d.HealthState() == overload.Healthy
 		})
 	}
@@ -278,12 +240,13 @@ func TestWatchdogStallTripsBreaker(t *testing.T) {
 		}
 	}
 	pipe := NewPipe(256)
-	fw := faultconn.NewWriter(pipe, faultconn.WithStall(0, 0)) // every write blocks forever
+	// Every write blocks until the watchdog's deadline interrupts it.
+	fw := &faultWriter{Writer: faultconn.NewWriter(pipe, faultconn.WithStall(0, 0)), stalls: true}
 	if err := d.Start(fw); err != nil {
 		t.Fatal(err)
 	}
 
-	advanceUntil(t, clk, 25*time.Millisecond, func() bool {
+	advanceUntil(t, d, clk, 25*time.Millisecond, func() bool {
 		return d.HealthState() == overload.Wedged
 	})
 	h := d.Health()
@@ -312,7 +275,7 @@ func TestWatchdogStallTripsBreaker(t *testing.T) {
 // can outrun.
 type stormWriter struct{}
 
-func (stormWriter) WritePacket(b []byte) (int, error) { panic("poisoned egress") }
+func (stormWriter) WriteBatch([]Datagram) (int, error) { panic("poisoned egress") }
 
 // TestRestartStormForcesWedged: a pump that panics on every iteration
 // exceeds the supervisor's restart budget and trips the breaker to wedged
@@ -332,13 +295,13 @@ func TestRestartStormForcesWedged(t *testing.T) {
 	if err := d.Start(stormWriter{}); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, 5*time.Millisecond, func() bool {
+	advanceUntil(t, d, clk, 5*time.Millisecond, func() bool {
 		return d.HealthState() == overload.Wedged
 	})
 	if !d.Health().Enabled {
 		t.Fatal("health should report the subsystem enabled")
 	}
-	if got := d.Restarts(); got < overload.RestartBreaker {
+	if got := d.Status().Restarts; got < overload.RestartBreaker {
 		t.Fatalf("restarts = %d, want >= RestartBreaker (%d)", got, overload.RestartBreaker)
 	}
 	closeDraining(t, d, clk)

@@ -20,7 +20,7 @@ const MaxDatagramSize = 64 * 1024
 // owns it and returns it to the pool after the Writer delivers (or the
 // engine drops) the datagram. When Ingest returns an error the caller still
 // owns the buffer and may reuse or Put it. Writers must not retain payload
-// slices past the WritePacket/WriteBatch call for the same reason.
+// slices past the WriteBatch call for the same reason.
 //
 // Buffers travel in magazines of up to magazineSize (DESIGN.md S36). A
 // goroutine draws from, and fills, the magazine in its own P's private slot

@@ -25,6 +25,8 @@ func (w *countWriter) WritePacket(b []byte) (int, error) {
 	return len(b), nil
 }
 
+func (w *countWriter) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
+
 // TestConcurrentProducersStress is the -race workout: many producer
 // goroutines hammer Ingest (with caps tight enough to force the drop path)
 // while the pump drains at high rate and other goroutines poll the
@@ -83,7 +85,7 @@ func TestConcurrentProducersStress(t *testing.T) {
 			default:
 				_ = d.Snapshot()
 				_ = d.Backlog()
-				_, _ = d.Queued(0)
+				_ = d.Status()
 			}
 		}
 	}()
@@ -189,13 +191,8 @@ func TestIngestCloseRace(t *testing.T) {
 	}
 }
 
-// batchCounter is a BatchWriter counting delivered datagrams atomically.
+// batchCounter is a Writer counting delivered datagrams atomically.
 type batchCounter struct{ n atomic.Int64 }
-
-func (w *batchCounter) WritePacket(b []byte) (int, error) {
-	w.n.Add(1)
-	return len(b), nil
-}
 
 func (w *batchCounter) WriteBatch(pkts []Datagram) (int, error) {
 	w.n.Add(int64(len(pkts)))
@@ -310,7 +307,6 @@ func TestSingleWriterOwnership(t *testing.T) {
 			}
 			_ = d.Snapshot()
 			_ = d.Status()
-			_, _ = d.Queued(hot)
 		}
 	}()
 	go func() { // control-plane storm

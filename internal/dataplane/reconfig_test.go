@@ -32,6 +32,8 @@ func (w *classCountWriter) WritePacket(b []byte) (int, error) {
 	return len(b), nil
 }
 
+func (w *classCountWriter) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
+
 func (w *classCountWriter) count(class int) int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -122,11 +124,11 @@ func TestRemoveClassDrains(t *testing.T) {
 		t.Fatalf("Ingest into draining class: %v, want ErrClassDraining", err)
 	}
 	// The staged remainder must still drain completely.
-	advanceUntil(t, clk, 10*time.Millisecond, func() bool {
+	advanceUntil(t, d, clk, 10*time.Millisecond, func() bool {
 		return w.count(1) == staged && w.count(0) == staged
 	})
 	// Finalization needs one more pump pass after quiescence.
-	advanceUntil(t, clk, 10*time.Millisecond, func() bool {
+	advanceUntil(t, d, clk, 10*time.Millisecond, func() bool {
 		for _, c := range d.Status().Classes {
 			if c.ID == 1 {
 				return false
@@ -174,7 +176,7 @@ func TestSetPolicyLive(t *testing.T) {
 	if err := d.Start(w); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, 10*time.Millisecond, func() bool {
+	advanceUntil(t, d, clk, 10*time.Millisecond, func() bool {
 		return w.count(0) == staged && w.count(1) == staged
 	})
 	// Swap again while the pump is live, then keep serving.
@@ -186,11 +188,11 @@ func TestSetPolicyLive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	advanceUntil(t, clk, 10*time.Millisecond, func() bool { return w.count(0) == 2*staged })
+	advanceUntil(t, d, clk, 10*time.Millisecond, func() bool { return w.count(0) == 2*staged })
 	if err := d.SetPolicyName("", "no-such-policy"); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if n := d.Restarts(); n != 0 {
+	if n := d.Status().Restarts; n != 0 {
 		t.Fatalf("pump restarted %d times across policy swaps, want 0", n)
 	}
 	closeDraining(t, d, clk)
@@ -255,8 +257,8 @@ func TestTopologyMutationsLive(t *testing.T) {
 	if err := d.RemoveClass(3); err != nil {
 		t.Fatal(err)
 	}
-	advanceUntil(t, clk, 5*time.Millisecond, func() bool { return w.count(3) == staged })
-	advanceUntil(t, clk, 5*time.Millisecond, func() bool {
+	advanceUntil(t, d, clk, 5*time.Millisecond, func() bool { return w.count(3) == staged })
+	advanceUntil(t, d, clk, 5*time.Millisecond, func() bool {
 		st := d.Status()
 		for _, c := range st.Classes {
 			if c.ID == 3 {

@@ -6,9 +6,17 @@ import (
 	"time"
 )
 
+// connWriter writes each datagram to a connected UDP socket.
+type connWriter struct{ c *net.UDPConn }
+
+func (w connWriter) WritePacket(b []byte) (int, error) { return w.c.Write(b) }
+
+func (w connWriter) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
+
 // TestUDPEndToEnd runs the full pipeline over real loopback sockets:
-// client socket → ingress socket → RunReader (classify on the first payload
-// byte) → WF²Q+ pacing → connected egress socket → receiver socket.
+// client socket → ingress socket → a read loop calling Ingest (classify on
+// the first payload byte) → WF²Q+ pacing → connected egress socket →
+// receiver socket.
 func TestUDPEndToEnd(t *testing.T) {
 	recv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -37,12 +45,21 @@ func TestUDPEndToEnd(t *testing.T) {
 	}
 	d.AddClass(0, 4e7)
 	d.AddClass(1, 1e7)
-	if err := d.Start(WriterTo(egress)); err != nil {
+	if err := d.Start(connWriter{egress}); err != nil {
 		t.Fatal(err)
 	}
-	readerDone := make(chan error, 1)
+	readerDone := make(chan struct{})
 	go func() {
-		readerDone <- d.RunReader(ReaderFrom(ingress), func(b []byte) int { return int(b[0]) })
+		defer close(readerDone)
+		buf := make([]byte, MaxDatagramSize)
+		for {
+			n, err := ingress.Read(buf)
+			if err != nil {
+				return // the socket closed
+			}
+			b := append([]byte(nil), buf[:n]...)
+			d.Ingest(int(b[0]), b) // refusals are recorded in the metrics
+		}
 	}()
 
 	const n = 60
@@ -77,11 +94,11 @@ func TestUDPEndToEnd(t *testing.T) {
 		t.Errorf("per-class receive counts %v, want both classes present", got)
 	}
 
-	ingress.Close() // ends RunReader
+	ingress.Close() // ends the read loop
 	select {
 	case <-readerDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("RunReader did not exit on socket close")
+		t.Fatal("the read loop did not exit on socket close")
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
-// Package faultconn wraps the data-plane's datagram Reader/Writer contracts
-// with deterministic, seeded fault injection: transient (EAGAIN-style)
+// Package faultconn wraps per-datagram readers and writers with
+// deterministic, seeded fault injection: transient (EAGAIN-style)
 // errors, permanent failures after a threshold, short writes, silent drops
 // (i.i.d. or Gilbert–Elliott bursty), and added latency. It exists so the retry/backoff and drop-accounting
 // paths of internal/dataplane — and the full cmd/hpfqgw pipeline via its
@@ -23,14 +23,14 @@ import (
 	"time"
 )
 
-// PacketWriter is the egress contract being wrapped (structurally identical
-// to dataplane.Writer, redeclared to keep this package dependency-free).
+// PacketWriter is the per-datagram egress being wrapped, e.g. the gateway's
+// flow-socket sink.
 type PacketWriter interface {
 	WritePacket(b []byte) (int, error)
 }
 
-// PacketReader is the ingress contract being wrapped (structurally
-// identical to dataplane.Reader).
+// PacketReader is the per-datagram ingress being wrapped, e.g. a listen
+// socket's reader.
 type PacketReader interface {
 	ReadPacket(buf []byte) (int, error)
 }
@@ -394,8 +394,7 @@ func (w *Writer) WritePacket(b []byte) (int, error) {
 // silent drops report success, exactly as in WritePacket) and the error
 // that stopped pkts[written]. Each element is one operation against the
 // seeded plan, so a batch of n takes the same fault sequence as n
-// WritePacket calls — batching changes grouping, never the faults. It
-// satisfies the data-plane's PayloadBatchWriter shape.
+// WritePacket calls — batching changes grouping, never the faults.
 func (w *Writer) WriteBatch(pkts [][]byte) (int, error) {
 	for i, b := range pkts {
 		if _, err := w.WritePacket(b); err != nil {
@@ -450,7 +449,7 @@ func (r *Reader) ReadPacket(buf []byte) (int, error) {
 // fault-wrapped reader therefore batches at width 1 — fault injection
 // serializes the read path by design, keeping the per-operation fault
 // sequence identical to ReadPacket and never losing a datagram the plan
-// didn't drop. It satisfies the data-plane's BatchReader shape.
+// didn't drop. It is the batch shape the gateway's listen loop reads.
 func (r *Reader) ReadBatch(bufs [][]byte) (int, error) {
 	if len(bufs) == 0 {
 		return 0, nil

@@ -186,7 +186,7 @@ func (d *Decoder) reconstruct(bs *blockState) ([][]byte, error) {
 		copy(s[lenPrefix:], p)
 		sources[i] = s
 	}
-	cd, err := newCode(Spec{Scheme: schemeFor(bs), K: bs.k, R: bs.r})
+	cd, err := newCode(Spec{Scheme: SchemeRS, K: bs.k, R: bs.r})
 	if err != nil {
 		return nil, err
 	}
@@ -218,16 +218,6 @@ func (d *Decoder) reconstruct(bs *blockState) ([][]byte, error) {
 		d.stats.Recovered++
 	}
 	return out, nil
-}
-
-// schemeFor picks the decode scheme from the wire geometry alone: r == 1 is
-// plain parity (XOR and RS(k,1) are bit-identical by construction — see
-// newRSCode), r > 1 is RS. No scheme byte needed on the wire.
-func schemeFor(bs *blockState) string {
-	if bs.r == 1 {
-		return SchemeXOR
-	}
-	return SchemeRS
 }
 
 // finish retires a completed block: the map entry flips to a tombstone that

@@ -14,7 +14,7 @@ import "fmt"
 type Encoder struct {
 	stream uint16
 	spec   Spec
-	cd     code
+	cd     *rsCode
 
 	next    Spec // geometry for the block after the current one (Retune)
 	blockID uint32

@@ -2,70 +2,23 @@ package fec
 
 import "fmt"
 
-// code is the erasure-coding core shared by encode and decode: given k
-// equal-length source symbols, produce r repair symbols; given any k of the
-// k+r symbols, reproduce the missing sources. Symbols are the length-framed,
-// zero-padded datagram images described in fec.go — the code layer never
-// sees datagram boundaries, only byte rows.
-type code interface {
-	// encode fills each repairs[j] (len symLen, zeroed by the caller) from
-	// the k sources (each len symLen).
-	encode(sources, repairs [][]byte)
-	// reconstruct fills in the nil rows of sources using the non-nil rows
-	// plus the non-nil repairs. Present rows are left untouched. Fails only
-	// if fewer than k total symbols are present.
-	reconstruct(sources, repairs [][]byte) error
-}
-
-// newCode builds the coding core for a validated spec.
-func newCode(spec Spec) (code, error) {
+// newCode builds the coding core for a validated spec. Every spec is one
+// Reed-Solomon code: xor-k is RS(k,1), whose all-ones parity row makes it
+// bit-identical to XOR parity on the wire (see newRSCode).
+func newCode(spec Spec) (*rsCode, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if spec.Scheme == SchemeXOR {
-		return xorCode{}, nil
 	}
 	return newRSCode(spec.K, spec.R), nil
 }
 
-// xorCode is single-parity: the repair symbol is the XOR of all sources, so
-// any one erasure is the XOR of everything that survived.
-type xorCode struct{}
-
-func (xorCode) encode(sources, repairs [][]byte) {
-	for _, src := range sources {
-		gfMulAddRow(repairs[0], src, 1)
-	}
-}
-
-func (xorCode) reconstruct(sources, repairs [][]byte) error {
-	missing := -1
-	for i, src := range sources {
-		if src == nil {
-			if missing >= 0 {
-				return fmt.Errorf("fec: xor parity cannot repair %d erasures", 2)
-			}
-			missing = i
-		}
-	}
-	if missing < 0 {
-		return nil
-	}
-	if len(repairs) == 0 || repairs[0] == nil {
-		return fmt.Errorf("fec: erasure with no parity symbol present")
-	}
-	dst := make([]byte, len(repairs[0]))
-	copy(dst, repairs[0])
-	for _, src := range sources {
-		if src != nil {
-			gfMulAddRow(dst, src, 1)
-		}
-	}
-	sources[missing] = dst
-	return nil
-}
-
-// rsCode is a systematic Reed-Solomon code over GF(2^8). Repair row j is
+// rsCode is the erasure-coding core shared by encode and decode: given k
+// equal-length source symbols, produce r repair symbols; given any k of the
+// k+r symbols, reproduce the missing sources. Symbols are the length-framed,
+// zero-padded datagram images described in fec.go — the code layer never
+// sees datagram boundaries, only byte rows.
+//
+// It is a systematic Reed-Solomon code over GF(2^8). Repair row j is
 //
 //	repair[j] = Σ_i coeff[j][i] · source[i]
 //
@@ -104,6 +57,8 @@ func newRSCode(k, r int) *rsCode {
 	return c
 }
 
+// encode fills each repairs[j] (len symLen, zeroed by the caller) from the
+// k sources (each len symLen).
 func (c *rsCode) encode(sources, repairs [][]byte) {
 	for j, rep := range repairs {
 		row := c.coeff[j]
@@ -113,6 +68,9 @@ func (c *rsCode) encode(sources, repairs [][]byte) {
 	}
 }
 
+// reconstruct fills in the nil rows of sources using the non-nil rows plus
+// the non-nil repairs. Present rows are left untouched. Fails only if fewer
+// than k total symbols are present.
 func (c *rsCode) reconstruct(sources, repairs [][]byte) error {
 	var missing []int
 	for i, src := range sources {

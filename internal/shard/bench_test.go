@@ -9,30 +9,21 @@ import (
 	"hpfq/internal/wallclock"
 )
 
-// deliveredWriter counts delivered datagrams atomically, batch-aware, and
-// signals progress after every write — the cheapest egress that still lets
-// the harness wait for pump progress without polling.
+// deliveredWriter counts delivered datagrams atomically and signals
+// progress after every batch — the cheapest egress that still lets the
+// harness wait for pump progress without polling.
 type deliveredWriter struct {
 	delivered *atomic.Int64
 	progress  chan struct{} // buffered(1): a pending signal is enough
 }
 
-func (w deliveredWriter) WritePacket(b []byte) (int, error) {
-	w.note(1)
-	return len(b), nil
-}
-
 func (w deliveredWriter) WriteBatch(pkts []dataplane.Datagram) (int, error) {
-	w.note(len(pkts))
-	return len(pkts), nil
-}
-
-func (w deliveredWriter) note(n int) {
-	w.delivered.Add(int64(n))
+	w.delivered.Add(int64(len(pkts)))
 	select {
 	case w.progress <- struct{}{}:
 	default:
 	}
+	return len(pkts), nil
 }
 
 // BenchmarkShardedPump measures end-to-end pump throughput — staged ingest

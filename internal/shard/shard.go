@@ -63,7 +63,7 @@ func WithClock(clk wallclock.Clock) Option {
 
 // Sharded is N data-plane engines behind one front. Construct with New,
 // register classes with AddClass (flat mode), start the pumps with Start,
-// feed datagrams with IngestKey/IngestKeyCtx (or pin ingest to a shard via
+// feed datagrams with IngestKeyCtx (or pin ingest to a shard via
 // Shard for kernel-hash deployments), and stop with Close.
 //
 // The packet path (ingest through egress) is lock-free across shards; the
@@ -162,14 +162,9 @@ func (s *Sharded) IngestKeyCtx(key uint64, class int, b []byte, ctx any) error {
 	return nil
 }
 
-// IngestKey is IngestKeyCtx without a context.
-func (s *Sharded) IngestKey(key uint64, class int, b []byte) error {
-	return s.IngestKeyCtx(key, class, b, nil)
-}
-
 // Ingest stages one datagram using the class id as the flow key — every
 // datagram of a class lands on the same shard. Fine for tests and
-// class-sticky traffic; real flow fan-out wants IngestKey with a per-flow
+// class-sticky traffic; real flow fan-out wants IngestKeyCtx with a per-flow
 // key, or per-shard pinned ingest via Shard.
 func (s *Sharded) Ingest(class int, b []byte) error {
 	return s.IngestKeyCtx(uint64(class), class, b, nil)
@@ -342,25 +337,6 @@ func (s *Sharded) Backlog() int {
 	total := 0
 	for _, d := range s.shards {
 		total += d.Backlog()
-	}
-	return total
-}
-
-// Queued sums one class's staged datagrams and bytes across shards.
-func (s *Sharded) Queued(class int) (packets, bytes int) {
-	for _, d := range s.shards {
-		p, b := d.Queued(class)
-		packets += p
-		bytes += b
-	}
-	return packets, bytes
-}
-
-// Restarts sums pump panic-recoveries across shards.
-func (s *Sharded) Restarts() int {
-	total := 0
-	for _, d := range s.shards {
-		total += d.Restarts()
 	}
 	return total
 }

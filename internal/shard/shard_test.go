@@ -22,11 +22,13 @@ func newClassCountWriter() *classCountWriter {
 	return &classCountWriter{counts: make(map[int]int64)}
 }
 
-func (w *classCountWriter) WritePacket(b []byte) (int, error) {
+func (w *classCountWriter) WriteBatch(pkts []dataplane.Datagram) (int, error) {
 	w.mu.Lock()
-	w.counts[int(b[0])]++
+	for _, p := range pkts {
+		w.counts[int(p.B[0])]++
+	}
 	w.mu.Unlock()
-	return len(b), nil
+	return len(pkts), nil
 }
 
 func (w *classCountWriter) count(class int) int64 {
@@ -144,7 +146,7 @@ func TestIngestErrorTaxonomy(t *testing.T) {
 	}
 
 	// Unknown class: taxonomy survives the shard wrap.
-	err = s.IngestKey(7, 99, mkPayload(99, 0, 64))
+	err = s.IngestKeyCtx(7, 99, mkPayload(99, 0, 64), nil)
 	if !errors.Is(err, dataplane.ErrNoClass) {
 		t.Fatalf("unknown class: %v, want ErrNoClass", err)
 	}
@@ -156,11 +158,11 @@ func TestIngestErrorTaxonomy(t *testing.T) {
 	// three shards sit empty — the error is per-shard backpressure.
 	const key = 11
 	for i := 0; i < 2; i++ {
-		if err := s.IngestKey(key, 0, mkPayload(0, i, 64)); err != nil {
+		if err := s.IngestKeyCtx(key, 0, mkPayload(0, i, 64), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err = s.IngestKey(key, 0, mkPayload(0, 2, 64))
+	err = s.IngestKeyCtx(key, 0, mkPayload(0, 2, 64), nil)
 	if !errors.Is(err, dataplane.ErrQueueFull) {
 		t.Fatalf("full shard: %v, want ErrQueueFull", err)
 	}
@@ -171,7 +173,7 @@ func TestIngestErrorTaxonomy(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.IngestKey(key, 0, mkPayload(0, 3, 64)); !errors.Is(err, dataplane.ErrClosed) {
+	if err := s.IngestKeyCtx(key, 0, mkPayload(0, 3, 64), nil); !errors.Is(err, dataplane.ErrClosed) {
 		t.Fatalf("ingest after close: %v, want ErrClosed", err)
 	}
 }
@@ -300,7 +302,7 @@ func TestSplitterLendsIdleSlices(t *testing.T) {
 	idle := 1 - busy
 	// 300 × 1000-bit datagrams: ≥0.1 s of backlog even at the doubled pace.
 	for i := 0; i < 300; i++ {
-		if err := s.IngestKey(busyKey, 0, mkPayload(0, i, 125)); err != nil {
+		if err := s.IngestKeyCtx(busyKey, 0, mkPayload(0, i, 125), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // both shards while every admin mutation arrives over real HTTP — rate and
 // share retunes, ceiling flips, graft and drain-removal of a fourth class —
 // with merged snapshots and per-shard drill-downs read concurrently.
-// Hitlessness is the acceptance bar: every datagram accepted by IngestKey
+// Hitlessness is the acceptance bar: every datagram accepted by IngestKeyCtx
 // must be written exactly once, on whichever shard it hashed to, across the
 // whole storm.
 func TestShardedReconfigStorm(t *testing.T) {
@@ -77,7 +77,7 @@ func TestShardedReconfigStorm(t *testing.T) {
 				class := (p + i) % 4
 				// Distinct keys per producer/iteration spread the storm
 				// across both shards.
-				err := s.IngestKey(uint64(p*1000003+i), class, mkPayload(class, i, 64+i%256))
+				err := s.IngestKeyCtx(uint64(p*1000003+i), class, mkPayload(class, i, 64+i%256), nil)
 				switch {
 				case err == nil:
 					accepted[class].Add(1)

@@ -121,7 +121,7 @@ func TestWholeLinkUnits(t *testing.T) {
 
 // TestShareUnitsAcrossShards: a topology leaf's share is a weight, so
 // AddLeafClass hands it to every shard as given; under a flat root it is a
-// whole-link rate, and traffic spread over the shards by IngestKey meets
+// whole-link rate, and traffic spread over the shards by IngestKeyCtx meets
 // each class's share whichever call registered it.
 func TestShareUnitsAcrossShards(t *testing.T) {
 	top, err := topo.Parse("root=1(a=1:0,b=1:1)")
@@ -166,7 +166,7 @@ func TestShareUnitsAcrossShards(t *testing.T) {
 	for k := 0; k < fill; k++ {
 		for class := 0; class < 2; class++ {
 			key := uint64(class*flows + k%flows)
-			if err := s.IngestKey(key, class, mkPayload(class, k, size)); err != nil {
+			if err := s.IngestKeyCtx(key, class, mkPayload(class, k, size), nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -47,9 +47,8 @@ func NewSocket(c *net.UDPConn) *Socket {
 func (s *Socket) Conn() *net.UDPConn { return s.conn }
 
 // Reader reads batches of datagrams from one Socket and keeps each one's
-// source endpoint. It implements both the per-datagram ReadPacket and the
-// batch ReadBatch shapes of the data-plane's ingress contracts. Not safe for
-// concurrent use.
+// source endpoint. ReadBatch fills a batch; ReadPacket reads one datagram,
+// the shape faultconn.NewReader wraps. Not safe for concurrent use.
 type Reader struct {
 	s    *Socket
 	srcs []netip.AddrPort // source of each datagram of the last read, unmapped
