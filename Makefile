@@ -54,7 +54,7 @@ fmt:
 
 fault:
 	HPFQ_FAULT_SEED=$(HPFQ_FAULT_SEED) $(GO) test -race -count=1 \
-		-run 'Fault|Retry|Requeue|Panic|AQM|CoDel|IngestCloseRace|Drain|Flow' \
+		-run 'Fault|Retry|Panic|AQM|CoDel|IngestCloseRace|Drain|Flow' \
 		./internal/faultconn/... ./internal/dataplane/... ./cmd/hpfqgw/...
 
 fec:

@@ -134,13 +134,11 @@ const (
 	DropClosed = obs.DropClosed
 	// DropWrite is a fatal (non-retryable) Writer error.
 	DropWrite = obs.DropWrite
-	// DropRetries is a transient Writer error that outlived its retry and
-	// requeue budget.
+	// DropRetries is a transient Writer error that outlived its retry
+	// budget.
 	DropRetries = obs.DropRetries
 	// DropCoDel is a packet shed by the WithAQM CoDel policy.
 	DropCoDel = obs.DropCoDel
-	// DropRED is a packet shed by the WithAQM RED policy.
-	DropRED = obs.DropRED
 	// DropPanic is a packet lost in flight when the pump recovered a panic.
 	DropPanic = obs.DropPanic
 	// DropShed is a datagram refused by the overload controller (pressure
@@ -162,8 +160,6 @@ const (
 const (
 	// RetryTransient is a re-attempt after a transient Writer error.
 	RetryTransient = obs.RetryTransient
-	// RetryRequeue is a packet re-entering the scheduler under WithRequeue.
-	RetryRequeue = obs.RetryRequeue
 )
 
 // NewRingTracer returns a tracer retaining the most recent capacity events.
@@ -616,37 +612,17 @@ func WithBurst(bits float64) DataplaneOption { return dpOptions{dataplane.WithBu
 // WithWriteRetry tunes the data-plane pump's reaction to transient Writer
 // errors: up to limit re-attempts per packet, sleeping backoff before the
 // first and doubling up to cap between the rest. limit 0 disables retries.
+// Without it the pump makes up to 3 re-attempts, backing off from 500 µs
+// and doubling to at most 16 ms.
 func WithWriteRetry(limit int, backoff, cap time.Duration) DataplaneOption {
 	return dpOptions{dataplane.WithWriteRetry(limit, backoff, cap)}
 }
 
-// WithRequeue lets a packet whose retry budget ran out rejoin the data-plane
-// scheduler instead of being dropped, at most n times per packet.
-func WithRequeue(n int) DataplaneOption { return dpOptions{dataplane.WithRequeue(n)} }
-
-// Data-plane retry defaults for transient Writer errors.
-const (
-	DefaultRetryLimit   = dataplane.DefaultRetryLimit
-	DefaultRetryBackoff = dataplane.DefaultRetryBackoff
-	DefaultRetryCap     = dataplane.DefaultRetryCap
-)
-
-// WithAQM enables a per-class drop policy on the data-plane as graceful
-// degradation under overload. kind selects it: AQMCoDel sheds packets whose
-// staging sojourn stays above target for a full interval (reason DropCoDel,
-// defaults 5 ms / 100 ms); AQMRED ramps drop probability as the sojourn
-// EWMA crosses [target, interval] thresholds (reason DropRED, defaults
-// 5 ms / 15 ms). An empty kind means CoDel; non-positive durations select
-// the kind's defaults; an unknown kind fails construction.
-func WithAQM(kind string, target, interval time.Duration) DataplaneOption {
-	return dpOptions{dataplane.WithAQM(kind, target, interval)}
-}
-
-// AQM kinds for WithAQM.
-const (
-	AQMCoDel = dataplane.AQMCoDel
-	AQMRED   = dataplane.AQMRED
-)
+// WithAQM enables CoDel (RFC 8289, 5 ms target, 100 ms interval) on every
+// data-plane class as graceful degradation under overload: packets whose
+// staging sojourn stays above target for a full interval are shed at
+// dequeue (reason DropCoDel).
+func WithAQM() DataplaneOption { return dpOptions{dataplane.WithAQM()} }
 
 // --------------------------------------------------------------------------
 // Loss-resilient egress: FEC repair classes (internal/fec).

@@ -212,7 +212,9 @@ func newEgress(fault []faultconn.Option) *egress {
 }
 
 // SetWriteDeadline forwards the pump watchdog's deadline down the write
-// chain, so a write blocked in an injected stall can be interrupted.
+// chain, so a write blocked in an injected stall can be interrupted. It
+// reaches the faultconn wrapper only: connSink sets no deadline on the flow
+// sockets, so without -fault.* flags the deadline does nothing.
 func (e *egress) SetWriteDeadline(t time.Time) error {
 	if dl, ok := e.w.(interface{ SetWriteDeadline(time.Time) error }); ok {
 		return dl.SetWriteDeadline(t)

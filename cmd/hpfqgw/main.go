@@ -33,13 +33,14 @@
 //	curl http://127.0.0.1:9090/status
 //	curl -X POST 'http://127.0.0.1:9090/api/class/rate?id=0&rate=8e6'
 //
-// Failure handling: transient upstream write errors are retried with capped
-// exponential backoff (-retries, -retry.backoff, -retry.cap); -aqm selects
-// a per-class drop policy, codel or red (-aqm.target, -aqm.interval), for
-// bounded latency under overload; the ingress reader restarts itself after a
-// panic. SIGINT/SIGTERM drains the staged backlog through the pacer for at
-// most -drain before exiting (a second signal exits immediately; a repeat
-// within 500 ms of the first counts as the same request).
+// Failure handling: a transient upstream write error is retried up to 3
+// times with capped exponential backoff (500 µs doubling to 16 ms), then the
+// datagram is dropped as "retry-exhausted"; -aqm codel runs CoDel (RFC 8289,
+// 5 ms target, 100 ms interval) on every class for bounded latency under
+// overload; the ingress reader restarts itself after a panic.
+// SIGINT/SIGTERM drains the staged backlog through the pacer for at most
+// -drain before exiting (a second signal exits immediately; a repeat within
+// 500 ms of the first counts as the same request).
 //
 // Overload control: -overload enables the pressure-and-health subsystem —
 // staging occupancy, buffer-pool pressure, retry/restart rates and the pump
@@ -50,10 +51,11 @@
 // off and new client flows are refused while existing flows keep their
 // service — and flips /healthz to 503 (GET /api/health serves the full
 // report). -watchdog arms the pump watchdog: a heartbeat staler than the
-// threshold with work queued counts as a stall, blocked writes are
-// interrupted with a write deadline, and repeated stalls trip a circuit
-// breaker to wedged instead of hot-looping; panic restarts get capped
-// exponential backoff and their own restart-budget breaker.
+// threshold with work queued counts as a stall, and repeated stalls trip a
+// circuit breaker to wedged instead of hot-looping; panic restarts get
+// capped exponential backoff and their own restart-budget breaker. A stall
+// sets a write deadline on the egress, but only the -fault.* wrapper honours
+// it: a write blocked in a flow's upstream socket is not interrupted.
 //
 // Loss resilience: -fec protects chosen classes with an erasure code
 // ("0=rs-8-2,1=xor-8"; '!fec' topo clauses are the -topo spelling) — source
@@ -142,13 +144,7 @@ func run(args []string) error {
 		flowTTL  = fs.Duration("flowttl", defaultFlowTTL, "evict client flows idle longer than this")
 		maxFlows = fs.Int("maxflows", defaultMaxFlows, "max concurrent client flows (idlest evicted first)")
 
-		retries      = fs.Int("retries", hpfq.DefaultRetryLimit, "retry budget per datagram for transient upstream errors")
-		retryBackoff = fs.Duration("retry.backoff", hpfq.DefaultRetryBackoff, "first retry backoff (doubles per attempt)")
-		retryCap     = fs.Duration("retry.cap", hpfq.DefaultRetryCap, "retry backoff ceiling")
-		requeue      = fs.Int("requeue", 0, "times a retry-exhausted datagram may rejoin the scheduler")
-		aqm          = fs.String("aqm", "", "per-class AQM policy: codel or red (empty = off)")
-		aqmTarget    = fs.Duration("aqm.target", 0, "AQM sojourn target / RED min threshold (0 = policy default)")
-		aqmInterval  = fs.Duration("aqm.interval", 0, "AQM interval / RED max threshold (0 = policy default)")
+		aqm = fs.String("aqm", "", "per-class AQM: codel (RFC 8289, 5 ms target, 100 ms interval; empty = off)")
 
 		overloadOn = fs.Bool("overload", false, "enable pressure-aware overload control: priority shedding, brownout, health state on /healthz and /api/health")
 		watchdog   = fs.Duration("watchdog", 0, "pump watchdog: heartbeat staleness that counts as a stall (0 = off; implies -overload machinery)")
@@ -189,14 +185,16 @@ func run(args []string) error {
 		hpfq.WithByteCap(*byteCap),
 		hpfq.WithBatchSize(*batchSize),
 		hpfq.WithBufferPool(pool),
-		hpfq.WithWriteRetry(*retries, *retryBackoff, *retryCap),
-		hpfq.WithRequeue(*requeue),
 	}
 	if *metrics {
 		opts = append(opts, hpfq.WithMetrics())
 	}
-	if *aqm != "" {
-		opts = append(opts, hpfq.WithAQM(*aqm, *aqmTarget, *aqmInterval))
+	switch *aqm {
+	case "":
+	case "codel":
+		opts = append(opts, hpfq.WithAQM())
+	default:
+		return fmt.Errorf("-aqm %q: want codel", *aqm)
 	}
 	if *overloadOn {
 		opts = append(opts, hpfq.WithOverload())

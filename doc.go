@@ -75,9 +75,10 @@
 // Egress is batch-oriented. The PacketWriter receives each token-bucket
 // release in WithBatchSize chunks; WriteBatch reports how many datagrams it
 // delivered, the error applies to the first unwritten one, and the pump
-// retries, requeues, or drops the suffix per the failure policy. A writer
-// that routes by the IngestCtx context reads PacketDatagram.Ctx. Ingress is
-// the caller's: read the socket, classify, and call Ingest or IngestCtx.
+// retries or drops that one per the failure policy, then re-offers the rest.
+// A writer that routes by the IngestCtx context reads PacketDatagram.Ctx.
+// Ingress is the caller's: read the socket, classify, and call Ingest or
+// IngestCtx.
 //
 // WithBufferPool closes a zero-allocation buffer cycle: ingest a buffer
 // obtained from the pool (NewBufferPool or SharedBufferPool), and the
@@ -94,27 +95,26 @@
 // errors are classified: transient conditions (EAGAIN-style buffer
 // exhaustion, timeouts, short writes, a momentarily absent UDP peer, or any
 // error exposing Transient() bool) are retried in place with capped
-// exponential backoff — WithWriteRetry(limit, backoff, cap), defaults
-// DefaultRetryLimit / DefaultRetryBackoff / DefaultRetryCap — while
-// everything else drops the packet immediately. WithRequeue lets a packet
-// that exhausts its retry budget rejoin the scheduler a bounded number of
-// times. WithAQM adds a per-class drop policy — AQMCoDel (RFC 8289) sheds
-// packets whose staging sojourn stays above target, AQMRED drops
-// probabilistically as the EWMA queue depth climbs — bounding latency under
-// overload where tail-drop would let it grow. The pump runs under a crash-only
-// supervisor: a panic out of the Writer costs the in-flight batch, never the
-// link, and DataplaneStatus.Restarts counts the recoveries.
+// exponential backoff — WithWriteRetry(limit, backoff, cap), by default 3
+// re-attempts from 500 µs doubling to 16 ms — while everything else drops
+// the packet immediately. A packet that exhausts its retry budget is dropped
+// too, so a class's surviving packets leave in the order they arrived.
+// WithAQM() runs CoDel (RFC 8289, 5 ms target, 100 ms interval) on every
+// class, shedding packets whose staging sojourn stays above target and
+// bounding latency under overload where tail-drop would let it grow. The
+// pump runs under a crash-only supervisor: a panic out of the Writer costs
+// the in-flight batch, never the link, and DataplaneStatus.Restarts counts
+// the recoveries.
 //
 // Every outcome is accounted in Metrics by reason. Drop reasons: DropTail
 // and DropBytes (ingest caps), DropClosed (arrival after Close), DropWrite
-// (fatal write error), DropRetries (retry budget exhausted), DropCoDel and
-// DropRED (AQM shed), DropPanic (lost with a recovered pump panic),
+// (fatal write error), DropRetries (retry budget exhausted), DropCoDel
+// (AQM shed), DropPanic (lost with a recovered pump panic),
 // DropShed (refused by the overload controller — the ShedReasons breakdown
-// distinguishes pressure shedding from brownout refusals). Retry
-// reasons: RetryTransient (a backoff re-attempt) and RetryRequeue (a
-// WithRequeue re-enqueue). internal/faultconn injects deterministic seeded
-// faults — including Gilbert–Elliott bursty loss — to exercise all of these
-// paths (`make fault`).
+// distinguishes pressure shedding from brownout refusals). The retry
+// reason is RetryTransient (a backoff re-attempt). internal/faultconn
+// injects deterministic seeded faults — including Gilbert–Elliott bursty
+// loss — to exercise all of these paths (`make fault`).
 //
 // # Loss resilience
 //

@@ -16,7 +16,6 @@ import (
 
 	"hpfq/internal/errs"
 	"hpfq/internal/fec"
-	"hpfq/internal/obs"
 	"hpfq/internal/overload"
 	"hpfq/internal/pifo"
 	"hpfq/internal/topo"
@@ -205,96 +204,6 @@ func TestCeilHoldsAtEgress(t *testing.T) {
 	bound := ceil*win.Seconds() + pifo.BucketDepth(ceil) + size*8
 	if got := worstWindow(w.recs, 0, len(w.recs), win, map[int]bool{0: true}); got > bound {
 		t.Fatalf("class 0 sent %.0f bits in a %v window, ceiling bound %.0f", got, win, bound)
-	}
-}
-
-// flakyEgress fails the first write of every even-numbered class-0
-// datagram with a transient error, then delivers it like egressLog.
-type flakyEgress struct {
-	*egressLog
-	failed map[int]bool // pump goroutine only
-}
-
-func (w *flakyEgress) WritePacket(b []byte) (int, error) {
-	if seq := int(binary.BigEndian.Uint32(b[1:5])); b[0] == 0 && seq%2 == 0 && !w.failed[seq] {
-		w.failed[seq] = true
-		return 0, errShortBatch // transient
-	}
-	return w.egressLog.WritePacket(b)
-}
-
-func (w *flakyEgress) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
-
-// TestCeilHoldsUnderRequeue: a datagram whose write fails and which is
-// requeued (WithRequeue) was charged against its class's ceiling when it
-// left the scheduler, but never reached the wire; the requeue refunds that
-// charge. Class 0 (6 Mb/s guaranteed, 3 Mb/s ceiling) shares a 10 Mb/s
-// WF²Q+ link with class 1, both backlogged, and the writer fails every
-// other class-0 datagram once. While class 0 is backlogged every window w
-// of its egress must carry at least ceil·w − (BucketDepth + L_max) bits,
-// and never more than ceil·w + BucketDepth + L_max. Charged twice, the
-// class would deliver two thirds of its ceiling.
-func TestCeilHoldsUnderRequeue(t *testing.T) {
-	const (
-		size = 1250
-		ceil = 3e6
-		win  = 300 * time.Millisecond
-	)
-	clk := newStepClock()
-	d, err := New("WF2Q+", 10e6, WithClock(clk), WithMetrics(),
-		WithWriteRetry(0, time.Millisecond, time.Millisecond), WithRequeue(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.AddClass(0, 6e6)
-	d.AddClass(1, 4e6)
-	if err := d.SetCeil(0, ceil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 700; i++ {
-		if i < 300 {
-			d.Ingest(0, seqPayload(0, i, size))
-		}
-		d.Ingest(1, seqPayload(1, i, size))
-	}
-	w := &flakyEgress{egressLog: &egressLog{clk: clk}, failed: map[int]bool{}}
-	if err := d.Start(w); err != nil {
-		t.Fatal(err)
-	}
-	idle := func() bool { return w.len() == 1000 }
-	for clk.settle(t, t.Name(), idle) {
-		clk.Advance(clk.pending() - clk.Elapsed())
-	}
-	closeDraining(t, d, clk.Fake)
-	if got := d.Snapshot().RetryReasons[obs.RetryRequeue].Packets; got != 150 {
-		t.Fatalf("%d requeues, want 150", got)
-	}
-	recs := w.recs
-	depth := pifo.BucketDepth(ceil)
-	if got, bound := worstWindow(recs, 0, len(recs), win, map[int]bool{0: true}), ceil*win.Seconds()+depth+size*8; got > bound {
-		t.Fatalf("class 0 sent %.0f bits in a %v window, ceiling bound %.0f", got, win, bound)
-	}
-	// Every window (t, t+w] that ends before class 0's last departure.
-	var last time.Duration
-	for _, r := range recs {
-		if r.class == 0 {
-			last = r.at
-		}
-	}
-	floor := ceil*win.Seconds() - depth - size*8
-	for i, r := range recs {
-		if r.class != 0 || r.at+win > last {
-			continue
-		}
-		var sent float64
-		for _, q := range recs[i:] {
-			if q.class == 0 && q.at > r.at && q.at <= r.at+win {
-				sent += q.bits
-			}
-		}
-		if sent < floor {
-			t.Fatalf("class 0 sent %.0f bits in (%v, %v], floor %.0f: a requeued datagram was charged twice", sent, r.at, r.at+win, floor)
-		}
 	}
 }
 

@@ -5,11 +5,12 @@ import (
 	"time"
 )
 
-// CoDel AQM defaults (RFC 8289 §4.4): 5 ms sojourn target, 100 ms sliding
-// interval.
+// CoDel's parameters (RFC 8289 §4.4): 5 ms sojourn target, 100 ms sliding
+// interval — the values the RFC recommends for the Internet, which WithAQM
+// runs on every class.
 const (
-	DefaultCoDelTarget   = 5 * time.Millisecond
-	DefaultCoDelInterval = 100 * time.Millisecond
+	codelTarget   = 5 * time.Millisecond
+	codelInterval = 100 * time.Millisecond
 )
 
 // codel is one class's CoDel state, driven from the pump at dequeue time

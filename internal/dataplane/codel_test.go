@@ -92,8 +92,7 @@ func TestAQMShedsOverloadedClass(t *testing.T) {
 		size = 125
 	)
 	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", rate, WithClock(clk), WithMetrics(),
-		WithAQM(AQMCoDel, 2*time.Millisecond, 20*time.Millisecond))
+	d, err := New("WF2Q+", rate, WithClock(clk), WithMetrics(), WithAQM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestAQMShedsOverloadedClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Class 0 offers 2 Mbps against a 0.75 Mbps share (standing queue);
-	// class 1 offers 0.125 Mbps against 0.25 Mbps (drains immediately).
+	// class 1 offers 0.25 Mbps, exactly its 0.25 Mbps share (no standing queue).
 	for i := 0; i < 400; i++ {
 		if err := d.Ingest(0, mkPayload(0, i, size)); err != nil {
 			t.Fatal(err)
@@ -114,8 +113,9 @@ func TestAQMShedsOverloadedClass(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		settle(t, d)
 		clk.Advance(500 * time.Microsecond)
-		time.Sleep(20 * time.Microsecond) // let the pump take the batch
+		settle(t, d)
 	}
 	closeDraining(t, d, clk)
 

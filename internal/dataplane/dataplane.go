@@ -35,10 +35,10 @@
 // keeps them batched: every release is handed to the Writer as WriteBatch
 // calls over a []Datagram slab (the sendmmsg shape), in chunks of
 // WithBatchSize datagrams, so writers amortize their per-call overhead
-// across the batch. Retry/backoff and requeue operate on the unwritten
-// suffix: WriteBatch reports how many datagrams were delivered, the error
-// applies to the first unwritten one, and the pump re-offers the rest,
-// resetting the backoff whenever the head advances.
+// across the batch. Retry and backoff operate on the unwritten suffix:
+// WriteBatch reports how many datagrams were delivered, the error applies to
+// the first unwritten one, and the pump re-offers the rest, resetting the
+// backoff whenever the head advances.
 //
 // Payload buffers travel ingress → staging → egress → release without
 // steady-state allocations when the engine owns a BufferPool
@@ -61,16 +61,15 @@
 // in place with capped exponential backoff on the engine's clock
 // (WithWriteRetry), every attempt recorded as a retry in the metrics;
 // fatal errors drop the packet with reason "write-error". When the retry
-// budget runs out the packet is dropped with reason "retry-exhausted", or,
-// with WithRequeue, fed back into the scheduler a bounded number of times.
-// The pump itself runs under a supervisor: a panic out of the Writer (or a
-// tracer) is recovered, the in-flight batch is accounted as dropped with
-// reason "pump-panic", and the pump restarts, so one bad packet cannot
-// wedge the link. Overload degrades gracefully too: WithAQM replaces
-// nothing but adds a per-class drop policy — CoDel (codel.go) or
-// time-domain RED (red.go) — that sheds packets whose staging sojourn
-// grows, keeping latency bounded where tail-drop would let it grow with
-// the queue. Every outcome lands in the
+// budget runs out the packet is dropped with reason "retry-exhausted": a
+// datagram leaves its class's FIFO once, so the datagrams of a class that
+// survive reach the Writer in ingest order. The pump itself runs under a
+// supervisor: a panic out of the Writer (or a tracer) is recovered, the
+// in-flight batch is accounted as dropped with reason "pump-panic", and the
+// pump restarts, so one bad packet cannot wedge the link. Overload degrades gracefully too: WithAQM replaces
+// nothing but adds CoDel (codel.go) to every class, shedding packets whose
+// staging sojourn stands above target, keeping latency bounded where
+// tail-drop would let it grow with the queue. Every outcome lands in the
 // obs layer: drops by reason, retries by reason, and the restart count in
 // Status.
 package dataplane
@@ -158,7 +157,7 @@ type classState struct {
 	outPkts  int
 	outBytes int
 
-	aqm aqmPolicy // nil unless WithAQM; under Dataplane.smu
+	aqm *codel // nil unless WithAQM; under Dataplane.smu
 
 	// draining marks a class RemoveClass is retiring: Ingest refuses new
 	// datagrams while the staged remainder leaves in scheduled order; the
@@ -175,13 +174,11 @@ type classState struct {
 	errs [nRefusals]error
 }
 
-// datagram is the engine's per-packet payload record: the raw bytes, the
-// opaque routing context from IngestCtx, and the packet's remaining requeue
-// budget.
+// datagram is the engine's per-packet payload record: the raw bytes and
+// the opaque routing context from IngestCtx.
 type datagram struct {
-	b        []byte
-	ctx      any
-	requeues int
+	b   []byte
+	ctx any
 }
 
 // envelope fuses the scheduler's packet and the engine's datagram into one
@@ -195,8 +192,8 @@ type datagram struct {
 // cs is the datagram's class, resolved at admission, so the pump stages and
 // settles it without a lookup (DESIGN.md S36). It stays valid until the
 // scheduler releases the datagram: a class holding datagrams cannot be
-// removed. Once released the class may go, so the requeue path resolves the
-// class again (exhausted).
+// removed. Once released the class may go, so the write side accounts by
+// class id (released.class), never through cs.
 type envelope struct {
 	pkt packet.Packet
 	dg  datagram
@@ -205,10 +202,9 @@ type envelope struct {
 
 // retryPolicy is the pump's reaction to transient Writer errors.
 type retryPolicy struct {
-	limit    int           // re-attempts per packet beyond the first write
-	backoff  time.Duration // first backoff; doubles per attempt
-	cap      time.Duration // backoff ceiling
-	requeues int           // per-packet requeue budget after retry exhaustion
+	limit   int           // re-attempts per packet beyond the first write
+	backoff time.Duration // first backoff; doubles per attempt
+	cap     time.Duration // backoff ceiling
 }
 
 // config collects construction options.
@@ -221,9 +217,7 @@ type config struct {
 	metrics  bool
 	tracer   obs.Tracer
 	retry    retryPolicy
-	aqmKind  string // "" (off), AQMCoDel, or AQMRED
-	target   time.Duration
-	interval time.Duration
+	aqm      bool
 	pool     *BufferPool
 	batch    int
 	pol      *pifo.Factory
@@ -307,14 +301,6 @@ func WithWriteRetry(limit int, backoff, cap time.Duration) Option {
 	}
 }
 
-// WithRequeue lets a packet whose retry budget ran out rejoin the scheduler
-// instead of being dropped, at most n times per packet. A requeued packet
-// re-enters its class's staging queue (it must fit the class caps, or it is
-// dropped with reason "retry-exhausted") and counts as a fresh enqueue in
-// the metrics; the requeue itself is recorded as a retry with reason
-// "requeue".
-func WithRequeue(n int) Option { return func(c *config) { c.retry.requeues = n } }
-
 // WithBufferPool hands the engine a payload buffer pool (nil selects the
 // process-wide SharedBufferPool): once a producer's Ingest succeeds on a
 // buffer obtained from the pool, the engine owns it and returns it to the
@@ -353,42 +339,13 @@ func WithShardScale(n int) Option {
 	}
 }
 
-// WithAQM enables a per-class drop policy as graceful degradation under
-// overload. kind selects the policy:
-//
-//   - "codel": packets whose staging sojourn stays above target for a full
-//     interval are shed at dequeue (reason "codel"), with drop pressure
-//     growing as interval/sqrt(drops) until the standing queue clears
-//     (RFC 8289). Defaults 5 ms / 100 ms.
-//   - "red": the EWMA of staging sojourn is compared against the two
-//     thresholds (target = min, interval = max): drops ramp probabilistically
-//     from 0 to 10% across them, then gently to certain drop at twice the
-//     max (reason "red"). Defaults 5 ms / 15 ms.
-//
-// Non-positive durations select the kind's defaults; an unknown kind fails
-// construction. AQM composes with the packet and byte caps: the caps bound
-// memory at ingest, the AQM bounds latency at egress.
-func WithAQM(kind string, target, interval time.Duration) Option {
-	return func(c *config) {
-		if kind == "" {
-			kind = AQMCoDel
-		}
-		c.aqmKind = kind
-		switch {
-		case target <= 0 && kind == AQMRED:
-			target = DefaultREDMin
-		case target <= 0:
-			target = DefaultCoDelTarget
-		}
-		switch {
-		case interval <= 0 && kind == AQMRED:
-			interval = DefaultREDMax
-		case interval <= 0:
-			interval = DefaultCoDelInterval
-		}
-		c.target, c.interval = target, interval
-	}
-}
+// WithAQM enables CoDel (RFC 8289) on every class as graceful degradation
+// under overload: packets whose staging sojourn stays above the 5 ms target
+// for a full 100 ms interval are shed at dequeue (reason "codel"), with drop
+// pressure growing as interval/sqrt(drops) until the standing queue clears.
+// AQM composes with the packet and byte caps: the caps bound memory at
+// ingest, the AQM bounds latency at egress.
+func WithAQM() Option { return func(c *config) { c.aqm = true } }
 
 // Dataplane is the engine. Construct with New, register classes (flat mode)
 // with AddClass, start the pump with Start, feed datagrams with Ingest, and
@@ -400,8 +357,9 @@ func WithAQM(kind string, target, interval time.Duration) Option {
 // scheduler lock: the scheduler tree and its obs.Collector, the
 // scheduler's ceilings, and AQM state; in the hot path only the pump takes
 // it. Lock order is mu before smu, and the pump never takes mu while it
-// holds smu. Fields written under both locks (the classes map, class
-// rates) may be read under either.
+// holds smu; its write phase takes only smu, to record outcomes. Fields
+// written under both locks (the classes map, class rates) may be read under
+// either.
 type Dataplane struct {
 	rate  float64
 	burst float64
@@ -418,9 +376,7 @@ type Dataplane struct {
 	// fairness WITHIN the shard is unaffected by the loan.
 	pace atomic.Uint64
 
-	aqmKind  string
-	target   time.Duration
-	interval time.Duration
+	aqm bool // every class runs CoDel (WithAQM)
 
 	tracer obs.Tracer // construction-time tracer (brownout restores it)
 
@@ -512,9 +468,8 @@ type Dataplane struct {
 
 	// inflight is the current token-bucket release between dequeue and
 	// write; elements before infHead have reached their final disposition
-	// (written, dropped, or requeued). The supervisor reads the suffix only
-	// after the pump panicked, on the same goroutine, to account the lost
-	// packets.
+	// (written or dropped). The supervisor reads the suffix only after the
+	// pump panicked, on the same goroutine, to account the lost packets.
 	inflight []released
 	infHead  int
 }
@@ -558,12 +513,6 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 	if cfg.capBytes < 0 {
 		return nil, fmt.Errorf("dataplane: WithByteCap %d: want 0 (unlimited) or a positive cap", cfg.capBytes)
 	}
-	switch cfg.aqmKind {
-	case "", AQMCoDel, AQMRED:
-	default:
-		return nil, fmt.Errorf("dataplane: unknown AQM kind %q (want %q or %q)",
-			cfg.aqmKind, AQMCoDel, AQMRED)
-	}
 	// Shard scaling: absolute-capacity knobs were specified against the
 	// whole link; each of the N shards gets its 1/N slice. The default burst
 	// needs no scaling — it derives from the (already per-shard) rate below.
@@ -574,9 +523,7 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 		scale:    scale,
 		clock:    cfg.clock,
 		retry:    cfg.retry,
-		aqmKind:  cfg.aqmKind,
-		target:   cfg.target,
-		interval: cfg.interval,
+		aqm:      cfg.aqm,
 		classes:  make(map[int]*classState),
 		capPkts:  cfg.capPkts,
 		capBytes: cfg.capBytes,
@@ -658,14 +605,11 @@ func validCeil(ceil float64) bool {
 }
 
 // newClassState returns the staging state of class id, whose leaf the tree
-// already holds, with the configured AQM policy attached when one is on.
+// already holds, with CoDel attached when WithAQM is on.
 func (d *Dataplane) newClassState(id int) *classState {
 	cs := &classState{rate: d.tree.SessionRate(id), leaf: d.tree.Leaf(id)}
-	switch d.aqmKind {
-	case AQMCoDel:
-		cs.aqm = newCodel(d.target, d.interval)
-	case AQMRED:
-		cs.aqm = newRED(d.target, d.interval)
+	if d.aqm {
+		cs.aqm = newCodel(codelTarget, codelInterval)
 	}
 	return cs
 }
@@ -999,9 +943,9 @@ func (d *Dataplane) pump() {
 // collectBatch runs one pump batch up to the write: it refills the token
 // bucket (the batch's one clock read also stamps the heartbeat), takes the
 // inbox, stages it, dequeues every packet the tokens cover in scheduler
-// order into d.inflight (applying the AQM policy: shed packets are dropped
-// here and consume no tokens), and settles the per-class counts. It
-// returns the tokens left, the engine's backlog, and whether it is closed.
+// order into d.inflight (applying CoDel: shed packets are dropped here and
+// consume no tokens), and settles the per-class counts. It returns the
+// tokens left, the engine's backlog, and whether it is closed.
 func (d *Dataplane) collectBatch(tokens float64, last *time.Time) (float64, int, bool) {
 	d.inflight = d.inflight[:0] // the previous release was fully disposed of
 	d.infHead = 0
@@ -1089,9 +1033,9 @@ func (d *Dataplane) dequeueChunk(tokens *float64, now float64) bool {
 		cs.outPkts++
 		cs.outBytes += len(env.dg.b)
 		if cs.aqm != nil && cs.aqm.onDequeue(now, now-p.Arrival) {
-			// Shed by the AQM: record and pick the next packet without
+			// Shed by CoDel: record and pick the next packet without
 			// spending link tokens on the carcass.
-			d.tree.RecordDropReason(now, p.Session, p.Length, cs.aqm.reason())
+			d.tree.RecordDropReason(now, p.Session, p.Length, obs.DropCoDel)
 			d.freeEnvelope(env)
 			continue
 		}
@@ -1133,7 +1077,7 @@ func (d *Dataplane) settleLocked() {
 
 // writeInflight delivers the collected release to the writer in
 // WithBatchSize chunks, advancing infHead as datagrams reach their final
-// disposition (written, dropped, or requeued).
+// disposition (written or dropped).
 func (d *Dataplane) writeInflight() {
 	for d.infHead < len(d.inflight) {
 		chunk := d.inflight[d.infHead:]
@@ -1147,14 +1091,14 @@ func (d *Dataplane) writeInflight() {
 	d.ov.inflight.Store(0)
 }
 
-// writeChunk drives one WriteBatch chunk to completion. Retry/backoff and
-// requeue operate on the unwritten suffix: the writer reports how many
-// datagrams it delivered, the error applies to the first unwritten one, and
-// the whole suffix is re-offered. Transient errors back off with capped
-// doubling, the attempt counter and backoff resetting whenever the head
-// advances; fatal errors drop the head (reason "write-error"); an exhausted
-// retry budget requeues the head if it still has requeue budget, else drops
-// it (reason "retry-exhausted"). Every retry and outcome is recorded.
+// writeChunk drives one WriteBatch chunk to completion. Retry and backoff
+// operate on the unwritten suffix: the writer reports how many datagrams it
+// delivered, the error applies to the first unwritten one, and the whole
+// suffix is re-offered. Transient errors back off with capped doubling, the
+// attempt counter and backoff resetting whenever the head advances; a fatal
+// error drops the head (reason "write-error"), and so does a transient one
+// past the retry budget (reason "retry-exhausted"). Every retry and outcome
+// is recorded.
 func (d *Dataplane) writeChunk(chunk []released) {
 	pkts := d.scratch[:0]
 	for i := range chunk {
@@ -1184,32 +1128,25 @@ func (d *Dataplane) writeChunk(chunk []released) {
 		}
 		head := chunk[0]
 		bits := float64(len(head.env.dg.b)) * 8
-		switch {
-		case !isTransient(err):
-			d.record(head.class, bits, obs.DropWrite, false)
-			d.freeEnvelope(head.env)
-			chunk = chunk[1:]
-			pkts = pkts[1:]
-			d.infHead++
-			attempts, backoff = 0, d.retry.backoff
-		case attempts >= d.retry.limit:
-			if !d.exhausted(head, bits) {
-				d.freeEnvelope(head.env)
-			}
-			chunk = chunk[1:]
-			pkts = pkts[1:]
-			d.infHead++
-			attempts, backoff = 0, d.retry.backoff
-		default:
+		transient := isTransient(err)
+		if transient && attempts < d.retry.limit {
 			attempts++
 			d.ov.retries.Add(1)
 			d.record(head.class, bits, obs.RetryTransient, true)
 			d.sleep(backoff)
-			backoff *= 2
-			if backoff > d.retry.cap {
-				backoff = d.retry.cap
-			}
+			backoff = min(2*backoff, d.retry.cap)
+			continue
 		}
+		reason := obs.DropWrite
+		if transient {
+			reason = obs.DropRetries
+		}
+		d.record(head.class, bits, reason, false)
+		d.freeEnvelope(head.env)
+		chunk = chunk[1:]
+		pkts = pkts[1:]
+		d.infHead++
+		attempts, backoff = 0, d.retry.backoff
 	}
 }
 
@@ -1252,38 +1189,6 @@ func (d *Dataplane) record(class int, bits float64, reason string, retry bool) {
 	} else {
 		d.tree.RecordDropReason(d.schedTime(now), class, bits, reason)
 	}
-}
-
-// exhausted handles a packet whose transient-retry budget ran out: requeue
-// it into the scheduler when the policy and the class caps allow (reusing
-// its envelope, with a fresh arrival — the wait so far was the writer's
-// fault, and a refund of the ceiling charges its dequeue took, since it
-// never reached the wire), else record its drop with reason
-// "retry-exhausted" and report false, leaving the caller to free it.
-func (d *Dataplane) exhausted(r released, bits float64) bool {
-	d.lock()
-	defer d.unlock()
-	now := d.schedTime(d.now())
-	cs := d.classes[r.class]
-	// A class removed while this packet was in flight has nothing left to
-	// requeue into.
-	if cs == nil || r.env.dg.requeues <= 0 || d.capsLocked(cs, len(r.env.dg.b)) != admitted {
-		d.tree.RecordDropReason(now, r.class, bits, obs.DropRetries)
-		return false
-	}
-	r.env.dg.requeues--
-	d.tree.RecordRetry(now, r.class, bits, obs.RetryRequeue)
-	r.env.pkt.Arrival = now
-	d.tree.Refund(r.class, r.env.pkt.Length, now)
-	// The class and leaf resolved at admission may be gone, and RemoveLeaf
-	// frees the leaf's slot for the next graft: requeue through the class
-	// looked up just now, never through the envelope's.
-	r.env.cs = cs
-	d.tree.EnqueueLeaf(now, cs.leaf, &r.env.pkt)
-	cs.packets++
-	cs.bytes += len(r.env.dg.b)
-	d.staged++
-	return true
 }
 
 // sleep blocks for dur on the engine's clock (fake-clock testable,

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -58,33 +59,27 @@ type transientErr struct{}
 func (transientErr) Error() string   { return "transient test error" }
 func (transientErr) Transient() bool { return true }
 
-// flakyWriter fails transiently for the first failFirst attempts, then
-// delivers.
-type flakyWriter struct {
-	failFirst int64
-	attempts  atomic.Int64
-	delivered atomic.Int64
+// doomedWriter fails every write of the datagrams doomed picks with a
+// transient error and delivers the rest, keeping their payloads in order.
+type doomedWriter struct {
+	doomed    func(b []byte) bool
+	attempts  atomic.Int64 // writes of doomed datagrams
+	mu        sync.Mutex
+	delivered [][]byte
 }
 
-func (w *flakyWriter) WritePacket(b []byte) (int, error) {
-	if w.attempts.Add(1) <= w.failFirst {
+func (w *doomedWriter) WritePacket(b []byte) (int, error) {
+	if w.doomed(b) {
+		w.attempts.Add(1)
 		return 0, transientErr{}
 	}
-	w.delivered.Add(1)
+	w.mu.Lock()
+	w.delivered = append(w.delivered, append([]byte(nil), b...))
+	w.mu.Unlock()
 	return len(b), nil
 }
 
-func (w *flakyWriter) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
-
-// alwaysTransient never delivers; every write fails with a transient error.
-type alwaysTransient struct{ attempts atomic.Int64 }
-
-func (w *alwaysTransient) WritePacket(b []byte) (int, error) {
-	w.attempts.Add(1)
-	return 0, transientErr{}
-}
-
-func (w *alwaysTransient) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
+func (w *doomedWriter) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
 
 // panicWriter panics on its panicOn-th write and delivers otherwise.
 type panicWriter struct {
@@ -181,125 +176,77 @@ func TestRetryDeliversAll(t *testing.T) {
 	}
 }
 
-// TestRetryExhaustedDrops: when the writer never recovers, each packet burns
-// its retry budget and is dropped with reason "retry-exhausted".
+// TestRetryExhaustedDrops: a datagram whose writes keep failing burns its
+// retry budget and is dropped with reason "retry-exhausted", whether the
+// writer never recovers or fails only chosen datagrams. The drop is final,
+// so each class's surviving datagrams reach the writer in ingest order.
 func TestRetryExhaustedDrops(t *testing.T) {
-	const offered = 5
-	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics(),
-		WithWriteRetry(2, 100*time.Microsecond, time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.AddClass(0, 1e8)
-	w := &alwaysTransient{}
-	for i := 0; i < offered; i++ {
-		if err := d.Ingest(0, mkPayload(0, i, 125)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Start(w); err != nil {
-		t.Fatal(err)
-	}
-	advanceUntil(t, d, clk, time.Millisecond, func() bool {
-		return d.Snapshot().DropReasons[obs.DropRetries].Packets == offered
-	})
-	closeDraining(t, d, clk)
+	for _, tc := range []struct {
+		name    string
+		classes int
+		offered int // per class
+		doomed  func(b []byte) bool
+	}{
+		{"never-recovers", 1, 5, func([]byte) bool { return true }},
+		{"chosen-datagrams", 2, 40, func(b []byte) bool { return b[1]%3 == 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := wallclock.NewFake()
+			d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics(),
+				WithWriteRetry(2, 100*time.Microsecond, time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < tc.classes; c++ {
+				d.AddClass(c, 1e8/float64(tc.classes))
+			}
+			doomed := 0
+			survivors := make([][]byte, tc.classes) // seq bytes, in ingest order
+			for i := 0; i < tc.offered; i++ {
+				for c := 0; c < tc.classes; c++ {
+					b := mkPayload(c, i, 125)
+					if tc.doomed(b) {
+						doomed++
+					} else {
+						survivors[c] = append(survivors[c], b[1])
+					}
+					if err := d.Ingest(c, b); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			w := &doomedWriter{doomed: tc.doomed}
+			if err := d.Start(w); err != nil {
+				t.Fatal(err)
+			}
+			advanceUntil(t, d, clk, time.Millisecond, func() bool {
+				return d.Snapshot().DropReasons[obs.DropRetries].Packets == int64(doomed)
+			})
+			closeDraining(t, d, clk)
 
-	m := d.Snapshot()
-	if got := m.DropReasons[obs.DropRetries].Packets; got != offered {
-		t.Errorf("%q drops = %d, want %d", obs.DropRetries, got, offered)
-	}
-	if m.Retried.Packets != 2*offered { // retry limit 2 per packet
-		t.Errorf("retries = %d, want %d", m.Retried.Packets, 2*offered)
-	}
-	if w.attempts.Load() != 3*offered { // initial write + 2 retries, per packet
-		t.Errorf("writer saw %d attempts, want %d", w.attempts.Load(), 3*offered)
-	}
-	if !m.Conserved() {
-		t.Error("metrics not conserved")
-	}
-}
-
-// TestRequeueRedelivers: a packet that exhausts its retry budget rejoins the
-// scheduler under WithRequeue and is delivered on the next pass once the
-// writer recovers.
-func TestRequeueRedelivers(t *testing.T) {
-	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics(),
-		WithWriteRetry(1, 100*time.Microsecond, time.Millisecond), WithRequeue(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.AddClass(0, 1e8)
-	// Fails attempts 1-3: pass one burns the retry budget (attempts 1, 2)
-	// and requeues; pass two retries once more (attempt 3) and delivers on
-	// attempt 4.
-	w := &flakyWriter{failFirst: 3}
-	if err := d.Ingest(0, mkPayload(0, 0, 125)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Start(w); err != nil {
-		t.Fatal(err)
-	}
-	advanceUntil(t, d, clk, time.Millisecond, func() bool { return w.delivered.Load() == 1 })
-	closeDraining(t, d, clk)
-
-	m := d.Snapshot()
-	if m.Dropped.Packets != 0 {
-		t.Errorf("dropped %d, want 0: %v", m.Dropped.Packets, m.DropReasons)
-	}
-	if got := m.RetryReasons[obs.RetryRequeue].Packets; got != 1 {
-		t.Errorf("%q retries = %d, want 1", obs.RetryRequeue, got)
-	}
-	if got := m.RetryReasons[obs.RetryTransient].Packets; got != 2 {
-		t.Errorf("%q retries = %d, want 2", obs.RetryTransient, got)
-	}
-	// A requeue is a fresh enqueue: the one datagram counts twice.
-	if m.Enqueued.Packets != 2 || m.Dequeued.Packets != 2 {
-		t.Errorf("enqueued %d dequeued %d, want 2/2 (requeue re-enters the scheduler)",
-			m.Enqueued.Packets, m.Dequeued.Packets)
-	}
-	if !m.Conserved() {
-		t.Error("metrics not conserved")
-	}
-}
-
-// TestRequeueBudgetExhausted: the requeue budget is per-packet and bounded —
-// after it runs out the packet drops with reason "retry-exhausted", so even
-// a writer that never recovers cannot wedge the drain.
-func TestRequeueBudgetExhausted(t *testing.T) {
-	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics(),
-		WithWriteRetry(1, 100*time.Microsecond, time.Millisecond), WithRequeue(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.AddClass(0, 1e8)
-	w := &alwaysTransient{}
-	if err := d.Ingest(0, mkPayload(0, 0, 125)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Start(w); err != nil {
-		t.Fatal(err)
-	}
-	advanceUntil(t, d, clk, time.Millisecond, func() bool {
-		return d.Snapshot().DropReasons[obs.DropRetries].Packets == 1
-	})
-	closeDraining(t, d, clk)
-
-	m := d.Snapshot()
-	if got := m.RetryReasons[obs.RetryRequeue].Packets; got != 2 {
-		t.Errorf("%q retries = %d, want 2", obs.RetryRequeue, got)
-	}
-	if got := m.RetryReasons[obs.RetryTransient].Packets; got != 3 { // one per pass
-		t.Errorf("%q retries = %d, want 3", obs.RetryTransient, got)
-	}
-	if m.Enqueued.Packets != 3 || m.Dequeued.Packets != 3 {
-		t.Errorf("enqueued %d dequeued %d, want 3/3", m.Enqueued.Packets, m.Dequeued.Packets)
-	}
-	if !m.Conserved() {
-		t.Error("metrics not conserved")
+			m := d.Snapshot()
+			if got := m.DropReasons[obs.DropRetries].Packets; got != int64(doomed) {
+				t.Errorf("%q drops = %d, want %d", obs.DropRetries, got, doomed)
+			}
+			if m.Retried.Packets != int64(2*doomed) { // retry limit 2 per packet
+				t.Errorf("retries = %d, want %d", m.Retried.Packets, 2*doomed)
+			}
+			if w.attempts.Load() != int64(3*doomed) { // initial write + 2 retries, per packet
+				t.Errorf("writer saw %d attempts, want %d", w.attempts.Load(), 3*doomed)
+			}
+			if !m.Conserved() {
+				t.Error("metrics not conserved")
+			}
+			got := make([][]byte, tc.classes)
+			for _, b := range w.delivered {
+				got[b[0]] = append(got[b[0]], b[1])
+			}
+			for c := range got {
+				if !slices.Equal(got[c], survivors[c]) {
+					t.Errorf("class %d delivered seqs %v, want %v (ingest order)", c, got[c], survivors[c])
+				}
+			}
+		})
 	}
 }
 
@@ -330,15 +277,16 @@ func (w *gatedWriter) WritePacket(b []byte) (int, error) {
 
 func (w *gatedWriter) WriteBatch(pkts []Datagram) (int, error) { return writeEach(w, pkts) }
 
-// TestRequeueAfterSlotReuse: a class is removed while its datagram is in
-// flight, and another class is grafted into the freed leaf slot. When the
-// in-flight write then exhausts its retries under WithRequeue, the datagram
-// must drop as "retry-exhausted" — never requeue into the new class through
-// the leaf its envelope resolved at admission — and every count settles.
-func TestRequeueAfterSlotReuse(t *testing.T) {
+// TestRetryExhaustedAfterSlotReuse: a class is removed while its datagram
+// is in flight, and another class is grafted into the freed leaf slot. When
+// the in-flight write then exhausts its retries, the datagram drops as
+// "retry-exhausted" and is accounted to the class it left — never to the
+// new class through the leaf its envelope resolved at admission — and every
+// count settles.
+func TestRetryExhaustedAfterSlotReuse(t *testing.T) {
 	clk := wallclock.NewFake()
 	d, err := New("WF2Q+", 1e8, WithClock(clk), WithMetrics(),
-		WithWriteRetry(1, 100*time.Microsecond, time.Millisecond), WithRequeue(1))
+		WithWriteRetry(1, 100*time.Microsecond, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,9 +344,6 @@ func TestRequeueAfterSlotReuse(t *testing.T) {
 		t.Errorf("class 0's datagram was written %d times, want 2", got)
 	}
 	m := d.Snapshot()
-	if got := m.RetryReasons[obs.RetryRequeue].Packets; got != 0 {
-		t.Errorf("%q retries = %d, want 0: the class was gone", obs.RetryRequeue, got)
-	}
 	if s, ok := m.Session(1); !ok || s.Enqueued.Packets != later || s.Dequeued.Packets != later {
 		t.Errorf("class 1 enqueued %d dequeued %d, want %d each", s.Enqueued.Packets, s.Dequeued.Packets, later)
 	}

@@ -241,9 +241,10 @@ func (d *Dataplane) encodeFECLocked(fs *fecState, b []byte, ctx any, now float64
 }
 
 // flushFECLocked emits the open block's repair datagrams into the inbox on
-// the repair class, like any other accepted datagram. Repairs respect the
-// repair class's caps — a full repair queue sheds the repair (tail-drop,
-// recorded), never the sources. Caller holds d.mu.
+// the repair class, like any other accepted datagram. Repairs pass the
+// repair class's admission — a draining, shedding or full repair class
+// refuses the repair (recorded by reason), never the sources. Caller holds
+// d.mu.
 func (d *Dataplane) flushFECLocked(fs *fecState, now float64) {
 	if fs.enc.Pending() == 0 {
 		return
@@ -255,8 +256,8 @@ func (d *Dataplane) flushFECLocked(fs *fecState, now float64) {
 	defer d.smu.Unlock()
 	for _, rb := range reps {
 		why := refusedDraining
-		if rcs != nil && !rcs.draining {
-			why = d.capsLocked(rcs, len(rb))
+		if rcs != nil {
+			why = d.admissionLocked(rcs, len(rb))
 		}
 		if why != admitted {
 			d.recordRefusalLocked(now, fs.repair, float64(len(rb))*8, why)

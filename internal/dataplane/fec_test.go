@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hpfq/internal/fec"
+	"hpfq/internal/obs"
 	"hpfq/internal/topo"
 	"hpfq/internal/wallclock"
 )
@@ -550,6 +551,62 @@ func TestFECRepairClassOwnership(t *testing.T) {
 	}
 	if err := top.ProtectClass(7, spec, FECConfig{}); !errors.Is(err, ErrNoClass) {
 		t.Fatalf("ProtectClass on an absent class = %v, want ErrNoClass", err)
+	}
+}
+
+// TestFECRepairClassShed: the derived shed order sheds repair classes
+// first, and a shed repair class sends no repairs — its repairs are refused
+// at the block flush and recorded as shed drops, while the protected
+// sources leave as usual.
+func TestFECRepairClassShed(t *testing.T) {
+	spec := fec.Spec{Scheme: fec.SchemeRS, K: 2, R: 1}
+	clk := wallclock.NewFake()
+	d, err := New("WF2Q+", 1e6, WithClock(clk), WithMetrics(), WithOverload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.AddClass(0, 2e5)
+	d.AddClass(1, 8e5)
+	if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1}); err != nil {
+		t.Fatal(err)
+	}
+	// Hold shedding at one class: the front of the derived order.
+	d.mu.Lock()
+	d.ov.shedding = 1
+	d.applyShedLocked()
+	d.mu.Unlock()
+	for _, c := range d.Status().Classes {
+		if want := c.ID == DefaultRepairClassOffset; c.Shedding != want {
+			t.Fatalf("class %d shedding %v, want %v", c.ID, c.Shedding, want)
+		}
+	}
+	for i := 0; i < spec.K; i++ { // one full block
+		if err := d.Ingest(0, fecPayload(0, i, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := &lossyCapture{r: spec.R}
+	if err := d.Start(w); err != nil {
+		t.Fatal(err)
+	}
+	advanceUntil(t, d, clk, time.Millisecond, func() bool { got, _ := w.counts(); return got >= spec.K })
+	closeDraining(t, d, clk)
+
+	repairs := 0
+	for _, b := range w.survived {
+		if fec.IsFEC(b) && b[2] != 0 {
+			repairs++
+		}
+	}
+	if got, _ := w.counts(); got != spec.K || repairs != 0 {
+		t.Errorf("egress saw %d datagrams, %d of them repairs; want the %d sources only", got, repairs, spec.K)
+	}
+	m := d.Snapshot()
+	if s, _ := m.Session(DefaultRepairClassOffset); s.Dropped.Packets != 1 {
+		t.Errorf("repair class dropped %d datagrams, want 1", s.Dropped.Packets)
+	}
+	if got := m.ShedReasons[obs.ShedPressure].Packets; got != 1 {
+		t.Errorf("%q sheds = %d, want 1", obs.ShedPressure, got)
 	}
 }
 

@@ -58,28 +58,21 @@ const (
 	nRefusals
 )
 
-// capsLocked checks an n-byte datagram against the class's packet and
-// byte caps. Caller holds d.mu.
-func (d *Dataplane) capsLocked(cs *classState, n int) refusal {
-	switch {
-	case d.capPkts > 0 && cs.packets >= d.capPkts:
-		return refusedTail
-	case d.capBytes > 0 && cs.bytes+n > d.capBytes:
-		return refusedBytes
-	}
-	return admitted
-}
-
 // admissionLocked applies the class's whole intake policy to an n-byte
-// datagram. Caller holds d.mu.
+// datagram: draining, shedding, then the packet and byte caps. Caller
+// holds d.mu.
 func (d *Dataplane) admissionLocked(cs *classState, n int) refusal {
 	switch {
 	case cs.draining:
 		return refusedDraining
 	case cs.shed:
 		return refusedShed
+	case d.capPkts > 0 && cs.packets >= d.capPkts:
+		return refusedTail
+	case d.capBytes > 0 && cs.bytes+n > d.capBytes:
+		return refusedBytes
 	}
-	return d.capsLocked(cs, n)
+	return admitted
 }
 
 // recordRefusalLocked accounts a refused datagram in the scheduler's
@@ -232,7 +225,7 @@ func (d *Dataplane) acceptLocked(cs *classState, class int, b []byte, ctx any, n
 	env.pkt.Length = float64(len(b)) * 8
 	env.pkt.Arrival = now // sojourn basis for the AQM
 	env.pkt.Payload = env
-	env.dg = datagram{b: b, ctx: ctx, requeues: d.retry.requeues}
+	env.dg = datagram{b: b, ctx: ctx}
 	env.cs = cs
 	d.inbox = append(d.inbox, env)
 	cs.packets++

@@ -17,8 +17,8 @@ type Datagram struct {
 // Writer is the engine's egress contract, shaped like sendmmsg: deliver
 // pkts in order and return how many were written. The pump hands each
 // token-bucket release over in WithBatchSize chunks. A non-nil error
-// describes the failure of pkts[written] — the engine retries, drops, or
-// requeues that datagram and re-offers the unwritten suffix. Returning
+// describes the failure of pkts[written] — the engine retries or drops
+// that datagram and re-offers the unwritten suffix. Returning
 // written < len(pkts) with a nil error is treated as a transient stall (the
 // suffix is retried with backoff). A writer that also has a
 // SetWriteDeadline(time.Time) error method can be interrupted by the pump

@@ -432,19 +432,6 @@ func (tr *Tree) ScaleCeils(divisor float64) {
 	}
 }
 
-// Refund credits back the departure of a bits-long packet of session at now
-// to every capped node from its leaf to the root, each clamped at its bucket
-// depth: the packet Dequeue charged never reached the wire and is about to
-// be enqueued again, where its next departure charges the path once more.
-func (tr *Tree) Refund(session int, bits, now float64) {
-	if tr.shape == nil {
-		return
-	}
-	for n := tr.leaves[session]; n != nil; n = n.parent {
-		tr.shape.Refund(n.id, bits, now)
-	}
-}
-
 // Ceil returns session's leaf ceiling in bits/sec, 0 when uncapped.
 func (tr *Tree) Ceil(session int) float64 {
 	if leaf, ok := tr.leaves[session]; ok {

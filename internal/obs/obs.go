@@ -66,10 +66,6 @@ const (
 	// DropDraining: the datagram arrived for a class the control plane is
 	// removing; only already-queued packets drain, new arrivals are refused.
 	DropDraining = "draining"
-	// DropRED: the AQM policy dropped the packet at dequeue because the
-	// class's average sojourn time crossed the RED thresholds. Recorded
-	// post-dequeue, like DropCoDel.
-	DropRED = "red"
 	// DropShed: the overload controller refused the packet at arrival
 	// because its class is currently shedding (priority-aware load
 	// shedding under degraded/overloaded health states). Like DropTail,
@@ -96,9 +92,6 @@ const (
 	// RetryTransient: an egress write failed with a transient error
 	// (EAGAIN-style) and will be re-attempted after backoff.
 	RetryTransient = "write-transient"
-	// RetryRequeue: the retry budget ran out and the packet was requeued
-	// into the scheduler instead of being dropped.
-	RetryRequeue = "requeue"
 )
 
 // Counter counts packets and their cumulative length in bits.

@@ -313,7 +313,7 @@ func TestRetryCounters(t *testing.T) {
 	c.RecordDequeue(0.1, 0, 8000)
 	c.RecordRetry(0.2, 0, 8000, RetryTransient)
 	c.RecordRetry(0.3, 0, 8000, RetryTransient)
-	c.RecordRetry(0.4, 0, 8000, RetryRequeue)
+	c.RecordRetry(0.4, 0, 8000, "resend")
 
 	m := c.Snapshot()
 	if m.Retried.Packets != 3 || m.Retried.Bits != 24000 {
@@ -322,8 +322,8 @@ func TestRetryCounters(t *testing.T) {
 	if got := m.RetryReasons[RetryTransient]; got.Packets != 2 {
 		t.Errorf("transient retries = %+v, want 2", got)
 	}
-	if got := m.RetryReasons[RetryRequeue]; got.Packets != 1 {
-		t.Errorf("requeue retries = %+v, want 1", got)
+	if got := m.RetryReasons["resend"]; got.Packets != 1 {
+		t.Errorf("resend retries = %+v, want 1", got)
 	}
 	if m.Dropped.Packets != 0 || m.Enqueued.Packets != 1 || m.Dequeued.Packets != 1 {
 		t.Errorf("retries disturbed enq/deq/drop: %+v", m)

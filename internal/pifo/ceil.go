@@ -120,18 +120,6 @@ func (s *Shaper) Charge(id int, bits, now float64) {
 	}
 }
 
-// Refund returns bits to id's bucket at now, if capped, up to its depth: a
-// charged departure that never left. A held id's release moves up to match.
-func (s *Shaper) Refund(id int, bits, now float64) {
-	if b := s.ceil(id); b != nil {
-		b.refill(now)
-		b.tokens = min(b.depth, b.tokens+bits)
-		if s.held.Contains(id) {
-			s.held.Update(id, b.ready())
-		}
-	}
-}
-
 // Due pops a held id whose release time has come by now.
 func (s *Shaper) Due(now float64) (int, bool) {
 	if s.held.Empty() || s.held.MinKey() > now {
