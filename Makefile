@@ -67,10 +67,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecoderPush -fuzztime 10s ./internal/fec
 	$(GO) test -run '^$$' -fuzz FuzzTopoParse -fuzztime 10s ./internal/topo
 	$(GO) test -run '^$$' -fuzz FuzzMutationQuery -fuzztime 10s ./internal/ctl
+	$(GO) test -run '^$$' -fuzz FuzzTree -fuzztime 10s ./internal/hier
 
 bench:
 	{ $(GO) test ./internal/dataplane/ -run '^$$' \
 		-bench 'BenchmarkPump(Batched|Tree)$$|BenchmarkReconfigUnderLoad$$|BenchmarkFECEncode$$|BenchmarkPumpWithFEC$$|BenchmarkBufferPoolHandoff$$|BenchmarkNewDeepTree$$' -benchmem \
+		-benchtime $(BENCHTIME) -count=1 ; \
+	  $(GO) test ./internal/hier/ -run '^$$' \
+		-bench 'BenchmarkTreeDeep$$' -benchmem \
 		-benchtime $(BENCHTIME) -count=1 ; \
 	  $(GO) test ./internal/shard/ -run '^$$' \
 		-bench 'BenchmarkShardedPump$$' -benchmem \
@@ -88,6 +92,7 @@ bench:
 
 alloccheck:
 	$(GO) test ./internal/dataplane/ -run TestPumpSteadyStateZeroAlloc -count=1 -v
+	$(GO) test ./internal/hier/ -run TestTreeSteadyStateZeroAlloc -count=1 -v
 
 overload:
 	$(GO) test -race -count=1 ./internal/overload/...

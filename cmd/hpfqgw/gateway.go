@@ -163,10 +163,17 @@ type payloadWriter interface {
 }
 
 // connSink writes to the flow socket selected for the current run. Only
-// the data-plane's single pump goroutine touches it, so it needs no lock.
+// the data-plane's single pump goroutine writes through it; the pump
+// watchdog's write deadline arrives from the overload monitor's goroutine
+// (SetWriteDeadline), so the deadline state has its own lock.
 type connSink struct {
 	sock *udpio.Socket
 	w    *udpio.Writer
+
+	pinned   atomic.Bool // a deadline is pinned: each run applies it first
+	dmu      sync.Mutex
+	deadline time.Time
+	marked   map[*udpio.Socket]struct{} // sockets carrying the pinned deadline
 }
 
 // WritePacket sends one datagram to the selected flow socket: the shape
@@ -174,6 +181,9 @@ type connSink struct {
 func (s *connSink) WritePacket(b []byte) (int, error) {
 	if s.sock == nil {
 		return 0, errNoFlow
+	}
+	if s.pinned.Load() {
+		s.mark(s.sock)
 	}
 	return s.sock.Conn().Write(b)
 }
@@ -184,7 +194,46 @@ func (s *connSink) WriteBatch(pkts [][]byte) (int, error) {
 	if s.sock == nil {
 		return 0, errNoFlow
 	}
+	if s.pinned.Load() {
+		s.mark(s.sock)
+	}
 	return s.w.WriteRun(s.sock, netip.AddrPort{}, pkts)
+}
+
+// SetWriteDeadline pins the pump watchdog's write deadline on the flow
+// sockets: every socket written while it is pinned carries it (a deadline
+// in the past makes those writes fail at once with os.ErrDeadlineExceeded,
+// which the data plane retries as transient), and a new deadline moves it
+// on all of them. The zero time releases the pin and clears the deadline
+// from every socket that carried it. A write already blocked on a socket
+// not yet written under the pin is not reached.
+func (s *connSink) SetWriteDeadline(t time.Time) error {
+	s.dmu.Lock()
+	defer s.dmu.Unlock()
+	s.deadline = t
+	for sock := range s.marked {
+		sock.Conn().SetWriteDeadline(t) // a retired flow's closed socket just errors
+	}
+	if t.IsZero() {
+		clear(s.marked)
+	}
+	s.pinned.Store(!t.IsZero())
+	return nil
+}
+
+// mark applies the pinned deadline to sock, once per pin.
+func (s *connSink) mark(sock *udpio.Socket) {
+	s.dmu.Lock()
+	defer s.dmu.Unlock()
+	if _, ok := s.marked[sock]; ok || s.deadline.IsZero() {
+		return
+	}
+	if s.marked == nil {
+		s.marked = make(map[*udpio.Socket]struct{})
+	}
+	// On a retired flow's closed socket this fails, and so will the write.
+	sock.Conn().SetWriteDeadline(s.deadline)
+	s.marked[sock] = struct{}{}
 }
 
 // egress is the gateway's data-plane hpfq.PacketWriter:
@@ -212,14 +261,14 @@ func newEgress(fault []faultconn.Option) *egress {
 }
 
 // SetWriteDeadline forwards the pump watchdog's deadline down the write
-// chain, so a write blocked in an injected stall can be interrupted. It
-// reaches the faultconn wrapper only: connSink sets no deadline on the flow
-// sockets, so without -fault.* flags the deadline does nothing.
+// chain: to the faultconn wrapper, if any, so a write blocked in an
+// injected stall is interrupted, and to the sink, which pins it on the flow
+// sockets.
 func (e *egress) SetWriteDeadline(t time.Time) error {
-	if dl, ok := e.w.(interface{ SetWriteDeadline(time.Time) error }); ok {
-		return dl.SetWriteDeadline(t)
+	if fw, ok := e.w.(*faultconn.Writer); ok {
+		fw.SetWriteDeadline(t)
 	}
-	return nil
+	return e.sink.SetWriteDeadline(t)
 }
 
 func (e *egress) WriteBatch(pkts []hpfq.PacketDatagram) (int, error) {

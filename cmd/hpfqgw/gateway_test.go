@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -983,6 +984,89 @@ func TestEgressBatchGrouping(t *testing.T) {
 		t.Error("errNoFlow classified transient; retries would spin on it")
 	}
 	drain(recvA, "ok")
+}
+
+// TestEgressPinsWriteDeadline: the pump watchdog's deadline reaches the
+// flow sockets. Pinned in the past, it fails a run on a real flow socket at
+// once with os.ErrDeadlineExceeded, which the data plane retries as
+// transient; released, the same socket writes again.
+func TestEgressPinsWriteDeadline(t *testing.T) {
+	recv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	c, err := net.DialUDP("udp", nil, recv.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	f := &flow{conn: c}
+	e := newEgress(nil)
+	run := []hpfq.PacketDatagram{{B: []byte("x"), Ctx: f}}
+
+	if n, err := e.WriteBatch(run); n != 1 || err != nil {
+		t.Fatalf("unpinned WriteBatch = (%d, %v), want (1, nil)", n, err)
+	}
+	if err := e.SetWriteDeadline(time.Now().Add(-time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := e.WriteBatch(run)
+	if n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("pinned WriteBatch = (%d, %v), want (0, deadline exceeded)", n, err)
+	}
+	if !hpfq.IsTransientIOError(err) {
+		t.Errorf("deadline error %v not transient; the pump would drop instead of retrying", err)
+	}
+	if err := e.SetWriteDeadline(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := e.WriteBatch(run); n != 1 || err != nil {
+		t.Fatalf("released WriteBatch = (%d, %v), want (1, nil)", n, err)
+	}
+	buf := make([]byte, 8)
+	recv.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i := 0; i < 2; i++ {
+		if _, err := recv.Read(buf); err != nil {
+			t.Fatalf("datagram %d: %v", i, err)
+		}
+	}
+}
+
+// TestEgressDeadlineConcurrent pins and releases the write deadline from
+// a second goroutine, as the overload monitor does, while the pump's
+// goroutine writes runs: every write either succeeds or fails with the
+// deadline, and the race detector sees the two sides synchronized.
+func TestEgressDeadlineConcurrent(t *testing.T) {
+	recv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	c, err := net.DialUDP("udp", nil, recv.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	e := newEgress(nil)
+	run := []hpfq.PacketDatagram{{B: []byte("x"), Ctx: &flow{conn: c}}}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			e.SetWriteDeadline(time.Now().Add(-time.Second))
+			e.SetWriteDeadline(time.Time{})
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if _, err := e.WriteBatch(run); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	<-done
+	if n, err := e.WriteBatch(run); n != 1 || err != nil {
+		t.Fatalf("after release: WriteBatch = (%d, %v), want (1, nil)", n, err)
+	}
 }
 
 func TestRunFlagValidation(t *testing.T) {

@@ -54,8 +54,11 @@
 // threshold with work queued counts as a stall, and repeated stalls trip a
 // circuit breaker to wedged instead of hot-looping; panic restarts get
 // capped exponential backoff and their own restart-budget breaker. A stall
-// sets a write deadline on the egress, but only the -fault.* wrapper honours
-// it: a write blocked in a flow's upstream socket is not interrupted.
+// pins a write deadline in the past on the egress until the watchdog sees
+// progress with the breaker reset: every flow socket written meanwhile
+// fails at once (and the -fault.* wrapper's injected stall is
+// interrupted), so the backlog burns down as retry-exhausted drops instead
+// of waiting on a wedged socket.
 //
 // Loss resilience: -fec protects chosen classes with an erasure code
 // ("0=rs-8-2,1=xor-8"; '!fec' topo clauses are the -topo spelling) — source

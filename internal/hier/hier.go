@@ -64,22 +64,25 @@ type Tree struct {
 }
 
 type node struct {
-	name     string
+	// The fields EnqueueLeaf, arrive, restart and resetPath touch come
+	// first, ahead of the control plane's, so the packet path reads the
+	// front of the node only.
+	fifo     packet.FIFO    // leaves only
+	hol      *packet.Packet // logical queue Q_n: the committed packet
 	parent   *node
-	childIdx int // this node's id within parent's scheduler
+	childIdx int                 // this node's id within parent's scheduler
+	session  int                 // leaf session id, -1 for interior
+	removed  bool                // detached by RemoveLeaf; its slot waits for the next AddLeaf
+	busy     bool                // paper's Busy_n flag
+	act      *node               // paper's ActiveChild_n
+	id       int                 // index in Tree.nodes, the shaper's key
+	ns       sched.NodeScheduler // interior nodes only
+
+	name     string
 	children []*node
 	rate     float64
 	share    float64 // service share φ relative to siblings (topo.Node.Share)
-	session  int     // leaf session id, -1 for interior
-	id       int     // index in Tree.nodes, the shaper's key
-
-	ns      sched.NodeScheduler // interior nodes only
-	fifo    packet.FIFO         // leaves only
-	hol     *packet.Packet      // logical queue Q_n: the committed packet
-	act     *node               // paper's ActiveChild_n
-	busy    bool                // paper's Busy_n flag
-	removed bool                // detached by RemoveLeaf; its slot waits for the next AddLeaf
-	abs     bool                // children carry absolute rates, not shares (NewFlat's root)
+	abs      bool    // children carry absolute rates, not shares (NewFlat's root)
 }
 
 func (n *node) isLeaf() bool { return n.session >= 0 }
@@ -120,8 +123,9 @@ func BuildSpec(t *topo.Node, linkRate float64, algo string, newNode NewNodeSpecF
 	tr := &Tree{
 		algo:   algo,
 		rate:   linkRate,
-		leaves: make(map[int]*node),
-		byName: make(map[string]*node),
+		leaves: make(map[int]*node, len(rates)),
+		byName: make(map[string]*node, len(rates)),
+		nodes:  make([]*node, 0, len(rates)),
 	}
 	root, err := tr.build(t, nil, 0, rates, newNode)
 	if err != nil {

@@ -58,7 +58,11 @@ func (q *FIFO) Pop() *Packet {
 	p := q.buf[q.head]
 	q.buf[q.head] = nil
 	q.head++
-	if q.head > 64 && q.head*2 >= len(q.buf) {
+	if q.head == len(q.buf) {
+		// Empty: start over at the front, so a queue that never holds
+		// many packets never grows its buffer.
+		q.buf, q.head = q.buf[:0], 0
+	} else if q.head > 64 && q.head*2 >= len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf = q.buf[:n]
 		q.head = 0

@@ -48,12 +48,12 @@ func (q *pktQueue) Pop() *packet.Packet {
 // simulator's flat server; the data plane runs every policy in its node
 // form under internal/hier.
 type Sched struct {
-	name string
+	queue
 	bound
+	name    string
 	arrival bool // stamp packets at arrival (eq. 6) vs head promotion (eq. 28)
 	tagless bool
 	queues  []pktQueue
-	defined []bool
 	backlog int
 	tick    Ticker // optional extension, resolved once like bound's
 	obs.Collector
@@ -66,11 +66,12 @@ func NewSched(f Factory, rate float64) *Sched {
 		panic(fmt.Sprintf("pifo: policy %q has no flat form", f.Name))
 	}
 	s := &Sched{
+		bound:   bindPolicy(f.Flat(rate)),
 		name:    f.Name,
-		bound:   bind(f, f.Flat(rate), 8),
 		arrival: f.Arrival,
 		tagless: f.Tagless,
 	}
+	s.reset(f.Monotone)
 	s.tick, _ = s.pol.(Ticker)
 	s.InitObs(f.Name, rate)
 	return s
@@ -78,9 +79,6 @@ func NewSched(f Factory, rate float64) *Sched {
 
 // Name identifies the hosted policy.
 func (s *Sched) Name() string { return s.name }
-
-// Policy exposes the hosted policy (for tests and instrumentation).
-func (s *Sched) Policy() Policy { return s.pol }
 
 // VirtualTime returns the policy's virtual time.
 func (s *Sched) VirtualTime() float64 { return s.pol.V() }
@@ -95,13 +93,12 @@ func (s *Sched) AddSession(id int, rate float64) {
 	}
 	for len(s.queues) <= id {
 		s.queues = append(s.queues, pktQueue{})
-		s.defined = append(s.defined, false)
 	}
-	if s.defined[id] {
+	s.grow(id)
+	if s.slots[id].defined {
 		panic(fmt.Sprintf("pifo: duplicate session id %d", id))
 	}
-	s.defined[id] = true
-	s.q.Grow(id)
+	s.slots[id] = slot{rate: rate, defined: true}
 	s.pol.AddFlow(id, rate)
 	s.RegisterSession(id, rate)
 }
@@ -110,7 +107,7 @@ func (s *Sched) AddSession(id int, rate float64) {
 // stamped immediately (the per-flow tag chain must see every arrival); in
 // head mode only a packet reaching the head of its flow queue is stamped.
 func (s *Sched) Enqueue(now float64, p *packet.Packet) {
-	if p.Session < 0 || p.Session >= len(s.defined) || !s.defined[p.Session] {
+	if p.Session < 0 || p.Session >= len(s.slots) || !s.slots[p.Session].defined {
 		panic(fmt.Sprintf("pifo: enqueue for unknown session %d", p.Session))
 	}
 	q := &s.queues[p.Session]
@@ -118,13 +115,13 @@ func (s *Sched) Enqueue(now float64, p *packet.Packet) {
 		st := s.pol.Arrive(now, p.Session, p.Length, false)
 		q.PushStamped(p, st)
 		if q.Len() == 1 {
-			s.q.Push(p.Session, p.Length, st, s.pol.V())
+			s.enter(p.Session, p.Length, st, s.pol.V())
 		}
 	} else {
 		q.Push(p)
 		if q.Len() == 1 {
 			st := s.pol.Arrive(now, p.Session, p.Length, false)
-			s.q.Push(p.Session, p.Length, st, s.pol.V())
+			s.enter(p.Session, p.Length, st, s.pol.V())
 		}
 	}
 	s.backlog++
@@ -141,50 +138,37 @@ func (s *Sched) Dequeue(now float64) *packet.Packet {
 	if s.tick != nil {
 		s.tick.Tick(now)
 	}
-	if mp, some := s.q.MinParked(); some {
-		if s.floor != nil {
-			s.q.Migrate(s.floor.FloorV(mp, s.q.HaveReady()))
-		} else {
-			s.q.Migrate(s.pol.V())
-		}
-	}
-	id, length, st := s.q.Pop()
-	if s.defr != nil {
-		for {
-			rank, deferred := s.defr.Defer(id, length)
-			if !deferred {
-				break
-			}
-			rst := *st
-			rst.Rank, rst.Gated = rank, false
-			s.q.Reinsert(id, length, rst)
-			id, length, st = s.q.Pop()
-		}
-	}
+	s.settle(&s.bound)
+	id := s.popDeferring(&s.bound)
+	length, st := s.slots[id].length, s.slots[id].st
 	q := &s.queues[id]
 	served := q.Pop()
 	s.backlog--
 	// Commit returns the advanced clock; one value serves the re-push and
 	// the trace hook (Arrive never moves the clock — Policy contract).
-	v := s.pol.Commit(id, length, *st, s.backlog)
-	// The stamp pointer dies at the re-push (it may overwrite the entry
-	// slot); capture the trace fields first.
-	vs, vf := st.S, st.F
+	v := s.pol.Commit(id, length, st, s.backlog)
 	if !q.Empty() {
 		hp := q.Head()
 		if s.arrival {
-			s.q.Push(id, hp.Length, q.HeadStamp(), v)
+			s.enter(id, hp.Length, q.HeadStamp(), v)
 		} else {
-			nst := s.pol.Arrive(now, id, hp.Length, true)
-			s.q.Push(id, hp.Length, nst, v)
+			s.enter(id, hp.Length, s.pol.Arrive(now, id, hp.Length, true), v)
 		}
 	}
 	if s.tagless {
 		s.RecordDequeue(now, id, length)
 	} else {
-		s.RecordDequeueVT(now, id, length, vs, vf, v)
+		s.RecordDequeueVT(now, id, length, st.S, st.F, v)
 	}
 	return served
+}
+
+// enter puts session id's head of the given length and stamp into the PIFO
+// at virtual time v.
+func (s *Sched) enter(id int, length float64, st Stamp, v float64) {
+	sl := &s.slots[id]
+	sl.length, sl.st = length, st
+	s.insert(id, v)
 }
 
 // Backlog returns the number of queued packets.

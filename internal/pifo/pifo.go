@@ -19,14 +19,14 @@
 // V, and the optional Ticker/Floorer/Deferrer extensions); the two generic
 // hosts — Sched (a standalone sched.Scheduler) and Node (a hierarchical
 // sched.NodeScheduler for internal/hier) — own the flow queues, the PIFO
-// itself, and the observability surface. The hosts reproduce the seed
-// implementations' behavior exactly (departure order and virtual-time
-// traces); internal/sched pins that with golden equivalence tests.
+// itself, and the observability surface. A Node running WF²Q+ does that
+// policy's arithmetic inline instead (node.go). The hosts reproduce the
+// seed implementations' behavior exactly (departure order and virtual-time
+// traces); internal/sched and internal/hier pin that with golden
+// equivalence tests.
 package pifo
 
-import (
-	"hpfq/internal/pq"
-)
+import "slices"
 
 // Eps absorbs float64 summation noise when comparing virtual start times
 // against the system virtual time for eligibility (SEFF). Virtual times are
@@ -79,25 +79,18 @@ type Ticker interface {
 	Tick(now float64)
 }
 
-// bound is a policy bound to its PIFO: the queue its factory's ranks call
-// for (NewMonotoneQueue when Monotone) and the policy's optional
-// extensions, resolved once because an interface type assertion costs an
+// bound is a policy bound to its PIFO, with the policy's optional
+// extensions resolved once because an interface type assertion costs an
 // itab lookup, too hot for the per-packet path.
 type bound struct {
 	pol   Policy
-	q     *Queue
 	floor Floorer
 	defr  Deferrer
 }
 
-// bind binds pol, built by f, to a fresh PIFO sized for n entries.
-func bind(f Factory, pol Policy, n int) bound {
+// bindPolicy resolves pol's optional extensions.
+func bindPolicy(pol Policy) bound {
 	b := bound{pol: pol}
-	if f.Monotone {
-		b.q = NewMonotoneQueue(n)
-	} else {
-		b.q = NewQueue(n)
-	}
 	b.floor, _ = pol.(Floorer)
 	b.defr, _ = pol.(Deferrer)
 	return b
@@ -122,97 +115,161 @@ type Deferrer interface {
 	Defer(id int, length float64) (newRank float64, deferred bool)
 }
 
-// entry is the per-flow head-of-queue record inside the Queue.
-type entry struct {
-	length float64
-	st     Stamp
+// slot is one flow's record (a node's child): its guaranteed rate, its
+// head-of-queue length and stamp, and whether it is defined and queued.
+// Everything a Push or Pop reads or writes per flow is here, in one 64-byte
+// record, and the heaps hold slot ids. WF²Q+'s inline node path keeps the
+// flow's last virtual finish tag in st.F between its stamps.
+type slot struct {
+	st      Stamp
+	length  float64
+	rate    float64
+	defined bool
+	queued  bool
 }
 
-// Queue is the PIFO: at most one entry per flow (the flow's head-of-queue
-// packet), ordered by rank, with gated entries parked on their eligibility
-// key until the policy clock reaches it. Ties on either key break FIFO by
-// insertion order (pq.Heap's sequence numbers), matching the seed
-// schedulers' heaps.
+// item is one heap entry: a slot id under its key, with the heap's own
+// insertion sequence number breaking key ties first in, first out.
+type item struct {
+	key float64
+	seq uint64
+	id  int32
+}
+
+// heap is a binary min-heap of slot ids ordered by (key, seq). The order is
+// total (each push takes a fresh seq), so the pop sequence depends only on
+// the keys and the push order, never on the heap's shape.
+type heap struct {
+	items []item
+	seq   uint64
+}
+
+func (h *heap) empty() bool     { return len(h.items) == 0 }
+func (h *heap) minKey() float64 { return h.items[0].key }
+
+func (a item) less(b item) bool { return a.key < b.key || a.key == b.key && a.seq < b.seq }
+
+func (h *heap) push(id int32, key float64) {
+	h.seq++
+	it := item{key: key, seq: h.seq, id: id}
+	h.items = append(h.items, it)
+	i := len(h.items) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.less(h.items[p]) {
+			break
+		}
+		h.items[i] = h.items[p]
+		i = p
+	}
+	h.items[i] = it
+}
+
+func (h *heap) pop() int32 {
+	top := h.items[0].id
+	last := len(h.items) - 1
+	it := h.items[last]
+	h.items = h.items[:last]
+	if last > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= last {
+				break
+			}
+			if r := c + 1; r < last && h.items[r].less(h.items[c]) {
+				c = r
+			}
+			if !h.items[c].less(it) {
+				break
+			}
+			h.items[i] = h.items[c]
+			i = c
+		}
+		h.items[i] = it
+	}
+	return top
+}
+
+// queue is the PIFO: at most one entry per flow (the flow's head-of-queue
+// packet, in its slot), ordered by rank, with gated entries parked on their
+// eligibility key until the policy clock reaches it. Ties on either key
+// break first in, first out by each heap's own insertion order, matching
+// the seed schedulers' heaps.
 //
-// A monotone Queue (NewMonotoneQueue) replaces the heaps with a deque: when
-// every rank lands strictly below the current front or at/above the current
-// back — as DRR's round counters do — rank order degenerates to insertion
-// order at the two ends and every operation is O(1) ("Everything Matters in
-// Programmable Packet Scheduling", Alcoz et al.). Gated entries are not
-// supported in this mode.
-type Queue struct {
-	ready   *pq.Heap[float64] // eligible entries, keyed by rank
-	parked  *pq.Heap[float64] // gated entries, keyed by eligibility
-	entries []entry
-	count   int
-	// Monotone deque state: flow ids in rank order in a ring buffer, the
+// A monotone queue replaces the heaps with a deque: when every rank lands
+// strictly below the current front or at/above the current back — as DRR's
+// round counters do — rank order degenerates to insertion order at the two
+// ends and every operation is O(1) ("Everything Matters in Programmable
+// Packet Scheduling", Alcoz et al.). Gated entries are not supported in
+// this mode.
+type queue struct {
+	slots  []slot
+	ready  heap // eligible entries, keyed by rank
+	parked heap // gated entries, keyed by eligibility
+	count  int
+	// Monotone deque state: slot ids in rank order in a ring buffer, the
 	// smallest rank at head.
 	monotone bool
-	ring     []int
+	ring     []int32
 	head, n  int
 }
 
-// NewQueue returns an empty PIFO sized for n flows.
-func NewQueue(n int) *Queue {
-	return &Queue{ready: pq.NewHeap[float64](n), parked: pq.NewHeap[float64](n)}
-}
-
-// NewMonotoneQueue returns an empty PIFO restricted to strictly monotone
-// ranks (see Queue). Push panics if a rank falls strictly inside the current
-// rank range or the stamp is gated.
-func NewMonotoneQueue(n int) *Queue {
-	return &Queue{monotone: true, ring: make([]int, n)}
-}
-
-// Len returns the number of queued entries (backlogged flows).
-func (q *Queue) Len() int { return q.count }
-
-// Empty reports whether no flow is queued.
-func (q *Queue) Empty() bool { return q.count == 0 }
-
-// Grow pre-sizes the per-flow entry table for flow id, keeping the hot Push
-// path free of growth checks beyond a bounds test.
-func (q *Queue) Grow(id int) {
-	for len(q.entries) <= id {
-		q.entries = append(q.entries, entry{})
+// reset empties the PIFO, keeping the slots, and sets its mode.
+func (q *queue) reset(monotone bool) {
+	q.ready.items, q.parked.items = q.ready.items[:0], q.parked.items[:0]
+	q.ready.seq, q.parked.seq = 0, 0
+	q.count, q.head, q.n = 0, 0, 0
+	q.monotone = monotone
+	if monotone && q.ring == nil {
+		q.ring = make([]int32, 4)
 	}
 }
 
-// Push inserts flow id's head-of-queue entry. v is the policy's current
-// virtual time: a gated entry whose eligibility key is still ahead of v is
-// parked, everything else enters the ready set.
-func (q *Queue) Push(id int, length float64, st Stamp, v float64) {
-	if id >= len(q.entries) {
-		q.Grow(id)
+// grow extends the slot table to hold id, starting at eight slots so a
+// node's first children take one allocation.
+func (q *queue) grow(id int) {
+	if id < len(q.slots) {
+		return
 	}
-	q.entries[id] = entry{length: length, st: st}
+	if id >= cap(q.slots) {
+		q.slots = slices.Grow(q.slots, max(id+1, 8)-len(q.slots))
+	}
+	q.slots = q.slots[:id+1]
+}
+
+// insert enters slot id, whose stamp is set, into the PIFO. v is the
+// policy's current virtual time: a gated entry whose eligibility key is
+// still ahead of v is parked, everything else enters the ready set.
+func (q *queue) insert(id int, v float64) {
 	q.count++
+	st := &q.slots[id].st
 	if q.monotone {
-		q.pushMonotone(id, st)
+		q.pushMonotone(int32(id), st)
 		return
 	}
 	if st.Gated && st.Elig > v+Eps {
-		q.parked.Push(id, st.Elig)
+		q.parked.push(int32(id), st.Elig)
 	} else {
-		q.ready.Push(id, st.Rank)
+		q.ready.push(int32(id), st.Rank)
 	}
 }
 
 // pushMonotone places id at the deque end its rank selects. FIFO tie-break
 // at the back matches the heaps' sequence-number ordering; front ranks are
 // strictly decreasing by construction so no tie arises there.
-func (q *Queue) pushMonotone(id int, st Stamp) {
+func (q *queue) pushMonotone(id int32, st *Stamp) {
 	if st.Gated {
 		panic("pifo: gated entry in monotone queue")
 	}
 	switch {
-	case q.n == 0 || st.Rank >= q.entries[q.ring[(q.head+q.n-1)%len(q.ring)]].st.Rank:
+	case q.n == 0 || st.Rank >= q.slots[q.ring[(q.head+q.n-1)%len(q.ring)]].st.Rank:
 		if q.n == len(q.ring) {
 			q.ringGrow()
 		}
 		q.ring[(q.head+q.n)%len(q.ring)] = id
 		q.n++
-	case st.Rank < q.entries[q.ring[q.head]].st.Rank:
+	case st.Rank < q.slots[q.ring[q.head]].st.Rank:
 		if q.n == len(q.ring) {
 			q.ringGrow()
 		}
@@ -224,77 +281,80 @@ func (q *Queue) pushMonotone(id int, st Stamp) {
 	}
 }
 
-func (q *Queue) ringGrow() {
-	buf := make([]int, 2*len(q.ring)+4)
+func (q *queue) ringGrow() {
+	buf := make([]int32, 2*len(q.ring)+4)
 	for i := 0; i < q.n; i++ {
 		buf[i] = q.ring[(q.head+i)%len(q.ring)]
 	}
 	q.ring, q.head = buf, 0
 }
 
-// MinParked returns the smallest parked eligibility key.
-func (q *Queue) MinParked() (key float64, ok bool) {
-	if q.monotone || q.parked.Empty() {
-		return 0, false
-	}
-	return q.parked.MinKey(), true
-}
-
-// HaveReady reports whether any entry is immediately serviceable.
-func (q *Queue) HaveReady() bool {
-	if q.monotone {
-		return q.n > 0
-	}
-	return !q.ready.Empty()
-}
-
-// Migrate moves every parked entry whose eligibility key has been reached
+// migrate moves every parked entry whose eligibility key has been reached
 // (Elig <= v+Eps) into the ready set, in eligibility order — the exact
 // migration loop of the seed SEFF schedulers.
-func (q *Queue) Migrate(v float64) {
-	if q.monotone {
-		return
-	}
-	for !q.parked.Empty() && q.parked.MinKey() <= v+Eps {
-		id, _, _ := q.parked.Pop()
-		q.ready.Push(id, q.entries[id].st.Rank)
+func (q *queue) migrate(v float64) {
+	for !q.parked.empty() && q.parked.minKey() <= v+Eps {
+		id := q.parked.pop()
+		q.ready.push(id, q.slots[id].st.Rank)
 	}
 }
 
-// Pop removes and returns the smallest-rank ready entry. When nothing is
+// settle runs a policy's eq. 27 floor (when it has one) and the migration
+// before a selection; the monotone queue parks nothing.
+func (q *queue) settle(b *bound) {
+	if q.parked.empty() {
+		return
+	}
+	if b.floor != nil {
+		q.migrate(b.floor.FloorV(q.parked.minKey(), !q.ready.empty()))
+	} else {
+		q.migrate(b.pol.V())
+	}
+}
+
+// pop removes and returns the smallest-rank ready entry. When nothing is
 // ready it falls back to the smallest parked eligibility key — float-noise
 // insurance to stay work-conserving, mirroring the seed WF²Q fallback; a
-// policy with a Floorer never reaches it.
-//
-// The returned stamp points into the queue's entry table and stays valid
-// only until the next Push or Reinsert for the same flow; callers copy any
-// field they need past that point.
-func (q *Queue) Pop() (id int, length float64, st *Stamp) {
+// policy with an eq. 27 floor never reaches it.
+func (q *queue) pop() int {
 	if q.count == 0 {
 		panic("pifo: pop from empty queue")
 	}
-	if q.monotone {
-		id = q.ring[q.head]
+	q.count--
+	switch {
+	case q.monotone:
+		id := q.ring[q.head]
 		q.head = (q.head + 1) % len(q.ring)
 		q.n--
-	} else if !q.ready.Empty() {
-		id, _, _ = q.ready.Pop()
-	} else {
-		id, _, _ = q.parked.Pop()
+		return int(id)
+	case !q.ready.empty():
+		return int(q.ready.pop())
+	default:
+		return int(q.parked.pop())
 	}
-	q.count--
-	e := &q.entries[id]
-	return id, e.length, &e.st
 }
 
-// Reinsert returns a just-popped entry to the ready set under a new rank —
-// the Deferrer path (DRR moving an exhausted flow to the round tail).
-func (q *Queue) Reinsert(id int, length float64, st Stamp) {
-	q.entries[id] = entry{length: length, st: st}
-	q.count++
-	if q.monotone {
-		q.pushMonotone(id, st)
-		return
+// popDeferring is pop plus the Deferrer loop: a flow its policy refuses
+// (DRR's deficit check) re-enters the ready set under its new rank and the
+// next candidate is popped.
+func (q *queue) popDeferring(b *bound) int {
+	id := q.pop()
+	if b.defr == nil {
+		return id
 	}
-	q.ready.Push(id, st.Rank)
+	for {
+		sl := &q.slots[id]
+		rank, deferred := b.defr.Defer(id, sl.length)
+		if !deferred {
+			return id
+		}
+		sl.st.Rank, sl.st.Gated = rank, false
+		q.count++
+		if q.monotone {
+			q.pushMonotone(int32(id), &sl.st)
+		} else {
+			q.ready.push(int32(id), rank)
+		}
+		id = q.pop()
+	}
 }

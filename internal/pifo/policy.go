@@ -30,7 +30,7 @@ type Factory struct {
 	// Monotone declares that every rank the policy issues is strictly below
 	// the smallest or at/above the largest rank currently queued (DRR's
 	// front/tail round counters), letting the hosts run the PIFO as an O(1)
-	// deque instead of heaps (see NewMonotoneQueue).
+	// deque instead of heaps (see queue).
 	Monotone bool
 }
 
@@ -69,6 +69,8 @@ type flowTags struct {
 // ---------------------------------------------------------------------------
 // WF²Q+ (paper §3.4): rank = virtual finish, eligibility = virtual start,
 // low-complexity system virtual time V += L/r with the eq. 27 min-term floor.
+// This is the flat host's form; a Node running WF²Q+ does the same
+// arithmetic inline on its slots (node.go), and live mutation happens there.
 
 type wf2qPlus struct {
 	rate  float64
@@ -109,10 +111,6 @@ func (p *wf2qPlus) Commit(_ int, length float64, _ Stamp, _ int) float64 {
 	return p.v
 }
 func (p *wf2qPlus) V() float64 { return p.v }
-
-func (p *wf2qPlus) SetFlowRate(id int, rate float64) { p.flows[id].rate = rate }
-func (p *wf2qPlus) RemoveFlow(id int)                { p.flows[id] = flowTags{} }
-func (p *wf2qPlus) SetServerRate(rate float64)       { p.rate = rate }
 
 // WF2QPlus returns the WF²Q+ policy (the paper's contribution): SEFF over
 // the eq. 27 virtual time, O(log N) per operation.

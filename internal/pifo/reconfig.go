@@ -49,25 +49,29 @@ func validRate(rate float64) bool {
 
 // Retunable / Removable report whether the hosted policy implements the
 // corresponding hook — capability probes the hierarchy uses to pre-check a
-// whole subtree before mutating any of it (all-or-nothing retunes).
-func (n *Node) Retunable() bool { _, ok := n.pol.(Retuner); return ok }
-func (n *Node) Removable() bool { _, ok := n.pol.(FlowRemover); return ok }
+// whole subtree before mutating any of it (all-or-nothing retunes). WF²Q+
+// inline supports both.
+func (n *Node) Retunable() bool { _, ok := n.pol.(Retuner); return ok || n.wf2qp }
+func (n *Node) Removable() bool { _, ok := n.pol.(FlowRemover); return ok || n.wf2qp }
 
 // SetChildRate retunes child id's guaranteed rate in bits/sec on the live
 // node. It fails when the hosted policy has no Retuner hook.
 func (n *Node) SetChildRate(id int, rate float64) error {
-	if id < 0 || id >= len(n.defined) || !n.defined[id] {
+	sl := n.child(id)
+	if sl == nil {
 		return fmt.Errorf("pifo: unknown child %d", id)
 	}
 	if !validRate(rate) {
 		return fmt.Errorf("pifo: invalid child rate %g", rate)
 	}
-	rt, ok := n.pol.(Retuner)
-	if !ok {
-		return fmt.Errorf("pifo: policy %q does not support live retuning", n.name)
+	if !n.wf2qp {
+		rt, ok := n.pol.(Retuner)
+		if !ok {
+			return fmt.Errorf("pifo: policy %q does not support live retuning", n.name)
+		}
+		rt.SetFlowRate(id, rate)
 	}
-	rt.SetFlowRate(id, rate)
-	n.rates[id] = rate
+	sl.rate = rate
 	n.RegisterSession(id, rate)
 	return nil
 }
@@ -75,19 +79,21 @@ func (n *Node) SetChildRate(id int, rate float64) error {
 // RemoveChild removes an idle child from the live node. The child must not
 // be backlogged; its id may later be re-added with AddChild.
 func (n *Node) RemoveChild(id int) error {
-	if id < 0 || id >= len(n.defined) || !n.defined[id] {
+	sl := n.child(id)
+	if sl == nil {
 		return fmt.Errorf("pifo: unknown child %d", id)
 	}
-	if n.queued[id] {
+	if sl.queued {
 		return fmt.Errorf("pifo: child %d still backlogged", id)
 	}
-	rm, ok := n.pol.(FlowRemover)
-	if !ok {
-		return fmt.Errorf("pifo: policy %q does not support live removal", n.name)
+	if !n.wf2qp {
+		rm, ok := n.pol.(FlowRemover)
+		if !ok {
+			return fmt.Errorf("pifo: policy %q does not support live removal", n.name)
+		}
+		rm.RemoveFlow(id)
 	}
-	rm.RemoveFlow(id)
-	n.defined[id] = false
-	n.rates[id] = 0
+	*sl = slot{}
 	return nil
 }
 
@@ -113,21 +119,23 @@ func (n *Node) SetPolicy(f Factory) error {
 	if f.Node == nil {
 		return fmt.Errorf("pifo: policy %q has no node form", f.Name)
 	}
-	b := bind(f, f.Node(n.rate), len(n.defined)+1)
-	pol, q := b.pol, b.q
-	for id, def := range n.defined {
-		if !def {
+	order := make([]int, 0, n.count)
+	for n.count > 0 {
+		order = append(order, n.pop())
+	}
+	n.bind(f)
+	for id := range n.slots {
+		sl := &n.slots[id]
+		if !sl.defined {
 			continue
 		}
-		q.Grow(id)
-		pol.AddFlow(id, n.rates[id])
+		sl.st = Stamp{} // the fresh policy's flows start with no finish tag
+		if !n.wf2qp {
+			n.pol.AddFlow(id, sl.rate)
+		}
 	}
-	for !n.q.Empty() {
-		id, length, _ := n.q.Pop()
-		st := pol.Arrive(pol.V(), id, length, false)
-		q.Push(id, length, st, pol.V())
+	for _, id := range order {
+		n.enter(id, n.slots[id].length, false)
 	}
-	n.name, n.bound, n.tagless = f.Name, b, f.Tagless
-	n.InitNodeObs(f.Name, n.rate)
 	return nil
 }
