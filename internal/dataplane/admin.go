@@ -39,7 +39,7 @@ func (d *Dataplane) SetRate(id int, rate float64) error {
 	if d.closed {
 		return ErrClosed
 	}
-	cs := d.classes[id]
+	cs, _ := d.classLocked(id)
 	if cs == nil {
 		return fmt.Errorf("%w: %d", ErrNoClass, id)
 	}
@@ -93,13 +93,13 @@ func (d *Dataplane) addLeafLocked(parent, name string, id int, share, ceil float
 	if ceil != 0 && !validCeil(ceil) {
 		return fmt.Errorf("dataplane: invalid ceil %g for class %d", ceil, id)
 	}
-	if _, dup := d.classes[id]; dup {
+	if cs, _ := d.classLocked(id); cs != nil {
 		return fmt.Errorf("dataplane: duplicate class %d", id)
 	}
 	if err := d.tree.AddLeaf(parent, name, id, d.leafShare(share)); err != nil {
 		return err
 	}
-	d.classes[id] = d.newClassState(id)
+	d.addClassLocked(id)
 	if ceil > 0 {
 		_ = d.tree.SetCeil(id, d.perShard(ceil), d.schedTime(d.now())) // the leaf exists: cannot fail
 	}
@@ -118,7 +118,7 @@ func (d *Dataplane) addLeafLocked(parent, name string, id int, share, ceil float
 func (d *Dataplane) RemoveClass(id int) error {
 	d.lock()
 	defer d.unlock()
-	cs := d.classes[id]
+	cs, _ := d.classLocked(id)
 	switch {
 	case d.closed:
 		return ErrClosed
@@ -148,7 +148,7 @@ func (d *Dataplane) SetCeil(id int, ceil float64) error {
 	if d.closed {
 		return ErrClosed
 	}
-	if d.classes[id] == nil {
+	if cs, _ := d.classLocked(id); cs == nil {
 		return fmt.Errorf("%w: %d", ErrNoClass, id)
 	}
 	if ceil != 0 && !validCeil(ceil) {
@@ -207,8 +207,12 @@ func (d *Dataplane) SetPolicyName(node, policy string) error {
 // tree after a mutation (siblings move when one does over a topology) and
 // the shed order derived from them. Caller holds d.mu and d.smu.
 func (d *Dataplane) syncRatesLocked() {
-	for id, cs := range d.classes {
-		if r := d.tree.SessionRate(id); r > 0 {
+	for s := range d.classes {
+		cs := &d.classes[s]
+		if cs.id < 0 {
+			continue
+		}
+		if r := d.tree.SessionRate(int(cs.id)); r > 0 {
 			cs.rate = r
 		}
 	}
@@ -220,17 +224,17 @@ func (d *Dataplane) syncRatesLocked() {
 // (hier.Tree pins the dequeued head until the next Dequeue); the pump just
 // retries. Caller holds d.mu and d.smu.
 func (d *Dataplane) tryFinalizeLocked(id int) bool {
-	cs := d.classes[id]
+	cs, s := d.classLocked(id)
 	if cs == nil {
 		return true
 	}
-	if cs.packets > 0 {
+	if n, _ := d.queuedLocked(s); n > 0 {
 		return false
 	}
 	if d.tree.RemoveLeaf(id) != nil {
 		return false
 	}
-	delete(d.classes, id)
+	d.freeClassLocked(id, s)
 	d.syncRatesLocked()
 	return true
 }
@@ -290,6 +294,11 @@ type ClassStatus struct {
 func (d *Dataplane) Status() Status {
 	d.lock()
 	defer d.unlock()
+	return d.statusLocked()
+}
+
+// statusLocked builds the Status. Caller holds d.mu and d.smu.
+func (d *Dataplane) statusLocked() Status {
 	st := Status{
 		Algorithm: d.tree.Name(),
 		Rate:      d.rate,
@@ -311,14 +320,20 @@ func (d *Dataplane) Status() Status {
 		}
 	}
 	st.Classes = make([]ClassStatus, 0, len(d.classes))
-	for id, cs := range d.classes {
+	for s := range d.classes {
+		cs := &d.classes[s]
+		if cs.id < 0 {
+			continue
+		}
+		id := int(cs.id)
+		queued, queuedBytes := d.queuedLocked(int32(s))
 		st.Classes = append(st.Classes, ClassStatus{
 			ID:          id,
 			Name:        names[id],
 			Rate:        cs.rate,
 			Ceil:        d.tree.Ceil(id),
-			Queued:      cs.packets,
-			QueuedBytes: cs.bytes,
+			Queued:      queued,
+			QueuedBytes: queuedBytes,
 			Draining:    cs.draining,
 			Shedding:    cs.shed,
 		})

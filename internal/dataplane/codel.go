@@ -13,11 +13,12 @@ const (
 	codelInterval = 100 * time.Millisecond
 )
 
-// codel is one class's CoDel state, driven from the pump at dequeue time
-// (under the scheduler lock). CoDel measures each packet's sojourn time — how
-// long it sat staged — and starts dropping when the sojourn stays above
-// target for a full interval, then accelerates drops as interval/sqrt(count)
-// until the standing queue shrinks (RFC 8289). Unlike tail-drop, it ignores
+// codel is one class's CoDel state, held by value in the engine's per-slot
+// table and driven from the pump at dequeue time (under the scheduler lock).
+// CoDel measures each packet's sojourn time — how long it sat staged — and
+// starts dropping when the sojourn stays above target for a full interval,
+// then accelerates drops as interval/sqrt(count) until the standing queue
+// shrinks (RFC 8289). Unlike tail-drop, it ignores
 // queue *length* entirely: a long queue that drains fast is fine, a short
 // queue that lingers is not, which is exactly the signal a rate-paced
 // link-sharing class needs for graceful degradation under overload.
@@ -34,8 +35,8 @@ type codel struct {
 }
 
 // newCodel returns per-class state for the given target and interval.
-func newCodel(target, interval time.Duration) *codel {
-	return &codel{target: target.Seconds(), interval: interval.Seconds()}
+func newCodel(target, interval time.Duration) codel {
+	return codel{target: target.Seconds(), interval: interval.Seconds()}
 }
 
 // onDequeue decides the fate of one packet about to leave the staging

@@ -139,25 +139,30 @@ type shortBatchError struct{}
 func (shortBatchError) Error() string   { return "dataplane: short batch write" }
 func (shortBatchError) Transient() bool { return true }
 
-// classState tracks one class's staged datagrams against its caps and, when
-// AQM is enabled, its drop-policy state. packets/bytes count everything the
-// class holds inside the engine — the inbox and the scheduler's queue — so
-// the ingest caps bound the sum.
+// classState is one class's admission record: one 64-byte cache line,
+// written only under Dataplane.mu — by Ingest, mutations and the overload
+// sampler (DESIGN.md S39). The pump never reads it on the packet path: what
+// it needs of the class travels in each inboxRecord, and what it writes
+// lives in tables indexed by the class's slot (Dataplane.out, .aqm and
+// .settled). The class holds accepted − settled datagrams (inbox +
+// scheduler), so the ingest caps bound that difference.
 type classState struct {
-	rate    float64
-	packets int // under Dataplane.mu
-	bytes   int // under Dataplane.mu
+	accepted      int // datagrams accepted since the class took its slot
+	acceptedBytes int
 
 	// leaf is the class's scheduler leaf, resolved when the class is
-	// created: the pump stages into it without a lookup.
+	// created; Ingest copies it into each inbox record.
 	leaf hier.Leaf
 
-	// outPkts/outBytes count this batch's departures from the scheduler
-	// (pump-owned); the pump subtracts them from packets/bytes under mu.
-	outPkts  int
-	outBytes int
+	fec  *fecState // the class's encoder when FEC-protected, else nil
+	rate float64   // guaranteed rate, cached from the tree
 
-	aqm *codel // nil unless WithAQM; under Dataplane.smu
+	// errs caches Ingest's refusal errors by kind, built on the first
+	// refusal, so a refused datagram costs no allocation (ingest.go).
+	errs *[nRefusals]error
+
+	id       int32 // class id; -1 marks a free slot
+	repairOf int32 // the protected class whose FEC repairs this class carries, or -1
 
 	// draining marks a class RemoveClass is retiring: Ingest refuses new
 	// datagrams while the staged remainder leaves in scheduled order; the
@@ -168,11 +173,10 @@ type classState struct {
 	// intake for (overload.go): new arrivals drop with reason "shed"
 	// while staged datagrams leave normally.
 	shed bool
-
-	// errs caches Ingest's refusal errors by kind, built on first use, so
-	// a refused datagram costs no allocation (ingest.go).
-	errs [nRefusals]error
 }
+
+// departures counts datagrams, and their bytes, that left the scheduler.
+type departures struct{ pkts, bytes int }
 
 // datagram is the engine's per-packet payload record: the raw bytes and
 // the opaque routing context from IngestCtx.
@@ -181,23 +185,35 @@ type datagram struct {
 	ctx any
 }
 
+// inboxRecord is one accepted datagram on its way from Ingest to the pump:
+// everything the pump needs to schedule it, 64 bytes, appended by value
+// under mu. Ingest writes a record once and the pump only reads it, so the
+// handoff moves each line between the two CPUs once (DESIGN.md S39).
+type inboxRecord struct {
+	b       []byte
+	ctx     any
+	leaf    hier.Leaf
+	arrival float64 // ingest stamp: scheduler arrival and CoDel sojourn basis
+	class   int32
+	slot    int32
+}
+
 // envelope fuses the scheduler's packet and the engine's datagram into one
-// record per ingest; packet.Payload points back at the envelope. Envelopes
-// are recycled once the datagram leaves the engine: the pump collects them
-// and hands them back to Ingest's free list once per batch. The one
-// exception waits a little longer — hier.Tree keeps a reference to the head
-// it dequeued last until its next Dequeue, so that envelope is recycled
-// only then.
+// record per staged datagram; packet.Payload points back at the envelope.
+// The pump fills envelopes from inbox records and recycles them on its own
+// free list once the datagram leaves the engine, so no other goroutine
+// touches one. hier.Tree keeps a reference to the head it dequeued last
+// until its next Dequeue, so that envelope is recycled only then.
 //
-// cs is the datagram's class, resolved at admission, so the pump stages and
-// settles it without a lookup (DESIGN.md S36). It stays valid until the
-// scheduler releases the datagram: a class holding datagrams cannot be
-// removed. Once released the class may go, so the write side accounts by
-// class id (released.class), never through cs.
+// slot is the datagram's class slot, which the pump's departure tables
+// are indexed by. It stays the class's until the scheduler releases the
+// datagram: a class holding datagrams cannot be removed. Once released the
+// class may go and its slot be reused, so the write side accounts by class
+// id (released.class), never through slot.
 type envelope struct {
-	pkt packet.Packet
-	dg  datagram
-	cs  *classState
+	pkt  packet.Packet
+	dg   datagram
+	slot int32
 }
 
 // retryPolicy is the pump's reaction to transient Writer errors.
@@ -352,21 +368,37 @@ func WithAQM() Option { return func(c *config) { c.aqm = true } }
 // stop with Close.
 //
 // Two locks split the engine (DESIGN.md S33). mu is the admission lock:
-// Ingest's checks, the per-class packet/byte counts, the inbox of accepted
-// datagrams, FEC encoder state, shed flags and lifecycle. smu is the
-// scheduler lock: the scheduler tree and its obs.Collector, the
-// scheduler's ceilings, and AQM state; in the hot path only the pump takes
-// it. Lock order is mu before smu, and the pump never takes mu while it
-// holds smu; its write phase takes only smu, to record outcomes. Fields
-// written under both locks (the classes map, class rates) may be read under
-// either.
+// Ingest's checks, the class records and the class index, the inbox of
+// accepted datagrams, the settled departure counts, FEC encoder state, shed
+// flags and lifecycle. smu is the scheduler lock: the scheduler tree and its
+// obs.Collector, the scheduler's ceilings, the batch's departure counts and
+// the CoDel state; in the hot path only the pump takes it. Lock order is mu
+// before smu, and the pump never takes mu while it holds smu; its write
+// phase takes only smu, to record outcomes. Fields written under both locks
+// (the class index and the shape of the class tables, class rates) may be
+// read under either.
+//
+// The fields are grouped by writer, padded apart, so that no cache line on
+// the way from Ingest to the pump has two writers (DESIGN.md S39):
+// configuration, what Ingest writes, the class tables, the scheduler, and
+// what only the pump writes.
 type Dataplane struct {
-	rate  float64
-	burst float64
-	scale float64 // shard count behind a sharding front (WithShardScale); 1 alone
-	clock wallclock.Clock
-	epoch time.Time
-	retry retryPolicy
+	rate     float64
+	burst    float64
+	scale    float64 // shard count behind a sharding front (WithShardScale); 1 alone
+	clock    wallclock.Clock
+	epoch    time.Time
+	retry    retryPolicy
+	capPkts  int
+	capBytes int
+	pool     *BufferPool // nil: the engine never recycles payload buffers
+	batch    int         // max datagrams per WriteBatch call
+	bw       Writer      // egress, as handed to Start
+
+	tracer obs.Tracer // construction-time tracer (brownout restores it)
+
+	wake chan struct{} // buffered(1) pump wakeup
+	done chan struct{} // closed when the pump exits
 
 	// pace is the live token-refill rate in bits/sec (Float64bits), read
 	// lock-free by the pump every batch. It starts equal to rate and only
@@ -376,30 +408,53 @@ type Dataplane struct {
 	// fairness WITHIN the shard is unaffected by the loan.
 	pace atomic.Uint64
 
-	aqm bool // every class runs CoDel (WithAQM)
-
-	tracer obs.Tracer // construction-time tracer (brownout restores it)
-
 	// ov is the overload-control state (overload.go): tracker, shed
 	// order, brownout switches, pump heartbeat, monitor lifecycle.
 	ov ovState
 
-	mu       sync.Mutex
-	classes  map[int]*classState
-	capPkts  int
-	capBytes int
+	_ [64]byte
+
+	// Written by Ingest, under mu.
+	mu sync.Mutex
+	// inbox holds accepted datagrams in arrival order until the pump takes
+	// them (ingest.go).
+	inbox    []inboxRecord
+	accepted int           // datagrams accepted, all classes
+	unknown  map[int]error // cached ErrNoClass refusals by class id
+
+	_ [64]byte
+
+	// The class tables, indexed by slot (DESIGN.md S39). A class keeps its
+	// slot from creation to finalized removal; a freed slot goes to the next
+	// class created, the way hier reuses leaf slots. The tables change shape
+	// only under both locks.
+	index     []int32      // class id → slot+1; 0: no such class
+	classes   []classState // admission records, under mu
+	freeSlots []int32
+	// settled counts each class's departures up to the last settle; the
+	// pump folds a batch in under mu, once per batch. settledAll sums them:
+	// the engine holds accepted − settledAll datagrams.
+	settled    []departures
+	settledAll int
+	// out counts each class's departures in the current batch, and aqm is
+	// its CoDel state (nil without WithAQM); the pump writes both under smu.
+	out []departures
+	aqm []codel
+
 	closed   bool
 	started  bool
 	restarts int // pump panic-recoveries
 
-	// staged counts the datagrams the engine holds for its classes — inbox
-	// and scheduler — the sum of every classState.packets.
-	staged int
-	// inbox holds accepted datagrams in arrival order until the pump takes
-	// them; free recycles envelopes the pump handed back (ingest.go).
-	inbox   []*envelope
-	free    []*envelope
-	unknown map[int]error // cached ErrNoClass refusals by class id
+	// draining lists classes RemoveClass is retiring; the pump retries
+	// finalization each batch until each quiesces.
+	draining []int
+
+	// FEC state (fec.go): protected classes in class order, and the pump's
+	// hint for the earliest partial-block flush deadline.
+	fecList []*fecState
+	fecWait time.Duration
+
+	_ [64]byte
 
 	smu sync.Mutex
 	// tree is the scheduler: a one-level tree in flat mode (hier.NewFlat),
@@ -412,31 +467,9 @@ type Dataplane struct {
 	// hook (guardTracer) until the pump re-raises it.
 	tracePanic any
 
-	// draining lists classes RemoveClass is retiring; the pump retries
-	// finalization each batch until each quiesces.
-	draining []int
-
-	// FEC state (fec.go): protected classes by id, repair→protected
-	// back-mapping, deterministic iteration order, and the pump's hint for
-	// the earliest partial-block flush deadline.
-	fec      map[int]*fecState
-	repairOf map[int]int
-	fecList  []*fecState
-	fecWait  time.Duration
-
-	pool  *BufferPool // nil: the engine never recycles payload buffers
-	batch int         // max datagrams per WriteBatch call
-
-	bw Writer // egress, as handed to Start
-
-	wake chan struct{} // buffered(1) pump wakeup
-	done chan struct{} // closed when the pump exits
-
-	// The rest is written by the pump goroutine. The pad keeps it off the
-	// cache line of wake, which Ingest reads, so the pump's stores (parked
-	// on every idle park) do not invalidate that line in the producers'
-	// caches.
 	_ [64]byte
+
+	// The rest is written by the pump goroutine alone.
 
 	// parked and fired let a test on a fake clock see when the pump waits
 	// for the clock. Each timed park arms its timer, then stores a fresh
@@ -447,15 +480,15 @@ type Dataplane struct {
 	parks         int64 // marks handed out
 
 	// staging is the inbox taken for the current batch; stageHead indexes
-	// the first envelope not yet handed to the scheduler.
-	staging   []*envelope
+	// the first record not yet handed to the scheduler.
+	staging   []inboxRecord
 	stageHead int
-	// settling lists the classes whose datagrams left the scheduler this
-	// batch; their classState.out* counts are applied under mu at the end.
-	settling []*classState
-	// freed collects envelopes whose datagram left the engine; the pump
-	// hands them to mu's free list once per batch.
-	freed []*envelope
+	// settling lists the slots whose datagrams left the scheduler this
+	// batch; their out counts are folded into settled under mu at the end.
+	settling []int32
+	// envFree recycles envelopes whose datagram left the engine, up to
+	// maxFreeEnvelopes.
+	envFree []*envelope
 	// held is the envelope hier.Tree pins until its next Dequeue, and
 	// heldFree says it was freed meanwhile (recycled at that Dequeue).
 	held     *envelope
@@ -523,14 +556,15 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 		scale:    scale,
 		clock:    cfg.clock,
 		retry:    cfg.retry,
-		aqm:      cfg.aqm,
-		classes:  make(map[int]*classState),
 		capPkts:  cfg.capPkts,
 		capBytes: cfg.capBytes,
 		pool:     cfg.pool,
 		batch:    cfg.batch,
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
+	}
+	if cfg.aqm {
+		d.aqm = []codel{} // non-nil: every class runs CoDel
 	}
 	if d.burst <= 0 {
 		d.burst = rate * 0.005 // 5 ms of egress per batch
@@ -541,9 +575,18 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 	}
 	resolve := hier.Resolver(algorithm, cfg.pol, cfg.nodePols)
 	if cfg.top != nil {
-		for _, l := range cfg.top.Leaves() {
+		// Size the class tables once: a class per leaf, plus a repair class
+		// per '!fec' clause.
+		leaves := cfg.top.Leaves()
+		n, maxID := len(leaves), 0
+		for _, l := range leaves {
 			if err := checkClassID(l.Session); err != nil {
 				return nil, err
+			}
+			maxID = max(maxID, l.Session)
+			if l.FEC != "" {
+				n++
+				maxID = max(maxID, l.Session+DefaultRepairClassOffset)
 			}
 		}
 		tree, err := hier.BuildSpec(cfg.top, rate, algorithm, resolve)
@@ -551,8 +594,9 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 			return nil, err
 		}
 		d.tree = tree
-		for _, id := range tree.Sessions() {
-			d.classes[id] = d.newClassState(id)
+		d.reserveClasses(n, maxID)
+		for _, l := range leaves {
+			d.addClassLocked(l.Session)
 		}
 	} else {
 		root, err := resolve(&topo.Node{}, rate)
@@ -604,14 +648,90 @@ func validCeil(ceil float64) bool {
 	return ceil > 0 && !math.IsNaN(ceil) && !math.IsInf(ceil, 0)
 }
 
-// newClassState returns the staging state of class id, whose leaf the tree
-// already holds, with CoDel attached when WithAQM is on.
-func (d *Dataplane) newClassState(id int) *classState {
-	cs := &classState{rate: d.tree.SessionRate(id), leaf: d.tree.Leaf(id)}
-	if d.aqm {
-		cs.aqm = newCodel(codelTarget, codelInterval)
+// reserveClasses sizes the class tables for n classes with ids up to
+// maxID, so an engine built over a topology allocates each table once.
+func (d *Dataplane) reserveClasses(n, maxID int) {
+	d.index = make([]int32, maxID+1)
+	d.classes = make([]classState, 0, n)
+	d.settled = make([]departures, 0, n)
+	d.out = make([]departures, 0, n)
+	if d.aqm != nil {
+		d.aqm = make([]codel, 0, n)
 	}
-	return cs
+}
+
+// addClassLocked gives class id, whose leaf the tree already holds, a slot
+// — the most recently freed one, else a new one — with zeroed counts and,
+// under WithAQM, fresh CoDel state, and returns its record. Caller holds
+// d.mu and d.smu, or owns d.
+func (d *Dataplane) addClassLocked(id int) *classState {
+	var s int32
+	if n := len(d.freeSlots); n > 0 {
+		s = d.freeSlots[n-1]
+		d.freeSlots = d.freeSlots[:n-1]
+	} else {
+		s = int32(len(d.classes))
+		d.classes = append(d.classes, classState{})
+		d.settled = append(d.settled, departures{})
+		d.out = append(d.out, departures{})
+		if d.aqm != nil {
+			d.aqm = append(d.aqm, codel{})
+		}
+	}
+	d.classes[s] = classState{
+		leaf:     d.tree.Leaf(id),
+		rate:     d.tree.SessionRate(id),
+		id:       int32(id),
+		repairOf: -1,
+	}
+	// FEC protection belongs to the class id: a protected class, or its
+	// repair class, removed and added again is protected again.
+	for _, fs := range d.fecList {
+		switch id {
+		case fs.class:
+			d.classes[s].fec = fs
+		case fs.repair:
+			d.classes[s].repairOf = int32(fs.class)
+		}
+	}
+	d.settled[s], d.out[s] = departures{}, departures{}
+	if d.aqm != nil {
+		d.aqm[s] = newCodel(codelTarget, codelInterval)
+	}
+	if id >= len(d.index) {
+		d.index = append(d.index, make([]int32, id+1-len(d.index))...)
+	}
+	d.index[id] = s + 1
+	return &d.classes[s]
+}
+
+// freeClassLocked retires class id from slot s, which a quiesced class no
+// longer needs, for the next class created to take. Caller holds d.mu and
+// d.smu.
+func (d *Dataplane) freeClassLocked(id int, s int32) {
+	d.index[id] = 0
+	d.classes[s] = classState{id: -1}
+	d.freeSlots = append(d.freeSlots, s)
+}
+
+// classLocked returns class id's admission record and slot, or nil. Caller
+// holds d.mu or d.smu.
+func (d *Dataplane) classLocked(id int) (*classState, int32) {
+	if uint(id) >= uint(len(d.index)) {
+		return nil, 0
+	}
+	s := d.index[id] - 1
+	if s < 0 {
+		return nil, 0
+	}
+	return &d.classes[s], s
+}
+
+// queuedLocked returns the datagrams and bytes the class in slot s holds —
+// accepted and not yet settled. Caller holds d.mu.
+func (d *Dataplane) queuedLocked(s int32) (packets, bytes int) {
+	cs, st := &d.classes[s], d.settled[s]
+	return cs.accepted - st.pkts, cs.acceptedBytes - st.bytes
 }
 
 // freeEnvelope releases a datagram that has left the engine: the payload
@@ -624,18 +744,40 @@ func (d *Dataplane) freeEnvelope(e *envelope) {
 	d.recycle(e)
 }
 
-// recycle clears an envelope whose buffer the caller has released, and adds
-// it to the pump's freed list — unless hier.Tree still pins it as the head
-// it dequeued last, in which case it is recycled at the tree's next Dequeue
-// (pop). Pump goroutine only.
+// recycle clears an envelope whose buffer the caller has released and
+// returns it to the pump's free list — unless hier.Tree still pins it as
+// the head it dequeued last, in which case it is recycled at the tree's
+// next Dequeue (pop). Pump goroutine only.
 func (d *Dataplane) recycle(e *envelope) {
-	e.dg, e.cs = datagram{}, nil
+	e.dg = datagram{}
 	if e == d.held {
 		d.heldFree = true
 		return
 	}
-	e.pkt = packet.Packet{}
-	d.freed = append(d.freed, e)
+	d.putEnvelope(e)
+}
+
+// putEnvelope keeps a recycled envelope on the pump's free list, unless
+// the list already holds maxFreeEnvelopes: a burst's worth of envelopes
+// goes back to the garbage collector rather than staying cached. Stage
+// overwrites every field, so nothing is cleared here. Pump goroutine only.
+func (d *Dataplane) putEnvelope(e *envelope) {
+	if len(d.envFree) < maxFreeEnvelopes {
+		d.envFree = append(d.envFree, e)
+	}
+}
+
+// getEnvelope takes an envelope off the pump's free list, or allocates one.
+// Pump goroutine only.
+func (d *Dataplane) getEnvelope() *envelope {
+	n := len(d.envFree)
+	if n == 0 {
+		return &envelope{}
+	}
+	e := d.envFree[n-1]
+	d.envFree[n-1] = nil
+	d.envFree = d.envFree[:n-1]
+	return e
 }
 
 // now returns seconds since the engine's creation on its clock — the
@@ -703,8 +845,10 @@ func (d *Dataplane) Classes() []int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]int, 0, len(d.classes))
-	for id := range d.classes {
-		out = append(out, id)
+	for s := range d.classes {
+		if id := d.classes[s].id; id >= 0 {
+			out = append(out, int(id))
+		}
 	}
 	return out
 }
@@ -832,7 +976,7 @@ func (d *Dataplane) recoverPanic() {
 	defer d.unlock()
 	d.restarts++
 	if rest := d.staging[d.stageHead:]; len(rest) > 0 {
-		d.inbox = append(append([]*envelope(nil), rest...), d.inbox...)
+		d.inbox = append(append([]inboxRecord(nil), rest...), d.inbox...)
 	}
 	clear(d.staging)
 	d.staging, d.stageHead = d.staging[:0], 0
@@ -972,13 +1116,12 @@ func (d *Dataplane) collectBatch(tokens float64, last *time.Time) (float64, int,
 	d.settleLocked()
 	d.finalizeDraining()
 	d.ov.inflight.Store(int64(len(d.inflight)))
-	return tokens, d.staged, d.closed
+	return tokens, d.backlogLocked(), d.closed
 }
 
 // takeInbox swaps the inbox for the pump's empty staging buffer. Partial
 // FEC blocks past their age (or any, once closing) flush into the inbox
-// first so their repairs ride this batch, and the envelopes freed since the
-// last batch go back to Ingest's free list.
+// first so their repairs ride this batch.
 func (d *Dataplane) takeInbox(now float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -986,26 +1129,31 @@ func (d *Dataplane) takeInbox(now float64) {
 		d.flushStaleFECLocked(now)
 	}
 	d.staging, d.inbox = d.inbox, d.staging
-	if room := maxFreeEnvelopes - len(d.free); room > 0 {
-		d.free = append(d.free, d.freed[:min(room, len(d.freed))]...)
-	}
-	clear(d.freed)
-	d.freed = d.freed[:0]
 }
 
 // stageChunk hands up to one WithBatchSize chunk of the taken inbox to the
-// scheduler, in arrival order, under one scheduler-lock hold. A datagram
-// enters the scheduler at its ingest time, clamped to the scheduler clock,
-// straight into the leaf its class resolved at creation.
+// scheduler, in arrival order, under one scheduler-lock hold: each record
+// fills an envelope, which enters the scheduler at its ingest time, clamped
+// to the scheduler clock, straight into the leaf its class resolved at
+// creation.
 func (d *Dataplane) stageChunk() {
 	d.smu.Lock()
 	defer d.smu.Unlock()
 	defer d.raiseTrace()
 	end := min(d.stageHead+d.batch, len(d.staging))
 	for d.stageHead < end {
-		env := d.staging[d.stageHead]
+		r := &d.staging[d.stageHead]
 		d.stageHead++
-		d.tree.EnqueueLeaf(d.schedTime(env.pkt.Arrival), env.cs.leaf, &env.pkt)
+		env := d.getEnvelope()
+		env.pkt = packet.Packet{
+			Session: int(r.class),
+			Length:  float64(len(r.b)) * 8,
+			Arrival: r.arrival, // sojourn basis for the AQM
+			Payload: env,
+		}
+		env.dg = datagram{b: r.b, ctx: r.ctx}
+		env.slot = r.slot
+		d.tree.EnqueueLeaf(d.schedTime(r.arrival), r.leaf, &env.pkt)
 	}
 }
 
@@ -1026,13 +1174,14 @@ func (d *Dataplane) dequeueChunk(tokens *float64, now float64) bool {
 			}
 			return false
 		}
-		p, cs := &env.pkt, env.cs
-		if cs.outPkts == 0 {
-			d.settling = append(d.settling, cs)
+		p, s := &env.pkt, env.slot
+		out := &d.out[s]
+		if out.pkts == 0 {
+			d.settling = append(d.settling, s)
 		}
-		cs.outPkts++
-		cs.outBytes += len(env.dg.b)
-		if cs.aqm != nil && cs.aqm.onDequeue(now, now-p.Arrival) {
+		out.pkts++
+		out.bytes += len(env.dg.b)
+		if d.aqm != nil && d.aqm[s].onDequeue(now, now-p.Arrival) {
 			// Shed by CoDel: record and pick the next packet without
 			// spending link tokens on the carcass.
 			d.tree.RecordDropReason(now, p.Session, p.Length, obs.DropCoDel)
@@ -1051,8 +1200,7 @@ func (d *Dataplane) dequeueChunk(tokens *float64, now float64) bool {
 func (d *Dataplane) pop(now float64) *envelope {
 	p := d.tree.Dequeue(now)
 	if d.heldFree {
-		d.held.pkt = packet.Packet{}
-		d.freed = append(d.freed, d.held)
+		d.putEnvelope(d.held)
 	}
 	d.held, d.heldFree = nil, false
 	if p == nil {
@@ -1062,16 +1210,17 @@ func (d *Dataplane) pop(now float64) *envelope {
 	return d.held
 }
 
-// settleLocked subtracts the batch's departures from their classes' counts
-// and the engine's backlog. Caller holds d.mu.
+// settleLocked folds the batch's departures into the classes' settled
+// counts and the engine's, so the datagrams leave the classes' queued
+// counts and the backlog. Caller holds d.mu.
 func (d *Dataplane) settleLocked() {
-	for _, cs := range d.settling {
-		cs.packets -= cs.outPkts
-		cs.bytes -= cs.outBytes
-		d.staged -= cs.outPkts
-		cs.outPkts, cs.outBytes = 0, 0
+	for _, s := range d.settling {
+		out, st := &d.out[s], &d.settled[s]
+		st.pkts += out.pkts
+		st.bytes += out.bytes
+		d.settledAll += out.pkts
+		*out = departures{}
 	}
-	clear(d.settling)
 	d.settling = d.settling[:0]
 }
 
@@ -1221,14 +1370,52 @@ func (d *Dataplane) park(dur time.Duration, wake <-chan struct{}) {
 	d.parked.Store(0)
 }
 
+// Settled reports whether the engine waits for its clock: the pump has not
+// started, has exited, or is parked — idle, or on a timer that has not
+// fired, with no datagram or nudge waiting when one could end the park, or
+// in retry or restart backoff — and the overload monitor, if it runs, waits
+// for its next sample. A test stepping a fake clock settles the engine
+// before each step, so the step reaches the pump and the monitor exactly
+// when their timers say, however slowly the host schedules them. An Ingest
+// racing the check can unsettle the engine right after it. It is a function
+// rather than a method so that it stays off hpfq.Dataplane, which aliases
+// Dataplane.
+func Settled(d *Dataplane) bool { return d.pumpSettled() && d.monitorSettled() }
+
+// pumpSettled is Settled's verdict on the pump.
+func (d *Dataplane) pumpSettled() bool {
+	select {
+	case <-d.done:
+		return true
+	default:
+	}
+	d.mu.Lock()
+	started, inbox := d.started, len(d.inbox)
+	d.mu.Unlock()
+	if !started {
+		return true
+	}
+	switch p := d.parked.Load(); {
+	case p == 0 || p == d.fired.Load():
+		return false // running, or about to
+	case p%2 == 0:
+		return true // backoff: nudges wait for it
+	default:
+		return inbox == 0 && len(d.wake) == 0
+	}
+}
+
 // Backlog returns the number of datagrams the engine holds for its
 // classes — accepted and not yet dequeued: waiting in the inbox or queued
 // in the scheduler (held back by a ceiling included).
 func (d *Dataplane) Backlog() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.staged
+	return d.backlogLocked()
 }
+
+// backlogLocked is Backlog; caller holds d.mu.
+func (d *Dataplane) backlogLocked() int { return d.accepted - d.settledAll }
 
 // Snapshot freezes the scheduler's counters — per-class counts, queue
 // depths, delays, WFI, and the per-reason drop breakdown. Safe to call

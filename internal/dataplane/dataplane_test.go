@@ -68,69 +68,28 @@ func writeEach(w interface{ WritePacket([]byte) (int, error) }, pkts []Datagram)
 	return len(pkts), nil
 }
 
-// pumpSettled reports whether the pump waits for the fake clock: it is
-// parked idle or on a timer that has not fired, with no datagram or nudge
-// waiting for it when one could end the park; or it is blocked in a write
-// through a stalling faultWriter, which only the watchdog ends; or it has
-// not started, or has exited. A step of the fake clock then reaches the
-// pump exactly when its timers say, however slowly the host schedules it.
-func pumpSettled(d *Dataplane) bool {
-	select {
-	case <-d.done:
-		return true
-	default:
-	}
+// settled is Settled, also counting as settled a pump blocked in a
+// write through a stalling faultWriter, which only the watchdog ends.
+func settled(d *Dataplane) bool {
 	d.mu.Lock()
-	started, inbox, w := d.started, len(d.inbox), d.bw
+	w := d.bw
 	d.mu.Unlock()
-	if !started {
-		return true
-	}
 	if fw, ok := w.(*faultWriter); ok && fw.stalls && fw.writing.Load() {
-		return true
+		return d.monitorSettled()
 	}
-	switch p := d.parked.Load(); {
-	case p == 0 || p == d.fired.Load():
-		return false // running, or about to
-	case p%2 == 0:
-		return true // backoff: nudges wait for it
-	default:
-		return inbox == 0 && len(d.wake) == 0
-	}
+	return Settled(d)
 }
 
-// monitorSettled reports whether the overload monitor, if it runs, waits
-// for its next sample on the fake clock.
-func monitorSettled(d *Dataplane) bool {
-	if !d.overloadEnabled() {
-		return true
-	}
-	d.mu.Lock()
-	started := d.started
-	d.mu.Unlock()
-	select {
-	case <-d.ov.monDone:
-		return true
-	default:
-	}
-	armed := d.ov.armed.Load()
-	return !started || armed != 0 && armed != d.ov.sampled.Load()
-}
-
-// settle waits until the pump and the overload monitor wait for the fake
-// clock (pumpSettled, monitorSettled): the pump is then credited every
-// step's tokens and the monitor takes every sample. Ingest must not run
-// concurrently (its nudge would wake the pump after the check).
+// settle waits until the engine waits for the fake clock (settled): the
+// pump is then credited every step's tokens and the monitor takes every
+// sample. Ingest must not run concurrently (its nudge would wake the pump
+// after the check).
 func settle(t *testing.T, d *Dataplane) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		pump, monitor := pumpSettled(d), monitorSettled(d)
-		if pump && monitor {
-			return
-		}
+	for !settled(d) {
 		if time.Now().After(deadline) {
-			t.Fatalf("engine did not catch up with the fake clock (pump %v, monitor %v)", pump, monitor)
+			t.Fatalf("engine did not catch up with the fake clock (pump %v, monitor %v)", d.pumpSettled(), d.monitorSettled())
 		}
 		time.Sleep(10 * time.Microsecond)
 	}
@@ -171,7 +130,7 @@ func closeDraining(t *testing.T, d *Dataplane, clk *wallclock.Fake) {
 		if time.Now().After(deadline) {
 			t.Fatal("Close did not drain the backlog")
 		}
-		if pumpSettled(d) && monitorSettled(d) {
+		if settled(d) {
 			clk.Advance(10 * time.Millisecond)
 		} else {
 			time.Sleep(10 * time.Microsecond)

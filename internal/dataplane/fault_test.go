@@ -281,7 +281,7 @@ func (w *gatedWriter) WriteBatch(pkts []Datagram) (int, error) { return writeEac
 // is in flight, and another class is grafted into the freed leaf slot. When
 // the in-flight write then exhausts its retries, the datagram drops as
 // "retry-exhausted" and is accounted to the class it left — never to the
-// new class through the leaf its envelope resolved at admission — and every
+// new class through the leaf its inbox record resolved at admission — and every
 // count settles.
 func TestRetryExhaustedAfterSlotReuse(t *testing.T) {
 	clk := wallclock.NewFake()

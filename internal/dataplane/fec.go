@@ -124,16 +124,17 @@ func (d *Dataplane) protectTopoLocked(top *topo.Node) error {
 // only step that touches the engine, so a refusal leaves it as it was.
 // Caller holds d.mu and d.smu.
 func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) error {
-	if d.classes[class] == nil {
+	cs, _ := d.classLocked(class)
+	if cs == nil {
 		return fmt.Errorf("%w: %d (FEC)", ErrNoClass, class)
 	}
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if d.fec[class] != nil {
+	if cs.fec != nil {
 		return fmt.Errorf("dataplane: class %d already FEC-protected", class)
 	}
-	if _, ok := d.repairOf[class]; ok {
+	if cs.repairOf >= 0 {
 		return fmt.Errorf("dataplane: class %d is a FEC repair class", class)
 	}
 	if class > math.MaxUint16 {
@@ -143,7 +144,7 @@ func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) err
 	if err := checkClassID(repair); err != nil {
 		return err
 	}
-	if _, dup := d.classes[repair]; dup {
+	if rcs, _ := d.classLocked(repair); rcs != nil {
 		return fmt.Errorf("dataplane: FEC repair class %d already exists", repair)
 	}
 	enc, err := fec.NewEncoder(uint16(class), spec)
@@ -184,15 +185,11 @@ func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) err
 	if err := d.tree.AddLeaf(leaf.Parent, name, repair, share); err != nil {
 		return err
 	}
-	d.classes[repair] = d.newClassState(repair)
+	d.addClassLocked(repair).repairOf = int32(class)
+	cs, _ = d.classLocked(class) // the graft may have moved the records
+	cs.fec = fs
 	d.syncRatesLocked()
 
-	if d.fec == nil {
-		d.fec = make(map[int]*fecState)
-		d.repairOf = make(map[int]int)
-	}
-	d.fec[class] = fs
-	d.repairOf[repair] = class
 	d.fecList = append(d.fecList, fs)
 	sort.Slice(d.fecList, func(i, j int) bool { return d.fecList[i].class < d.fecList[j].class })
 	return nil
@@ -250,21 +247,21 @@ func (d *Dataplane) flushFECLocked(fs *fecState, now float64) {
 		return
 	}
 	reps := fs.enc.Flush(d.fecBuf)
-	rcs := d.classes[fs.repair]
+	rcs, rs := d.classLocked(fs.repair)
 	sent := 0
 	d.smu.Lock()
 	defer d.smu.Unlock()
 	for _, rb := range reps {
 		why := refusedDraining
 		if rcs != nil {
-			why = d.admissionLocked(rcs, len(rb))
+			why = d.admissionLocked(rcs, rs, len(rb))
 		}
 		if why != admitted {
 			d.recordRefusalLocked(now, fs.repair, float64(len(rb))*8, why)
 			d.fecRelease(rb)
 			continue
 		}
-		d.acceptLocked(rcs, fs.repair, rb, fs.lastCtx, now)
+		d.acceptLocked(rcs, rs, rb, fs.lastCtx, now)
 		sent++
 	}
 	d.tree.RecordFEC(0, sent, 0, 0)
@@ -306,7 +303,13 @@ func (d *Dataplane) flushStaleFECLocked(now float64) {
 func (d *Dataplane) FECFeedback(class, recovered, unrecoverable int, loss float64) error {
 	d.lock()
 	defer d.unlock()
-	fs := d.fec[class]
+	var fs *fecState
+	for _, f := range d.fecList {
+		if f.class == class {
+			fs = f
+			break
+		}
+	}
 	if fs == nil {
 		return fmt.Errorf("dataplane: class %d is not FEC-protected", class)
 	}

@@ -784,3 +784,52 @@ func TestFECProtectRefusalIsAtomic(t *testing.T) {
 	}
 	closeDraining(t, d, clk)
 }
+
+// TestFECProtectionFollowsClassID: protection belongs to the class id. A
+// protected class and its repair class, removed and added again, are the
+// protected class and the engine-owned repair class again: the sources are
+// encoded, their repairs ride the repair class, and Ingest into the repair
+// class is refused.
+func TestFECProtectionFollowsClassID(t *testing.T) {
+	d, err := New("WF2Q+", 1e8, WithMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddClass(0, 5e7); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ProtectClass(0, fec.Spec{Scheme: fec.SchemeXOR, K: 4, R: 1}, FECConfig{MaxBlockAge: -1}); err != nil {
+		t.Fatal(err)
+	}
+	repair := DefaultRepairClassOffset
+	for _, id := range []int{0, repair} { // both empty: removal finalizes at once
+		if err := d.RemoveClass(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := d.Classes(); len(got) != 0 {
+		t.Fatalf("classes %v after removing both, want none", got)
+	}
+	if err := d.AddClass(0, 5e7); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddClass(repair, 1e7); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Ingest(repair, fecPayload(0, 0, 64)); err == nil || !strings.Contains(err.Error(), "engine-owned") {
+		t.Fatalf("ingest into the re-added repair class: %v, want the engine-owned refusal", err)
+	}
+	for k := 0; k < 4; k++ {
+		if err := d.Ingest(0, fecPayload(0, k, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := d.Snapshot()
+	if m.FECEncoded != 4 || m.FECRepairSent != 1 {
+		t.Errorf("re-added protected class: %d sources encoded, %d repairs sent; want 4 and 1", m.FECEncoded, m.FECRepairSent)
+	}
+	if p, _ := queued(d, repair); p != 1 {
+		t.Errorf("repair class queues %d, want the block's one repair", p)
+	}
+	d.Close()
+}

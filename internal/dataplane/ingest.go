@@ -9,14 +9,15 @@ import (
 
 // The admission side of the engine. Ingest runs every admission check
 // under the admission lock (d.mu), appends the accepted datagram to the
-// inbox, and returns: it never touches the scheduler. The pump takes the
-// inbox once per batch and is the only goroutine that moves datagrams
-// through the scheduler (DESIGN.md S33). A refused datagram costs one clock
-// reading, one scheduler-lock hold to record the drop, and no allocation:
-// its error is cached on the class.
+// inbox as a value record, and returns: it never touches the scheduler or
+// an envelope. The pump takes the inbox once per batch and is the only
+// goroutine that moves datagrams through the scheduler (DESIGN.md S33). A
+// refused datagram costs one clock reading, one scheduler-lock hold to
+// record the drop, and no allocation: its error is cached per class.
 
-// maxFreeEnvelopes bounds the envelope free list, so a burst's worth of
-// envelopes goes back to the garbage collector rather than staying cached.
+// maxFreeEnvelopes bounds the pump's envelope free list, so a burst's worth
+// of envelopes goes back to the garbage collector rather than staying
+// cached.
 const maxFreeEnvelopes = 4096
 
 // maxUnknownErrs bounds the cache of ErrNoClass refusals: ids past it get
@@ -55,21 +56,22 @@ const (
 	refusedShed
 	refusedTail
 	refusedBytes
+	refusedRepair // Ingest named an FEC repair class, which the engine owns
 	nRefusals
 )
 
 // admissionLocked applies the class's whole intake policy to an n-byte
-// datagram: draining, shedding, then the packet and byte caps. Caller
-// holds d.mu.
-func (d *Dataplane) admissionLocked(cs *classState, n int) refusal {
+// datagram: draining, shedding, then the packet and byte caps against what
+// the class holds. Caller holds d.mu.
+func (d *Dataplane) admissionLocked(cs *classState, s int32, n int) refusal {
 	switch {
 	case cs.draining:
 		return refusedDraining
 	case cs.shed:
 		return refusedShed
-	case d.capPkts > 0 && cs.packets >= d.capPkts:
+	case d.capPkts > 0 && cs.accepted-d.settled[s].pkts >= d.capPkts:
 		return refusedTail
-	case d.capBytes > 0 && cs.bytes+n > d.capBytes:
+	case d.capBytes > 0 && cs.acceptedBytes-d.settled[s].bytes+n > d.capBytes:
 		return refusedBytes
 	}
 	return admitted
@@ -92,25 +94,39 @@ func (d *Dataplane) recordRefusalLocked(now float64, class int, bits float64, wh
 
 // refuseLocked records a refused datagram and returns the class's cached
 // error for the refusal. Caller holds d.mu.
-func (d *Dataplane) refuseLocked(cs *classState, class int, bits, now float64, why refusal) error {
+func (d *Dataplane) refuseLocked(cs *classState, bits, now float64, why refusal) error {
 	d.smu.Lock()
-	d.recordRefusalLocked(now, class, bits, why)
+	d.recordRefusalLocked(now, int(cs.id), bits, why)
 	d.smu.Unlock()
-	if cs.errs[why] == nil {
-		e := &ClassError{Class: class}
-		switch why {
-		case refusedDraining:
-			e.Err = ErrClassDraining
-		case refusedShed:
-			e.Err = ErrShedding
-		case refusedTail:
-			e.Err, e.What = ErrQueueFull, "packet cap"
-		case refusedBytes:
-			e.Err, e.What = ErrQueueFull, "byte cap"
-		}
-		cs.errs[why] = e
+	return cs.refusal(why)
+}
+
+// refusal returns the class's error for a refusal, building the class's
+// cache on its first refusal and the error on its first use. Caller holds
+// d.mu.
+func (cs *classState) refusal(why refusal) error {
+	if cs.errs == nil {
+		cs.errs = new([nRefusals]error)
 	}
-	return cs.errs[why]
+	if err := cs.errs[why]; err != nil {
+		return err
+	}
+	class := int(cs.id)
+	var err error
+	switch why {
+	case refusedDraining:
+		err = &ClassError{Class: class, Err: ErrClassDraining}
+	case refusedShed:
+		err = &ClassError{Class: class, Err: ErrShedding}
+	case refusedTail:
+		err = &ClassError{Class: class, Err: ErrQueueFull, What: "packet cap"}
+	case refusedBytes:
+		err = &ClassError{Class: class, Err: ErrQueueFull, What: "byte cap"}
+	case refusedRepair:
+		err = fmt.Errorf("dataplane: class %d is the FEC repair class of %d (engine-owned)", class, cs.repairOf)
+	}
+	cs.errs[why] = err
+	return err
 }
 
 // noClassLocked returns the ErrNoClass refusal for an unregistered class,
@@ -158,7 +174,7 @@ func (d *Dataplane) IngestCtx(class int, b []byte, ctx any) error {
 	bits := float64(len(b)) * 8
 	now := d.now() // arrival stamp, or the refusal's record time
 	d.mu.Lock()
-	cs := d.classes[class]
+	cs, slot := d.classLocked(class)
 	switch {
 	case d.closed:
 		if cs != nil {
@@ -173,34 +189,33 @@ func (d *Dataplane) IngestCtx(class int, b []byte, ctx any) error {
 		d.mu.Unlock()
 		return err
 	}
-	if why := d.admissionLocked(cs, len(b)); why != admitted {
-		err := d.refuseLocked(cs, class, bits, now, why)
+	if why := d.admissionLocked(cs, slot, len(b)); why != admitted {
+		err := d.refuseLocked(cs, bits, now, why)
+		d.mu.Unlock()
+		return err
+	}
+	if cs.repairOf >= 0 {
+		err := cs.refusal(refusedRepair)
 		d.mu.Unlock()
 		return err
 	}
 	wasEmpty := len(d.inbox) == 0
-	if len(d.fecList) > 0 {
-		if prot, isRepair := d.repairOf[class]; isRepair {
+	if fs := cs.fec; fs != nil && !d.ov.brownout {
+		// Brownout (overload.go) suspends FEC encoding: source datagrams
+		// pass unprotected instead of spending CPU and link share on
+		// redundancy the engine cannot afford right now. Stage the
+		// header-stamped copy instead; the engine recycles the caller's
+		// buffer (success is guaranteed past this point, so ownership has
+		// effectively transferred). A completed block flushes its repairs
+		// into the inbox right here.
+		enc, err := d.encodeFECLocked(fs, b, ctx, now)
+		if err != nil {
 			d.mu.Unlock()
-			return fmt.Errorf("dataplane: class %d is the FEC repair class of %d (engine-owned)", class, prot)
+			return err
 		}
-		if fs := d.fec[class]; fs != nil && !d.ov.brownout {
-			// Brownout (overload.go) suspends FEC encoding: source
-			// datagrams pass unprotected instead of spending CPU and link
-			// share on redundancy the engine cannot afford right now.
-			// Stage the header-stamped copy instead; the engine recycles the
-			// caller's buffer (success is guaranteed past this point, so
-			// ownership has effectively transferred). A completed block
-			// flushes its repairs into the inbox right here.
-			enc, err := d.encodeFECLocked(fs, b, ctx, now)
-			if err != nil {
-				d.mu.Unlock()
-				return err
-			}
-			b = enc
-		}
+		b = enc
 	}
-	d.acceptLocked(cs, class, b, ctx, now)
+	d.acceptLocked(cs, slot, b, ctx, now)
 	d.mu.Unlock()
 	if wasEmpty {
 		// A non-empty inbox already has a nudge on its way: the pump takes
@@ -210,25 +225,18 @@ func (d *Dataplane) IngestCtx(class int, b []byte, ctx any) error {
 	return nil
 }
 
-// acceptLocked wraps an admitted datagram in an envelope, appends it to the
-// inbox, and counts it against its class. Caller holds d.mu.
-func (d *Dataplane) acceptLocked(cs *classState, class int, b []byte, ctx any, now float64) {
-	var env *envelope
-	if n := len(d.free); n > 0 {
-		env = d.free[n-1]
-		d.free[n-1] = nil
-		d.free = d.free[:n-1]
-	} else {
-		env = &envelope{}
-	}
-	env.pkt.Session = class
-	env.pkt.Length = float64(len(b)) * 8
-	env.pkt.Arrival = now // sojourn basis for the AQM
-	env.pkt.Payload = env
-	env.dg = datagram{b: b, ctx: ctx}
-	env.cs = cs
-	d.inbox = append(d.inbox, env)
-	cs.packets++
-	cs.bytes += len(b)
-	d.staged++
+// acceptLocked appends an admitted datagram to the inbox as a value record
+// and counts it against its class, in slot s. Caller holds d.mu.
+func (d *Dataplane) acceptLocked(cs *classState, s int32, b []byte, ctx any, now float64) {
+	d.inbox = append(d.inbox, inboxRecord{
+		b:       b,
+		ctx:     ctx,
+		leaf:    cs.leaf,
+		arrival: now,
+		class:   cs.id,
+		slot:    s,
+	})
+	cs.accepted++
+	cs.acceptedBytes += len(b)
+	d.accepted++
 }

@@ -5,13 +5,15 @@ import (
 	"strings"
 	"testing"
 
+	"hpfq/internal/fec"
 	"hpfq/internal/obs"
 )
 
 // TestRefusalTaxonomyAllocFree: every refusal Ingest can return matches its
 // sentinel with errors.Is, names its class through errors.As, leaves the
 // staged counts alone, is recorded under its drop reason, and — once the
-// class has refused once — costs no allocation.
+// class has refused once — costs no allocation. So does the refusal of an
+// Ingest into an FEC repair class.
 func TestRefusalTaxonomyAllocFree(t *testing.T) {
 	d, err := New("WF2Q+", 1e6, WithQueueCap(2), WithByteCap(300), WithMetrics())
 	if err != nil {
@@ -73,6 +75,25 @@ func TestRefusalTaxonomyAllocFree(t *testing.T) {
 			if avg := testing.AllocsPerRun(100, func() { d.Ingest(tc.class, b) }); avg != 0 {
 				t.Errorf("class %d: refusal allocates %g times, want 0", tc.class, avg)
 			}
+		}
+	}
+	// An FEC repair class belongs to the engine: Ingest into it is refused
+	// with an error naming the protected class, cached like the rest.
+	if err := d.ProtectClass(1, fec.Spec{Scheme: fec.SchemeXOR, K: 8, R: 1}, FECConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	repair := 1 + DefaultRepairClassOffset
+	err = d.Ingest(repair, b)
+	const msg = "dataplane: class 1001 is the FEC repair class of 1 (engine-owned)"
+	if err == nil || err.Error() != msg {
+		t.Fatalf("ingest into the repair class: %v, want %q", err, msg)
+	}
+	if again := d.Ingest(repair, b); again != err {
+		t.Errorf("repair-class refusal not cached: %p then %p", err, again)
+	}
+	if !raceEnabled {
+		if avg := testing.AllocsPerRun(100, func() { d.Ingest(repair, b) }); avg != 0 {
+			t.Errorf("repair-class refusal allocates %g times, want 0", avg)
 		}
 	}
 	if p, _ := queued(d, 0); p != 2 {

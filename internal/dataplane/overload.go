@@ -165,28 +165,30 @@ func (d *Dataplane) rebuildShedOrderLocked() {
 	if d.ov.explicitOrder != nil {
 		order := d.ov.shedOrder[:0]
 		for _, id := range d.ov.explicitOrder {
-			if _, ok := d.classes[id]; ok {
+			if cs, _ := d.classLocked(id); cs != nil {
 				order = append(order, id)
 			}
 		}
 		d.ov.shedOrder = order
 	} else {
 		order := d.ov.shedOrder[:0]
-		for id := range d.classes {
-			order = append(order, id)
+		for s := range d.classes {
+			if id := d.classes[s].id; id >= 0 {
+				order = append(order, int(id))
+			}
 		}
 		// Repair classes shed before protected ones; within each group,
 		// lowest guaranteed rate first; ties break on id for determinism.
-		repair := func(id int) bool { _, ok := d.repairOf[id]; return ok }
 		sort.Slice(order, func(i, j int) bool {
-			a, b := order[i], order[j]
-			if ra, rb := repair(a), repair(b); ra != rb {
+			a, _ := d.classLocked(order[i])
+			b, _ := d.classLocked(order[j])
+			if ra, rb := a.repairOf >= 0, b.repairOf >= 0; ra != rb {
 				return ra
 			}
-			if da, db := d.classes[a].rate, d.classes[b].rate; da != db {
-				return da < db
+			if a.rate != b.rate {
+				return a.rate < b.rate
 			}
-			return a < b
+			return a.id < b.id
 		})
 		d.ov.shedOrder = order
 	}
@@ -211,7 +213,9 @@ func (d *Dataplane) applyShedLocked() {
 		d.ov.shedding = max
 	}
 	for i, id := range d.ov.shedOrder {
-		if cs := d.classes[id]; cs != nil {
+		// Only a flip writes the class's admission line: the sampler runs
+		// this every sample, and Ingest reads the line on every datagram.
+		if cs, _ := d.classLocked(id); cs != nil && cs.shed != (i < d.ov.shedding) {
 			cs.shed = i < d.ov.shedding
 		}
 	}
@@ -252,19 +256,23 @@ func (d *Dataplane) sampleOnce() {
 
 	d.mu.Lock()
 	var sig overload.Signals
-	for _, cs := range d.classes {
+	for s := range d.classes {
+		if d.classes[s].id < 0 {
+			continue
+		}
+		packets, bytes := d.queuedLocked(int32(s))
 		if d.capPkts > 0 {
-			if f := float64(cs.packets) / float64(d.capPkts); f > sig.QueueFrac {
+			if f := float64(packets) / float64(d.capPkts); f > sig.QueueFrac {
 				sig.QueueFrac = f
 			}
 		}
 		if d.capBytes > 0 {
-			if f := float64(cs.bytes) / float64(d.capBytes); f > sig.ByteFrac {
+			if f := float64(bytes) / float64(d.capBytes); f > sig.ByteFrac {
 				sig.ByteFrac = f
 			}
 		}
 	}
-	sig.Backlogged = d.staged > 0 || d.ov.inflight.Load() > 0
+	sig.Backlogged = d.backlogLocked() > 0 || d.ov.inflight.Load() > 0
 	wr, rt := d.ov.writes.Load(), d.ov.retries.Load()
 	if dw, dr := wr-d.ov.prevWr, rt-d.ov.prevRt; dw+dr > 0 {
 		sig.RetryFrac = float64(dr) / float64(dw+dr)
@@ -354,6 +362,24 @@ func (d *Dataplane) stopMonitor() {
 		close(d.ov.monStop)
 	}
 	<-d.ov.monDone
+}
+
+// monitorSettled is Settled's verdict on the overload monitor: true when
+// none runs, or it waits for a sampling timer that has not fired.
+func (d *Dataplane) monitorSettled() bool {
+	if !d.overloadEnabled() {
+		return true
+	}
+	d.mu.Lock()
+	started := d.started
+	d.mu.Unlock()
+	select {
+	case <-d.ov.monDone:
+		return true
+	default:
+	}
+	armed := d.ov.armed.Load()
+	return !started || armed != 0 && armed != d.ov.sampled.Load()
 }
 
 // HealthState returns the current health state without touching the

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hpfq/internal/dataplane"
 	"hpfq/internal/fec"
@@ -92,6 +93,11 @@ type Sharded struct {
 	carry    []float64 // banked credit per shard, bits
 	busy     []bool
 	lastPace []float64
+
+	// armed is the splitter's count of tick timers set, and ticked the
+	// count that have fired: a test on a fake clock knows the splitter
+	// waits for the clock while they differ.
+	armed, ticked atomic.Int64
 }
 
 // New builds an N-shard engine for a link of rate bits/sec using the named

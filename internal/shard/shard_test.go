@@ -54,23 +54,56 @@ func mkPayload(class, seq, size int) []byte {
 	return b
 }
 
-// advanceUntil drives a fake clock until cond holds or a real-time deadline
-// expires; the pumps run concurrently, so each virtual step gets a real
-// yield.
-func advanceUntil(t *testing.T, clk *wallclock.Fake, step time.Duration, cond func() bool) {
+// settled reports whether every shard (dataplane.Settled) and the rate
+// splitter wait for their clocks: a fake-clock step then reaches each
+// exactly when its timers say, however slowly the host schedules them.
+func settled(s *Sharded) bool {
+	for _, d := range s.shards {
+		if !dataplane.Settled(d) {
+			return false
+		}
+	}
+	select {
+	case <-s.done:
+		return true // the splitter exited, or never runs (one shard)
+	default:
+	}
+	s.mu.Lock()
+	started := s.started
+	s.mu.Unlock()
+	armed := s.armed.Load()
+	return !started || armed != 0 && armed != s.ticked.Load()
+}
+
+// settle waits until s waits for the fake clock (settled). Ingest must not
+// run concurrently (its nudge would wake a pump after the check).
+func settle(t *testing.T, s *Sharded) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
+	for !settled(s) {
+		if time.Now().After(deadline) {
+			t.Fatal("shards did not catch up with the fake clock")
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+}
+
+// advanceUntil steps the fake clock by step until cond holds or a real-time
+// deadline expires, settling the shards and the splitter around each step.
+func advanceUntil(t *testing.T, s *Sharded, clk *wallclock.Fake, step time.Duration, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for settle(t, s); !cond(); settle(t, s) {
 		if time.Now().After(deadline) {
 			t.Fatal("condition not reached while advancing the fake clock")
 		}
 		clk.Advance(step)
-		time.Sleep(50 * time.Microsecond)
 	}
 }
 
-// closeDraining closes s while advancing the fake clock, since Close blocks
-// until every shard's pacer has drained its staged backlog.
+// closeDraining closes s while stepping the fake clock, since Close blocks
+// until every shard's pacer has drained its staged backlog. Each step waits
+// for the shards and the splitter to settle, until Close returns.
 func closeDraining(t *testing.T, s *Sharded, clk *wallclock.Fake) {
 	t.Helper()
 	done := make(chan struct{})
@@ -84,11 +117,14 @@ func closeDraining(t *testing.T, s *Sharded, clk *wallclock.Fake) {
 		case <-done:
 			return
 		default:
-			if time.Now().After(deadline) {
-				t.Fatal("Close did not drain the shards")
-			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Close did not drain the shards")
+		}
+		if settled(s) {
 			clk.Advance(10 * time.Millisecond)
-			time.Sleep(50 * time.Microsecond)
+		} else {
+			time.Sleep(10 * time.Microsecond)
 		}
 	}
 }
@@ -378,7 +414,7 @@ func TestFairnessAcrossShards(t *testing.T) {
 	total := func() int64 { return writers[0].total() + writers[1].total() }
 	// ~0.5 s virtual at 1e6 bit/s → ~500 of the 1600 staged datagrams out;
 	// every queue is still backlogged, so the shares are steady-state.
-	advanceUntil(t, clk, 5*time.Millisecond, func() bool { return total() >= 500 })
+	advanceUntil(t, s, clk, 5*time.Millisecond, func() bool { return total() >= 500 })
 	c0 := writers[0].count(0) + writers[1].count(0)
 	c1 := writers[0].count(1) + writers[1].count(1)
 	share := float64(c0) / float64(c0+c1)

@@ -45,9 +45,13 @@ const carryTicks = 4
 // joined by Close. It owns s.carry and s.lastPace exclusively.
 func (s *Sharded) splitter() {
 	defer close(s.done)
-	for {
+	for n := int64(1); ; n++ {
 		tick := make(chan struct{})
-		s.clk.AfterFunc(SplitTick, func() { close(tick) })
+		s.clk.AfterFunc(SplitTick, func() {
+			s.ticked.Store(n)
+			close(tick)
+		})
+		s.armed.Store(n)
 		select {
 		case <-s.stop:
 			// Hand every shard its guaranteed slice back on the way out.

@@ -108,9 +108,9 @@ func TestWholeLinkUnits(t *testing.T) {
 		}
 		// Skip each shard's first ceiling bucket (BucketDepth, two 8 KB
 		// packets), then time the next third of the backlog.
-		advanceUntil(t, clk, time.Millisecond, func() bool { return total() >= int64(n*perShard/3) })
+		advanceUntil(t, s, clk, time.Millisecond, func() bool { return total() >= int64(n*perShard/3) })
 		t1, c1 := clk.Now(), total()
-		advanceUntil(t, clk, time.Millisecond, func() bool { return total() >= int64(2*n*perShard/3) })
+		advanceUntil(t, s, clk, time.Millisecond, func() bool { return total() >= int64(2*n*perShard/3) })
 		got := float64((total()-c1)*size*8) / clk.Now().Sub(t1).Seconds()
 		if got < 0.8*rootCeil || got > 1.25*rootCeil {
 			t.Fatalf("N=%d: summed egress under a %g root ceiling ran at %.3g b/s", n, rootCeil, got)
@@ -177,7 +177,7 @@ func TestShareUnitsAcrossShards(t *testing.T) {
 	}
 	count := func(class int) int64 { return writers[0].count(class) + writers[1].count(class) }
 	// ~600 of the 1600 staged datagrams: every queue is still backlogged.
-	advanceUntil(t, clk, time.Millisecond, func() bool { return count(0)+count(1) >= 600 })
+	advanceUntil(t, s, clk, time.Millisecond, func() bool { return count(0)+count(1) >= 600 })
 	share := float64(count(0)) / float64(count(0)+count(1))
 	if share < 0.675 || share > 0.825 {
 		t.Fatalf("class 0 aggregate share = %.3f (%d vs %d), want 0.75 ± 10%%", share, count(0), count(1))
