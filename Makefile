@@ -10,11 +10,13 @@
 # datagrams. `make bench` refreshes BENCH_dataplane.json from the pump
 # benchmarks (monolithic and sharded, so the single/multi-shard pair lands
 # in one document), the buffer pool's cross-goroutine handoff, a
-# 4096-leaf engine build, plus the loopback UDP run benchmark (16 × 64 B
-# to one peer, one write per datagram beside one GSO sendmmsg), and
+# 4096-leaf engine build and the parse of its spec, plus the loopback UDP
+# run benchmark (16 × 64 B to one peer, one write per datagram beside one
+# GSO sendmmsg), and
 # BENCH_sched.json from the PIFO-vs-seed scheduler microbenchmarks
 # (override duration: make bench BENCHTIME=1x for a smoke run); `make
-# alloccheck` runs the steady-state zero-allocation regression test alone.
+# alloccheck` runs the allocation regression tests alone: the pump's and the
+# tree's zero-allocation steady state and the 4096-leaf build's bound.
 # `make overload` runs the overload-control suite — shedding, brownout,
 # watchdog/stall, health endpoints — under the race detector, including the
 # gateway soak (HPFQ_SOAK=5m scales it up; HPFQ_SOAK_OUT merges the shed and
@@ -76,6 +78,9 @@ bench:
 	  $(GO) test ./internal/hier/ -run '^$$' \
 		-bench 'BenchmarkTreeDeep$$' -benchmem \
 		-benchtime $(BENCHTIME) -count=1 ; \
+	  $(GO) test ./internal/topo/ -run '^$$' \
+		-bench 'BenchmarkTopoParseDeep$$' -benchmem \
+		-benchtime $(BENCHTIME) -count=1 ; \
 	  $(GO) test ./internal/shard/ -run '^$$' \
 		-bench 'BenchmarkShardedPump$$' -benchmem \
 		-benchtime $(BENCHTIME) -count=1 ; \
@@ -91,7 +96,7 @@ bench:
 	@cat BENCH_sched.json
 
 alloccheck:
-	$(GO) test ./internal/dataplane/ -run TestPumpSteadyStateZeroAlloc -count=1 -v
+	$(GO) test ./internal/dataplane/ -run 'TestPumpSteadyStateZeroAlloc|TestNewDeepTreeAllocs' -count=1 -v
 	$(GO) test ./internal/hier/ -run TestTreeSteadyStateZeroAlloc -count=1 -v
 
 overload:

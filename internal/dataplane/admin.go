@@ -99,7 +99,7 @@ func (d *Dataplane) addLeafLocked(parent, name string, id int, share, ceil float
 	if err := d.tree.AddLeaf(parent, name, id, d.leafShare(share)); err != nil {
 		return err
 	}
-	d.addClassLocked(id)
+	d.addClassLocked(d.tree.Leaf(id))
 	if ceil > 0 {
 		_ = d.tree.SetCeil(id, d.perShard(ceil), d.schedTime(d.now())) // the leaf exists: cannot fail
 	}

@@ -53,7 +53,7 @@ func TestPumpSteadyStateZeroAlloc(t *testing.T) {
 			sink := &discardBatch{}
 			d.bw = sink // drive the pump inline; Start is never called
 
-			last := d.clock.Now()
+			last := d.clock.Since(d.epoch)
 			run := func() {
 				for i := 0; i < 64; i++ {
 					b := pool.Get()

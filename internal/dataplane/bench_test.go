@@ -35,7 +35,7 @@ func BenchmarkPumpBatched(b *testing.B) {
 		}
 	}()
 
-	last := d.clock.Now()
+	last := d.clock.Since(d.epoch)
 	const chunk = 64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -131,6 +131,37 @@ func BenchmarkNewDeepTree(b *testing.B) {
 			b.Fatal(err)
 		}
 		d.Close()
+	}
+}
+
+// maxNewDeepTreeAllocs bounds the allocations of BenchmarkNewDeepTree's
+// build: the tree takes its nodes from one slab and sizes every table once,
+// so what remains is per interior node (its scheduler, policy, slot table
+// and registrations) plus a fixed handful — about 1 150 on the 273 interior
+// nodes of the 4096-leaf tree.
+const maxNewDeepTreeAllocs = 2000
+
+// TestNewDeepTreeAllocs gates the allocations of building an engine over
+// the 4096-leaf topology, so a per-node or per-leaf allocation crept back
+// into the build fails here.
+func TestNewDeepTreeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	top, err := topo.Parse(deepTreeSpec(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		d, err := New("WF2Q+", 1e12, WithTopology(top), WithBurst(1e12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+	})
+	t.Logf("%.0f allocs per 4096-leaf build", allocs)
+	if allocs > maxNewDeepTreeAllocs {
+		t.Fatalf("4096-leaf build: %.0f allocs, want <= %d", allocs, maxNewDeepTreeAllocs)
 	}
 }
 

@@ -576,18 +576,11 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 	resolve := hier.Resolver(algorithm, cfg.pol, cfg.nodePols)
 	if cfg.top != nil {
 		// Size the class tables once: a class per leaf, plus a repair class
-		// per '!fec' clause.
-		leaves := cfg.top.Leaves()
-		n, maxID := len(leaves), 0
-		for _, l := range leaves {
-			if err := checkClassID(l.Session); err != nil {
-				return nil, err
-			}
-			maxID = max(maxID, l.Session)
-			if l.FEC != "" {
-				n++
-				maxID = max(maxID, l.Session+DefaultRepairClassOffset)
-			}
+		// per '!fec' clause. Class ids are checked before the build, whose
+		// per-session tables grow with the largest id.
+		n, maxID, err := classBounds(cfg.top)
+		if err != nil {
+			return nil, err
 		}
 		tree, err := hier.BuildSpec(cfg.top, rate, algorithm, resolve)
 		if err != nil {
@@ -595,9 +588,7 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 		}
 		d.tree = tree
 		d.reserveClasses(n, maxID)
-		for _, l := range leaves {
-			d.addClassLocked(l.Session)
-		}
+		tree.EachLeaf(func(l hier.Leaf) { d.addClassLocked(l) })
 	} else {
 		root, err := resolve(&topo.Node{}, rate)
 		if err != nil {
@@ -648,6 +639,27 @@ func validCeil(ceil float64) bool {
 	return ceil > 0 && !math.IsNaN(ceil) && !math.IsInf(ceil, 0)
 }
 
+// classBounds checks every leaf's class id and returns the number of
+// classes the topology makes — a class per leaf, plus a repair class per
+// '!fec' clause — and the largest id among them.
+func classBounds(top *topo.Node) (n, maxID int, err error) {
+	top.Walk(func(l *topo.Node, _ int) {
+		if err != nil || !l.IsLeaf() {
+			return
+		}
+		if err = checkClassID(l.Session); err != nil {
+			return
+		}
+		n++
+		maxID = max(maxID, l.Session)
+		if l.FEC != "" {
+			n++
+			maxID = max(maxID, l.Session+DefaultRepairClassOffset)
+		}
+	})
+	return n, maxID, err
+}
+
 // reserveClasses sizes the class tables for n classes with ids up to
 // maxID, so an engine built over a topology allocates each table once.
 func (d *Dataplane) reserveClasses(n, maxID int) {
@@ -660,11 +672,12 @@ func (d *Dataplane) reserveClasses(n, maxID int) {
 	}
 }
 
-// addClassLocked gives class id, whose leaf the tree already holds, a slot
-// — the most recently freed one, else a new one — with zeroed counts and,
-// under WithAQM, fresh CoDel state, and returns its record. Caller holds
-// d.mu and d.smu, or owns d.
-func (d *Dataplane) addClassLocked(id int) *classState {
+// addClassLocked gives the class of the tree's leaf l a slot — the most
+// recently freed one, else a new one — with zeroed counts and, under
+// WithAQM, fresh CoDel state, and returns its record. Caller holds d.mu and
+// d.smu, or owns d.
+func (d *Dataplane) addClassLocked(l hier.Leaf) *classState {
+	id := l.Session()
 	var s int32
 	if n := len(d.freeSlots); n > 0 {
 		s = d.freeSlots[n-1]
@@ -679,8 +692,8 @@ func (d *Dataplane) addClassLocked(id int) *classState {
 		}
 	}
 	d.classes[s] = classState{
-		leaf:     d.tree.Leaf(id),
-		rate:     d.tree.SessionRate(id),
+		leaf:     l,
+		rate:     l.Rate(),
 		id:       int32(id),
 		repairOf: -1,
 	}
@@ -783,7 +796,7 @@ func (d *Dataplane) getEnvelope() *envelope {
 // now returns seconds since the engine's creation on its clock — the
 // timestamp domain of its metrics and trace events.
 func (d *Dataplane) now() float64 {
-	return d.clock.Now().Sub(d.epoch).Seconds()
+	return d.clock.Since(d.epoch).Seconds()
 }
 
 // schedTime advances the scheduler clock to t if t is later and returns
@@ -1041,7 +1054,7 @@ func (d *Dataplane) raiseTrace() {
 // drained; panics unwind to the supervisor.
 func (d *Dataplane) pump() {
 	var tokens float64
-	last := d.clock.Now()
+	last := d.clock.Since(d.epoch)
 	for {
 		var backlog int
 		var closed bool
@@ -1090,18 +1103,18 @@ func (d *Dataplane) pump() {
 // order into d.inflight (applying CoDel: shed packets are dropped here and
 // consume no tokens), and settles the per-class counts. It returns the
 // tokens left, the engine's backlog, and whether it is closed.
-func (d *Dataplane) collectBatch(tokens float64, last *time.Time) (float64, int, bool) {
+func (d *Dataplane) collectBatch(tokens float64, last *time.Duration) (float64, int, bool) {
 	d.inflight = d.inflight[:0] // the previous release was fully disposed of
 	d.infHead = 0
 	d.holdWait = 0
-	wall := d.clock.Now()
+	wall := d.clock.Since(d.epoch)
 	d.beatAt(wall)
-	tokens += wall.Sub(*last).Seconds() * d.PaceRate()
+	tokens += (wall - *last).Seconds() * d.PaceRate()
 	*last = wall
 	if tokens > d.burst {
 		tokens = d.burst
 	}
-	now := wall.Sub(d.epoch).Seconds()
+	now := wall.Seconds()
 	d.takeInbox(now)
 	for d.stageHead < len(d.staging) {
 		d.stageChunk()

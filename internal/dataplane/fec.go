@@ -185,7 +185,7 @@ func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) err
 	if err := d.tree.AddLeaf(leaf.Parent, name, repair, share); err != nil {
 		return err
 	}
-	d.addClassLocked(repair).repairOf = int32(class)
+	d.addClassLocked(d.tree.Leaf(repair)).repairOf = int32(class)
 	cs, _ = d.classLocked(class) // the graft may have moved the records
 	cs.fec = fs
 	d.syncRatesLocked()

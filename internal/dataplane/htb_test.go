@@ -238,7 +238,7 @@ func BenchmarkReconfigUnderLoad(b *testing.B) {
 			}
 		}
 	}()
-	last := d.clock.Now()
+	last := d.clock.Since(d.epoch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

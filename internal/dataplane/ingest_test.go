@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"hpfq/internal/errs"
 	"hpfq/internal/fec"
 	"hpfq/internal/obs"
+	"hpfq/internal/topo"
 )
 
 // TestRefusalTaxonomyAllocFree: every refusal Ingest can return matches its
@@ -118,5 +120,19 @@ func TestNewRefusesNegativeCaps(t *testing.T) {
 		if _, err := New("WF2Q+", 1e6, opt); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("New with %s(-1) = %v, want an error naming %s", name, err, name)
 		}
+	}
+}
+
+// TestNewRefusesMalformedTopology: New reports a malformed topology — here
+// a nil child, which the class-id walk before the build steps over — as
+// errs.ErrBadTopology instead of panicking, and checks class ids first.
+func TestNewRefusesMalformedTopology(t *testing.T) {
+	bad := topo.Interior("r", 1, topo.Leaf("a", 1, 0), nil)
+	if _, err := New("WF2Q+", 1e6, WithTopology(bad)); !errors.Is(err, errs.ErrBadTopology) {
+		t.Fatalf("nil child: %v, want ErrBadTopology", err)
+	}
+	big := topo.Interior("r", 1, topo.Leaf("a", 1, MaxClassID+1), nil)
+	if _, err := New("WF2Q+", 1e6, WithTopology(big)); err == nil || errors.Is(err, errs.ErrBadTopology) {
+		t.Fatalf("class id past MaxClassID: %v, want the class-id error", err)
 	}
 }

@@ -136,14 +136,14 @@ func (d *Dataplane) initOverload(cfg *config) {
 }
 
 // beat stamps the pump heartbeat.
-func (d *Dataplane) beat() { d.beatAt(d.clock.Now()) }
+func (d *Dataplane) beat() { d.beatAt(d.clock.Since(d.epoch)) }
 
-// beatAt stamps the pump heartbeat at t. The stored value is offset by one
-// so that a beat at the epoch itself — the first beat on a fake clock that
-// has not moved yet — is not mistaken for "never stamped", which would hide
-// a pump that stalls right after it.
-func (d *Dataplane) beatAt(t time.Time) {
-	d.ov.heartbeat.Store(t.Sub(d.epoch).Nanoseconds() + 1)
+// beatAt stamps the pump heartbeat at t since the epoch. The stored value
+// is offset by one so that a beat at the epoch itself — the first beat on a
+// fake clock that has not moved yet — is not mistaken for "never stamped",
+// which would hide a pump that stalls right after it.
+func (d *Dataplane) beatAt(t time.Duration) {
+	d.ov.heartbeat.Store(t.Nanoseconds() + 1)
 }
 
 // heartbeatAge returns the time since the pump last stamped its heartbeat
@@ -153,7 +153,7 @@ func (d *Dataplane) heartbeatAge() time.Duration {
 	if hb == 0 {
 		return 0
 	}
-	return time.Duration(d.clock.Now().Sub(d.epoch).Nanoseconds() - (hb - 1))
+	return time.Duration(d.clock.Since(d.epoch).Nanoseconds() - (hb - 1))
 }
 
 // rebuildShedOrderLocked recomputes the shed order after any class or rate

@@ -109,34 +109,168 @@ func Build(t *topo.Node, linkRate float64, algo string, newNode NewNodeFunc) (*T
 // called once per interior node with that node's topo spec and guaranteed
 // rate, and may fail (e.g. an unknown per-node policy name), aborting the
 // build.
+//
+// The build is one depth-first walk (DESIGN.md S40). It validates each
+// node as it builds it, computes each child's guaranteed rate top-down with
+// topo.Rates' expression, numbers the nodes in preorder, and takes them all
+// from one slab that a counting pre-walk sized. Errors keep the precedence
+// of validating the whole topology first: a fault of the topology's own
+// (topo.Validate's first, in preorder) outranks an out-of-range rate or a
+// newNode failure met earlier in the walk.
 func BuildSpec(t *topo.Node, linkRate float64, algo string, newNode NewNodeSpecFunc) (*Tree, error) {
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("hier: %w: %v", errs.ErrBadTopology, err)
-	}
-	if t.IsLeaf() {
-		return nil, fmt.Errorf("hier: %w: topology root must be an interior node", errs.ErrBadTopology)
-	}
-	if linkRate <= 0 {
+	if t == nil || t.IsLeaf() || linkRate <= 0 {
+		// Not buildable: a fault of the topology's own still comes first.
+		if err := t.Validate(); err != nil {
+			return nil, badTopology(err)
+		}
+		if t.IsLeaf() {
+			return nil, fmt.Errorf("hier: %w: topology root must be an interior node", errs.ErrBadTopology)
+		}
 		return nil, fmt.Errorf("hier: invalid link rate %g", linkRate)
 	}
-	rates := t.Rates(linkRate)
+	nodes, interior := countNodes(t)
 	tr := &Tree{
-		algo:   algo,
-		rate:   linkRate,
-		leaves: make(map[int]*node, len(rates)),
-		byName: make(map[string]*node, len(rates)),
-		nodes:  make([]*node, 0, len(rates)),
+		algo:     algo,
+		rate:     linkRate,
+		leaves:   make(map[int]*node, nodes-interior),
+		byName:   make(map[string]*node, nodes),
+		interior: make([]*node, 0, interior),
+		nodes:    make([]*node, 0, nodes),
 	}
-	root, err := tr.build(t, nil, 0, rates, newNode)
+	b := builder{tr: tr, top: t, newNode: newNode, slab: make([]node, nodes), kids: make([]*node, nodes-1)}
+	root, err := b.build(t, nil, 0, linkRate)
 	if err != nil {
 		return nil, err
 	}
 	tr.root = root
 	tr.InitObs("H-"+algo, linkRate)
-	for id, leaf := range tr.leaves {
-		tr.RegisterSession(id, leaf.rate)
+	tr.ReserveSessions(b.maxSession + 1)
+	for _, n := range tr.nodes {
+		if n.isLeaf() {
+			tr.RegisterSession(n.session, n.rate)
+		}
 	}
 	return tr, nil
+}
+
+func badTopology(err error) error {
+	return fmt.Errorf("hier: %w: %v", errs.ErrBadTopology, err)
+}
+
+// countNodes returns the number of nodes and of interior nodes in the
+// topology, skipping nil children (the walk refuses them before it needs
+// their storage).
+func countNodes(t *topo.Node) (nodes, interior int) {
+	nodes = 1
+	if !t.IsLeaf() {
+		interior = 1
+	}
+	for _, c := range t.Children {
+		if c != nil {
+			n, i := countNodes(c)
+			nodes, interior = nodes+n, interior+i
+		}
+	}
+	return nodes, interior
+}
+
+// reserver is the optional presizing surface of a node scheduler
+// (pifo.Node): room for children child ids up front.
+type reserver interface{ Reserve(children int) }
+
+// builder is the state of one BuildSpec walk. slab holds every node by id
+// and kids every interior node's children, one exact-size run each; both
+// were sized by countNodes and are never re-sliced past their length, so
+// the walk allocates no node of its own.
+type builder struct {
+	tr         *Tree
+	top        *topo.Node
+	newNode    NewNodeSpecFunc
+	slab       []node
+	kids       []*node
+	maxSession int
+}
+
+// build builds the subtree t as child idx of parent, with guaranteed rate
+// rate, and returns its root.
+func (b *builder) build(t *topo.Node, parent *node, idx int, rate float64) (*node, error) {
+	if err := t.Check(); err != nil {
+		return nil, badTopology(err)
+	}
+	tr := b.tr
+	id := len(tr.nodes)
+	n := &b.slab[id]
+	*n = node{
+		id:       id,
+		name:     t.Name,
+		parent:   parent,
+		childIdx: idx,
+		rate:     rate,
+		share:    t.Share,
+		session:  t.Session,
+	}
+	tr.nodes = append(tr.nodes, n)
+	if t.IsLeaf() {
+		// The leaf index is the duplicate-session set.
+		if _, dup := tr.leaves[t.Session]; dup {
+			return nil, b.fail(nil)
+		}
+		tr.leaves[t.Session] = n
+		b.maxSession = max(b.maxSession, t.Session)
+	} else {
+		if n.name == "" {
+			n.name = fmt.Sprintf("node#%d", len(tr.interior))
+		}
+		tr.interior = append(tr.interior, n)
+		// Every child's rate needs the sibling sum, so the children's
+		// shares are checked before the first child is built.
+		var sum float64
+		for _, c := range t.Children {
+			if c == nil || !validShare(c.Share) {
+				return nil, b.fail(nil)
+			}
+			sum += c.Share
+		}
+		ns, err := b.newNode(t, n.rate)
+		if err != nil {
+			return nil, b.fail(fmt.Errorf("hier: node %q: %w", n.name, err))
+		}
+		if r, ok := ns.(reserver); ok {
+			r.Reserve(len(t.Children))
+		}
+		n.ns = ns
+		k := len(t.Children)
+		n.children, b.kids = b.kids[:k:k], b.kids[k:]
+		for i, ct := range t.Children {
+			r := rate * ct.Share / sum // topo.Rates' expression, bit for bit
+			if !validShare(r) {
+				return nil, b.fail(fmt.Errorf("hier: %w: node %q: guaranteed rate %g out of range", errs.ErrBadTopology, ct.Name, r))
+			}
+			c, err := b.build(ct, n, i, r)
+			if err != nil {
+				return nil, err
+			}
+			n.children[i] = c
+			ns.AddChild(i, r)
+		}
+	}
+	if t.Name != "" {
+		tr.byName[t.Name] = n
+	}
+	if t.Ceil > 0 {
+		tr.setCeil(n, t.Ceil, 0)
+	}
+	return n, nil
+}
+
+// fail returns the error of a walk stopped at a fault: the topology's own
+// first fault when it has one, else err (nil only where Validate must
+// fail).
+func (b *builder) fail(err error) error {
+	if verr := b.top.Validate(); verr != nil {
+		return badTopology(verr)
+	}
+	return err
 }
 
 // NewFlat builds a one-level H-PFQ server for a link of the given rate: a
@@ -197,47 +331,6 @@ func Resolver(algo string, def *pifo.Factory, perNode map[string]pifo.Factory) N
 		}
 		return sched.NewNode(algo, rate)
 	}
-}
-
-func (tr *Tree) build(t *topo.Node, parent *node, idx int, rates map[*topo.Node]float64, newNode NewNodeSpecFunc) (*node, error) {
-	n := &node{
-		id:       len(tr.nodes),
-		name:     t.Name,
-		parent:   parent,
-		childIdx: idx,
-		rate:     rates[t],
-		share:    t.Share,
-		session:  t.Session,
-	}
-	tr.nodes = append(tr.nodes, n)
-	if t.IsLeaf() {
-		tr.leaves[t.Session] = n
-	} else {
-		if n.name == "" {
-			n.name = fmt.Sprintf("node#%d", len(tr.interior))
-		}
-		tr.interior = append(tr.interior, n)
-		ns, err := newNode(t, n.rate)
-		if err != nil {
-			return nil, fmt.Errorf("hier: node %q: %w", n.name, err)
-		}
-		n.ns = ns
-		for i, ct := range t.Children {
-			c, err := tr.build(ct, n, i, rates, newNode)
-			if err != nil {
-				return nil, err
-			}
-			n.children = append(n.children, c)
-			n.ns.AddChild(i, c.rate)
-		}
-	}
-	if t.Name != "" {
-		tr.byName[t.Name] = n
-	}
-	if t.Ceil > 0 {
-		tr.setCeil(n, t.Ceil, 0)
-	}
-	return n, nil
 }
 
 // EnableMetrics switches on metric accumulation for the tree and for every
@@ -348,6 +441,22 @@ type Leaf struct{ n *node }
 // Leaf returns the handle on session's leaf; the zero Leaf when the tree
 // has no such session.
 func (tr *Tree) Leaf(session int) Leaf { return Leaf{tr.leaves[session]} }
+
+// Session returns the session id of the handle's leaf.
+func (l Leaf) Session() int { return l.n.session }
+
+// Rate returns the guaranteed rate of the handle's leaf.
+func (l Leaf) Rate() float64 { return l.n.rate }
+
+// EachLeaf calls fn with the handle on every live session leaf in node-id
+// order, which for a tree fresh from BuildSpec is the topology's preorder.
+func (tr *Tree) EachLeaf(fn func(Leaf)) {
+	for _, n := range tr.nodes {
+		if n.isLeaf() && !n.removed {
+			fn(Leaf{n})
+		}
+	}
+}
 
 // Enqueue delivers a packet to its session's leaf FIFO. A packet arriving
 // to an empty queue becomes the leaf's logical head and triggers the

@@ -27,7 +27,10 @@
 // variant; this package provides exactly that for the paper's algorithms.
 package obs
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // DelayBuckets are the upper bounds, in seconds, of the fixed delay
 // histogram buckets. A delay d lands in the first bucket whose bound is
@@ -449,6 +452,14 @@ func (c *Collector) growStats() {
 // use.
 func (c *Collector) RegisterSession(id int, rate float64) {
 	c.reg(id).rate = rate
+}
+
+// ReserveSessions makes room for session ids below n, so a builder that
+// registers them all grows the registrations once.
+func (c *Collector) ReserveSessions(n int) {
+	if n > len(c.regs) {
+		c.regs = slices.Grow(c.regs, n-len(c.regs))
+	}
 }
 
 // reg returns session id's registration, marking it seen.

@@ -3,6 +3,7 @@ package pifo
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hpfq/internal/obs"
 )
@@ -73,6 +74,16 @@ func (n *Node) child(id int) *slot {
 		return nil
 	}
 	return &n.slots[id]
+}
+
+// Reserve makes room for child ids below children — the slot table and
+// the collector's registrations — so a builder adding them all allocates
+// each once.
+func (n *Node) Reserve(children int) {
+	if children > len(n.slots) {
+		n.slots = slices.Grow(n.slots, children-len(n.slots))
+	}
+	n.ReserveSessions(children)
 }
 
 // AddChild registers child id with guaranteed rate in bits/sec.

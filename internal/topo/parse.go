@@ -28,9 +28,21 @@ import (
 // here — the hierarchy builder resolves them and reports unknown ones.
 //
 // The parsed tree is structurally validated (Validate); guaranteed rates
-// are assigned later when a link rate is known.
+// are assigned later when a link rate is known. Its nodes share one slab
+// and every interior node's Children one exact-size slice of another, so a
+// parse allocates a fixed handful of times whatever the tree's size; an
+// append to a parsed node's Children copies rather than overwriting a
+// neighbour's.
 func Parse(spec string) (*Node, error) {
-	p := &parser{s: spec}
+	// Every node consumes one '=', so their count bounds the node count (and
+	// the child count, one fewer): the slabs are sized once and never grow.
+	size := strings.Count(spec, "=")
+	p := &parser{
+		s:     spec,
+		nodes: make([]Node, size),
+		kids:  make([]*Node, size),
+		stack: make([]*Node, 0, min(size, 64)),
+	}
 	n, err := p.node()
 	if err != nil {
 		return nil, fmt.Errorf("topo: spec %q: %v", spec, err)
@@ -38,105 +50,128 @@ func Parse(spec string) (*Node, error) {
 	if p.i != len(p.s) {
 		return nil, fmt.Errorf("topo: spec %q: trailing input at offset %d", spec, p.i)
 	}
-	if err := n.Validate(); err != nil {
+	if err := n.validate(make(map[int]string, p.leaves)); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
+// Byte classes of the grammar's delimiters; until stops at any byte whose
+// class is in its mask.
+const (
+	cEq    = 1 << iota // '='
+	cCeil              // '^'
+	cFEC               // '!'
+	cColon             // ':'
+	cOpen              // '('
+	cClose             // ',' and ')'
+)
+
+var byteClass = [256]uint8{'=': cEq, '^': cCeil, '!': cFEC, ':': cColon, '(': cOpen, ',': cClose, ')': cClose}
+
 type parser struct {
-	s string
-	i int
+	s      string
+	i      int
+	nodes  []Node  // node slab, taken in preorder
+	kids   []*Node // children slab, one exact-size run per interior node
+	stack  []*Node // children of the interior nodes being parsed
+	leaves int
+}
+
+// take returns the next node of the slab.
+func (p *parser) take() *Node {
+	n := &p.nodes[0]
+	p.nodes = p.nodes[1:]
+	return n
 }
 
 func (p *parser) node() (*Node, error) {
-	name := p.until("=")
+	name := p.until(cEq)
 	if name == "" {
 		return nil, fmt.Errorf("missing node name at offset %d", p.i)
 	}
 	if !p.eat('=') {
 		return nil, fmt.Errorf("node %q: missing '='", name)
 	}
-	shareStr := p.until("^!:(,)")
+	n := p.take()
+	n.Name, n.Session = name, -1
+	shareStr := p.until(cCeil | cFEC | cColon | cOpen | cClose)
 	share, err := strconv.ParseFloat(shareStr, 64)
 	if err != nil || share <= 0 {
 		return nil, fmt.Errorf("node %q: bad share %q", name, shareStr)
 	}
-	var ceil float64
+	n.Share = share
 	if p.eat('^') {
-		ceilStr := p.until("!:(,)")
-		ceil, err = strconv.ParseFloat(ceilStr, 64)
-		if err != nil || ceil <= 0 {
+		ceilStr := p.until(cFEC | cColon | cOpen | cClose)
+		n.Ceil, err = strconv.ParseFloat(ceilStr, 64)
+		if err != nil || n.Ceil <= 0 {
 			return nil, fmt.Errorf("node %q: bad ceil %q", name, ceilStr)
 		}
 	}
-	var fecSpec string
 	if p.eat('!') {
-		if fecSpec = p.until(":(,)"); fecSpec == "" {
+		if n.FEC = p.until(cColon | cOpen | cClose); n.FEC == "" {
 			return nil, fmt.Errorf("node %q: empty fec spec", name)
 		}
 	}
 	switch {
 	case p.eat(':'):
-		tok := p.until(":(,)")
+		tok := p.until(cColon | cOpen | cClose)
 		if p.peek('(') {
 			// name=share:policy(children...): an interior node's policy.
 			if tok == "" {
 				return nil, fmt.Errorf("node %q: empty policy", name)
 			}
-			n, err := p.children(name, share)
-			if err != nil {
-				return nil, err
-			}
-			return n.WithPolicy(tok).WithCeil(ceil).WithFEC(fecSpec), nil
+			n.Policy = tok
+			return n, p.children(n)
 		}
 		session, err := strconv.Atoi(tok)
 		if err != nil || session < 0 {
 			return nil, fmt.Errorf("leaf %q: bad session %q", name, tok)
 		}
-		leaf := Leaf(name, share, session).WithCeil(ceil).WithFEC(fecSpec)
+		n.Session = session
+		p.leaves++
 		if p.eat(':') {
-			policy := p.until(",)")
-			if policy == "" {
+			if n.Policy = p.until(cClose); n.Policy == "" {
 				return nil, fmt.Errorf("leaf %q: empty policy", name)
 			}
-			leaf.Policy = policy
 		}
-		return leaf, nil
+		return n, nil
 	case p.peek('('):
-		n, err := p.children(name, share)
-		if err != nil {
-			return nil, err
-		}
-		return n.WithCeil(ceil).WithFEC(fecSpec), nil
+		return n, p.children(n)
 	}
 	return nil, fmt.Errorf("node %q: expected ':' or '(' at offset %d", name, p.i)
 }
 
-func (p *parser) children(name string, share float64) (*Node, error) {
+// children parses the parenthesized child list of the interior node n and
+// gives n its exact-size run of the children slab.
+func (p *parser) children(n *Node) error {
 	p.eat('(')
-	var kids []*Node
+	base := len(p.stack)
 	for {
 		child, err := p.node()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		kids = append(kids, child)
+		p.stack = append(p.stack, child)
 		if p.eat(',') {
 			continue
 		}
 		if p.eat(')') {
-			return Interior(name, share, kids...), nil
+			k := copy(p.kids, p.stack[base:])
+			n.Children = p.kids[:k:k]
+			p.kids = p.kids[k:]
+			p.stack = p.stack[:base]
+			return nil
 		}
-		return nil, fmt.Errorf("node %q: expected ',' or ')' at offset %d", name, p.i)
+		return fmt.Errorf("node %q: expected ',' or ')' at offset %d", n.Name, p.i)
 	}
 }
 
 // until consumes and returns characters up to (not including) the first
-// byte in stop, or the rest of the input.
-func (p *parser) until(stop string) string {
+// byte whose class is in stop, or the rest of the input.
+func (p *parser) until(stop uint8) string {
 	start := p.i
-	for p.i < len(p.s) && !strings.ContainsRune(stop, rune(p.s[p.i])) {
+	for p.i < len(p.s) && byteClass[p.s[p.i]]&stop == 0 {
 		p.i++
 	}
 	return p.s[start:p.i]

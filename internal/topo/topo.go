@@ -80,13 +80,17 @@ func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
 
 // Validate checks that the tree is well formed: positive finite shares,
 // non-nil children, every leaf carries a unique non-negative session id, and
-// every interior node has at least one child.
+// every interior node has at least one child. It reports the first fault in
+// depth-first preorder.
 func (n *Node) Validate() error {
-	seen := make(map[int]string)
-	return n.validate(seen)
+	return n.validate(make(map[int]string))
 }
 
-func (n *Node) validate(seen map[int]string) error {
+// Check validates the node's own fields — a positive finite share, a finite
+// non-negative ceiling, a non-negative session id on a leaf, and neither a
+// session id nor FEC on an interior node — but not its children: Validate
+// is Check on every node in preorder plus unique session ids.
+func (n *Node) Check() error {
 	if n == nil {
 		return fmt.Errorf("topo: nil node")
 	}
@@ -100,10 +104,6 @@ func (n *Node) validate(seen map[int]string) error {
 		if n.Session < 0 {
 			return fmt.Errorf("topo: leaf %q has negative session id %d", n.Name, n.Session)
 		}
-		if prev, dup := seen[n.Session]; dup {
-			return fmt.Errorf("topo: session %d used by both %q and %q", n.Session, prev, n.Name)
-		}
-		seen[n.Session] = n.Name
 		return nil
 	}
 	if n.Session >= 0 {
@@ -111,6 +111,20 @@ func (n *Node) validate(seen map[int]string) error {
 	}
 	if n.FEC != "" {
 		return fmt.Errorf("topo: interior node %q cannot carry FEC %q (leaves only)", n.Name, n.FEC)
+	}
+	return nil
+}
+
+func (n *Node) validate(seen map[int]string) error {
+	if err := n.Check(); err != nil {
+		return err
+	}
+	if n.IsLeaf() {
+		if prev, dup := seen[n.Session]; dup {
+			return fmt.Errorf("topo: session %d used by both %q and %q", n.Session, prev, n.Name)
+		}
+		seen[n.Session] = n.Name
+		return nil
 	}
 	for _, c := range n.Children {
 		if err := c.validate(seen); err != nil {
@@ -131,7 +145,8 @@ func (n *Node) Leaves() []*Node {
 	return out
 }
 
-// Walk visits every node in depth-first preorder with its depth.
+// Walk visits every node in depth-first preorder with its depth. It skips
+// nil children, which Validate reports.
 func (n *Node) Walk(fn func(node *Node, depth int)) {
 	n.walk(fn, 0)
 }
@@ -139,7 +154,9 @@ func (n *Node) Walk(fn func(node *Node, depth int)) {
 func (n *Node) walk(fn func(*Node, int), depth int) {
 	fn(n, depth)
 	for _, c := range n.Children {
-		c.walk(fn, depth+1)
+		if c != nil {
+			c.walk(fn, depth+1)
+		}
 	}
 }
 

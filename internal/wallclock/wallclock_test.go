@@ -83,3 +83,21 @@ func TestRealClock(t *testing.T) {
 		t.Fatal("real Now is zero")
 	}
 }
+
+// TestSince: Since is Now().Sub on both clocks — on Fake the virtual time
+// advanced, on Real a monotonic reading between two Now readings.
+func TestSince(t *testing.T) {
+	fake := NewFake()
+	epoch := fake.Now()
+	fake.Advance(1500 * time.Microsecond)
+	if got, want := fake.Since(epoch), fake.Now().Sub(epoch); got != want || got != 1500*time.Microsecond {
+		t.Errorf("Fake.Since = %v, want %v", got, want)
+	}
+	var real Real
+	start := real.Now()
+	before := real.Now().Sub(start)
+	got := real.Since(start)
+	if after := real.Now().Sub(start); got < before || got > after {
+		t.Errorf("Real.Since = %v, want within [%v, %v]", got, before, after)
+	}
+}
