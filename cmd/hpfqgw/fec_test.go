@@ -11,7 +11,7 @@ import (
 )
 
 func TestParseFEC(t *testing.T) {
-	ids, specs, err := parseFEC("0=rs-8-2, 1=xor-8")
+	ids, specs, err := parseIDSpec("fec", "0=rs-8-2, 1=xor-8", hpfq.ParseFECSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,34 +35,10 @@ func TestParseFEC(t *testing.T) {
 	}
 	dp.Close()
 
-	// Unset flag: no classes, no specs, no error.
-	if ids, specs, err := parseFEC(""); err != nil || ids != nil || specs != nil {
-		t.Fatalf("empty spec: %v %v %v", ids, specs, err)
-	}
-	for _, bad := range []string{"x=rs-8-2", "0=", "0=bogus-4", "0", ",,"} {
-		if _, _, err := parseFEC(bad); err == nil {
-			t.Errorf("parseFEC(%q) accepted", bad)
-		}
-	}
-}
-
-func TestParseGilbert(t *testing.T) {
-	ge, err := parseGilbert("0.05,0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ge) != 4 || ge[0] != 0.05 || ge[1] != 0.5 || ge[2] != 0 || ge[3] != 1 {
-		t.Fatalf("ge = %v, want [0.05 0.5 0 1]", ge)
-	}
-	if ge, err := parseGilbert("0.05, 0.5, 0.01, 0.8"); err != nil || ge[3] != 0.8 {
-		t.Fatalf("four-arg form: %v %v", ge, err)
-	}
-	if ge, err := parseGilbert(""); ge != nil || err != nil {
-		t.Fatalf("unset flag: %v %v", ge, err)
-	}
-	for _, bad := range []string{"0.05", "a,b", "0.05,1.5", "1,2,3", "-0.1,0.5"} {
-		if _, err := parseGilbert(bad); err == nil {
-			t.Errorf("parseGilbert(%q) accepted", bad)
+	// An unset -fec never reaches the parser, which refuses an empty list.
+	for _, bad := range []string{"", "x=rs-8-2", "0=", "0=bogus-4", "0", ",,"} {
+		if _, _, err := parseIDSpec("fec", bad, hpfq.ParseFECSpec); err == nil {
+			t.Errorf("fec spec %q accepted", bad)
 		}
 	}
 }

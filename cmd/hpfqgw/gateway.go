@@ -66,7 +66,7 @@ type gateway struct {
 	readers  []*gwReader
 	restarts atomic.Int64
 	// readFaults counts transient ingress read errors the supervised loops
-	// absorbed (injected by -fault.ingress, or real EAGAIN-class errors).
+	// absorbed (real EAGAIN-class errors, or a test's ingressFault plan).
 	readFaults atomic.Int64
 	fecClasses []int // the engine's protected classes, fed decode-stats feedback
 
@@ -304,27 +304,6 @@ func (e *egress) WriteBatch(pkts []hpfq.PacketDatagram) (int, error) {
 	return written, nil
 }
 
-// parseShedOrder parses the -shed clause "id,id,..." into the explicit
-// overload shed order (front sheds first).
-func parseShedOrder(s string) ([]int, error) {
-	var ids []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("shed %q: bad class id %q", s, part)
-		}
-		ids = append(ids, id)
-	}
-	if len(ids) == 0 {
-		return nil, errors.New("empty shed order")
-	}
-	return ids, nil
-}
-
 // stallSpec is the parsed -fault.stall clause: block every write after the
 // first `after` ops, each for `dur` (0 = forever, until a write deadline
 // interrupts it).
@@ -356,39 +335,13 @@ func parseStall(s string) (*stallSpec, error) {
 	return sp, nil
 }
 
-// faultOptions assembles the faultconn plan behind the -fault.* flags.
-func faultOptions(seed int64, errRate, short, drop float64, gilbert []float64, latency time.Duration, failAfter uint64, stall *stallSpec) []faultconn.Option {
-	opts := []faultconn.Option{faultconn.WithSeed(seed)}
-	if stall != nil {
-		opts = append(opts, faultconn.WithStall(stall.after, stall.dur))
-	}
-	if errRate > 0 {
-		opts = append(opts, faultconn.WithErrorRate(errRate))
-	}
-	if short > 0 {
-		opts = append(opts, faultconn.WithShortWrites(short))
-	}
-	if gilbert != nil {
-		opts = append(opts, faultconn.WithGilbertElliott(gilbert[0], gilbert[1], gilbert[2], gilbert[3]))
-	} else if drop > 0 {
-		opts = append(opts, faultconn.WithDropRate(drop))
-	}
-	if latency > 0 {
-		opts = append(opts, faultconn.WithLatency(latency))
-	}
-	if failAfter > 0 {
-		opts = append(opts, faultconn.WithFailAfter(failAfter))
-	}
-	return opts
-}
-
 // run starts every shard's paced egress pump (each with its own egress
 // writer and fault plan instance), then reads each listen socket under its
 // own crash-only supervisor until the sockets are closed. Queue-full and
 // unknown-class drops are deliberate policy (recorded in the metrics), and
-// transient read errors (injected by -fault.ingress, or real EAGAIN-class
-// conditions) are absorbed and counted, so only hard socket errors end a
-// loop. A hard error on any reader closes the other sockets, so run returns
+// transient read errors (real EAGAIN-class conditions, or a test's
+// ingressFault plan) are absorbed and counted, so only hard socket errors
+// end a loop. A hard error on any reader closes the other sockets, so run returns
 // the first error instead of limping on with a partial listener set.
 func (g *gateway) run() error {
 	if err := g.dp.Start(func(int) hpfq.PacketWriter { return newEgress(g.fault) }); err != nil {
@@ -611,101 +564,43 @@ func newClassifier(name string, classes []int) (classifier, error) {
 	return nil, fmt.Errorf("unknown classifier %q (want hash or byte0)", name)
 }
 
-// parseClasses parses a flat class spec "id=rate,id=rate,..." with rates in
-// bits/sec (floats, so 5e6 works; NaN and Inf are refused).
-func parseClasses(spec string) (ids []int, rates []float64, err error) {
+// parseIDSpec parses a per-class spec "id=value,id=value,...", the shape
+// of -classes (rates) and -fec (schemes, e.g. "0=rs-8-2,1=xor-8"), calling
+// value on each trimmed value text. An empty list is an error: callers skip
+// an unset flag.
+func parseIDSpec[T any](what, spec string, value func(string) (T, error)) (ids []int, vals []T, err error) {
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return nil, nil, fmt.Errorf("class %q: want id=rate", part)
+		idText, valText, ok := strings.Cut(part, "=")
+		if !ok {
+			return nil, nil, fmt.Errorf("%s %q: want id=value", what, part)
 		}
-		id, err := strconv.Atoi(strings.TrimSpace(kv[0]))
+		id, err := strconv.Atoi(strings.TrimSpace(idText))
 		if err != nil {
-			return nil, nil, fmt.Errorf("class %q: bad id: %v", part, err)
+			return nil, nil, fmt.Errorf("%s %q: bad class id: %v", what, part, err)
 		}
-		rate, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
-		if err != nil || rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-			return nil, nil, fmt.Errorf("class %q: bad rate", part)
+		v, err := value(strings.TrimSpace(valText))
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s %q: %v", what, part, err)
 		}
 		ids = append(ids, id)
-		rates = append(rates, rate)
+		vals = append(vals, v)
 	}
 	if len(ids) == 0 {
-		return nil, nil, errors.New("empty class spec")
+		return nil, nil, fmt.Errorf("empty %s spec", what)
 	}
-	return ids, rates, nil
+	return ids, vals, nil
 }
 
-// parseGilbert parses the -fault.gilbert clause
-// "pGoodBad,pBadGood[,dropGood,dropBad]" into the four
-// faultconn.WithGilbertElliott parameters (dropGood defaults to 0, dropBad
-// to 1: clean good state, every bad-state datagram lost). Empty input means
-// the flag is unset: nil, no error.
-func parseGilbert(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
+// parseRate parses a -classes rate in bits/sec: a float, so 5e6 works, and
+// positive and finite.
+func parseRate(s string) (float64, error) {
+	r, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(r > 0) || math.IsInf(r, 0) {
+		return 0, errors.New("bad rate")
 	}
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 && len(parts) != 4 {
-		return nil, fmt.Errorf("fault.gilbert %q: want pGoodBad,pBadGood[,dropGood,dropBad]", s)
-	}
-	out := []float64{0, 0, 0, 1}
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("fault.gilbert %q: %v", s, err)
-		}
-		if !(v >= 0 && v <= 1) { // NaN fails both
-			return nil, fmt.Errorf("fault.gilbert %q: %v outside [0,1]", s, v)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// parseFEC parses the -fec spec "id=scheme,id=scheme,..." (scheme in the
-// hpfq.ParseFECSpec grammar, e.g. "0=rs-8-2,1=xor-8") into class ids and
-// their geometries, one spec per id. An empty spec is no FEC.
-func parseFEC(spec string) ([]int, []hpfq.FECSpec, error) {
-	if spec == "" {
-		return nil, nil, nil
-	}
-	var ids []int
-	var specs []hpfq.FECSpec
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return nil, nil, fmt.Errorf("fec %q: want id=spec", part)
-		}
-		id, err := strconv.Atoi(strings.TrimSpace(kv[0]))
-		if err != nil {
-			return nil, nil, fmt.Errorf("fec %q: bad class id: %v", part, err)
-		}
-		fspec, err := hpfq.ParseFECSpec(strings.TrimSpace(kv[1]))
-		if err != nil {
-			return nil, nil, fmt.Errorf("fec %q: %v", part, err)
-		}
-		ids = append(ids, id)
-		specs = append(specs, fspec)
-	}
-	if len(ids) == 0 {
-		return nil, nil, errors.New("empty fec spec")
-	}
-	return ids, specs, nil
-}
-
-// parseTopo parses a link-sharing tree spec, e.g.
-// "root=1(agg=3(a=2:0,b=1:1),c=1:2)", optionally with per-node policies
-// ("root=1:WF2Q+(video=3:SP(hd=2:0,sd=1:1),bulk=1:2)"). This is exactly the
-// simulator's grammar — see hpfq.ParseTopology.
-func parseTopo(spec string) (*hpfq.Topology, error) {
-	return hpfq.ParseTopology(spec)
+	return r, nil
 }

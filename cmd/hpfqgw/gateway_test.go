@@ -13,11 +13,12 @@ import (
 	"time"
 
 	"hpfq"
+	"hpfq/internal/faultconn"
 	"hpfq/internal/udpio"
 )
 
 func TestParseClasses(t *testing.T) {
-	ids, rates, err := parseClasses("0=7.5e6, 1=2.5e6")
+	ids, rates, err := parseIDSpec("class", "0=7.5e6, 1=2.5e6", parseRate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,14 +29,16 @@ func TestParseClasses(t *testing.T) {
 		t.Fatalf("rates = %v", rates)
 	}
 	for _, bad := range []string{"", "x=1e6", "0=", "0=-5", "0"} {
-		if _, _, err := parseClasses(bad); err == nil {
-			t.Errorf("parseClasses(%q) accepted", bad)
+		if _, _, err := parseIDSpec("class", bad, parseRate); err == nil {
+			t.Errorf("class spec %q accepted", bad)
 		}
 	}
 }
 
+// TestParseTopo: -topo is hpfq.ParseTopology's grammar, and the tree it
+// parses drives a hierarchical data plane.
 func TestParseTopo(t *testing.T) {
-	top, err := parseTopo("root=1(agg=3(a=2:0,b=1:1),c=1:2)")
+	top, err := hpfq.ParseTopology("root=1(agg=3(a=2:0,b=1:1),c=1:2)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +62,8 @@ func TestParseTopo(t *testing.T) {
 		"root=1(a=0:0)",
 		"=1(a=1:0)",
 	} {
-		if _, err := parseTopo(bad); err == nil {
-			t.Errorf("parseTopo(%q) accepted", bad)
+		if _, err := hpfq.ParseTopology(bad); err == nil {
+			t.Errorf("ParseTopology(%q) accepted", bad)
 		}
 	}
 }
@@ -834,7 +837,7 @@ func TestGatewayFaultInjectionDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	dp.AddClass(0, 5e7)
-	cfg := gwConfig{fault: faultOptions(42, 0.3, 0, 0, nil, 0, 0, nil)}
+	cfg := gwConfig{fault: []faultconn.Option{faultconn.WithSeed(42), faultconn.WithErrorRate(0.3)}}
 	gw, recv, listen, _ := testGateway(t, dp, cfg,
 		func(netip.AddrPort, []byte) int { return 0 })
 	defer gw.close(time.Second)
@@ -862,7 +865,7 @@ func TestGatewayFaultInjectionDelivers(t *testing.T) {
 	}
 }
 
-// TestGatewayIngressFaultTolerated wires the -fault.ingress path: with
+// TestGatewayIngressFaultTolerated wires gwConfig.ingressFault: with
 // seeded transient faults on ~30% of listen-socket reads, the supervised
 // ingress loop absorbs every injected error — no datagram is consumed by a
 // fault (the error fires before the socket is touched), so everything sent
@@ -873,7 +876,7 @@ func TestGatewayIngressFaultTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	dp.AddClass(0, 5e7)
-	cfg := gwConfig{ingressFault: faultOptions(7, 0.3, 0, 0, nil, 0, 0, nil)}
+	cfg := gwConfig{ingressFault: []faultconn.Option{faultconn.WithSeed(7), faultconn.WithErrorRate(0.3)}}
 	gw, recv, listen, runDone := testGateway(t, dp, cfg,
 		func(netip.AddrPort, []byte) int { return 0 })
 	client := dialClient(t, listen)

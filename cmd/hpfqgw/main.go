@@ -46,19 +46,19 @@
 // staging occupancy, buffer-pool pressure, retry/restart rates and the pump
 // heartbeat are smoothed into a pressure score driving a
 // healthy → degraded → overloaded → wedged state machine with hysteresis.
-// Degraded sheds the lowest-share classes first (override with -shed
-// "id,id,..."); overloaded adds brownout — FEC encoding and tracing switch
-// off and new client flows are refused while existing flows keep their
-// service — and flips /healthz to 503 (GET /api/health serves the full
-// report). -watchdog arms the pump watchdog: a heartbeat staler than the
-// threshold with work queued counts as a stall, and repeated stalls trip a
-// circuit breaker to wedged instead of hot-looping; panic restarts get
-// capped exponential backoff and their own restart-budget breaker. A stall
+// Degraded sheds the lowest-share classes first; overloaded adds brownout
+// — FEC encoding and tracing switch off and new client flows are refused
+// while existing flows keep their service — and flips /healthz to 503
+// (GET /api/health serves the full report). -watchdog arms the pump
+// watchdog: a heartbeat staler than the threshold with work queued counts
+// as a stall, and repeated stalls trip a circuit breaker to wedged instead
+// of hot-looping; panic restarts get capped exponential backoff and their
+// own restart-budget breaker. A stall
 // pins a write deadline in the past on the egress until the watchdog sees
 // progress with the breaker reset: every flow socket written meanwhile
-// fails at once (and the -fault.* wrapper's injected stall is
-// interrupted), so the backlog burns down as retry-exhausted drops instead
-// of waiting on a wedged socket.
+// fails at once (and a -fault.stall write is interrupted), so the backlog
+// burns down as retry-exhausted drops instead of waiting on a wedged
+// socket.
 //
 // Loss resilience: -fec protects chosen classes with an erasure code
 // ("0=rs-8-2,1=xor-8"; '!fec' topo clauses are the -topo spelling) — source
@@ -68,9 +68,9 @@
 // gateway run with -fec.decode unwraps the protection on ingress and
 // reconstructs erased datagrams from the repairs, and reports what it
 // recovered back to every locally protected class; -fec.adapt retunes each
-// -fec class's geometry to the loss the decoder reports. -fec.adapt and
-// -fec.blockage tune -fec classes only, and a -fec entry naming a class a
-// '!fec' clause already protects is an error.
+// -fec class's geometry to the loss the decoder reports. -fec.adapt tunes
+// -fec classes only, and a -fec entry naming a class a '!fec' clause
+// already protects is an error.
 //
 // Multi-core scaling: -shards N (0 = one per CPU) partitions the data plane
 // into N independent engines — each with its own scheduler tree, token
@@ -88,21 +88,17 @@
 //
 // The data path is batch-oriented and allocation-free at steady state. On
 // Linux each listen reader fills up to 32 buffers from the shared hpfq
-// BufferPool with one recvmmsg; each egress release of up to -batch
-// datagrams is split, in scheduler order, into per-flow runs, and each run
-// is one sendmmsg of UDP GSO groups; each flow reads its replies with
-// recvmmsg and relays them as GSO groups on the listen socket. A socket
-// whose kernel refuses GSO falls back to one message per datagram.
-// Elsewhere every read and write moves one datagram.
+// BufferPool with one recvmmsg; each egress release of up to 32 datagrams
+// (hpfq.DefaultBatchSize) is split, in scheduler order, into per-flow
+// runs, and each run is one sendmmsg of UDP GSO groups; each flow reads its
+// replies with recvmmsg and relays them as GSO groups on the listen
+// socket. A socket whose kernel refuses GSO falls back to one message per
+// datagram. Elsewhere every read and write moves one datagram.
 //
-// The hidden -fault.* flags (seed, errors, short, drop, gilbert, latency,
-// failafter, stall) inject deterministic faults into the egress path via
-// internal/faultconn — -fault.gilbert "pGoodBad,pBadGood[,dropGood,dropBad]"
-// switches silent drops to the bursty Gilbert–Elliott chain; -fault.stall
-// "after[,dur]" blocks writes instead of erring them, the scenario the
-// -watchdog machinery exists for; -fault.ingress applies the same plan to
-// listen-socket reads, which the supervised reader absorbs (transient
-// errors are retried, not fatal) — testing only.
+// The hidden -fault.stall "after[,dur]" flag wraps the egress in
+// internal/faultconn's stall mode: every write past the first `after`
+// blocks for dur (no dur = forever) instead of erring, the wedge the
+// -watchdog machinery exists for — testing only.
 package main
 
 import (
@@ -117,6 +113,7 @@ import (
 	"time"
 
 	"hpfq"
+	"hpfq/internal/faultconn"
 )
 
 func main() {
@@ -138,7 +135,6 @@ func run(args []string) error {
 		classifyName = fs.String("classify", "hash", "classifier: hash (by client address) or byte0 (first payload byte)")
 		queueCap     = fs.Int("queuecap", 512, "per-class staging cap in datagrams (0 = unlimited)")
 		byteCap      = fs.Int("bytecap", 0, "per-class staging cap in bytes (0 = unlimited)")
-		batchSize    = fs.Int("batch", hpfq.DefaultBatchSize, "max datagrams per batched egress write")
 		metrics      = fs.Bool("metrics", false, "print per-class metric tables on shutdown")
 		adminAddr    = fs.String("admin", "", "HTTP admin address for live introspection and reconfiguration (e.g. 127.0.0.1:9090; empty = disabled)")
 		shards       = fs.Int("shards", 1, "per-CPU data-plane shards (0 = one per CPU; >1 uses SO_REUSEPORT listeners when available, else one socket with software flow placement)")
@@ -151,23 +147,13 @@ func run(args []string) error {
 
 		overloadOn = fs.Bool("overload", false, "enable pressure-aware overload control: priority shedding, brownout, health state on /healthz and /api/health")
 		watchdog   = fs.Duration("watchdog", 0, "pump watchdog: heartbeat staleness that counts as a stall (0 = off; implies -overload machinery)")
-		shedOrder  = fs.String("shed", "", "explicit overload shed order as id,id,... (front sheds first; empty = derive from shares)")
 
-		fecSpec     = fs.String("fec", "", "FEC-protect classes as id=spec,... (e.g. 0=rs-8-2,1=xor-8); repairs ride class id+1000")
-		fecAdapt    = fs.Bool("fec.adapt", false, "adapt each protected class's (k,r) to the reported loss")
-		fecBlockAge = fs.Duration("fec.blockage", 0, "flush partial FEC blocks after this (0 = default, negative = never)")
-		fecDecode   = fs.Bool("fec.decode", false, "decode FEC-protected ingress: unwrap sources, reconstruct erasures")
+		fecSpec   = fs.String("fec", "", "FEC-protect classes as id=spec,... (e.g. 0=rs-8-2,1=xor-8); repairs ride class id+1000")
+		fecAdapt  = fs.Bool("fec.adapt", false, "adapt each protected class's (k,r) to the reported loss")
+		fecDecode = fs.Bool("fec.decode", false, "decode FEC-protected ingress: unwrap sources, reconstruct erasures")
 
 		// Fault injection (testing only; see internal/faultconn).
-		faultSeed      = fs.Int64("fault.seed", 1, "fault-injection seed")
-		faultErrors    = fs.Float64("fault.errors", 0, "probability of an injected transient egress error")
-		faultShort     = fs.Float64("fault.short", 0, "probability of an injected short write")
-		faultDrop      = fs.Float64("fault.drop", 0, "probability of silently dropping an egress datagram")
-		faultGilbert   = fs.String("fault.gilbert", "", "bursty drops: Gilbert-Elliott chain pGoodBad,pBadGood[,dropGood,dropBad] (overrides -fault.drop)")
-		faultLatency   = fs.Duration("fault.latency", 0, "added latency per egress write")
-		faultFailAfter = fs.Uint64("fault.failafter", 0, "fail every egress write permanently after this many (0 = never)")
-		faultIngress   = fs.Bool("fault.ingress", false, "apply the -fault.* plan to listen-socket reads as well")
-		faultStall     = fs.String("fault.stall", "", "stall egress writes: after[,dur] — writes past the op count block for dur each (no dur = forever)")
+		faultStall = fs.String("fault.stall", "", "stall egress writes: after[,dur] — writes past the op count block for dur each (no dur = forever)")
 	)
 	fs.Parse(args)
 	if *upstreamAddr == "" {
@@ -176,17 +162,11 @@ func run(args []string) error {
 	if (*classSpec == "") == (*topoSpec == "") {
 		return fmt.Errorf("exactly one of -classes or -topo is required")
 	}
-	for name, p := range map[string]float64{"fault.errors": *faultErrors, "fault.short": *faultShort, "fault.drop": *faultDrop} {
-		if !(p >= 0 && p <= 1) { // NaN fails both
-			return fmt.Errorf("-%s %g: want a probability in [0,1]", name, p)
-		}
-	}
 
 	pool := hpfq.SharedBufferPool()
 	opts := []hpfq.DataplaneOption{
 		hpfq.WithQueueCap(*queueCap),
 		hpfq.WithByteCap(*byteCap),
-		hpfq.WithBatchSize(*batchSize),
 		hpfq.WithBufferPool(pool),
 	}
 	if *metrics {
@@ -205,24 +185,19 @@ func run(args []string) error {
 	if *watchdog > 0 {
 		opts = append(opts, hpfq.WithWatchdog(*watchdog))
 	}
-	if *shedOrder != "" {
-		ids, err := parseShedOrder(*shedOrder)
-		if err != nil {
+	var fecIDs []int
+	var fecSpecs []hpfq.FECSpec
+	if *fecSpec != "" {
+		var err error
+		if fecIDs, fecSpecs, err = parseIDSpec("fec", *fecSpec, hpfq.ParseFECSpec); err != nil {
 			return err
 		}
-		opts = append(opts, hpfq.WithShedOrder(ids...))
+	} else if *fecAdapt {
+		return fmt.Errorf("-fec.adapt tunes -fec classes; set -fec")
 	}
-	fecIDs, fecSpecs, err := parseFEC(*fecSpec)
-	if err != nil {
-		return err
-	}
-	if fecIDs == nil && (*fecAdapt || *fecBlockAge != 0) {
-		return fmt.Errorf("-fec.adapt and -fec.blockage tune -fec classes; set -fec")
-	}
-	var top *hpfq.Topology
 	if *topoSpec != "" {
-		var err error
-		if top, err = parseTopo(*topoSpec); err != nil {
+		top, err := hpfq.ParseTopology(*topoSpec)
+		if err != nil {
 			return err
 		}
 		opts = append(opts, hpfq.WithTopology(top))
@@ -239,7 +214,7 @@ func run(args []string) error {
 		return err
 	}
 	if *classSpec != "" {
-		ids, rates, err := parseClasses(*classSpec)
+		ids, rates, err := parseIDSpec("class", *classSpec, parseRate)
 		if err != nil {
 			return err
 		}
@@ -250,8 +225,7 @@ func run(args []string) error {
 		}
 	}
 	for i, id := range fecIDs {
-		cfg := hpfq.FECConfig{Adapt: *fecAdapt, MaxBlockAge: *fecBlockAge}
-		if err := dp.ProtectClass(id, fecSpecs[i], cfg); err != nil {
+		if err := dp.ProtectClass(id, fecSpecs[i], hpfq.FECConfig{Adapt: *fecAdapt}); err != nil {
 			return fmt.Errorf("-fec %d: %w", id, err)
 		}
 	}
@@ -286,23 +260,13 @@ func run(args []string) error {
 
 	cfg := gwConfig{flowTTL: *flowTTL, maxFlows: *maxFlows, pool: pool,
 		decodeFEC: *fecDecode}
-	gilbert, err := parseGilbert(*faultGilbert)
-	if err != nil {
-		return err
-	}
 	stall, err := parseStall(*faultStall)
 	if err != nil {
 		return err
 	}
-	if *faultErrors > 0 || *faultShort > 0 || *faultDrop > 0 || gilbert != nil || *faultLatency > 0 || *faultFailAfter > 0 || stall != nil {
-		cfg.fault = faultOptions(*faultSeed, *faultErrors, *faultShort, *faultDrop, gilbert, *faultLatency, *faultFailAfter, stall)
+	if stall != nil {
+		cfg.fault = []faultconn.Option{faultconn.WithStall(stall.after, stall.dur)}
 		fmt.Fprintln(os.Stderr, "hpfqgw: egress fault injection ENABLED (testing only)")
-		if *faultIngress {
-			// A separate wrapper instance (same plan, own seeded stream)
-			// around the listen socket. Stalls are write-side only.
-			cfg.ingressFault = faultOptions(*faultSeed, *faultErrors, *faultShort, *faultDrop, gilbert, *faultLatency, *faultFailAfter, nil)
-			fmt.Fprintln(os.Stderr, "hpfqgw: ingress fault injection ENABLED (testing only)")
-		}
 	}
 	gw := newGateway(dp, listens, uaddr, classify, cfg)
 	if *adminAddr != "" {

@@ -10,22 +10,8 @@ import (
 	"time"
 
 	"hpfq"
+	"hpfq/internal/faultconn"
 )
-
-func TestParseShedOrder(t *testing.T) {
-	ids, err := parseShedOrder("2, 0,1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 3 || ids[0] != 2 || ids[1] != 0 || ids[2] != 1 {
-		t.Fatalf("ids = %v, want [2 0 1]", ids)
-	}
-	for _, bad := range []string{"", ",", "x", "1,x"} {
-		if _, err := parseShedOrder(bad); err == nil {
-			t.Errorf("parseShedOrder(%q) accepted", bad)
-		}
-	}
-}
 
 func TestParseStall(t *testing.T) {
 	if sp, err := parseStall(""); sp != nil || err != nil {
@@ -57,7 +43,7 @@ func TestGatewayWatchdogInterruptsStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	dp.AddClass(0, 5e7)
-	stallForever := faultOptions(1, 0, 0, 0, nil, 0, 0, &stallSpec{})
+	stallForever := []faultconn.Option{faultconn.WithStall(0, 0)}
 	gw, _, listen, runDone := testGateway(t, dp, gwConfig{fault: stallForever},
 		func(netip.AddrPort, []byte) int { return 0 })
 	defer gw.close(time.Second)

@@ -113,8 +113,8 @@
 // DropShed (refused by the overload controller — the ShedReasons breakdown
 // distinguishes pressure shedding from brownout refusals). The retry
 // reason is RetryTransient (a backoff re-attempt). internal/faultconn
-// injects deterministic seeded faults — including Gilbert–Elliott bursty
-// loss — to exercise all of these paths (`make fault`).
+// injects deterministic seeded faults — transient errors, short writes,
+// silent drops and stalls — to exercise all of these paths (`make fault`).
 //
 // # Loss resilience
 //

@@ -823,11 +823,9 @@ func (d *Dataplane) unlock() {
 	d.mu.Unlock()
 }
 
-// MaxClassID is the largest class id an engine accepts. The schedulers
-// keep per-class state in slices indexed by id, so an id costs memory in
-// proportion to its value; the bound leaves room for every FEC-protectable
-// class (ids up to 65535) and its default repair class.
-const MaxClassID = 1<<17 - 1
+// MaxClassID is the largest class id an engine accepts: a class is a tree
+// session, so the bound is hier.MaxSession.
+const MaxClassID = hier.MaxSession
 
 // checkClassID refuses a class id the schedulers cannot index.
 func checkClassID(id int) error {

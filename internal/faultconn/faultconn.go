@@ -1,21 +1,20 @@
 // Package faultconn wraps per-datagram readers and writers with
-// deterministic, seeded fault injection: transient (EAGAIN-style)
-// errors, permanent failures after a threshold, short writes, silent drops
-// (i.i.d. or Gilbert–Elliott bursty), and added latency. It exists so the retry/backoff and drop-accounting
-// paths of internal/dataplane — and the full cmd/hpfqgw pipeline via its
-// hidden -fault.* flags — can be exercised reproducibly from tests instead
-// of waiting for a flaky network.
+// deterministic, seeded fault injection: transient (EAGAIN-style) errors,
+// short writes, i.i.d. silent drops, and stalled writes. It exists so the
+// retry/backoff and drop-accounting paths of internal/dataplane and
+// cmd/hpfqgw can be exercised reproducibly from tests instead of waiting for
+// a flaky network; the gateway's -fault.stall flag exposes the stall mode,
+// which drives the pump watchdog end to end.
 //
 // All randomness comes from one seeded math/rand source per wrapper, so a
 // given (seed, operation sequence) pair always injects the same faults.
-// Probabilities compose in a fixed order per operation: fatal threshold,
-// latency, transient error, short write (writers only), silent drop. The
-// wrappers are safe for concurrent use; under concurrency the per-operation
-// fault sequence follows the serialization order of the calls.
+// Faults compose in a fixed order per operation: stall (writers only),
+// transient error, short write (writers only), silent drop. The wrappers are
+// safe for concurrent use; under concurrency the per-operation fault
+// sequence follows the serialization order of the calls.
 package faultconn
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -34,11 +33,6 @@ type PacketWriter interface {
 type PacketReader interface {
 	ReadPacket(buf []byte) (int, error)
 }
-
-// ErrFatal is the permanent failure injected once WithFailAfter's threshold
-// is crossed. It does not mark itself transient, so the data-plane
-// classifies it as fatal and drops instead of retrying.
-var ErrFatal = errors.New("faultconn: injected fatal error")
 
 // InjectedError is the transient fault returned for probability- or
 // cadence-triggered errors. It reports itself transient (and satisfies the
@@ -97,33 +91,20 @@ type Stats struct {
 	Transient   uint64 // injected transient errors
 	ShortWrites uint64 // injected short writes (writers only)
 	Dropped     uint64 // silently discarded datagrams
-	Fatal       uint64 // operations refused after the fail-after threshold
-	BadOps      uint64 // operations decided in the Gilbert–Elliott bad state
 	Stalls      uint64 // writes that entered an injected stall
 }
 
 // config collects the fault plan.
 type config struct {
 	seed      int64
-	errRate   float64       // transient error probability per op
-	errEvery  int           // additionally fail every nth op (0 = off)
-	shortRate float64       // short-write probability per write
-	dropRate  float64       // silent-drop probability per op
-	latency   time.Duration // added delay per op
-	failAfter uint64        // ops beyond this count fail with ErrFatal (0 = off)
-	ge        *geConfig     // Gilbert–Elliott bursty-loss chain (nil = off)
+	errRate   float64 // transient error probability per op
+	errEvery  int     // additionally fail every nth op (0 = off)
+	shortRate float64 // short-write probability per write
+	dropRate  float64 // silent-drop probability per op
 
 	stallOn    bool          // stall mode enabled
 	stallAfter uint64        // writes beyond this count block
 	stallDur   time.Duration // how long each stalled write blocks (0 = forever)
-}
-
-// geConfig parameterizes the two-state Gilbert–Elliott loss chain.
-type geConfig struct {
-	pGoodBad float64 // P(good → bad) per operation
-	pBadGood float64 // P(bad → good) per operation
-	dropGood float64 // drop probability while good
-	dropBad  float64 // drop probability while bad
 }
 
 // Option configures a fault-injecting wrapper.
@@ -149,39 +130,13 @@ func WithShortWrites(p float64) Option { return func(c *config) { c.shortRate = 
 // reporting success — the loss mode retries cannot see.
 func WithDropRate(p float64) Option { return func(c *config) { c.dropRate = p } }
 
-// WithGilbertElliott switches silent drops from i.i.d. (WithDropRate) to the
-// two-state Gilbert–Elliott Markov chain, the standard model for *bursty*
-// correlated loss: the link alternates between a good state (drop
-// probability dropGood, usually ~0) and a bad state (dropBad, high), with
-// per-operation transition probabilities pGoodBad and pBadGood. Expected
-// burst length is 1/pBadGood operations and long-run loss is
-//
-//	π_bad·dropBad + π_good·dropGood, with π_bad = pGoodBad/(pGoodBad+pBadGood).
-//
-// The chain starts good, advances one step per operation from the same
-// seeded source as every other knob, and takes precedence over WithDropRate.
-// Correlated loss is what separates Reed-Solomon from single-parity FEC:
-// r-erasure bursts inside one block defeat XOR but not RS(k, r).
-func WithGilbertElliott(pGoodBad, pBadGood, dropGood, dropBad float64) Option {
-	return func(c *config) {
-		c.ge = &geConfig{pGoodBad: pGoodBad, pBadGood: pBadGood, dropGood: dropGood, dropBad: dropBad}
-	}
-}
-
-// WithLatency sleeps d before every operation, simulating a slow device.
-func WithLatency(d time.Duration) Option { return func(c *config) { c.latency = d } }
-
-// WithFailAfter makes every operation past the nth fail permanently with
-// ErrFatal — a crashed peer that never comes back.
-func WithFailAfter(n uint64) Option { return func(c *config) { c.failAfter = n } }
-
 // WithStall makes every write past the nth *block* for dur instead of
 // erroring — a wedged peer or full socket buffer, the failure mode retries
 // cannot see and only a watchdog can break. dur = 0 blocks forever. A
 // stalled write can be interrupted by SetWriteDeadline, in which case it
 // returns a transient StallError (the net.Conn timeout shape), which is
 // exactly the escape hatch the data-plane watchdog uses. Stalls are
-// decided after the fatal threshold and before every probabilistic knob.
+// decided before every probabilistic knob.
 func WithStall(after uint64, dur time.Duration) Option {
 	return func(c *config) {
 		c.stallOn = true
@@ -196,7 +151,6 @@ type injector struct {
 	rng   *rand.Rand
 	cfg   config
 	stats Stats
-	geBad bool // current Gilbert–Elliott state (starts good)
 }
 
 func newInjector(opts []Option) *injector {
@@ -210,7 +164,6 @@ func newInjector(opts []Option) *injector {
 // verdict is one operation's fate, decided under the injector lock.
 type verdict struct {
 	n     uint64
-	fatal bool
 	stall bool // write blocks (wedge mode)
 	err   bool // transient error
 	short bool
@@ -225,11 +178,6 @@ func (j *injector) decide(isWrite bool) verdict {
 	defer j.mu.Unlock()
 	j.stats.Ops++
 	v := verdict{n: j.stats.Ops}
-	if j.cfg.failAfter > 0 && j.stats.Ops > j.cfg.failAfter {
-		j.stats.Fatal++
-		v.fatal = true
-		return v
-	}
 	if isWrite && j.cfg.stallOn && j.stats.Ops > j.cfg.stallAfter {
 		j.stats.Stalls++
 		v.stall = true
@@ -248,28 +196,6 @@ func (j *injector) decide(isWrite bool) verdict {
 	if isWrite && j.cfg.shortRate > 0 && j.rng.Float64() < j.cfg.shortRate {
 		j.stats.ShortWrites++
 		v.short = true
-		return v
-	}
-	if ge := j.cfg.ge; ge != nil {
-		// One chain step per operation, then the state's drop roll. Both
-		// draws come from the shared seeded source, so GE plans replay
-		// exactly like every other knob.
-		if j.geBad {
-			if j.rng.Float64() < ge.pBadGood {
-				j.geBad = false
-			}
-		} else if j.rng.Float64() < ge.pGoodBad {
-			j.geBad = true
-		}
-		p := ge.dropGood
-		if j.geBad {
-			j.stats.BadOps++
-			p = ge.dropBad
-		}
-		if p > 0 && j.rng.Float64() < p {
-			j.stats.Dropped++
-			v.drop = true
-		}
 		return v
 	}
 	if j.cfg.dropRate > 0 && j.rng.Float64() < j.cfg.dropRate {
@@ -369,12 +295,7 @@ func (w *Writer) stall(v verdict) error {
 // unless the operation was injected away.
 func (w *Writer) WritePacket(b []byte) (int, error) {
 	v := w.inj.decide(true)
-	if w.inj.cfg.latency > 0 {
-		time.Sleep(w.inj.cfg.latency)
-	}
 	switch {
-	case v.fatal:
-		return 0, ErrFatal
 	case v.stall:
 		if err := w.stall(v); err != nil {
 			return 0, err
@@ -425,12 +346,7 @@ func (r *Reader) Stats() Stats { return r.inj.Stats() }
 func (r *Reader) ReadPacket(buf []byte) (int, error) {
 	for {
 		v := r.inj.decide(false)
-		if r.inj.cfg.latency > 0 {
-			time.Sleep(r.inj.cfg.latency)
-		}
 		switch {
-		case v.fatal:
-			return 0, ErrFatal
 		case v.err:
 			return 0, &InjectedError{Op: "read", N: v.n}
 		case v.drop:

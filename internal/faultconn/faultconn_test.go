@@ -102,28 +102,6 @@ func TestErrorEvery(t *testing.T) {
 	}
 }
 
-// TestFailAfter: operations beyond the threshold fail permanently with
-// ErrFatal, which is not transient.
-func TestFailAfter(t *testing.T) {
-	w := NewWriter(&memWriter{}, WithFailAfter(2))
-	b := make([]byte, 10)
-	for i := 0; i < 2; i++ {
-		if _, err := w.WritePacket(b); err != nil {
-			t.Fatalf("op %d before threshold failed: %v", i, err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		_, err := w.WritePacket(b)
-		if !errors.Is(err, ErrFatal) {
-			t.Fatalf("op past threshold: %v, want ErrFatal", err)
-		}
-		var tr interface{ Transient() bool }
-		if errors.As(err, &tr) && tr.Transient() {
-			t.Error("ErrFatal must not be transient")
-		}
-	}
-}
-
 // TestShortWrite: a short write reports a partial length with ErrShortWrite
 // and forwards nothing, so a retry resends the whole datagram.
 func TestShortWrite(t *testing.T) {
@@ -155,77 +133,6 @@ func TestDropRate(t *testing.T) {
 	}
 	if uint64(len(inner.got))+st.Dropped != 200 {
 		t.Errorf("inner got %d + dropped %d != 200", len(inner.got), st.Dropped)
-	}
-}
-
-// TestGilbertElliott: the two-state chain drops in bursts — same seed
-// replays the same burst pattern, long-run loss lands near the stationary
-// prediction, and the losses are measurably more clustered than i.i.d.
-// drops at the same rate.
-func TestGilbertElliott(t *testing.T) {
-	const n = 20000
-	// pGoodBad=0.02, pBadGood=0.2 ⇒ π_bad = 0.02/0.22 ≈ 9.1% of ops bad,
-	// mean burst 5 ops; dropBad=0.9, dropGood=0 ⇒ long-run loss ≈ 8.2%.
-	mk := func(seed int64) (*Writer, *memWriter) {
-		inner := &memWriter{}
-		return NewWriter(inner, WithSeed(seed), WithGilbertElliott(0.02, 0.2, 0, 0.9)), inner
-	}
-	w, inner := mk(5)
-	b := make([]byte, 8)
-	drops := make([]bool, n)
-	for i := 0; i < n; i++ {
-		before := w.Stats().Dropped
-		if _, err := w.WritePacket(b); err != nil {
-			t.Fatalf("GE plan returned error: %v", err)
-		}
-		drops[i] = w.Stats().Dropped > before
-	}
-	st := w.Stats()
-	loss := float64(st.Dropped) / n
-	if loss < 0.05 || loss > 0.12 {
-		t.Errorf("long-run loss %.3f, want ≈ 0.082", loss)
-	}
-	if st.BadOps == 0 || st.BadOps > n/5 {
-		t.Errorf("BadOps = %d of %d, want ≈ 9%%", st.BadOps, n)
-	}
-	if uint64(len(inner.got))+st.Dropped != n {
-		t.Errorf("inner got %d + dropped %d != %d", len(inner.got), st.Dropped, n)
-	}
-
-	// Burstiness: P(drop | previous dropped) should far exceed the marginal
-	// loss rate. For i.i.d. drops the two are equal in expectation.
-	var after, pairs int
-	for i := 1; i < n; i++ {
-		if drops[i-1] {
-			pairs++
-			if drops[i] {
-				after++
-			}
-		}
-	}
-	if pairs == 0 {
-		t.Fatal("no drops observed")
-	}
-	if cond := float64(after) / float64(pairs); cond < 2*loss {
-		t.Errorf("P(drop|prev drop) = %.3f vs marginal %.3f — losses not bursty", cond, loss)
-	}
-
-	// Determinism: same seed, same burst pattern.
-	w2, _ := mk(5)
-	for i := 0; i < n; i++ {
-		w2.WritePacket(b)
-	}
-	if w2.Stats() != st {
-		t.Errorf("same seed diverged: %+v vs %+v", w2.Stats(), st)
-	}
-
-	// GE takes precedence over WithDropRate when both are set.
-	w3 := NewWriter(&memWriter{}, WithSeed(5), WithDropRate(1), WithGilbertElliott(0, 0, 0, 0))
-	for i := 0; i < 50; i++ {
-		w3.WritePacket(b)
-	}
-	if d := w3.Stats().Dropped; d != 0 {
-		t.Errorf("never-bad GE chain dropped %d datagrams; WithDropRate leaked through", d)
 	}
 }
 

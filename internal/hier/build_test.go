@@ -174,6 +174,7 @@ func TestBuildErrorsValidTopology(t *testing.T) {
 		{"no node form", in("r", 1, leaf("a", 1, 0)).WithPolicy("FIFO"), 1, errs.ErrNoNodeForm},
 		{"rate underflow", in("r", 1, leaf("a", 1e-320, 0), leaf("b", 1e300, 1)), 1, errs.ErrBadTopology},
 		{"rate overflow", in("r", 1, leaf("a", 1, 0)), math.Inf(1), errs.ErrBadTopology},
+		{"session above MaxSession", in("r", 1, leaf("a", 1, 0), leaf("b", 1, MaxSession+1)), 1, errs.ErrBadTopology},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.top.Validate(); err != nil {
@@ -186,5 +187,32 @@ func TestBuildErrorsValidTopology(t *testing.T) {
 	}
 	if _, err := New(in("r", 1, leaf("a", 1, 0)), 0, "WF2Q+"); err == nil || err.Error() != "hier: invalid link rate 0" {
 		t.Fatalf("zero link rate: %v", err)
+	}
+}
+
+// TestSessionBound: a tree's per-session tables grow with the largest
+// session id, so AddLeaf, like BuildSpec (TestBuildErrorsValidTopology),
+// refuses an id outside [0, MaxSession] with ErrBadTopology — on a built
+// tree and on NewFlat's — and both accept MaxSession.
+func TestSessionBound(t *testing.T) {
+	leaf, in := topo.Leaf, topo.Interior
+	tr, err := New(in("r", 1, leaf("a", 1, 0), leaf("b", 1, MaxSession)), 1e6, "WF2Q+")
+	if err != nil {
+		t.Fatalf("build with session MaxSession: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		tr   *Tree
+	}{{"built", tr}, {"flat", flatTree(t, "WF2Q+", 1e6, 1e5)}} {
+		parent := tc.tr.Nodes()[0].Name
+		if err := tc.tr.AddLeaf(parent, "", MaxSession+1, 1); !errors.Is(err, errs.ErrBadTopology) {
+			t.Errorf("%s: AddLeaf(MaxSession+1): %v, want ErrBadTopology", tc.name, err)
+		}
+		if err := tc.tr.AddLeaf(parent, "", -1, 1); !errors.Is(err, errs.ErrBadTopology) {
+			t.Errorf("%s: AddLeaf(-1): %v, want ErrBadTopology", tc.name, err)
+		}
+	}
+	if err := flatTree(t, "WF2Q+", 1e6).AddLeaf("", "", MaxSession, 1e5); err != nil {
+		t.Errorf("flat: AddLeaf(MaxSession): %v", err)
 	}
 }

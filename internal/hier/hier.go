@@ -105,6 +105,13 @@ func Build(t *topo.Node, linkRate float64, algo string, newNode NewNodeFunc) (*T
 	})
 }
 
+// MaxSession is the largest session id a tree accepts. A tree keeps
+// per-session state in tables indexed by session id, so an id costs memory
+// in proportion to its value; the bound leaves room for every
+// FEC-protectable class (ids up to 65535) and its default repair class.
+// BuildSpec and AddLeaf refuse a larger id with errs.ErrBadTopology.
+const MaxSession = 1<<17 - 1
+
 // BuildSpec is Build with a topology-aware node constructor: newNode is
 // called once per interior node with that node's topo spec and guaranteed
 // rate, and may fail (e.g. an unknown per-node policy name), aborting the
@@ -211,6 +218,9 @@ func (b *builder) build(t *topo.Node, parent *node, idx int, rate float64) (*nod
 	}
 	tr.nodes = append(tr.nodes, n)
 	if t.IsLeaf() {
+		if t.Session > MaxSession {
+			return nil, b.fail(fmt.Errorf("hier: %w: leaf %q: session %d above %d", errs.ErrBadTopology, t.Name, t.Session, MaxSession))
+		}
 		// The leaf index is the duplicate-session set.
 		if _, dup := tr.leaves[t.Session]; dup {
 			return nil, b.fail(nil)

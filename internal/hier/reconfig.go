@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"hpfq/internal/errs"
 	"hpfq/internal/pifo"
 	"hpfq/internal/sched"
 )
@@ -245,8 +246,8 @@ func (tr *Tree) AddLeaf(parentName, name string, session int, share float64) err
 	if parent.isLeaf() {
 		return fmt.Errorf("hier: node %q is a leaf, not a link-sharing class", parentName)
 	}
-	if session < 0 {
-		return fmt.Errorf("hier: invalid session id %d", session)
+	if session < 0 || session > MaxSession {
+		return fmt.Errorf("hier: %w: session id %d outside [0, %d]", errs.ErrBadTopology, session, MaxSession)
 	}
 	if _, dup := tr.leaves[session]; dup {
 		return fmt.Errorf("hier: session %d already exists", session)

@@ -1,9 +1,11 @@
 package topo_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"hpfq/internal/errs"
 	"hpfq/internal/hier"
 	"hpfq/internal/sched"
 	"hpfq/internal/topo"
@@ -12,23 +14,19 @@ import (
 // fuzzLink is the link rate accepted specs are built for.
 const fuzzLink = 1e9
 
-// maxFuzzSession bounds the session ids whose specs the fuzz target also
-// builds: a tree keeps per-session state in tables indexed by session id,
-// so a build's memory grows with the largest id (the engine caps ids at
-// dataplane.MaxClassID for that reason).
-const maxFuzzSession = 1 << 16
-
 // FuzzTopoParse: Parse never panics, and every spec it accepts is a valid
 // tree with finite positive shares and finite non-negative ceilings, which
 // hier.New builds without panicking. The build succeeds exactly when every
-// interior node's policy has a node form and every node's topo.Rates rate
-// is finite and positive, and then carries those rates bit for bit.
+// interior node's policy has a node form, every node's topo.Rates rate is
+// finite and positive and no session exceeds hier.MaxSession, and then
+// carries those rates bit for bit.
 func FuzzTopoParse(f *testing.F) {
 	for _, seed := range []string{
 		"root=1(agg=3(a=2:0,b=1:1),c=1:2)",
 		"root=1:WF2Q+(video=3:SP(hd=2:0,sd=1:1),bulk=1:2)",
 		"root=1(a=2^5e6!rs-8-2:0,b=1:1:EDF)",
 		"root=NaN(a=1:0)", "root=1(a=+Inf:0)", "root=1(a=1^NaN:0)", "a=1:0",
+		"root=1(a=1:0,b=1:131072)", // one past hier.MaxSession
 	} {
 		f.Add(seed)
 	}
@@ -57,10 +55,13 @@ func FuzzTopoParse(f *testing.F) {
 				}
 			}
 		})
-		if maxSession > maxFuzzSession {
+		tree, err := hier.New(n, fuzzLink, "WF2Q+")
+		if maxSession > hier.MaxSession {
+			if err == nil || buildable && !errors.Is(err, errs.ErrBadTopology) {
+				t.Fatalf("hier.New(Parse(%q)): session %d above MaxSession: err %v", spec, maxSession, err)
+			}
 			return
 		}
-		tree, err := hier.New(n, fuzzLink, "WF2Q+")
 		if (err == nil) != buildable {
 			t.Fatalf("hier.New(Parse(%q)): err %v, buildable %v", spec, err, buildable)
 		}
