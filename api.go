@@ -229,7 +229,6 @@ type Option struct {
 	metrics  bool
 	tracer   Tracer
 	hasTrace bool
-	nodes    func(rate float64) NodeScheduler
 	policy   *Policy
 	nodePols []nodePolicy
 }
@@ -248,13 +247,6 @@ func WithMetrics() Option { return Option{metrics: true} }
 // name. On a data-plane the tracer runs under the engine's lock and must not
 // call back into it.
 func WithTracer(t Tracer) Option { return Option{tracer: t, hasTrace: true} }
-
-// WithNodes supplies a custom per-node scheduler constructor to
-// NewHierarchy, e.g. to mix hand-built nodes per level. It takes precedence
-// over every policy option; New, NewNode and NewDataplane ignore it.
-func WithNodes(fn func(rate float64) NodeScheduler) Option {
-	return Option{nodes: fn}
-}
 
 // WithPolicy selects an explicit scheduling policy, overriding the
 // algorithm argument of New, NewNode, NewHierarchy or NewDataplane. On a
@@ -296,8 +288,7 @@ func lastPolicy(opts []Option) *Policy {
 
 // dataplaneOptions translates the Option into the engine's option set; this
 // is how one WithPolicy/WithMetrics/WithTracer value works for both the
-// simulation constructors and NewDataplane. WithNodes has no data-plane
-// form and is ignored.
+// simulation constructors and NewDataplane.
 func (o Option) dataplaneOptions() []dataplane.Option {
 	var out []dataplane.Option
 	if o.metrics {
@@ -408,31 +399,18 @@ type Hierarchy = hier.Tree
 // WithMetrics and WithTracer cover the whole tree (per-session delays and
 // WFI at the root collector, reference-time counters at every interior
 // node; see Hierarchy.NodeSnapshots). Per-node disciplines resolve most
-// specific first: WithNodes (a custom constructor) wins outright, then
-// WithNodePolicy by node name, then ':policy' annotations in the topology,
-// then WithPolicy, then the algorithm argument. Malformed topologies return
-// an error matching ErrBadTopology.
+// specific first: WithNodePolicy by node name, then ':policy' annotations
+// in the topology, then WithPolicy, then the algorithm argument. Malformed
+// topologies return an error matching ErrBadTopology.
 func NewHierarchy(top *Topology, linkRate float64, algorithm Algorithm, opts ...Option) (*Hierarchy, error) {
-	var nodes func(rate float64) NodeScheduler
 	perNode := make(map[string]Policy)
 	for _, opt := range opts {
-		if opt.nodes != nil {
-			nodes = opt.nodes
-		}
 		for _, np := range opt.nodePols {
 			perNode[np.name] = np.pol
 		}
 	}
-	var (
-		tree *Hierarchy
-		err  error
-	)
-	if nodes != nil {
-		tree, err = hier.Build(top, linkRate, string(algorithm), nodes)
-	} else {
-		tree, err = hier.BuildSpec(top, linkRate, string(algorithm),
-			hier.Resolver(string(algorithm), lastPolicy(opts), perNode))
-	}
+	tree, err := hier.BuildSpec(top, linkRate, string(algorithm),
+		hier.Resolver(string(algorithm), lastPolicy(opts), perNode))
 	if err != nil {
 		return nil, err
 	}
@@ -544,7 +522,7 @@ func (d dpOptions) dataplaneOptions() []dataplane.Option { return d }
 
 // Datagram I/O. The engine has one way in and one way out: callers read
 // their own sockets and call Ingest, and the pump hands each token-bucket
-// release to the PacketWriter given to Start, in WithBatchSize chunks.
+// release to the PacketWriter given to Start, in DefaultBatchSize chunks.
 type (
 	// PacketWriter is the egress contract: WriteBatch delivers datagrams
 	// in order and returns how many it wrote; a non-nil error applies to
@@ -604,19 +582,11 @@ func WithQueueCap(n int) DataplaneOption { return dpOptions{dataplane.WithQueueC
 // NewDataplane.
 func WithByteCap(n int) DataplaneOption { return dpOptions{dataplane.WithByteCap(n)} }
 
-// WithBurst sets the data-plane's token-bucket depth in bits (default: 5 ms
-// of the configured rate), trading batching efficiency against short-term
-// burstiness.
+// WithBurst sets the data-plane's token-bucket depth in bits, trading
+// batching efficiency against short-term burstiness. 0 selects the default,
+// 5 ms of the configured rate; a negative, NaN or infinite depth fails
+// NewDataplane.
 func WithBurst(bits float64) DataplaneOption { return dpOptions{dataplane.WithBurst(bits)} }
-
-// WithWriteRetry tunes the data-plane pump's reaction to transient Writer
-// errors: up to limit re-attempts per packet, sleeping backoff before the
-// first and doubling up to cap between the rest. limit 0 disables retries.
-// Without it the pump makes up to 3 re-attempts, backing off from 500 µs
-// and doubling to at most 16 ms.
-func WithWriteRetry(limit int, backoff, cap time.Duration) DataplaneOption {
-	return dpOptions{dataplane.WithWriteRetry(limit, backoff, cap)}
-}
 
 // WithAQM enables CoDel (RFC 8289, 5 ms target, 100 ms interval) on every
 // data-plane class as graceful degradation under overload: packets whose
@@ -640,12 +610,11 @@ func WithAQM() DataplaneOption { return dpOptions{dataplane.WithAQM()} }
 // "xor-8" string form with ParseFECSpec.
 type FECSpec = fec.Spec
 
-// FECConfig tunes one class protected with Dataplane.ProtectClass: the
-// partial-block flush age and whether the adaptive-redundancy controller
-// runs. Everything else derives from the tree: the repair class is class
-// + DefaultRepairClassOffset, its leaf is named "<leaf>.fec", and its share
-// is the protected leaf's share times R/K. The zero value is a sensible
-// default everywhere.
+// FECConfig tunes one class protected with Dataplane.ProtectClass: whether
+// the adaptive-redundancy controller runs. Everything else is fixed or
+// derives from the tree: a partial block flushes after DefaultFECBlockAge,
+// the repair class is class + DefaultRepairClassOffset, its leaf is named
+// "<leaf>.fec", and its share is the protected leaf's share times R/K.
 type FECConfig = dataplane.FECConfig
 
 // FECDecoder is the receive side: feed it every arriving datagram with Push;
@@ -698,13 +667,9 @@ type FECStatus = dataplane.FECStatus
 // state. Without this option the engine never recycles payload buffers.
 func WithBufferPool(p *BufferPool) DataplaneOption { return dpOptions{dataplane.WithBufferPool(p)} }
 
-// WithBatchSize caps how many datagrams the data-plane pump hands the
-// writer per WriteBatch call (minimum 1; default DefaultBatchSize).
-func WithBatchSize(n int) DataplaneOption { return dpOptions{dataplane.WithBatchSize(n)} }
-
 // Batch and buffer defaults.
 const (
-	// DefaultBatchSize is the default WriteBatch chunk ceiling.
+	// DefaultBatchSize is the WriteBatch chunk ceiling.
 	DefaultBatchSize = dataplane.DefaultBatchSize
 	// MaxDatagramSize is the default BufferPool buffer length — large enough
 	// for any UDP datagram.
@@ -803,8 +768,8 @@ type HealthState = overload.State
 const (
 	// Healthy: no overload response active.
 	Healthy = overload.Healthy
-	// Degraded: priority-aware shedding — the lowest-share classes (or the
-	// WithShedOrder prefix) refuse intake with ErrShedding.
+	// Degraded: priority-aware shedding — the lowest-share classes (repair
+	// classes first) refuse intake with ErrShedding.
 	Degraded = overload.Degraded
 	// Overloaded: brownout — FEC encoding and tracing switch off, the
 	// gateway refuses new flows, and /healthz answers 503.
@@ -838,14 +803,6 @@ var ErrShedding = dataplane.ErrShedding
 // trips after 3 consecutive watchdog stalls or 8 pump restarts in 10 s.
 func WithOverload() DataplaneOption {
 	return dpOptions{dataplane.WithOverload()}
-}
-
-// WithShedOrder fixes the overload shed order explicitly: listed classes
-// shed front-first as pressure grows, unlisted classes are never shed.
-// Without it the order derives from the hierarchy — repair classes first,
-// then ascending guaranteed rate, and the top-share class is never shed.
-func WithShedOrder(ids ...int) DataplaneOption {
-	return dpOptions{dataplane.WithShedOrder(ids...)}
 }
 
 // WithWatchdog arms the pump watchdog: a heartbeat older than timeout while

@@ -3,7 +3,9 @@ package hpfq_test
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -347,7 +349,7 @@ func TestJSONLTrace(t *testing.T) {
 	}
 }
 
-// TestMixedHierarchy: WithNodes lets callers mix disciplines —
+// TestMixedHierarchy: WithNodePolicy lets callers mix disciplines —
 // WF²Q+ near the root, DRR at a cheap leaf level.
 func TestMixedHierarchy(t *testing.T) {
 	top := hpfq.Interior("root", 1,
@@ -355,22 +357,18 @@ func TestMixedHierarchy(t *testing.T) {
 			hpfq.Leaf("a", 0.5, 0),
 			hpfq.Leaf("b", 0.5, 1)),
 		hpfq.Leaf("c", 0.5, 2))
-	depth0 := true
-	mixed := func(rate float64) hpfq.NodeScheduler {
-		algo := hpfq.DRR
-		if depth0 {
-			depth0 = false
-			algo = hpfq.WF2QPlus
-		}
-		node, err := hpfq.NewNode(algo, rate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return node
+	drr, ok := hpfq.PolicyByName(hpfq.DRR)
+	if !ok {
+		t.Fatal("no DRR policy")
 	}
-	tree, err := hpfq.NewHierarchy(top, 1e6, "mixed", hpfq.WithNodes(mixed))
+	tree, err := hpfq.NewHierarchy(top, 1e6, hpfq.WF2QPlus, hpfq.WithNodePolicy("cheap", drr))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, n := range tree.Nodes() {
+		if want := map[string]string{"root": "WF2Q+", "cheap": "DRR"}[n.Name]; n.Session < 0 && n.Policy != want {
+			t.Errorf("node %q runs %q, want %q", n.Name, n.Policy, want)
+		}
 	}
 	sim := hpfq.NewSim()
 	link := hpfq.NewLink(sim, 1e6, tree)
@@ -565,5 +563,120 @@ func TestPolicySelection(t *testing.T) {
 	d.AddClass(0, 1e9)
 	if m := d.Snapshot(); m.Name != "SP" {
 		t.Errorf("dataplane scheduler Name = %q, want SP", m.Name)
+	}
+}
+
+// TestDeadlinePolicies: EDFPolicy and LSTFPolicy rank by the caller's
+// deadline or slack function. With equal rates and lengths the registry's
+// L/r_i deadlines alternate the two flows; a function that gives flow 1
+// a tenth of that deadline (or slack) sends all of flow 1 first.
+func TestDeadlinePolicies(t *testing.T) {
+	departures := func(p hpfq.Policy) []int {
+		s, err := hpfq.New(hpfq.WF2QPlus, 1e6, hpfq.WithPolicy(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.AddSession(0, 0.5e6)
+		s.AddSession(1, 0.5e6)
+		for id := 0; id < 2; id++ {
+			for i := 0; i < 3; i++ {
+				s.Enqueue(0, hpfq.NewPacket(id, 8000))
+			}
+		}
+		var order []int
+		for p := s.Dequeue(0); p != nil; p = s.Dequeue(0) {
+			order = append(order, p.Session)
+		}
+		return order
+	}
+	urgent1 := func(id int, rate, length float64) float64 {
+		if id == 1 {
+			return length / rate / 10
+		}
+		return length / rate
+	}
+	alternate, flow1First := []int{0, 1, 0, 1, 0, 1}, []int{1, 1, 1, 0, 0, 0}
+	for _, tc := range []struct {
+		name   string
+		pol    hpfq.Policy
+		custom hpfq.Policy
+	}{
+		{"EDF", mustPolicy(t, hpfq.EDF), hpfq.EDFPolicy(urgent1)},
+		{"LSTF", mustPolicy(t, hpfq.LSTF), hpfq.LSTFPolicy(urgent1)},
+	} {
+		if got := departures(tc.pol); !slices.Equal(got, alternate) {
+			t.Errorf("%s registry policy departures %v, want %v", tc.name, got, alternate)
+		}
+		if got := departures(tc.custom); !slices.Equal(got, flow1First) {
+			t.Errorf("%s with a tighter flow-1 function departures %v, want %v", tc.name, got, flow1First)
+		}
+	}
+}
+
+func mustPolicy(t *testing.T, a hpfq.Algorithm) hpfq.Policy {
+	t.Helper()
+	p, ok := hpfq.PolicyByName(a)
+	if !ok {
+		t.Fatalf("%s has no registered policy", a)
+	}
+	return p
+}
+
+// TestNamedTracer: NamedTracer stamps every event with its node name on
+// the way to the wrapped tracer.
+func TestNamedTracer(t *testing.T) {
+	ring := hpfq.NewRingTracer(16)
+	s, err := hpfq.New(hpfq.WF2QPlus, 1e6, hpfq.WithTracer(hpfq.NamedTracer("edge", ring)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AddSession(0, 1e6)
+	s.Enqueue(0, hpfq.NewPacket(0, 8000))
+	s.Dequeue(0)
+	evs := ring.Events()
+	if len(evs) != 2 {
+		t.Fatalf("%d events, want an enqueue and a dequeue", len(evs))
+	}
+	for _, ev := range evs {
+		if ev.Node != "edge" {
+			t.Errorf("%v event stamped node %q, want edge", ev.Type, ev.Node)
+		}
+	}
+}
+
+// TestFlowKey: FlowKey is 64-bit FNV-1a, so equal flow bytes always pick
+// the same shard and a gateway's keys match any FNV-1a implementation.
+func TestFlowKey(t *testing.T) {
+	for _, b := range [][]byte{nil, []byte("a"), []byte("10.0.0.1:5000")} {
+		h := fnv.New64a()
+		h.Write(b)
+		if got, want := hpfq.FlowKey(b), h.Sum64(); got != want {
+			t.Errorf("FlowKey(%q) = %#x, want FNV-1a %#x", b, got, want)
+		}
+	}
+}
+
+// TestPacketPipePool: a pipe built on a caller's pool copies each written
+// datagram into a buffer from that pool and returns the buffer when the
+// datagram is read, so the pool's gets and puts balance.
+func TestPacketPipePool(t *testing.T) {
+	pool := hpfq.NewBufferPool(64)
+	pipe := hpfq.NewPacketPipePool(4, pool)
+	in := []hpfq.PacketDatagram{{B: []byte("one")}, {B: []byte("two")}, {B: []byte("three")}}
+	if n, err := pipe.WriteBatch(in); n != len(in) || err != nil {
+		t.Fatalf("WriteBatch = %d, %v", n, err)
+	}
+	if st := pool.Stats(); st.Gets != 3 || st.Puts != 0 {
+		t.Fatalf("after writing 3 datagrams pool stats %+v, want 3 gets and no puts", st)
+	}
+	buf := make([]byte, 64)
+	for _, d := range in {
+		n, err := pipe.ReadPacket(buf)
+		if err != nil || string(buf[:n]) != string(d.B) {
+			t.Fatalf("ReadPacket = %q, %v; want %q", buf[:n], err, d.B)
+		}
+	}
+	if st := pool.Stats(); st.Puts != 3 {
+		t.Errorf("after reading 3 datagrams pool stats %+v, want 3 puts", st)
 	}
 }

@@ -827,17 +827,17 @@ func TestGatewayDrainDeadline(t *testing.T) {
 	}
 }
 
-// TestGatewayFaultInjectionDelivers wires the hidden -fault.* path end to
-// end: with seeded transient faults on ~30% of egress writes, retry/backoff
-// still delivers every datagram to the upstream.
+// TestGatewayFaultInjectionDelivers wires gwConfig.fault end to end: with
+// a transient fault on every third egress write — never two in a row, so
+// the engine's retry budget always suffices — retry/backoff still delivers
+// every datagram to the upstream and none exhausts its retries.
 func TestGatewayFaultInjectionDelivers(t *testing.T) {
-	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithMetrics(),
-		hpfq.WithWriteRetry(10, 100*time.Microsecond, time.Millisecond))
+	dp, err := hpfq.NewShardedDataplane(hpfq.WF2QPlus, 5e7, 1, hpfq.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dp.AddClass(0, 5e7)
-	cfg := gwConfig{fault: []faultconn.Option{faultconn.WithSeed(42), faultconn.WithErrorRate(0.3)}}
+	cfg := gwConfig{fault: []faultconn.Option{faultconn.WithErrorEvery(3)}}
 	gw, recv, listen, _ := testGateway(t, dp, cfg,
 		func(netip.AddrPort, []byte) int { return 0 })
 	defer gw.close(time.Second)
@@ -860,8 +860,12 @@ func TestGatewayFaultInjectionDelivers(t *testing.T) {
 	if got < n*9/10 { // tolerate rare kernel-level loopback drops
 		t.Fatalf("delivered %d/%d through the fault plan", got, n)
 	}
-	if m := dp.Snapshot(); m.Retried.Packets == 0 {
+	m := dp.Snapshot()
+	if m.Retried.Packets == 0 {
 		t.Error("fault plan injected no retries; the test is vacuous")
+	}
+	if got := m.DropReasons[hpfq.DropRetries].Packets; got != 0 {
+		t.Errorf("%d datagrams exhausted their retries under a plan that never fails twice in a row", got)
 	}
 }
 

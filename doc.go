@@ -42,9 +42,9 @@
 // index), frozen on demand with Snapshot; WithTracer attaches a Tracer
 // (NewRingTracer, NewJSONLTracer) that observes every enqueue, dequeue — with
 // the virtual start/finish times behind each scheduling decision — and drop.
-// Both default off and cost one branch per packet when disabled. WithNodes
-// supplies a custom per-node constructor to NewHierarchy for mixed or
-// experimental hierarchies. Unknown algorithms and malformed topologies are
+// Both default off and cost one branch per packet when disabled.
+// WithPolicy and WithNodePolicy pick a hierarchy's node disciplines, down to
+// a different one per named node. Unknown algorithms and malformed topologies are
 // reported by wrapping the sentinel errors ErrUnknownAlgorithm,
 // ErrBadTopology, and ErrNoNodeForm, so callers can branch with errors.Is.
 //
@@ -73,7 +73,7 @@
 // # Batching and buffer ownership
 //
 // Egress is batch-oriented. The PacketWriter receives each token-bucket
-// release in WithBatchSize chunks; WriteBatch reports how many datagrams it
+// release in DefaultBatchSize chunks; WriteBatch reports how many datagrams it
 // delivered, the error applies to the first unwritten one, and the pump
 // retries or drops that one per the failure policy, then re-offers the rest.
 // A writer that routes by the IngestCtx context reads PacketDatagram.Ctx.
@@ -95,8 +95,8 @@
 // errors are classified: transient conditions (EAGAIN-style buffer
 // exhaustion, timeouts, short writes, a momentarily absent UDP peer, or any
 // error exposing Transient() bool) are retried in place with capped
-// exponential backoff — WithWriteRetry(limit, backoff, cap), by default 3
-// re-attempts from 500 µs doubling to 16 ms — while everything else drops
+// exponential backoff — 3 re-attempts from 500 µs doubling to at most
+// 16 ms — while everything else drops
 // the packet immediately. A packet that exhausts its retry budget is dropped
 // too, so a class's surviving packets leave in the order they arrived.
 // WithAQM() runs CoDel (RFC 8289, 5 ms target, 100 ms interval) on every
@@ -126,8 +126,7 @@
 // are enqueued into a grafted sibling repair class (class id +
 // DefaultRepairClassOffset, R/K of the protected share) that competes under the schedulers like any
 // other leaf — repair overhead is itself subject to fair queueing and can
-// never starve siblings. Partial blocks flush after FECConfig.MaxBlockAge
-// (DefaultFECBlockAge). The receive side runs NewFECDecoder: Push strips
+// never starve siblings. Partial blocks flush after DefaultFECBlockAge. The receive side runs NewFECDecoder: Push strips
 // source headers, reassembles blocks in any arrival order, and
 // reconstructs erased datagrams; IsFECDatagram routes mixed traffic. With
 // FECConfig.Adapt, loss reported through Dataplane.FECFeedback drives an
@@ -143,8 +142,8 @@
 // fixed thresholds: Healthy → Degraded →
 // Overloaded → Wedged (Dataplane.Health / HealthState, HTTP /healthz and
 // GET /api/health). Under Degraded the engine sheds load class by class —
-// repair classes first, then ascending share, never the top-share class
-// (WithShedOrder overrides the order) — each refusal a drop with reason
+// repair classes first, then ascending share, never the top-share class —
+// each refusal a drop with reason
 // DropShed. Under Overloaded it browns out: FEC encoding and tracing pause,
 // and the gateway refuses flows it has never seen while serving established
 // ones. WithWatchdog(timeout) adds a pump watchdog: a stalled iteration

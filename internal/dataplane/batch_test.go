@@ -41,7 +41,7 @@ func TestPumpSteadyStateZeroAlloc(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := NewBufferPool(256)
-			d, err := New("WF2Q+", 1e9, append(tc.opts, WithBufferPool(pool), WithBurst(1e18), WithBatchSize(8))...)
+			d, err := New("WF2Q+", 1e9, append(tc.opts, WithBufferPool(pool), WithBurst(1e18))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestPoolAliasingStress(t *testing.T) {
 		perProducer = 500
 	)
 	pool := NewBufferPool(512)
-	d, err := New("WF2Q+", 1e12, WithBufferPool(pool), WithBatchSize(8))
+	d, err := New("WF2Q+", 1e12, WithBufferPool(pool))
 	if err != nil {
 		t.Fatal(err)
 	}

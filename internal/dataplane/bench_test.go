@@ -8,32 +8,21 @@ import (
 )
 
 // BenchmarkPumpBatched measures one datagram's trip through
-// ingress → schedule → collect → write over the in-memory pipe:
-// WithBatchSize chunks with every payload buffer recycled through the pool.
-// It drives the pump synchronously so the figure is the data path, not
-// goroutine scheduling. A background drainer keeps the pipe from filling.
+// ingress → schedule → collect → write: DefaultBatchSize chunks with every
+// payload buffer recycled through the pool. It drives the pump
+// synchronously into a counting writer on the same goroutine, so the figure
+// is the data path, not goroutine scheduling.
 func BenchmarkPumpBatched(b *testing.B) {
 	pool := NewBufferPool(256)
-	d, err := New("WF2Q+", 1e9, WithBurst(1e18), WithBatchSize(32), WithBufferPool(pool))
+	d, err := New("WF2Q+", 1e9, WithBurst(1e18), WithBufferPool(pool))
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := d.AddClass(0, 1e9); err != nil {
 		b.Fatal(err)
 	}
-	pipe := NewPipePool(4096, pool)
-	d.bw = pipe // driven inline; Start is never called
-
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		buf := make([]byte, 256)
-		for {
-			if _, err := pipe.ReadPacket(buf); err != nil {
-				return
-			}
-		}
-	}()
+	sink := &discardBatch{}
+	d.bw = sink // driven inline; Start is never called
 
 	last := d.clock.Since(d.epoch)
 	const chunk = 64
@@ -53,8 +42,9 @@ func BenchmarkPumpBatched(b *testing.B) {
 		d.writeInflight()
 	}
 	b.StopTimer()
-	pipe.Close()
-	<-drained
+	if sink.pkts != b.N {
+		b.Fatalf("wrote %d datagrams, want %d", sink.pkts, b.N)
+	}
 }
 
 // progressWriter counts delivered datagrams and signals progress after

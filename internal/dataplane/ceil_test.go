@@ -212,11 +212,12 @@ func TestCeilHoldsAtEgress(t *testing.T) {
 // must still wake often enough that the watchdog, sampling every 5 ms while
 // the pump is parked, never sees a stale heartbeat: no stall, the engine
 // stays healthy. A partial FEC block on another class opened during a hold
-// flushes at its deadline, not at the pump's next hold wakeup.
+// flushes at its deadline, not at the pump's next hold wakeup: a second
+// source 5 ms into the block restarts the pump's maxHoldWait cycle out of
+// phase with the DefaultFECBlockAge deadline.
 func TestCeilHoldKeepsPumpAlive(t *testing.T) {
 	const (
 		watchdog = 50 * time.Millisecond
-		blockAge = 15 * time.Millisecond
 		size     = 1500
 	)
 	clk := newStepClock()
@@ -229,7 +230,7 @@ func TestCeilHoldKeepsPumpAlive(t *testing.T) {
 	clk.busy = func() bool { return len(d.wake) > 0 }
 	d.AddClass(0, 5e5)
 	d.AddClass(1, 4e5)
-	if err := d.ProtectClass(1, spec, FECConfig{MaxBlockAge: blockAge}); err != nil {
+	if err := d.ProtectClass(1, spec, FECConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.SetCeil(0, 16e3); err != nil {
@@ -245,6 +246,7 @@ func TestCeilHoldKeepsPumpAlive(t *testing.T) {
 	idle := func() bool { return d.Backlog() == 0 } // only if a stall shed class 0
 	var maxAge time.Duration
 	opened := time.Duration(-1)
+	nudged := false
 	for parked := clk.settle(t, t.Name(), idle); parked && clk.Elapsed() < 2*time.Second; parked = clk.settle(t, t.Name(), idle) {
 		if opened < 0 && clk.Elapsed() >= time.Second {
 			// A partial block on class 1 while class 0 is held.
@@ -256,6 +258,13 @@ func TestCeilHoldKeepsPumpAlive(t *testing.T) {
 		for wake := clk.pending(); clk.Elapsed() < wake; {
 			clk.Advance(min(5*time.Millisecond, wake-clk.Elapsed()))
 			if clk.Elapsed() < wake {
+				if opened >= 0 && !nudged {
+					// The block's second source, between hold wakeups.
+					nudged = true
+					clk.forget()
+					d.Ingest(1, fecPayload(1, 1, 100))
+					break
+				}
 				maxAge = max(maxAge, d.heartbeatAge())
 				d.sampleOnce()
 				if h := d.Health(); h.WatchdogStalls != 0 {
@@ -270,8 +279,8 @@ func TestCeilHoldKeepsPumpAlive(t *testing.T) {
 	if maxAge > maxHoldWait {
 		t.Errorf("heartbeat went %v stale while the pump was parked, want <= %v", maxAge, maxHoldWait)
 	}
-	// The source and its block's repairs, by the block's deadline.
-	deadline := opened + blockAge + minWait + time.Microsecond
+	// The two sources and their block's repairs, by the block's deadline.
+	deadline := opened + DefaultFECBlockAge + minWait + time.Microsecond
 	small := 0
 	w.mu.Lock()
 	for _, r := range w.recs {
@@ -280,8 +289,8 @@ func TestCeilHoldKeepsPumpAlive(t *testing.T) {
 		}
 	}
 	w.mu.Unlock()
-	if opened < 0 || small != 1+spec.R {
-		t.Errorf("class 1 wrote %d datagrams by its block deadline %v, want %d", small, deadline, 1+spec.R)
+	if !nudged || small != 2+spec.R {
+		t.Errorf("class 1 wrote %d datagrams by its block deadline %v, want %d", small, deadline, 2+spec.R)
 	}
 	closeDraining(t, d, clk.Fake)
 }

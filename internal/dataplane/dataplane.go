@@ -34,7 +34,7 @@
 // The pump releases packets in token-bucket batches, and the egress side
 // keeps them batched: every release is handed to the Writer as WriteBatch
 // calls over a []Datagram slab (the sendmmsg shape), in chunks of
-// WithBatchSize datagrams, so writers amortize their per-call overhead
+// DefaultBatchSize datagrams, so writers amortize their per-call overhead
 // across the batch. Retry and backoff operate on the unwritten suffix:
 // WriteBatch reports how many datagrams were delivered, the error applies to
 // the first unwritten one, and the pump re-offers the rest, resetting the
@@ -59,10 +59,10 @@
 // errors are classified (errclass.go): transient conditions — EAGAIN-style
 // buffer exhaustion, timeouts, a momentarily absent UDP peer — are retried
 // in place with capped exponential backoff on the engine's clock
-// (WithWriteRetry), every attempt recorded as a retry in the metrics;
-// fatal errors drop the packet with reason "write-error". When the retry
-// budget runs out the packet is dropped with reason "retry-exhausted": a
-// datagram leaves its class's FIFO once, so the datagrams of a class that
+// (DefaultRetryLimit, DefaultRetryBackoff, DefaultRetryCap), every attempt
+// recorded as a retry in the metrics; fatal errors drop the packet with
+// reason "write-error". When the retry budget runs out the packet is
+// dropped with reason "retry-exhausted": a datagram leaves its class's FIFO once, so the datagrams of a class that
 // survive reach the Writer in ingest order. The pump itself runs under a
 // supervisor: a panic out of the Writer (or a tracer) is recovered, the
 // in-flight batch is accounted as dropped with reason "pump-panic", and the
@@ -116,7 +116,7 @@ const minWait = 50 * time.Microsecond
 // watchdog and the overload sampler.
 const maxHoldWait = 10 * time.Millisecond
 
-// Default retry policy for transient Writer errors: up to 3 re-attempts per
+// The retry policy for transient Writer errors: up to 3 re-attempts per
 // packet, backing off 500 µs → 1 ms → 2 ms (doubling, capped at 16 ms).
 const (
 	DefaultRetryLimit   = 3
@@ -124,9 +124,10 @@ const (
 	DefaultRetryCap     = 16 * time.Millisecond
 )
 
-// DefaultBatchSize is the default ceiling on datagrams per WriteBatch call
-// (WithBatchSize) — sized like a sendmmsg vector: big enough to amortize
-// per-call overhead, small enough to keep the retry suffix short.
+// DefaultBatchSize is the ceiling on datagrams per WriteBatch call, and on
+// the datagrams staged or dequeued per scheduler-lock hold — sized like a
+// sendmmsg vector: big enough to amortize per-call overhead, small enough
+// to keep the retry suffix short.
 const DefaultBatchSize = 32
 
 // errShortBatch marks a Writer that reported a short batch without an
@@ -216,13 +217,6 @@ type envelope struct {
 	slot int32
 }
 
-// retryPolicy is the pump's reaction to transient Writer errors.
-type retryPolicy struct {
-	limit   int           // re-attempts per packet beyond the first write
-	backoff time.Duration // first backoff; doubles per attempt
-	cap     time.Duration // backoff ceiling
-}
-
 // config collects construction options.
 type config struct {
 	top      *topo.Node
@@ -232,16 +226,13 @@ type config struct {
 	burst    float64
 	metrics  bool
 	tracer   obs.Tracer
-	retry    retryPolicy
 	aqm      bool
 	pool     *BufferPool
-	batch    int
 	pol      *pifo.Factory
 	nodePols map[string]pifo.Factory
 
-	ov        bool          // overload control (off unless watchdog)
-	shedOrder []int         // explicit shed order (nil = derive)
-	watchdog  time.Duration // pump watchdog timeout (0 = off)
+	ov       bool          // overload control (off unless watchdog)
+	watchdog time.Duration // pump watchdog timeout (0 = off)
 
 	scale float64 // shard divisor for absolute-rate knobs (0/1 = none)
 }
@@ -290,8 +281,8 @@ func WithByteCap(n int) Option { return func(c *config) { c.capBytes = n } }
 
 // WithBurst sets the token-bucket depth in bits: how much the pump may
 // release in one batch after an idle period, trading batching efficiency
-// against short-term burstiness. The default is 5 ms worth of the configured
-// rate.
+// against short-term burstiness. 0 selects the default, 5 ms worth of the
+// configured rate; New refuses a negative, NaN or infinite depth.
 func WithBurst(bits float64) Option { return func(c *config) { c.burst = bits } }
 
 // WithMetrics enables metric collection on the underlying scheduler from
@@ -303,19 +294,6 @@ func WithMetrics() Option { return func(c *config) { c.metrics = true } }
 // from the pump and from Ingest callers recording a refusal; it must not
 // call back into the Dataplane.
 func WithTracer(t obs.Tracer) Option { return func(c *config) { c.tracer = t } }
-
-// WithWriteRetry tunes the pump's reaction to transient Writer errors:
-// up to limit re-attempts per packet, sleeping backoff before the first and
-// doubling up to cap between the rest. limit 0 disables retries (transient
-// errors drop immediately with reason "retry-exhausted"). The defaults are
-// DefaultRetryLimit/DefaultRetryBackoff/DefaultRetryCap.
-func WithWriteRetry(limit int, backoff, cap time.Duration) Option {
-	return func(c *config) {
-		c.retry.limit = limit
-		c.retry.backoff = backoff
-		c.retry.cap = cap
-	}
-}
 
 // WithBufferPool hands the engine a payload buffer pool (nil selects the
 // process-wide SharedBufferPool): once a producer's Ingest succeeds on a
@@ -331,12 +309,6 @@ func WithBufferPool(p *BufferPool) Option {
 		c.pool = p
 	}
 }
-
-// WithBatchSize caps how many datagrams the pump hands the writer per
-// WriteBatch call (minimum 1; default DefaultBatchSize). Larger batches
-// amortize per-call overhead; smaller ones bound the suffix re-offered
-// after a mid-batch error.
-func WithBatchSize(n int) Option { return func(c *config) { c.batch = n } }
 
 // WithShardScale makes the engine one of n identically configured shards
 // that jointly present the user-facing totals: every absolute value it is
@@ -388,11 +360,9 @@ type Dataplane struct {
 	scale    float64 // shard count behind a sharding front (WithShardScale); 1 alone
 	clock    wallclock.Clock
 	epoch    time.Time
-	retry    retryPolicy
 	capPkts  int
 	capBytes int
 	pool     *BufferPool // nil: the engine never recycles payload buffers
-	batch    int         // max datagrams per WriteBatch call
 	bw       Writer      // egress, as handed to Start
 
 	tracer obs.Tracer // construction-time tracer (brownout restores it)
@@ -523,28 +493,18 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return nil, fmt.Errorf("dataplane: invalid rate %g", rate)
 	}
-	cfg := config{
-		clock: wallclock.Real{},
-		retry: retryPolicy{
-			limit:   DefaultRetryLimit,
-			backoff: DefaultRetryBackoff,
-			cap:     DefaultRetryCap,
-		},
-	}
+	cfg := config{clock: wallclock.Real{}}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.retry.backoff <= 0 {
-		cfg.retry.backoff = DefaultRetryBackoff
-	}
-	if cfg.retry.cap < cfg.retry.backoff {
-		cfg.retry.cap = cfg.retry.backoff
 	}
 	if cfg.capPkts < 0 {
 		return nil, fmt.Errorf("dataplane: WithQueueCap %d: want 0 (unlimited) or a positive cap", cfg.capPkts)
 	}
 	if cfg.capBytes < 0 {
 		return nil, fmt.Errorf("dataplane: WithByteCap %d: want 0 (unlimited) or a positive cap", cfg.capBytes)
+	}
+	if cfg.burst < 0 || math.IsNaN(cfg.burst) || math.IsInf(cfg.burst, 0) {
+		return nil, fmt.Errorf("dataplane: WithBurst %g: want 0 (the default) or a finite positive depth", cfg.burst)
 	}
 	// Shard scaling: absolute-capacity knobs were specified against the
 	// whole link; each of the N shards gets its 1/N slice. The default burst
@@ -555,24 +515,19 @@ func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 		burst:    cfg.burst / scale,
 		scale:    scale,
 		clock:    cfg.clock,
-		retry:    cfg.retry,
 		capPkts:  cfg.capPkts,
 		capBytes: cfg.capBytes,
 		pool:     cfg.pool,
-		batch:    cfg.batch,
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
 	if cfg.aqm {
 		d.aqm = []codel{} // non-nil: every class runs CoDel
 	}
-	if d.burst <= 0 {
+	if d.burst == 0 {
 		d.burst = rate * 0.005 // 5 ms of egress per batch
 	}
 	d.pace.Store(math.Float64bits(rate))
-	if d.batch <= 0 {
-		d.batch = DefaultBatchSize
-	}
 	resolve := hier.Resolver(algorithm, cfg.pol, cfg.nodePols)
 	if cfg.top != nil {
 		// Size the class tables once: a class per leaf, plus a repair class
@@ -893,7 +848,7 @@ func (d *Dataplane) signal() {
 }
 
 // Start launches the supervised pump goroutine writing scheduled datagrams
-// to w: each token-bucket release in WithBatchSize chunks, each datagram
+// to w: each token-bucket release in DefaultBatchSize chunks, each datagram
 // with its IngestCtx context.
 func (d *Dataplane) Start(w Writer) error {
 	if w == nil {
@@ -1142,7 +1097,7 @@ func (d *Dataplane) takeInbox(now float64) {
 	d.staging, d.inbox = d.inbox, d.staging
 }
 
-// stageChunk hands up to one WithBatchSize chunk of the taken inbox to the
+// stageChunk hands up to one DefaultBatchSize chunk of the taken inbox to the
 // scheduler, in arrival order, under one scheduler-lock hold: each record
 // fills an envelope, which enters the scheduler at its ingest time, clamped
 // to the scheduler clock, straight into the leaf its class resolved at
@@ -1151,7 +1106,7 @@ func (d *Dataplane) stageChunk() {
 	d.smu.Lock()
 	defer d.smu.Unlock()
 	defer d.raiseTrace()
-	end := min(d.stageHead+d.batch, len(d.staging))
+	end := min(d.stageHead+DefaultBatchSize, len(d.staging))
 	for d.stageHead < end {
 		r := &d.staging[d.stageHead]
 		d.stageHead++
@@ -1168,7 +1123,7 @@ func (d *Dataplane) stageChunk() {
 	}
 }
 
-// dequeueChunk dequeues up to one WithBatchSize chunk while tokens last,
+// dequeueChunk dequeues up to one DefaultBatchSize chunk while tokens last,
 // under one scheduler-lock hold at one clock reading. It reports false once
 // the scheduler has nothing to release, noting in holdWait when it will
 // release a class its ceiling holds back.
@@ -1177,7 +1132,7 @@ func (d *Dataplane) dequeueChunk(tokens *float64, now float64) bool {
 	defer d.smu.Unlock()
 	defer d.raiseTrace()
 	now = d.schedTime(now)
-	for n := 0; n < d.batch && *tokens >= 0; n++ {
+	for n := 0; n < DefaultBatchSize && *tokens >= 0; n++ {
 		env := d.pop(now)
 		if env == nil {
 			if at, ok := d.tree.NextRelease(); ok {
@@ -1236,13 +1191,13 @@ func (d *Dataplane) settleLocked() {
 }
 
 // writeInflight delivers the collected release to the writer in
-// WithBatchSize chunks, advancing infHead as datagrams reach their final
+// DefaultBatchSize chunks, advancing infHead as datagrams reach their final
 // disposition (written or dropped).
 func (d *Dataplane) writeInflight() {
 	for d.infHead < len(d.inflight) {
 		chunk := d.inflight[d.infHead:]
-		if len(chunk) > d.batch {
-			chunk = chunk[:d.batch]
+		if len(chunk) > DefaultBatchSize {
+			chunk = chunk[:DefaultBatchSize]
 		}
 		d.writeChunk(chunk)
 	}
@@ -1265,7 +1220,7 @@ func (d *Dataplane) writeChunk(chunk []released) {
 		pkts = append(pkts, Datagram{B: chunk[i].env.dg.b, Ctx: chunk[i].env.dg.ctx})
 	}
 	d.scratch = pkts[:0]
-	backoff := d.retry.backoff
+	backoff := DefaultRetryBackoff
 	attempts := 0
 	for len(pkts) > 0 {
 		n, err := d.bw.WriteBatch(pkts)
@@ -1278,7 +1233,7 @@ func (d *Dataplane) writeChunk(chunk []released) {
 			d.finishWritten(chunk[:n])
 			chunk = chunk[n:]
 			pkts = pkts[n:]
-			attempts, backoff = 0, d.retry.backoff
+			attempts, backoff = 0, DefaultRetryBackoff
 		}
 		if err == nil {
 			if len(pkts) == 0 {
@@ -1289,12 +1244,12 @@ func (d *Dataplane) writeChunk(chunk []released) {
 		head := chunk[0]
 		bits := float64(len(head.env.dg.b)) * 8
 		transient := isTransient(err)
-		if transient && attempts < d.retry.limit {
+		if transient && attempts < DefaultRetryLimit {
 			attempts++
 			d.ov.retries.Add(1)
 			d.record(head.class, bits, obs.RetryTransient, true)
 			d.sleep(backoff)
-			backoff = min(2*backoff, d.retry.cap)
+			backoff = min(2*backoff, DefaultRetryCap)
 			continue
 		}
 		reason := obs.DropWrite
@@ -1306,7 +1261,7 @@ func (d *Dataplane) writeChunk(chunk []released) {
 		chunk = chunk[1:]
 		pkts = pkts[1:]
 		d.infHead++
-		attempts, backoff = 0, d.retry.backoff
+		attempts, backoff = 0, DefaultRetryBackoff
 	}
 }
 

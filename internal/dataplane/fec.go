@@ -41,12 +41,9 @@ const DefaultFECBlockAge = 20 * time.Millisecond
 // tree: its id is class+DefaultRepairClassOffset, its leaf is named
 // "<leaf>.fec" beside the protected leaf, and its share is the protected
 // leaf's share (or rate) times R/K — exactly the bandwidth the code's
-// overhead needs at the initial geometry.
+// overhead needs at the initial geometry. A partial block flushes its
+// repairs after DefaultFECBlockAge.
 type FECConfig struct {
-	// MaxBlockAge bounds how long a partial block waits before its repairs
-	// flush. 0 selects DefaultFECBlockAge; negative disables age flushing
-	// (blocks flush only when full or at Close).
-	MaxBlockAge time.Duration
 	// Adapt runs a fec.Controller over FECFeedback loss reports, retuning
 	// the geometry at block boundaries.
 	Adapt bool
@@ -60,7 +57,6 @@ type fecState struct {
 	enc    *fec.Encoder
 	ctrl   *fec.Controller // nil unless adaptive
 
-	maxAge     float64 // seconds; negative disables age flushing
 	blockStart float64 // engine-seconds of the open block's first source
 	lastCtx    any     // latest source's IngestCtx context, reused for repairs
 }
@@ -152,14 +148,6 @@ func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) err
 		return err
 	}
 	fs := &fecState{class: class, repair: repair, enc: enc}
-	switch age := cfg.MaxBlockAge; {
-	case age == 0:
-		fs.maxAge = DefaultFECBlockAge.Seconds()
-	case age < 0:
-		fs.maxAge = -1
-	default:
-		fs.maxAge = age.Seconds()
-	}
 	if cfg.Adapt {
 		if fs.ctrl, err = fec.NewController(spec); err != nil {
 			return err
@@ -267,24 +255,22 @@ func (d *Dataplane) flushFECLocked(fs *fecState, now float64) {
 	d.tree.RecordFEC(0, sent, 0, 0)
 }
 
-// flushStaleFECLocked flushes every partial block that has waited past its
-// class's MaxBlockAge (or any partial block once the engine is closing) and
+// flushStaleFECLocked flushes every partial block that has waited past
+// DefaultFECBlockAge (or any partial block once the engine is closing) and
 // refreshes d.fecWait, the pump's hint for the earliest upcoming deadline.
 // Caller holds d.mu.
 func (d *Dataplane) flushStaleFECLocked(now float64) {
+	maxAge := DefaultFECBlockAge.Seconds()
 	d.fecWait = 0
 	for _, fs := range d.fecList {
 		if fs.enc.Pending() == 0 {
 			continue
 		}
-		if d.closed || (fs.maxAge >= 0 && now-fs.blockStart >= fs.maxAge) {
+		if d.closed || now-fs.blockStart >= maxAge {
 			d.flushFECLocked(fs, now)
 			continue
 		}
-		if fs.maxAge < 0 {
-			continue
-		}
-		wait := time.Duration((fs.blockStart + fs.maxAge - now) * float64(time.Second))
+		wait := time.Duration((fs.blockStart + maxAge - now) * float64(time.Second))
 		if wait < minWait {
 			wait = minWait
 		}

@@ -142,7 +142,7 @@ func TestFECEmitsRepairsAndStatus(t *testing.T) {
 	if err := d.AddClass(0, 5e7); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1}); err != nil {
+	if err := d.ProtectClass(0, spec, FECConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 40
@@ -227,7 +227,7 @@ func TestFECRecoveryUnderLoss(t *testing.T) {
 			if err := d.AddClass(0, 5e7); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1}); err != nil {
+			if err := d.ProtectClass(0, spec, FECConfig{}); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
@@ -357,7 +357,7 @@ func TestFECRepairClassShare(t *testing.T) {
 	if err := d.AddClass(0, protRate); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1}); err != nil {
+	if err := d.ProtectClass(0, spec, FECConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AddClass(1, otherRate); err != nil {
@@ -413,7 +413,7 @@ func TestFECAdaptiveRetune(t *testing.T) {
 	if err := d.AddClass(0, 5e7); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ProtectClass(0, spec, FECConfig{Adapt: true, MaxBlockAge: -1}); err != nil {
+	if err := d.ProtectClass(0, spec, FECConfig{Adapt: true}); err != nil {
 		t.Fatal(err)
 	}
 	// 20% observed loss with the default 1.5x headroom needs 30% redundancy:
@@ -470,8 +470,8 @@ func TestFECAdaptSingleSource(t *testing.T) {
 }
 
 // TestFECStaleBlockFlush: a partial block on an idle stream flushes its
-// repairs once MaxBlockAge elapses instead of waiting forever for the block
-// to fill.
+// repairs once DefaultFECBlockAge elapses instead of waiting forever for
+// the block to fill, and not before.
 func TestFECStaleBlockFlush(t *testing.T) {
 	spec := fec.Spec{Scheme: fec.SchemeRS, K: 4, R: 2}
 	clk := wallclock.NewFake()
@@ -482,7 +482,7 @@ func TestFECStaleBlockFlush(t *testing.T) {
 	if err := d.AddClass(0, 5e7); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: 10 * time.Millisecond}); err != nil {
+	if err := d.ProtectClass(0, spec, FECConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	w := &lossyCapture{r: spec.R}
@@ -495,7 +495,11 @@ func TestFECStaleBlockFlush(t *testing.T) {
 		}
 	}
 	// 2 sources now, 2 repairs once the block goes stale.
+	opened := clk.Elapsed()
 	advanceUntil(t, d, clk, time.Millisecond, func() bool { got, _ := w.counts(); return got >= 4 })
+	if waited := clk.Elapsed() - opened; waited < DefaultFECBlockAge {
+		t.Fatalf("partial block flushed after %v, before its %v age", waited, DefaultFECBlockAge)
+	}
 	if m := d.Snapshot(); m.FECRepairSent != 2 {
 		t.Fatalf("FECRepairSent = %d after stale flush, want 2", m.FECRepairSent)
 	}
@@ -532,7 +536,7 @@ func TestFECRepairClassOwnership(t *testing.T) {
 	if err := d.AddClass(0, 5e7); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1}); err != nil {
+	if err := d.ProtectClass(0, spec, FECConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	err = d.Ingest(DefaultRepairClassOffset, fecPayload(0, 0, 64))
@@ -567,7 +571,7 @@ func TestFECRepairClassShed(t *testing.T) {
 	}
 	d.AddClass(0, 2e5)
 	d.AddClass(1, 8e5)
-	if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1}); err != nil {
+	if err := d.ProtectClass(0, spec, FECConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	// Hold shedding at one class: the front of the derived order.
@@ -694,7 +698,7 @@ func BenchmarkPumpWithFEC(b *testing.B) {
 	if err := d.AddClass(0, 1e12); err != nil {
 		b.Fatal(err)
 	}
-	if err := d.ProtectClass(0, fec.Spec{Scheme: fec.SchemeRS, K: 8, R: 2}, FECConfig{MaxBlockAge: -1}); err != nil {
+	if err := d.ProtectClass(0, fec.Spec{Scheme: fec.SchemeRS, K: 8, R: 2}, FECConfig{}); err != nil {
 		b.Fatal(err)
 	}
 	var sink struct {
@@ -752,7 +756,7 @@ func TestFECProtectRefusalIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for try := 0; try < 2; try++ {
-		err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1})
+		err := d.ProtectClass(0, spec, FECConfig{})
 		if err == nil || !strings.Contains(err.Error(), "repair class 1000 already exists") {
 			t.Fatalf("try %d: ProtectClass(0) = %v, want the repair-id refusal", try, err)
 		}
@@ -767,7 +771,7 @@ func TestFECProtectRefusalIsAtomic(t *testing.T) {
 	if err := d.RemoveClass(DefaultRepairClassOffset); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ProtectClass(0, spec, FECConfig{MaxBlockAge: -1}); err != nil {
+	if err := d.ProtectClass(0, spec, FECConfig{}); err != nil {
 		t.Fatalf("ProtectClass(0) once the repair id is free: %v", err)
 	}
 	if st := d.Status().FEC; len(st) != 1 || st[0].Class != 0 || st[0].RepairClass != DefaultRepairClassOffset {
@@ -798,7 +802,7 @@ func TestFECProtectionFollowsClassID(t *testing.T) {
 	if err := d.AddClass(0, 5e7); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ProtectClass(0, fec.Spec{Scheme: fec.SchemeXOR, K: 4, R: 1}, FECConfig{MaxBlockAge: -1}); err != nil {
+	if err := d.ProtectClass(0, fec.Spec{Scheme: fec.SchemeXOR, K: 4, R: 1}, FECConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	repair := DefaultRepairClassOffset

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -119,6 +120,37 @@ func TestNewRefusesNegativeCaps(t *testing.T) {
 	for name, opt := range map[string]Option{"WithQueueCap": WithQueueCap(-1), "WithByteCap": WithByteCap(-1)} {
 		if _, err := New("WF2Q+", 1e6, opt); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("New with %s(-1) = %v, want an error naming %s", name, err, name)
+		}
+	}
+}
+
+// TestNewBurstDepth: a negative depth would silently read as the default
+// and a NaN or infinite one would leave the token bucket uncapped, so New
+// refuses them with an error naming WithBurst; 0 selects the default, 5 ms
+// of the rate.
+func TestNewBurstDepth(t *testing.T) {
+	const rate = 1e6
+	for _, tc := range []struct {
+		bits float64
+		want float64 // 0: refused
+	}{
+		{-1, 0},
+		{math.NaN(), 0},
+		{math.Inf(1), 0},
+		{math.Inf(-1), 0},
+		{0, rate * 0.005},
+		{1e5, 1e5},
+	} {
+		d, err := New("WF2Q+", rate, WithBurst(tc.bits))
+		switch {
+		case tc.want == 0:
+			if err == nil || !strings.Contains(err.Error(), "WithBurst") {
+				t.Errorf("WithBurst(%g): New = %v, want an error naming WithBurst", tc.bits, err)
+			}
+		case err != nil:
+			t.Errorf("WithBurst(%g): %v", tc.bits, err)
+		case d.burst != tc.want:
+			t.Errorf("WithBurst(%g): depth %g, want %g", tc.bits, d.burst, tc.want)
 		}
 	}
 }

@@ -8,12 +8,11 @@ package dataplane
 // resulting health state back to the engine:
 //
 //   - degraded+: priority-aware load shedding. The classes at the front of
-//     the shed order (default: repair classes first, then ascending
-//     guaranteed rate; override with WithShedOrder) flip their shed flag
-//     and Ingest refuses their datagrams with ErrShedding, recorded as
-//     drops with reason "shed". The class with the highest guaranteed rate
-//     is never shed by the default order — the hierarchy's shares say it
-//     deserves the capacity that remains.
+//     the shed order (repair classes first, then ascending guaranteed
+//     rate) flip their shed flag and Ingest refuses their datagrams with
+//     ErrShedding, recorded as drops with reason "shed". The class with
+//     the highest guaranteed rate is never shed — the hierarchy's shares
+//     say it deserves the capacity that remains.
 //   - overloaded+: brownout. Expensive features switch off — FEC encoding
 //     stops (source datagrams pass unprotected), tracing is suspended —
 //     and the gateway additionally refuses *new* flows (see cmd/hpfqgw).
@@ -64,15 +63,6 @@ func WithOverload() Option {
 	return func(c *config) { c.ov = true }
 }
 
-// WithShedOrder fixes the load-shedding order explicitly: ids shed front
-// first as pressure grows, and classes not listed are never shed. Without
-// it the order is derived from the hierarchy itself — FEC repair classes
-// first (redundancy is the first luxury to go), then ascending guaranteed
-// rate, and the top-share class is never shed.
-func WithShedOrder(ids ...int) Option {
-	return func(c *config) { c.shedOrder = append([]int(nil), ids...) }
-}
-
 // WithWatchdog arms the pump watchdog: when the heartbeat (stamped every
 // pump iteration) goes older than timeout while work is queued, the
 // watchdog records a stall, interrupts the blocked write with a write
@@ -88,9 +78,8 @@ type ovState struct {
 	tracker  *overload.Tracker
 	watchdog time.Duration // 0: stall escalation off
 
-	explicitOrder []int // WithShedOrder, nil when derived
-	shedOrder     []int // resolved shed order (front sheds first)
-	shedding      int   // prefix of shedOrder currently shedding
+	shedOrder []int // shed order (front sheds first)
+	shedding  int   // prefix of shedOrder currently shedding
 
 	brownout    bool
 	savedTracer obs.Tracer // tracer suspended by brownout
@@ -123,7 +112,6 @@ func (d *Dataplane) overloadEnabled() bool { return d.ov.tracker != nil }
 
 // initOverload resolves the overload/watchdog options at construction.
 func (d *Dataplane) initOverload(cfg *config) {
-	d.ov.explicitOrder = cfg.shedOrder
 	if !cfg.ov && cfg.watchdog <= 0 {
 		return
 	}
@@ -157,53 +145,39 @@ func (d *Dataplane) heartbeatAge() time.Duration {
 }
 
 // rebuildShedOrderLocked recomputes the shed order after any class or rate
-// mutation. Caller holds d.mu.
+// mutation: FEC repair classes first (redundancy is the first luxury to
+// go), then ascending guaranteed rate. Caller holds d.mu.
 func (d *Dataplane) rebuildShedOrderLocked() {
 	if !d.overloadEnabled() {
 		return
 	}
-	if d.ov.explicitOrder != nil {
-		order := d.ov.shedOrder[:0]
-		for _, id := range d.ov.explicitOrder {
-			if cs, _ := d.classLocked(id); cs != nil {
-				order = append(order, id)
-			}
+	order := d.ov.shedOrder[:0]
+	for s := range d.classes {
+		if id := d.classes[s].id; id >= 0 {
+			order = append(order, int(id))
 		}
-		d.ov.shedOrder = order
-	} else {
-		order := d.ov.shedOrder[:0]
-		for s := range d.classes {
-			if id := d.classes[s].id; id >= 0 {
-				order = append(order, int(id))
-			}
-		}
-		// Repair classes shed before protected ones; within each group,
-		// lowest guaranteed rate first; ties break on id for determinism.
-		sort.Slice(order, func(i, j int) bool {
-			a, _ := d.classLocked(order[i])
-			b, _ := d.classLocked(order[j])
-			if ra, rb := a.repairOf >= 0, b.repairOf >= 0; ra != rb {
-				return ra
-			}
-			if a.rate != b.rate {
-				return a.rate < b.rate
-			}
-			return a.id < b.id
-		})
-		d.ov.shedOrder = order
 	}
+	// Repair classes shed before protected ones; within each group,
+	// lowest guaranteed rate first; ties break on id for determinism.
+	sort.Slice(order, func(i, j int) bool {
+		a, _ := d.classLocked(order[i])
+		b, _ := d.classLocked(order[j])
+		if ra, rb := a.repairOf >= 0, b.repairOf >= 0; ra != rb {
+			return ra
+		}
+		if a.rate != b.rate {
+			return a.rate < b.rate
+		}
+		return a.id < b.id
+	})
+	d.ov.shedOrder = order
 	d.applyShedLocked()
 }
 
-// maxShedLocked bounds how many classes may shed: an explicit order sheds
-// everything it lists; the derived order always spares its last (highest-
-// share) class.
+// maxShedLocked bounds how many classes may shed: the order always spares
+// its last (highest-share) class.
 func (d *Dataplane) maxShedLocked() int {
-	n := len(d.ov.shedOrder)
-	if d.ov.explicitOrder == nil && n > 0 {
-		n--
-	}
-	return n
+	return max(len(d.ov.shedOrder)-1, 0)
 }
 
 // applyShedLocked flips per-class shed flags so exactly the first

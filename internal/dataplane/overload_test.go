@@ -122,48 +122,6 @@ func TestOverloadRampShedsByShare(t *testing.T) {
 	}
 }
 
-// TestOverloadExplicitShedOrder: WithShedOrder overrides the derived order
-// completely — only listed classes shed, in the listed order, even when the
-// hierarchy's shares would pick differently.
-func TestOverloadExplicitShedOrder(t *testing.T) {
-	clk := wallclock.NewFake()
-	d, err := New("WF2Q+", 1e6, WithClock(clk), WithMetrics(),
-		WithQueueCap(8), WithOverload(), WithShedOrder(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.AddClass(0, 1e5) // lowest share — the derived order would shed this first
-	d.AddClass(1, 9e5)
-	pipe := NewPipe(256)
-	out := collectFrom(pipe)
-	if err := d.Start(pipe); err != nil {
-		t.Fatal(err)
-	}
-
-	shed := map[int]int{}
-	for i := 0; i < 400; i++ {
-		clk.Advance(5 * time.Millisecond)
-		settle(t, d)
-		for class := 0; class < 2; class++ {
-			for j := 0; j < 4; j++ {
-				if err := d.Ingest(class, mkPayload(class, j, 250)); errors.Is(err, ErrShedding) {
-					shed[class]++
-				}
-			}
-		}
-		settle(t, d)
-	}
-	if shed[0] != 0 {
-		t.Fatalf("unlisted class 0 was shed %d times, want never", shed[0])
-	}
-	if shed[1] == 0 {
-		t.Fatal("listed class 1 was never shed under sustained overload")
-	}
-	closeDraining(t, d, clk)
-	pipe.Close()
-	<-out.done
-}
-
 // TestBrownoutFlapLosesNoSurvivors: pressure oscillating across the
 // brownout boundary several times must not lose a single accepted datagram
 // — every Ingest that returned nil is delivered. Run under -race this also

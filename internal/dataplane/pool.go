@@ -42,10 +42,9 @@ type BufferPool struct {
 	gets, puts, allocs paddedCounter
 }
 
-// magazineSize is the most buffers a magazine holds: one WithBatchSize
-// chunk at the default batch size, so the pump returns a written chunk in
-// about one magazine.
-const magazineSize = 32
+// magazineSize is the most buffers a magazine holds: one write chunk, so
+// the pump returns a written chunk in about one magazine.
+const magazineSize = DefaultBatchSize
 
 // magazine is a stack of pooled buffers.
 type magazine struct {

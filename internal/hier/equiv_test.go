@@ -14,7 +14,7 @@ import (
 
 // Hierarchy-level golden equivalence: an H-PFQ tree whose nodes are the
 // PIFO-hosted policies (hier.New) must reproduce a tree built from the seed
-// node schedulers (hier.Build) exactly — identical departures and identical
+// node schedulers (BuildSpec over a seed constructor) exactly — identical departures and identical
 // per-node traces, including the nodes' reference-time virtual stamps.
 
 type eqLCG uint64
@@ -77,7 +77,7 @@ func equivTopology() *topo.Node {
 }
 
 func TestPIFOHierarchyEquivalence(t *testing.T) {
-	seeds := map[string]NewNodeFunc{
+	seeds := map[string]func(r float64) sched.NodeScheduler{
 		"WF2Q+": func(r float64) sched.NodeScheduler { return core.NewNode(r) },
 		"WFQ":   func(r float64) sched.NodeScheduler { return sched.NewWFQNode(r) },
 		"WF2Q":  func(r float64) sched.NodeScheduler { return sched.NewWF2QNode(r) },
@@ -93,7 +93,8 @@ func TestPIFOHierarchyEquivalence(t *testing.T) {
 	for _, name := range names {
 		ctor := seeds[name]
 		t.Run(name, func(t *testing.T) {
-			golden, err := Build(equivTopology(), 1e6, name, ctor)
+			golden, err := BuildSpec(equivTopology(), 1e6, name,
+				func(_ *topo.Node, r float64) (sched.NodeScheduler, error) { return ctor(r), nil })
 			if err != nil {
 				t.Fatal(err)
 			}

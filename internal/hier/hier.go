@@ -87,23 +87,10 @@ type node struct {
 
 func (n *node) isLeaf() bool { return n.session >= 0 }
 
-// NewNodeFunc builds the per-node scheduler for an interior node with
-// guaranteed rate r_n.
-type NewNodeFunc func(rate float64) sched.NodeScheduler
-
 // NewNodeSpecFunc builds the per-node scheduler for the interior node
 // described by tn with guaranteed rate r_n. Seeing the topology node lets
 // the builder honor per-node policy annotations (tn.Policy, node names).
 type NewNodeSpecFunc func(tn *topo.Node, rate float64) (sched.NodeScheduler, error)
-
-// Build constructs an H-PFQ server over the given topology for a link of
-// the given rate, creating one scheduler per interior node via newNode.
-// The topology root must be an interior node.
-func Build(t *topo.Node, linkRate float64, algo string, newNode NewNodeFunc) (*Tree, error) {
-	return BuildSpec(t, linkRate, algo, func(_ *topo.Node, rate float64) (sched.NodeScheduler, error) {
-		return newNode(rate), nil
-	})
-}
 
 // MaxSession is the largest session id a tree accepts. A tree keeps
 // per-session state in tables indexed by session id, so an id costs memory
@@ -112,10 +99,11 @@ func Build(t *topo.Node, linkRate float64, algo string, newNode NewNodeFunc) (*T
 // BuildSpec and AddLeaf refuse a larger id with errs.ErrBadTopology.
 const MaxSession = 1<<17 - 1
 
-// BuildSpec is Build with a topology-aware node constructor: newNode is
-// called once per interior node with that node's topo spec and guaranteed
-// rate, and may fail (e.g. an unknown per-node policy name), aborting the
-// build.
+// BuildSpec constructs an H-PFQ server over the given topology for a link
+// of the given rate. The topology root must be an interior node. newNode
+// is called once per interior node with that node's topo spec and
+// guaranteed rate, and may fail (e.g. an unknown per-node policy name),
+// aborting the build.
 //
 // The build is one depth-first walk (DESIGN.md S40). It validates each
 // node as it builds it, computes each child's guaranteed rate top-down with

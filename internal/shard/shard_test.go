@@ -304,7 +304,7 @@ func TestFECRefusalKeepsShardsIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for try := 0; try < 2; try++ {
-		err := s.ProtectClass(0, spec, dataplane.FECConfig{MaxBlockAge: -1})
+		err := s.ProtectClass(0, spec, dataplane.FECConfig{})
 		if err == nil || !strings.Contains(err.Error(), "repair class 1000 already exists") {
 			t.Fatalf("try %d: ProtectClass(0) = %v, want the repair-id refusal", try, err)
 		}
