@@ -4,12 +4,14 @@
 //
 //	go test -bench . -benchmem | benchjson -out BENCH.json
 //
-// It captures the goos/goarch/pkg/cpu header lines, the machine's CPU
+// It captures the goos/goarch/cpu header lines, the machine's CPU
 // count (nproc) and GOMAXPROCS — read by benchjson itself, which in a
 // pipeline such as `make bench` runs on the benchmark's machine with its
-// environment — and, per benchmark
-// line, the iteration count plus every "value unit" metric pair (ns/op,
-// B/op, allocs/op go to named fields; anything else lands in "extra").
+// environment — and, per benchmark line, the package of the last "pkg:"
+// line above it, the iteration count and every "value unit" metric pair
+// (ns/op, B/op, allocs/op go to named fields; anything else lands in
+// "extra"). The document's own "pkg" is set when every benchmark comes
+// from one package, as from one `go test` run.
 // Parsing nothing is an error — an empty document would silently pass for
 // a fresh result. When -out names an existing document, its benchmarks
 // are kept under "previous", so every refresh checks in a before/after
@@ -32,6 +34,7 @@ import (
 
 type result struct {
 	Name        string             `json:"name"`
+	Pkg         string             `json:"pkg,omitempty"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op"`
@@ -87,6 +90,7 @@ func run(r io.Reader, w io.Writer, out string) error {
 
 func parse(r io.Reader) (document, error) {
 	var doc document
+	var pkg string // the package of the results that follow
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -96,11 +100,12 @@ func parse(r io.Reader) (document, error) {
 		case strings.HasPrefix(line, "goarch: "):
 			doc.Goarch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			doc.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "cpu: "):
 			doc.CPU = strings.TrimPrefix(line, "cpu: ")
 		default:
 			if res, ok := parseResult(line); ok {
+				res.Pkg = pkg
 				doc.Benchmarks = append(doc.Benchmarks, res)
 			}
 		}
@@ -110,6 +115,13 @@ func parse(r io.Reader) (document, error) {
 	}
 	if len(doc.Benchmarks) == 0 {
 		return doc, fmt.Errorf("no benchmark result lines on stdin")
+	}
+	doc.Pkg = doc.Benchmarks[0].Pkg
+	for _, res := range doc.Benchmarks {
+		if res.Pkg != doc.Pkg {
+			doc.Pkg = ""
+			break
+		}
 	}
 	return doc, nil
 }

@@ -46,6 +46,33 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParsePackages: a run over several packages records each result's
+// package from the "pkg:" line above it, and the document names none.
+func TestParsePackages(t *testing.T) {
+	in := sample + `goos: linux
+goarch: amd64
+pkg: hpfq/internal/udpio
+BenchmarkUDPRun/gso-2 	   20000	      5000 ns/op	       0 B/op	       0 allocs/op
+PASS
+`
+	doc, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Pkg != "" {
+		t.Errorf("document pkg = %q, want none for two packages", doc.Pkg)
+	}
+	want := []string{"hpfq/internal/dataplane", "hpfq/internal/dataplane", "hpfq/internal/udpio"}
+	if len(doc.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d", len(doc.Benchmarks), len(want))
+	}
+	for i, res := range doc.Benchmarks {
+		if res.Pkg != want[i] {
+			t.Errorf("%s: pkg %q, want %q", res.Name, res.Pkg, want[i])
+		}
+	}
+}
+
 func TestParseRejectsEmpty(t *testing.T) {
 	if _, err := parse(strings.NewReader("PASS\nok\n")); err == nil {
 		t.Error("no benchmark lines accepted")

@@ -234,7 +234,7 @@ func (d *Dataplane) tryFinalizeLocked(id int) bool {
 	if d.tree.RemoveLeaf(id) != nil {
 		return false
 	}
-	d.freeClassLocked(id, s)
+	d.classes[s] = classState{id: -1} // the tree freed the slot
 	d.syncRatesLocked()
 	return true
 }

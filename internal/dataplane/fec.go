@@ -82,28 +82,24 @@ func (d *Dataplane) ProtectClass(class int, spec fec.Spec, cfg FECConfig) error 
 	return d.attachFECLocked(class, spec, cfg)
 }
 
-// protectTopoLocked protects every leaf that carries a '!fec' clause, with
-// default knobs, in class order. Caller holds d.mu and d.smu, or owns d.
-func (d *Dataplane) protectTopoLocked(top *topo.Node) error {
+// protectTopoLocked protects every topology leaf that carries a '!fec'
+// clause (classBounds lists them in preorder), with default knobs, in class
+// order. Caller holds d.mu and d.smu, or owns d.
+func (d *Dataplane) protectTopoLocked(leaves []*topo.Node) error {
+	if len(leaves) == 0 {
+		return nil
+	}
 	type clause struct {
 		class int
 		spec  fec.Spec
 	}
-	var cs []clause
-	var err error
-	top.Walk(func(n *topo.Node, _ int) {
-		if err != nil || n.FEC == "" || !n.IsLeaf() {
-			return
-		}
-		spec, perr := fec.ParseSpec(n.FEC)
-		if perr != nil {
-			err = fmt.Errorf("dataplane: leaf %q: %v", n.Name, perr)
-			return
+	cs := make([]clause, 0, len(leaves))
+	for _, n := range leaves {
+		spec, err := fec.ParseSpec(n.FEC)
+		if err != nil {
+			return fmt.Errorf("dataplane: leaf %q: %v", n.Name, err)
 		}
 		cs = append(cs, clause{n.Session, spec})
-	})
-	if err != nil {
-		return err
 	}
 	sort.Slice(cs, func(i, j int) bool { return cs[i].class < cs[j].class })
 	for _, c := range cs {

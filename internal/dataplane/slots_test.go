@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -294,4 +295,108 @@ func TestEnvelopeFreeListBounded(t *testing.T) {
 	if n := len(d.envFree); n == 0 || n > maxFreeEnvelopes {
 		t.Errorf("free list holds %d envelopes after the burst, want 1..%d", n, maxFreeEnvelopes)
 	}
+}
+
+// TestClassSlotChurn: 10 000 cycles each graft two classes into a running
+// engine on a fake clock, push datagrams through them long enough for CoDel
+// to see a standing sojourn, and remove them again. The class tables stay
+// at the size the first cycle left them, with the grafts in the two slots
+// after the topology's leaves, and every class starts in its reused slot
+// with zero counts and fresh CoDel state.
+func TestClassSlotChurn(t *testing.T) {
+	const (
+		cycles   = 10000
+		ids      = 10 // class ids 2..11 rotate through the cycles
+		perClass = 8  // datagrams per class and cycle
+	)
+	top, err := topo.Parse("root=1(a=1:0,b=1:1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := wallclock.NewFake()
+	// 1 Mb/s and a 5 000-bit bucket pass at most six 125-byte datagrams
+	// before the clock moves (the sixth overdraws the bucket), so each
+	// class of a cycle has datagrams that wait a 10 ms step, past CoDel's
+	// 5 ms target but far from its 100 ms interval.
+	d, err := New("WF2Q+", 1e6, WithClock(clk), WithTopology(top), WithAQM(), WithBurst(5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &batchCounter{}
+	if err := d.Start(w); err != nil {
+		t.Fatal(err)
+	}
+	var sent int64
+	// advance steps the clock until cond holds, spinning on Settled between
+	// steps: a sleep would wake a millisecond late on a loaded host, which
+	// 10 000 cycles multiply into minutes.
+	advance := func(step time.Duration, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			for !Settled(d) {
+				runtime.Gosched()
+			}
+			if cond() {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("condition not reached at %v on the fake clock: wrote %d of %d, %d classes, status %+v", clk.Now(), w.n.Load(), sent, len(d.Classes()), d.Status().Classes)
+			}
+			clk.Advance(step)
+		}
+	}
+	fresh := newCodel(codelTarget, codelInterval)
+	tables := func() [4]int { return [4]int{cap(d.classes), cap(d.settled), cap(d.out), cap(d.aqm)} }
+	var high [4]int
+	for c := 0; c < cycles; c++ {
+		pair := [2]int{2 + 2*c%ids, 3 + 2*c%ids}
+		for _, id := range pair {
+			if err := d.AddLeafClass("root", "", id, 1, 0); err != nil {
+				t.Fatalf("cycle %d: add %d: %v", c, id, err)
+			}
+			d.lock()
+			cs, s := d.classLocked(id)
+			switch {
+			case s != 2 && s != 3:
+				t.Fatalf("cycle %d: class %d in slot %d, want 2 or 3", c, id, s)
+			case cs.accepted != 0 || cs.acceptedBytes != 0 || d.settled[s] != (departures{}) || d.out[s] != (departures{}):
+				t.Fatalf("cycle %d: class %d starts in slot %d with counts %+v %+v %+v", c, id, s, *cs, d.settled[s], d.out[s])
+			case d.aqm[s] != fresh:
+				t.Fatalf("cycle %d: class %d inherits CoDel state %+v in slot %d", c, id, d.aqm[s], s)
+			}
+			d.unlock()
+		}
+		for _, id := range pair {
+			for k := 0; k < perClass; k++ {
+				if err := d.Ingest(id, mkPayload(id, k, 125)); err != nil {
+					t.Fatalf("cycle %d: ingest %d: %v", c, id, err)
+				}
+			}
+		}
+		sent += 2 * perClass
+		advance(10*time.Millisecond, func() bool { return w.n.Load() == sent })
+		d.lock()
+		for _, id := range pair {
+			if _, s := d.classLocked(id); d.aqm[s] == fresh {
+				t.Fatalf("cycle %d: class %d left no CoDel state; the reuse check shows nothing", c, id)
+			}
+		}
+		d.unlock()
+		for i := range pair {
+			if err := d.RemoveClass(pair[(c+i)%2]); err != nil { // alternate the order
+				t.Fatalf("cycle %d: remove %d: %v", c, pair[(c+i)%2], err)
+			}
+		}
+		advance(time.Millisecond, func() bool { return len(d.Classes()) == 2 })
+		d.lock()
+		got := tables()
+		d.unlock()
+		if c == 0 {
+			high = got
+		} else if got != high {
+			t.Fatalf("cycle %d: class tables at capacity %v, %v after the first cycle", c, got, high)
+		}
+	}
+	closeDraining(t, d, clk)
 }

@@ -65,7 +65,7 @@ func TestBuildExact(t *testing.T) {
 				t.Fatalf("seed %d: node %d share %g session %d, want %g %d", seed, id, n.share, n.session, tn.Share, tn.Session)
 			}
 			if tn.IsLeaf() {
-				if tree.leaves[tn.Session] != n {
+				if tree.Leaf(tn.Session).n != n {
 					t.Fatalf("seed %d: leaf index of session %d", seed, tn.Session)
 				}
 				continue
@@ -95,11 +95,11 @@ func TestBuildExact(t *testing.T) {
 		}
 		want := map[string]*topo.Node{}
 		wantByName(top, want)
-		if len(tree.byName) != len(want) {
-			t.Fatalf("seed %d: %d names, want %d", seed, len(tree.byName), len(want))
+		if len(tree.names()) != len(want) {
+			t.Fatalf("seed %d: %d names, want %d", seed, len(tree.names()), len(want))
 		}
 		for name, tn := range want {
-			if tree.byName[name] != byTopo[tn] {
+			if tree.names()[name] != byTopo[tn] {
 				t.Fatalf("seed %d: name %q indexes the wrong node", seed, name)
 			}
 		}

@@ -53,10 +53,10 @@ func FuzzTree(f *testing.F) {
 				// Errors (a rate at or above the parent's) are refusals,
 				// not faults; only the invariants below matter.
 				sess := arg % nsess
-				parent := tree.leaves[sess].parent
+				parent := tree.Leaf(sess).n.parent
 				_ = tree.SetSessionRate(sess, parent.rate*float64(1+arg%7)/8)
 			case 6:
-				n := tree.byName[nodes[arg%len(nodes)]]
+				n := tree.names()[nodes[arg%len(nodes)]]
 				next := wf2qp
 				if n.ns.Name() == wf2qp.Name {
 					next = drr
@@ -66,7 +66,7 @@ func FuzzTree(f *testing.F) {
 				}
 			case 7:
 				sess := arg % nsess
-				leaf := tree.leaves[sess]
+				leaf := tree.Leaf(sess).n
 				if tree.RemoveLeaf(sess) == nil {
 					if err := tree.AddLeaf(leaf.parent.name, leaf.name, sess, leaf.share); err != nil {
 						t.Fatal(err)

@@ -50,10 +50,19 @@ import (
 // EnableMetrics and SetTracer cascade to every interior node's
 // reference-time collector, whose snapshots NodeSnapshots exposes.
 type Tree struct {
-	algo     string
-	rate     float64
-	root     *node
-	leaves   map[int]*node
+	algo string
+	rate float64
+	root *node
+	// The leaf index (DESIGN.md S41), the one class index of an engine:
+	// sessions maps a session id to its leaf's slot + 1 (0: no such
+	// session), leaves holds the leaves by slot (nil while free), and free
+	// lists the slots RemoveLeaf freed, which AddLeaf reuses last-freed
+	// first, so add/remove churn keeps every table at its high-water mark.
+	sessions []int32
+	leaves   []*node
+	free     []int32
+	// byName indexes the named nodes. Only control-plane calls look nodes
+	// up by name, so it is built on the first lookup (names).
 	byName   map[string]*node
 	interior []*node
 	nodes    []*node // by node id, for the shaper's release heap
@@ -72,17 +81,19 @@ type node struct {
 	parent   *node
 	childIdx int                 // this node's id within parent's scheduler
 	session  int                 // leaf session id, -1 for interior
-	removed  bool                // detached by RemoveLeaf; its slot waits for the next AddLeaf
-	busy     bool                // paper's Busy_n flag
 	act      *node               // paper's ActiveChild_n
 	id       int                 // index in Tree.nodes, the shaper's key
+	slot     int32               // leaf slot in Tree.leaves; leaves only
+	busy     bool                // paper's Busy_n flag
+	removed  bool                // detached by RemoveLeaf; its slots wait for the next AddLeaf
+	abs      bool                // children carry absolute rates, not shares (NewFlat's root)
+	named    bool                // indexed by name: named in the topology or by AddLeaf, or NewFlat's root
 	ns       sched.NodeScheduler // interior nodes only
 
 	name     string
 	children []*node
 	rate     float64
 	share    float64 // service share φ relative to siblings (topo.Node.Share)
-	abs      bool    // children carry absolute rates, not shares (NewFlat's root)
 }
 
 func (n *node) isLeaf() bool { return n.session >= 0 }
@@ -123,12 +134,14 @@ func BuildSpec(t *topo.Node, linkRate float64, algo string, newNode NewNodeSpecF
 		}
 		return nil, fmt.Errorf("hier: invalid link rate %g", linkRate)
 	}
-	nodes, interior := countNodes(t)
+	nodes, interior, maxSession := countNodes(t)
+	// A session id outside [0, MaxSession] fails the walk: it sizes nothing.
+	maxSession = min(max(maxSession, 0), MaxSession)
 	tr := &Tree{
 		algo:     algo,
 		rate:     linkRate,
-		leaves:   make(map[int]*node, nodes-interior),
-		byName:   make(map[string]*node, nodes),
+		sessions: make([]int32, maxSession+1),
+		leaves:   make([]*node, 0, nodes-interior),
 		interior: make([]*node, 0, interior),
 		nodes:    make([]*node, 0, nodes),
 	}
@@ -139,11 +152,9 @@ func BuildSpec(t *topo.Node, linkRate float64, algo string, newNode NewNodeSpecF
 	}
 	tr.root = root
 	tr.InitObs("H-"+algo, linkRate)
-	tr.ReserveSessions(b.maxSession + 1)
-	for _, n := range tr.nodes {
-		if n.isLeaf() {
-			tr.RegisterSession(n.session, n.rate)
-		}
+	tr.ReserveSessions(maxSession + 1)
+	for _, n := range tr.leaves {
+		tr.RegisterSession(n.session, n.rate)
 	}
 	return tr, nil
 }
@@ -153,20 +164,20 @@ func badTopology(err error) error {
 }
 
 // countNodes returns the number of nodes and of interior nodes in the
-// topology, skipping nil children (the walk refuses them before it needs
-// their storage).
-func countNodes(t *topo.Node) (nodes, interior int) {
-	nodes = 1
-	if !t.IsLeaf() {
-		interior = 1
+// topology and its largest leaf session id, skipping nil children (the
+// walk refuses them before it needs their storage).
+func countNodes(t *topo.Node) (nodes, interior, maxSession int) {
+	if t.IsLeaf() {
+		return 1, 0, t.Session
 	}
+	nodes, interior, maxSession = 1, 1, -1
 	for _, c := range t.Children {
 		if c != nil {
-			n, i := countNodes(c)
-			nodes, interior = nodes+n, interior+i
+			n, i, s := countNodes(c)
+			nodes, interior, maxSession = nodes+n, interior+i, max(maxSession, s)
 		}
 	}
-	return nodes, interior
+	return nodes, interior, maxSession
 }
 
 // reserver is the optional presizing surface of a node scheduler
@@ -178,12 +189,11 @@ type reserver interface{ Reserve(children int) }
 // were sized by countNodes and are never re-sliced past their length, so
 // the walk allocates no node of its own.
 type builder struct {
-	tr         *Tree
-	top        *topo.Node
-	newNode    NewNodeSpecFunc
-	slab       []node
-	kids       []*node
-	maxSession int
+	tr      *Tree
+	top     *topo.Node
+	newNode NewNodeSpecFunc
+	slab    []node
+	kids    []*node
 }
 
 // build builds the subtree t as child idx of parent, with guaranteed rate
@@ -194,27 +204,23 @@ func (b *builder) build(t *topo.Node, parent *node, idx int, rate float64) (*nod
 	}
 	tr := b.tr
 	id := len(tr.nodes)
+	// The slab is zeroed: set the fields one by one, so only the pointers
+	// written pay a write barrier, not every pointer word of the node.
 	n := &b.slab[id]
-	*n = node{
-		id:       id,
-		name:     t.Name,
-		parent:   parent,
-		childIdx: idx,
-		rate:     rate,
-		share:    t.Share,
-		session:  t.Session,
-	}
+	n.id, n.childIdx, n.session = id, idx, t.Session
+	n.name, n.named = t.Name, t.Name != ""
+	n.parent = parent
+	n.rate, n.share = rate, t.Share
 	tr.nodes = append(tr.nodes, n)
 	if t.IsLeaf() {
 		if t.Session > MaxSession {
 			return nil, b.fail(fmt.Errorf("hier: %w: leaf %q: session %d above %d", errs.ErrBadTopology, t.Name, t.Session, MaxSession))
 		}
 		// The leaf index is the duplicate-session set.
-		if _, dup := tr.leaves[t.Session]; dup {
+		if tr.sessions[t.Session] != 0 {
 			return nil, b.fail(nil)
 		}
-		tr.leaves[t.Session] = n
-		b.maxSession = max(b.maxSession, t.Session)
+		tr.addLeafSlot(n)
 	} else {
 		if n.name == "" {
 			n.name = fmt.Sprintf("node#%d", len(tr.interior))
@@ -252,9 +258,6 @@ func (b *builder) build(t *topo.Node, parent *node, idx int, rate float64) (*nod
 			ns.AddChild(i, r)
 		}
 	}
-	if t.Name != "" {
-		tr.byName[t.Name] = n
-	}
 	if t.Ceil > 0 {
 		tr.setCeil(n, t.Ceil, 0)
 	}
@@ -279,13 +282,11 @@ func (b *builder) fail(err error) error {
 // named "" (SetNodePolicy, SetNodeCeil).
 func NewFlat(linkRate float64, ns sched.NodeScheduler) *Tree {
 	// The root's share is 1, as a topology root's: it owns the whole link.
-	root := &node{rate: linkRate, share: 1, session: -1, ns: ns, abs: true}
+	root := &node{rate: linkRate, share: 1, session: -1, ns: ns, abs: true, named: true}
 	tr := &Tree{
 		algo:     ns.Name(),
 		rate:     linkRate,
 		root:     root,
-		leaves:   make(map[int]*node),
-		byName:   map[string]*node{"": root},
 		interior: []*node{root},
 		nodes:    []*node{root},
 	}
@@ -302,13 +303,7 @@ func (tr *Tree) Flat() bool { return tr.root.abs }
 // (topo.Node.Policy, e.g. from the ':policy' clause of topo.Parse) use that
 // policy instead of algo.
 func New(t *topo.Node, linkRate float64, algo string) (*Tree, error) {
-	return BuildSpec(t, linkRate, algo, func(tn *topo.Node, rate float64) (sched.NodeScheduler, error) {
-		name := algo
-		if tn.Policy != "" {
-			name = tn.Policy
-		}
-		return sched.NewNode(name, rate)
-	})
+	return BuildSpec(t, linkRate, algo, Resolver(algo, nil, nil))
 }
 
 // Resolver returns a node constructor implementing the public API's policy
@@ -386,8 +381,8 @@ func (tr *Tree) Backlog() int { return tr.backlog }
 
 // QueueLen returns the number of packets queued for a session.
 func (tr *Tree) QueueLen(session int) int {
-	leaf, ok := tr.leaves[session]
-	if !ok {
+	leaf := tr.leaf(session)
+	if leaf == nil {
 		return 0
 	}
 	return leaf.fifo.Len()
@@ -395,8 +390,8 @@ func (tr *Tree) QueueLen(session int) int {
 
 // QueueBits returns the number of bits queued for a session.
 func (tr *Tree) QueueBits(session int) float64 {
-	leaf, ok := tr.leaves[session]
-	if !ok {
+	leaf := tr.leaf(session)
+	if leaf == nil {
 		return 0
 	}
 	return leaf.fifo.Bits()
@@ -404,8 +399,8 @@ func (tr *Tree) QueueBits(session int) float64 {
 
 // SessionRate returns the guaranteed rate of a session leaf.
 func (tr *Tree) SessionRate(session int) float64 {
-	leaf, ok := tr.leaves[session]
-	if !ok {
+	leaf := tr.leaf(session)
+	if leaf == nil {
 		return 0
 	}
 	return leaf.rate
@@ -413,20 +408,80 @@ func (tr *Tree) SessionRate(session int) float64 {
 
 // NodeRate returns the guaranteed rate of the named node, or 0.
 func (tr *Tree) NodeRate(name string) float64 {
-	n, ok := tr.byName[name]
+	n, ok := tr.names()[name]
 	if !ok {
 		return 0
 	}
 	return n.rate
 }
 
-// Sessions returns the ids of all session leaves.
+// Sessions returns the ids of all session leaves in ascending order.
 func (tr *Tree) Sessions() []int {
-	out := make([]int, 0, len(tr.leaves))
-	for id := range tr.leaves {
-		out = append(out, id)
+	out := make([]int, 0, len(tr.leaves)-len(tr.free))
+	for id, s := range tr.sessions {
+		if s != 0 {
+			out = append(out, id)
+		}
 	}
 	return out
+}
+
+// Slot returns the slot of session's leaf, or -1 when the tree has no such
+// session. A fresh tree numbers its leaves in preorder from 0, and AddLeaf
+// takes the slot RemoveLeaf freed last before it adds one, so a table
+// indexed by slot stays as large as the most leaves held at once.
+func (tr *Tree) Slot(session int) int32 {
+	if uint(session) >= uint(len(tr.sessions)) {
+		return -1
+	}
+	return tr.sessions[session] - 1
+}
+
+// leaf returns session's leaf, or nil.
+func (tr *Tree) leaf(session int) *node {
+	if s := tr.Slot(session); s >= 0 {
+		return tr.leaves[s]
+	}
+	return nil
+}
+
+// addLeafSlot gives leaf n a slot, the last one freed if any, and indexes
+// its session.
+func (tr *Tree) addLeafSlot(n *node) {
+	if k := len(tr.free); k > 0 {
+		n.slot = tr.free[k-1]
+		tr.free = tr.free[:k-1]
+		tr.leaves[n.slot] = n
+	} else {
+		n.slot = int32(len(tr.leaves))
+		tr.leaves = append(tr.leaves, n)
+	}
+	if k := n.session + 1 - len(tr.sessions); k > 0 {
+		tr.sessions = append(tr.sessions, make([]int32, k)...)
+	}
+	tr.sessions[n.session] = n.slot + 1
+}
+
+// names returns the name index, building it on the first call.
+func (tr *Tree) names() map[string]*node {
+	if tr.byName == nil {
+		tr.byName = make(map[string]*node)
+		tr.indexNames(tr.root)
+	}
+	return tr.byName
+}
+
+// indexNames indexes the live named nodes of n's subtree, each after its
+// subtree (postorder), so of two nodes sharing a name the later wins.
+func (tr *Tree) indexNames(n *node) {
+	for _, c := range n.children {
+		if !c.removed {
+			tr.indexNames(c)
+		}
+	}
+	if n.named {
+		tr.byName[n.name] = n
+	}
 }
 
 // Leaf is a handle on one session's leaf, resolved once by Tree.Leaf so a
@@ -438,19 +493,22 @@ type Leaf struct{ n *node }
 
 // Leaf returns the handle on session's leaf; the zero Leaf when the tree
 // has no such session.
-func (tr *Tree) Leaf(session int) Leaf { return Leaf{tr.leaves[session]} }
+func (tr *Tree) Leaf(session int) Leaf { return Leaf{tr.leaf(session)} }
 
 // Session returns the session id of the handle's leaf.
 func (l Leaf) Session() int { return l.n.session }
 
+// Slot returns the handle's leaf slot (Tree.Slot).
+func (l Leaf) Slot() int32 { return l.n.slot }
+
 // Rate returns the guaranteed rate of the handle's leaf.
 func (l Leaf) Rate() float64 { return l.n.rate }
 
-// EachLeaf calls fn with the handle on every live session leaf in node-id
+// EachLeaf calls fn with the handle on every live session leaf in slot
 // order, which for a tree fresh from BuildSpec is the topology's preorder.
 func (tr *Tree) EachLeaf(fn func(Leaf)) {
-	for _, n := range tr.nodes {
-		if n.isLeaf() && !n.removed {
+	for _, n := range tr.leaves {
+		if n != nil {
 			fn(Leaf{n})
 		}
 	}

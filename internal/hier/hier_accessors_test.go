@@ -2,7 +2,7 @@ package hier
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"hpfq/internal/packet"
@@ -34,9 +34,8 @@ func TestTreeAccessors(t *testing.T) {
 	if tree.NodeRate("nope") != 0 {
 		t.Error("unknown node should have rate 0")
 	}
-	sess := tree.Sessions()
-	sort.Ints(sess)
-	if len(sess) != 4 || sess[0] != 0 || sess[3] != 3 {
+	// Ascending ids, from the session table.
+	if sess := tree.Sessions(); !slices.Equal(sess, []int{0, 1, 2, 3}) {
 		t.Errorf("Sessions = %v", sess)
 	}
 	// Queue accounting.

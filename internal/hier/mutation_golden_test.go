@@ -105,7 +105,7 @@ func driveMutating(t *testing.T, seed uint64) []byte {
 			fmt.Fprintf(&b, "OP drain %d %v\n", draining, now)
 		}
 		if draining >= 0 {
-			parent := tr.leaves[draining].parent.name
+			parent := tr.Leaf(draining).n.parent.name
 			err := tr.RemoveLeaf(draining)
 			if !errors.Is(err, ErrLeafBusy) {
 				note(fmt.Sprintf("remove %d", draining), err)

@@ -154,8 +154,8 @@ func (tr *Tree) SetNodeShare(name string, share float64) error {
 	if tr.Flat() {
 		return fmt.Errorf("hier: no topology; flat classes carry rates, not shares")
 	}
-	n, ok := tr.byName[name]
-	if !ok || n.removed {
+	n, ok := tr.names()[name]
+	if !ok {
 		return fmt.Errorf("hier: no node %q", name)
 	}
 	if !validShare(share) {
@@ -183,8 +183,8 @@ func (tr *Tree) SetNodeShare(name string, share float64) error {
 // stay strictly below the parent's rate, and the leaf must have live
 // siblings to trade share against.
 func (tr *Tree) SetSessionRate(session int, rate float64) error {
-	leaf, ok := tr.leaves[session]
-	if !ok {
+	leaf := tr.leaf(session)
+	if leaf == nil {
 		return fmt.Errorf("hier: unknown session %d", session)
 	}
 	if !validShare(rate) {
@@ -239,8 +239,8 @@ func (tr *Tree) setAbs(c *node, rate float64) error {
 // are. name may be empty for an anonymous leaf (addressable only by session
 // id).
 func (tr *Tree) AddLeaf(parentName, name string, session int, share float64) error {
-	parent, ok := tr.byName[parentName]
-	if !ok || parent.removed {
+	parent, ok := tr.names()[parentName]
+	if !ok {
 		return fmt.Errorf("hier: no node %q", parentName)
 	}
 	if parent.isLeaf() {
@@ -249,7 +249,7 @@ func (tr *Tree) AddLeaf(parentName, name string, session int, share float64) err
 	if session < 0 || session > MaxSession {
 		return fmt.Errorf("hier: %w: session id %d outside [0, %d]", errs.ErrBadTopology, session, MaxSession)
 	}
-	if _, dup := tr.leaves[session]; dup {
+	if tr.Slot(session) >= 0 {
 		return fmt.Errorf("hier: session %d already exists", session)
 	}
 	if name != "" {
@@ -273,8 +273,8 @@ func (tr *Tree) AddLeaf(parentName, name string, session int, share float64) err
 		}
 		rate = parent.rate * share / (sum + share)
 	}
-	// A removed child's slot (its index at the parent, its node id) is
-	// reused, so add/remove churn does not grow the tree.
+	// A removed child's slots (its index at the parent, its node id, a
+	// leaf slot) are reused, so add/remove churn does not grow the tree.
 	idx, id := len(parent.children), len(tr.nodes)
 	for i, c := range parent.children {
 		if c.removed {
@@ -290,6 +290,7 @@ func (tr *Tree) AddLeaf(parentName, name string, session int, share float64) err
 		rate:     rate,
 		share:    share,
 		session:  session,
+		named:    name != "",
 	}
 	parent.ns.AddChild(idx, leaf.rate)
 	if idx < len(parent.children) {
@@ -299,7 +300,7 @@ func (tr *Tree) AddLeaf(parentName, name string, session int, share float64) err
 		parent.children = append(parent.children, leaf)
 		tr.nodes = append(tr.nodes, leaf)
 	}
-	tr.leaves[session] = leaf
+	tr.addLeafSlot(leaf)
 	if name != "" {
 		tr.byName[name] = leaf
 	}
@@ -313,8 +314,8 @@ func (tr *Tree) AddLeaf(parentName, name string, session int, share float64) err
 // last child) without the quiescence test and without mutating anything.
 // The dataplane calls it before committing a class to draining.
 func (tr *Tree) CanRemoveLeaf(session int) error {
-	leaf, ok := tr.leaves[session]
-	if !ok {
+	leaf := tr.leaf(session)
+	if leaf == nil {
 		return fmt.Errorf("hier: unknown session %d", session)
 	}
 	parent := leaf.parent
@@ -349,7 +350,7 @@ func (tr *Tree) RemoveLeaf(session int) error {
 	if err := tr.CanRemoveLeaf(session); err != nil {
 		return err
 	}
-	leaf := tr.leaves[session]
+	leaf := tr.leaf(session)
 	if !leaf.fifo.Empty() || leaf.hol != nil {
 		return fmt.Errorf("%w: session %d", ErrLeafBusy, session)
 	}
@@ -357,12 +358,14 @@ func (tr *Tree) RemoveLeaf(session int) error {
 	if err := parent.ns.(sched.NodeReconfigurer).RemoveChild(leaf.childIdx); err != nil {
 		return err
 	}
+	if leaf.named {
+		delete(tr.names(), leaf.name)
+	}
 	leaf.removed = true
 	tr.shape.Set(leaf.id, 0, 0)
-	delete(tr.leaves, session)
-	if leaf.name != "" {
-		delete(tr.byName, leaf.name)
-	}
+	tr.sessions[session] = 0
+	tr.leaves[leaf.slot] = nil
+	tr.free = append(tr.free, leaf.slot)
 	return tr.applyShares(parent)
 }
 
@@ -371,8 +374,8 @@ func (tr *Tree) RemoveLeaf(session int) error {
 // backlogged, re-stamped against the fresh policy's virtual clock (see
 // pifo.Node.SetPolicy).
 func (tr *Tree) SetNodePolicy(name string, f pifo.Factory) error {
-	n, ok := tr.byName[name]
-	if !ok || n.removed {
+	n, ok := tr.names()[name]
+	if !ok {
 		return fmt.Errorf("hier: no node %q", name)
 	}
 	if n.isLeaf() {
@@ -395,8 +398,8 @@ func (tr *Tree) SetNodePolicy(name string, f pifo.Factory) error {
 // a capped node in ceiling deficit is held out of its parent's scheduler
 // until its release time (see arrive); lifting the cap releases it at once.
 func (tr *Tree) SetCeil(session int, ceil, now float64) error {
-	leaf, ok := tr.leaves[session]
-	if !ok {
+	leaf := tr.leaf(session)
+	if leaf == nil {
 		return fmt.Errorf("hier: unknown session %d", session)
 	}
 	tr.setCeil(leaf, ceil, now)
@@ -406,8 +409,8 @@ func (tr *Tree) SetCeil(session int, ceil, now float64) error {
 // SetNodeCeil is SetCeil for the named node: an interior node's ceiling
 // bounds its whole subtree.
 func (tr *Tree) SetNodeCeil(name string, ceil, now float64) error {
-	n, ok := tr.byName[name]
-	if !ok || n.removed {
+	n, ok := tr.names()[name]
+	if !ok {
 		return fmt.Errorf("hier: no node %q", name)
 	}
 	tr.setCeil(n, ceil, now)
@@ -435,7 +438,7 @@ func (tr *Tree) ScaleCeils(divisor float64) {
 
 // Ceil returns session's leaf ceiling in bits/sec, 0 when uncapped.
 func (tr *Tree) Ceil(session int) float64 {
-	if leaf, ok := tr.leaves[session]; ok {
+	if leaf := tr.leaf(session); leaf != nil {
 		return tr.shape.Rate(leaf.id)
 	}
 	return 0

@@ -2,7 +2,9 @@ package hier
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"hpfq/internal/packet"
@@ -141,6 +143,61 @@ func TestTreeAddRemoveLeaf(t *testing.T) {
 	// The freed session id can be grafted again.
 	if err := tr.AddLeaf("root", "c2", 2, 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLeafSlotChurn: 10 000 cycles each graft two named leaves, serve a
+// packet through each, and remove them in alternating order. Slots are
+// reused last-freed first, and the session table, the leaf slots, the free
+// list and the node table stay at the size the first cycles left them.
+func TestLeafSlotChurn(t *testing.T) {
+	const ids = 10 // sessions 2..11 rotate through the cycles
+	tr := mustTree(t, "root=1(a=1:0,g=1(b=1:1))", 1e9, "WF2Q+")
+	type sizes struct{ sessions, leaves, free, nodes int }
+	size := func() sizes { return sizes{cap(tr.sessions), cap(tr.leaves), cap(tr.free), cap(tr.nodes)} }
+	var high sizes
+	var freed []int32 // the free list the last cycle left, last-freed last
+	for c := 0; c < 10000; c++ {
+		pair := [2]int{2 + 2*c%ids, 3 + 2*c%ids}
+		parents := [2]string{"root", "g"}
+		for i, id := range pair {
+			name := fmt.Sprintf("x%d", id)
+			if err := tr.AddLeaf(parents[i], name, id, 1); err != nil {
+				t.Fatalf("cycle %d: add %d: %v", c, id, err)
+			}
+			slot := tr.Slot(id)
+			if want := int32(2 + i); c == 0 && slot != want {
+				t.Fatalf("cycle 0: session %d in slot %d, want the new slot %d", id, slot, want)
+			} else if c > 0 && slot != freed[len(freed)-1-i] {
+				t.Fatalf("cycle %d: session %d in slot %d, want the last one freed of %v", c, id, slot, freed)
+			}
+			if l := tr.Leaf(id); l.Slot() != slot || l.Session() != id || tr.QueueLen(id) != 0 || tr.names()[name] != l.n {
+				t.Fatalf("cycle %d: session %d indexed wrong", c, id)
+			}
+			tr.Enqueue(0, packet.New(id, 8000))
+		}
+		for tr.Dequeue(0) != nil {
+		}
+		freed = freed[:0]
+		for i := range pair {
+			id := pair[(c+i)%2]
+			if err := tr.RemoveLeaf(id); err != nil {
+				t.Fatalf("cycle %d: remove %d: %v", c, id, err)
+			}
+			freed = append(freed, tr.free[len(tr.free)-1])
+			if tr.Slot(id) != -1 || tr.Leaf(id).n != nil {
+				t.Fatalf("cycle %d: removed session %d still indexed", c, id)
+			}
+		}
+		switch got := size(); {
+		case c < ids/2:
+			high = got
+		case got != high:
+			t.Fatalf("cycle %d: tables at capacity %+v, %+v after the first cycles", c, got, high)
+		}
+	}
+	if got := tr.Sessions(); !slices.Equal(got, []int{0, 1}) {
+		t.Errorf("sessions %v after the churn, want [0 1]", got)
 	}
 }
 

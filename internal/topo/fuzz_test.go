@@ -27,6 +27,12 @@ func FuzzTopoParse(f *testing.F) {
 		"root=1(a=2^5e6!rs-8-2:0,b=1:1:EDF)",
 		"root=NaN(a=1:0)", "root=1(a=+Inf:0)", "root=1(a=1^NaN:0)", "a=1:0",
 		"root=1(a=1:0,b=1:131072)", // one past hier.MaxSession
+		// Duplicate sessions: small ids, out of order, hier.MaxSession
+		// itself, and an id above it used twice.
+		"root=1(a=1:0,b=1:0)",
+		"root=1(g=1(a=1:3,b=1:1),c=1:3)",
+		"root=1(a=1:131071,b=1:131071)",
+		"root=1(a=1:131072,b=1:131072)",
 	} {
 		f.Add(seed)
 	}

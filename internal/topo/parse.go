@@ -50,7 +50,7 @@ func Parse(spec string) (*Node, error) {
 	if p.i != len(p.s) {
 		return nil, fmt.Errorf("topo: spec %q: trailing input at offset %d", spec, p.i)
 	}
-	if err := n.validate(make(map[int]string, p.leaves)); err != nil {
+	if err := n.validate(make([]*Node, 0, p.leaves)); err != nil {
 		return nil, err
 	}
 	return n, nil

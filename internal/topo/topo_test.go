@@ -1,7 +1,9 @@
 package topo
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -32,6 +34,62 @@ func TestValidateErrors(t *testing.T) {
 	for name, top := range cases {
 		if err := top.Validate(); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+	}
+}
+
+// mapValidate is Validate as a preorder walk with a map of the sessions
+// seen: the reference the map-free duplicate check must match.
+func mapValidate(n *Node, seen map[int]string) error {
+	if err := n.Check(); err != nil {
+		return err
+	}
+	if n.IsLeaf() {
+		if prev, dup := seen[n.Session]; dup {
+			return fmt.Errorf("topo: session %d used by both %q and %q", n.Session, prev, n.Name)
+		}
+		seen[n.Session] = n.Name
+		return nil
+	}
+	for _, c := range n.Children {
+		if err := mapValidate(c, seen); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestValidateMatchesMapWalk: over random trees with repeated sessions and
+// the odd malformed node, Validate returns the map walk's error text —
+// the first fault in preorder, a duplicate naming the session's first
+// leaf.
+func TestValidateMatchesMapWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	leaf := 0
+	var grow func(depth int) *Node
+	grow = func(depth int) *Node {
+		if depth == 0 || rng.Intn(3) == 0 {
+			leaf++
+			l := Leaf(fmt.Sprintf("l%d", leaf), 1, rng.Intn(12))
+			switch rng.Intn(40) {
+			case 0:
+				l.Share = 0
+			case 1:
+				l.Session = -1
+			}
+			return l
+		}
+		kids := make([]*Node, 1+rng.Intn(4))
+		for i := range kids {
+			kids[i] = grow(depth - 1)
+		}
+		return Interior(fmt.Sprintf("n%d", rng.Intn(100)), 1, kids...)
+	}
+	for i := 0; i < 2000; i++ {
+		top := grow(1 + rng.Intn(4))
+		got, want := fmt.Sprint(top.Validate()), fmt.Sprint(mapValidate(top, map[int]string{}))
+		if got != want {
+			t.Fatalf("tree %d: Validate %q, map walk %q", i, got, want)
 		}
 	}
 }
