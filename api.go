@@ -36,7 +36,7 @@ const (
 	SCFQ     Algorithm = "SCFQ"  // self-clocked fair queueing
 	SFQ      Algorithm = "SFQ"   // start-time fair queueing
 	DRR      Algorithm = "DRR"   // deficit round robin
-	FIFO     Algorithm = "FIFO"  // no isolation (simulator only: no node form, so no data plane)
+	FIFO     Algorithm = "FIFO"  // first in, first out: no isolation
 	SP       Algorithm = "SP"    // strict priority by flow id (PIFO substrate)
 	EDF      Algorithm = "EDF"   // earliest deadline first (PIFO substrate)
 	SRPT     Algorithm = "SRPT"  // shortest remaining processing time (PIFO substrate)
@@ -51,11 +51,11 @@ var (
 	ErrUnknownAlgorithm = errs.ErrUnknownAlgorithm
 	// ErrBadTopology reports a malformed link-sharing tree.
 	ErrBadTopology = errs.ErrBadTopology
-	// ErrNoNodeForm reports an algorithm (FIFO, WF2Q+fixed) with no
-	// hierarchical node form: NewNode, NewHierarchy and NewDataplane refuse
-	// it.
+	// ErrNoNodeForm reports a caller-built Policy with no node constructor:
+	// NewNode, NewHierarchy and NewDataplane refuse it.
 	ErrNoNodeForm = errs.ErrNoNodeForm
-	// ErrNoFlatForm reports a policy with no standalone scheduler form.
+	// ErrNoFlatForm reports a caller-built Policy with no flat constructor:
+	// New refuses it.
 	ErrNoFlatForm = errs.ErrNoFlatForm
 )
 
@@ -175,9 +175,9 @@ func NamedTracer(node string, t Tracer) Tracer { return obs.Named(node, t) }
 // Policy is a first-class scheduling policy on the PIFO substrate
 // (internal/pifo): a named pair of flat/node constructors for the rank
 // function, eligibility predicate, and per-flow virtual-time state that
-// express a discipline. Every registered Algorithm except FIFO and
-// WF2Q+fixed is a Policy underneath; PolicyByName retrieves those, and the
-// *Policy helpers below parameterize the deadline/priority families.
+// express a discipline. Every registered Algorithm is a Policy underneath;
+// PolicyByName retrieves one, and the *Policy helpers below parameterize
+// the deadline/priority families.
 // Select a policy with WithPolicy (everywhere) or WithNodePolicy (per
 // hierarchy node).
 type Policy = pifo.Factory
@@ -193,15 +193,11 @@ type PolicyHooks = pifo.Policy
 // eligibility key gating it, and the virtual start/finish pair for traces.
 type Stamp = pifo.Stamp
 
-// PolicyByName returns the registered policy factory for an algorithm name
-// ("WF2Q+", "WFQ", "WF2Q", "SCFQ", "SFQ", "DRR", "SP", "EDF", "SRPT",
-// "LSTF"). ok is false for names with no PIFO form (FIFO, WF2Q+fixed).
+// PolicyByName returns the registered policy factory for an algorithm
+// name; ok is false for a name missing from Algorithms.
 func PolicyByName(algorithm Algorithm) (Policy, bool) {
 	return pifo.Lookup(string(algorithm))
 }
-
-// Policies lists the registered PIFO policy names, sorted.
-func Policies() []string { return pifo.Names() }
 
 // StrictPriorityPolicy returns strict priority with a custom priority
 // function (smaller = served first); the registry's "SP" prioritizes by
@@ -341,9 +337,8 @@ func New(algorithm Algorithm, rate float64, opts ...Option) (Scheduler, error) {
 }
 
 // NewNode returns a hierarchical server node with guaranteed rate in
-// bits/sec (all registered algorithms except FIFO and WF2Q+fixed, which
-// have no node form and return an error matching ErrNoNodeForm).
-// WithPolicy substitutes an explicit policy for the algorithm name.
+// bits/sec. WithPolicy substitutes an explicit policy for the algorithm
+// name.
 func NewNode(algorithm Algorithm, rate float64, opts ...Option) (NodeScheduler, error) {
 	var (
 		n   NodeScheduler
@@ -553,9 +548,8 @@ type (
 // WithTopology) is its one-level case: Dataplane.AddClass grafts each class
 // with an absolute guaranteed rate under a root running the algorithm.
 // WithTopology builds a link-sharing tree whose leaves become the classes.
-// Every node runs the algorithm's node form, so FIFO and WF2Q+fixed, which
-// have none, fail with an error matching ErrNoNodeForm. Start the pump with
-// Start, feed it with Ingest, stop with Close.
+// Every node runs the algorithm's node form. Start the pump with Start,
+// feed it with Ingest, stop with Close.
 func NewDataplane(algorithm Algorithm, rate float64, opts ...DataplaneOption) (*Dataplane, error) {
 	var all []dataplane.Option
 	for _, o := range opts {

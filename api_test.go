@@ -178,15 +178,97 @@ func TestPublicAPILeakyBucket(t *testing.T) {
 
 // TestAlgorithmsList: registry exposure.
 func TestAlgorithmsList(t *testing.T) {
-	got := hpfq.Algorithms()
-	if len(got) != 12 {
-		t.Errorf("Algorithms() = %v", got)
+	want := []hpfq.Algorithm{hpfq.DRR, hpfq.EDF, hpfq.FIFO, hpfq.LSTF, hpfq.SCFQ,
+		hpfq.SFQ, hpfq.SP, hpfq.SRPT, hpfq.WF2Q, hpfq.WF2QPlus, hpfq.WFQ}
+	if got := hpfq.Algorithms(); !slices.Equal(got, want) {
+		t.Errorf("Algorithms() = %v, want %v", got, want)
 	}
 	if _, err := hpfq.New("bogus", 1); err == nil {
 		t.Error("bogus algorithm should error")
 	}
 	if _, err := hpfq.NewHierarchy(hpfq.Leaf("x", 1, 0), 1, hpfq.WF2QPlus); err == nil {
 		t.Error("leaf-only topology should error")
+	}
+}
+
+// TestEveryAlgorithmFourWays: every registry entry has a flat and a node
+// form, so each builds four ways — a flat scheduler, a hierarchy node, a
+// whole hierarchy and a flat data-plane engine — and each serves what it is
+// given.
+func TestEveryAlgorithmFourWays(t *testing.T) {
+	for _, algo := range hpfq.Algorithms() {
+		t.Run(string(algo), func(t *testing.T) {
+			s, err := hpfq.New(algo, 1e6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.AddSession(0, 0.6e6)
+			s.AddSession(1, 0.4e6)
+			for i := 0; i < 4; i++ {
+				s.Enqueue(0, hpfq.NewPacket(i%2, 8000))
+			}
+			for i := 0; i < 4; i++ {
+				if s.Dequeue(0) == nil {
+					t.Fatalf("New: dequeue %d found nothing", i)
+				}
+			}
+
+			n, err := hpfq.NewNode(algo, 1e6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.AddChild(0, 0.6e6)
+			n.AddChild(1, 0.4e6)
+			n.Push(0, 8000, false)
+			n.Push(1, 8000, false)
+			for i := 0; i < 2; i++ {
+				if _, ok := n.Pop(); !ok {
+					t.Fatalf("NewNode: pop %d found nothing", i)
+				}
+			}
+
+			top := hpfq.Interior("root", 1,
+				hpfq.Interior("agg", 3, hpfq.Leaf("a", 2, 0), hpfq.Leaf("b", 1, 1)),
+				hpfq.Leaf("c", 1, 2))
+			tree, err := hpfq.NewHierarchy(top, 1e6, algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 6; i++ {
+				tree.Enqueue(0, hpfq.NewPacket(i%3, 8000))
+			}
+			for i := 0; i < 6; i++ {
+				if tree.Dequeue(0) == nil {
+					t.Fatalf("NewHierarchy: dequeue %d found nothing", i)
+				}
+			}
+
+			d, err := hpfq.NewDataplane(algo, 1e9, hpfq.WithQueueCap(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.AddClass(0, 6e8)
+			d.AddClass(1, 4e8)
+			for i := 0; i < 4; i++ {
+				if err := d.Ingest(i%2, make([]byte, 100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pipe := hpfq.NewPacketPipe(8)
+			if err := d.Start(pipe); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			pipe.Close()
+			buf := make([]byte, 1500)
+			for i := 0; i < 4; i++ {
+				if _, err := pipe.ReadPacket(buf); err != nil {
+					t.Fatalf("NewDataplane: datagram %d: %v", i, err)
+				}
+			}
+		})
 	}
 }
 
@@ -198,9 +280,6 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if _, err := hpfq.NewNode("bogus", 1); !errors.Is(err, hpfq.ErrUnknownAlgorithm) {
 		t.Errorf("NewNode(bogus): %v, want ErrUnknownAlgorithm", err)
-	}
-	if _, err := hpfq.NewNode(hpfq.FIFO, 1); !errors.Is(err, hpfq.ErrNoNodeForm) {
-		t.Errorf("NewNode(FIFO): %v, want ErrNoNodeForm", err)
 	}
 	if _, err := hpfq.NewHierarchy(hpfq.Leaf("x", 1, 0), 1, hpfq.WF2QPlus); !errors.Is(err, hpfq.ErrBadTopology) {
 		t.Errorf("NewHierarchy(leaf root): %v, want ErrBadTopology", err)
@@ -477,11 +556,13 @@ func TestPolicySelection(t *testing.T) {
 	if !ok {
 		t.Fatal("SP has no registered policy")
 	}
-	if _, ok := hpfq.PolicyByName(hpfq.FIFO); ok {
-		t.Error("FIFO should have no PIFO policy form")
+	for _, algo := range hpfq.Algorithms() {
+		if p, ok := hpfq.PolicyByName(algo); !ok || p.Name != string(algo) {
+			t.Errorf("PolicyByName(%s) = %q, %v", algo, p.Name, ok)
+		}
 	}
-	if got := len(hpfq.Policies()); got != 10 {
-		t.Errorf("Policies() = %v", hpfq.Policies())
+	if _, ok := hpfq.PolicyByName("bogus"); ok {
+		t.Error("PolicyByName(bogus) found a policy")
 	}
 
 	// WithPolicy overrides the algorithm argument of New.

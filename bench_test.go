@@ -252,10 +252,9 @@ func BenchmarkHierarchyDepth(b *testing.B) {
 //     the WFI difference (E9) is attributable to SEFF alone;
 //   - the clock (V_WF2Q+ vs V_GPS) with the same SEFF policy: WF2Q+ vs
 //     WF2Q — the complexity difference (E11) is attributable to the clock
-//     alone. This bench measures that second axis head to head, and the
-//     float-vs-integer virtual time representation as a third axis.
+//     alone. This bench measures that second axis head to head.
 func BenchmarkAblation(b *testing.B) {
-	for _, algo := range []string{"WF2Q", "WF2Q+", "WF2Q+fixed"} {
+	for _, algo := range []string{"WF2Q", "WF2Q+"} {
 		b.Run(algo, func(b *testing.B) {
 			s, err := sched.New(algo, 1e9)
 			if err != nil {

@@ -35,8 +35,8 @@
 // # Constructors and options
 //
 // Algorithms are selected with the typed Algorithm constants (WF2QPlus, WFQ,
-// WF2Q, SCFQ, SFQ, DRR, FIFO; Algorithm("WF2Q+fixed") for the integer-tick
-// engine) via New, NewNode, and NewHierarchy, which accept functional options:
+// WF2Q, SCFQ, SFQ, DRR, FIFO, SP, EDF, SRPT, LSTF) via New, NewNode, and
+// NewHierarchy, which accept functional options:
 // WithMetrics enables per-server and per-session counters (packets, bits,
 // queue depths, queueing-delay distributions, measured worst-case fair
 // index), frozen on demand with Snapshot; WithTracer attaches a Tracer
@@ -53,8 +53,7 @@
 // # Serving real traffic
 //
 // NewDataplane builds a concurrent UDP egress engine around any registered
-// algorithm with a node form (all but FIFO and WF2Q+fixed, which it
-// refuses): goroutine-safe Ingest against bounded per-class caps
+// algorithm: goroutine-safe Ingest against bounded per-class caps
 // (WithQueueCap / WithByteCap; drops recorded with their reason) that only
 // stages the datagram, a single pump goroutine — the scheduler's only
 // hot-path writer — releasing token-bucket batches in scheduler order at

@@ -55,9 +55,9 @@ type engine struct {
 	rate  float64 // server rate r (or node guaranteed rate r_n)
 	v     float64 // system virtual time, eq. 27
 	flows []flow
-	elig  *pq.Heap[float64] // eligible flows (S_i <= V), keyed by F_i
-	inel  *pq.Heap[float64] // ineligible flows (S_i > V), keyed by S_i
-	count int               // backlogged flows
+	elig  *pq.Heap // eligible flows (S_i <= V), keyed by F_i
+	inel  *pq.Heap // ineligible flows (S_i > V), keyed by S_i
+	count int      // backlogged flows
 }
 
 func newEngine(rate float64) *engine {
@@ -66,8 +66,8 @@ func newEngine(rate float64) *engine {
 	}
 	return &engine{
 		rate: rate,
-		elig: pq.NewHeap[float64](8),
-		inel: pq.NewHeap[float64](8),
+		elig: pq.NewHeap(8),
+		inel: pq.NewHeap(8),
 	}
 }
 

@@ -295,17 +295,17 @@ func TestCeilHoldKeepsPumpAlive(t *testing.T) {
 	closeDraining(t, d, clk.Fake)
 }
 
-// TestCeilRefusedWithoutShaping: FIFO and WF2Q+fixed have no node form, so
-// no engine can host them — flat or over a topology, with or without a
-// ceiling — and New refuses them with ErrNoNodeForm, naming the algorithm.
+// TestCeilRefusedWithoutShaping: a caller-built policy with no node form
+// cannot run in an engine, whose every node — the ceilings' shaper
+// included — is a hierarchy node. Flat or over a topology, with or without
+// a ceiling, New refuses it with ErrNoNodeForm, naming the policy.
 func TestCeilRefusedWithoutShaping(t *testing.T) {
 	top, _ := topo.Parse("root=1(a=1^1e6:0,b=1:1)")
-	for _, algo := range []string{"FIFO", "WF2Q+fixed"} {
-		for _, opts := range [][]Option{nil, {WithTopology(top)}} {
-			d, err := New(algo, 10e6, opts...)
-			if d != nil || !errors.Is(err, errs.ErrNoNodeForm) || !strings.Contains(err.Error(), algo) {
-				t.Errorf("%s: New = %v, want ErrNoNodeForm naming the algorithm", algo, err)
-			}
+	flatOnly := pifo.Factory{Name: "flat-only", Flat: pifo.WF2QPlus().Flat}
+	for _, opts := range [][]Option{nil, {WithTopology(top)}} {
+		d, err := New("WF2Q+", 10e6, append(opts, WithPolicy(flatOnly))...)
+		if d != nil || !errors.Is(err, errs.ErrNoNodeForm) || !strings.Contains(err.Error(), flatOnly.Name) {
+			t.Errorf("New = %v, want ErrNoNodeForm naming the policy", err)
 		}
 	}
 }

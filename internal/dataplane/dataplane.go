@@ -489,9 +489,8 @@ type released struct {
 
 // New returns an engine pacing egress at rate bits/sec using the named
 // algorithm ("WF2Q+", "WFQ", "SCFQ", …; see internal/sched) at the nodes of
-// its H-PFQ tree. Unknown algorithms, algorithms with no node form (FIFO,
-// WF2Q+fixed) and malformed topologies return the registry's sentinel
-// errors.
+// its H-PFQ tree. Unknown algorithms, policies with no node form and
+// malformed topologies return the registry's sentinel errors.
 func New(algorithm string, rate float64, opts ...Option) (*Dataplane, error) {
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return nil, fmt.Errorf("dataplane: invalid rate %g", rate)

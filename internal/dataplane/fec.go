@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hpfq/internal/fec"
-	"hpfq/internal/hier"
 	"hpfq/internal/topo"
 )
 
@@ -150,23 +149,12 @@ func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) err
 		}
 	}
 
-	var leaf *hier.NodeInfo
-	nodes := d.tree.Nodes()
-	for i := range nodes {
-		if nodes[i].Session == class {
-			leaf = &nodes[i]
-			break
-		}
-	}
-	if leaf == nil {
-		return fmt.Errorf("dataplane: class %d is not a scheduler leaf", class)
-	}
 	var name string
-	if leaf.Name != "" {
-		name = leaf.Name + ".fec"
+	if n := cs.leaf.Name(); n != "" {
+		name = n + ".fec"
 	}
-	share := leaf.Share * float64(spec.R) / float64(spec.K) // already this engine's
-	if err := d.tree.AddLeaf(leaf.Parent, name, repair, share); err != nil {
+	share := cs.leaf.Share() * float64(spec.R) / float64(spec.K) // already this engine's
+	if err := d.tree.AddLeaf(cs.leaf.Parent(), name, repair, share); err != nil {
 		return err
 	}
 	d.addClassLocked(d.tree.Leaf(repair)).repairOf = int32(class)

@@ -17,10 +17,11 @@ var ErrUnknownAlgorithm = errors.New("unknown algorithm")
 // carrying session ids, or a root that is not an interior node.
 var ErrBadTopology = errors.New("bad topology")
 
-// ErrNoNodeForm is returned when an algorithm exists only as a standalone
-// scheduler and has no hierarchical node form (FIFO, WF2Q+fixed).
+// ErrNoNodeForm is returned when a caller-built policy has no hierarchical
+// node form (a nil node constructor); every registered algorithm has one.
 var ErrNoNodeForm = errors.New("algorithm has no node form")
 
-// ErrNoFlatForm is returned when a policy has no standalone scheduler form
-// and can only serve as a hierarchy node.
+// ErrNoFlatForm is returned when a caller-built policy has no standalone
+// scheduler form (a nil flat constructor) and can only serve as a hierarchy
+// node.
 var ErrNoFlatForm = errors.New("policy has no flat form")

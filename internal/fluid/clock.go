@@ -31,8 +31,8 @@ type Clock struct {
 	now    float64
 	rates  []float64
 	lastF  []float64
-	active *pq.Heap[float64] // session → last assigned virtual finish
-	sumR   float64           // Σ r_i over GPS-backlogged sessions
+	active *pq.Heap // session → last assigned virtual finish
+	sumR   float64  // Σ r_i over GPS-backlogged sessions
 }
 
 // NewClock returns a GPS virtual clock for a server of the given rate.
@@ -40,7 +40,7 @@ func NewClock(rate float64) *Clock {
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		panic(fmt.Sprintf("fluid: invalid clock rate %g", rate))
 	}
-	return &Clock{rate: rate, active: pq.NewHeap[float64](8)}
+	return &Clock{rate: rate, active: pq.NewHeap(8)}
 }
 
 // AddSession registers session id with guaranteed rate r_i.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hpfq/internal/errs"
+	"hpfq/internal/pifo"
 	"hpfq/internal/topo"
 )
 
@@ -158,29 +159,31 @@ func TestBuildErrorsMatchValidate(t *testing.T) {
 }
 
 // TestBuildErrorsValidTopology: a well-formed topology that cannot be built
-// reports why: a leaf root, a bad link rate, a policy with no node form, a
-// guaranteed rate out of range.
+// reports why: a leaf root, a bad link rate, a caller-built policy with no
+// node form, a guaranteed rate out of range.
 func TestBuildErrorsValidTopology(t *testing.T) {
 	leaf := topo.Leaf
 	in := topo.Interior
+	noNode := map[string]pifo.Factory{"r": {Name: "flat-only"}}
 	for _, tc := range []struct {
-		name string
-		top  *topo.Node
-		link float64
-		want error
+		name    string
+		top     *topo.Node
+		link    float64
+		perNode map[string]pifo.Factory
+		want    error
 	}{
-		{"leaf root", leaf("a", 1, 0), 1, errs.ErrBadTopology},
-		{"unknown policy", in("r", 1, in("x", 1, leaf("a", 1, 0)).WithPolicy("nope")), 1, errs.ErrUnknownAlgorithm},
-		{"no node form", in("r", 1, leaf("a", 1, 0)).WithPolicy("FIFO"), 1, errs.ErrNoNodeForm},
-		{"rate underflow", in("r", 1, leaf("a", 1e-320, 0), leaf("b", 1e300, 1)), 1, errs.ErrBadTopology},
-		{"rate overflow", in("r", 1, leaf("a", 1, 0)), math.Inf(1), errs.ErrBadTopology},
-		{"session above MaxSession", in("r", 1, leaf("a", 1, 0), leaf("b", 1, MaxSession+1)), 1, errs.ErrBadTopology},
+		{"leaf root", leaf("a", 1, 0), 1, nil, errs.ErrBadTopology},
+		{"unknown policy", in("r", 1, in("x", 1, leaf("a", 1, 0)).WithPolicy("nope")), 1, nil, errs.ErrUnknownAlgorithm},
+		{"no node form", in("r", 1, leaf("a", 1, 0)), 1, noNode, errs.ErrNoNodeForm},
+		{"rate underflow", in("r", 1, leaf("a", 1e-320, 0), leaf("b", 1e300, 1)), 1, nil, errs.ErrBadTopology},
+		{"rate overflow", in("r", 1, leaf("a", 1, 0)), math.Inf(1), nil, errs.ErrBadTopology},
+		{"session above MaxSession", in("r", 1, leaf("a", 1, 0), leaf("b", 1, MaxSession+1)), 1, nil, errs.ErrBadTopology},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.top.Validate(); err != nil {
 				t.Fatalf("case is invalid: %v", err)
 			}
-			if _, err := New(tc.top, tc.link, "WF2Q+"); !errors.Is(err, tc.want) {
+			if _, err := BuildSpec(tc.top, tc.link, "WF2Q+", Resolver("WF2Q+", nil, tc.perNode)); !errors.Is(err, tc.want) {
 				t.Fatalf("build error %v, want %v", err, tc.want)
 			}
 		})

@@ -13,15 +13,18 @@ import (
 // interleavings of arrivals and transmissions, and under live mutation. The
 // tree is driven directly (Dequeue doubles as transmission-complete for the
 // previous packet). An even byte enqueues; an odd byte b picks by (b>>1)%8:
-// 0–4 dequeue, 5 retunes a session's rate, 6 swaps a node's policy
-// WF²Q+↔DRR, 7 removes an idle leaf and grafts it back under its parent.
+// 0–4 dequeue, 5 retunes a session's rate, 6 moves a node's policy one step
+// round WF²Q+ → DRR → FIFO → WF²Q+, 7 removes an idle leaf and grafts it
+// back under its parent.
 func FuzzTree(f *testing.F) {
 	f.Add([]byte{0, 2, 4, 6, 1, 1, 1, 1})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 254, 255})
 	f.Add([]byte{8, 16, 24, 32, 40, 1, 3, 5, 7, 9})
 	f.Add([]byte{0, 2, 4, 6, 11, 13, 29, 45, 1, 15, 31, 1, 1, 0, 2, 1, 1, 1})
-	wf2qp, _ := pifo.Lookup("WF2Q+")
-	drr, _ := pifo.Lookup("DRR")
+	var cycle [3]pifo.Factory
+	for i, name := range []string{"WF2Q+", "DRR", "FIFO"} {
+		cycle[i], _ = pifo.Lookup(name)
+	}
 	nodes := []string{"root", "L", "LL"}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
@@ -57,9 +60,11 @@ func FuzzTree(f *testing.F) {
 				_ = tree.SetSessionRate(sess, parent.rate*float64(1+arg%7)/8)
 			case 6:
 				n := tree.names()[nodes[arg%len(nodes)]]
-				next := wf2qp
-				if n.ns.Name() == wf2qp.Name {
-					next = drr
+				next := cycle[0]
+				for i, f := range cycle {
+					if n.ns.Name() == f.Name {
+						next = cycle[(i+1)%len(cycle)]
+					}
 				}
 				if err := tree.SetNodePolicy(n.name, next); err != nil {
 					t.Fatal(err)

@@ -504,6 +504,12 @@ func (l Leaf) Slot() int32 { return l.n.slot }
 // Rate returns the guaranteed rate of the handle's leaf.
 func (l Leaf) Rate() float64 { return l.n.rate }
 
+// Name, Share and Parent return the handle's leaf's name and share and its
+// parent's name, as Tree.Nodes reports them.
+func (l Leaf) Name() string   { return l.n.name }
+func (l Leaf) Share() float64 { return l.n.share }
+func (l Leaf) Parent() string { return l.n.parent.name }
+
 // EachLeaf calls fn with the handle on every live session leaf in slot
 // order, which for a tree fresh from BuildSpec is the topology's preorder.
 func (tr *Tree) EachLeaf(fn func(Leaf)) {

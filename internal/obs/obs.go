@@ -462,10 +462,12 @@ func (c *Collector) ReserveSessions(n int) {
 	}
 }
 
-// reg returns session id's registration, marking it seen.
+// reg returns session id's registration, marking it seen. regs never
+// shrinks, so the room past its length (ReserveSessions') is still zeroed
+// and a registration within it only reslices.
 func (c *Collector) reg(id int) *sessionReg {
 	if n := id + 1 - len(c.regs); n > 0 {
-		c.regs = append(c.regs, make([]sessionReg, n)...)
+		c.regs = slices.Grow(c.regs, n)[:id+1]
 	}
 	r := &c.regs[id]
 	r.seen = true

@@ -42,7 +42,7 @@ func (b *bucket) ready() float64 { return b.last - min(b.tokens, 0)/b.rate }
 // methods accept a nil Shaper.
 type Shaper struct {
 	ceils []*bucket
-	held  pq.Heap[float64]
+	held  pq.Heap
 	n     int // ceilings set
 }
 

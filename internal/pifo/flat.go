@@ -71,7 +71,7 @@ func NewSched(f Factory, rate float64) *Sched {
 		arrival: f.Arrival,
 		tagless: f.Tagless,
 	}
-	s.reset(f.Monotone)
+	s.reset(f.Monotone && !f.Arrival)
 	s.tick, _ = s.pol.(Ticker)
 	s.InitObs(f.Name, rate)
 	return s

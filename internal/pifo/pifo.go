@@ -12,8 +12,8 @@
 // parks a flow whose virtual start time is ahead of the system virtual time).
 // DRR maps through a monotone round counter as the rank plus a deficit check
 // at pop time ("Everything Matters in Programmable Packet Scheduling",
-// Alcoz et al.). Strict priority, EDF, SRPT and LSTF are one-line rank
-// functions.
+// Alcoz et al.). FIFO, strict priority, EDF, SRPT and LSTF are one-line
+// rank functions.
 //
 // A Policy supplies the per-flow virtual-time state hooks (Arrive, Commit,
 // V, and the optional Ticker/Floorer/Deferrer extensions); the two generic

@@ -29,8 +29,10 @@ type Factory struct {
 	Tagless bool
 	// Monotone declares that every rank the policy issues is strictly below
 	// the smallest or at/above the largest rank currently queued (DRR's
-	// front/tail round counters), letting the hosts run the PIFO as an O(1)
-	// deque instead of heaps (see queue).
+	// front/tail round counters, FIFO's arrival counter), letting the hosts
+	// run the PIFO as an O(1) deque instead of heaps (see queue). A flat
+	// host stamping on arrival inserts a rank only when its packet reaches
+	// the head of its flow queue, after later ranks, so it keeps the heaps.
 	Monotone bool
 }
 
@@ -537,7 +539,41 @@ func LSTFWith(slack func(id int, rate, length float64) float64) Factory {
 	return f
 }
 
+// ---------------------------------------------------------------------------
+// FIFO: rank = arrival order, the PIFO literature's FIFO rank function
+// (arrival time) kept as a sequence number so equal timestamps keep their
+// order. Flat, every packet is stamped on arrival (Arrival), so the smallest
+// rank among the flows' heads is the oldest packet queued: global arrival
+// order, the seed FIFO server's. In a node a child is stamped at Push, so
+// ranks only grow and the node runs the PIFO as a deque (Monotone):
+// children are served in push order.
+
+type fifo struct {
+	workClock
+	seq float64
+}
+
+func (p *fifo) AddFlow(int, float64) {}
+
+func (p *fifo) Arrive(float64, int, float64, bool) Stamp {
+	p.seq++
+	return Stamp{Rank: p.seq}
+}
+
+func (p *fifo) SetFlowRate(int, float64) {}
+func (p *fifo) RemoveFlow(int)           {}
+
+func newFIFO(rate float64) Policy { return &fifo{workClock: workClock{rate: rate}} }
+
 func init() {
+	register(Factory{
+		Name:     "FIFO",
+		Flat:     newFIFO,
+		Node:     newFIFO,
+		Arrival:  true,
+		Tagless:  true,
+		Monotone: true,
+	})
 	register(Factory{
 		Name: "WF2Q+",
 		Flat: newWF2QPlus,

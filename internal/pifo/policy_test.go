@@ -158,7 +158,7 @@ func TestLSTF(t *testing.T) {
 // TestNewPolicyNodeForms drives each new policy's node form through a
 // priority-shaped Push/Pop exchange.
 func TestNewPolicyNodeForms(t *testing.T) {
-	for _, name := range []string{"SP", "EDF", "SRPT", "LSTF"} {
+	for _, name := range []string{"SP", "EDF", "SRPT", "LSTF", "FIFO"} {
 		f, ok := Lookup(name)
 		if !ok || f.Node == nil {
 			t.Fatalf("%s: no node form", name)
@@ -175,9 +175,9 @@ func TestNewPolicyNodeForms(t *testing.T) {
 		// SP prioritizes by id (0 first); the deadline/slack/size families
 		// all favor child 1 here (tighter rate, same length) — except SRPT,
 		// which ranks purely by length/link rate and falls back to FIFO
-		// arrival order on the tie.
+		// arrival order on the tie, and FIFO, which serves in push order.
 		want := 1
-		if name == "SP" || name == "SRPT" {
+		if name == "SP" || name == "SRPT" || name == "FIFO" {
 			want = 0
 		}
 		if id != want {
@@ -188,6 +188,21 @@ func TestNewPolicyNodeForms(t *testing.T) {
 		}
 		if n.Backlogged() {
 			t.Errorf("%s node: still backlogged after draining", name)
+		}
+	}
+
+	// FIFO ranks a child by its push count: pushed in the reverse of id
+	// (and rate) order, the children pop in push order.
+	n := NewNode(factories["FIFO"], 1e6)
+	for id := 0; id < 4; id++ {
+		n.AddChild(id, float64(id+1)*1e5)
+	}
+	for id := 3; id >= 0; id-- {
+		n.Push(id, 8000, false)
+	}
+	for want := 3; want >= 0; want-- {
+		if id, _ := n.Pop(); id != want {
+			t.Fatalf("FIFO node: popped child %d, want %d", id, want)
 		}
 	}
 }

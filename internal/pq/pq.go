@@ -2,64 +2,58 @@
 // schedulers. An indexed heap maps small dense integer IDs (session or child
 // indices) to ordered keys (virtual start or finish times) and supports
 // decrease-key/remove in O(log N), which is what gives WF²Q+ its overall
-// O(log N) complexity (paper §3.4).
-//
-// Heap is generic over the key type: the float64 instantiation carries
-// virtual times in seconds; the uint64 instantiation carries the integer
-// virtual ticks of the fixed-point WF²Q+ engine (core.FixedScheduler).
+// O(log N) complexity (paper §3.4). Keys are virtual times in seconds.
 package pq
-
-import "cmp"
 
 // Heap is an indexed binary min-heap of (id, key) pairs. IDs must be
 // non-negative and should be dense; storage grows to the largest ID seen.
 // Ties on key are broken by insertion order (FIFO), which makes scheduler
 // behaviour deterministic and matches the arrival-order tie-breaking used in
 // fair queueing implementations.
-type Heap[K cmp.Ordered] struct {
-	items []entry[K]
+type Heap struct {
+	items []entry
 	pos   []int // id → index in items, -1 if absent
 	seq   uint64
 }
 
-type entry[K cmp.Ordered] struct {
+type entry struct {
 	id  int
-	key K
+	key float64
 	seq uint64
 }
 
 // NewHeap returns an empty heap with capacity hints for n IDs.
-func NewHeap[K cmp.Ordered](n int) *Heap[K] {
-	return &Heap[K]{
-		items: make([]entry[K], 0, n),
+func NewHeap(n int) *Heap {
+	return &Heap{
+		items: make([]entry, 0, n),
 		pos:   make([]int, 0, n),
 	}
 }
 
 // Len reports the number of elements in the heap.
-func (h *Heap[K]) Len() int { return len(h.items) }
+func (h *Heap) Len() int { return len(h.items) }
 
 // Empty reports whether the heap has no elements.
-func (h *Heap[K]) Empty() bool { return len(h.items) == 0 }
+func (h *Heap) Empty() bool { return len(h.items) == 0 }
 
 // Contains reports whether id is currently in the heap.
-func (h *Heap[K]) Contains(id int) bool {
+func (h *Heap) Contains(id int) bool {
 	return id < len(h.pos) && h.pos[id] >= 0
 }
 
 // Key returns the key stored for id. It panics if id is absent.
-func (h *Heap[K]) Key(id int) K {
+func (h *Heap) Key(id int) float64 {
 	return h.items[h.pos[id]].key
 }
 
 // Push inserts id with the given key. It panics if id is already present.
-func (h *Heap[K]) Push(id int, key K) {
+func (h *Heap) Push(id int, key float64) {
 	if h.Contains(id) {
 		panic("pq: Push of id already in heap")
 	}
 	h.growPos(id)
 	h.seq++
-	h.items = append(h.items, entry[K]{id: id, key: key, seq: h.seq})
+	h.items = append(h.items, entry{id: id, key: key, seq: h.seq})
 	i := len(h.items) - 1
 	h.pos[id] = i
 	h.up(i)
@@ -67,7 +61,7 @@ func (h *Heap[K]) Push(id int, key K) {
 
 // Update changes the key of id (in either direction). It panics if id is
 // absent.
-func (h *Heap[K]) Update(id int, key K) {
+func (h *Heap) Update(id int, key float64) {
 	i := h.pos[id]
 	h.seq++
 	h.items[i].key = key
@@ -78,7 +72,7 @@ func (h *Heap[K]) Update(id int, key K) {
 }
 
 // Remove deletes id from the heap. It panics if id is absent.
-func (h *Heap[K]) Remove(id int) {
+func (h *Heap) Remove(id int) {
 	i := h.pos[id]
 	last := len(h.items) - 1
 	h.swap(i, last)
@@ -93,25 +87,25 @@ func (h *Heap[K]) Remove(id int) {
 
 // Min returns the id and key at the top of the heap without removing it.
 // ok is false when the heap is empty.
-func (h *Heap[K]) Min() (id int, key K, ok bool) {
+func (h *Heap) Min() (id int, key float64, ok bool) {
 	if len(h.items) == 0 {
-		var zero K
+		var zero float64
 		return 0, zero, false
 	}
 	return h.items[0].id, h.items[0].key, true
 }
 
 // MinKey returns the smallest key. It panics if the heap is empty.
-func (h *Heap[K]) MinKey() K { return h.items[0].key }
+func (h *Heap) MinKey() float64 { return h.items[0].key }
 
 // MinID returns the id with the smallest key. It panics if the heap is
 // empty.
-func (h *Heap[K]) MinID() int { return h.items[0].id }
+func (h *Heap) MinID() int { return h.items[0].id }
 
 // Pop removes and returns the minimum element. ok is false when empty.
-func (h *Heap[K]) Pop() (id int, key K, ok bool) {
+func (h *Heap) Pop() (id int, key float64, ok bool) {
 	if len(h.items) == 0 {
-		var zero K
+		var zero float64
 		return 0, zero, false
 	}
 	top := h.items[0]
@@ -120,20 +114,20 @@ func (h *Heap[K]) Pop() (id int, key K, ok bool) {
 }
 
 // Clear removes every element.
-func (h *Heap[K]) Clear() {
+func (h *Heap) Clear() {
 	for _, e := range h.items {
 		h.pos[e.id] = -1
 	}
 	h.items = h.items[:0]
 }
 
-func (h *Heap[K]) growPos(id int) {
+func (h *Heap) growPos(id int) {
 	for len(h.pos) <= id {
 		h.pos = append(h.pos, -1)
 	}
 }
 
-func (h *Heap[K]) less(i, j int) bool {
+func (h *Heap) less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
 	if a.key != b.key {
 		return a.key < b.key
@@ -141,13 +135,13 @@ func (h *Heap[K]) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (h *Heap[K]) swap(i, j int) {
+func (h *Heap) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
 	h.pos[h.items[i].id] = i
 	h.pos[h.items[j].id] = j
 }
 
-func (h *Heap[K]) up(i int) bool {
+func (h *Heap) up(i int) bool {
 	moved := false
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -161,7 +155,7 @@ func (h *Heap[K]) up(i int) bool {
 	return moved
 }
 
-func (h *Heap[K]) down(i int) {
+func (h *Heap) down(i int) {
 	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2

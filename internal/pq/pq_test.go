@@ -8,7 +8,7 @@ import (
 )
 
 func TestHeapBasic(t *testing.T) {
-	h := NewHeap[float64](4)
+	h := NewHeap(4)
 	if !h.Empty() || h.Len() != 0 {
 		t.Fatal("new heap not empty")
 	}
@@ -44,7 +44,7 @@ func TestHeapBasic(t *testing.T) {
 }
 
 func TestHeapUpdate(t *testing.T) {
-	h := NewHeap[float64](4)
+	h := NewHeap(4)
 	for i := 0; i < 8; i++ {
 		h.Push(i, float64(i))
 	}
@@ -68,7 +68,7 @@ func TestHeapUpdate(t *testing.T) {
 }
 
 func TestHeapFIFOTieBreak(t *testing.T) {
-	h := NewHeap[float64](4)
+	h := NewHeap(4)
 	h.Push(5, 1.0)
 	h.Push(2, 1.0)
 	h.Push(9, 1.0)
@@ -86,7 +86,7 @@ func TestHeapFIFOTieBreak(t *testing.T) {
 }
 
 func TestHeapClear(t *testing.T) {
-	h := NewHeap[float64](4)
+	h := NewHeap(4)
 	h.Push(0, 1)
 	h.Push(1, 2)
 	h.Clear()
@@ -100,7 +100,7 @@ func TestHeapClear(t *testing.T) {
 }
 
 func TestHeapPanics(t *testing.T) {
-	h := NewHeap[float64](2)
+	h := NewHeap(2)
 	h.Push(0, 1)
 	assertPanics(t, "duplicate push", func() { h.Push(0, 2) })
 }
@@ -121,7 +121,7 @@ func TestHeapSortProperty(t *testing.T) {
 		if len(keys) > 512 {
 			keys = keys[:512]
 		}
-		h := NewHeap[float64](len(keys))
+		h := NewHeap(len(keys))
 		for i, k := range keys {
 			h.Push(i, k)
 		}
@@ -152,7 +152,7 @@ func TestHeapSortProperty(t *testing.T) {
 func TestHeapRandomOpsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := NewHeap[float64](8)
+		h := NewHeap(8)
 		ref := map[int]float64{}
 		refSeq := map[int]int{}
 		seq := 0

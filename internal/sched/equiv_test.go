@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"hpfq/internal/core"
+	"hpfq/internal/des"
+	"hpfq/internal/netsim"
 	"hpfq/internal/obs"
 	"hpfq/internal/packet"
 )
@@ -228,5 +230,62 @@ func TestPIFONodeEquivalence(t *testing.T) {
 				compareTraces(t, gt, ht)
 			}
 		})
+	}
+}
+
+// TestFIFOPolicyMatchesSeed: the registry's FIFO, a PIFO policy ranking by
+// arrival order, serves a link exactly as the seed FIFO server does — the
+// same packets at the same times, with the same trace — on seeded
+// workloads near full load, where several sessions are backlogged at once
+// and arrivals share timestamps.
+func TestFIFOPolicyMatchesSeed(t *testing.T) {
+	type dep struct {
+		at      float64
+		session int
+		seq     int64
+	}
+	const nsess, linkRate = 5, 1e6
+	run := func(s Scheduler, seed uint64) ([]dep, []obs.Event) {
+		ring := obs.NewRingTracer(1 << 13)
+		s.SetTracer(ring)
+		for id := 0; id < nsess; id++ {
+			s.AddSession(id, linkRate/nsess)
+		}
+		sim := des.New()
+		link := netsim.NewLink(sim, linkRate, s)
+		var out []dep
+		link.OnDepart(func(p *packet.Packet) { out = append(out, dep{sim.Now(), p.Session, p.Seq}) })
+		rng := lcg(seed)
+		var seqs [nsess]int64
+		at := 0.0
+		for i := 0; i < 2000; i++ {
+			if rng.intn(3) == 0 { // the other arrivals share the last timestamp
+				at += float64(rng.intn(40)) * 1e-3
+			}
+			id := rng.intn(nsess)
+			p := packet.New(id, float64(1000*(1+rng.intn(12))))
+			p.Seq = seqs[id]
+			seqs[id]++
+			sim.At(at, func() { link.Arrive(p) })
+		}
+		sim.RunAll()
+		return out, ring.Events()
+	}
+	for _, seed := range []uint64{3, 77, 4242} {
+		hosted, err := New("FIFO", linkRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gd, gt := run(NewFIFO(linkRate), seed)
+		hd, ht := run(hosted, seed)
+		if len(gd) != 2000 || len(hd) != len(gd) {
+			t.Fatalf("seed %d: %d seed departures, %d pifo", seed, len(gd), len(hd))
+		}
+		for i := range gd {
+			if gd[i] != hd[i] {
+				t.Fatalf("seed %d: departure %d: seed %+v, pifo %+v", seed, i, gd[i], hd[i])
+			}
+		}
+		compareTraces(t, gt, ht)
 	}
 }

@@ -63,13 +63,13 @@ type WFQNode struct {
 	clock *fluid.Clock
 	t     float64
 	cs    childSet
-	hol   *pq.Heap[float64] // child → head virtual finish
+	hol   *pq.Heap // child → head virtual finish
 	obs.Collector
 }
 
 // NewWFQNode returns a WFQ node with guaranteed rate r_n in bits/sec.
 func NewWFQNode(rate float64) *WFQNode {
-	n := &WFQNode{rate: rate, clock: fluid.NewClock(rate), hol: pq.NewHeap[float64](4)}
+	n := &WFQNode{rate: rate, clock: fluid.NewClock(rate), hol: pq.NewHeap(4)}
 	n.InitNodeObs("WFQ", rate)
 	return n
 }
@@ -137,14 +137,14 @@ type WF2QNode struct {
 	clock *fluid.Clock
 	t     float64
 	cs    childSet
-	elig  *pq.Heap[float64] // by head F
-	inel  *pq.Heap[float64] // by head S
+	elig  *pq.Heap // by head F
+	inel  *pq.Heap // by head S
 	obs.Collector
 }
 
 // NewWF2QNode returns a WF²Q node with guaranteed rate r_n in bits/sec.
 func NewWF2QNode(rate float64) *WF2QNode {
-	n := &WF2QNode{rate: rate, clock: fluid.NewClock(rate), elig: pq.NewHeap[float64](4), inel: pq.NewHeap[float64](4)}
+	n := &WF2QNode{rate: rate, clock: fluid.NewClock(rate), elig: pq.NewHeap(4), inel: pq.NewHeap(4)}
 	n.InitNodeObs("WF2Q", rate)
 	return n
 }
@@ -220,13 +220,13 @@ func (n *WF2QNode) Backlogged() bool { return n.cs.count > 0 }
 type SCFQNode struct {
 	cs  childSet
 	v   float64
-	hol *pq.Heap[float64] // by head finish tag
+	hol *pq.Heap // by head finish tag
 	obs.Collector
 }
 
 // NewSCFQNode returns an SCFQ node; rate is accepted for uniformity.
 func NewSCFQNode(rate float64) *SCFQNode {
-	n := &SCFQNode{hol: pq.NewHeap[float64](4)}
+	n := &SCFQNode{hol: pq.NewHeap(4)}
 	n.InitNodeObs("SCFQ", rate)
 	return n
 }
@@ -284,13 +284,13 @@ type SFQNode struct {
 	cs   childSet
 	v    float64
 	maxF float64
-	hol  *pq.Heap[float64] // by head start tag
+	hol  *pq.Heap // by head start tag
 	obs.Collector
 }
 
 // NewSFQNode returns an SFQ node; rate is accepted for uniformity.
 func NewSFQNode(rate float64) *SFQNode {
-	n := &SFQNode{hol: pq.NewHeap[float64](4)}
+	n := &SFQNode{hol: pq.NewHeap(4)}
 	n.InitNodeObs("SFQ", rate)
 	return n
 }

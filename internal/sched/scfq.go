@@ -22,7 +22,7 @@ type SCFQ struct {
 	lastF   []float64
 	v       float64 // finish tag of the packet in service
 	queues  []stampQueue
-	hol     *pq.Heap[float64] // session → head finish tag
+	hol     *pq.Heap // session → head finish tag
 	backlog int
 	obs.Collector
 }
@@ -30,7 +30,7 @@ type SCFQ struct {
 // NewSCFQ returns an SCFQ server. The link rate is accepted for interface
 // uniformity; SCFQ's tags depend only on session rates.
 func NewSCFQ(rate float64) *SCFQ {
-	s := &SCFQ{hol: pq.NewHeap[float64](8)}
+	s := &SCFQ{hol: pq.NewHeap(8)}
 	s.InitObs("SCFQ", rate)
 	return s
 }
@@ -106,7 +106,7 @@ type SFQ struct {
 	v       float64
 	maxF    float64
 	queues  []stampQueue
-	hol     *pq.Heap[float64] // session → head start tag
+	hol     *pq.Heap // session → head start tag
 	backlog int
 	obs.Collector
 }
@@ -114,7 +114,7 @@ type SFQ struct {
 // NewSFQ returns an SFQ server. The link rate is accepted for interface
 // uniformity.
 func NewSFQ(rate float64) *SFQ {
-	s := &SFQ{hol: pq.NewHeap[float64](8)}
+	s := &SFQ{hol: pq.NewHeap(8)}
 	s.InitObs("SFQ", rate)
 	return s
 }

@@ -4,19 +4,15 @@
 // per-node variants of each for use inside an H-PFQ hierarchy
 // (internal/hier) and a registry keyed by algorithm name.
 //
-// The registry selects by name among the pifo policies (internal/pifo),
-// which host WF²Q+ — the paper's primary contribution — and every other
-// discipline in production; the seed implementations here stay as the
-// golden references the equivalence tests compare against. Two entries are
-// not pifo policies and have no node form: FIFO and WF2Q+fixed, the
-// fixed-point WF²Q+ of internal/core.
+// The registry is the pifo policy registry (internal/pifo): every entry,
+// WF²Q+ — the paper's primary contribution — among them, has a flat and a
+// node form. The seed implementations here stay as the golden references
+// the equivalence tests compare against.
 package sched
 
 import (
 	"fmt"
-	"sort"
 
-	"hpfq/internal/core"
 	"hpfq/internal/errs"
 	"hpfq/internal/obs"
 	"hpfq/internal/packet"
@@ -84,40 +80,20 @@ type NodeReconfigurer interface {
 }
 
 // Algorithms returns the registry names, sorted.
-func Algorithms() []string {
-	names := pifo.Names()
-	for n := range flatOnly {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// flatOnly lists the algorithms that are not pifo policies: standalone
-// servers with no node form.
-var flatOnly = map[string]func(rate float64) Scheduler{
-	"WF2Q+fixed": func(r float64) Scheduler { return core.NewFixedScheduler(r) },
-	"FIFO":       func(r float64) Scheduler { return NewFIFO(r) },
-}
+func Algorithms() []string { return pifo.Names() }
 
 // New returns a standalone scheduler by algorithm name ("WF2Q+", "WFQ",
 // "WF2Q", "SCFQ", "SFQ", "DRR", "FIFO", "SP", "EDF", "SRPT", "LSTF").
 func New(name string, rate float64) (Scheduler, error) {
-	if mk, ok := flatOnly[name]; ok {
-		return mk(rate), nil
+	f, ok := pifo.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("sched: %w: %q (have %v)", errs.ErrUnknownAlgorithm, name, Algorithms())
 	}
-	if f, ok := pifo.Lookup(name); ok && f.Flat != nil {
-		return pifo.NewSched(f, rate), nil
-	}
-	return nil, fmt.Errorf("sched: %w: %q (have %v)", errs.ErrUnknownAlgorithm, name, Algorithms())
+	return NewPolicy(f, rate)
 }
 
-// NewNode returns a hierarchical server node by algorithm name. FIFO and
-// WF2Q+fixed have no node form.
+// NewNode returns a hierarchical server node by algorithm name.
 func NewNode(name string, rate float64) (NodeScheduler, error) {
-	if _, ok := flatOnly[name]; ok {
-		return nil, fmt.Errorf("sched: %w: %q", errs.ErrNoNodeForm, name)
-	}
 	f, ok := pifo.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("sched: %w: %q (have %v)", errs.ErrUnknownAlgorithm, name, Algorithms())

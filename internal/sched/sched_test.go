@@ -11,12 +11,12 @@ import (
 	"hpfq/internal/packet"
 )
 
-var allAlgos = []string{"WF2Q+", "WF2Q+fixed", "WFQ", "WF2Q", "SCFQ", "SFQ", "DRR", "FIFO", "SP", "EDF", "SRPT", "LSTF"}
-var fairAlgos = []string{"WF2Q+", "WF2Q+fixed", "WFQ", "WF2Q", "SCFQ", "SFQ", "DRR"}
+var allAlgos = []string{"WF2Q+", "WFQ", "WF2Q", "SCFQ", "SFQ", "DRR", "FIFO", "SP", "EDF", "SRPT", "LSTF"}
+var fairAlgos = []string{"WF2Q+", "WFQ", "WF2Q", "SCFQ", "SFQ", "DRR"}
 
 func TestRegistry(t *testing.T) {
 	names := Algorithms()
-	if len(names) != 12 {
+	if len(names) != len(allAlgos) {
 		t.Fatalf("registry has %d algorithms: %v", len(names), names)
 	}
 	for _, name := range allAlgos {
@@ -27,23 +27,15 @@ func TestRegistry(t *testing.T) {
 		if s.Name() == "" {
 			t.Errorf("%s: empty Name", name)
 		}
+		if _, err := NewNode(name, 1e6); err != nil {
+			t.Errorf("NewNode(%q): %v", name, err)
+		}
 	}
 	if _, err := New("nope", 1); err == nil {
 		t.Error("New of unknown algorithm should error")
 	}
-	if _, err := NewNode("FIFO", 1); err == nil {
-		t.Error("NewNode(FIFO) should error (no node form)")
-	}
-	if _, err := NewNode("WF2Q+fixed", 1); err == nil {
-		t.Error("NewNode(WF2Q+fixed) should error (flat only)")
-	}
-	for _, name := range fairAlgos {
-		if name == "WF2Q+fixed" {
-			continue
-		}
-		if _, err := NewNode(name, 1e6); err != nil {
-			t.Errorf("NewNode(%q): %v", name, err)
-		}
+	if _, err := NewNode("nope", 1); err == nil {
+		t.Error("NewNode of unknown algorithm should error")
 	}
 }
 

@@ -21,14 +21,14 @@ import (
 type WFQ struct {
 	clock   *fluid.Clock
 	queues  []stampQueue
-	hol     *pq.Heap[float64] // session → virtual finish of head packet
+	hol     *pq.Heap // session → virtual finish of head packet
 	backlog int
 	obs.Collector
 }
 
 // NewWFQ returns a WFQ server for a link of the given rate in bits/sec.
 func NewWFQ(rate float64) *WFQ {
-	w := &WFQ{clock: fluid.NewClock(rate), hol: pq.NewHeap[float64](8)}
+	w := &WFQ{clock: fluid.NewClock(rate), hol: pq.NewHeap(8)}
 	w.InitObs("WFQ", rate)
 	return w
 }
@@ -99,15 +99,15 @@ func (w *WFQ) VirtualTime(now float64) float64 {
 type WF2Q struct {
 	clock   *fluid.Clock
 	queues  []stampQueue
-	elig    *pq.Heap[float64] // eligible sessions (head S <= V), by head F
-	inel    *pq.Heap[float64] // ineligible sessions, by head S
+	elig    *pq.Heap // eligible sessions (head S <= V), by head F
+	inel    *pq.Heap // ineligible sessions, by head S
 	backlog int
 	obs.Collector
 }
 
 // NewWF2Q returns a WF²Q server for a link of the given rate in bits/sec.
 func NewWF2Q(rate float64) *WF2Q {
-	w := &WF2Q{clock: fluid.NewClock(rate), elig: pq.NewHeap[float64](8), inel: pq.NewHeap[float64](8)}
+	w := &WF2Q{clock: fluid.NewClock(rate), elig: pq.NewHeap(8), inel: pq.NewHeap(8)}
 	w.InitObs("WF2Q", rate)
 	return w
 }
