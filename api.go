@@ -592,7 +592,7 @@ func WithAQM() DataplaneOption { return dpOptions{dataplane.WithAQM()} }
 // Loss-resilient egress: FEC repair classes (internal/fec).
 // Dataplane.ProtectClass protects an existing class before Start (the
 // '!fec' topology clause, e.g. "a=2!rs-8-2:0", is the spec-side spelling):
-// every source datagram is FEC-stamped on ingest, and each block's repairs
+// the pump FEC-stamps every source datagram, and each block's repairs
 // leave on a sibling repair class scheduled by the same WF²Q+/H-PFQ
 // machinery as everything else, so repair bandwidth competes fairly and can
 // never starve the siblings. The receive side decodes with FECDecoder and

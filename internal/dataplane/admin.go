@@ -49,7 +49,7 @@ func (d *Dataplane) SetRate(id int, rate float64) error {
 	if err := d.tree.SetSessionRate(id, d.perShard(rate)); err != nil {
 		return err
 	}
-	d.syncRatesLocked()
+	d.rebuildShedOrderLocked()
 	return nil
 }
 
@@ -65,7 +65,7 @@ func (d *Dataplane) SetWeight(name string, share float64) error {
 	if err := d.tree.SetNodeShare(name, share); err != nil {
 		return err
 	}
-	d.syncRatesLocked()
+	d.rebuildShedOrderLocked()
 	return nil
 }
 
@@ -103,7 +103,7 @@ func (d *Dataplane) addLeafLocked(parent, name string, id int, share, ceil float
 	if ceil > 0 {
 		_ = d.tree.SetCeil(id, d.perShard(ceil), d.schedTime(d.now())) // the leaf exists: cannot fail
 	}
-	d.syncRatesLocked()
+	d.rebuildShedOrderLocked()
 	return nil
 }
 
@@ -203,22 +203,6 @@ func (d *Dataplane) SetPolicyName(node, policy string) error {
 	return d.SetPolicy(node, f)
 }
 
-// syncRatesLocked refreshes every class's cached guaranteed rate from the
-// tree after a mutation (siblings move when one does over a topology) and
-// the shed order derived from them. Caller holds d.mu and d.smu.
-func (d *Dataplane) syncRatesLocked() {
-	for s := range d.classes {
-		cs := &d.classes[s]
-		if cs.id < 0 {
-			continue
-		}
-		if r := d.tree.SessionRate(int(cs.id)); r > 0 {
-			cs.rate = r
-		}
-	}
-	d.rebuildShedOrderLocked()
-}
-
 // tryFinalizeLocked completes a draining class's removal once it holds no
 // datagrams anywhere in the engine. The detach can lag one extra batch
 // (hier.Tree pins the dequeued head until the next Dequeue); the pump just
@@ -235,7 +219,7 @@ func (d *Dataplane) tryFinalizeLocked(id int) bool {
 		return false
 	}
 	d.classes[s] = classState{id: -1} // the tree freed the slot
-	d.syncRatesLocked()
+	d.rebuildShedOrderLocked()
 	return true
 }
 
@@ -313,12 +297,6 @@ func (d *Dataplane) statusLocked() Status {
 		st.Mode = "topology"
 	}
 	st.Nodes = d.tree.Nodes()
-	names := map[int]string{}
-	for _, info := range st.Nodes {
-		if info.Session >= 0 {
-			names[info.Session] = info.Name
-		}
-	}
 	st.Classes = make([]ClassStatus, 0, len(d.classes))
 	for s := range d.classes {
 		cs := &d.classes[s]
@@ -329,8 +307,8 @@ func (d *Dataplane) statusLocked() Status {
 		queued, queuedBytes := d.queuedLocked(int32(s))
 		st.Classes = append(st.Classes, ClassStatus{
 			ID:          id,
-			Name:        names[id],
-			Rate:        cs.rate,
+			Name:        cs.leaf.Name(),
+			Rate:        cs.leaf.Rate(),
 			Ceil:        d.tree.Ceil(id),
 			Queued:      queued,
 			QueuedBytes: queuedBytes,

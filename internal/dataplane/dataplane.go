@@ -155,9 +155,6 @@ type classState struct {
 	// created; Ingest copies it into each inbox record.
 	leaf hier.Leaf
 
-	fec  *fecState // the class's encoder when FEC-protected, else nil
-	rate float64   // guaranteed rate, cached from the tree
-
 	// errs caches Ingest's refusal errors by kind, built on the first
 	// refusal, so a refused datagram costs no allocation (ingest.go).
 	errs *[nRefusals]error
@@ -174,33 +171,28 @@ type classState struct {
 	// intake for (overload.go): new arrivals drop with reason "shed"
 	// while staged datagrams leave normally.
 	shed bool
+
+	_ [16]byte // pads the record to its line
 }
 
 // departures counts datagrams, and their bytes, that left the scheduler.
 type departures struct{ pkts, bytes int }
 
-// datagram is the engine's per-packet payload record: the raw bytes and
-// the opaque routing context from IngestCtx.
-type datagram struct {
-	b   []byte
-	ctx any
-}
-
 // inboxRecord is one accepted datagram on its way from Ingest to the pump:
 // everything the pump needs to schedule it, 64 bytes, appended by value
-// under mu. Ingest writes a record once and the pump only reads it, so the
+// under mu. Ingest writes a record once and only the pump reads it, so the
 // handoff moves each line between the two CPUs once (DESIGN.md S39).
 type inboxRecord struct {
 	b       []byte
 	ctx     any
-	leaf    hier.Leaf
-	arrival float64 // ingest stamp: scheduler arrival and CoDel sojourn basis
-	class   int32
+	leaf    hier.Leaf // its Session is the class id
+	arrival float64   // ingest stamp: scheduler arrival and CoDel sojourn basis
 	slot    int32
+	stamped bool // b is a source the pump's FEC stage prefixed with its header
 }
 
-// envelope fuses the scheduler's packet and the engine's datagram into one
-// record per staged datagram; packet.Payload points back at the envelope.
+// envelope fuses the scheduler's packet and the Datagram the Writer gets
+// into one record per staged datagram; packet.Payload points back at it.
 // The pump fills envelopes from inbox records and recycles them on its own
 // free list once the datagram leaves the engine, so no other goroutine
 // touches one. hier.Tree keeps a reference to the head it dequeued last
@@ -210,10 +202,10 @@ type inboxRecord struct {
 // are indexed by. It stays the class's until the scheduler releases the
 // datagram: a class holding datagrams cannot be removed. Once released the
 // class may go and its slot be reused, so the write side accounts by class
-// id (released.class), never through slot.
+// id (pkt.Session), never through slot.
 type envelope struct {
 	pkt  packet.Packet
-	dg   datagram
+	dg   Datagram
 	slot int32
 }
 
@@ -341,14 +333,14 @@ func WithAQM() Option { return func(c *config) { c.aqm = true } }
 //
 // Two locks split the engine (DESIGN.md S33). mu is the admission lock:
 // Ingest's checks, the class records and the class index, the inbox of
-// accepted datagrams, the settled departure counts, FEC encoder state, shed
-// flags and lifecycle. smu is the scheduler lock: the scheduler tree and its
-// obs.Collector, the scheduler's ceilings, the batch's departure counts and
-// the CoDel state; in the hot path only the pump takes it. Lock order is mu
-// before smu, and the pump never takes mu while it holds smu; its write
-// phase takes only smu, to record outcomes. Fields written under both locks
-// (the class index and the shape of the class tables, class rates) may be
-// read under either.
+// accepted datagrams, the settled departure counts, shed flags and
+// lifecycle. smu is the scheduler lock: the scheduler tree and its
+// obs.Collector, the scheduler's ceilings, the batch's departure counts, the
+// CoDel state and the FEC encoders; in the hot path only the pump takes it.
+// Lock order is mu before smu, and the pump never takes mu while it holds
+// smu; its write phase takes only smu, to record outcomes. Fields written
+// under both locks (the class index and the shape of the class tables, leaf
+// rates) may be read under either.
 //
 // The fields are grouped by writer, padded apart, so that no cache line on
 // the way from Ingest to the pump has two writers (DESIGN.md S39):
@@ -422,10 +414,9 @@ type Dataplane struct {
 	// finalization each batch until each quiesces.
 	draining []int
 
-	// FEC state (fec.go): protected classes in class order, and the pump's
-	// hint for the earliest partial-block flush deadline.
+	// fecList holds the protected classes in class order (fec.go), fixed
+	// once the engine starts.
 	fecList []*fecState
-	fecWait time.Duration
 
 	_ [64]byte
 
@@ -471,20 +462,19 @@ type Dataplane struct {
 	// holdWait is the time to the scheduler's next release of a class its
 	// ceiling holds back, when a batch found nothing else to send.
 	holdWait time.Duration
+	// The FEC stage's (fec.go): the earliest block-age deadline, the slots
+	// stamped this batch, repairs to admit, and a spare staging buffer.
+	fecWait   time.Duration
+	fecCharge []int32
+	fecReps   []fecRepair
+	fecSpare  []inboxRecord
 
 	// inflight is the current token-bucket release between dequeue and
 	// write; elements before infHead have reached their final disposition
 	// (written or dropped). The supervisor reads the suffix only after the
 	// pump panicked, on the same goroutine, to account the lost packets.
-	inflight []released
+	inflight []*envelope
 	infHead  int
-}
-
-// released is one scheduled datagram in flight from the scheduler to the
-// Writer.
-type released struct {
-	class int
-	env   *envelope
 }
 
 // New returns an engine pacing egress at rate bits/sec using the named
@@ -645,15 +635,12 @@ func (d *Dataplane) addClassLocked(l hier.Leaf) *classState {
 		}
 	}
 	cs := &d.classes[s]
-	cs.leaf, cs.rate = l, l.Rate()
+	cs.leaf = l
 	cs.id, cs.repairOf = int32(id), -1
-	// FEC protection belongs to the class id: a protected class, or its
-	// repair class, removed and added again is protected again.
+	// FEC protection belongs to the class id (fecOf): a repair class
+	// removed and added again is the engine's again.
 	for _, fs := range d.fecList {
-		switch id {
-		case fs.class:
-			cs.fec = fs
-		case fs.repair:
+		if id == fs.repair {
 			cs.repairOf = int32(fs.class)
 		}
 	}
@@ -686,8 +673,8 @@ func (d *Dataplane) queuedLocked(s int32) (packets, bytes int) {
 // buffer goes back to the pool (when the engine owns one) and the envelope
 // is recycled. Pump goroutine only.
 func (d *Dataplane) freeEnvelope(e *envelope) {
-	if d.pool != nil && e.dg.b != nil {
-		d.pool.Put(e.dg.b)
+	if d.pool != nil && e.dg.B != nil {
+		d.pool.Put(e.dg.B)
 	}
 	d.recycle(e)
 }
@@ -697,7 +684,7 @@ func (d *Dataplane) freeEnvelope(e *envelope) {
 // the head it dequeued last, in which case it is recycled at the tree's
 // next Dequeue (pop). Pump goroutine only.
 func (d *Dataplane) recycle(e *envelope) {
-	e.dg = datagram{}
+	e.dg = Datagram{}
 	if e == d.held {
 		d.heldFree = true
 		return
@@ -928,9 +915,9 @@ func (d *Dataplane) recoverPanic() {
 	d.staging, d.stageHead = d.staging[:0], 0
 	d.settleLocked()
 	now := d.schedTime(d.now())
-	for _, r := range d.inflight[d.infHead:] {
-		d.tree.RecordDropReason(now, r.class, float64(len(r.env.dg.b))*8, obs.DropPanic)
-		d.freeEnvelope(r.env)
+	for _, env := range d.inflight[d.infHead:] {
+		d.tree.RecordDropReason(now, env.pkt.Session, env.pkt.Length, obs.DropPanic)
+		d.freeEnvelope(env)
 	}
 	d.inflight = d.inflight[:0]
 	d.infHead = 0
@@ -1051,7 +1038,9 @@ func (d *Dataplane) collectBatch(tokens float64, last *time.Duration) (float64, 
 		tokens = d.burst
 	}
 	now := wall.Seconds()
-	d.takeInbox(now)
+	if brownout, closing := d.takeInbox(); len(d.fecList) > 0 {
+		d.encodeFEC(now, brownout, closing)
+	}
 	for d.stageHead < len(d.staging) {
 		d.stageChunk()
 	}
@@ -1068,16 +1057,13 @@ func (d *Dataplane) collectBatch(tokens float64, last *time.Duration) (float64, 
 	return tokens, d.backlogLocked(), d.closed, len(d.draining) > 0
 }
 
-// takeInbox swaps the inbox for the pump's empty staging buffer. Partial
-// FEC blocks past their age (or any, once closing) flush into the inbox
-// first so their repairs ride this batch.
-func (d *Dataplane) takeInbox(now float64) {
+// takeInbox swaps the inbox for the pump's empty staging buffer and
+// reports, for the FEC stage, whether brownout is on and Close was called.
+func (d *Dataplane) takeInbox() (brownout, closing bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.fecList) > 0 {
-		d.flushStaleFECLocked(now)
-	}
 	d.staging, d.inbox = d.inbox, d.staging
+	return d.ov.brownout, d.closed
 }
 
 // stageChunk hands up to one DefaultBatchSize chunk of the taken inbox to the
@@ -1095,12 +1081,12 @@ func (d *Dataplane) stageChunk() {
 		d.stageHead++
 		env := d.getEnvelope()
 		env.pkt = packet.Packet{
-			Session: int(r.class),
+			Session: r.leaf.Session(),
 			Length:  float64(len(r.b)) * 8,
 			Arrival: r.arrival, // sojourn basis for the AQM
 			Payload: env,
 		}
-		env.dg = datagram{b: r.b, ctx: r.ctx}
+		env.dg = Datagram{B: r.b, Ctx: r.ctx}
 		env.slot = r.slot
 		d.tree.EnqueueLeaf(d.schedTime(r.arrival), r.leaf, &env.pkt)
 	}
@@ -1129,7 +1115,7 @@ func (d *Dataplane) dequeueChunk(tokens *float64, now float64) bool {
 			d.settling = append(d.settling, s)
 		}
 		out.pkts++
-		out.bytes += len(env.dg.b)
+		out.bytes += len(env.dg.B)
 		if d.aqm != nil && d.aqm[s].onDequeue(now, now-p.Arrival) {
 			// Shed by CoDel: record and pick the next packet without
 			// spending link tokens on the carcass.
@@ -1138,7 +1124,7 @@ func (d *Dataplane) dequeueChunk(tokens *float64, now float64) bool {
 			continue
 		}
 		*tokens -= p.Length
-		d.inflight = append(d.inflight, released{class: p.Session, env: env})
+		d.inflight = append(d.inflight, env)
 	}
 	return true
 }
@@ -1197,10 +1183,10 @@ func (d *Dataplane) writeInflight() {
 // error drops the head (reason "write-error"), and so does a transient one
 // past the retry budget (reason "retry-exhausted"). Every retry and outcome
 // is recorded.
-func (d *Dataplane) writeChunk(chunk []released) {
+func (d *Dataplane) writeChunk(chunk []*envelope) {
 	pkts := d.scratch[:0]
-	for i := range chunk {
-		pkts = append(pkts, Datagram{B: chunk[i].env.dg.b, Ctx: chunk[i].env.dg.ctx})
+	for _, env := range chunk {
+		pkts = append(pkts, env.dg)
 	}
 	d.scratch = pkts[:0]
 	backoff := DefaultRetryBackoff
@@ -1224,13 +1210,12 @@ func (d *Dataplane) writeChunk(chunk []released) {
 			}
 			err = errShortBatch // short batch without an error: transient stall
 		}
-		head := chunk[0]
-		bits := float64(len(head.env.dg.b)) * 8
+		head := &chunk[0].pkt
 		transient := isTransient(err)
 		if transient && attempts < DefaultRetryLimit {
 			attempts++
 			d.ov.retries.Add(1)
-			d.record(head.class, bits, obs.RetryTransient, true)
+			d.record(head.Session, head.Length, obs.RetryTransient, true)
 			d.sleep(backoff)
 			backoff = min(2*backoff, DefaultRetryCap)
 			continue
@@ -1239,8 +1224,8 @@ func (d *Dataplane) writeChunk(chunk []released) {
 		if transient {
 			reason = obs.DropRetries
 		}
-		d.record(head.class, bits, reason, false)
-		d.freeEnvelope(head.env)
+		d.record(head.Session, head.Length, reason, false)
+		d.freeEnvelope(chunk[0])
 		chunk = chunk[1:]
 		pkts = pkts[1:]
 		d.infHead++
@@ -1251,10 +1236,10 @@ func (d *Dataplane) writeChunk(chunk []released) {
 // finishWritten accounts one delivered prefix — a single batch-write record
 // plus one pool call returning every datagram's buffer — and advances
 // infHead past it.
-func (d *Dataplane) finishWritten(written []released) {
+func (d *Dataplane) finishWritten(written []*envelope) {
 	var bits float64
-	for i := range written {
-		bits += float64(len(written[i].env.dg.b)) * 8
+	for _, env := range written {
+		bits += env.pkt.Length
 	}
 	d.ov.writes.Add(int64(len(written)))
 	d.smu.Lock()
@@ -1264,9 +1249,9 @@ func (d *Dataplane) finishWritten(written []released) {
 		tr.NoteProgress() // delivery releases a tripped watchdog breaker
 	}
 	bufs := d.bufs[:0]
-	for i := range written {
-		bufs = append(bufs, written[i].env.dg.b)
-		d.recycle(written[i].env)
+	for _, env := range written {
+		bufs = append(bufs, env.dg.B)
+		d.recycle(env)
 	}
 	if d.pool != nil {
 		d.pool.PutBatch(bufs)

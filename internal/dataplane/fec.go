@@ -11,14 +11,14 @@ import (
 )
 
 // Loss-resilient egress: ProtectClass (or a '!fec' topo clause) wraps a
-// class's datagrams in the systematic erasure code from internal/fec. Every
-// source datagram is stamped with the 12-byte FEC header on ingest and
-// leaves in normal scheduled order; when a block completes (k sources, or a partial block ages out) the engine emits
-// the block's repair datagrams — not on the protected class, but on a
-// sibling *repair class* grafted next to it, so repair bandwidth is
-// scheduled by the same H-PFQ machinery as everything else and can never
-// starve the siblings: the repair class is a leaf with its own guaranteed
-// rate (flat mode) or share (topology mode) and competes like any other.
+// class's datagrams in the systematic erasure code from internal/fec. The
+// pump stamps every source with the 12-byte FEC header; when a block
+// completes (k sources, or a partial block ages out) it emits the block's
+// repair datagrams — not on the protected class, but on a sibling *repair
+// class* grafted next to it, so repair bandwidth is scheduled by the same
+// H-PFQ machinery as everything else and can never starve the siblings:
+// the repair class is a leaf with its own guaranteed rate (flat mode) or
+// share (topology mode) and competes like any other.
 //
 // The receive side (fec.Decoder, driven by cmd/hpfqgw's ingress or any
 // peer) reconstructs erased sources from the survivors and reports its loss
@@ -48,23 +48,33 @@ type FECConfig struct {
 	Adapt bool
 }
 
-// fecState is one protected class's live encoder-side state. All fields are
-// guarded by d.mu.
+// fecState is one protected class's live encoder-side state. Its one
+// writer is the pump, under d.smu (encodeFEC), besides ProtectClass,
+// FECFeedback and Status, which hold both locks.
 type fecState struct {
 	class  int
 	repair int
 	enc    *fec.Encoder
 	ctrl   *fec.Controller // nil unless adaptive
 
-	blockStart float64 // engine-seconds of the open block's first source
+	blockStart float64 // arrival stamp of the open block's first source
 	lastCtx    any     // latest source's IngestCtx context, reused for repairs
 }
 
+// fecRepair is a flushed repair datagram awaiting admission, to be staged
+// in front of staging index at.
+type fecRepair struct {
+	at  int
+	fs  *fecState
+	rec inboxRecord
+	why refusal
+}
+
 // ProtectClass protects an existing class with the erasure code spec (e.g.
-// fec.Spec{Scheme: "rs", K: 8, R: 2}, or fec.ParseSpec("rs-8-2")): sources
-// are header-stamped on ingest and each block's repair datagrams are
-// emitted on a dedicated sibling repair class, grafted under the protected
-// leaf's parent and scheduled like any other leaf. Ingesting directly into
+// fec.Spec{Scheme: "rs", K: 8, R: 2}, or fec.ParseSpec("rs-8-2")): the
+// pump header-stamps the sources and emits each block's repair datagrams
+// on a dedicated sibling repair class, grafted under the protected leaf's
+// parent and scheduled like any other leaf. Ingesting directly into
 // a repair class is refused — the engine owns it. Protection is
 // configuration: it is refused once the engine has started, and a refusal
 // leaves the engine unchanged. A '!fec' topo clause is the spec-side
@@ -82,27 +92,16 @@ func (d *Dataplane) ProtectClass(class int, spec fec.Spec, cfg FECConfig) error 
 }
 
 // protectTopoLocked protects every topology leaf that carries a '!fec'
-// clause (classBounds lists them in preorder), with default knobs, in class
-// order. Caller holds d.mu and d.smu, or owns d.
+// clause (classBounds lists them), with default knobs, in class order.
+// Caller holds d.mu and d.smu, or owns d.
 func (d *Dataplane) protectTopoLocked(leaves []*topo.Node) error {
-	if len(leaves) == 0 {
-		return nil
-	}
-	type clause struct {
-		class int
-		spec  fec.Spec
-	}
-	cs := make([]clause, 0, len(leaves))
+	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Session < leaves[j].Session })
 	for _, n := range leaves {
 		spec, err := fec.ParseSpec(n.FEC)
 		if err != nil {
 			return fmt.Errorf("dataplane: leaf %q: %v", n.Name, err)
 		}
-		cs = append(cs, clause{n.Session, spec})
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].class < cs[j].class })
-	for _, c := range cs {
-		if err := d.attachFECLocked(c.class, c.spec, FECConfig{}); err != nil {
+		if err := d.attachFECLocked(n.Session, spec, FECConfig{}); err != nil {
 			return err
 		}
 	}
@@ -122,7 +121,7 @@ func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) err
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if cs.fec != nil {
+	if d.fecOf(class) != nil {
 		return fmt.Errorf("dataplane: class %d already FEC-protected", class)
 	}
 	if cs.repairOf >= 0 {
@@ -158,9 +157,7 @@ func (d *Dataplane) attachFECLocked(class int, spec fec.Spec, cfg FECConfig) err
 		return err
 	}
 	d.addClassLocked(d.tree.Leaf(repair)).repairOf = int32(class)
-	cs, _ = d.classLocked(class) // the graft may have moved the records
-	cs.fec = fs
-	d.syncRatesLocked()
+	d.rebuildShedOrderLocked()
 
 	d.fecList = append(d.fecList, fs)
 	sort.Slice(d.fecList, func(i, j int) bool { return d.fecList[i].class < d.fecList[j].class })
@@ -176,91 +173,141 @@ func (d *Dataplane) fecBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// fecRelease returns a buffer that never became a staged datagram.
+// fecRelease returns a buffer that never became, or stopped being, a staged
+// datagram.
 func (d *Dataplane) fecRelease(b []byte) {
 	if d.pool != nil {
 		d.pool.Put(b)
 	}
 }
 
-// encodeFECLocked stamps one ingested payload as the next source datagram of
-// its class's open block and returns the staged (header-prefixed) buffer.
-// On success the engine owns the original buffer and recycles it — the
-// encoded copy is what travels. A block completed by this source flushes its
-// repairs into the inbox immediately. Caller holds d.mu.
-func (d *Dataplane) encodeFECLocked(fs *fecState, b []byte, ctx any, now float64) ([]byte, error) {
-	dst := d.fecBuf(fec.SourceOverhead + len(b))
-	n, full, err := fs.enc.AddSource(b, dst)
-	if err != nil {
-		d.fecRelease(dst)
-		return nil, err
+// fecOf returns protected class id's encoder state, or nil. Caller holds
+// d.mu or d.smu, or is the pump: fecList is fixed once the engine starts.
+func (d *Dataplane) fecOf(id int) *fecState {
+	for _, fs := range d.fecList {
+		if fs.class == id {
+			return fs
+		}
 	}
-	if fs.enc.Pending() == 1 {
-		fs.blockStart = now
-	}
-	fs.lastCtx = ctx
-	d.smu.Lock()
-	d.tree.RecordFEC(1, 0, 0, 0)
-	d.smu.Unlock()
-	d.fecRelease(b)
-	if full {
-		d.flushFECLocked(fs, now)
-	}
-	return dst[:n], nil
+	return nil
 }
 
-// flushFECLocked emits the open block's repair datagrams into the inbox on
-// the repair class, like any other accepted datagram. Repairs pass the
-// repair class's admission — a draining, shedding or full repair class
-// refuses the repair (recorded by reason), never the sources. Caller holds
-// d.mu.
-func (d *Dataplane) flushFECLocked(fs *fecState, now float64) {
-	if fs.enc.Pending() == 0 {
+// encodeFEC is the pump's FEC stage, run on each taken inbox while a class
+// is protected (DESIGN.md S30). stampChunk encodes under d.smu; then,
+// under both locks, each class is charged the headers its sources gained
+// and each repair passes its repair class's admission — a draining,
+// shedding or full repair class refuses it, recorded by reason — and
+// admitted repairs join the staging right behind their block's last
+// source.
+func (d *Dataplane) encodeFEC(now float64, brownout, closing bool) {
+	for i := d.stampChunk(0, now, brownout, closing); i < len(d.staging); {
+		i = d.stampChunk(i, now, brownout, closing)
+	}
+	if len(d.fecCharge) == 0 && len(d.fecReps) == 0 {
 		return
 	}
-	reps := fs.enc.Flush(d.fecBuf)
-	rcs, rs := d.classLocked(fs.repair)
-	sent := 0
-	d.smu.Lock()
-	defer d.smu.Unlock()
-	for _, rb := range reps {
-		why := refusedDraining
-		if rcs != nil {
-			why = d.admissionLocked(rcs, rs, len(rb))
-		}
-		if why != admitted {
-			d.recordRefusalLocked(now, fs.repair, float64(len(rb))*8, why)
-			d.fecRelease(rb)
-			continue
-		}
-		d.acceptLocked(rcs, rs, rb, fs.lastCtx, now)
-		sent++
+	d.lock()
+	defer d.unlock()
+	for _, s := range d.fecCharge { // a class holding datagrams keeps its slot
+		d.classes[s].acceptedBytes += fec.SourceOverhead
 	}
-	d.tree.RecordFEC(0, sent, 0, 0)
+	d.fecCharge = d.fecCharge[:0]
+	reps, merged, at, sent := d.fecReps, d.fecSpare[:0], 0, 0
+	d.fecReps = reps[:0]
+	defer clear(reps)
+	for i := range reps {
+		rp := &reps[i]
+		rcs, rs := d.classLocked(rp.fs.repair)
+		if rp.why = refusedDraining; rcs != nil {
+			rp.why = d.admissionLocked(rcs, rs, len(rp.rec.b))
+		}
+		if rp.why == admitted {
+			merged = append(append(merged, d.staging[at:rp.at]...), d.admitLocked(rcs, rs, rp.rec.b, rp.rec.ctx, rp.rec.arrival))
+			at = rp.at
+			sent++
+		}
+	}
+	if sent > 0 {
+		merged = append(merged, d.staging[at:]...)
+		clear(d.staging)
+		d.fecSpare, d.staging = d.staging[:0], merged
+		d.tree.RecordFEC(0, sent, 0, 0)
+	}
+	for _, rp := range reps { // last: a tracer's Drop hook may panic
+		if rp.why != admitted {
+			d.fecRelease(rp.rec.b)
+			d.recordRefusalLocked(now, rp.fs.repair, float64(len(rp.rec.b))*8, rp.why)
+		}
+	}
 }
 
-// flushStaleFECLocked flushes every partial block that has waited past
-// DefaultFECBlockAge (or any partial block once the engine is closing) and
-// refreshes d.fecWait, the pump's hint for the earliest upcoming deadline.
-// Caller holds d.mu.
-func (d *Dataplane) flushStaleFECLocked(now float64) {
+// stampChunk encodes up to one DefaultBatchSize chunk of the taken inbox
+// from index i under one d.smu hold and returns the index after it. Unless
+// brownout passes them unprotected, it copies each protected source not
+// yet stamped into a buffer behind its FEC header, recycling the caller's,
+// and a block it completes flushes its repairs into d.fecReps. The chunk
+// that reaches the end flushes every partial block past DefaultFECBlockAge
+// (any, once closing) and sets d.fecWait to the earliest age deadline.
+func (d *Dataplane) stampChunk(i int, now float64, brownout, closing bool) int {
+	d.smu.Lock()
+	defer d.smu.Unlock()
+	end := min(i+DefaultBatchSize, len(d.staging))
+	if brownout {
+		i = end
+	}
+	before := len(d.fecCharge)
+	for ; i < end; i++ {
+		r := &d.staging[i]
+		fs := d.fecOf(r.leaf.Session())
+		if fs == nil || r.stamped { // a record a pump panic put back may be
+			continue
+		}
+		dst := d.fecBuf(fec.SourceOverhead + len(r.b))
+		n, full, err := fs.enc.AddSource(r.b, dst)
+		if err != nil { // ingested before the class was protected
+			d.fecRelease(dst)
+			continue
+		}
+		if fs.enc.Pending() == 1 {
+			fs.blockStart = r.arrival
+		}
+		fs.lastCtx = r.ctx
+		d.fecRelease(r.b)
+		r.b, r.stamped = dst[:n], true
+		d.fecCharge = append(d.fecCharge, r.slot)
+		if full {
+			d.flushBlock(fs, i+1, r.arrival)
+		}
+	}
+	if n := len(d.fecCharge) - before; n > 0 {
+		d.tree.RecordFEC(n, 0, 0, 0)
+	}
+	if end < len(d.staging) {
+		return end
+	}
 	maxAge := DefaultFECBlockAge.Seconds()
 	d.fecWait = 0
 	for _, fs := range d.fecList {
 		if fs.enc.Pending() == 0 {
 			continue
 		}
-		if d.closed || now-fs.blockStart >= maxAge {
-			d.flushFECLocked(fs, now)
+		if closing || now-fs.blockStart >= maxAge {
+			d.flushBlock(fs, end, now)
 			continue
 		}
-		wait := time.Duration((fs.blockStart + maxAge - now) * float64(time.Second))
-		if wait < minWait {
-			wait = minWait
-		}
+		wait := max(time.Duration((fs.blockStart+maxAge-now)*float64(time.Second)), minWait)
 		if d.fecWait == 0 || wait < d.fecWait {
 			d.fecWait = wait
 		}
+	}
+	return end
+}
+
+// flushBlock queues fs's open block's repairs in d.fecReps, to be staged at
+// index at. Caller holds d.smu.
+func (d *Dataplane) flushBlock(fs *fecState, at int, arrival float64) {
+	for _, b := range fs.enc.Flush(d.fecBuf) {
+		d.fecReps = append(d.fecReps, fecRepair{at: at, fs: fs, rec: inboxRecord{b: b, ctx: fs.lastCtx, arrival: arrival}})
 	}
 }
 
@@ -273,13 +320,7 @@ func (d *Dataplane) flushStaleFECLocked(now float64) {
 func (d *Dataplane) FECFeedback(class, recovered, unrecoverable int, loss float64) error {
 	d.lock()
 	defer d.unlock()
-	var fs *fecState
-	for _, f := range d.fecList {
-		if f.class == class {
-			fs = f
-			break
-		}
-	}
+	fs := d.fecOf(class)
 	if fs == nil {
 		return fmt.Errorf("dataplane: class %d is not FEC-protected", class)
 	}
@@ -305,12 +346,10 @@ type FECStatus struct {
 	LossEst     float64 // controller's loss estimate; 0 unless adaptive
 }
 
-// fecStatusLocked snapshots the FEC view for Status. Caller holds d.mu.
+// fecStatusLocked snapshots the FEC view for Status, nil without FEC.
+// Caller holds d.mu and d.smu.
 func (d *Dataplane) fecStatusLocked() []FECStatus {
-	if len(d.fecList) == 0 {
-		return nil
-	}
-	out := make([]FECStatus, 0, len(d.fecList))
+	var out []FECStatus
 	for _, fs := range d.fecList {
 		st := FECStatus{
 			Class:       fs.class,

@@ -426,6 +426,12 @@ func TestFECAdaptiveRetune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The pump encodes: the block closes once it sends the sources.
+	w := &lossyCapture{r: spec.R}
+	if err := d.Start(w); err != nil {
+		t.Fatal(err)
+	}
+	advanceUntil(t, d, clk, time.Millisecond, func() bool { got, _ := w.counts(); return got >= spec.K+spec.R })
 	st := d.Status()
 	if len(st.FEC) != 1 || !st.FEC[0].Adaptive {
 		t.Fatalf("Status.FEC = %+v, want one adaptive entry", st.FEC)
@@ -828,12 +834,16 @@ func TestFECProtectionFollowsClassID(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The pump encodes; Close drains the block and its repair.
+	if err := d.Start(&lossyCapture{r: 1}); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
 	m := d.Snapshot()
 	if m.FECEncoded != 4 || m.FECRepairSent != 1 {
 		t.Errorf("re-added protected class: %d sources encoded, %d repairs sent; want 4 and 1", m.FECEncoded, m.FECRepairSent)
 	}
-	if p, _ := queued(d, repair); p != 1 {
-		t.Errorf("repair class queues %d, want the block's one repair", p)
+	if s, _ := m.Session(repair); s.Dequeued.Packets != 1 {
+		t.Errorf("repair class sent %d, want the block's one repair", s.Dequeued.Packets)
 	}
-	d.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hpfq/internal/fec"
 	"hpfq/internal/obs"
 )
 
@@ -78,7 +79,7 @@ func (d *Dataplane) admissionLocked(cs *classState, s int32, n int) refusal {
 }
 
 // recordRefusalLocked accounts a refused datagram in the scheduler's
-// metrics. Caller holds d.mu and d.smu.
+// metrics. Caller holds d.smu.
 func (d *Dataplane) recordRefusalLocked(now float64, class int, bits float64, why refusal) {
 	switch why {
 	case refusedShed:
@@ -199,23 +200,13 @@ func (d *Dataplane) IngestCtx(class int, b []byte, ctx any) error {
 		d.mu.Unlock()
 		return err
 	}
-	wasEmpty := len(d.inbox) == 0
-	if fs := cs.fec; fs != nil && !d.ov.brownout {
-		// Brownout (overload.go) suspends FEC encoding: source datagrams
-		// pass unprotected instead of spending CPU and link share on
-		// redundancy the engine cannot afford right now. Stage the
-		// header-stamped copy instead; the engine recycles the caller's
-		// buffer (success is guaranteed past this point, so ownership has
-		// effectively transferred). A completed block flushes its repairs
-		// into the inbox right here.
-		enc, err := d.encodeFECLocked(fs, b, ctx, now)
-		if err != nil {
-			d.mu.Unlock()
-			return err
-		}
-		b = enc
+	if len(b) > fec.MaxSource && d.fecOf(class) != nil {
+		// The pump's FEC stage could not code it (fec.Encoder.AddSource).
+		d.mu.Unlock()
+		return fmt.Errorf("fec: %d-byte datagram exceeds codable size %d", len(b), fec.MaxSource)
 	}
-	d.acceptLocked(cs, slot, b, ctx, now)
+	wasEmpty := len(d.inbox) == 0
+	d.inbox = append(d.inbox, d.admitLocked(cs, slot, b, ctx, now))
 	d.mu.Unlock()
 	if wasEmpty {
 		// A non-empty inbox already has a nudge on its way: the pump takes
@@ -225,18 +216,11 @@ func (d *Dataplane) IngestCtx(class int, b []byte, ctx any) error {
 	return nil
 }
 
-// acceptLocked appends an admitted datagram to the inbox as a value record
-// and counts it against its class, in slot s. Caller holds d.mu.
-func (d *Dataplane) acceptLocked(cs *classState, s int32, b []byte, ctx any, now float64) {
-	d.inbox = append(d.inbox, inboxRecord{
-		b:       b,
-		ctx:     ctx,
-		leaf:    cs.leaf,
-		arrival: now,
-		class:   cs.id,
-		slot:    s,
-	})
+// admitLocked counts an admitted datagram against its class, in slot s,
+// and the engine, and returns its inbox record. Caller holds d.mu.
+func (d *Dataplane) admitLocked(cs *classState, s int32, b []byte, ctx any, now float64) inboxRecord {
 	cs.accepted++
 	cs.acceptedBytes += len(b)
 	d.accepted++
+	return inboxRecord{b: b, ctx: ctx, leaf: cs.leaf, arrival: now, slot: s}
 }

@@ -146,7 +146,7 @@ func (d *Dataplane) heartbeatAge() time.Duration {
 
 // rebuildShedOrderLocked recomputes the shed order after any class or rate
 // mutation: FEC repair classes first (redundancy is the first luxury to
-// go), then ascending guaranteed rate. Caller holds d.mu.
+// go), then ascending leaf rate. Caller holds both locks or owns d.
 func (d *Dataplane) rebuildShedOrderLocked() {
 	if !d.overloadEnabled() {
 		return
@@ -165,8 +165,8 @@ func (d *Dataplane) rebuildShedOrderLocked() {
 		if ra, rb := a.repairOf >= 0, b.repairOf >= 0; ra != rb {
 			return ra
 		}
-		if a.rate != b.rate {
-			return a.rate < b.rate
+		if ra, rb := a.leaf.Rate(), b.leaf.Rate(); ra != rb {
+			return ra < rb
 		}
 		return a.id < b.id
 	})

@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"hpfq/internal/fec"
 	"hpfq/internal/obs"
+	"hpfq/internal/overload"
 	"hpfq/internal/topo"
 )
 
@@ -373,4 +377,173 @@ func TestSingleWriterOwnership(t *testing.T) {
 	}
 	t.Logf("accepted %d, tail-dropped %d, refused draining %d, %d leaves grafted and removed",
 		accepted.Load(), full.Load(), draining.Load(), grafts.Load())
+}
+
+// TestFECBrownoutStorm: producers ingest into a byte-capped protected class
+// while brownout flips under them, so the pump's FEC stage stamps some
+// batches and passes others through. After the drain every block the pump
+// opened has its repairs, every accepted payload comes out of fec.Decoder
+// byte-identical and exactly once, and the class accounting is back to 0.
+func TestFECBrownoutStorm(t *testing.T) {
+	const (
+		producers = 4
+		perProd   = 300
+	)
+	spec := fec.Spec{Scheme: fec.SchemeRS, K: 4, R: 2}
+	pool := NewBufferPool(2048)
+	d, err := New("WF2Q+", 1e9, WithByteCap(16<<10), WithMetrics(), WithBufferPool(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddClass(0, 5e8); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ProtectClass(0, spec, FECConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	w := &lossyCapture{} // no loss plan: keeps a copy of every datagram
+	if err := d.Start(w); err != nil {
+		t.Fatal(err)
+	}
+	payload := func(p, i int) []byte {
+		b := make([]byte, 40+(p*perProd+i)*7%600)
+		b[0] = byte(p)
+		binary.BigEndian.PutUint16(b[1:3], uint16(i))
+		for j := 3; j < len(b); j++ {
+			b[j] = byte(p*31 + i + j)
+		}
+		return b
+	}
+
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProd; i++ {
+				want := payload(p, i)
+				b := append(pool.Get()[:0], want...)
+				for {
+					err := d.Ingest(0, b)
+					if err == nil {
+						break
+					}
+					if !errors.Is(err, ErrQueueFull) {
+						t.Errorf("ingest: %v", err)
+						return
+					}
+					time.Sleep(10 * time.Microsecond)
+				}
+			}
+		}(p)
+	}
+	stop := make(chan struct{})
+	flipped := make(chan int)
+	go func() {
+		flips := 0
+		for state := overload.Overloaded; ; state = overload.Overloaded - state {
+			select {
+			case <-stop:
+				d.lock()
+				d.applyHealthLocked(overload.Healthy, 0)
+				d.unlock()
+				flipped <- flips
+				return
+			default:
+			}
+			d.lock()
+			d.applyHealthLocked(state, 0)
+			d.unlock()
+			flips++
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if flips := <-flipped; flips < 2 {
+		t.Fatalf("brownout flipped %d times, want a storm", flips)
+	}
+	// Leave a block open for Close, which flushes every partial block: one
+	// more source opens one if the storm closed its last.
+	tail := 0
+	for {
+		for d.Backlog() > 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		if tail > 0 || d.Status().FEC[0].Pending > 0 {
+			break
+		}
+		tail++
+		if err := d.Ingest(0, append(pool.Get()[:0], payload(producers, 0)...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range d.Status().Classes {
+		if c.Queued != 0 || c.QueuedBytes != 0 {
+			t.Errorf("class %d holds %d datagrams, %d bytes after the drain, want 0", c.ID, c.Queued, c.QueuedBytes)
+		}
+	}
+	dec := fec.NewDecoder()
+	delivered := map[[2]int]int{}
+	deliver := func(b []byte) {
+		p, i := int(b[0]), int(binary.BigEndian.Uint16(b[1:3]))
+		if (p >= producers || i >= perProd) && (p != producers || i >= tail) || !bytes.Equal(b, payload(p, i)) {
+			t.Fatalf("delivered a payload that was never ingested: %d bytes, % x…", len(b), b[:min(len(b), 8)])
+		}
+		delivered[[2]int{p, i}]++
+	}
+	sources, repairs := map[uint32]int{}, map[uint32][]int{}
+	var stamped, plain int
+	for _, b := range w.survived {
+		if !fec.IsFEC(b) {
+			plain++
+			deliver(b)
+			continue
+		}
+		block := binary.BigEndian.Uint32(b[5:9])
+		if b[2] == 0 {
+			stamped++
+			sources[block]++
+		} else {
+			repairs[block] = append(repairs[block], int(b[10])) // the k it codes
+		}
+		outs, err := dec.Push(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range outs {
+			deliver(o)
+		}
+	}
+	if len(delivered) != producers*perProd+tail {
+		t.Errorf("delivered %d distinct payloads, want %d", len(delivered), producers*perProd+tail)
+	}
+	for id, n := range delivered {
+		if n != 1 {
+			t.Errorf("payload %v delivered %d times", id, n)
+		}
+	}
+	if stamped == 0 || plain == 0 {
+		t.Errorf("%d stamped and %d plain sources: brownout never split the stream", stamped, plain)
+	}
+	for block, k := range sources {
+		if len(repairs[block]) != spec.R {
+			t.Errorf("block %d: %d sources, %d repairs, want %d", block, k, len(repairs[block]), spec.R)
+		}
+		for _, rk := range repairs[block] {
+			if rk != k {
+				t.Errorf("block %d: a repair codes %d sources, the block sent %d", block, rk, k)
+			}
+		}
+	}
+	if len(repairs) != len(sources) {
+		t.Errorf("repairs for %d blocks, sources for %d", len(repairs), len(sources))
+	}
+	if m := d.Snapshot(); m.FECEncoded != int64(stamped) || m.FECRepairSent != int64(len(sources)*spec.R) {
+		t.Errorf("metrics FECEncoded=%d FECRepairSent=%d, want %d/%d", m.FECEncoded, m.FECRepairSent, stamped, len(sources)*spec.R)
+	}
 }

@@ -9,8 +9,8 @@ import "fmt"
 // Partial blocks are first-class: repairs carry the actual source count as
 // k, so an idle stream never strands data waiting for a full block.
 //
-// Not goroutine-safe; the dataplane drives it from the ingest path under the
-// class lock.
+// Not goroutine-safe; the dataplane drives it from its pump, under the
+// scheduler lock.
 type Encoder struct {
 	stream uint16
 	spec   Spec
@@ -55,8 +55,8 @@ func (e *Encoder) Retune(spec Spec) error {
 // complete (call Flush to emit its repairs). dst must have room for
 // SourceOverhead+len(payload) bytes.
 func (e *Encoder) AddSource(payload, dst []byte) (int, bool, error) {
-	if len(payload)+lenPrefix > maxSymLen {
-		return 0, false, fmt.Errorf("fec: %d-byte datagram exceeds codable size %d", len(payload), maxSymLen-lenPrefix)
+	if len(payload) > MaxSource {
+		return 0, false, fmt.Errorf("fec: %d-byte datagram exceeds codable size %d", len(payload), MaxSource)
 	}
 	if len(dst) < SourceOverhead+len(payload) {
 		return 0, false, fmt.Errorf("fec: dst too small (%d bytes for %d)", len(dst), SourceOverhead+len(payload))
@@ -80,9 +80,9 @@ func (e *Encoder) AddSource(payload, dst []byte) (int, bool, error) {
 	return SourceOverhead + len(payload), len(e.payload) >= e.spec.K, nil
 }
 
-// maxSymLen bounds the coded symbol so a repair datagram (header + symbol)
-// stays below the 64 KiB UDP ceiling.
-const maxSymLen = 64*1024 - RepairOverhead
+// MaxSource is the largest payload AddSource codes: a repair datagram
+// (header + length-prefixed symbol) stays below the 64 KiB UDP ceiling.
+const MaxSource = 64*1024 - RepairOverhead - lenPrefix
 
 // Flush emits the open block's repair datagrams and starts a new block. It
 // is a no-op on an empty block. getBuf supplies each repair's buffer (e.g.

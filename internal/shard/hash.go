@@ -11,7 +11,11 @@ package shard
 // given (key, n) pair always lands on the same shard. That is exactly the
 // classifier-stability contract: same flow key → same shard, and keys move
 // across a resize only because the bucket count changed, never gratuitously.
+// One bucket takes every key without the loop's float division.
 func jump(key uint64, n int) int {
+	if n == 1 {
+		return 0
+	}
 	var b, j int64 = -1, 0
 	for j < int64(n) {
 		b = j
